@@ -33,7 +33,6 @@
 
 pub mod area;
 pub mod audit;
-pub mod batch;
 pub mod clock;
 pub mod experiments;
 pub mod mc;
@@ -45,7 +44,6 @@ pub mod system;
 
 pub use area::{AreaModel, ChipArea, RouterArea};
 pub use audit::{audit_grid, audit_icnt, AuditEntry, AuditReport};
-pub use batch::run_lockstep;
 pub use clock::{ClockConfig, Clocks, Domain};
 pub use mc::{McConfig, McNode, McRequest, McStats, Reply};
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};

@@ -105,16 +105,16 @@ impl IcntConfig {
 
 /// Which network execution engine a system simulates with. Both engines
 /// produce bit-identical results (the arena is equivalence-tested against
-/// the per-cell oracle); they differ only in memory layout and speed.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+/// the per-router oracle); they differ only in memory layout and speed.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// The per-router oracle kernel ([`Network`] / [`DoubleNetwork`]).
     /// Required for telemetry, and the reference for equivalence tests.
-    #[default]
     PerCell,
     /// The flat structure-of-arrays kernel ([`ArenaNetwork`] /
-    /// [`ArenaDoubleNetwork`]); supports phase-interleaved batching.
-    /// Falls back to the oracle for shapes the arena cannot pack.
+    /// [`ArenaDoubleNetwork`]): the production engine, several times
+    /// faster than the oracle. Falls back to the oracle for shapes the
+    /// arena cannot pack.
     Arena,
 }
 
@@ -140,15 +140,17 @@ pub struct SystemConfig {
     pub seed: u64,
     /// Safety limit on core cycles.
     pub max_core_cycles: u64,
-    /// Network execution engine (identical results either way).
+    /// Network execution engine (identical results either way). Set it
+    /// to [`EngineKind::PerCell`] before [`System::new`] for a run that
+    /// arms telemetry.
     pub engine: EngineKind,
 }
 
 impl SystemConfig {
     /// A system around the given interconnect with all other parameters at
-    /// their Table II values. Concentrated fabrics imply their own
-    /// concentration (cores per compute router); every other topology
-    /// keeps the paper's 1:1 core-to-router mapping.
+    /// their Table II values, on the arena engine. Concentrated fabrics
+    /// imply their own concentration (cores per compute router); every
+    /// other topology keeps the paper's 1:1 core-to-router mapping.
     pub fn with_icnt(icnt: IcntConfig) -> Self {
         let cores_per_node = icnt.net().mesh.concentration();
         SystemConfig {
@@ -160,7 +162,7 @@ impl SystemConfig {
             cores_per_node,
             seed: 0x7e0c,
             max_core_cycles: 50_000_000,
-            engine: EngineKind::PerCell,
+            engine: EngineKind::Arena,
         }
     }
 }
@@ -246,7 +248,7 @@ impl System {
         ((addr / self.cfg.chunk) % self.mc_nodes.len() as u64) as usize
     }
 
-    pub(crate) fn all_done(&self) -> bool {
+    fn all_done(&self) -> bool {
         self.cores
             .iter()
             .all(|c| c.done() && c.pending_requests() == 0 && c.outstanding_fetches() == 0)
@@ -260,7 +262,7 @@ impl System {
     /// bodies and the interconnect's own [`Tick`] all hang off this single
     /// dispatch point, so every clocked component in the system moves
     /// through the same trait.
-    pub(crate) fn tick_domain(&mut self, domain: Domain) {
+    fn tick_domain(&mut self, domain: Domain) {
         match domain {
             Domain::Core => self.step_core_domain(),
             Domain::Icnt => self.step_icnt_domain(),
@@ -282,10 +284,8 @@ impl System {
 
     /// The terminal-side half of an interconnect cycle: drain replies to
     /// cores, inject core requests, and run the MC side (eject requests,
-    /// service L2, inject replies). The network's own [`Tick`] follows —
-    /// either directly ([`System::step_icnt_domain`]) or phase-interleaved
-    /// across many systems (the lockstep batch runner).
-    pub(crate) fn icnt_exchange(&mut self) {
+    /// service L2, inject replies). The network's own [`Tick`] follows.
+    fn icnt_exchange(&mut self) {
         let now = self.clocks.cycles(Domain::Icnt) - 1;
         let dram_now = self.clocks.cycles(Domain::Dram);
         // Replies to cores. With concentration > 1 several cores share a
@@ -369,34 +369,6 @@ impl System {
         }
     }
 
-    /// Advances the system's clock by one edge and reports which domain it
-    /// fell in (the batch runner drives lockstep systems through this).
-    pub(crate) fn clock_tick(&mut self) -> Domain {
-        self.clocks.tick()
-    }
-
-    /// Phase count of the interconnect's cycle (see
-    /// [`Interconnect::phase_count`]).
-    pub(crate) fn icnt_phase_count(&self) -> usize {
-        self.icnt.phase_count()
-    }
-
-    /// One sub-phase of the interconnect's cycle (see
-    /// [`Interconnect::tick_phase`]).
-    pub(crate) fn icnt_tick_phase(&mut self, phase: usize) {
-        self.icnt.tick_phase(phase);
-    }
-
-    /// Core cycles elapsed so far.
-    pub(crate) fn core_cycles(&self) -> u64 {
-        self.clocks.cycles(Domain::Core)
-    }
-
-    /// The configured core-cycle safety limit.
-    pub(crate) fn max_core_cycles(&self) -> u64 {
-        self.cfg.max_core_cycles
-    }
-
     fn step_dram_domain(&mut self) {
         let now = self.clocks.cycles(Domain::Dram) - 1;
         for mc in &mut self.mcs {
@@ -433,6 +405,11 @@ impl System {
     /// link/VC counters, occupancy sampling, flight recorder). Call
     /// before [`System::run`]; a no-op on ideal networks, which have
     /// nothing to observe. Telemetry never changes simulated outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a physical network built with [`EngineKind::Arena`]:
+    /// only the oracle carries the observability hooks.
     pub fn enable_telemetry(&mut self, cfg: tenoc_noc::TelemetryConfig) {
         self.icnt.enable_telemetry(cfg);
     }
@@ -669,6 +646,41 @@ mod tests {
         let m = sys.metrics(false);
         let ratio = m.core_cycles as f64 / m.icnt_cycles as f64;
         assert!((ratio - 1296.0 / 602.0).abs() < 0.05, "core/icnt ratio {ratio}");
+    }
+
+    fn run_on(engine: EngineKind, icnt: IcntConfig) -> RunMetrics {
+        let mut cfg = SystemConfig::with_icnt(icnt);
+        cfg.seed = 7;
+        cfg.engine = engine;
+        cfg.max_core_cycles = 400_000;
+        System::new(cfg, &tiny_spec(0.3)).run()
+    }
+
+    /// Both sides must drain: equality of two runs that hit the cycle cap
+    /// would hold vacuously.
+    fn assert_arena_matches_oracle(icnt: IcntConfig) {
+        let oracle = run_on(EngineKind::PerCell, icnt.clone());
+        let arena = run_on(EngineKind::Arena, icnt);
+        assert!(oracle.completed, "oracle run hit the cycle cap: {oracle:?}");
+        assert!(arena.completed, "arena run hit the cycle cap: {arena:?}");
+        assert_eq!(oracle, arena, "arena engine must be bit-identical to the oracle");
+    }
+
+    #[test]
+    fn arena_engine_matches_oracle_engine() {
+        assert_arena_matches_oracle(IcntConfig::Mesh(NetworkConfig::baseline_mesh(6)));
+    }
+
+    #[test]
+    fn arena_matches_oracle_on_paper_preset() {
+        assert_arena_matches_oracle(crate::presets::Preset::ThroughputEffective.icnt(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "build the system with `EngineKind::PerCell`")]
+    fn arming_a_default_engine_system_panics() {
+        let cfg = SystemConfig::with_icnt(IcntConfig::Mesh(NetworkConfig::baseline_mesh(6)));
+        System::new(cfg, &tiny_spec(0.2)).enable_telemetry(tenoc_noc::TelemetryConfig::default());
     }
 
     #[test]

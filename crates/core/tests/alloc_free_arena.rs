@@ -1,10 +1,9 @@
-//! Proves the per-router oracle's zero-allocation steady state — the
-//! [`DoubleNetwork`](tenoc_noc::DoubleNetwork) that `EngineKind::PerCell`
-//! builds: after a warm-up that grows every FIFO to its peak occupancy,
-//! 1k cycles of the fig. 20 combined design point's network
-//! (checkerboard double network, 2 MC injection ports) under sustained
-//! MC-bound traffic perform zero heap allocations. `alloc_free_arena.rs`
-//! holds the same guarantee for the production engine.
+//! Proves the arena kernel's zero-allocation steady state: after a
+//! warm-up that grows every slab, ring and packet-table row to its peak
+//! occupancy, 1k cycles of the fig. 20 combined design point's double
+//! network on the production engine ([`ArenaDoubleNetwork`]) perform zero
+//! heap allocations. `alloc_free.rs` holds the same guarantee for the
+//! per-router oracle.
 //!
 //! This file holds exactly one test: the counting global allocator is
 //! process-wide, so a concurrently running test could blur the count.
@@ -13,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tenoc_core::system::IcntConfig;
 use tenoc_core::Preset;
-use tenoc_noc::{Interconnect, Packet, Tick};
+use tenoc_noc::{ArenaDoubleNetwork, Interconnect, Packet, Tick};
 
 struct CountingAlloc;
 
@@ -44,17 +43,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
-fn fig20_network_steady_state_allocates_nothing() {
+fn arena_steady_state_allocates_nothing() {
     let IcntConfig::Double(cfg) = Preset::ThroughputEffective.icnt(6) else {
         panic!("fig. 20 combined preset must be a double network");
     };
     let mcs = cfg.mc_nodes.clone();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-    let mut net = tenoc_noc::DoubleNetwork::from_single(&cfg);
+    let mut net = ArenaDoubleNetwork::from_single(&cfg);
 
     // Sustained many-to-few traffic: every cycle each class attempts a
     // couple of injections; blocked attempts are dropped (backpressure).
-    let drive = |net: &mut tenoc_noc::DoubleNetwork, cycles: u64, tag0: u64| {
+    let drive = |net: &mut ArenaDoubleNetwork, cycles: u64, tag0: u64| {
         for i in 0..cycles {
             for lane in 0..2u64 {
                 let t = tag0 + i * 2 + lane;
@@ -70,7 +69,7 @@ fn fig20_network_steady_state_allocates_nothing() {
         }
     };
 
-    // Warm-up: reach peak queue occupancy everywhere.
+    // Warm-up: reach peak queue and packet-table occupancy everywhere.
     drive(&mut net, 2_000, 0);
 
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -79,7 +78,7 @@ fn fig20_network_steady_state_allocates_nothing() {
     assert_eq!(
         after - before,
         0,
-        "oracle kernel allocated {} times in 1k warm cycles",
+        "arena kernel allocated {} times in 1k warm cycles",
         after - before
     );
 

@@ -4,13 +4,11 @@
 use crate::grid::{SweepCell, SweepGrid};
 use crate::pool::run_indexed;
 use crate::record::{RunPerf, RunRecord};
-use std::collections::HashMap;
 use tenoc_core::area::{throughput_effectiveness, AreaModel};
 use tenoc_core::experiments::{run_traced_with_system_config, run_with_system_config};
 use tenoc_core::{
-    ClockConfig, EngineKind, IcntConfig, PowerModel, RunMetrics, SystemConfig, TelemetryConfig,
+    ClockConfig, IcntConfig, PowerModel, RunMetrics, SystemConfig, TelemetryConfig, TelemetryReport,
 };
-use tenoc_noc::ArenaNetwork;
 use tenoc_simt::TrafficClass;
 
 /// One cell's raw result, before area/power annotation.
@@ -26,7 +24,7 @@ pub struct CellResult {
     pub wall_nanos: u64,
     /// Telemetry reports when the cell ran with telemetry armed (one per
     /// physical network), empty otherwise.
-    pub telemetry: Vec<tenoc_core::TelemetryReport>,
+    pub telemetry: Vec<TelemetryReport>,
 }
 
 /// The fully-resolved system configuration a cell simulates with: the
@@ -41,6 +39,26 @@ pub fn cell_system_config(cell: &SweepCell) -> SystemConfig {
     cfg
 }
 
+/// The one cell body every run path shares. The configuration's default
+/// engine is the arena kernel; a telemetry-armed cell goes through
+/// [`run_traced_with_system_config`], which builds the per-router oracle
+/// instead (the only engine with observability hooks).
+fn simulate(
+    cfg: SystemConfig,
+    benchmark: &str,
+    scale: f64,
+    telemetry: bool,
+) -> (TrafficClass, RunMetrics, Vec<TelemetryReport>) {
+    let spec = tenoc_workloads::by_name(benchmark)
+        .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
+    let (metrics, reports) = if telemetry {
+        run_traced_with_system_config(cfg, &spec, scale, TelemetryConfig::default())
+    } else {
+        (run_with_system_config(cfg, &spec, scale), Vec::new())
+    };
+    (spec.class, metrics, reports)
+}
+
 /// Runs one cell to completion.
 ///
 /// # Panics
@@ -48,17 +66,11 @@ pub fn cell_system_config(cell: &SweepCell) -> SystemConfig {
 /// Panics if the benchmark name is unknown or the run hits the safety
 /// cycle limit (closed-loop runs must always drain).
 pub fn run_cell(cell: &SweepCell) -> CellResult {
-    let spec = tenoc_workloads::by_name(&cell.benchmark)
-        .unwrap_or_else(|| panic!("unknown benchmark {}", cell.benchmark));
-    let cfg = cell_system_config(cell);
     let start = std::time::Instant::now();
-    let (metrics, telemetry) = if cell.telemetry {
-        run_traced_with_system_config(cfg, &spec, cell.scale, TelemetryConfig::default())
-    } else {
-        (run_with_system_config(cfg, &spec, cell.scale), Vec::new())
-    };
+    let (class, metrics, telemetry) =
+        simulate(cell_system_config(cell), &cell.benchmark, cell.scale, cell.telemetry);
     let wall_nanos = start.elapsed().as_nanos() as u64;
-    CellResult { cell: cell.clone(), class: spec.class, metrics, wall_nanos, telemetry }
+    CellResult { cell: cell.clone(), class, metrics, wall_nanos, telemetry }
 }
 
 /// Runs every cell of `grid` across `jobs` workers, returning raw results
@@ -80,178 +92,6 @@ pub fn run_grid(grid: &SweepGrid, jobs: usize) -> Vec<CellResult> {
 /// Propagates panics from [`run_cell`].
 pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> Vec<RunRecord> {
     run_grid(grid, jobs).into_iter().map(|r| annotate(&r)).collect()
-}
-
-/// `true` when an interconnect configuration may run on the batched
-/// arena engine: a physical network whose shape fits the arena's packed
-/// slabs.
-pub fn icnt_arena_eligible(icnt: &IcntConfig) -> bool {
-    match icnt {
-        IcntConfig::Mesh(c) => ArenaNetwork::supports(c),
-        IcntConfig::Double(c) => {
-            c.channel_bytes.is_multiple_of(2) && ArenaNetwork::supports(&c.slice())
-        }
-        _ => false,
-    }
-}
-
-/// The shape-hash batching key over a resolved interconnect: configs
-/// whose keys match build identically-dimensioned simulators (same
-/// topology, VC layout, buffer depths, ports, clocking) and may run
-/// lockstep in one batch. The seed is excluded — batched cells differ in
-/// seeds and traffic by design.
-pub fn icnt_shape_key(icnt: &IcntConfig) -> String {
-    match icnt {
-        IcntConfig::Mesh(c) => format!("mesh:{}", c.shape_fingerprint()),
-        IcntConfig::Double(c) => format!("double:{}", c.shape_fingerprint()),
-        // Ideal networks never reach here (not arena-eligible).
-        other => format!("ideal:{other:?}"),
-    }
-}
-
-/// `true` when a cell may run on the batched arena engine: no telemetry
-/// (that needs the oracle's observability hooks) and a physical network
-/// whose shape fits the arena's packed slabs.
-fn arena_eligible(cell: &SweepCell) -> bool {
-    !cell.telemetry && icnt_arena_eligible(&cell.preset.icnt(cell.mesh_k))
-}
-
-/// The shape-hash batching key of a sweep cell (see [`icnt_shape_key`]).
-fn shape_key(cell: &SweepCell) -> String {
-    icnt_shape_key(&cell.preset.icnt(cell.mesh_k))
-}
-
-/// The public batching key: `Some(shape)` when the cell may run on the
-/// lockstep arena engine, `None` when it must use the per-cell oracle
-/// (telemetry armed, ideal network, or a shape the arena cannot pack).
-/// Cells with equal keys build identically-dimensioned simulators and may
-/// be grouped into one [`run_cells_lockstep`] call — the service layer's
-/// scheduler uses this to route same-shape cells through the batched
-/// kernel.
-pub fn batch_shape_key(cell: &SweepCell) -> Option<String> {
-    arena_eligible(cell).then(|| shape_key(cell))
-}
-
-/// Runs a set of same-shape cells in lockstep on the arena engine,
-/// returning results in input order — metrics bit-identical to
-/// [`run_cell`] on each. Each result's wall time is the whole batch's
-/// wall time (the cells genuinely co-ran); aggregate throughput is
-/// `sum(icnt_cycles) / wall`.
-///
-/// # Panics
-///
-/// Panics if a benchmark is unknown, a cell wants telemetry, or a run
-/// hits the safety cycle limit.
-pub fn run_cells_lockstep(cells: &[SweepCell]) -> Vec<CellResult> {
-    let start = std::time::Instant::now();
-    let mut systems = Vec::with_capacity(cells.len());
-    let mut classes = Vec::with_capacity(cells.len());
-    for cell in cells {
-        assert!(!cell.telemetry, "telemetry cells must run on the per-cell oracle");
-        let spec = tenoc_workloads::by_name(&cell.benchmark)
-            .unwrap_or_else(|| panic!("unknown benchmark {}", cell.benchmark));
-        let mut cfg = SystemConfig::with_icnt(cell.preset.icnt(cell.mesh_k));
-        cfg.seed = cell.seed;
-        cfg.engine = EngineKind::Arena;
-        classes.push(spec.class);
-        systems.push(tenoc_core::System::new(cfg, &spec.scaled(cell.scale)));
-    }
-    let metrics = tenoc_core::run_lockstep(&mut systems);
-    let wall_nanos = start.elapsed().as_nanos() as u64;
-    cells
-        .iter()
-        .zip(metrics)
-        .zip(classes)
-        .map(|((cell, m), class)| {
-            assert!(m.completed, "{} did not complete (possible deadlock)", cell.benchmark);
-            CellResult { cell: cell.clone(), class, metrics: m, wall_nanos, telemetry: Vec::new() }
-        })
-        .collect()
-}
-
-/// One unit of work for the batched scheduler: a single cell on the
-/// oracle engine, or a same-shape chunk on the lockstep arena engine.
-enum WorkUnit {
-    Oracle(usize),
-    Batch(Vec<usize>),
-}
-
-/// Groups cell indices into work units by batching key, preserving cell
-/// order within and across groups (first-seen order) so unit composition
-/// depends only on the input, never on the thread schedule. Cells with
-/// key `None` and singleton shapes go to the per-cell oracle (a
-/// singleton gains nothing from the batch path; the oracle kernel is the
-/// measured-and-tested default there).
-fn plan_units(keys: &[Option<String>], batch: usize) -> Vec<WorkUnit> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut by_key: HashMap<&str, usize> = HashMap::new();
-    let mut singles: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        match key {
-            Some(k) => {
-                let slot = *by_key.entry(k.as_str()).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[slot].push(i);
-            }
-            None => singles.push(i),
-        }
-    }
-    let mut units: Vec<WorkUnit> = Vec::new();
-    for group in groups {
-        if group.len() == 1 {
-            units.push(WorkUnit::Oracle(group[0]));
-        } else {
-            for chunk in group.chunks(batch) {
-                units.push(WorkUnit::Batch(chunk.to_vec()));
-            }
-        }
-    }
-    units.extend(singles.into_iter().map(WorkUnit::Oracle));
-    units
-}
-
-/// Runs every cell of `grid`, grouping same-shape cells into lockstep
-/// batches of at most `batch` cells and falling back to the per-cell
-/// oracle for singleton shapes, telemetry cells, and shapes the arena
-/// cannot pack. Results are in cell order and bit-identical to
-/// [`run_grid`] at any `jobs` and any `batch` width.
-///
-/// # Panics
-///
-/// Propagates panics from [`run_cell`] / [`run_cells_lockstep`].
-pub fn run_grid_batched(grid: &SweepGrid, jobs: usize, batch: usize) -> Vec<CellResult> {
-    let cells = grid.cells();
-    if batch <= 1 {
-        return run_indexed(cells.len(), jobs, |i| run_cell(&cells[i]));
-    }
-    let keys: Vec<Option<String>> = cells.iter().map(batch_shape_key).collect();
-    let units = plan_units(&keys, batch);
-
-    let produced: Vec<Vec<(usize, CellResult)>> =
-        run_indexed(units.len(), jobs, |u| match &units[u] {
-            WorkUnit::Oracle(i) => vec![(*i, run_cell(&cells[*i]))],
-            WorkUnit::Batch(idxs) => {
-                let batch_cells: Vec<SweepCell> = idxs.iter().map(|&i| cells[i].clone()).collect();
-                idxs.iter().copied().zip(run_cells_lockstep(&batch_cells)).collect()
-            }
-        });
-    let mut out: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
-    for (i, result) in produced.into_iter().flatten() {
-        out[i] = Some(result);
-    }
-    out.into_iter().map(|r| r.expect("every cell ran")).collect()
-}
-
-/// [`run_sweep`] over the batched scheduler: sealed records in cell
-/// order, byte-identical to the unbatched sweep at any `jobs`/`batch`.
-///
-/// # Panics
-///
-/// Propagates panics from [`run_grid_batched`].
-pub fn run_sweep_batched(grid: &SweepGrid, jobs: usize, batch: usize) -> Vec<RunRecord> {
-    run_grid_batched(grid, jobs, batch).into_iter().map(|r| annotate(&r)).collect()
 }
 
 /// A closed-loop cell specified by an explicit interconnect
@@ -281,90 +121,27 @@ pub fn config_cell_system_config(cell: &ConfigCell) -> SystemConfig {
     cfg
 }
 
-/// Runs one config cell to completion on the per-cell oracle engine.
+/// Runs one config cell to completion.
 ///
 /// # Panics
 ///
 /// Panics if the benchmark name is unknown or the run hits the safety
 /// cycle limit.
 pub fn run_config_cell(cell: &ConfigCell) -> (TrafficClass, RunMetrics) {
-    let spec = tenoc_workloads::by_name(&cell.benchmark)
-        .unwrap_or_else(|| panic!("unknown benchmark {}", cell.benchmark));
-    let metrics = run_with_system_config(config_cell_system_config(cell), &spec, cell.scale);
-    (spec.class, metrics)
+    let (class, metrics, _) =
+        simulate(config_cell_system_config(cell), &cell.benchmark, cell.scale, false);
+    (class, metrics)
 }
 
-/// The batching key of a config cell: `Some(shape)` when it may run on
-/// the lockstep arena engine, `None` when it must use the per-cell
-/// oracle.
-pub fn config_batch_shape_key(cell: &ConfigCell) -> Option<String> {
-    icnt_arena_eligible(&cell.icnt).then(|| icnt_shape_key(&cell.icnt))
-}
-
-/// Runs a set of same-shape config cells in lockstep on the arena
-/// engine, returning `(class, metrics)` in input order — metrics
-/// bit-identical to [`run_config_cell`] on each.
+/// Runs every config cell across `jobs` workers, returning
+/// `(class, metrics)` in cell order — the explicit-config analogue of
+/// [`run_grid`].
 ///
 /// # Panics
 ///
-/// Panics if a benchmark is unknown or a run hits the safety cycle
-/// limit.
-pub fn run_config_cells_lockstep(cells: &[ConfigCell]) -> Vec<(TrafficClass, RunMetrics)> {
-    let mut systems = Vec::with_capacity(cells.len());
-    let mut classes = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let spec = tenoc_workloads::by_name(&cell.benchmark)
-            .unwrap_or_else(|| panic!("unknown benchmark {}", cell.benchmark));
-        let mut cfg = config_cell_system_config(cell);
-        cfg.engine = EngineKind::Arena;
-        classes.push(spec.class);
-        systems.push(tenoc_core::System::new(cfg, &spec.scaled(cell.scale)));
-    }
-    let metrics = tenoc_core::run_lockstep(&mut systems);
-    cells
-        .iter()
-        .zip(metrics)
-        .zip(classes)
-        .map(|((cell, m), class)| {
-            assert!(m.completed, "{} did not complete (possible deadlock)", cell.benchmark);
-            (class, m)
-        })
-        .collect()
-}
-
-/// Runs every config cell, grouping same-shape cells into lockstep
-/// batches of at most `batch` cells and falling back to the per-cell
-/// oracle elsewhere — the explicit-config analogue of
-/// [`run_grid_batched`]. Results are in cell order and bit-identical to
-/// [`run_config_cell`] on each at any `jobs` and any `batch` width.
-///
-/// # Panics
-///
-/// Propagates panics from [`run_config_cell`] /
-/// [`run_config_cells_lockstep`].
-pub fn run_config_cells(
-    cells: &[ConfigCell],
-    jobs: usize,
-    batch: usize,
-) -> Vec<(TrafficClass, RunMetrics)> {
-    if batch <= 1 {
-        return run_indexed(cells.len(), jobs, |i| run_config_cell(&cells[i]));
-    }
-    let keys: Vec<Option<String>> = cells.iter().map(config_batch_shape_key).collect();
-    let units = plan_units(&keys, batch);
-    let produced: Vec<Vec<(usize, (TrafficClass, RunMetrics))>> =
-        run_indexed(units.len(), jobs, |u| match &units[u] {
-            WorkUnit::Oracle(i) => vec![(*i, run_config_cell(&cells[*i]))],
-            WorkUnit::Batch(idxs) => {
-                let batch_cells: Vec<ConfigCell> = idxs.iter().map(|&i| cells[i].clone()).collect();
-                idxs.iter().copied().zip(run_config_cells_lockstep(&batch_cells)).collect()
-            }
-        });
-    let mut out: Vec<Option<(TrafficClass, RunMetrics)>> = (0..cells.len()).map(|_| None).collect();
-    for (i, result) in produced.into_iter().flatten() {
-        out[i] = Some(result);
-    }
-    out.into_iter().map(|r| r.expect("every cell ran")).collect()
+/// Propagates panics from [`run_config_cell`].
+pub fn run_config_cells(cells: &[ConfigCell], jobs: usize) -> Vec<(TrafficClass, RunMetrics)> {
+    run_indexed(cells.len(), jobs, |i| run_config_cell(&cells[i]))
 }
 
 /// Annotates a raw result with the design point's area/power model and
@@ -454,28 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn shape_key_batches_same_shape_cells_only() {
-        let grid = SweepGrid::new(
-            vec![Preset::BaselineTbDor, Preset::ThroughputEffective, Preset::Perfect],
-            vec!["HIS".into(), "MM".into()],
-            0.02,
-        );
-        let cells = grid.cells();
-        // Same preset, different benchmark/seed: same shape.
-        assert_eq!(batch_shape_key(&cells[0]), batch_shape_key(&cells[1]));
-        assert!(batch_shape_key(&cells[0]).is_some());
-        // Different fabric: different shape.
-        assert_ne!(batch_shape_key(&cells[0]), batch_shape_key(&cells[2]));
-        // Ideal networks cannot batch.
-        assert_eq!(batch_shape_key(&cells[4]), None);
-        // Telemetry forces the oracle.
-        let mut t = cells[0].clone();
-        t.telemetry = true;
-        assert_eq!(batch_shape_key(&t), None);
-    }
-
-    #[test]
-    fn config_cell_matches_preset_cell_and_batches_identically() {
+    fn config_cell_matches_preset_cell() {
         // A config cell resolved from a preset must measure exactly what
         // the preset cell measures — this is what lets the tuner share
         // cache entries with preset sweeps.
@@ -491,17 +247,14 @@ mod tests {
         let (class, metrics) = run_config_cell(&cfg_cell);
         assert_eq!(class, preset_result.class);
         assert_eq!(metrics, preset_result.metrics);
-        assert_eq!(config_batch_shape_key(&cfg_cell), batch_shape_key(&cell));
 
-        // Same-shape config cells batched through the lockstep kernel
-        // are bit-identical to solo runs, at any jobs/batch.
+        // The pool returns config cells in input order at any job count.
         let mut b = cfg_cell.clone();
         b.benchmark = "MM".into();
         b.seed = cfg_cell.seed ^ 0x5bd1;
-        let cells = vec![cfg_cell.clone(), b.clone()];
+        let cells = vec![cfg_cell, b];
         let solo: Vec<_> = cells.iter().map(run_config_cell).collect();
-        let batched = run_config_cells(&cells, 2, 8);
-        assert_eq!(solo, batched);
+        assert_eq!(solo, run_config_cells(&cells, 2));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Batched structure-of-arrays execution engine.
+//! Structure-of-arrays execution engine — the production cycle kernel.
 //!
 //! [`ArenaNetwork`] is an alternative execution engine for the exact
 //! simulation that [`Network`](crate::network::Network) defines: instead of
@@ -16,15 +16,8 @@
 //! the same ascending active-set order, and the RNG is consumed by the
 //! same calls in the same order — so statistics, ejection traces, cycle
 //! counts and therefore `RunRecord` fingerprints are identical to the
-//! per-cell kernel. `tests/arena_batch_equivalence.rs` pins this with
-//! proptests over random legal configurations and batch widths.
-//!
-//! [`NetBatch`] stacks B same-shape cells (same topology/VC/buffer shape;
-//! differing seeds and traffic) and advances them in lockstep, cell-major
-//! per phase: deliver over all cells, then NI, then routers, then retire.
-//! Per-cell state never interleaves — each cell owns its slabs, RNG and
-//! `ActiveSet` — so batching is a pure scheduling transform and cannot
-//! change any cell's outcome. See DESIGN.md §15.
+//! per-router kernel. `tests/arena_equivalence.rs` pins this with
+//! proptests over random legal configurations. See DESIGN.md §15.
 
 use crate::activeset::ActiveSet;
 use crate::buffer::VcState;
@@ -129,7 +122,7 @@ pub const ARENA_PHASES: usize = 1;
 /// Drop-in replacement for [`Network`](crate::network::Network) behind the
 /// [`Interconnect`] trait with bit-identical observable behavior (same
 /// stats, same ejection order, same RNG stream). Telemetry is the one
-/// unsupported feature — armed cells must run on the oracle engine.
+/// unsupported feature — armed runs must be built on the oracle engine.
 pub struct ArenaNetwork {
     cfg: NetworkConfig,
     // --- shape (immutable after construction) ---
@@ -1150,8 +1143,8 @@ impl Interconnect for ArenaNetwork {
 
     fn enable_telemetry(&mut self, _cfg: TelemetryConfig) {
         panic!(
-            "telemetry requires the per-cell oracle engine (Network); \
-             the harness routes telemetry cells there automatically"
+            "telemetry requires the per-router oracle (Network): \
+             build the system with `EngineKind::PerCell`"
         );
     }
 
@@ -1266,65 +1259,6 @@ impl Interconnect for ArenaDoubleNetwork {
     }
 }
 
-/// B same-shape cells advanced in lockstep, cell-major per phase: phase 0
-/// of every cell, then phase 1 of every cell, and so on. Since cells share
-/// no state, this is observationally identical to ticking each cell alone —
-/// it only improves locality by keeping one phase's code hot across cells.
-pub struct NetBatch<N: Interconnect> {
-    cells: Vec<N>,
-}
-
-impl<N: Interconnect> NetBatch<N> {
-    /// Stacks `cells` into a lockstep batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is empty.
-    pub fn new(cells: Vec<N>) -> Self {
-        assert!(!cells.is_empty(), "a batch needs at least one cell");
-        NetBatch { cells }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the batch holds no cells (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Immutable access to cell `i`.
-    pub fn cell(&self, i: usize) -> &N {
-        &self.cells[i]
-    }
-
-    /// Mutable access to cell `i` (for injection and pops).
-    pub fn cell_mut(&mut self, i: usize) -> &mut N {
-        &mut self.cells[i]
-    }
-
-    /// Consumes the batch, returning the cells.
-    pub fn into_cells(self) -> Vec<N> {
-        self.cells
-    }
-}
-
-impl<N: Interconnect> Tick for NetBatch<N> {
-    /// Advances every cell by one cycle, interleaved cell-major per phase.
-    fn tick(&mut self) {
-        let phases = self.cells.iter().map(|c| c.phase_count()).max().unwrap_or(1);
-        for p in 0..phases {
-            for cell in &mut self.cells {
-                if p < cell.phase_count() {
-                    cell.tick_phase(p);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1423,53 +1357,5 @@ mod tests {
             }
         }
         assert_eq!(whole.stats(), phased.stats());
-    }
-
-    #[test]
-    fn batch_cells_match_solo_runs() {
-        let mk = |seed: u64| {
-            let mut cfg = NetworkConfig::baseline_mesh(4);
-            cfg.seed = seed;
-            ArenaDoubleNetwork::from_single(&cfg)
-        };
-        let drive = |net: &mut ArenaDoubleNetwork, salt: u64, i: u64| {
-            let t = i + salt;
-            let src = (t as usize * 7) % 16;
-            let dst = (t as usize * 11 + 1) % 16;
-            if src != dst {
-                let _ = net.try_inject(src, Packet::request(src, dst, 8, t));
-                let _ = net.try_inject(dst, Packet::reply(dst, src, 64, t));
-            }
-        };
-        // Solo runs.
-        let solo: Vec<NetStats> = (0..3u64)
-            .map(|c| {
-                let mut net = mk(c);
-                for i in 0..250 {
-                    drive(&mut net, c * 1000, i);
-                    net.tick();
-                    for node in 0..16 {
-                        while net.pop(node).is_some() {}
-                    }
-                }
-                net.stats()
-            })
-            .collect();
-        // Batched lockstep.
-        let mut batch = NetBatch::new((0..3u64).map(mk).collect());
-        for i in 0..250 {
-            for c in 0..3u64 {
-                drive(batch.cell_mut(c as usize), c * 1000, i);
-            }
-            batch.tick();
-            for c in 0..3 {
-                for node in 0..16 {
-                    while batch.cell_mut(c).pop(node).is_some() {}
-                }
-            }
-        }
-        for (c, want) in solo.iter().enumerate() {
-            assert_eq!(&batch.cell(c).stats(), want, "cell {c} diverged in batch");
-        }
     }
 }

@@ -492,25 +492,6 @@ impl NetworkConfig {
         sub
     }
 
-    /// FNV-1a 64-bit hash (lower-case hex) of the configuration with the
-    /// seed zeroed out — the *shape* of the network. Two configurations
-    /// with equal shape fingerprints build identically-dimensioned
-    /// simulator state (same topology, VC layout, buffer depths, port
-    /// counts, timing) and may therefore run lockstep in one batch; the
-    /// seed is excluded precisely because batched cells are expected to
-    /// differ only in their RNG streams and traffic.
-    pub fn shape_fingerprint(&self) -> String {
-        let mut shape = self.clone();
-        shape.seed = 0;
-        let json = serde_json::to_string(&shape).expect("config serializes");
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in json.as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        format!("{hash:016x}")
-    }
-
     /// Convenience: the MC placement strategy corresponding to the current
     /// `mc_nodes`, if it matches a named one.
     pub fn placement(&self) -> Option<Placement> {
@@ -665,22 +646,6 @@ mod tests {
         let sub = NetworkConfig::baseline_torus(6).slice();
         assert!(sub.vcs.split_dateline);
         sub.validate().unwrap();
-    }
-
-    #[test]
-    fn mesh_fingerprints_unmoved_by_topology_extension() {
-        // The shape fingerprint feeds batch keys and canonical content
-        // addresses; adding fabrics must not perturb mesh hashes. The new
-        // fabrics must also all hash differently from the mesh.
-        let mesh = NetworkConfig::baseline_mesh(6).shape_fingerprint();
-        let fps = [
-            mesh.clone(),
-            NetworkConfig::checkerboard_mesh(6).shape_fingerprint(),
-            NetworkConfig::baseline_torus(6).shape_fingerprint(),
-            NetworkConfig::concentrated_mesh(6, 2).shape_fingerprint(),
-        ];
-        let unique: std::collections::HashSet<_> = fps.iter().collect();
-        assert_eq!(unique.len(), fps.len());
     }
 
     #[test]

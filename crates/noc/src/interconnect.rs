@@ -76,18 +76,19 @@ pub trait Interconnect: Tick {
         out
     }
 
-    /// Number of sub-phases one [`Tick::tick`] splits into. Engines that
-    /// support phase-interleaved batching (the arena) report their phase
-    /// count; monolithic engines report 1.
+    /// Number of sub-phases one [`Tick::tick`] splits into. Engines whose
+    /// cycle has separable parts (the arena double network: request
+    /// slice, then reply slice) report their phase count; monolithic
+    /// engines report 1.
     fn phase_count(&self) -> usize {
         1
     }
 
     /// Runs one sub-phase of a cycle. Calling phases `0..phase_count()`
-    /// in order is exactly one [`Tick::tick`]; a batch driver interleaves
-    /// the same phase across cells (cell-major) for cache density. The
-    /// default maps phase 0 to a whole tick so monolithic engines work
-    /// under a phase-driving caller unchanged.
+    /// in order is exactly one [`Tick::tick`]; a caller that attributes
+    /// time per phase (the repo benchmark's traced run) drives them one
+    /// by one. The default maps phase 0 to a whole tick so monolithic
+    /// engines work under a phase-driving caller unchanged.
     fn tick_phase(&mut self, phase: usize) {
         if phase == 0 {
             self.tick();

@@ -67,7 +67,7 @@ pub mod topology;
 pub mod types;
 
 pub use activeset::ActiveSet;
-pub use arena::{ArenaDoubleNetwork, ArenaNetwork, NetBatch, ARENA_PHASES};
+pub use arena::{ArenaDoubleNetwork, ArenaNetwork, ARENA_PHASES};
 pub use config::{AllocatorKind, NetworkConfig, RouterTiming, RoutingKind, VcLayout};
 pub use ideal::{BandwidthLimitedInterconnect, PerfectInterconnect};
 pub use interconnect::Interconnect;

@@ -81,9 +81,9 @@ pub type Mesh = Topology;
 impl Serialize for Topology {
     // Hand-written so that plain meshes keep the exact `{"k":..,"kinds":
     // [..]}` shape the derive used to emit: topology serialization feeds
-    // `shape_fingerprint`, the harness batch keys and the serve canonical
-    // content addresses, all of which must stay byte-identical for every
-    // pre-existing mesh configuration. Non-mesh fabrics append extra keys.
+    // the serve canonical content addresses, which must stay
+    // byte-identical for every pre-existing mesh configuration. Non-mesh
+    // fabrics append extra keys.
     fn to_value(&self) -> json::Value {
         let mut pairs =
             vec![("k".to_owned(), self.k.to_value()), ("kinds".to_owned(), self.kinds.to_value())];

@@ -64,7 +64,7 @@ pub fn hash_value(v: &Value) -> String {
 /// Deliberately excluded:
 /// - the preset *name* and the cell's grid *index* — presentation, not
 ///   physics; two grids can address the same cell;
-/// - the execution engine and job/batch placement — proven
+/// - the execution engine and worker placement — proven
 ///   result-identical by the arena-equivalence tests;
 /// - telemetry arming — observation only, never perturbs results;
 /// - the safety cycle limit — can abort a run, never change its value.

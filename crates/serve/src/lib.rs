@@ -9,8 +9,7 @@
 //!   *resolved* configuration so aliased presets share results;
 //! - [`cache`]: a persistent result cache whose append-only journal
 //!   doubles as the crash-resume log;
-//! - [`sched`]: deadline-round-robin fair queuing across tenants, with
-//!   shape-aware batch pops that feed the lockstep arena kernel;
+//! - [`sched`]: deadline-round-robin fair queuing across tenants;
 //! - [`server`]/[`client`]: the TCP service and its blocking client,
 //!   with an in-flight dedup table so concurrent requests for the same
 //!   cell trigger exactly one simulation.

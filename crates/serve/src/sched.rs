@@ -107,58 +107,6 @@ impl<T> DeadlineRr<T> {
         self.virtual_time = t.finish;
         Some((t.name.clone(), item))
     }
-
-    /// Serves up to `max` items that share the head item's batch key,
-    /// scanning tenants in deadline order so the batch fills with work
-    /// that was due soonest. Items whose key is `None` never batch. Every
-    /// tenant is charged one deadline step per item taken, so batching
-    /// amortizes simulator state without distorting long-run fairness.
-    ///
-    /// **Intra-tenant reordering is intentional.** The scan drains
-    /// matching items from *anywhere* in a tenant's queue, so a later
-    /// same-key cell can overtake an earlier cell with a different key
-    /// from the same tenant. Delivery order is not part of the service
-    /// contract — every record carries its cell index and clients
-    /// reassemble by index (see `SubmitOutcome::jsonl`), while
-    /// shape-coherent batches are what let the lockstep kernel advance
-    /// many cells per dispatch. Mismatched items keep their relative
-    /// order and are never dropped. Pinned by the
-    /// `same_tenant_batch_overtakes_earlier_mismatch` test; a refactor
-    /// that silently changes this weakens batching, and one that drops
-    /// the overtaken items corrupts sweeps.
-    pub fn pop_batch(
-        &mut self,
-        max: usize,
-        key: impl Fn(&T) -> Option<String>,
-    ) -> Option<Vec<(String, T)>> {
-        let (first_tenant, first) = self.pop()?;
-        let Some(want) = key(&first) else { return Some(vec![(first_tenant, first)]) };
-        let mut out = vec![(first_tenant, first)];
-        if max <= 1 {
-            return Some(out);
-        }
-        // Deadline-ordered tenant scan, deterministic like `earliest`.
-        let mut order: Vec<usize> = (0..self.tenants.len()).collect();
-        order.sort_by_key(|&i| (self.tenants[i].finish, i));
-        for i in order {
-            if out.len() >= max {
-                break;
-            }
-            let t = &mut self.tenants[i];
-            let mut kept = VecDeque::with_capacity(t.queue.len());
-            while let Some(item) = t.queue.pop_front() {
-                if out.len() < max && key(&item).as_deref() == Some(want.as_str()) {
-                    t.finish += 1;
-                    self.virtual_time = self.virtual_time.max(t.finish);
-                    out.push((t.name.clone(), item));
-                } else {
-                    kept.push_back(item);
-                }
-            }
-            t.queue = kept;
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -241,76 +189,5 @@ mod tests {
         // give the incumbent one more slot first).
         let first_two: Vec<String> = (0..2).map(|_| s.pop().unwrap().0).collect();
         assert!(first_two.iter().any(|w| w == "probe"), "{first_two:?}");
-    }
-
-    #[test]
-    fn batch_grabs_matching_keys_across_tenants() {
-        let mut s = DeadlineRr::new();
-        s.push("a", ("x", 0));
-        s.push("a", ("y", 1));
-        s.push("a", ("x", 2));
-        s.push("b", ("x", 3));
-        let batch = s.pop_batch(8, |&(k, _)| Some(k.to_string())).unwrap();
-        let mut vals: Vec<i32> = batch.iter().map(|&(_, (_, v))| v).collect();
-        vals.sort_unstable();
-        assert_eq!(vals, vec![0, 2, 3], "all x-shaped cells batch together");
-        // The mismatched item is still queued, in order.
-        assert_eq!(s.pop().unwrap().1, ("y", 1));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn same_tenant_batch_overtakes_earlier_mismatch() {
-        let mut s = DeadlineRr::new();
-        s.push("a", ("x", 0));
-        s.push("a", ("y", 1));
-        s.push("a", ("x", 2));
-        let batch = s.pop_batch(8, |&(k, _)| Some(k.to_string())).unwrap();
-        let vals: Vec<i32> = batch.iter().map(|&(_, (_, v))| v).collect();
-        // The later x-shaped cell jumps the earlier y-shaped one: batches
-        // are shape-coherent, not FIFO within a tenant.
-        assert_eq!(vals, vec![0, 2], "same-shape cell overtakes an earlier mismatch");
-        // The overtaken cell is neither lost nor reordered among its peers.
-        assert_eq!(s.pop().unwrap().1, ("y", 1));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn unbatchable_items_run_alone() {
-        let mut s = DeadlineRr::new();
-        s.push("a", 1);
-        s.push("a", 2);
-        let batch = s.pop_batch(8, |_| None).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn batch_respects_max() {
-        let mut s = DeadlineRr::new();
-        for i in 0..10 {
-            s.push("a", i);
-        }
-        let batch = s.pop_batch(4, |_| Some("same".to_string())).unwrap();
-        assert_eq!(batch.len(), 4);
-        assert_eq!(s.len(), 6);
-    }
-
-    #[test]
-    fn batch_charges_fairness() {
-        let mut s = DeadlineRr::new();
-        for i in 0..8 {
-            s.push("a", ("x", i));
-        }
-        for i in 0..2 {
-            s.push("b", ("y", 100 + i));
-        }
-        // a's 4-cell batch advances its deadline by 4: b gets the next
-        // two slots before a resumes.
-        let batch = s.pop_batch(4, |&(k, _)| Some(k.to_string())).unwrap();
-        assert!(batch.iter().all(|(who, _)| who == "a"));
-        assert_eq!(s.pop().unwrap().0, "b");
-        assert_eq!(s.pop().unwrap().0, "b");
-        assert_eq!(s.pop().unwrap().0, "a");
     }
 }

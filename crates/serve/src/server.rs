@@ -10,8 +10,7 @@
 //!    another request; this request registers as a waiter and the one
 //!    simulation fans out to all of them;
 //! 3. **scheduled** — the cell enters the requesting tenant's
-//!    deadline-RR queue and is simulated once by the worker pool, which
-//!    groups same-shape cells into lockstep batches on the arena kernel.
+//!    deadline-RR queue and is simulated once by the worker pool.
 //!
 //! All three paths produce byte-identical record lines (the cache-hook
 //! equivalence tested in `tenoc-harness`), so the service is provably
@@ -30,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
-use tenoc_harness::{annotate_cached, batch_shape_key, run_cell, run_cells_lockstep, SweepCell};
+use tenoc_harness::{annotate_cached, run_cell, SweepCell};
 
 /// Server construction parameters.
 #[derive(Clone, Debug)]
@@ -41,9 +40,6 @@ pub struct ServerConfig {
     pub cache_dir: PathBuf,
     /// Simulation worker threads.
     pub workers: usize,
-    /// Maximum same-shape cells per lockstep batch (1 = per-cell oracle
-    /// only).
-    pub batch: usize,
     /// Start with the worker pool paused (tests use this to stage
     /// deterministic queue contents before any cell runs).
     pub start_paused: bool,
@@ -51,13 +47,12 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config with the given bind address and cache directory, one
-    /// worker per available core, batch 8, workers running.
+    /// worker per available core, workers running.
     pub fn new(addr: &str, cache_dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             addr: addr.to_string(),
             cache_dir: cache_dir.into(),
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            batch: 8,
             start_paused: false,
         }
     }
@@ -107,7 +102,6 @@ impl StatsSnapshot {
 struct Job {
     key: String,
     cell: SweepCell,
-    shape: Option<String>,
 }
 
 /// A request waiting on a cell: where to send the record, and the cell
@@ -138,7 +132,6 @@ struct Inner {
     work: Condvar,
     shutdown: AtomicBool,
     paused: AtomicBool,
-    batch: usize,
 }
 
 /// A running server: join handles plus the shared state.
@@ -195,7 +188,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         work: Condvar::new(),
         shutdown: AtomicBool::new(false),
         paused: AtomicBool::new(config.start_paused),
-        batch: config.batch.max(1),
     });
 
     let workers: Vec<_> = (0..config.workers.max(1))
@@ -267,53 +259,36 @@ impl ServerHandle {
 fn worker_loop(inner: &Inner) {
     loop {
         // Claim work under the lock; simulate outside it.
-        let jobs: Vec<Job> = {
+        let job = {
             let mut st = inner.state.lock().expect("state lock poisoned");
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if !inner.paused.load(Ordering::SeqCst) {
-                    if let Some(batch) = st.sched.pop_batch(inner.batch, |j| j.shape.clone()) {
-                        break batch.into_iter().map(|(_, job)| job).collect();
+                    if let Some((_, job)) = st.sched.pop() {
+                        break job;
                     }
                 }
                 st = inner.work.wait(st).expect("state lock poisoned");
             }
         };
 
-        let results: Vec<(Job, CachedCell)> = if jobs.len() >= 2 {
-            // Same-shape batch: lockstep on the arena kernel,
-            // bit-identical to the per-cell oracle.
-            let cells: Vec<SweepCell> = jobs.iter().map(|j| j.cell.clone()).collect();
-            let outcomes = run_cells_lockstep(&cells);
-            jobs.into_iter()
-                .zip(outcomes)
-                .map(|(job, r)| (job, CachedCell { class: r.class, metrics: r.metrics }))
-                .collect()
-        } else {
-            jobs.into_iter()
-                .map(|job| {
-                    let r = run_cell(&job.cell);
-                    (job, CachedCell { class: r.class, metrics: r.metrics })
-                })
-                .collect()
-        };
+        let r = run_cell(&job.cell);
+        let cached = CachedCell { class: r.class, metrics: r.metrics };
 
         let mut st = inner.state.lock().expect("state lock poisoned");
-        for (job, cached) in results {
-            // Journal before fan-out: once any waiter has seen this
-            // result, a restarted server will serve it from cache.
-            if let Err(e) = st.cache.put(&job.key, cached) {
-                eprintln!("serve: journal append failed for {}: {e}", job.key);
-            }
-            st.stats.simulated += 1;
-            if let Some(waiters) = st.inflight.remove(&job.key) {
-                for w in waiters {
-                    // A hung-up waiter (disconnected client) is fine; the
-                    // result is cached either way.
-                    let _ = w.tx.send(record_line(&w.cell, &cached));
-                }
+        // Journal before fan-out: once any waiter has seen this result, a
+        // restarted server will serve it from cache.
+        if let Err(e) = st.cache.put(&job.key, cached) {
+            eprintln!("serve: journal append failed for {}: {e}", job.key);
+        }
+        st.stats.simulated += 1;
+        if let Some(waiters) = st.inflight.remove(&job.key) {
+            for w in waiters {
+                // A hung-up waiter (disconnected client) is fine; the
+                // result is cached either way.
+                let _ = w.tx.send(record_line(&w.cell, &cached));
             }
         }
     }
@@ -408,8 +383,7 @@ fn handle_sweep(
             } else {
                 st.inflight
                     .insert(key.clone(), vec![Waiter { cell: cell.clone(), tx: tx.clone() }]);
-                let shape = batch_shape_key(cell);
-                st.sched.push(&tenant, Job { key, cell: cell.clone(), shape });
+                st.sched.push(&tenant, Job { key, cell: cell.clone() });
                 scheduled += 1;
             }
         }

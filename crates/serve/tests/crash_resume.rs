@@ -25,11 +25,9 @@ fn killed_server_resumes_without_resimulating_journaled_cells() {
     let reference = to_jsonl(&run_sweep(&grid, tenoc_harness::jobs_from_env()));
     let cache = tmp_cache("resume");
 
-    // First life: single worker, per-cell batches, paused so the whole
-    // grid is queued before anything runs.
+    // First life: single worker, paused so the whole grid is queued before anything runs.
     let mut cfg = server::ServerConfig::new("127.0.0.1:0", &cache);
     cfg.workers = 1;
-    cfg.batch = 1;
     cfg.start_paused = true;
     let handle = server::start(cfg.clone()).expect("server starts");
 
@@ -64,7 +62,6 @@ fn killed_server_resumes_without_resimulating_journaled_cells() {
     // Second life: same cache directory, workers running.
     let mut cfg2 = server::ServerConfig::new("127.0.0.1:0", &cache);
     cfg2.workers = 1;
-    cfg2.batch = 1;
     cfg2.start_paused = false;
     let revived = server::start(cfg2).expect("server restarts");
     let outcome =

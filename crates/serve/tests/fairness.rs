@@ -3,8 +3,7 @@
 //! tail. The assertion counts *services*, never wall-clock time, so the
 //! test is deterministic on any machine.
 //!
-//! Setup forces the worst case for FIFO: one worker, per-cell batches,
-//! pool paused until both tenants are fully queued (large tenant first).
+//! Setup forces the worst case for FIFO: one worker, pool paused until both tenants are fully queued (large tenant first).
 //! Deadline-RR then interleaves them one cell at a time, so the small
 //! tenant's done event must arrive after at most `2 x small + slack`
 //! services — observed here as "few large-tenant records had been
@@ -59,7 +58,6 @@ fn small_tenant_is_not_starved_by_a_large_grid() {
     let cache = tmp_cache("starve");
     let mut cfg = server::ServerConfig::new("127.0.0.1:0", &cache);
     cfg.workers = 1;
-    cfg.batch = 1; // Per-cell service: the pure deadline-RR interleaving.
     cfg.start_paused = true;
     let handle = server::start(cfg).expect("server starts");
     let addr = handle.addr();

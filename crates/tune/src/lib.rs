@@ -73,7 +73,7 @@ pub struct OrgAxis {
 
 /// The search specification: grid axes plus stage knobs. Everything that
 /// shapes the report lives here; everything about *how fast* the search
-/// runs (worker count, batching, caching) lives in [`TuneOptions`].
+/// runs (worker count, caching) lives in [`TuneOptions`].
 #[derive(Clone, Debug)]
 pub struct TuneSpec {
     /// Mesh radix.
@@ -171,13 +171,11 @@ impl TuneSpec {
 }
 
 /// Execution knobs that must not change a single report byte: worker
-/// count, lockstep batch size, and result caching.
+/// count and result caching.
 #[derive(Clone, Debug)]
 pub struct TuneOptions {
     /// Worker threads for every parallel stage.
     pub jobs: usize,
-    /// Lockstep batch size for same-shape closed-loop cells.
-    pub batch: usize,
     /// Directory of a persistent result cache shared with `tenoc serve`
     /// (cells are keyed by canonical content address, so re-runs and
     /// preset sweeps are memoized across processes).
@@ -186,7 +184,7 @@ pub struct TuneOptions {
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        TuneOptions { jobs: 1, batch: 8, cache_dir: None }
+        TuneOptions { jobs: 1, cache_dir: None }
     }
 }
 
@@ -339,8 +337,8 @@ fn pareto_indices(finalists: &[Finalist]) -> Vec<usize> {
 /// Runs the staged search and returns the frontier report plus the
 /// execution counters that deliberately stay out of it.
 ///
-/// The report is bit-identical at any `jobs`/`batch` value and with any
-/// cache state (cold, warm, or absent).
+/// The report is bit-identical at any `jobs` value and with any cache
+/// state (cold, warm, or absent).
 ///
 /// # Errors
 ///
@@ -592,7 +590,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         stats.stage3_cache_hits += metrics.iter().filter(|m| m.is_some()).count();
         let miss: Vec<usize> = (0..cells.len()).filter(|&j| metrics[j].is_none()).collect();
         let miss_cells: Vec<ConfigCell> = miss.iter().map(|&j| cells[j].clone()).collect();
-        let fresh = run_config_cells(&miss_cells, jobs, opts.batch);
+        let fresh = run_config_cells(&miss_cells, jobs);
         for (&j, &(class, m)) in miss.iter().zip(fresh.iter()) {
             metrics[j] = Some(m);
             if let Some(c) = cache.as_mut() {
@@ -753,9 +751,9 @@ mod tests {
     #[test]
     fn tiny_search_is_deterministic_across_jobs_and_finds_thr_eff() {
         let spec = TuneSpec::tiny();
-        let (a, _) = run_tune(&spec, &TuneOptions { jobs: 1, batch: 1, cache_dir: None }).unwrap();
-        let (b, _) = run_tune(&spec, &TuneOptions { jobs: 4, batch: 8, cache_dir: None }).unwrap();
-        assert_eq!(a.to_json(), b.to_json(), "report must be byte-identical at any jobs/batch");
+        let (a, _) = run_tune(&spec, &TuneOptions { jobs: 1, cache_dir: None }).unwrap();
+        let (b, _) = run_tune(&spec, &TuneOptions { jobs: 4, cache_dir: None }).unwrap();
+        assert_eq!(a.to_json(), b.to_json(), "report must be byte-identical at any jobs");
         assert!(
             a.frontier_has_alias("Thr-Eff"),
             "tiny search must rediscover the throughput-effective point; frontier: {:?}",
@@ -776,7 +774,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tenoc-tune-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = TuneSpec::tiny();
-        let cold_opts = TuneOptions { jobs: 2, batch: 4, cache_dir: Some(dir.clone()) };
+        let cold_opts = TuneOptions { jobs: 2, cache_dir: Some(dir.clone()) };
         let (cold, cold_stats) = run_tune(&spec, &cold_opts).unwrap();
         let (warm, warm_stats) = run_tune(&spec, &cold_opts).unwrap();
         assert_eq!(cold.to_json(), warm.to_json());

@@ -1,26 +1,8 @@
 //! `tenoc` — command-line front end for the simulator.
 //!
-//! ```text
-//! tenoc run --benchmark RD --preset thr-eff [--scale 0.2] [--json]
-//! tenoc suite --preset baseline [--scale 0.12] [--json]
-//! tenoc sweep [--presets baseline,thr-eff|all] [--benchmarks HIS,MM|smoke|all]
-//!             [--scale 0.12] [--seed N] [--jobs N] [--batch B] [--out FILE]
-//!             [--telemetry] [--tiny] [--golden FILE --check|--bless]
-//! tenoc trace --preset thr-eff [--benchmark RD] [--scale F] [--out DIR]
-//!             [--flight-cap N] [--node N] [--class request|reply]
-//! tenoc audit [--k N] [--out FILE] [--json] [--golden FILE --check|--bless]
-//! tenoc tune [--k N] [--tiny] [--jobs N] [--batch B] [--scale F] [--seed N]
-//!            [--cache DIR] [--out FILE] [--json] [--golden FILE --check|--bless]
-//! tenoc serve [--addr HOST:PORT] [--cache DIR] [--jobs N] [--batch B]
-//! tenoc submit [--addr HOST:PORT] [--tenant NAME] [--tiny]
-//!              [--presets A,B] [--benchmarks X,Y] [--scale F] [--seed N]
-//!              [--out FILE] [--require-cached] | --stats [--out FILE]
-//! tenoc openloop --preset cp-cr-2p [--hotspot] [--rates 0.01..0.12]
-//! tenoc engine-bench [--preset NAME] [--k N] [--scale F] [--batch N] [--out FILE]
-//! tenoc area
-//! tenoc classify [--scale 0.12]
-//! tenoc list
-//! ```
+//! `tenoc <command> [flags]`; run `tenoc` with no arguments for every
+//! subcommand's usage. The [`COMMANDS`] table is the one source for the
+//! usage text and for the flags each subcommand accepts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +10,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 use tenoc::core::area::{throughput_effectiveness, AreaModel};
-use tenoc::core::experiments::{run_benchmark, run_suite, run_with_icnt, scale_from_env};
+use tenoc::core::experiments::{run_benchmark, run_suite, scale_from_env};
 use tenoc::core::presets::Preset;
 use tenoc::core::SweepReport;
 use tenoc::noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
@@ -40,75 +22,165 @@ fn preset_by_flag(s: &str) -> Option<Preset> {
     Preset::from_flag(s)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// One subcommand: its name, the `--flags` it accepts and their usage
+/// text (continuation lines indented to sit under the first in [`usage`]).
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    usage: &'static str,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        flags: &["benchmark", "preset", "scale", "json"],
+        usage: "--benchmark <ABBR> --preset <NAME> [--scale F] [--json]",
+    },
+    Command {
+        name: "suite",
+        flags: &["preset", "scale", "json"],
+        usage: "--preset <NAME> [--scale F] [--json]",
+    },
+    Command {
+        name: "sweep",
+        flags: &[
+            "presets",
+            "benchmarks",
+            "scale",
+            "seed",
+            "jobs",
+            "out",
+            "telemetry",
+            "tiny",
+            "golden",
+            "check",
+            "bless",
+        ],
+        usage: "[--presets A,B|all] [--benchmarks X,Y|smoke|all] [--scale F]\n\
+           \x20           [--seed N] [--jobs N] [--out FILE] [--telemetry] [--tiny]\n\
+           \x20           [--golden FILE --check|--bless]",
+    },
+    Command {
+        name: "trace",
+        flags: &["preset", "benchmark", "scale", "out", "flight-cap", "node", "class"],
+        usage: "--preset <NAME> [--benchmark <ABBR>] [--scale F] [--out DIR]\n\
+           \x20           [--flight-cap N] [--node N] [--class request|reply]\n\
+           \x20           (telemetry artifacts: latency histograms, link heatmap,\n\
+           \x20            flight recorder -> trace.json + flight.jsonl)",
+    },
+    Command {
+        name: "audit",
+        flags: &["k", "out", "json", "golden", "check", "bless"],
+        usage: "[--k N] [--out FILE] [--json] [--golden FILE --check|--bless]\n\
+           \x20           (static config-space audit: verify, bound, price, rank)",
+    },
+    Command {
+        name: "tune",
+        flags: &[
+            "k", "tiny", "jobs", "scale", "seed", "cache", "out", "json", "golden", "check",
+            "bless",
+        ],
+        usage: "[--k N] [--tiny] [--jobs N] [--scale F] [--seed N]\n\
+           \x20           [--cache DIR] [--out FILE] [--json]\n\
+           \x20           [--golden FILE --check|--bless]\n\
+           \x20           (staged-fidelity search of the IPC/mm2 Pareto frontier:\n\
+           \x20            verify -> static rank -> open-loop probes -> closed-loop\n\
+           \x20            successive halving; --cache memoizes cells)",
+    },
+    Command {
+        name: "serve",
+        flags: &["addr", "cache", "jobs"],
+        usage: "[--addr HOST:PORT] [--cache DIR] [--jobs N]\n\
+           \x20           (long-running sweep service: content-addressed cache,\n\
+           \x20            in-flight dedup, tenant-fair scheduling; default addr\n\
+           \x20            127.0.0.1:32268)",
+    },
+    Command {
+        name: "submit",
+        flags: &[
+            "addr",
+            "tenant",
+            "tiny",
+            "presets",
+            "benchmarks",
+            "scale",
+            "seed",
+            "out",
+            "require-cached",
+            "stats",
+        ],
+        usage: "[--addr HOST:PORT] [--tenant NAME] [--tiny]\n\
+           \x20           [--presets A,B] [--benchmarks X,Y] [--scale F] [--seed N]\n\
+           \x20           [--out FILE] [--require-cached]\n\
+           \x20           (submit a grid to a running service; --stats fetches the\n\
+           \x20            service counters instead)",
+    },
+    Command {
+        name: "openloop",
+        flags: &["preset", "hotspot", "rate"],
+        usage: "--preset <NAME> [--hotspot] [--rate F]",
+    },
+    Command { name: "area", flags: &[], usage: "(Table VI summary)" },
+    Command {
+        name: "classify",
+        flags: &["scale"],
+        usage: "[--scale F] (measured LL/LH/HH classes)",
+    },
+    Command { name: "list", flags: &[], usage: "(benchmarks and presets)" },
+];
+
+/// Parses `--flag [value]` pairs, rejecting anything `cmd` does not
+/// accept: a mistyped flag must not silently run a different experiment.
+fn parse_flags(cmd: &Command, args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                i += 1;
-                args[i].clone()
-            } else {
-                "true".to_owned()
-            };
-            out.insert(key.to_owned(), value);
+        let Some(key) = args[i].strip_prefix("--") else {
+            return Err(format!("unexpected argument {}", args[i]));
+        };
+        if !cmd.flags.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
         }
+        let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
+            i += 1;
+            args[i].clone()
+        } else {
+            "true".to_owned()
+        };
+        out.insert(key.to_owned(), value);
         i += 1;
     }
-    out
+    Ok(out)
 }
 
 fn usage() -> ExitCode {
+    eprintln!("usage: tenoc <command> [flags]\ncommands:");
+    for cmd in COMMANDS {
+        eprintln!("  {:<9} {}", cmd.name, cmd.usage);
+    }
     eprintln!(
-        "usage: tenoc <command> [flags]\n\
-         commands:\n\
-           run       --benchmark <ABBR> --preset <NAME> [--scale F] [--json]\n\
-           suite     --preset <NAME> [--scale F] [--json]\n\
-           sweep     [--presets A,B|all] [--benchmarks X,Y|smoke|all] [--scale F]\n\
-                     [--seed N] [--jobs N] [--batch B] [--out FILE] [--telemetry]\n\
-                     [--tiny] [--golden FILE --check|--bless]\n\
-           trace     --preset <NAME> [--benchmark <ABBR>] [--scale F] [--out DIR]\n\
-                     [--flight-cap N] [--node N] [--class request|reply]\n\
-                     (telemetry artifacts: latency histograms, link heatmap,\n\
-                      flight recorder -> trace.json + flight.jsonl)\n\
-           audit     [--k N] [--out FILE] [--json] [--golden FILE --check|--bless]\n\
-                     (static config-space audit: verify, bound, price, rank)\n\
-           tune      [--k N] [--tiny] [--jobs N] [--batch B] [--scale F]\n\
-                     [--seed N] [--cache DIR] [--out FILE] [--json]\n\
-                     [--golden FILE --check|--bless]\n\
-                     (staged-fidelity search of the IPC/mm2 Pareto frontier:\n\
-                      verify -> static rank -> open-loop probes -> closed-loop\n\
-                      successive halving; --cache memoizes cells)\n\
-           serve     [--addr HOST:PORT] [--cache DIR] [--jobs N] [--batch B]\n\
-                     (long-running sweep service: content-addressed cache,\n\
-                      in-flight dedup, tenant-fair scheduling; default addr\n\
-                      127.0.0.1:32268)\n\
-           submit    [--addr HOST:PORT] [--tenant NAME] [--tiny]\n\
-                     [--presets A,B] [--benchmarks X,Y] [--scale F] [--seed N]\n\
-                     [--out FILE] [--require-cached]\n\
-                     (submit a grid to a running service; --stats fetches the\n\
-                      service counters instead)\n\
-           openloop  --preset <NAME> [--hotspot] [--rate F]\n\
-           engine-bench [--preset NAME] [--k N] [--scale F] [--batch N]\n\
-                     [--out FILE] (simulator speed probe; default thr-eff at\n\
-                      k=6; one radix feeds both engine paths)\n\
-           area      (Table VI summary)\n\
-           classify  [--scale F] (measured LL/LH/HH classes)\n\
-           list      (benchmarks and presets)\n\
-         presets: baseline 2x-bw 1-cycle cp-dor cp-dor-4vc cp-cr double thr-eff\n\
-                  cp-cr-2p torus cmesh perfect"
+        "presets: baseline 2x-bw 1-cycle cp-dor cp-dor-4vc cp-cr double thr-eff\n\
+         \x20        cp-cr-2p torus cmesh perfect"
     );
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { return usage() };
-    let flags = parse_flags(&args[1..]);
+    let Some(cmd) = args.first().and_then(|name| COMMANDS.iter().find(|c| c.name == name)) else {
+        return usage();
+    };
+    let flags = match parse_flags(cmd, &args[1..]) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("{}: {e}\nusage: tenoc {} {}", cmd.name, cmd.name, cmd.usage);
+            return ExitCode::from(2);
+        }
+    };
     let scale =
         flags.get("scale").and_then(|s| s.parse::<f64>().ok()).unwrap_or_else(scale_from_env);
 
-    match cmd.as_str() {
+    match cmd.name {
         "run" => {
             let Some(bench) = flags.get("benchmark") else {
                 eprintln!("run: missing --benchmark");
@@ -157,7 +229,6 @@ fn main() -> ExitCode {
         "audit" => return cmd_audit(&flags),
         "tune" => return cmd_tune(&flags),
         "trace" => return cmd_trace(&flags, scale),
-        "engine-bench" => return cmd_engine_bench(&flags),
         "openloop" => {
             let Some(preset) = flags.get("preset").and_then(|p| preset_by_flag(p)) else {
                 eprintln!("openloop: missing or unknown --preset");
@@ -237,7 +308,7 @@ fn main() -> ExitCode {
             println!("\npresets: baseline, 2x-bw, 1-cycle, cp-dor, cp-dor-4vc, cp-cr,");
             println!("         double, thr-eff, cp-cr-2p, torus, cmesh, perfect");
         }
-        _ => return usage(),
+        other => unreachable!("{other} is in COMMANDS but not dispatched"),
     }
     ExitCode::SUCCESS
 }
@@ -356,193 +427,6 @@ fn cmd_trace(flags: &HashMap<String, String>, scale: f64) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Today's UTC date as `YYYY-MM-DD` (Hinnant's civil-from-days; no
-/// calendar dependency).
-fn utc_date_string() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097) as u64;
-    let yoe = (doe - doe / 1460 + doe / 36524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe as i64 + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Pulls the entry list out of an existing trajectory file's
-/// `"history":[...]` array, so each run appends rather than overwrites.
-/// Entries are flat objects (no nested arrays), so the array ends at the
-/// first `]` after the key.
-fn prior_history(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else { return Vec::new() };
-    let Some(start) = text.find("\"history\":[") else { return Vec::new() };
-    let body = &text[start + "\"history\":[".len()..];
-    let Some(end) = body.find(']') else { return Vec::new() };
-    let body = &body[..end];
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut current = String::new();
-    for ch in body.chars() {
-        match ch {
-            '{' => {
-                depth += 1;
-                current.push(ch);
-            }
-            '}' => {
-                depth -= 1;
-                current.push(ch);
-                if depth == 0 {
-                    entries.push(std::mem::take(&mut current));
-                }
-            }
-            _ if depth > 0 => current.push(ch),
-            _ => {}
-        }
-    }
-    entries
-}
-
-/// `tenoc engine-bench`: measure how fast the simulator itself runs —
-/// simulated interconnect cycles per wall-clock second — on one design
-/// point (default: the paper's combined throughput-effective design,
-/// fig. 20; select another with `--preset`) driving the RD benchmark.
-/// With `--batch N`, additionally runs N seed-varied copies of the probe
-/// in lockstep on the arena engine and reports the aggregate rate. Each
-/// run appends a dated entry to the output file's `history` array, so
-/// `BENCH_engine.json` carries the perf trajectory across PRs.
-fn cmd_engine_bench(flags: &HashMap<String, String>) -> ExitCode {
-    // Pre-refactor engine speed on the identical probe (thr-eff / RD at
-    // scale 1.0, one job): 187646 simulated icnt cycles in 23.26 s of
-    // wall time, measured at the commit immediately before the
-    // active-set cycle kernel landed. The `speedup` field compares the
-    // current build against this figure.
-    const BASELINE_CYCLES_PER_SEC: f64 = 8067.0;
-
-    let scale = flags.get("scale").and_then(|s| s.parse::<f64>().ok()).unwrap_or(1.0);
-    let batch = flags.get("batch").and_then(|b| b.parse::<usize>().ok()).unwrap_or(1).max(1);
-    let k = flags.get("k").and_then(|k| k.parse::<usize>().ok()).unwrap_or(6);
-    let Some(spec) = by_name("RD") else {
-        eprintln!("engine-bench: RD benchmark missing");
-        return ExitCode::FAILURE;
-    };
-    let preset = match flags.get("preset") {
-        None => Preset::ThroughputEffective,
-        Some(name) => match preset_by_flag(name) {
-            Some(p) => p,
-            None => {
-                eprintln!("engine-bench: unknown preset {name}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    // One radix feeds both the single-cell probe and the batched path,
-    // so `--k` can never silently bench two different networks.
-    let icnt = preset.icnt(k);
-    eprintln!(
-        "engine-bench: {} on {} (k={k}) at scale {scale}, batch {batch}",
-        spec.name,
-        preset.label()
-    );
-
-    // Single-cell rate on the per-cell oracle kernel (the B=1 reference).
-    let start = std::time::Instant::now();
-    let m = run_with_icnt(icnt.clone(), &spec, scale);
-    let wall_nanos = start.elapsed().as_nanos() as u64;
-    let perf = tenoc::harness::RunPerf::measure(m.icnt_cycles, wall_nanos);
-    let speedup = perf.sim_cycles_per_sec / BASELINE_CYCLES_PER_SEC;
-    eprintln!(
-        "engine-bench: single cell {} cycles in {:.2} s -> {:.0} sim cycles/s ({speedup:.2}x baseline)",
-        m.icnt_cycles,
-        wall_nanos as f64 / 1e9,
-        perf.sim_cycles_per_sec
-    );
-
-    // Batched aggregate: N seed-varied probes in lockstep on the arena
-    // engine, one thread. Aggregate rate = total simulated cycles / wall.
-    let (batch_cycles, batch_wall_nanos) = if batch >= 2 {
-        let scaled = spec.scaled(scale);
-        let mut systems: Vec<tenoc::core::System> = (0..batch)
-            .map(|i| {
-                let mut cfg = tenoc::core::SystemConfig::with_icnt(icnt.clone());
-                cfg.seed = tenoc::harness::cell_seed(0x7e0c, i as u64);
-                cfg.engine = tenoc::core::EngineKind::Arena;
-                tenoc::core::System::new(cfg, &scaled)
-            })
-            .collect();
-        let start = std::time::Instant::now();
-        let results = tenoc::core::run_lockstep(&mut systems);
-        let wall = start.elapsed().as_nanos() as u64;
-        let total: u64 = results.iter().map(|r| r.icnt_cycles).sum();
-        (total, wall)
-    } else {
-        (m.icnt_cycles, wall_nanos)
-    };
-    let aggregate_rate = batch_cycles as f64 / (batch_wall_nanos as f64 / 1e9);
-    let aggregate_speedup = aggregate_rate / perf.sim_cycles_per_sec;
-    if batch >= 2 {
-        eprintln!(
-            "engine-bench: batch {batch} aggregate {} cycles in {:.2} s -> {:.0} sim cycles/s \
-             ({aggregate_speedup:.2}x the single-cell rate)",
-            batch_cycles,
-            batch_wall_nanos as f64 / 1e9,
-            aggregate_rate
-        );
-    }
-
-    let path = flags.get("out").map(String::as_str).unwrap_or("BENCH_engine.json");
-    let entry = format!(
-        "{{\"date\":\"{}\",\"preset\":\"{}\",\"scale\":{},\"sim_cycles\":{},\"wall_nanos\":{},\
-         \"sim_cycles_per_sec\":{:.1},\"batch\":{},\"batch_sim_cycles\":{},\
-         \"batch_wall_nanos\":{},\"aggregate_cycles_per_sec\":{:.1},\
-         \"aggregate_speedup_over_single\":{:.2}}}",
-        utc_date_string(),
-        preset.label(),
-        scale,
-        m.icnt_cycles,
-        wall_nanos,
-        perf.sim_cycles_per_sec,
-        batch,
-        batch_cycles,
-        batch_wall_nanos,
-        aggregate_rate,
-        aggregate_speedup
-    );
-    let mut history = prior_history(path);
-    history.push(entry.clone());
-    let json = format!(
-        "{{\"probe\":{{\"preset\":\"{}\",\"benchmark\":\"{}\",\"scale\":{}}},\
-         \"sim_cycles\":{},\"wall_nanos\":{},\"sim_cycles_per_sec\":{:.1},\
-         \"baseline_sim_cycles_per_sec\":{:.1},\"speedup\":{:.2},\
-         \"batch\":{},\"aggregate_cycles_per_sec\":{:.1},\
-         \"aggregate_speedup_over_single\":{:.2},\
-         \"history\":[{}]}}\n",
-        preset.label(),
-        spec.name,
-        scale,
-        m.icnt_cycles,
-        wall_nanos,
-        perf.sim_cycles_per_sec,
-        BASELINE_CYCLES_PER_SEC,
-        speedup,
-        batch,
-        aggregate_rate,
-        aggregate_speedup,
-        history.join(",")
-    );
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("engine-bench: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("engine-bench: wrote {path} ({} history entries)", history.len());
-    ExitCode::SUCCESS
-}
-
 /// Default service address: port 0x7e0c, the workspace's seed constant.
 const SERVE_ADDR: &str = "127.0.0.1:32268";
 
@@ -558,7 +442,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     {
         cfg.workers = jobs;
     }
-    cfg.batch = flags.get("batch").and_then(|b| b.parse::<usize>().ok()).unwrap_or(8).max(1);
     let handle = match tenoc::serve::start(cfg.clone()) {
         Ok(h) => h,
         Err(e) => {
@@ -567,10 +450,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         }
     };
     eprintln!(
-        "serve: listening on {} ({} workers, batch {}, cache {})",
+        "serve: listening on {} ({} workers, cache {})",
         handle.addr(),
         cfg.workers,
-        cfg.batch,
         cfg.cache_dir.display()
     );
     // Serve until the process is killed; the journal makes that safe.
@@ -785,7 +667,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
             .get("jobs")
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or_else(tenoc::harness::jobs_from_env),
-        batch: flags.get("batch").and_then(|v| v.parse::<usize>().ok()).unwrap_or(8),
         cache_dir: flags.get("cache").map(std::path::PathBuf::from),
     };
     let (report, stats) = match run_tune(&spec, &opts) {
@@ -933,21 +814,15 @@ fn cmd_sweep(flags: &HashMap<String, String>, scale: f64) -> ExitCode {
         .and_then(|j| j.parse::<usize>().ok())
         .filter(|&j| j >= 1)
         .unwrap_or_else(tenoc::harness::jobs_from_env);
-    let batch = flags.get("batch").and_then(|b| b.parse::<usize>().ok()).unwrap_or(1).max(1);
     eprintln!(
-        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs, batch {}",
+        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
         grid.len(),
         grid.presets.len(),
         grid.benchmarks.len(),
         grid.scale,
-        jobs,
-        batch
+        jobs
     );
-    let records = if batch >= 2 {
-        engine::run_sweep_batched(&grid, jobs, batch)
-    } else {
-        engine::run_sweep(&grid, jobs)
-    };
+    let records = engine::run_sweep(&grid, jobs);
     let jsonl = to_jsonl(&records);
 
     if let Some(path) = flags.get("out") {
