@@ -6,14 +6,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use tenoc_core::presets::Preset;
 use tenoc_core::system::{System, SystemConfig};
-use tenoc_noc::{Interconnect, Network, NetworkConfig, Packet};
+use tenoc_noc::{build_mesh, NetworkConfig, Packet};
 use tenoc_workloads::by_name;
 
 fn bench_network_step(c: &mut Criterion) {
     c.bench_function("network_step_loaded_mesh", |b| {
         let cfg = NetworkConfig::baseline_mesh(6);
         let mcs = cfg.mc_nodes.clone();
-        let mut net = Network::new(cfg);
+        let mut net = build_mesh(cfg);
         // Pre-load with traffic and keep re-injecting.
         let mut i = 0u64;
         b.iter(|| {

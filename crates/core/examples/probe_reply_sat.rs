@@ -1,12 +1,12 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tenoc_noc::{Interconnect, Network, NetworkConfig, Packet, VcLayout};
+use tenoc_noc::{build_mesh, NetworkConfig, Packet, VcLayout};
 
 fn reply_saturation(cfg: NetworkConfig, flit_bytes_note: &str) {
     let mcs = cfg.mc_nodes.clone();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
     // Saturation probe: MCs always have replies to send.
-    let mut net = Network::new(cfg);
+    let mut net = build_mesh(cfg);
     let mut rng = SmallRng::seed_from_u64(9);
     let cycles = 20_000u64;
     for _ in 0..cycles {

@@ -3,7 +3,7 @@
 
 use crate::metrics::RunMetrics;
 use crate::presets::Preset;
-use crate::system::{EngineKind, IcntConfig, System, SystemConfig};
+use crate::system::{IcntConfig, System, SystemConfig};
 use tenoc_noc::{TelemetryConfig, TelemetryReport};
 use tenoc_simt::{KernelSpec, TrafficClass};
 
@@ -58,19 +58,16 @@ pub fn run_with_system_config(cfg: SystemConfig, spec: &KernelSpec, scale: f64) 
 /// armed for the whole run. Returns the metrics (identical to an
 /// untraced run — telemetry observes without perturbing) plus one
 /// [`TelemetryReport`] per physical network (empty for ideal networks).
-/// The system is built on the per-router oracle whatever `cfg.engine`
-/// says: only that engine carries the observability hooks.
 ///
 /// # Panics
 ///
 /// Panics if the run does not complete (deadlock or cycle-limit).
 pub fn run_traced_with_system_config(
-    mut cfg: SystemConfig,
+    cfg: SystemConfig,
     spec: &KernelSpec,
     scale: f64,
     tcfg: TelemetryConfig,
 ) -> (RunMetrics, Vec<TelemetryReport>) {
-    cfg.engine = EngineKind::PerCell;
     let scaled = spec.scaled(scale);
     let mut sys = System::new(cfg, &scaled);
     sys.enable_telemetry(tcfg);

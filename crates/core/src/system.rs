@@ -5,8 +5,8 @@ use crate::clock::{ClockConfig, Clocks, Domain};
 use crate::mc::{McConfig, McNode, McRequest};
 use crate::metrics::RunMetrics;
 use tenoc_noc::{
-    ArenaDoubleNetwork, ArenaNetwork, BandwidthLimitedInterconnect, DoubleNetwork, Interconnect,
-    Network, NetworkConfig, NodeId, Packet, PerfectInterconnect, Tick,
+    BandwidthLimitedInterconnect, DoubleNetwork, Interconnect, Network, NetworkConfig, NodeId,
+    Packet, PerfectInterconnect, Tick,
 };
 use tenoc_simt::{CoreConfig, KernelSpec, MemRequest, ShaderCore};
 
@@ -69,34 +69,31 @@ impl IcntConfig {
         }
     }
 
-    fn build(&self, engine: EngineKind) -> Box<dyn Interconnect> {
+    /// Builds the interconnect this configuration describes. Physical
+    /// networks come from `tenoc-noc`'s one constructor pair
+    /// ([`tenoc_noc::build_mesh`] / [`tenoc_noc::build_double`]), which
+    /// owns the choice of engine; [`EngineKind::PerCell`] forces the
+    /// per-router reference by name instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network configuration is invalid.
+    pub fn build(&self, engine: EngineKind) -> Box<dyn Interconnect> {
         // Debug builds statically verify every network configuration they
         // are about to simulate: the auditor runs tenoc-verify's channel-
-        // dependency-graph analysis inside `Network::new` and panics with
-        // the report on any violation. Release builds skip the check.
+        // dependency-graph analysis inside the network constructors and
+        // panics with the report on any violation. Release builds skip
+        // the check.
         tenoc_verify::install_debug_auditor();
-        match self {
-            IcntConfig::Mesh(c) => {
-                if engine == EngineKind::Arena && ArenaNetwork::supports(c) {
-                    Box::new(ArenaNetwork::new(c.clone()))
-                } else {
-                    Box::new(Network::new(c.clone()))
-                }
-            }
-            IcntConfig::Double(c) => {
-                let arena_ok = engine == EngineKind::Arena
-                    && c.channel_bytes.is_multiple_of(2)
-                    && ArenaNetwork::supports(&c.slice());
-                if arena_ok {
-                    Box::new(ArenaDoubleNetwork::from_single(c))
-                } else {
-                    Box::new(DoubleNetwork::from_single(c))
-                }
-            }
-            IcntConfig::Perfect(c) => {
+        match (self, engine) {
+            (IcntConfig::Mesh(c), EngineKind::Arena) => tenoc_noc::build_mesh(c.clone()),
+            (IcntConfig::Mesh(c), EngineKind::PerCell) => Box::new(Network::new(c.clone())),
+            (IcntConfig::Double(c), EngineKind::Arena) => tenoc_noc::build_double(c),
+            (IcntConfig::Double(c), EngineKind::PerCell) => Box::new(DoubleNetwork::from_single(c)),
+            (IcntConfig::Perfect(c), _) => {
                 Box::new(PerfectInterconnect::new(c.mesh.len(), c.channel_bytes))
             }
-            IcntConfig::BwLimited(c, flits) => {
+            (IcntConfig::BwLimited(c, flits), _) => {
                 Box::new(BandwidthLimitedInterconnect::new(c.mesh.len(), c.channel_bytes, *flits))
             }
         }
@@ -104,17 +101,20 @@ impl IcntConfig {
 }
 
 /// Which network execution engine a system simulates with. Both engines
-/// produce bit-identical results (the arena is equivalence-tested against
-/// the per-router oracle); they differ only in memory layout and speed.
+/// produce bit-identical results, telemetry included (the arena is
+/// equivalence-tested against the per-router oracle); they differ only in
+/// memory layout and speed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The per-router oracle kernel ([`Network`] / [`DoubleNetwork`]).
-    /// Required for telemetry, and the reference for equivalence tests.
+    /// The per-router oracle kernel ([`Network`] / [`DoubleNetwork`]),
+    /// forced by name: the reference side of equivalence tests and
+    /// same-run engine comparisons.
     PerCell,
-    /// The flat structure-of-arrays kernel ([`ArenaNetwork`] /
-    /// [`ArenaDoubleNetwork`]): the production engine, several times
-    /// faster than the oracle. Falls back to the oracle for shapes the
-    /// arena cannot pack.
+    /// The production engine, as chosen by `tenoc-noc`'s constructors: the
+    /// flat structure-of-arrays kernel ([`tenoc_noc::ArenaNetwork`] /
+    /// [`tenoc_noc::ArenaDoubleNetwork`]), several times faster than the
+    /// oracle, with the oracle as fallback for shapes the arena cannot
+    /// pack.
     Arena,
 }
 
@@ -140,9 +140,7 @@ pub struct SystemConfig {
     pub seed: u64,
     /// Safety limit on core cycles.
     pub max_core_cycles: u64,
-    /// Network execution engine (identical results either way). Set it
-    /// to [`EngineKind::PerCell`] before [`System::new`] for a run that
-    /// arms telemetry.
+    /// Network execution engine (identical results either way).
     pub engine: EngineKind,
 }
 
@@ -405,11 +403,6 @@ impl System {
     /// link/VC counters, occupancy sampling, flight recorder). Call
     /// before [`System::run`]; a no-op on ideal networks, which have
     /// nothing to observe. Telemetry never changes simulated outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a physical network built with [`EngineKind::Arena`]:
-    /// only the oracle carries the observability hooks.
     pub fn enable_telemetry(&mut self, cfg: tenoc_noc::TelemetryConfig) {
         self.icnt.enable_telemetry(cfg);
     }
@@ -505,6 +498,7 @@ impl Tick for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenoc_noc::{ArmSpec, PacketClass, TelemetryConfig, TelemetryReport};
     use tenoc_simt::KernelSpec;
 
     fn tiny_spec(mem: f64) -> KernelSpec {
@@ -648,39 +642,62 @@ mod tests {
         assert!((ratio - 1296.0 / 602.0).abs() < 0.05, "core/icnt ratio {ratio}");
     }
 
-    fn run_on(engine: EngineKind, icnt: IcntConfig) -> RunMetrics {
+    fn run_on(
+        engine: EngineKind,
+        icnt: IcntConfig,
+        telemetry: Option<TelemetryConfig>,
+    ) -> (RunMetrics, Vec<TelemetryReport>) {
         let mut cfg = SystemConfig::with_icnt(icnt);
         cfg.seed = 7;
         cfg.engine = engine;
         cfg.max_core_cycles = 400_000;
-        System::new(cfg, &tiny_spec(0.3)).run()
+        let mut sys = System::new(cfg, &tiny_spec(0.3));
+        if let Some(tcfg) = telemetry {
+            sys.enable_telemetry(tcfg);
+        }
+        (sys.run(), sys.telemetry_reports())
     }
 
     /// Both sides must drain: equality of two runs that hit the cycle cap
-    /// would hold vacuously.
-    fn assert_arena_matches_oracle(icnt: IcntConfig) {
-        let oracle = run_on(EngineKind::PerCell, icnt.clone());
-        let arena = run_on(EngineKind::Arena, icnt);
+    /// would hold vacuously. Returns the (equal) telemetry reports.
+    fn assert_arena_matches_oracle(
+        icnt: IcntConfig,
+        telemetry: Option<TelemetryConfig>,
+    ) -> Vec<TelemetryReport> {
+        let (oracle, oracle_reports) = run_on(EngineKind::PerCell, icnt.clone(), telemetry);
+        let (arena, arena_reports) = run_on(EngineKind::Arena, icnt, telemetry);
         assert!(oracle.completed, "oracle run hit the cycle cap: {oracle:?}");
         assert!(arena.completed, "arena run hit the cycle cap: {arena:?}");
         assert_eq!(oracle, arena, "arena engine must be bit-identical to the oracle");
+        assert_eq!(oracle_reports, arena_reports, "telemetry must be engine-independent");
+        arena_reports
     }
 
     #[test]
     fn arena_engine_matches_oracle_engine() {
-        assert_arena_matches_oracle(IcntConfig::Mesh(NetworkConfig::baseline_mesh(6)));
+        assert_arena_matches_oracle(IcntConfig::Mesh(NetworkConfig::baseline_mesh(6)), None);
     }
 
+    /// The paper's design point, unarmed and armed: the two engines'
+    /// reports are equal field for field (histograms, per-VC link counts,
+    /// heatmap, occupancies, flight events in recorded order, drops), both
+    /// unfiltered and through a node + class filter into a ring small
+    /// enough to overwrite.
     #[test]
     fn arena_matches_oracle_on_paper_preset() {
-        assert_arena_matches_oracle(crate::presets::Preset::ThroughputEffective.icnt(6));
-    }
-
-    #[test]
-    #[should_panic(expected = "build the system with `EngineKind::PerCell`")]
-    fn arming_a_default_engine_system_panics() {
-        let cfg = SystemConfig::with_icnt(IcntConfig::Mesh(NetworkConfig::baseline_mesh(6)));
-        System::new(cfg, &tiny_spec(0.2)).enable_telemetry(tenoc_noc::TelemetryConfig::default());
+        let icnt = crate::presets::Preset::ThroughputEffective.icnt(6);
+        assert!(assert_arena_matches_oracle(icnt.clone(), None).is_empty());
+        let full = assert_arena_matches_oracle(icnt.clone(), Some(TelemetryConfig::default()));
+        assert_eq!(full.len(), 2, "one report per slice");
+        assert!(full.iter().all(|r| !r.flight.is_empty() && !r.links.is_empty()));
+        let narrow = TelemetryConfig {
+            flight_capacity: 16,
+            arm: ArmSpec { node: Some(icnt.net().mc_nodes[0]), class: Some(PacketClass::Reply) },
+        };
+        let filtered = assert_arena_matches_oracle(icnt, Some(narrow));
+        assert!(filtered[0].flight.is_empty(), "no reply crosses the request slice");
+        assert_eq!(filtered[1].flight.len(), 16);
+        assert!(filtered[1].flight_dropped > 0, "the small ring must have wrapped");
     }
 
     #[test]

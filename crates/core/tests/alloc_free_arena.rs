@@ -2,8 +2,9 @@
 //! warm-up that grows every slab, ring and packet-table row to its peak
 //! occupancy, 1k cycles of the fig. 20 combined design point's double
 //! network on the production engine ([`ArenaDoubleNetwork`]) perform zero
-//! heap allocations. `alloc_free.rs` holds the same guarantee for the
-//! per-router oracle.
+//! heap allocations — and again with telemetry armed, whose buffers are
+//! all sized at arming. `alloc_free.rs` holds the unarmed guarantee for
+//! the per-router oracle.
 //!
 //! This file holds exactly one test: the counting global allocator is
 //! process-wide, so a concurrently running test could blur the count.
@@ -12,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tenoc_core::system::IcntConfig;
 use tenoc_core::Preset;
-use tenoc_noc::{ArenaDoubleNetwork, Interconnect, Packet, Tick};
+use tenoc_noc::{ArenaDoubleNetwork, Interconnect, Packet, TelemetryConfig, Tick};
 
 struct CountingAlloc;
 
@@ -85,4 +86,14 @@ fn arena_steady_state_allocates_nothing() {
     // Sanity: the run above actually moved traffic through the fabric.
     assert!(net.stats().cycles >= 3_000);
     assert!(net.flit_hops() > 10_000);
+
+    // Armed: arming allocates every instrument once; counting link flits,
+    // sampling occupancy and overwriting a full flight ring never do.
+    net.enable_telemetry(TelemetryConfig::default());
+    let before = ALLOCS.load(Ordering::SeqCst);
+    drive(&mut net, 1_000, 6_000);
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(after - before, 0, "armed arena kernel allocated in 1k warm cycles");
+    let reports = net.telemetry_reports();
+    assert!(reports.iter().all(|r| r.flight_dropped > 0), "the flight rings wrapped");
 }

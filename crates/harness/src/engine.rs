@@ -39,10 +39,8 @@ pub fn cell_system_config(cell: &SweepCell) -> SystemConfig {
     cfg
 }
 
-/// The one cell body every run path shares. The configuration's default
-/// engine is the arena kernel; a telemetry-armed cell goes through
-/// [`run_traced_with_system_config`], which builds the per-router oracle
-/// instead (the only engine with observability hooks).
+/// The one cell body every run path shares. A telemetry-armed cell runs
+/// on the same engine as an unarmed one, with the instruments switched on.
 fn simulate(
     cfg: SystemConfig,
     benchmark: &str,

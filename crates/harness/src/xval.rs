@@ -27,7 +27,6 @@
 use serde::{Deserialize, Serialize};
 use tenoc_core::presets::Preset;
 use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
-use tenoc_noc::Network;
 use tenoc_verify::load::{analyze_load, TrafficMatrix};
 
 /// Tuning knobs for one cross-validation run.
@@ -154,8 +153,8 @@ pub fn cross_validate(label: &str, net: &tenoc_noc::NetworkConfig, cfg: &XvalCon
         ol.warmup = cfg.warmup;
         ol.measure = cfg.measure;
         ol.drain = cfg.drain;
-        let mut network = Network::new(net.clone());
-        let r = run_open_loop_on(&ol, &mut network);
+        let mut network = tenoc_noc::build_mesh(net.clone());
+        let r = run_open_loop_on(&ol, &mut *network);
         let offered = rate * offered_per_rate;
         let keeping_up = offered > 0.0 && r.ejection_rate >= cfg.keepup_threshold * offered;
         if keeping_up {

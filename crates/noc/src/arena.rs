@@ -15,18 +15,20 @@
 //! actual port counts (not the slab stride), every phase visits nodes in
 //! the same ascending active-set order, and the RNG is consumed by the
 //! same calls in the same order — so statistics, ejection traces, cycle
-//! counts and therefore `RunRecord` fingerprints are identical to the
-//! per-router kernel. `tests/arena_equivalence.rs` pins this with
-//! proptests over random legal configurations. See DESIGN.md §15.
+//! counts, telemetry reports and therefore `RunRecord` fingerprints are
+//! identical to the per-router kernel. `tests/arena_equivalence.rs` pins
+//! this with proptests over random legal configurations. Callers reach
+//! it through [`build_mesh`](crate::build_mesh) /
+//! [`build_double`](crate::build_double). See DESIGN.md §15.
 
 use crate::activeset::ActiveSet;
 use crate::buffer::VcState;
 use crate::config::{NetworkConfig, RouterTiming};
 use crate::interconnect::Interconnect;
-use crate::packet::{EjectedPacket, Packet, PacketClass, PacketHeader, Phase};
+use crate::packet::{EjectedPacket, Packet, PacketHeader, Phase};
 use crate::routing::{self, OutPort};
 use crate::stats::NetStats;
-use crate::telemetry::TelemetryConfig;
+use crate::telemetry::{NetTelemetry, TelemetryConfig, TelemetryReport};
 use crate::tick::Tick;
 use crate::topology::RouterKind;
 use crate::types::{Direction, NodeId};
@@ -121,8 +123,7 @@ pub const ARENA_PHASES: usize = 1;
 ///
 /// Drop-in replacement for [`Network`](crate::network::Network) behind the
 /// [`Interconnect`] trait with bit-identical observable behavior (same
-/// stats, same ejection order, same RNG stream). Telemetry is the one
-/// unsupported feature — armed runs must be built on the oracle engine.
+/// stats, same ejection order, same RNG stream, same telemetry reports).
 pub struct ArenaNetwork {
     cfg: NetworkConfig,
     // --- shape (immutable after construction) ---
@@ -254,6 +255,10 @@ pub struct ArenaNetwork {
     sa_grants: Vec<Vec<(u8, u8, u8)>>,
     /// SA output-first per-output request masks (bit `in_port * nv + vc`).
     sa_op_req: Vec<u128>,
+    /// Observability instruments, `None` unless armed — the same
+    /// `Option` discipline as the oracle: an unarmed run pays one branch
+    /// per switch grant and per active node, and allocates nothing.
+    telemetry: Option<Box<NetTelemetry>>,
 }
 
 impl ArenaNetwork {
@@ -390,6 +395,7 @@ impl ArenaNetwork {
             va_req: vec![0; out_max * nv],
             sa_grants: (0..in_max).map(|_| Vec::with_capacity(out_max)).collect(),
             sa_op_req: vec![0; out_max],
+            telemetry: None,
             cfg,
         }
     }
@@ -397,27 +403,6 @@ impl ArenaNetwork {
     /// The network's configuration.
     pub fn config(&self) -> &NetworkConfig {
         &self.cfg
-    }
-
-    /// Per-link traffic, identical to
-    /// [`Network::link_loads`](crate::network::Network::link_loads).
-    pub fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
-        let mut out = Vec::new();
-        self.link_loads_into(&mut out);
-        out
-    }
-
-    /// Appends per-link traffic into a caller-provided buffer (cleared
-    /// first), avoiding a fresh allocation per read on hot paths.
-    pub fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        out.clear();
-        for node in 0..self.n {
-            for dir in Direction::ALL {
-                if self.nbr[node][dir.index()] >= 0 {
-                    out.push((node, dir, self.ch_total[node * 4 + dir.index()]));
-                }
-            }
-        }
     }
 
     // --- slab index helpers ---
@@ -783,6 +768,9 @@ impl ArenaNetwork {
     fn commit_grant(&mut self, node: usize, ip: usize, vc: u8, op: usize, out_vc: u8, now: u64) {
         let idx = self.ivc(node, ip, vc as usize);
         let (flit, _) = self.fifo_pop(node, idx);
+        if let Some(t) = &mut self.telemetry {
+            t.record_grant(&self.pkts[flit.pkt as usize], flit.seq, node, op, out_vc, now);
+        }
         let is_tail = flit.seq + 1 == self.pkt_flits[flit.pkt as usize];
         if is_tail {
             let o = self.ovc(node, op, out_vc as usize);
@@ -1052,10 +1040,20 @@ impl ArenaNetwork {
                     self.deliver_node(node, now);
                     self.stream_ni_node(node, now);
                     self.step_router_node(node, now);
+                    // No later node can change this node's buffers within
+                    // the cycle (flits travel through rings), so this is
+                    // the end-of-cycle occupancy the oracle samples; nodes
+                    // outside the active set hold nothing.
+                    if let Some(t) = &mut self.telemetry {
+                        t.add_occupancy_sample(node, self.node_occ[node] as u64);
+                    }
                     if self.node_idle(node) {
                         self.active.remove(node);
                     }
                     i = node + 1;
+                }
+                if let Some(t) = &mut self.telemetry {
+                    t.tick_occupancy();
                 }
                 self.stats.cycles += 1;
                 self.cycle += 1;
@@ -1141,11 +1139,24 @@ impl Interconnect for ArenaNetwork {
         self.ch_total.iter().sum()
     }
 
-    fn enable_telemetry(&mut self, _cfg: TelemetryConfig) {
-        panic!(
-            "telemetry requires the per-router oracle (Network): \
-             build the system with `EngineKind::PerCell`"
-        );
+    fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
+        out.clear();
+        for node in 0..self.n {
+            for dir in Direction::ALL {
+                if self.nbr[node][dir.index()] >= 0 {
+                    out.push((node, dir, self.ch_total[node * 4 + dir.index()]));
+                }
+            }
+        }
+    }
+
+    fn enable_telemetry(&mut self, tcfg: TelemetryConfig) {
+        self.stats.enable_histograms();
+        self.telemetry = Some(Box::new(NetTelemetry::new(self.n, self.nv, tcfg)));
+    }
+
+    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
+        out.extend(self.telemetry.as_deref().map(|t| t.report("net", &self.cfg.mesh, &self.stats)));
     }
 
     fn phase_count(&self) -> usize {
@@ -1154,108 +1165,6 @@ impl Interconnect for ArenaNetwork {
 
     fn tick_phase(&mut self, phase: usize) {
         self.run_phase(phase);
-    }
-}
-
-/// Two parallel channel-sliced arena networks (request + reply), the
-/// engine-level twin of [`DoubleNetwork`](crate::network::DoubleNetwork).
-pub struct ArenaDoubleNetwork {
-    request: ArenaNetwork,
-    reply: ArenaNetwork,
-}
-
-impl ArenaDoubleNetwork {
-    /// Builds a double network from a per-subnetwork configuration; the
-    /// reply slice derives its seed exactly like `DoubleNetwork::new`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration declares more than one class per
-    /// subnetwork or fails validation.
-    pub fn new(sub_cfg: NetworkConfig) -> Self {
-        assert_eq!(sub_cfg.vcs.classes, 1, "double network slices carry one class each");
-        let mut reply_cfg = sub_cfg.clone();
-        reply_cfg.seed = sub_cfg.seed.wrapping_add(0x9e37_79b9);
-        ArenaDoubleNetwork {
-            request: ArenaNetwork::new(sub_cfg),
-            reply: ArenaNetwork::new(reply_cfg),
-        }
-    }
-
-    /// Derives a double network from a single-network configuration
-    /// (see `DoubleNetwork::from_single`).
-    pub fn from_single(cfg: &NetworkConfig) -> Self {
-        ArenaDoubleNetwork::new(cfg.slice())
-    }
-
-    /// The request subnetwork.
-    pub fn request_net(&self) -> &ArenaNetwork {
-        &self.request
-    }
-
-    /// The reply subnetwork.
-    pub fn reply_net(&self) -> &ArenaNetwork {
-        &self.reply
-    }
-}
-
-impl Tick for ArenaDoubleNetwork {
-    fn tick(&mut self) {
-        self.request.tick();
-        self.reply.tick();
-    }
-}
-
-impl Interconnect for ArenaDoubleNetwork {
-    fn try_inject(&mut self, node: NodeId, packet: Packet) -> Result<(), Packet> {
-        match packet.header.class {
-            PacketClass::Request => self.request.try_inject(node, packet),
-            PacketClass::Reply => self.reply.try_inject(node, packet),
-        }
-    }
-
-    fn pop(&mut self, node: NodeId) -> Option<EjectedPacket> {
-        self.request.pop(node).or_else(|| self.reply.pop(node))
-    }
-
-    fn cycle(&self) -> u64 {
-        self.request.cycle
-    }
-
-    fn stats(&self) -> NetStats {
-        debug_assert_eq!(
-            self.request.stats.cycles, self.reply.stats.cycles,
-            "double-network slices must share one clock"
-        );
-        let mut s = self.request.stats();
-        s.merge_parallel(&self.reply.stats);
-        s
-    }
-
-    fn in_flight(&self) -> usize {
-        self.request.in_flight() + self.reply.in_flight()
-    }
-
-    fn flit_hops(&self) -> u64 {
-        self.request.flit_hops() + self.reply.flit_hops()
-    }
-
-    fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.request.enable_telemetry(cfg);
-    }
-
-    fn phase_count(&self) -> usize {
-        2 * ARENA_PHASES
-    }
-
-    /// Phases `0..ARENA_PHASES` advance the request slice, the rest the
-    /// reply slice — the same slice order as `DoubleNetwork::tick`.
-    fn tick_phase(&mut self, phase: usize) {
-        if phase < ARENA_PHASES {
-            self.request.run_phase(phase);
-        } else {
-            self.reply.run_phase(phase - ARENA_PHASES);
-        }
     }
 }
 
@@ -1357,5 +1266,30 @@ mod tests {
             }
         }
         assert_eq!(whole.stats(), phased.stats());
+    }
+
+    /// Arming telemetry changes no simulated outcome on the arena either:
+    /// same stats, same cycle count, same flit-hops as an unarmed twin.
+    #[test]
+    fn telemetry_does_not_perturb_the_simulation() {
+        let run = |armed: bool| {
+            let cfg = NetworkConfig::checkerboard_mesh(6);
+            let mcs = cfg.mc_nodes.clone();
+            let mut net = ArenaNetwork::new(cfg);
+            if armed {
+                net.enable_telemetry(TelemetryConfig::default());
+            }
+            for (i, node) in (0..36).filter(|n| !mcs.contains(n)).enumerate() {
+                net.try_inject(node, Packet::request(node, mcs[i % mcs.len()], 64, i as u64))
+                    .unwrap();
+            }
+            net.tick_n(500);
+            let mut s = net.stats();
+            s.hist = None; // the only intended divergence
+            (s, net.cycle(), net.flit_hops(), net.telemetry_reports().len())
+        };
+        let (unarmed, armed) = (run(false), run(true));
+        assert_eq!((&unarmed.0, unarmed.1, unarmed.2), (&armed.0, armed.1, armed.2));
+        assert_eq!((unarmed.3, armed.3), (0, 1), "only the armed run carries a report");
     }
 }

@@ -1,19 +1,63 @@
 //! The interface between the compute/memory system and any interconnect
-//! implementation (real mesh, double network, or idealized models).
+//! implementation (real mesh, double network, or idealized models), and
+//! the one place that decides which engine simulates a physical network
+//! ([`build_mesh`] / [`build_double`]).
 
+use crate::arena::ArenaNetwork;
+use crate::config::NetworkConfig;
+use crate::double::{ArenaDoubleNetwork, DoubleNetwork};
+use crate::network::Network;
 use crate::packet::{EjectedPacket, Packet};
 use crate::stats::NetStats;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
 use crate::tick::Tick;
-use crate::types::NodeId;
+use crate::types::{Direction, NodeId};
+
+/// Builds the engine that simulates one physical mesh: the arena kernel
+/// whenever the shape fits its packed representation
+/// ([`ArenaNetwork::supports`]), the per-router oracle otherwise. The two
+/// are bit-identical in every observable (statistics, ejection order,
+/// telemetry), so the choice is a pure function of the configuration and
+/// no caller needs to make it.
+///
+/// # Panics
+///
+/// Panics if `cfg.validate()` fails.
+pub fn build_mesh(cfg: NetworkConfig) -> Box<dyn Interconnect> {
+    if ArenaNetwork::supports(&cfg) {
+        Box::new(ArenaNetwork::new(cfg))
+    } else {
+        Box::new(Network::new(cfg))
+    }
+}
+
+/// Builds the engine that simulates the channel-sliced double network
+/// derived from the single-network configuration `cfg` (see
+/// [`DoubleNetwork::from_single`]), by the same rule as [`build_mesh`]
+/// applied to one slice.
+///
+/// # Panics
+///
+/// Panics if `cfg.channel_bytes` is odd or the sliced configuration fails
+/// validation.
+pub fn build_double(cfg: &NetworkConfig) -> Box<dyn Interconnect> {
+    if cfg.channel_bytes.is_multiple_of(2) && ArenaNetwork::supports(&cfg.slice()) {
+        Box::new(ArenaDoubleNetwork::from_single(cfg))
+    } else {
+        Box::new(DoubleNetwork::from_single(cfg))
+    }
+}
 
 /// A network as seen from its terminals.
 ///
-/// Implementations: [`crate::Network`] (single physical mesh),
-/// [`crate::DoubleNetwork`] (two channel-sliced meshes),
-/// [`crate::PerfectInterconnect`] (zero latency, infinite bandwidth) and
+/// Implementations: [`crate::ArenaNetwork`] / [`crate::ArenaDoubleNetwork`]
+/// (single mesh / two channel-sliced meshes on the production engine),
+/// [`crate::Network`] / [`crate::DoubleNetwork`] (the same two on the
+/// per-router reference engine), [`crate::PerfectInterconnect`] (zero
+/// latency, infinite bandwidth) and
 /// [`crate::BandwidthLimitedInterconnect`] (zero latency, capped aggregate
-/// bandwidth).
+/// bandwidth). Callers build physical networks through [`build_mesh`] /
+/// [`build_double`] rather than naming an engine.
 ///
 /// Cycle advancement comes from the [`Tick`] supertrait: every
 /// implementation's clock edge is `Tick::tick`, and [`Interconnect::step`]
@@ -51,6 +95,24 @@ pub trait Interconnect: Tick {
     /// networks report zero — they have no links.
     fn flit_hops(&self) -> u64 {
         0
+    }
+
+    /// Writes per-link traffic into a caller-provided buffer (cleared
+    /// first): `(source node, direction, flits carried)` for every
+    /// physical channel, in node order. Divide by [`Interconnect::cycle`]
+    /// for utilization (1.0 = fully utilized link). A double network
+    /// reports the sum over its slices; ideal networks have no links and
+    /// leave the buffer empty.
+    fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
+        out.clear();
+    }
+
+    /// Convenience wrapper over [`Interconnect::link_loads_into`] that
+    /// allocates a fresh `Vec`.
+    fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
+        let mut out = Vec::new();
+        self.link_loads_into(&mut out);
+        out
     }
 
     /// Arms the observability layer (latency histograms, link/VC

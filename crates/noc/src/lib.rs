@@ -17,22 +17,28 @@
 //!   ([`topology::RouterKind`]), plus the **checkerboard routing** (CR)
 //!   oblivious routing algorithm ([`routing`]).
 //! * Multi-port (extra injection/ejection) routers for memory-controller
-//!   nodes, and channel-sliced **double networks** ([`network::DoubleNetwork`]).
+//!   nodes, and channel-sliced **double networks** ([`double::DoubleNetwork`]).
 //! * Idealized interconnect models used in the paper's limit studies:
 //!   a perfect network and a zero-latency, aggregate-bandwidth-limited
 //!   network ([`ideal`]).
 //! * An open-loop traffic harness for latency/throughput curves under
 //!   many-to-few-to-many traffic ([`openloop`]), reproducing Figure 21.
+//! * Two bit-identical execution engines for the physical networks — the
+//!   flat structure-of-arrays [`arena`] kernel that production runs use,
+//!   and the per-router [`network`] kernel kept as the differential
+//!   reference and as the fallback for shapes the arena cannot pack —
+//!   behind one constructor pair, [`build_mesh`] / [`build_double`], so
+//!   no caller picks an engine. Telemetry ([`telemetry`]) works on both.
 //!
 //! # Example
 //!
 //! Send a packet across a 6x6 baseline mesh and observe its latency:
 //!
 //! ```
-//! use tenoc_noc::{Interconnect, Network, NetworkConfig, Packet};
+//! use tenoc_noc::{build_mesh, NetworkConfig, Packet};
 //!
 //! let cfg = NetworkConfig::baseline_mesh(6);
-//! let mut net = Network::new(cfg);
+//! let mut net = build_mesh(cfg);
 //! let pkt = Packet::request(0, 35, 8, 42); // src, dst, bytes, tag
 //! net.try_inject(0, pkt).expect("empty network accepts injection");
 //! for _ in 0..200 {
@@ -52,6 +58,7 @@ pub mod audit;
 pub mod buffer;
 pub mod channel;
 pub mod config;
+pub mod double;
 pub mod ideal;
 pub mod interconnect;
 pub mod network;
@@ -67,11 +74,12 @@ pub mod topology;
 pub mod types;
 
 pub use activeset::ActiveSet;
-pub use arena::{ArenaDoubleNetwork, ArenaNetwork, ARENA_PHASES};
+pub use arena::{ArenaNetwork, ARENA_PHASES};
 pub use config::{AllocatorKind, NetworkConfig, RouterTiming, RoutingKind, VcLayout};
+pub use double::{ArenaDoubleNetwork, DoubleNetwork};
 pub use ideal::{BandwidthLimitedInterconnect, PerfectInterconnect};
-pub use interconnect::Interconnect;
-pub use network::{DoubleNetwork, Network};
+pub use interconnect::{build_double, build_mesh, Interconnect};
+pub use network::Network;
 pub use packet::{EjectedPacket, Flit, Packet, PacketClass, PacketHeader, Phase};
 pub use routing::{OutPort, RouteDecision, VcSet};
 pub use stats::NetStats;

@@ -1,17 +1,15 @@
 //! A complete single physical network (routers + channels + network
-//! interfaces), and the channel-sliced double network.
+//! interfaces) on the per-router reference engine.
 
 use crate::activeset::ActiveSet;
 use crate::channel::Channel;
 use crate::config::NetworkConfig;
 use crate::interconnect::Interconnect;
-use crate::packet::{EjectedPacket, Packet, PacketClass, PacketHeader};
+use crate::packet::{EjectedPacket, Packet, PacketHeader};
 use crate::router::{RouteCtx, Router, RouterOutputs};
 use crate::routing::{self};
 use crate::stats::NetStats;
-use crate::telemetry::{
-    dir_label, FlightEvent, LinkRecord, NetTelemetry, TelemetryConfig, TelemetryReport,
-};
+use crate::telemetry::{NetTelemetry, TelemetryConfig, TelemetryReport};
 use crate::tick::Tick;
 use crate::types::{Direction, NodeId};
 use rand::rngs::SmallRng;
@@ -140,99 +138,6 @@ impl Network {
         self.ni[node].iter().all(Option::is_some)
     }
 
-    /// Per-link traffic: `(source node, direction, flits carried)` for
-    /// every physical channel, in node order. Divide by
-    /// [`Interconnect::cycle`] for utilization (flits/cycle; 1.0 = fully
-    /// utilized link).
-    pub fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
-        let mut out = Vec::new();
-        self.link_loads_into(&mut out);
-        out
-    }
-
-    /// Writes per-link traffic into a caller-provided buffer (cleared
-    /// first), so hot read paths can reuse one allocation across calls.
-    pub fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        out.clear();
-        for node in 0..self.cfg.mesh.len() {
-            for dir in Direction::ALL {
-                if self.cfg.mesh.neighbor(node, dir).is_some() {
-                    out.push((node, dir, self.channels[node * 4 + dir.index()].total_flits()));
-                }
-            }
-        }
-    }
-
-    /// Arms the observability layer: latency histograms in the stats,
-    /// per-link/per-VC flit counters, buffer-occupancy sampling, and the
-    /// flit flight recorder. All buffers are allocated here, once; the
-    /// instrumented paths never allocate afterwards. Telemetry observes
-    /// the simulation without influencing it — enabling it changes no
-    /// simulated outcome.
-    pub fn arm_telemetry(&mut self, tcfg: TelemetryConfig) {
-        self.stats.enable_histograms();
-        self.telemetry = Some(Box::new(NetTelemetry::new(
-            self.cfg.mesh.len(),
-            self.cfg.vcs.total as usize,
-            tcfg,
-        )));
-    }
-
-    /// `true` once [`Network::arm_telemetry`] has been called.
-    pub fn telemetry_armed(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// Builds a serializable snapshot of the armed telemetry, labeled
-    /// `label` (e.g. `net`, `request`, `reply`). Returns `None` when
-    /// telemetry was never armed.
-    pub fn telemetry_report(&self, label: &str) -> Option<TelemetryReport> {
-        let t = self.telemetry.as_deref()?;
-        let radix = self.cfg.mesh.radix();
-        let cycles = self.stats.cycles;
-        let n = self.cfg.mesh.len();
-        let mut links = Vec::new();
-        let mut heatmap = vec![vec![0.0f64; radix]; radix];
-        for node in 0..n {
-            let coord = self.cfg.mesh.coord(node);
-            let mut util_sum = 0.0;
-            let mut degree = 0u32;
-            for dir in Direction::ALL {
-                if self.cfg.mesh.neighbor(node, dir).is_none() {
-                    continue;
-                }
-                let flits = t.link_flits(node, dir.index());
-                let utilization = if cycles == 0 { 0.0 } else { flits as f64 / cycles as f64 };
-                util_sum += utilization;
-                degree += 1;
-                links.push(LinkRecord {
-                    node: node as u64,
-                    x: coord.x,
-                    y: coord.y,
-                    dir: dir_label(dir).to_string(),
-                    flits,
-                    vc_flits: (0..self.cfg.vcs.total)
-                        .map(|vc| t.link_vc_flits(node, dir.index(), vc))
-                        .collect(),
-                    utilization,
-                });
-            }
-            heatmap[coord.y as usize][coord.x as usize] =
-                if degree == 0 { 0.0 } else { util_sum / degree as f64 };
-        }
-        Some(TelemetryReport {
-            label: label.to_string(),
-            radix: radix as u64,
-            cycles,
-            hist: self.stats.hist.unwrap_or_default(),
-            links,
-            heatmap,
-            avg_occupancy: (0..n).map(|node| t.avg_occupancy(node)).collect(),
-            flight: t.flight.events(),
-            flight_dropped: t.flight.dropped(),
-        })
-    }
-
     /// NI phase for one node: streams one flit per busy injection port
     /// into the router, choosing each packet's VC at head injection.
     fn stream_ni_node(&mut self, node: NodeId, now: u64) {
@@ -326,19 +231,7 @@ impl Network {
         for i in 0..self.scratch.flits.len() {
             let (out_port, vc, flit) = self.scratch.flits[i];
             if let Some(t) = &mut self.telemetry {
-                if out_port < 4 {
-                    t.count_link_flit(node, out_port, vc);
-                }
-                if t.flight.armed_for(&flit.hdr) {
-                    t.flight.record(FlightEvent {
-                        packet: flit.hdr.id,
-                        class: flit.hdr.class.index() as u8,
-                        seq: flit.seq,
-                        node: node as u64,
-                        out_port: out_port as u8,
-                        cycle: now,
-                    });
-                }
+                t.record_grant(&flit.hdr, flit.seq, node, out_port, vc, now);
             }
             if out_port < 4 {
                 self.channels[node * 4 + out_port].push_flit(now + flit_delay, vc, flit);
@@ -529,133 +422,30 @@ impl Interconnect for Network {
         self.channels.iter().map(Channel::total_flits).sum()
     }
 
-    fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.arm_telemetry(cfg);
+    fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
+        out.clear();
+        for node in 0..self.cfg.mesh.len() {
+            for dir in Direction::ALL {
+                if self.cfg.mesh.neighbor(node, dir).is_some() {
+                    out.push((node, dir, self.channels[node * 4 + dir.index()].total_flits()));
+                }
+            }
+        }
+    }
+
+    /// All buffers are allocated here, once; the instrumented paths never
+    /// allocate afterwards.
+    fn enable_telemetry(&mut self, tcfg: TelemetryConfig) {
+        self.stats.enable_histograms();
+        self.telemetry = Some(Box::new(NetTelemetry::new(
+            self.cfg.mesh.len(),
+            self.cfg.vcs.total as usize,
+            tcfg,
+        )));
     }
 
     fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.telemetry_report("net"));
-    }
-}
-
-/// Two parallel channel-sliced networks: one dedicated to requests, one to
-/// replies (paper Section IV-C).
-///
-/// Each subnetwork runs at half the channel width of the single network it
-/// replaces, keeping total bisection bandwidth constant while shrinking
-/// crossbar area quadratically. Because classes are physically separated,
-/// no virtual channels are needed for protocol deadlock avoidance.
-pub struct DoubleNetwork {
-    request: Network,
-    reply: Network,
-}
-
-impl DoubleNetwork {
-    /// Builds a double network from a per-subnetwork configuration.
-    ///
-    /// `sub_cfg.channel_bytes` is the width of *each* slice (e.g. 8 bytes
-    /// to match a 16-byte single network), and its VC layout should carry
-    /// a single class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration declares more than one class per
-    /// subnetwork or fails validation.
-    pub fn new(sub_cfg: NetworkConfig) -> Self {
-        assert_eq!(sub_cfg.vcs.classes, 1, "double network slices carry one class each");
-        let mut reply_cfg = sub_cfg.clone();
-        reply_cfg.seed = sub_cfg.seed.wrapping_add(0x9e37_79b9);
-        DoubleNetwork { request: Network::new(sub_cfg), reply: Network::new(reply_cfg) }
-    }
-
-    /// Derives a double network from a single-network configuration by
-    /// halving the channel width and splitting the VC layout.
-    ///
-    /// Channel slicing shrinks the *fabric* datapath, not the terminal
-    /// interface: the MC network interfaces still move the original
-    /// channel width per cycle, so each slice's MC routers carry
-    /// `slice factor x` the configured local ports. (The paper's
-    /// Figure 18 — double network ~= single network — requires terminal
-    /// bandwidth to be preserved; Table VI's area accounting likewise
-    /// charges extra *16-byte-equivalent* ports only for the explicit 2P
-    /// design.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the single network's channel width is not even.
-    pub fn from_single(cfg: &NetworkConfig) -> Self {
-        DoubleNetwork::new(cfg.slice())
-    }
-
-    /// The request subnetwork.
-    pub fn request_net(&self) -> &Network {
-        &self.request
-    }
-
-    /// The reply subnetwork.
-    pub fn reply_net(&self) -> &Network {
-        &self.reply
-    }
-
-    fn net_mut(&mut self, class: PacketClass) -> &mut Network {
-        match class {
-            PacketClass::Request => &mut self.request,
-            PacketClass::Reply => &mut self.reply,
-        }
-    }
-}
-
-impl Tick for DoubleNetwork {
-    fn tick(&mut self) {
-        for net in [&mut self.request, &mut self.reply] {
-            net.tick();
-        }
-    }
-}
-
-impl Interconnect for DoubleNetwork {
-    fn try_inject(&mut self, node: NodeId, packet: Packet) -> Result<(), Packet> {
-        self.net_mut(packet.header.class).try_inject(node, packet)
-    }
-
-    fn pop(&mut self, node: NodeId) -> Option<EjectedPacket> {
-        self.request.pop(node).or_else(|| self.reply.pop(node))
-    }
-
-    fn cycle(&self) -> u64 {
-        self.request.cycle()
-    }
-
-    fn stats(&self) -> NetStats {
-        // The slices tick in lockstep (see `Tick for DoubleNetwork`), so
-        // they satisfy merge_parallel's same-window contract by
-        // construction; the assert guards against a future skewed-clock
-        // refactor silently inflating rates.
-        debug_assert_eq!(
-            self.request.stats.cycles, self.reply.stats.cycles,
-            "double-network slices must share one clock"
-        );
-        let mut s = self.request.stats();
-        s.merge_parallel(&self.reply.stats);
-        s
-    }
-
-    fn in_flight(&self) -> usize {
-        self.request.in_flight() + self.reply.in_flight()
-    }
-
-    fn flit_hops(&self) -> u64 {
-        self.request.flit_hops() + self.reply.flit_hops()
-    }
-
-    fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.request.arm_telemetry(cfg);
-        self.reply.arm_telemetry(cfg);
-    }
-
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.request.telemetry_report("request"));
-        out.extend(self.reply.telemetry_report("reply"));
+        out.extend(self.telemetry.as_deref().map(|t| t.report("net", &self.cfg.mesh, &self.stats)));
     }
 }
 
@@ -663,6 +453,7 @@ impl Interconnect for DoubleNetwork {
 mod tests {
     use super::*;
     use crate::config::{NetworkConfig, RoutingKind, VcLayout};
+    use crate::packet::PacketClass;
     use crate::types::Coord;
 
     fn run_until_delivered(net: &mut Network, dst: NodeId, max: u64) -> EjectedPacket {
@@ -807,25 +598,6 @@ mod tests {
         assert_eq!(s.inject_blocked_by_node[mc], 1);
     }
 
-    /// The double network segregates classes onto separate slices.
-    #[test]
-    fn double_network_separates_classes() {
-        let cfg = NetworkConfig::baseline_mesh(6);
-        let mut dn = DoubleNetwork::from_single(&cfg);
-        dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
-        dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
-        for _ in 0..300 {
-            dn.step();
-        }
-        let req = dn.pop(10).expect("request delivered");
-        assert_eq!(req.header.class, PacketClass::Request);
-        // 8-byte slices: a 64-byte reply is 8 flits.
-        let rep = dn.pop(0).expect("reply delivered");
-        assert_eq!(rep.header.flits, 8);
-        assert_eq!(dn.request_net().stats().packets[0], 1);
-        assert_eq!(dn.reply_net().stats().packets[1], 1);
-    }
-
     /// Saturating one VC must not corrupt packet ordering or contents.
     #[test]
     fn heavy_contention_preserves_integrity() {
@@ -956,14 +728,14 @@ mod tests {
     fn telemetry_traces_a_single_packet() {
         let cfg = NetworkConfig::baseline_mesh(6);
         let mut net = Network::new(cfg);
-        net.arm_telemetry(crate::telemetry::TelemetryConfig::default());
+        net.enable_telemetry(crate::telemetry::TelemetryConfig::default());
         // 0 -> 3: three eastward hops along row 0, one flit.
         net.try_inject(0, Packet::request(0, 3, 8, 0)).unwrap();
         for _ in 0..100 {
             net.step();
         }
         net.pop(3).expect("delivered");
-        let report = net.telemetry_report("net").expect("telemetry armed");
+        let report = net.telemetry_reports().pop().expect("telemetry armed");
         assert_eq!(report.label, "net");
         assert_eq!(report.radix, 6);
         assert_eq!(report.heatmap.len(), 6);
@@ -1007,7 +779,7 @@ mod tests {
             let mcs = cfg.mc_nodes.clone();
             let mut net = Network::new(cfg);
             if armed {
-                net.arm_telemetry(crate::telemetry::TelemetryConfig::default());
+                net.enable_telemetry(crate::telemetry::TelemetryConfig::default());
             }
             for (i, node) in (0..36).filter(|n| !mcs.contains(n)).enumerate() {
                 net.try_inject(node, Packet::request(node, mcs[i % mcs.len()], 64, i as u64))
@@ -1028,7 +800,7 @@ mod tests {
     fn flight_recorder_arms_per_node() {
         let cfg = NetworkConfig::baseline_mesh(6);
         let mut net = Network::new(cfg);
-        net.arm_telemetry(crate::telemetry::TelemetryConfig {
+        net.enable_telemetry(crate::telemetry::TelemetryConfig {
             flight_capacity: 64,
             arm: crate::telemetry::ArmSpec { node: Some(3), class: None },
         });
@@ -1037,29 +809,9 @@ mod tests {
         for _ in 0..100 {
             net.step();
         }
-        let report = net.telemetry_report("net").unwrap();
+        let report = net.telemetry_reports().pop().unwrap();
         assert!(!report.flight.is_empty());
         assert!(report.flight.iter().all(|e| e.packet == report.flight[0].packet));
-    }
-
-    /// The double network yields one labeled report per slice.
-    #[test]
-    fn double_network_reports_both_slices() {
-        let cfg = NetworkConfig::baseline_mesh(6);
-        let mut dn = DoubleNetwork::from_single(&cfg);
-        dn.enable_telemetry(crate::telemetry::TelemetryConfig::default());
-        dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
-        dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
-        for _ in 0..300 {
-            dn.step();
-        }
-        let reports = dn.telemetry_reports();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].label, "request");
-        assert_eq!(reports[1].label, "reply");
-        assert_eq!(reports[0].hist.total[0].count(), 1, "request slice saw the request");
-        assert_eq!(reports[1].hist.total[1].count(), 1, "reply slice saw the reply");
-        assert!(reports.iter().all(|r| !r.flight.is_empty()));
     }
 
     /// Wider channels shrink packet flit counts.

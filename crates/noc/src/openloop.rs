@@ -10,12 +10,10 @@
 //! The harness comes in two shapes over one core: [`run_open_loop`] /
 //! [`run_open_loop_on`] drive a single probe to completion, while
 //! [`OpenLoopProbe`] exposes the same per-cycle loop one `tick` at a
-//! time so a batch driver ([`run_probes_lockstep`]) can interleave many
-//! probes — e.g. the tuner's stage-2 probe groups on the arena engine.
+//! time for callers that instrument the network between cycles.
 
 use crate::config::NetworkConfig;
-use crate::interconnect::Interconnect;
-use crate::network::Network;
+use crate::interconnect::{build_mesh, Interconnect};
 use crate::packet::Packet;
 use crate::types::NodeId;
 use rand::rngs::SmallRng;
@@ -135,26 +133,27 @@ impl OpenLoopResult {
     }
 }
 
-/// Runs one open-loop simulation.
+/// Runs one open-loop simulation on `cfg.net` as a single mesh.
 ///
 /// # Panics
 ///
 /// Panics if the configuration has no MC nodes or fails validation.
 pub fn run_open_loop(cfg: &OpenLoopConfig) -> OpenLoopResult {
-    let mut net = Network::new(cfg.net.clone());
-    run_open_loop_on(cfg, &mut net)
+    run_open_loop_on(cfg, &mut *build_mesh(cfg.net.clone()))
 }
 
-/// Runs one open-loop simulation on a caller-provided network, so the
-/// caller can observe the fabric afterwards — arm telemetry beforehand
-/// ([`Network::arm_telemetry`]) or read [`Network::link_loads`] after the
-/// run. The network must be freshly built from `cfg.net` (the traffic
-/// generator addresses `cfg.net`'s compute and MC nodes).
+/// Runs one open-loop simulation on a caller-provided interconnect, so
+/// the caller chooses the fabric (a double network built from `cfg.net`
+/// is probed on its actual slices) and can observe it afterwards — arm
+/// telemetry beforehand ([`Interconnect::enable_telemetry`]) or read
+/// [`Interconnect::link_loads`] after the run. The interconnect must be
+/// freshly built from `cfg.net` (the traffic generator addresses
+/// `cfg.net`'s compute and MC nodes).
 ///
 /// # Panics
 ///
 /// Panics if the configuration has no MC nodes.
-pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut Network) -> OpenLoopResult {
+pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut dyn Interconnect) -> OpenLoopResult {
     let mut core = ProbeCore::new(cfg);
     while !core.done() {
         core.tick(cfg, net);
@@ -164,10 +163,8 @@ pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut Network) -> OpenLoopResu
 
 /// The traffic-generation and accounting state of one open-loop probe,
 /// independent of which [`Interconnect`] implementation it drives. One
-/// [`tick`](ProbeCore::tick) is exactly one loop iteration of the
-/// original monolithic runner, so any interleaving of whole ticks across
-/// probes reproduces the solo results bit for bit (probes share no
-/// state).
+/// [`tick`](ProbeCore::tick) is exactly one loop iteration of
+/// [`run_open_loop_on`].
 struct ProbeCore {
     mcs: Vec<NodeId>,
     compute: Vec<NodeId>,
@@ -336,11 +333,9 @@ impl ProbeCore {
 }
 
 /// One open-loop probe bundled with the network it drives, advanced one
-/// cycle at a time so a batch driver can interleave many probes. The
-/// network must be freshly built from `cfg.net` (the traffic generator
-/// addresses `cfg.net`'s compute and MC nodes). Probes share no state,
-/// so any whole-tick interleaving — solo, round-robin, lockstep — yields
-/// bit-identical results for every probe.
+/// cycle at a time. The network must be freshly built from `cfg.net`
+/// (the traffic generator addresses `cfg.net`'s compute and MC nodes).
+/// Ticking a probe to completion equals [`run_open_loop_on`].
 pub struct OpenLoopProbe<I> {
     cfg: OpenLoopConfig,
     core: ProbeCore,
@@ -379,35 +374,6 @@ impl<I: Interconnect> OpenLoopProbe<I> {
     pub fn network(&self) -> &I {
         &self.net
     }
-}
-
-/// Advances a group of probes to completion in bounded lockstep rounds
-/// and returns their results in input order. Intended for same-shape
-/// groups batched on the arena engine, where interleaving keeps the
-/// per-shape routing/geometry tables hot; correctness does not depend on
-/// grouping, and the results are bit-identical to running each probe
-/// solo (probes share no state).
-pub fn run_probes_lockstep<I: Interconnect>(
-    probes: &mut [OpenLoopProbe<I>],
-) -> Vec<OpenLoopResult> {
-    /// Cycles each probe advances per round before the driver moves on.
-    const ROUND_CYCLES: u64 = 1024;
-    loop {
-        let mut advanced = false;
-        for p in probes.iter_mut() {
-            for _ in 0..ROUND_CYCLES {
-                if p.done() {
-                    break;
-                }
-                p.tick();
-                advanced = true;
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-    probes.iter().map(|p| p.result()).collect()
 }
 
 fn pick_mc<R: Rng>(mcs: &[NodeId], pattern: TrafficPattern, rng: &mut R) -> NodeId {
@@ -452,6 +418,7 @@ mod tests {
     use super::*;
     use crate::arena::ArenaNetwork;
     use crate::config::NetworkConfig;
+    use crate::network::Network;
 
     fn quick_cfg(rate: f64) -> OpenLoopConfig {
         let mut c = OpenLoopConfig::new(
@@ -565,36 +532,16 @@ mod tests {
         assert!(results_eq(&solo, &probe.result()), "{solo:?} vs {:?}", probe.result());
     }
 
-    /// Probes share no state: lockstep interleaving of several probes
-    /// (different rates, one shape) equals each probe run solo, and the
-    /// arena engine equals the oracle network.
+    /// The production engine equals the per-router oracle under
+    /// open-loop traffic, across the saturation knee.
     #[test]
-    fn lockstep_probes_match_solo_and_arena_matches_oracle() {
-        let rates = [0.01, 0.03, 0.06];
-        let solo: Vec<OpenLoopResult> =
-            rates.iter().map(|&r| run_open_loop(&quick_cfg(r))).collect();
-        let mut oracle_probes: Vec<OpenLoopProbe<Network>> = rates
-            .iter()
-            .map(|&r| {
-                let cfg = quick_cfg(r);
-                OpenLoopProbe::new(cfg.clone(), Network::new(cfg.net.clone()))
-            })
-            .collect();
-        let batched = run_probes_lockstep(&mut oracle_probes);
-        for (s, b) in solo.iter().zip(&batched) {
-            assert!(results_eq(s, b), "lockstep diverged: {s:?} vs {b:?}");
+    fn arena_probe_matches_oracle_probe() {
+        for rate in [0.01, 0.03, 0.06] {
+            let cfg = quick_cfg(rate);
+            assert!(ArenaNetwork::supports(&cfg.net), "baseline mesh is arena-eligible");
+            let oracle = run_open_loop_on(&cfg, &mut Network::new(cfg.net.clone()));
+            let arena = run_open_loop_on(&cfg, &mut ArenaNetwork::new(cfg.net.clone()));
+            assert!(results_eq(&oracle, &arena), "arena diverged: {oracle:?} vs {arena:?}");
         }
-
-        let cfg = quick_cfg(0.03);
-        assert!(ArenaNetwork::supports(&cfg.net), "baseline mesh is arena-eligible");
-        let mut arena_probes =
-            vec![OpenLoopProbe::new(cfg.clone(), ArenaNetwork::new(cfg.net.clone()))];
-        let arena = run_probes_lockstep(&mut arena_probes);
-        assert!(
-            results_eq(&solo[1], &arena[0]),
-            "arena probe diverged from oracle: {:?} vs {:?}",
-            solo[1],
-            arena[0]
-        );
     }
 }

@@ -7,8 +7,7 @@
 //! dimension-ordered routing performs poorly).
 
 use crate::config::NetworkConfig;
-use crate::interconnect::Interconnect;
-use crate::network::Network;
+use crate::interconnect::build_mesh;
 use crate::packet::Packet;
 use crate::types::{Coord, NodeId};
 use rand::rngs::SmallRng;
@@ -135,7 +134,7 @@ impl SynthResult {
 pub fn run_synthetic(cfg: &SynthConfig) -> SynthResult {
     let k = cfg.net.mesh.radix();
     let nodes = cfg.net.mesh.len();
-    let mut net = Network::new(cfg.net.clone());
+    let mut net = build_mesh(cfg.net.clone());
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut src_q: Vec<VecDeque<Packet>> = vec![VecDeque::new(); nodes];
 

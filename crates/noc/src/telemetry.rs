@@ -9,8 +9,8 @@
 //!    of total and in-network packet latency, kept per protocol class
 //!    inside [`crate::NetStats`] when enabled.
 //! 2. **Link heatmaps**: per-link, per-VC flit counters and per-router
-//!    buffer-occupancy integrals sampled by [`crate::Network`], exported
-//!    as a mesh-shaped utilization grid.
+//!    buffer-occupancy integrals sampled by the engine, exported as a
+//!    mesh-shaped utilization grid.
 //! 3. **Flight recorder** ([`FlightRecorder`]): a bounded ring buffer of
 //!    per-hop flit events (packet id, node, output port, cycle), armable
 //!    per node or per class via [`ArmSpec`].
@@ -26,8 +26,16 @@
 //! reallocates afterwards, so the allocation-free steady state of the
 //! cycle kernel (DESIGN.md §12) also holds with telemetry *on*. Telemetry
 //! observes the simulation; it never influences it.
+//!
+//! Telemetry is engine-independent: [`crate::ArenaNetwork`] and the
+//! per-router oracle [`crate::Network`] own the same [`NetTelemetry`],
+//! feed it from the same three hook sites (switch grant, end-of-cycle
+//! occupancy, ejection) and snapshot it through the one report builder,
+//! [`NetTelemetry::report`] — so their reports are equal field for field.
 
 use crate::packet::{PacketClass, PacketHeader};
+use crate::stats::NetStats;
+use crate::topology::Mesh;
 use crate::types::{Direction, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -169,7 +177,8 @@ impl ArmSpec {
     }
 }
 
-/// Telemetry configuration handed to [`crate::Network::enable_telemetry`].
+/// Telemetry configuration handed to
+/// [`Interconnect::enable_telemetry`](crate::Interconnect::enable_telemetry).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TelemetryConfig {
     /// Capacity of the flight-recorder ring buffer (events kept; older
@@ -256,8 +265,8 @@ impl FlightRecorder {
     }
 }
 
-/// Live telemetry state owned by a [`crate::Network`] when enabled: all
-/// buffers are sized at construction and never grow.
+/// Live telemetry state owned by a physical network (either engine)
+/// when enabled: all buffers are sized at construction and never grow.
 #[derive(Clone, Debug)]
 pub struct NetTelemetry {
     num_vcs: usize,
@@ -280,6 +289,33 @@ impl NetTelemetry {
             occupancy_sum: vec![0; nodes],
             occupancy_cycles: 0,
             flight: FlightRecorder::new(cfg.flight_capacity, cfg.arm),
+        }
+    }
+
+    /// The switch-grant hook: counts a flit leaving `node` on a link
+    /// (`out_port < 4`; ejection ports have no link) and offers the hop
+    /// to the flight recorder.
+    pub fn record_grant(
+        &mut self,
+        hdr: &PacketHeader,
+        seq: u16,
+        node: NodeId,
+        out_port: usize,
+        out_vc: u8,
+        now: u64,
+    ) {
+        if out_port < 4 {
+            self.count_link_flit(node, out_port, out_vc);
+        }
+        if self.flight.armed_for(hdr) {
+            self.flight.record(FlightEvent {
+                packet: hdr.id,
+                class: hdr.class.index() as u8,
+                seq,
+                node: node as u64,
+                out_port: out_port as u8,
+                cycle: now,
+            });
         }
     }
 
@@ -316,6 +352,55 @@ impl NetTelemetry {
         }
         self.occupancy_sum[node] as f64 / self.occupancy_cycles as f64
     }
+
+    /// Builds the serializable snapshot of one network's telemetry,
+    /// labeled `label` (`net`, `request`, `reply`). Both engines call
+    /// this with their own mesh and statistics, so a report's shape and
+    /// arithmetic cannot differ between them.
+    pub fn report(&self, label: &str, mesh: &Mesh, stats: &NetStats) -> TelemetryReport {
+        let radix = mesh.radix();
+        let cycles = stats.cycles;
+        let mut links = Vec::new();
+        let mut heatmap = vec![vec![0.0f64; radix]; radix];
+        for node in 0..mesh.len() {
+            let coord = mesh.coord(node);
+            let mut util_sum = 0.0;
+            let mut degree = 0u32;
+            for dir in Direction::ALL {
+                if mesh.neighbor(node, dir).is_none() {
+                    continue;
+                }
+                let flits = self.link_flits(node, dir.index());
+                let utilization = if cycles == 0 { 0.0 } else { flits as f64 / cycles as f64 };
+                util_sum += utilization;
+                degree += 1;
+                links.push(LinkRecord {
+                    node: node as u64,
+                    x: coord.x,
+                    y: coord.y,
+                    dir: dir_label(dir).to_string(),
+                    flits,
+                    vc_flits: (0..self.num_vcs as u8)
+                        .map(|vc| self.link_vc_flits(node, dir.index(), vc))
+                        .collect(),
+                    utilization,
+                });
+            }
+            heatmap[coord.y as usize][coord.x as usize] =
+                if degree == 0 { 0.0 } else { util_sum / degree as f64 };
+        }
+        TelemetryReport {
+            label: label.to_string(),
+            radix: radix as u64,
+            cycles,
+            hist: stats.hist.unwrap_or_default(),
+            links,
+            heatmap,
+            avg_occupancy: (0..mesh.len()).map(|node| self.avg_occupancy(node)).collect(),
+            flight: self.flight.events(),
+            flight_dropped: self.flight.dropped(),
+        }
+    }
 }
 
 /// One physical link's traffic in a [`TelemetryReport`].
@@ -338,7 +423,7 @@ pub struct LinkRecord {
 }
 
 /// A serializable snapshot of one network's telemetry, built by
-/// [`crate::Network::telemetry_report`].
+/// [`NetTelemetry::report`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
     /// Which network this report describes (`net`, `request`, `reply`).

@@ -2,7 +2,7 @@
 //!
 //! Everything that advances in lockstep with some clock — a single
 //! [`Network`](crate::network::Network), the channel-sliced
-//! [`DoubleNetwork`](crate::network::DoubleNetwork), the ideal
+//! [`DoubleNetwork`](crate::double::DoubleNetwork), the ideal
 //! interconnect models, and the system's per-domain clock slices —
 //! implements [`Tick`]. One `tick` is exactly one cycle of the
 //! component's own clock; callers that multiplex several clock domains

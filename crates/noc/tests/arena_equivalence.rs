@@ -3,13 +3,15 @@
 //! experiments use: random legal configs, random seeds, random traffic.
 //! A solo [`ArenaNetwork`] is compared against a solo oracle [`Network`]
 //! fed the exact same traffic — same ejection sequence, same cycle
-//! count, same [`NetStats`].
+//! count, same [`NetStats`], and, when telemetry is armed, the same
+//! [`TelemetryReport`] field for field.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tenoc_noc::{
-    AllocatorKind, ArenaNetwork, Interconnect, NetStats, Network, NetworkConfig, Packet,
+    AllocatorKind, ArenaNetwork, ArmSpec, Interconnect, NetStats, Network, NetworkConfig, Packet,
+    PacketClass, TelemetryConfig, TelemetryReport,
 };
 
 /// One observed ejection: (cycle, node, packet id, tag).
@@ -46,6 +48,21 @@ fn legal_cfg() -> impl Strategy<Value = NetworkConfig> {
         })
 }
 
+/// A random telemetry arming: a flight ring small enough to overwrite
+/// (or disabled, or roomy), with and without node / class filters. Node
+/// ids stay below 16 so they exist on both mesh sizes.
+fn telemetry_cfg() -> impl Strategy<Value = TelemetryConfig> {
+    (
+        prop::sample::select(vec![0usize, 8, 4096]),
+        prop::option::of(0usize..16),
+        prop::option::of(prop::sample::select(vec![PacketClass::Request, PacketClass::Reply])),
+    )
+        .prop_map(|(flight_capacity, node, class)| TelemetryConfig {
+            flight_capacity,
+            arm: ArmSpec { node, class },
+        })
+}
+
 /// Deterministic many-to-few traffic: core→MC requests and MC→core
 /// replies (legal under every routing kind, including checkerboard's
 /// placement restrictions). Returns this cycle's injection attempts.
@@ -69,14 +86,18 @@ fn offered(cfg: &NetworkConfig, rng: &mut SmallRng, tag: &mut u64) -> Vec<(usize
     out
 }
 
-/// Runs `cycles` of the offered traffic through one engine, recording
-/// every ejection.
+/// Runs `cycles` of the offered traffic through one engine (telemetry
+/// armed first if asked), recording every ejection.
 fn drive<N: Interconnect>(
     mut net: N,
     cfg: &NetworkConfig,
     traffic_seed: u64,
     cycles: u64,
-) -> (Vec<Ejection>, NetStats) {
+    telemetry: Option<TelemetryConfig>,
+) -> (Vec<Ejection>, NetStats, Vec<TelemetryReport>) {
+    if let Some(tcfg) = telemetry {
+        net.enable_telemetry(tcfg);
+    }
     let mut rng = SmallRng::seed_from_u64(traffic_seed);
     let mut tag = 0u64;
     let mut trace = Vec::new();
@@ -91,22 +112,31 @@ fn drive<N: Interconnect>(
             }
         }
     }
-    (trace, net.stats())
+    (trace, net.stats(), net.telemetry_reports())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     // Random legal configs and traffic seeds: the arena ejects the same
     // packets at the same cycles with the same final statistics as the
-    // oracle fed identical traffic.
+    // oracle fed identical traffic — unarmed, and with telemetry armed,
+    // where the two reports (histograms, per-VC link counts, heatmap,
+    // occupancies, flight events in recorded order, drop count) must
+    // also be equal.
     #[test]
-    fn arena_matches_the_oracle(cfg in legal_cfg(), traffic_seed in any::<u64>()) {
+    fn arena_matches_the_oracle(
+        cfg in legal_cfg(),
+        traffic_seed in any::<u64>(),
+        telemetry in prop::option::of(telemetry_cfg()),
+    ) {
         prop_assert!(cfg.validate().is_ok() && ArenaNetwork::supports(&cfg));
         let cycles = 100u64;
-        let (oracle_trace, oracle_stats) =
-            drive(Network::new(cfg.clone()), &cfg, traffic_seed, cycles);
-        let (arena_trace, arena_stats) =
-            drive(ArenaNetwork::new(cfg.clone()), &cfg, traffic_seed, cycles);
+        let (oracle_trace, oracle_stats, oracle_reports) =
+            drive(Network::new(cfg.clone()), &cfg, traffic_seed, cycles, telemetry);
+        let (arena_trace, arena_stats, arena_reports) =
+            drive(ArenaNetwork::new(cfg.clone()), &cfg, traffic_seed, cycles, telemetry);
+        prop_assert_eq!(arena_reports.len(), usize::from(telemetry.is_some()));
+        prop_assert_eq!(arena_reports, oracle_reports, "telemetry reports diverged");
         prop_assert!(!oracle_trace.is_empty(), "the random traffic should exercise the fabric");
         prop_assert_eq!(arena_trace, oracle_trace, "ejection trace diverged");
         prop_assert_eq!(arena_stats.cycles, cycles);

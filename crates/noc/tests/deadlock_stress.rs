@@ -1,16 +1,18 @@
 //! Deadlock-freedom stress tests: saturate the network with adversarial
 //! bidirectional traffic and tiny buffers, then require complete drainage.
 //! A routing- or protocol-deadlock would leave flits stuck in flight.
+//! Networks come from `build_mesh` / `build_double`, so the engine under
+//! stress is the one production runs.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tenoc_noc::{
-    DoubleNetwork, Interconnect, Network, NetworkConfig, Packet, RoutingKind, VcLayout,
+    build_double, build_mesh, Interconnect, NetworkConfig, Packet, RoutingKind, VcLayout,
 };
 
 /// Drives `packets` random request/reply pairs through `net` and asserts
 /// every packet drains.
-fn stress(mut net: impl Interconnect, cfg: &NetworkConfig, packets: usize, seed: u64) {
+fn stress(mut net: Box<dyn Interconnect>, cfg: &NetworkConfig, packets: usize, seed: u64) {
     let mcs = cfg.mc_nodes.clone();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -55,21 +57,20 @@ fn stress(mut net: impl Interconnect, cfg: &NetworkConfig, packets: usize, seed:
 fn checkerboard_tiny_buffers_no_deadlock() {
     let mut cfg = NetworkConfig::checkerboard_mesh(6);
     cfg.vc_depth = 2; // minimal double-buffering
-    stress(Network::new(cfg.clone()), &cfg, 800, 11);
+    stress(build_mesh(cfg.clone()), &cfg, 800, 11);
 }
 
 #[test]
 fn dor_tiny_buffers_no_deadlock() {
     let mut cfg = NetworkConfig::baseline_mesh(6);
     cfg.vc_depth = 2;
-    stress(Network::new(cfg.clone()), &cfg, 800, 22);
+    stress(build_mesh(cfg.clone()), &cfg, 800, 22);
 }
 
 #[test]
 fn double_network_heavy_load_no_deadlock() {
     let cfg = NetworkConfig::checkerboard_mesh(6);
-    let dn = DoubleNetwork::from_single(&cfg);
-    stress(dn, &cfg, 1200, 33);
+    stress(build_double(&cfg), &cfg, 1200, 33);
 }
 
 #[test]
@@ -78,7 +79,7 @@ fn o1turn_no_deadlock_on_full_mesh() {
     cfg.routing = RoutingKind::O1Turn;
     cfg.vcs = VcLayout::new(4, 2, true);
     cfg.vc_depth = 2;
-    stress(Network::new(cfg.clone()), &cfg, 800, 44);
+    stress(build_mesh(cfg.clone()), &cfg, 800, 44);
 }
 
 #[test]
@@ -86,7 +87,7 @@ fn romm_no_deadlock_on_full_mesh() {
     let mut cfg = NetworkConfig::baseline_mesh(6);
     cfg.routing = RoutingKind::Romm;
     cfg.vcs = VcLayout::new(4, 2, true);
-    stress(Network::new(cfg.clone()), &cfg, 800, 55);
+    stress(build_mesh(cfg.clone()), &cfg, 800, 55);
 }
 
 /// Multi-port MC routers under the same stress.
@@ -95,7 +96,7 @@ fn multiport_no_deadlock() {
     let mut cfg = NetworkConfig::checkerboard_mesh(6);
     cfg.mc_inject_ports = 2;
     cfg.mc_eject_ports = 2;
-    stress(Network::new(cfg.clone()), &cfg, 1000, 66);
+    stress(build_mesh(cfg.clone()), &cfg, 1000, 66);
 }
 
 #[test]
@@ -103,7 +104,7 @@ fn output_first_allocator_no_deadlock() {
     let mut cfg = NetworkConfig::checkerboard_mesh(6);
     cfg.allocator = tenoc_noc::config::AllocatorKind::OutputFirst;
     cfg.vc_depth = 2;
-    stress(Network::new(cfg.clone()), &cfg, 800, 88);
+    stress(build_mesh(cfg.clone()), &cfg, 800, 88);
 }
 
 /// Aggressive single-cycle routers under stress.
@@ -112,5 +113,5 @@ fn one_cycle_routers_no_deadlock() {
     let mut cfg = NetworkConfig::baseline_mesh(6);
     cfg.router_stages = 1;
     cfg.vc_depth = 2;
-    stress(Network::new(cfg.clone()), &cfg, 800, 77);
+    stress(build_mesh(cfg.clone()), &cfg, 800, 77);
 }

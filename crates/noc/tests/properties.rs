@@ -6,8 +6,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tenoc_noc::routing::{plan_injection, plan_options, trace_path};
 use tenoc_noc::{
-    Coord, Interconnect, Mesh, Network, NetworkConfig, Packet, PacketClass, Phase, RoutingKind,
-    VcLayout,
+    build_mesh, Coord, Mesh, NetworkConfig, Packet, PacketClass, Phase, RoutingKind, VcLayout,
 };
 
 // Checkerboard routes between all legal endpoint pairs are minimal and
@@ -89,6 +88,7 @@ proptest! {
 
 // Every packet injected into a real network is eventually delivered
 // exactly once, with its tag intact, and the network drains completely.
+// Runs on whatever `build_mesh` returns: the engine production runs.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -104,7 +104,7 @@ proptest! {
         };
         let mcs = cfg.mc_nodes.clone();
         let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-        let mut net = Network::new(cfg);
+        let mut net = build_mesh(cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
 
         use rand::Rng;
@@ -152,7 +152,7 @@ proptest! {
         let cfg = NetworkConfig::checkerboard_mesh(6);
         let mcs = cfg.mc_nodes.clone();
         let cores: Vec<usize> = (0..36).filter(|n| !mcs.contains(n)).collect();
-        let mut net = Network::new(cfg);
+        let mut net = build_mesh(cfg);
         use rand::Rng;
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut pending: Vec<Packet> = (0..30)

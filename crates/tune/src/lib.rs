@@ -18,8 +18,8 @@
 //!   audit's static throughput-effectiveness score (many-to-few
 //!   saturation bound per mm²) and the best are promoted.
 //! - **Stage 2 — open-loop probes (medium):** promoted candidates are
-//!   probed at a few injection rates around their static bound, all
-//!   probes of one candidate advancing in lockstep; the measured
+//!   probed at a few injection rates around their static bound, each
+//!   probe run to completion on the candidate's own fabric; the measured
 //!   steady-state ejection rate per mm² decides promotion.
 //! - **Stage 3 — closed-loop halving (expensive):** survivors race
 //!   through a successive-halving ladder of full closed-loop benchmark
@@ -51,13 +51,13 @@ pub use space::{config_hash, Candidate, Org, Point};
 
 use serde::Serialize;
 use tenoc_core::experiments::run_traced_with_system_config;
-use tenoc_core::{audit_icnt, harmonic_mean, AuditEntry, Preset, SystemConfig, TelemetryConfig};
+use tenoc_core::{
+    audit_icnt, harmonic_mean, AuditEntry, EngineKind, Preset, SystemConfig, TelemetryConfig,
+};
 use tenoc_harness::pool::run_indexed;
 use tenoc_harness::{run_config_cells, ConfigCell};
-use tenoc_noc::openloop::{
-    run_probes_lockstep, OpenLoopConfig, OpenLoopProbe, OpenLoopResult, TrafficPattern,
-};
-use tenoc_noc::{ArenaDoubleNetwork, ArenaNetwork, DoubleNetwork, Network, RoutingKind};
+use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
+use tenoc_noc::RoutingKind;
 use tenoc_serve::{config_cell_key, CachedCell, DiskCache};
 use tenoc_verify::load::TrafficMatrix;
 
@@ -251,64 +251,20 @@ fn probe_candidate(
     // of different channel widths eject different flit counts for the
     // same payload, so cross-candidate comparison happens on the
     // width-independent `ejection_bytes_rate`.
-    let base = cand.icnt.net().clone();
-    let double = matches!(cand.icnt, tenoc_core::IcntConfig::Double(_));
     let [warmup, measure, drain] = spec.probe_windows;
-    let cfgs: Vec<OpenLoopConfig> = rates
+    let results = rates
         .iter()
         .enumerate()
         .map(|(i, &rate)| {
-            let mut cfg = OpenLoopConfig::new(base.clone(), rate, TrafficPattern::UniformRandom);
+            let mut cfg =
+                OpenLoopConfig::new(cand.icnt.net().clone(), rate, TrafficPattern::UniformRandom);
             cfg.warmup = warmup;
             cfg.measure = measure;
             cfg.drain = drain;
             cfg.seed = probe_seed(spec.seed, &cand.config_hash, i);
-            cfg
+            run_open_loop_on(&cfg, &mut *cand.icnt.build(EngineKind::Arena))
         })
         .collect();
-    // Engine choice mirrors `IcntConfig::build_interconnect`: the arena
-    // engine when the (sliced, for doubles) config is arena-eligible,
-    // the oracle network otherwise. The choice is a pure function of the
-    // config, so it cannot perturb determinism.
-    let results = if double {
-        if base.channel_bytes.is_multiple_of(2) && ArenaNetwork::supports(&base.slice()) {
-            let mut probes: Vec<OpenLoopProbe<ArenaDoubleNetwork>> = cfgs
-                .into_iter()
-                .map(|cfg| {
-                    let net = ArenaDoubleNetwork::from_single(&cfg.net);
-                    OpenLoopProbe::new(cfg, net)
-                })
-                .collect();
-            run_probes_lockstep(&mut probes)
-        } else {
-            let mut probes: Vec<OpenLoopProbe<DoubleNetwork>> = cfgs
-                .into_iter()
-                .map(|cfg| {
-                    let net = DoubleNetwork::from_single(&cfg.net);
-                    OpenLoopProbe::new(cfg, net)
-                })
-                .collect();
-            run_probes_lockstep(&mut probes)
-        }
-    } else if ArenaNetwork::supports(&base) {
-        let mut probes: Vec<OpenLoopProbe<ArenaNetwork>> = cfgs
-            .into_iter()
-            .map(|cfg| {
-                let net = ArenaNetwork::new(cfg.net.clone());
-                OpenLoopProbe::new(cfg, net)
-            })
-            .collect();
-        run_probes_lockstep(&mut probes)
-    } else {
-        let mut probes: Vec<OpenLoopProbe<Network>> = cfgs
-            .into_iter()
-            .map(|cfg| {
-                let net = Network::new(cfg.net.clone());
-                OpenLoopProbe::new(cfg, net)
-            })
-            .collect();
-        run_probes_lockstep(&mut probes)
-    };
     (rates, results)
 }
 
@@ -342,14 +298,28 @@ fn pareto_indices(finalists: &[Finalist]) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Returns an error only for result-cache I/O failures.
+/// Returns [`std::io::ErrorKind::InvalidInput`] before any stage runs if
+/// the ladder names an unknown benchmark; otherwise only result-cache I/O
+/// failures.
 ///
 /// # Panics
 ///
-/// Panics if the spec has an empty benchmark ladder or names an unknown
-/// benchmark, or if a closed-loop cell hits the safety cycle limit.
+/// Panics if the spec has an empty benchmark ladder, or if a closed-loop
+/// cell hits the safety cycle limit.
 pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneReport, TuneStats)> {
     assert!(!spec.benchmarks.is_empty(), "benchmark ladder must not be empty");
+    let ladder = spec
+        .benchmarks
+        .iter()
+        .map(|b| {
+            tenoc_workloads::by_name(b).ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("unknown benchmark {b}; see `tenoc list`"),
+                )
+            })
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
     let jobs = opts.jobs.max(1);
     let mut stats = TuneStats::default();
     let mut rejections: Vec<Rejection> = Vec::new();
@@ -658,9 +628,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     // Telemetry heatmaps for each frontier point, captured on the first
     // ladder benchmark (telemetry observes without perturbing, so this
     // re-run measures exactly the cell stage 3 scored).
-    let heat_bench = spec.benchmarks[0].clone();
-    let heat_spec = tenoc_workloads::by_name(&heat_bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {heat_bench}"));
+    let (heat_bench, heat_spec) = (&spec.benchmarks[0], &ladder[0]);
     let heatmaps: Vec<Vec<HeatmapReport>> = run_indexed(frontier_idx.len(), jobs, |j| {
         let f = &finalists[frontier_idx[j]];
         let i = alive[frontier_idx[j]];
@@ -668,7 +636,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         let mut cfg = SystemConfig::with_icnt(cands[i].icnt.clone());
         cfg.seed = spec.seed;
         let (_, reports) =
-            run_traced_with_system_config(cfg, &heat_spec, spec.scale, TelemetryConfig::default());
+            run_traced_with_system_config(cfg, heat_spec, spec.scale, TelemetryConfig::default());
         reports
             .into_iter()
             .map(|t| HeatmapReport {
@@ -795,5 +763,14 @@ mod tests {
             .find(|n| n.preset == "TB-DOR")
             .expect("baseline is a named point");
         assert_eq!(baseline.stage_reached, "finalist", "pinned points ride every stage");
+    }
+
+    #[test]
+    fn unknown_ladder_benchmark_is_an_input_error_before_any_stage_runs() {
+        let mut spec = TuneSpec::tiny();
+        spec.benchmarks.push("NOPE".to_string());
+        let err = run_tune(&spec, &TuneOptions::default()).expect_err("must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("NOPE"), "error names the benchmark: {err}");
     }
 }

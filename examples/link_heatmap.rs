@@ -8,13 +8,13 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tenoc::noc::openloop::TrafficPattern;
-use tenoc::noc::{Interconnect, Mesh, Network, NetworkConfig, Packet, Placement};
+use tenoc::noc::{build_mesh, Interconnect, Mesh, NetworkConfig, Packet, Placement};
 
-/// Drives request/reply traffic for `cycles` and returns (network, cycles).
-fn drive(cfg: NetworkConfig, rate: f64, cycles: u64) -> Network {
+/// Drives request/reply traffic for `cycles` and returns the network.
+fn drive(cfg: &NetworkConfig, rate: f64, cycles: u64) -> Box<dyn Interconnect> {
     let mcs = cfg.net_mcs();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-    let mut net = Network::new(cfg);
+    let mut net = build_mesh(cfg.clone());
     let mut rng = SmallRng::seed_from_u64(5);
     let mut backlog: Vec<Packet> = Vec::new();
     for now in 0..cycles {
@@ -48,8 +48,8 @@ impl McList for NetworkConfig {
     }
 }
 
-fn heatmap(title: &str, net: &Network) {
-    let k = net.config().mesh.radix();
+fn heatmap(title: &str, cfg: &NetworkConfig, net: &dyn Interconnect) {
+    let k = cfg.mesh.radix();
     let cycles = net.cycle().max(1) as f64;
     println!("\n{title}");
     println!("(per-node: max utilization over its outgoing links; # > 60%, * > 30%, + > 10%, . <= 10%, M = memory controller)");
@@ -63,7 +63,7 @@ fn heatmap(title: &str, net: &Network) {
                 .filter(|&&(n, _, _)| n == node)
                 .map(|&(_, _, f)| f as f64 / cycles)
                 .fold(0.0f64, f64::max);
-            let c = if net.config().mc_nodes.contains(&node) {
+            let c = if cfg.mc_nodes.contains(&node) {
                 'M'
             } else if max_util > 0.6 {
                 '#'
@@ -84,7 +84,7 @@ fn heatmap(title: &str, net: &Network) {
     loads.sort_by_key(|&(_, _, f)| std::cmp::Reverse(f));
     println!("  busiest links:");
     for &(node, dir, flits) in loads.iter().take(3) {
-        let c = net.config().mesh.coord(node);
+        let c = cfg.mesh.coord(node);
         println!("    {c} -> {dir}: {:.2} flits/cycle", flits as f64 / cycles);
     }
 }
@@ -95,7 +95,7 @@ fn main() {
     let cycles = 30_000;
 
     let tb = NetworkConfig::baseline_mesh(6);
-    heatmap("top-bottom MC placement (paper Figure 3)", &drive(tb, rate, cycles));
+    heatmap("top-bottom MC placement (paper Figure 3)", &tb, &*drive(&tb, rate, cycles));
 
     let cp = {
         let base = NetworkConfig::baseline_mesh(6);
@@ -103,5 +103,6 @@ fn main() {
         let mc_nodes = Mesh::checkerboard(6).mcs(Placement::Checkerboard, 8);
         NetworkConfig { mesh, mc_nodes, ..base }
     };
-    heatmap("staggered checkerboard MC placement (paper Figure 12)", &drive(cp, rate, cycles));
+    let title = "staggered checkerboard MC placement (paper Figure 12)";
+    heatmap(title, &cp, &*drive(&cp, rate, cycles));
 }

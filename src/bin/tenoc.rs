@@ -129,6 +129,59 @@ const COMMANDS: &[Command] = &[
     Command { name: "list", flags: &[], usage: "(benchmarks and presets)" },
 ];
 
+impl Command {
+    /// Prints `problem` and this subcommand's usage, then exits 2.
+    fn usage_error(&self, problem: &str) -> ! {
+        eprintln!("{}: {problem}\nusage: tenoc {} {}", self.name, self.name, self.usage);
+        std::process::exit(2)
+    }
+}
+
+/// A subcommand's parsed `--flag [value]` pairs.
+struct Flags {
+    cmd: &'static Command,
+    values: HashMap<String, String>,
+}
+
+impl Flags {
+    fn get(&self, key: &str) -> Option<&String> {
+        self.values.get(key)
+    }
+
+    fn contains_key(&self, key: &str) -> bool {
+        self.values.contains_key(key)
+    }
+
+    /// The value of `--key` parsed as `T` and accepted by `ok`; `None`
+    /// when the flag is absent, so the caller's default applies. A value
+    /// that does not parse or is out of range is a usage error — like a
+    /// mistyped flag, it must not silently run the default experiment.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, ok: impl Fn(&T) -> bool) -> Option<T> {
+        let raw = self.values.get(key)?;
+        match raw.parse::<T>().ok().filter(ok) {
+            Some(value) => Some(value),
+            None => self.cmd.usage_error(&format!("invalid value for --{key}: {raw}")),
+        }
+    }
+
+    fn scale(&self) -> Option<f64> {
+        self.parsed("scale", |s: &f64| *s > 0.0 && s.is_finite())
+    }
+
+    fn seed(&self) -> Option<u64> {
+        self.parsed("seed", |_| true)
+    }
+
+    fn jobs(&self) -> Option<usize> {
+        self.parsed("jobs", |j| *j >= 1)
+    }
+
+    /// Mesh radix, default 6; a 1x1 mesh has no network to study.
+    fn k(&self) -> usize {
+        self.parsed("k", |k| *k >= 2).unwrap_or(6)
+    }
+}
+
 /// Parses `--flag [value]` pairs, rejecting anything `cmd` does not
 /// accept: a mistyped flag must not silently run a different experiment.
 fn parse_flags(cmd: &Command, args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -171,14 +224,10 @@ fn main() -> ExitCode {
         return usage();
     };
     let flags = match parse_flags(cmd, &args[1..]) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("{}: {e}\nusage: tenoc {} {}", cmd.name, cmd.name, cmd.usage);
-            return ExitCode::from(2);
-        }
+        Ok(values) => Flags { cmd, values },
+        Err(e) => cmd.usage_error(&e),
     };
-    let scale =
-        flags.get("scale").and_then(|s| s.parse::<f64>().ok()).unwrap_or_else(scale_from_env);
+    let scale = flags.scale().unwrap_or_else(scale_from_env);
 
     match cmd.name {
         "run" => {
@@ -247,7 +296,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if let Some(rate) = flags.get("rate").and_then(|r| r.parse::<f64>().ok()) {
+            if let Some(rate) = flags.parsed("rate", |r: &f64| *r > 0.0 && r.is_finite()) {
                 let r = run_open_loop(&OpenLoopConfig::new(net, rate, pattern));
                 println!(
                     "rate {rate}: latency {:.1} cyc, delivered {:.1}%{}",
@@ -326,7 +375,7 @@ fn serde_json_line(name: &str, preset: Preset, m: &tenoc::core::RunMetrics) -> S
 /// latency histograms, per-link utilization with a mesh heatmap, mean
 /// buffer occupancies) and `flight.jsonl` (one flight-recorder event per
 /// line, tagged with its network slice).
-fn cmd_trace(flags: &HashMap<String, String>, scale: f64) -> ExitCode {
+fn cmd_trace(flags: &Flags, scale: f64) -> ExitCode {
     use serde::Serialize;
     use tenoc::core::experiments::run_traced;
     use tenoc::noc::{ArmSpec, PacketClass, TelemetryConfig};
@@ -351,10 +400,12 @@ fn cmd_trace(flags: &HashMap<String, String>, scale: f64) -> ExitCode {
     };
     let tcfg = TelemetryConfig {
         flight_capacity: flags
-            .get("flight-cap")
-            .and_then(|v| v.parse::<usize>().ok())
+            .parsed("flight-cap", |_| true)
             .unwrap_or(TelemetryConfig::default().flight_capacity),
-        arm: ArmSpec { node: flags.get("node").and_then(|v| v.parse::<usize>().ok()), class },
+        arm: ArmSpec {
+            node: flags.parsed("node", |n| *n < preset.icnt(6).net().mesh.len()),
+            class,
+        },
     };
 
     eprintln!("trace: {} on {} at scale {scale}", spec.name, preset.label());
@@ -433,13 +484,12 @@ const SERVE_ADDR: &str = "127.0.0.1:32268";
 /// `tenoc serve`: run the sweep service until killed. Results are
 /// journaled to the cache directory as they complete, so a killed server
 /// restarted on the same `--cache` resumes without re-simulating.
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_serve(flags: &Flags) -> ExitCode {
     let mut cfg = tenoc::serve::ServerConfig::new(
         flags.get("addr").map(String::as_str).unwrap_or(SERVE_ADDR),
         flags.get("cache").map(String::as_str).unwrap_or("sweep-cache"),
     );
-    if let Some(jobs) = flags.get("jobs").and_then(|j| j.parse::<usize>().ok()).filter(|&j| j >= 1)
-    {
+    if let Some(jobs) = flags.jobs() {
         cfg.workers = jobs;
     }
     let handle = match tenoc::serve::start(cfg.clone()) {
@@ -465,11 +515,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
 /// stream in cell order (byte-identical to `tenoc sweep` output for the
 /// same grid) and report the request's cache accounting. With `--stats`,
 /// fetch the service counters instead.
-fn cmd_submit(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_submit(flags: &Flags) -> ExitCode {
     use std::time::Duration;
     let addr = flags.get("addr").map(String::as_str).unwrap_or(SERVE_ADDR);
 
-    let write_out = |flags: &HashMap<String, String>, text: &str, what: &str| -> bool {
+    let write_out = |flags: &Flags, text: &str, what: &str| -> bool {
         if let Some(path) = flags.get("out") {
             if let Err(e) = std::fs::write(path, text) {
                 eprintln!("submit: cannot write {path}: {e}");
@@ -515,10 +565,10 @@ fn cmd_submit(flags: &HashMap<String, String>) -> ExitCode {
             req.benchmarks =
                 tenoc::workloads::smoke_suite().iter().map(|s| s.name.clone()).collect();
         }
-        if let Some(s) = flags.get("scale").and_then(|s| s.parse::<f64>().ok()) {
+        if let Some(s) = flags.scale() {
             req.scale = s;
         }
-        if let Some(s) = flags.get("seed").and_then(|s| s.parse::<u64>().ok()) {
+        if let Some(s) = flags.seed() {
             req.seed = s;
         }
 
@@ -565,13 +615,8 @@ fn cmd_submit(flags: &HashMap<String, String>) -> ExitCode {
 /// space (every named preset plus known-illegal variants) without
 /// simulating a cycle, emitting deterministic JSON suitable for golden
 /// snapshotting.
-fn cmd_audit(flags: &HashMap<String, String>) -> ExitCode {
-    let k = flags.get("k").and_then(|v| v.parse::<usize>().ok()).unwrap_or(6);
-    if k < 2 {
-        eprintln!("audit: --k must be at least 2");
-        return ExitCode::FAILURE;
-    }
-    let report = tenoc::core::audit_grid(k);
+fn cmd_audit(flags: &Flags) -> ExitCode {
+    let report = tenoc::core::audit_grid(flags.k());
     let json = report.to_json();
 
     if flags.contains_key("json") {
@@ -644,35 +689,28 @@ fn cmd_audit(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 /// `tenoc tune`: staged-fidelity search of the IPC/mm² Pareto frontier.
-fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_tune(flags: &Flags) -> ExitCode {
     use tenoc::tune::{run_tune, TuneOptions, TuneSpec};
 
-    let k = flags.get("k").and_then(|v| v.parse::<usize>().ok()).unwrap_or(6);
-    if k < 2 {
-        eprintln!("tune: --k must be at least 2");
-        return ExitCode::FAILURE;
-    }
+    let k = flags.k();
     let mut spec =
         if flags.contains_key("tiny") { TuneSpec::tiny() } else { TuneSpec::default_at(k) };
     // The spec's own scale/seed are the deterministic defaults; explicit
     // flags override them (and change every content address with them).
-    if let Some(s) = flags.get("scale").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(s) = flags.scale() {
         spec.scale = s;
     }
-    if let Some(s) = flags.get("seed").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(s) = flags.seed() {
         spec.seed = s;
     }
     let opts = TuneOptions {
-        jobs: flags
-            .get("jobs")
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(tenoc::harness::jobs_from_env),
+        jobs: flags.jobs().unwrap_or_else(tenoc::harness::jobs_from_env),
         cache_dir: flags.get("cache").map(std::path::PathBuf::from),
     };
     let (report, stats) = match run_tune(&spec, &opts) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("tune: result cache error: {e}");
+            eprintln!("tune: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -764,9 +802,12 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
 /// `tenoc sweep`: fan a (preset x benchmark) grid over the worker pool and
 /// emit JSON-lines records, optionally checking or refreshing a golden
 /// snapshot.
-fn cmd_sweep(flags: &HashMap<String, String>, scale: f64) -> ExitCode {
+fn cmd_sweep(flags: &Flags, scale: f64) -> ExitCode {
     use tenoc::harness::{check_fingerprints, engine, from_jsonl, to_jsonl, SeedMode, SweepGrid};
 
+    // Parsed before the grid is chosen: a bad value is rejected even where
+    // `--tiny` would go on to ignore it.
+    let seed = flags.seed().unwrap_or(0x7e0c);
     let grid = if flags.contains_key("tiny") {
         tenoc::harness::tiny_grid()
     } else {
@@ -802,18 +843,13 @@ fn cmd_sweep(flags: &HashMap<String, String>, scale: f64) -> ExitCode {
                 out
             }
         };
-        let seed = flags.get("seed").and_then(|s| s.parse::<u64>().ok()).unwrap_or(0x7e0c);
         SweepGrid::new(presets, benchmarks, scale).with_seed_mode(SeedMode::Derived(seed))
     };
     // Telemetry rides the records' non-serialized side channel, so armed
     // and unarmed sweeps emit byte-identical JSONL.
     let grid = grid.with_telemetry(flags.contains_key("telemetry"));
 
-    let jobs = flags
-        .get("jobs")
-        .and_then(|j| j.parse::<usize>().ok())
-        .filter(|&j| j >= 1)
-        .unwrap_or_else(tenoc::harness::jobs_from_env);
+    let jobs = flags.jobs().unwrap_or_else(tenoc::harness::jobs_from_env);
     eprintln!(
         "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
         grid.len(),

@@ -1,10 +1,10 @@
 //! End-to-end test of the `tenoc` CLI's flag contract: a flag a
-//! subcommand does not accept prints that subcommand's usage and exits 2
-//! (a mistyped flag must never silently run a different experiment),
-//! while every invocation shape the repo benchmark makes
+//! subcommand does not accept, or a flag value that does not parse or is
+//! out of range, prints that subcommand's usage and exits 2 (a mistyped
+//! flag or value must never silently run a different experiment), while
+//! every invocation shape the repo benchmark makes
 //! (`benchmark/src/e2e.rs`) keeps exiting 0 — as do the telemetry entry
-//! points, which must build the per-router oracle now that cells default
-//! to the arena kernel.
+//! points, which run on the same engine as every other cell.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -25,10 +25,14 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn assert_rejected(args: &[&str], flag: &str) {
+    assert_usage_error(args, &format!("unknown flag {flag}"));
+}
+
+fn assert_usage_error(args: &[&str], problem: &str) {
     let out = tenoc(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error; stderr: {stderr}");
-    assert!(stderr.contains(&format!("unknown flag {flag}")), "stderr names the flag: {stderr}");
+    assert!(stderr.contains(problem), "stderr must say `{problem}`: {stderr}");
     assert!(stderr.contains(&format!("usage: tenoc {}", args[0])), "stderr shows usage: {stderr}");
     assert!(out.stdout.is_empty(), "a rejected invocation must not run anything");
 }
@@ -49,6 +53,26 @@ fn unknown_flags_exit_with_code_two() {
     assert_rejected(&["tune", "--tiny", "--bogus", "1"], "--bogus");
     // A flag another subcommand owns is still unknown here.
     assert_rejected(&["serve", "--tiny"], "--tiny");
+}
+
+#[test]
+fn bad_flag_values_exit_with_code_two() {
+    let bad = |args: &[&str], flag: &str, value: &str| {
+        assert_usage_error(args, &format!("invalid value for --{flag}: {value}"));
+    };
+    bad(&["run", "--benchmark", "RD", "--preset", "baseline", "--scale", "x"], "scale", "x");
+    bad(&["sweep", "--tiny", "--scale", "0"], "scale", "0");
+    bad(&["sweep", "--tiny", "--jobs", "0"], "jobs", "0");
+    bad(&["sweep", "--tiny", "--seed", "-1"], "seed", "-1");
+    bad(&["serve", "--jobs", "two"], "jobs", "two");
+    bad(&["submit", "--tiny", "--seed", "0x7e0c"], "seed", "0x7e0c");
+    bad(&["tune", "--tiny", "--k", "six"], "k", "six");
+    bad(&["audit", "--k", "1"], "k", "1");
+    bad(&["openloop", "--preset", "baseline", "--rate", "fast"], "rate", "fast");
+    bad(&["trace", "--preset", "thr-eff", "--flight-cap", "many"], "flight-cap", "many");
+    bad(&["trace", "--preset", "thr-eff", "--node", "36"], "node", "36");
+    // A value-taking flag with its value missing reads as `true`.
+    bad(&["tune", "--tiny", "--seed"], "seed", "true");
 }
 
 #[test]
