@@ -74,29 +74,52 @@ impl Preset {
         Preset::Perfect,
     ];
 
+    /// The preset's canonical flag name: what `tenoc list` and the usage
+    /// text print and [`from_flag`](Self::from_flag) resolves back to it.
+    /// `BwLimited` carries a parameter, so no flag names it.
+    pub fn flag(&self) -> &'static str {
+        match self {
+            Preset::BaselineTbDor => "baseline",
+            Preset::TbDor2xBw => "2x-bw",
+            Preset::TbDor1Cycle => "1-cycle",
+            Preset::CpDor2vc => "cp-dor",
+            Preset::CpDor4vc => "cp-dor-4vc",
+            Preset::CpCr4vc => "cp-cr",
+            Preset::DoubleCpCr => "double",
+            Preset::DoubleCpCr2InjPorts => "2p-inj",
+            Preset::DoubleCpCr2EjPorts => "2p-ej",
+            Preset::DoubleCpCr2Both => "2p-both",
+            Preset::ThroughputEffective => "thr-eff",
+            Preset::CpCr2pSingle => "cp-cr-2p",
+            Preset::TorusDor => "torus",
+            Preset::CMeshDor => "cmesh",
+            Preset::Perfect => "perfect",
+            Preset::BwLimited(_) => "bw-limited",
+        }
+    }
+
     /// Resolves a CLI/service flag name (e.g. `baseline`, `thr-eff`,
-    /// `cp-cr`) to a preset. Case-insensitive. The accepted names are the
-    /// ones `tenoc sweep`, `tenoc serve` requests and the usage text all
-    /// share.
+    /// `cp-cr`) to a preset: a [`NAMED`](Self::NAMED) preset's
+    /// [`flag`](Self::flag) or one of the aliases below. Case-insensitive.
+    /// `tenoc sweep`, `tenoc serve` requests and the usage text all share
+    /// these names.
     pub fn from_flag(s: &str) -> Option<Preset> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "baseline" | "tb-dor" => Preset::BaselineTbDor,
-            "2x" | "2x-bw" => Preset::TbDor2xBw,
-            "1cycle" | "1-cycle" => Preset::TbDor1Cycle,
-            "cp-dor" => Preset::CpDor2vc,
-            "cp-dor-4vc" => Preset::CpDor4vc,
-            "cp-cr" => Preset::CpCr4vc,
-            "double" => Preset::DoubleCpCr,
-            "2p-inj" | "double-2p-inj" => Preset::DoubleCpCr2InjPorts,
-            "2p-ej" | "double-2p-ej" => Preset::DoubleCpCr2EjPorts,
-            "2p-both" | "double-2p-both" => Preset::DoubleCpCr2Both,
-            "thr-eff" | "te" => Preset::ThroughputEffective,
-            "cp-cr-2p" | "te-single" => Preset::CpCr2pSingle,
-            "torus" | "torus-dor" => Preset::TorusDor,
-            "cmesh" | "cmesh-dor" => Preset::CMeshDor,
-            "perfect" | "ideal" => Preset::Perfect,
-            _ => return None,
-        })
+        let s = s.to_ascii_lowercase();
+        let alias = || match s.as_str() {
+            "tb-dor" => Some(Preset::BaselineTbDor),
+            "2x" => Some(Preset::TbDor2xBw),
+            "1cycle" => Some(Preset::TbDor1Cycle),
+            "double-2p-inj" => Some(Preset::DoubleCpCr2InjPorts),
+            "double-2p-ej" => Some(Preset::DoubleCpCr2EjPorts),
+            "double-2p-both" => Some(Preset::DoubleCpCr2Both),
+            "te" => Some(Preset::ThroughputEffective),
+            "te-single" => Some(Preset::CpCr2pSingle),
+            "torus-dor" => Some(Preset::TorusDor),
+            "cmesh-dor" => Some(Preset::CMeshDor),
+            "ideal" => Some(Preset::Perfect),
+            _ => None,
+        };
+        Preset::NAMED.into_iter().find(|p| p.flag() == s).or_else(alias)
     }
 
     /// Short label used in printed tables.
@@ -170,20 +193,6 @@ impl Preset {
                 let flits = bw_limit_flits_per_icnt_cycle(*fraction, base.mc_nodes.len());
                 IcntConfig::BwLimited(base, flits)
             }
-        }
-    }
-
-    /// Routing abbreviation used in open-loop figure labels.
-    pub fn openloop_label(&self) -> &'static str {
-        match self {
-            Preset::BaselineTbDor => "TB-DOR",
-            Preset::TbDor2xBw => "2x-TB-DOR",
-            Preset::CpDor2vc | Preset::CpDor4vc => "CP-DOR",
-            Preset::CpCr4vc => "CP-CR",
-            Preset::DoubleCpCr2InjPorts | Preset::ThroughputEffective => "CP-CR-2P",
-            Preset::TorusDor => "Torus-DOR",
-            Preset::CMeshDor => "CMesh-DOR",
-            _ => "other",
         }
     }
 }
@@ -276,9 +285,13 @@ mod tests {
     }
 
     #[test]
-    fn new_fabric_flags_resolve() {
-        assert_eq!(Preset::from_flag("torus"), Some(Preset::TorusDor));
-        assert_eq!(Preset::from_flag("cmesh-dor"), Some(Preset::CMeshDor));
+    fn every_named_flag_round_trips_and_aliases_resolve() {
+        for p in Preset::NAMED {
+            assert_eq!(Preset::from_flag(p.flag()), Some(p), "{}", p.flag());
+        }
+        assert_eq!(Preset::from_flag("CMesh-DOR"), Some(Preset::CMeshDor));
+        assert_eq!(Preset::from_flag("te"), Some(Preset::ThroughputEffective));
+        assert_eq!(Preset::from_flag(Preset::BwLimited(0.5).flag()), None);
     }
 
     #[test]

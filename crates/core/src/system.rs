@@ -414,33 +414,6 @@ impl System {
         self.icnt.telemetry_reports()
     }
 
-    /// Total read/write requests the cores emitted (debug aid).
-    pub fn debug_core_requests(&self) -> (u64, u64) {
-        let r = self.cores.iter().map(|c| c.stats().read_requests).sum();
-        let w = self.cores.iter().map(|c| c.stats().write_requests).sum();
-        (r, w)
-    }
-
-    /// Prints per-MC DRAM diagnostics (debug aid for experiments).
-    pub fn debug_dram(&self) {
-        for (i, mc) in self.mcs.iter().enumerate() {
-            let d = mc.dram_stats();
-            println!(
-                "  mc{i}: acc={} eff={:.3} rowhit={:.3} act={} pre={} busy={} cyc={} lat={:.1} l2h={:.3} in_blocked={}",
-                d.accepted,
-                d.efficiency(),
-                d.row_hit_rate(),
-                d.activates,
-                d.precharges,
-                d.busy_cycles,
-                d.cycles,
-                d.avg_latency(),
-                mc.l2_stats().hit_rate(),
-                mc.stats().input_blocked,
-            );
-        }
-    }
-
     /// Collects metrics at the current instant.
     pub fn metrics(&self, completed: bool) -> RunMetrics {
         let core_cycles = self.clocks.cycles(Domain::Core).max(1);

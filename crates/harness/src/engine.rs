@@ -1,14 +1,12 @@
 //! The sweep engine: runs every grid cell on the worker pool and turns
 //! results into sealed [`RunRecord`]s.
 
-use crate::grid::{SweepCell, SweepGrid};
+use crate::grid::{ConfigCell, SweepCell, SweepGrid};
 use crate::pool::run_indexed;
-use crate::record::{RunPerf, RunRecord};
+use crate::record::RunRecord;
 use tenoc_core::area::{throughput_effectiveness, AreaModel};
-use tenoc_core::experiments::{run_traced_with_system_config, run_with_system_config};
-use tenoc_core::{
-    ClockConfig, IcntConfig, PowerModel, RunMetrics, SystemConfig, TelemetryConfig, TelemetryReport,
-};
+use tenoc_core::experiments::run_with_system_config;
+use tenoc_core::{ClockConfig, PowerModel, RunMetrics, SystemConfig};
 use tenoc_simt::TrafficClass;
 
 /// One cell's raw result, before area/power annotation.
@@ -22,53 +20,38 @@ pub struct CellResult {
     pub metrics: RunMetrics,
     /// Wall-clock nanoseconds the simulation took.
     pub wall_nanos: u64,
-    /// Telemetry reports when the cell ran with telemetry armed (one per
-    /// physical network), empty otherwise.
-    pub telemetry: Vec<TelemetryReport>,
 }
 
-/// The fully-resolved system configuration a cell simulates with: the
-/// preset's interconnect at the cell's mesh radix, every other parameter
-/// at its Table II value, and the cell's private seed. This is the single
-/// source of truth for what a cell *is* — the service layer's canonical
-/// content hash is computed over it, so it must stay in lockstep with
-/// [`run_cell`].
+/// The system configuration a preset cell simulates with: that of its
+/// resolved [`ConfigCell`].
 pub fn cell_system_config(cell: &SweepCell) -> SystemConfig {
-    let mut cfg = SystemConfig::with_icnt(cell.preset.icnt(cell.mesh_k));
-    cfg.seed = cell.seed;
-    cfg
+    cell.config().system_config()
 }
 
-/// The one cell body every run path shares. A telemetry-armed cell runs
-/// on the same engine as an unarmed one, with the instruments switched on.
-fn simulate(
-    cfg: SystemConfig,
-    benchmark: &str,
-    scale: f64,
-    telemetry: bool,
-) -> (TrafficClass, RunMetrics, Vec<TelemetryReport>) {
-    let spec = tenoc_workloads::by_name(benchmark)
-        .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
-    let (metrics, reports) = if telemetry {
-        run_traced_with_system_config(cfg, &spec, scale, TelemetryConfig::default())
-    } else {
-        (run_with_system_config(cfg, &spec, scale), Vec::new())
-    };
-    (spec.class, metrics, reports)
-}
-
-/// Runs one cell to completion.
+/// Runs one config cell to completion — the one cell body every run path
+/// shares.
 ///
 /// # Panics
 ///
 /// Panics if the benchmark name is unknown or the run hits the safety
 /// cycle limit (closed-loop runs must always drain).
+pub fn run_config_cell(cell: &ConfigCell) -> (TrafficClass, RunMetrics) {
+    let spec = tenoc_workloads::by_name(&cell.benchmark)
+        .unwrap_or_else(|| panic!("unknown benchmark {}", cell.benchmark));
+    (spec.class, run_with_system_config(cell.system_config(), &spec, cell.scale))
+}
+
+/// Runs one preset cell to completion: [`run_config_cell`] on the cell's
+/// resolved configuration, timed.
+///
+/// # Panics
+///
+/// As [`run_config_cell`].
 pub fn run_cell(cell: &SweepCell) -> CellResult {
     let start = std::time::Instant::now();
-    let (class, metrics, telemetry) =
-        simulate(cell_system_config(cell), &cell.benchmark, cell.scale, cell.telemetry);
+    let (class, metrics) = run_config_cell(&cell.config());
     let wall_nanos = start.elapsed().as_nanos() as u64;
-    CellResult { cell: cell.clone(), class, metrics, wall_nanos, telemetry }
+    CellResult { cell: cell.clone(), class, metrics, wall_nanos }
 }
 
 /// Runs every cell of `grid` across `jobs` workers, returning raw results
@@ -90,45 +73,6 @@ pub fn run_grid(grid: &SweepGrid, jobs: usize) -> Vec<CellResult> {
 /// Propagates panics from [`run_cell`].
 pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> Vec<RunRecord> {
     run_grid(grid, jobs).into_iter().map(|r| annotate(&r)).collect()
-}
-
-/// A closed-loop cell specified by an explicit interconnect
-/// configuration rather than a named preset — the unit of work for
-/// callers (e.g. the tuner's stage 3) that measure arbitrary design
-/// points. Every non-interconnect parameter stays at its Table II value
-/// via [`SystemConfig::with_icnt`], exactly like preset cells, so a
-/// config cell whose `icnt` equals a preset's produces the same metrics
-/// (and shares the same canonical content address in the result cache).
-#[derive(Clone, Debug)]
-pub struct ConfigCell {
-    /// The fully-resolved interconnect to simulate.
-    pub icnt: IcntConfig,
-    /// Benchmark abbreviation (must exist in `tenoc_workloads`).
-    pub benchmark: String,
-    /// Workload scale factor.
-    pub scale: f64,
-    /// The cell's private traffic/workload seed.
-    pub seed: u64,
-}
-
-/// The fully-resolved system configuration a config cell simulates with
-/// (the analogue of [`cell_system_config`] for explicit-config cells).
-pub fn config_cell_system_config(cell: &ConfigCell) -> SystemConfig {
-    let mut cfg = SystemConfig::with_icnt(cell.icnt.clone());
-    cfg.seed = cell.seed;
-    cfg
-}
-
-/// Runs one config cell to completion.
-///
-/// # Panics
-///
-/// Panics if the benchmark name is unknown or the run hits the safety
-/// cycle limit.
-pub fn run_config_cell(cell: &ConfigCell) -> (TrafficClass, RunMetrics) {
-    let (class, metrics, _) =
-        simulate(config_cell_system_config(cell), &cell.benchmark, cell.scale, false);
-    (class, metrics)
 }
 
 /// Runs every config cell across `jobs` workers, returning
@@ -163,27 +107,19 @@ pub fn annotate(result: &CellResult) -> RunRecord {
         ipc_per_mm2: throughput_effectiveness(result.metrics.ipc, &area),
         noc_dynamic_power_w: power,
         fingerprint: String::new(),
-        perf: RunPerf::measure(result.metrics.icnt_cycles, result.wall_nanos),
-        telemetry: if result.telemetry.is_empty() { None } else { Some(result.telemetry.clone()) },
     };
     record.seal();
     record
 }
 
 /// The cache hook: seals a record for `cell` from a previously-measured
-/// `(class, metrics)` pair without re-simulating. Because wall time and
-/// telemetry ride the record's non-serialized side channel, the resulting
-/// record is byte-identical to the one [`run_cell`] + [`annotate`] would
-/// have produced for the same cell — which is what lets a result cache
-/// substitute for simulation without perturbing golden snapshots.
+/// `(class, metrics)` pair without re-simulating. A record carries
+/// nothing but the cell and its measured values, so this one is
+/// byte-identical to the one [`run_cell`] + [`annotate`] would have
+/// produced — which is what lets a result cache substitute for
+/// simulation without perturbing golden snapshots.
 pub fn annotate_cached(cell: &SweepCell, class: TrafficClass, metrics: RunMetrics) -> RunRecord {
-    annotate(&CellResult {
-        cell: cell.clone(),
-        class,
-        metrics,
-        wall_nanos: 0,
-        telemetry: Vec::new(),
-    })
+    annotate(&CellResult { cell: cell.clone(), class, metrics, wall_nanos: 0 })
 }
 
 #[cfg(test)]
@@ -229,29 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn config_cell_matches_preset_cell() {
-        // A config cell resolved from a preset must measure exactly what
-        // the preset cell measures — this is what lets the tuner share
-        // cache entries with preset sweeps.
-        let grid = SweepGrid::new(vec![Preset::BaselineTbDor], vec!["HIS".into()], 0.02);
-        let cell = grid.cell(0);
-        let cfg_cell = ConfigCell {
-            icnt: cell.preset.icnt(cell.mesh_k),
-            benchmark: cell.benchmark.clone(),
-            scale: cell.scale,
-            seed: cell.seed,
-        };
-        let preset_result = run_cell(&cell);
-        let (class, metrics) = run_config_cell(&cfg_cell);
-        assert_eq!(class, preset_result.class);
-        assert_eq!(metrics, preset_result.metrics);
-
-        // The pool returns config cells in input order at any job count.
-        let mut b = cfg_cell.clone();
+    fn config_cells_return_in_input_order_at_any_job_count() {
+        let a =
+            SweepGrid::new(vec![Preset::BaselineTbDor], vec!["HIS".into()], 0.02).cell(0).config();
+        let mut b = a.clone();
         b.benchmark = "MM".into();
-        b.seed = cfg_cell.seed ^ 0x5bd1;
-        let cells = vec![cfg_cell, b];
+        b.seed = a.seed ^ 0x5bd1;
+        let cells = vec![a, b];
         let solo: Vec<_> = cells.iter().map(run_config_cell).collect();
+        assert_ne!(solo[0], solo[1]);
         assert_eq!(solo, run_config_cells(&cells, 2));
     }
 

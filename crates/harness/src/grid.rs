@@ -3,6 +3,7 @@
 
 use crate::rng::cell_seed;
 use tenoc_core::presets::Preset;
+use tenoc_core::{IcntConfig, SystemConfig};
 
 /// How per-cell seeds are assigned.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -31,11 +32,46 @@ pub struct SweepCell {
     pub seed: u64,
     /// Mesh radix `k` passed to [`Preset::icnt`].
     pub mesh_k: usize,
-    /// Arm the interconnect's telemetry for this cell's run. Telemetry
-    /// never changes simulated outcomes, so records (and their
-    /// fingerprints) are identical either way; the reports ride on the
-    /// record's non-serialized side channel.
-    pub telemetry: bool,
+}
+
+/// What a cell *is*: the fully-resolved interconnect plus workload name,
+/// kernel scale and private seed. Every non-interconnect parameter stays
+/// at its Table II value via [`SystemConfig::with_icnt`]. Preset cells
+/// resolve to one ([`SweepCell::config`]) and run, and are content-
+/// addressed, as it; callers that measure arbitrary design points (the
+/// tuner's stage 3) build one directly, so a candidate whose `icnt`
+/// equals a preset's measures the same metrics under the same address.
+#[derive(Clone, Debug)]
+pub struct ConfigCell {
+    /// The fully-resolved interconnect to simulate.
+    pub icnt: IcntConfig,
+    /// Benchmark abbreviation (must exist in `tenoc_workloads`).
+    pub benchmark: String,
+    /// Workload scale factor.
+    pub scale: f64,
+    /// The cell's private traffic/workload seed.
+    pub seed: u64,
+}
+
+impl ConfigCell {
+    /// The system configuration the cell simulates with.
+    pub fn system_config(&self) -> SystemConfig {
+        let mut cfg = SystemConfig::with_icnt(self.icnt.clone());
+        cfg.seed = self.seed;
+        cfg
+    }
+}
+
+impl SweepCell {
+    /// The cell with its preset resolved at the cell's mesh radix.
+    pub fn config(&self) -> ConfigCell {
+        ConfigCell {
+            icnt: self.preset.icnt(self.mesh_k),
+            benchmark: self.benchmark.clone(),
+            scale: self.scale,
+            seed: self.seed,
+        }
+    }
 }
 
 /// A sweep: `presets x benchmarks` at one scale, with a seed policy.
@@ -51,35 +87,19 @@ pub struct SweepGrid {
     pub seed_mode: SeedMode,
     /// Mesh radix `k` passed to [`Preset::icnt`] (paper: 6).
     pub mesh_k: usize,
-    /// Arm telemetry on every cell (see [`SweepCell::telemetry`]).
-    pub telemetry: bool,
 }
 
 impl SweepGrid {
     /// A grid over `presets x benchmarks` with the system default seed
     /// derived per cell and the paper's 6x6 mesh.
     pub fn new(presets: Vec<Preset>, benchmarks: Vec<String>, scale: f64) -> Self {
-        SweepGrid {
-            presets,
-            benchmarks,
-            scale,
-            seed_mode: SeedMode::Derived(0x7e0c),
-            mesh_k: 6,
-            telemetry: false,
-        }
+        SweepGrid { presets, benchmarks, scale, seed_mode: SeedMode::Derived(0x7e0c), mesh_k: 6 }
     }
 
     /// Replaces the seed policy.
     #[must_use]
     pub fn with_seed_mode(mut self, mode: SeedMode) -> Self {
         self.seed_mode = mode;
-        self
-    }
-
-    /// Arms (or disarms) telemetry on every cell.
-    #[must_use]
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
         self
     }
 
@@ -106,15 +126,7 @@ impl SweepGrid {
             SeedMode::Derived(grid_seed) => cell_seed(grid_seed, index as u64),
             SeedMode::Fixed(seed) => seed,
         };
-        SweepCell {
-            index,
-            preset,
-            benchmark,
-            scale: self.scale,
-            seed,
-            mesh_k: self.mesh_k,
-            telemetry: self.telemetry,
-        }
+        SweepCell { index, preset, benchmark, scale: self.scale, seed, mesh_k: self.mesh_k }
     }
 
     /// All cells in index order.

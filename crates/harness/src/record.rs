@@ -1,50 +1,24 @@
 //! Structured per-cell results: the JSON-lines schema and the stable
 //! fingerprint hash asserted by golden-snapshot tests.
 
-use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
-use tenoc_core::{RunMetrics, TelemetryReport};
-
-/// How fast the simulator itself ran for one cell.
-///
-/// Carried on every [`RunRecord`] so sweeps double as engine performance
-/// measurements, but deliberately **excluded** from the JSON form and the
-/// fingerprint: wall time varies run to run and machine to machine, while
-/// record files must stay byte-identical for golden checks and job-count
-/// invariance.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct RunPerf {
-    /// Wall-clock nanoseconds the cell's simulation took.
-    pub wall_nanos: u64,
-    /// Simulated interconnect cycles per wall-clock second.
-    pub sim_cycles_per_sec: f64,
-}
-
-impl RunPerf {
-    /// Builds a measurement from a cycle count and elapsed wall time.
-    pub fn measure(sim_cycles: u64, wall_nanos: u64) -> Self {
-        RunPerf {
-            wall_nanos,
-            sim_cycles_per_sec: sim_cycles as f64 / (wall_nanos.max(1) as f64 / 1e9),
-        }
-    }
-}
+use tenoc_core::RunMetrics;
 
 /// One sweep cell's result, serialized as one JSON line.
+///
+/// A record is exactly its JSON: every field is serialized, in
+/// declaration order, and two records are equal when their serialized
+/// forms are. Nothing that varies run to run (wall time, telemetry)
+/// lives here, which is what keeps record files byte-identical across
+/// job counts, cache hits and machines; wall time is on
+/// [`CellResult`](crate::CellResult).
 ///
 /// The `fingerprint` field is the FNV-1a 64-bit hash (lower-case hex) of
 /// the record's compact JSON with `fingerprint` itself set to the empty
 /// string. Float fields are formatted with Rust's shortest round-trip
 /// representation, so the hash is stable across runs, job counts and
 /// processes of the same build.
-///
-/// `Serialize`/`Deserialize`/`PartialEq` are written by hand rather than
-/// derived: the `perf` field must not appear in the JSON (see [`RunPerf`])
-/// and two records are equal when their *serialized* forms are — the
-/// determinism contract compares simulated results, not how long the host
-/// machine took to produce them. A parsed record gets
-/// `RunPerf::default()`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Cell index within the grid (preset-major).
     pub cell: u64,
@@ -71,76 +45,6 @@ pub struct RunRecord {
     pub noc_dynamic_power_w: f64,
     /// Stability hash of every other field (see type docs).
     pub fingerprint: String,
-    /// Engine speed for this cell (not serialized, not fingerprinted).
-    pub perf: RunPerf,
-    /// Telemetry reports when the cell ran with telemetry armed (not
-    /// serialized, not fingerprinted, not compared). Like [`RunPerf`],
-    /// this rides on the record as a side channel: the JSON-lines form,
-    /// golden fingerprints and equality stay byte-identical whether
-    /// telemetry was on or off, which is exactly the zero-cost-when-off
-    /// contract the golden CI job proves. A parsed record gets `None`.
-    pub telemetry: Option<Vec<TelemetryReport>>,
-}
-
-impl PartialEq for RunRecord {
-    fn eq(&self, other: &Self) -> bool {
-        // Everything except `perf` and `telemetry`: equality over the
-        // serialized content.
-        self.cell == other.cell
-            && self.preset == other.preset
-            && self.benchmark == other.benchmark
-            && self.class == other.class
-            && self.scale == other.scale
-            && self.seed == other.seed
-            && self.metrics == other.metrics
-            && self.noc_area_mm2 == other.noc_area_mm2
-            && self.chip_area_mm2 == other.chip_area_mm2
-            && self.ipc_per_mm2 == other.ipc_per_mm2
-            && self.noc_dynamic_power_w == other.noc_dynamic_power_w
-            && self.fingerprint == other.fingerprint
-    }
-}
-
-impl Serialize for RunRecord {
-    fn to_value(&self) -> Value {
-        // Field order matches declaration order, as the derive would
-        // produce; `perf` and `telemetry` are intentionally absent.
-        Value::Object(vec![
-            ("cell".to_string(), self.cell.to_value()),
-            ("preset".to_string(), self.preset.to_value()),
-            ("benchmark".to_string(), self.benchmark.to_value()),
-            ("class".to_string(), self.class.to_value()),
-            ("scale".to_string(), self.scale.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("metrics".to_string(), self.metrics.to_value()),
-            ("noc_area_mm2".to_string(), self.noc_area_mm2.to_value()),
-            ("chip_area_mm2".to_string(), self.chip_area_mm2.to_value()),
-            ("ipc_per_mm2".to_string(), self.ipc_per_mm2.to_value()),
-            ("noc_dynamic_power_w".to_string(), self.noc_dynamic_power_w.to_value()),
-            ("fingerprint".to_string(), self.fingerprint.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RunRecord {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(RunRecord {
-            cell: Deserialize::from_value(v.field("cell")?)?,
-            preset: Deserialize::from_value(v.field("preset")?)?,
-            benchmark: Deserialize::from_value(v.field("benchmark")?)?,
-            class: Deserialize::from_value(v.field("class")?)?,
-            scale: Deserialize::from_value(v.field("scale")?)?,
-            seed: Deserialize::from_value(v.field("seed")?)?,
-            metrics: Deserialize::from_value(v.field("metrics")?)?,
-            noc_area_mm2: Deserialize::from_value(v.field("noc_area_mm2")?)?,
-            chip_area_mm2: Deserialize::from_value(v.field("chip_area_mm2")?)?,
-            ipc_per_mm2: Deserialize::from_value(v.field("ipc_per_mm2")?)?,
-            noc_dynamic_power_w: Deserialize::from_value(v.field("noc_dynamic_power_w")?)?,
-            fingerprint: Deserialize::from_value(v.field("fingerprint")?)?,
-            perf: RunPerf::default(),
-            telemetry: None,
-        })
-    }
 }
 
 /// FNV-1a 64-bit over a byte string.
@@ -242,8 +146,6 @@ mod tests {
             ipc_per_mm2: 12.345 / 576.0,
             noc_dynamic_power_w: 1.5,
             fingerprint: String::new(),
-            perf: RunPerf::default(),
-            telemetry: None,
         };
         r.seal();
         r
@@ -286,55 +188,6 @@ mod tests {
         assert_eq!(from_jsonl(&text).unwrap().len(), 1);
         let err = from_jsonl("{broken").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
-    }
-
-    /// Wall time differs every run; it must leak into neither the JSON
-    /// nor the fingerprint, or golden checks and the cross-job byte
-    /// comparison would break.
-    #[test]
-    fn perf_is_excluded_from_json_and_fingerprint() {
-        let baseline = sample();
-        let mut timed = sample();
-        timed.perf = RunPerf::measure(1_000_000, 2_000_000_000);
-        assert_eq!(timed.perf.sim_cycles_per_sec, 500_000.0);
-        assert_eq!(
-            to_jsonl(std::slice::from_ref(&timed)),
-            to_jsonl(std::slice::from_ref(&baseline))
-        );
-        assert_eq!(timed.compute_fingerprint(), baseline.compute_fingerprint());
-        assert!(timed.fingerprint_valid());
-        assert!(!to_jsonl(&[timed]).contains("perf"));
-    }
-
-    /// Telemetry content differs with arming and run configuration; like
-    /// `perf`, it must leak into neither the JSON nor the fingerprint nor
-    /// equality, or golden checks with `--telemetry` would break.
-    #[test]
-    fn telemetry_is_excluded_from_json_and_fingerprint() {
-        let baseline = sample();
-        let mut traced = sample();
-        traced.telemetry = Some(vec![TelemetryReport {
-            label: "net".into(),
-            radix: 6,
-            cycles: 464,
-            hist: Default::default(),
-            links: Vec::new(),
-            heatmap: vec![vec![0.0; 6]; 6],
-            avg_occupancy: vec![0.0; 36],
-            flight: Vec::new(),
-            flight_dropped: 0,
-        }]);
-        assert_eq!(traced, baseline, "equality ignores telemetry");
-        assert_eq!(
-            to_jsonl(std::slice::from_ref(&traced)),
-            to_jsonl(std::slice::from_ref(&baseline))
-        );
-        assert_eq!(traced.compute_fingerprint(), baseline.compute_fingerprint());
-        assert!(traced.fingerprint_valid());
-        assert!(!to_jsonl(&[traced.clone()]).contains("telemetry"));
-        // And it does not survive a JSON round trip.
-        let back = from_jsonl(&to_jsonl(&[traced])).unwrap();
-        assert!(back[0].telemetry.is_none());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Which engine a cell runs on, observed from outside: every physical
 //! fabric's `run_cell` (arena kernel by default) must measure exactly
-//! what a [`System`] forced onto the per-router oracle measures,
-//! telemetry cells must produce reports without perturbing the run, and
-//! the limit-study presets must build their ideal networks.
+//! what a [`System`] forced onto the per-router oracle measures and what
+//! the same configuration measures with telemetry armed (one report per
+//! physical network), and the limit-study presets must build their ideal
+//! networks.
 
-use tenoc_core::{EngineKind, Preset, System};
+use tenoc_core::experiments::run_traced_with_system_config;
+use tenoc_core::{EngineKind, IcntConfig, Preset, System, TelemetryConfig};
 use tenoc_harness::{cell_system_config, run_cell, SeedMode, SweepCell, SweepGrid};
 
 const SCALE: f64 = 0.02;
@@ -30,16 +32,20 @@ fn every_named_fabric_matches_the_forced_oracle() {
 }
 
 #[test]
-fn telemetry_cells_report_without_perturbing() {
-    for preset in [Preset::BaselineTbDor, Preset::ThroughputEffective] {
-        let plain = cell(preset, "HIS");
-        let mut armed = plain.clone();
-        armed.telemetry = true;
-        let (plain, armed) = (run_cell(&plain), run_cell(&armed));
-        let nets = if preset == Preset::ThroughputEffective { 2 } else { 1 };
-        assert_eq!(armed.telemetry.len(), nets, "{}: one report per network", preset.label());
-        assert!(plain.telemetry.is_empty());
-        assert_eq!(armed.metrics, plain.metrics, "telemetry must not perturb the run");
+fn every_named_fabric_is_unperturbed_by_telemetry() {
+    let spec = tenoc_workloads::by_name("HIS").unwrap();
+    for preset in Preset::NAMED {
+        let cell = cell(preset, "HIS");
+        let cfg = cell_system_config(&cell);
+        let nets = match cfg.icnt {
+            IcntConfig::Mesh(_) => 1,
+            IcntConfig::Double(_) => 2,
+            IcntConfig::Perfect(_) | IcntConfig::BwLimited(..) => 0,
+        };
+        let (traced, reports) =
+            run_traced_with_system_config(cfg, &spec, SCALE, TelemetryConfig::default());
+        assert_eq!(reports.len(), nets, "{}: one report per physical network", preset.label());
+        assert_eq!(run_cell(&cell).metrics, traced, "{}: telemetry perturbed", preset.label());
     }
 }
 

@@ -391,28 +391,6 @@ fn pick_mc<R: Rng>(mcs: &[NodeId], pattern: TrafficPattern, rng: &mut R) -> Node
     }
 }
 
-/// Sweeps injection rates and returns the (rate, result) curve, stopping
-/// early once two consecutive points are saturated.
-pub fn latency_curve(
-    base: &OpenLoopConfig,
-    rates: impl IntoIterator<Item = f64>,
-) -> Vec<OpenLoopResult> {
-    let mut out = Vec::new();
-    let mut saturated_streak = 0;
-    for rate in rates {
-        let mut cfg = base.clone();
-        cfg.injection_rate = rate;
-        let r = run_open_loop(&cfg);
-        let sat = r.saturated();
-        out.push(r);
-        saturated_streak = if sat { saturated_streak + 1 } else { 0 };
-        if saturated_streak >= 2 {
-            break;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,14 +476,6 @@ mod tests {
         let mut cfg = quick_cfg(0.01);
         cfg.measure = 0;
         assert!(!cfg.in_measurement_window(cfg.warmup));
-    }
-
-    #[test]
-    fn curve_stops_after_saturation() {
-        let base = quick_cfg(0.0);
-        let rates = [0.01, 0.3, 0.4, 0.5, 0.6];
-        let curve = latency_curve(&base, rates);
-        assert!(curve.len() < rates.len(), "sweep must stop early once saturated");
     }
 
     fn results_eq(a: &OpenLoopResult, b: &OpenLoopResult) -> bool {

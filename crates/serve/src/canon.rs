@@ -16,8 +16,7 @@
 
 use serde::json::Value;
 use serde::Serialize;
-use tenoc_core::{IcntConfig, SystemConfig};
-use tenoc_harness::{cell_system_config, SweepCell};
+use tenoc_harness::{ConfigCell, SweepCell};
 
 /// Recursively sorts every object's keys, making the tree independent of
 /// the field order it was built or parsed with. Arrays keep their order
@@ -63,48 +62,41 @@ pub fn hash_value(v: &Value) -> String {
 ///
 /// Deliberately excluded:
 /// - the preset *name* and the cell's grid *index* — presentation, not
-///   physics; two grids can address the same cell;
+///   physics; two grids can address the same cell, and a tuner candidate
+///   whose resolved interconnect equals a preset's shares its entries;
 /// - the execution engine and worker placement — proven
 ///   result-identical by the arena-equivalence tests;
-/// - telemetry arming — observation only, never perturbs results;
 /// - the safety cycle limit — can abort a run, never change its value.
 ///
 /// The remaining `SystemConfig` parameters (core, MC, clocks, interleave
 /// chunk, concentration) are fixed Table II constants under
-/// [`cell_system_config`]; `chunk` and `cores_per_node` are included as
-/// cheap insurance because they are plain scalars.
-pub fn cell_value(cell: &SweepCell) -> Value {
-    let cfg = cell_system_config(cell);
-    config_cell_value(&cfg.icnt, &cell.benchmark, cell.scale, cell.seed)
-}
-
-/// The canonical identity of an explicit-config cell — the same value
-/// tree [`cell_value`] builds for preset cells, so a tuner candidate
-/// whose resolved interconnect equals a preset's shares its cache
-/// entries (`chunk` and `cores_per_node` are re-derived from the
-/// interconnect exactly as `SystemConfig::with_icnt` does for preset
-/// cells).
-pub fn config_cell_value(icnt: &IcntConfig, benchmark: &str, scale: f64, seed: u64) -> Value {
-    let cfg = SystemConfig::with_icnt(icnt.clone());
+/// [`ConfigCell::system_config`]; `chunk` and `cores_per_node` are
+/// included as cheap insurance because they are plain scalars.
+pub fn config_cell_value(cell: &ConfigCell) -> Value {
+    let cfg = cell.system_config();
     Value::Object(vec![
-        ("benchmark".to_string(), benchmark.to_value()),
+        ("benchmark".to_string(), cell.benchmark.to_value()),
         ("icnt".to_string(), cfg.icnt.to_value()),
-        ("scale".to_string(), scale.to_value()),
-        ("seed".to_string(), seed.to_value()),
+        ("scale".to_string(), cell.scale.to_value()),
+        ("seed".to_string(), cell.seed.to_value()),
         ("chunk".to_string(), cfg.chunk.to_value()),
         ("cores_per_node".to_string(), cfg.cores_per_node.to_value()),
     ])
 }
 
 /// The content address of a cell: 16 lower-case hex digits.
-pub fn cell_key(cell: &SweepCell) -> String {
-    hash_value(&cell_value(cell))
+pub fn config_cell_key(cell: &ConfigCell) -> String {
+    hash_value(&config_cell_value(cell))
 }
 
-/// The content address of an explicit-config cell (see
-/// [`config_cell_value`]).
-pub fn config_cell_key(icnt: &IcntConfig, benchmark: &str, scale: f64, seed: u64) -> String {
-    hash_value(&config_cell_value(icnt, benchmark, scale, seed))
+/// [`config_cell_value`] of a preset cell's resolved configuration.
+pub fn cell_value(cell: &SweepCell) -> Value {
+    config_cell_value(&cell.config())
+}
+
+/// [`config_cell_key`] of a preset cell's resolved configuration.
+pub fn cell_key(cell: &SweepCell) -> String {
+    config_cell_key(&cell.config())
 }
 
 #[cfg(test)]
@@ -146,15 +138,6 @@ mod tests {
         let a = cell_key(&cell(Preset::ThroughputEffective, "HIS", 0.02));
         let b = cell_key(&cell(Preset::DoubleCpCr2InjPorts, "HIS", 0.02));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn config_cell_key_matches_preset_cell_key() {
-        // The tuner addresses cells by resolved config; a candidate that
-        // happens to equal a preset must hit the preset's cache entries.
-        let c = cell(Preset::ThroughputEffective, "RD", 0.02);
-        let icnt = c.preset.icnt(c.mesh_k);
-        assert_eq!(cell_key(&c), config_cell_key(&icnt, &c.benchmark, c.scale, c.seed));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! cell index, which makes the reassembled file byte-identical to what
 //! `tenoc sweep` writes for the same grid.
 
-use crate::proto::{classify_line, SweepRequest};
-use std::io::{BufRead, BufReader, Write};
+use crate::proto::{classify_line, write_line, SweepRequest};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use tenoc_harness::{from_jsonl, RunRecord};
@@ -53,6 +53,14 @@ impl SubmitOutcome {
     }
 }
 
+/// Connects with Nagle off: requests are single small writes that must
+/// not wait on the server's delayed ACK.
+fn connect(addr: impl ToSocketAddrs) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 fn bad_data(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
@@ -65,9 +73,7 @@ fn bad_data(msg: String) -> std::io::Error {
 /// Returns an I/O error for transport failures, a server-reported
 /// `error` event, or a stream that ends without a terminal event.
 pub fn submit_on(stream: &mut TcpStream, req: &SweepRequest) -> std::io::Result<SubmitOutcome> {
-    stream.write_all(req.to_line().as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
+    write_line(stream, &req.to_line())?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut outcome = SubmitOutcome::default();
     for line in reader.lines() {
@@ -121,8 +127,7 @@ pub fn submit_on(stream: &mut TcpStream, req: &SweepRequest) -> std::io::Result<
 ///
 /// As [`submit_on`], plus connection failures.
 pub fn submit(addr: impl ToSocketAddrs, req: &SweepRequest) -> std::io::Result<SubmitOutcome> {
-    let mut stream = TcpStream::connect(addr)?;
-    submit_on(&mut stream, req)
+    submit_on(&mut connect(addr)?, req)
 }
 
 /// Fetches the server's stats counters as the parsed stats event object.
@@ -131,9 +136,8 @@ pub fn submit(addr: impl ToSocketAddrs, req: &SweepRequest) -> std::io::Result<S
 ///
 /// Returns an I/O error for transport failures or a malformed reply.
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> std::io::Result<serde::json::Value> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(b"{\"op\":\"stats\"}\n")?;
-    stream.flush()?;
+    let mut stream = connect(addr)?;
+    write_line(&mut stream, r#"{"op":"stats"}"#)?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line)?;
@@ -160,7 +164,7 @@ pub fn connect_with_retry(
         if i > 0 {
             std::thread::sleep(delay);
         }
-        match TcpStream::connect(addr) {
+        match connect(addr) {
             Ok(s) => return Ok(s),
             Err(e) => last = Some(e),
         }

@@ -17,12 +17,14 @@
 
 use serde::json::Value;
 use serde::Serialize;
+use std::io::Write;
 use tenoc_core::Preset;
 use tenoc_harness::{tiny_grid, SeedMode, SweepGrid};
 
-/// Default derived-seed base, matching `tenoc sweep`.
+/// Derived-seed base of a request that names none, matching `tenoc sweep`.
 pub const DEFAULT_SEED: u64 = 0x7e0c;
-/// Default kernel-length scale, matching the golden tiny grid.
+/// Kernel-length scale of a wire request that names none (the golden tiny
+/// grid's). The CLI always sends the field.
 pub const DEFAULT_SCALE: f64 = 0.02;
 
 /// A parsed sweep submission.
@@ -125,9 +127,9 @@ impl SweepRequest {
         Ok(req)
     }
 
-    /// Plans the request into the exact grid `tenoc sweep` would run for
-    /// the same axes — the planning equivalence the differential test
-    /// pins down.
+    /// Plans the request into its grid. This is the one names-to-grid
+    /// planner: `tenoc sweep` runs the grid of the same request `tenoc
+    /// submit` puts on the wire.
     ///
     /// # Errors
     ///
@@ -157,6 +159,18 @@ impl SweepRequest {
         grid.mesh_k = self.mesh_k;
         Ok(grid)
     }
+}
+
+/// Sends one protocol line: the line and its newline leave in a single
+/// `write`, so a reader never sees half a line and a small reply is one
+/// segment, not two with the second waiting on the peer's delayed ACK.
+///
+/// # Errors
+///
+/// Returns the transport's write or flush error.
+pub fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    writer.write_all(format!("{line}\n").as_bytes())?;
+    writer.flush()
 }
 
 /// Builds a control-event line (no trailing newline).
@@ -209,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_sweep_cli_construction() {
+    fn grid_resolves_names_and_derives_seeds() {
         let req = SweepRequest {
             tenant: "t".into(),
             presets: vec!["baseline".into(), "cp-cr".into()],
@@ -244,6 +258,23 @@ mod tests {
         };
         assert!(req.grid().unwrap_err().contains("NOPE"));
         assert!(SweepRequest::default().grid().is_err());
+    }
+
+    #[test]
+    fn one_line_is_one_write() {
+        struct Counting(Vec<Vec<u8>>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(Vec::new());
+        write_line(&mut w, r#"{"event":"planned","cells":1}"#).unwrap();
+        assert_eq!(w.0, [b"{\"event\":\"planned\",\"cells\":1}\n".to_vec()]);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 
 use crate::cache::{CachedCell, DiskCache};
 use crate::canon::cell_key;
-use crate::proto::{event_line, SweepRequest};
+use crate::proto::{event_line, write_line, SweepRequest};
 use crate::sched::DeadlineRr;
 use serde::json::Value;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -294,13 +294,10 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
 fn handle_conn(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) -> std::io::Result<()> {
+    // Replies are several small lines; Nagle would hold each behind the
+    // client's delayed ACK of the one before.
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     for line in reader.lines() {

@@ -551,8 +551,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
             .collect();
         stage3_cells += cells.len() as u64;
         stats.stage3_cells += cells.len();
-        let keys: Vec<String> =
-            cells.iter().map(|c| config_cell_key(&c.icnt, &c.benchmark, c.scale, c.seed)).collect();
+        let keys: Vec<String> = cells.iter().map(config_cell_key).collect();
         let mut metrics: Vec<Option<tenoc_core::RunMetrics>> = keys
             .iter()
             .map(|k| cache.as_ref().and_then(|c| c.get(k)).map(|hit| hit.metrics))

@@ -12,15 +12,16 @@ use std::process::ExitCode;
 use tenoc::core::area::{throughput_effectiveness, AreaModel};
 use tenoc::core::experiments::{run_benchmark, run_suite, scale_from_env};
 use tenoc::core::presets::Preset;
-use tenoc::core::SweepReport;
-use tenoc::noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
-use tenoc::workloads::{by_name, full_name, suite};
+use tenoc::core::{EngineKind, IcntConfig, SweepReport};
+use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
+use tenoc::serve::SweepRequest;
+use tenoc::simt::KernelSpec;
+use tenoc::workloads::{by_name, full_name, smoke_suite, suite};
 
-fn preset_by_flag(s: &str) -> Option<Preset> {
-    // One flag vocabulary everywhere: the CLI, the sweep service wire
-    // protocol and the library all resolve through `Preset::from_flag`.
-    Preset::from_flag(s)
-}
+/// What a subcommand returns: `Err` is printed as `<command>: <message>`
+/// and exits 1 (usage errors exit 2 on the spot via
+/// [`Command::usage_error`]).
+type CmdResult = Result<(), String>;
 
 /// One subcommand: its name, the `--flags` it accepts and their usage
 /// text (continuation lines indented to sit under the first in [`usage`]).
@@ -50,14 +51,13 @@ const COMMANDS: &[Command] = &[
             "seed",
             "jobs",
             "out",
-            "telemetry",
             "tiny",
             "golden",
             "check",
             "bless",
         ],
         usage: "[--presets A,B|all] [--benchmarks X,Y|smoke|all] [--scale F]\n\
-           \x20           [--seed N] [--jobs N] [--out FILE] [--telemetry] [--tiny]\n\
+           \x20           [--seed N] [--jobs N] [--out FILE] [--tiny]\n\
            \x20           [--golden FILE --check|--bless]",
     },
     Command {
@@ -110,10 +110,11 @@ const COMMANDS: &[Command] = &[
             "stats",
         ],
         usage: "[--addr HOST:PORT] [--tenant NAME] [--tiny]\n\
-           \x20           [--presets A,B] [--benchmarks X,Y] [--scale F] [--seed N]\n\
-           \x20           [--out FILE] [--require-cached]\n\
-           \x20           (submit a grid to a running service; --stats fetches the\n\
-           \x20            service counters instead)",
+           \x20           [--presets A,B|all] [--benchmarks X,Y|smoke|all] [--scale F]\n\
+           \x20           [--seed N] [--out FILE] [--require-cached]\n\
+           \x20           (submit the grid `sweep` would run for the same flags to a\n\
+           \x20            running service; --stats fetches the service counters\n\
+           \x20            instead)",
     },
     Command {
         name: "openloop",
@@ -144,8 +145,8 @@ struct Flags {
 }
 
 impl Flags {
-    fn get(&self, key: &str) -> Option<&String> {
-        self.values.get(key)
+    fn get(&self, key: &str) -> Option<&str> {
+        self.values.get(key).map(String::as_str)
     }
 
     fn contains_key(&self, key: &str) -> bool {
@@ -180,6 +181,22 @@ impl Flags {
     fn k(&self) -> usize {
         self.parsed("k", |k| *k >= 2).unwrap_or(6)
     }
+
+    /// The required `--preset`; a missing or unknown one is a usage error.
+    fn preset(&self) -> Preset {
+        let Some(name) = self.get("preset") else { self.cmd.usage_error("missing --preset") };
+        Preset::from_flag(name).unwrap_or_else(|| {
+            self.cmd.usage_error(&format!("unknown preset {name}; see `tenoc list`"))
+        })
+    }
+
+    /// `--benchmark`, or `default` when the subcommand has one.
+    fn benchmark(&self, default: Option<&str>) -> Result<KernelSpec, String> {
+        let Some(name) = self.get("benchmark").or(default) else {
+            self.cmd.usage_error("missing --benchmark")
+        };
+        by_name(name).ok_or_else(|| format!("unknown benchmark {name}; see `tenoc list`"))
+    }
 }
 
 /// Parses `--flag [value]` pairs, rejecting anything `cmd` does not
@@ -206,15 +223,17 @@ fn parse_flags(cmd: &Command, args: &[String]) -> Result<HashMap<String, String>
     Ok(out)
 }
 
+/// Every named preset's canonical flag, for the usage text and `list`.
+fn preset_flags() -> Vec<&'static str> {
+    Preset::NAMED.iter().map(Preset::flag).collect()
+}
+
 fn usage() -> ExitCode {
     eprintln!("usage: tenoc <command> [flags]\ncommands:");
     for cmd in COMMANDS {
         eprintln!("  {:<9} {}", cmd.name, cmd.usage);
     }
-    eprintln!(
-        "presets: baseline 2x-bw 1-cycle cp-dor cp-dor-4vc cp-cr double thr-eff\n\
-         \x20        cp-cr-2p torus cmesh perfect"
-    );
+    eprintln!("presets: {}", preset_flags().join(" "));
     ExitCode::FAILURE
 }
 
@@ -229,145 +248,196 @@ fn main() -> ExitCode {
     };
     let scale = flags.scale().unwrap_or_else(scale_from_env);
 
-    match cmd.name {
-        "run" => {
-            let Some(bench) = flags.get("benchmark") else {
-                eprintln!("run: missing --benchmark");
-                return usage();
-            };
-            let Some(spec) = by_name(bench) else {
-                eprintln!("unknown benchmark {bench}; see `tenoc list`");
-                return ExitCode::FAILURE;
-            };
-            let Some(preset) = flags.get("preset").and_then(|p| preset_by_flag(p)) else {
-                eprintln!("run: missing or unknown --preset");
-                return usage();
-            };
-            let m = run_benchmark(preset, &spec, scale);
-            if flags.contains_key("json") {
-                println!("{}", serde_json_line(&spec.name, preset, &m));
-            } else {
-                println!(
-                    "{} on {}: IPC {:.1}, net latency {:.1} cyc, MC stall {:.0}%, DRAM eff {:.0}%",
-                    spec.name,
-                    preset.label(),
-                    m.ipc,
-                    m.avg_net_latency,
-                    m.mc_stall_fraction * 100.0,
-                    m.dram_efficiency * 100.0
-                );
-            }
-        }
-        "suite" => {
-            let Some(preset) = flags.get("preset").and_then(|p| preset_by_flag(p)) else {
-                eprintln!("suite: missing or unknown --preset");
-                return usage();
-            };
-            let results = run_suite(preset, scale);
-            let report = SweepReport::new(&preset.label(), scale, &results);
-            if flags.contains_key("json") {
-                println!("{}", report.to_json());
-            } else {
-                print!("{}", report.to_markdown());
-                println!("\nHM IPC: {:.1}", report.hm_ipc());
-            }
-        }
-        "sweep" => return cmd_sweep(&flags, scale),
-        "serve" => return cmd_serve(&flags),
-        "submit" => return cmd_submit(&flags),
-        "audit" => return cmd_audit(&flags),
-        "tune" => return cmd_tune(&flags),
-        "trace" => return cmd_trace(&flags, scale),
-        "openloop" => {
-            let Some(preset) = flags.get("preset").and_then(|p| preset_by_flag(p)) else {
-                eprintln!("openloop: missing or unknown --preset");
-                return usage();
-            };
-            let pattern = if flags.contains_key("hotspot") {
-                TrafficPattern::Hotspot { hot: 0, fraction: 0.2 }
-            } else {
-                TrafficPattern::UniformRandom
-            };
-            let net = match preset.icnt(6) {
-                tenoc::core::system::IcntConfig::Mesh(c) => c,
-                tenoc::core::system::IcntConfig::Double(c) => c,
-                _ => {
-                    eprintln!("openloop: pick a physical-network preset");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Some(rate) = flags.parsed("rate", |r: &f64| *r > 0.0 && r.is_finite()) {
-                let r = run_open_loop(&OpenLoopConfig::new(net, rate, pattern));
-                println!(
-                    "rate {rate}: latency {:.1} cyc, delivered {:.1}%{}",
-                    r.avg_latency,
-                    r.delivered_fraction * 100.0,
-                    if r.saturated() { " (saturated)" } else { "" }
-                );
-            } else {
-                println!("{:>6} {:>10}", "rate", "latency");
-                for i in 1..=12 {
-                    let rate = i as f64 * 0.01;
-                    let r = run_open_loop(&OpenLoopConfig::new(net.clone(), rate, pattern));
-                    if r.saturated() {
-                        println!("{rate:>6.2} {:>10}", "saturated");
-                        break;
-                    }
-                    println!("{rate:>6.2} {:>10.1}", r.avg_latency);
-                }
-            }
-        }
-        "area" => {
-            println!("{:>22} {:>12} {:>10} {:>12}", "design", "NoC [mm^2]", "chip", "IPC/mm^2@200");
-            for preset in Preset::NAMED {
-                let a = AreaModel::chip_area(&preset.icnt(6));
-                println!(
-                    "{:>22} {:>12.1} {:>10.1} {:>12.4}",
-                    preset.label(),
-                    a.noc(),
-                    a.total(),
-                    throughput_effectiveness(200.0, &a)
-                );
-            }
-        }
-        "classify" => {
-            let base = run_suite(Preset::BaselineTbDor, scale);
-            let perfect = run_suite(Preset::Perfect, scale);
-            println!("{:>6} {:>8} {:>9} {:>12}", "bench", "class", "speedup", "B/cyc/node");
-            for (b, p) in base.iter().zip(&perfect) {
-                println!(
-                    "{:>6} {:>8} {:>+8.1}% {:>12.2}",
-                    b.name,
-                    b.class.to_string(),
-                    (p.metrics.ipc / b.metrics.ipc - 1.0) * 100.0,
-                    p.metrics.accepted_flits_per_node * 16.0
-                );
-            }
-        }
-        "list" => {
-            println!("benchmarks (Table I):");
-            for spec in suite() {
-                println!(
-                    "  {:>4} [{}] {}",
-                    spec.name,
-                    spec.class,
-                    full_name(&spec.name).unwrap_or("")
-                );
-            }
-            println!("\npresets: baseline, 2x-bw, 1-cycle, cp-dor, cp-dor-4vc, cp-cr,");
-            println!("         double, thr-eff, cp-cr-2p, torus, cmesh, perfect");
-        }
+    let result = match cmd.name {
+        "run" => cmd_run(&flags, scale),
+        "suite" => cmd_suite(&flags, scale),
+        "sweep" => cmd_sweep(&flags, scale),
+        "serve" => cmd_serve(&flags),
+        "submit" => cmd_submit(&flags, scale),
+        "audit" => cmd_audit(&flags),
+        "tune" => cmd_tune(&flags),
+        "trace" => cmd_trace(&flags, scale),
+        "openloop" => cmd_openloop(&flags),
+        "area" => cmd_area(),
+        "classify" => cmd_classify(scale),
+        "list" => cmd_list(),
         other => unreachable!("{other} is in COMMANDS but not dispatched"),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{}: {e}", cmd.name);
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
-fn serde_json_line(name: &str, preset: Preset, m: &tenoc::core::RunMetrics) -> String {
-    format!(
-        "{{\"benchmark\":\"{name}\",\"preset\":\"{}\",\"metrics\":{}}}",
-        preset.label(),
-        serde_json::to_string(m).expect("metrics are plain data")
-    )
+/// Where a subcommand's artifact goes: `--out FILE`, or stdout when the
+/// flag is absent and `or_stdout` is set.
+fn emit(flags: &Flags, what: &str, text: &str, or_stdout: bool) -> CmdResult {
+    if let Some(path) = flags.get("out") {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("{}: wrote {what} to {path}", flags.cmd.name);
+    } else if or_stdout {
+        print!("{text}");
+    }
+    Ok(())
+}
+
+/// The one artifact gate: [`emit`], then `--golden FILE --bless`
+/// overwrites the snapshot with `text`, and `--golden FILE --check` hands
+/// the snapshot's text to `check`, which answers with the sentence to
+/// report either way.
+fn gate(
+    flags: &Flags,
+    what: &str,
+    text: &str,
+    or_stdout: bool,
+    check: impl FnOnce(&str) -> Result<String, String>,
+) -> CmdResult {
+    emit(flags, what, text, or_stdout)?;
+    let name = flags.cmd.name;
+    let Some(golden) = flags.get("golden") else { return Ok(()) };
+    if flags.contains_key("bless") {
+        std::fs::write(golden, text).map_err(|e| format!("cannot bless {golden}: {e}"))?;
+        eprintln!("{name}: blessed golden snapshot {golden}");
+    } else if flags.contains_key("check") {
+        let snapshot = std::fs::read_to_string(golden)
+            .map_err(|e| format!("cannot read golden {golden}: {e}"))?;
+        let verdict = check(&snapshot).map_err(|problem| {
+            format!("{problem}\n(golden {golden}; re-run with --bless to accept the new numbers)")
+        })?;
+        eprintln!("{name}: {verdict}");
+    } else {
+        return Err("--golden needs --check or --bless".into());
+    }
+    Ok(())
+}
+
+/// The `check` of a report whose snapshot is its exact text.
+fn same_text(text: &str) -> impl FnOnce(&str) -> Result<String, String> + '_ {
+    move |snapshot| {
+        if snapshot.trim() == text.trim() {
+            Ok("report matches the golden snapshot".into())
+        } else {
+            Err("report differs from the golden snapshot".into())
+        }
+    }
+}
+
+fn cmd_run(flags: &Flags, scale: f64) -> CmdResult {
+    let (preset, spec) = (flags.preset(), flags.benchmark(None)?);
+    let m = run_benchmark(preset, &spec, scale);
+    if flags.contains_key("json") {
+        println!(
+            "{{\"benchmark\":\"{}\",\"preset\":\"{}\",\"metrics\":{}}}",
+            spec.name,
+            preset.label(),
+            serde_json::to_string(&m).expect("metrics are plain data")
+        );
+    } else {
+        println!(
+            "{} on {}: IPC {:.1}, net latency {:.1} cyc, MC stall {:.0}%, DRAM eff {:.0}%",
+            spec.name,
+            preset.label(),
+            m.ipc,
+            m.avg_net_latency,
+            m.mc_stall_fraction * 100.0,
+            m.dram_efficiency * 100.0
+        );
+    }
+    Ok(())
+}
+
+fn cmd_suite(flags: &Flags, scale: f64) -> CmdResult {
+    let preset = flags.preset();
+    let report = SweepReport::new(&preset.label(), scale, &run_suite(preset, scale));
+    if flags.contains_key("json") {
+        println!("{}", report.to_json());
+    } else {
+        print!("{}", report.to_markdown());
+        println!("\nHM IPC: {:.1}", report.hm_ipc());
+    }
+    Ok(())
+}
+
+/// `tenoc openloop`: probe the preset's actual fabric — a sliced preset
+/// on its two half-width networks — at one rate or up to saturation.
+fn cmd_openloop(flags: &Flags) -> CmdResult {
+    let icnt = flags.preset().icnt(6);
+    if !matches!(icnt, IcntConfig::Mesh(_) | IcntConfig::Double(_)) {
+        return Err("pick a physical-network preset".into());
+    }
+    let pattern = if flags.contains_key("hotspot") {
+        TrafficPattern::Hotspot { hot: 0, fraction: 0.2 }
+    } else {
+        TrafficPattern::UniformRandom
+    };
+    let probe = |rate: f64| {
+        let cfg = OpenLoopConfig::new(icnt.net().clone(), rate, pattern);
+        run_open_loop_on(&cfg, &mut *icnt.build(EngineKind::Arena))
+    };
+    if let Some(rate) = flags.parsed("rate", |r: &f64| *r > 0.0 && r.is_finite()) {
+        let r = probe(rate);
+        println!(
+            "rate {rate}: latency {:.1} cyc, delivered {:.1}%{}",
+            r.avg_latency,
+            r.delivered_fraction * 100.0,
+            if r.saturated() { " (saturated)" } else { "" }
+        );
+    } else {
+        println!("{:>6} {:>10}", "rate", "latency");
+        for i in 1..=12 {
+            let rate = i as f64 * 0.01;
+            let r = probe(rate);
+            if r.saturated() {
+                println!("{rate:>6.2} {:>10}", "saturated");
+                break;
+            }
+            println!("{rate:>6.2} {:>10.1}", r.avg_latency);
+        }
+    }
+    Ok(())
+}
+
+fn cmd_area() -> CmdResult {
+    println!("{:>22} {:>12} {:>10} {:>12}", "design", "NoC [mm^2]", "chip", "IPC/mm^2@200");
+    for preset in Preset::NAMED {
+        let a = AreaModel::chip_area(&preset.icnt(6));
+        println!(
+            "{:>22} {:>12.1} {:>10.1} {:>12.4}",
+            preset.label(),
+            a.noc(),
+            a.total(),
+            throughput_effectiveness(200.0, &a)
+        );
+    }
+    Ok(())
+}
+
+fn cmd_classify(scale: f64) -> CmdResult {
+    let base = run_suite(Preset::BaselineTbDor, scale);
+    let perfect = run_suite(Preset::Perfect, scale);
+    println!("{:>6} {:>8} {:>9} {:>12}", "bench", "class", "speedup", "B/cyc/node");
+    for (b, p) in base.iter().zip(&perfect) {
+        println!(
+            "{:>6} {:>8} {:>+8.1}% {:>12.2}",
+            b.name,
+            b.class.to_string(),
+            (p.metrics.ipc / b.metrics.ipc - 1.0) * 100.0,
+            p.metrics.accepted_flits_per_node * 16.0
+        );
+    }
+    Ok(())
+}
+
+fn cmd_list() -> CmdResult {
+    println!("benchmarks (Table I):");
+    for spec in suite() {
+        println!("  {:>4} [{}] {}", spec.name, spec.class, full_name(&spec.name).unwrap_or(""));
+    }
+    println!("\npresets: {}", preset_flags().join(", "));
+    Ok(())
 }
 
 /// `tenoc trace`: run one benchmark on one preset with the telemetry
@@ -375,28 +445,17 @@ fn serde_json_line(name: &str, preset: Preset, m: &tenoc::core::RunMetrics) -> S
 /// latency histograms, per-link utilization with a mesh heatmap, mean
 /// buffer occupancies) and `flight.jsonl` (one flight-recorder event per
 /// line, tagged with its network slice).
-fn cmd_trace(flags: &Flags, scale: f64) -> ExitCode {
+fn cmd_trace(flags: &Flags, scale: f64) -> CmdResult {
     use serde::Serialize;
     use tenoc::core::experiments::run_traced;
     use tenoc::noc::{ArmSpec, PacketClass, TelemetryConfig};
 
-    let Some(preset) = flags.get("preset").and_then(|p| preset_by_flag(p)) else {
-        eprintln!("trace: missing or unknown --preset");
-        return usage();
-    };
-    let bench = flags.get("benchmark").map(String::as_str).unwrap_or("RD");
-    let Some(spec) = by_name(bench) else {
-        eprintln!("unknown benchmark {bench}; see `tenoc list`");
-        return ExitCode::FAILURE;
-    };
-    let class = match flags.get("class").map(String::as_str) {
+    let (preset, spec) = (flags.preset(), flags.benchmark(Some("RD"))?);
+    let class = match flags.get("class") {
         None => None,
         Some("request") => Some(PacketClass::Request),
         Some("reply") => Some(PacketClass::Reply),
-        Some(other) => {
-            eprintln!("trace: --class must be request or reply, got {other}");
-            return ExitCode::FAILURE;
-        }
+        Some(other) => return Err(format!("--class must be request or reply, got {other}")),
     };
     let tcfg = TelemetryConfig {
         flight_capacity: flags
@@ -411,18 +470,14 @@ fn cmd_trace(flags: &Flags, scale: f64) -> ExitCode {
     eprintln!("trace: {} on {} at scale {scale}", spec.name, preset.label());
     let (metrics, reports) = run_traced(preset, &spec, scale, tcfg);
     if reports.is_empty() {
-        eprintln!(
-            "trace: preset {} has no physical network to observe (ideal model)",
+        return Err(format!(
+            "preset {} has no physical network to observe (ideal model)",
             preset.label()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
 
-    let dir = flags.get("out").map(String::as_str).unwrap_or("trace-out");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("trace: cannot create {dir}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let dir = flags.get("out").unwrap_or("trace-out");
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
 
     // trace.json: everything except the flight events (those go to the
     // JSON-lines file, which is friendlier to streaming consumers).
@@ -434,10 +489,8 @@ fn cmd_trace(flags: &Flags, scale: f64) -> ExitCode {
         ("reports".to_string(), reports.to_value()),
     ]);
     let trace_path = format!("{dir}/trace.json");
-    if let Err(e) = std::fs::write(&trace_path, trace.to_json_pretty()) {
-        eprintln!("trace: cannot write {trace_path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&trace_path, trace.to_json_pretty())
+        .map_err(|e| format!("cannot write {trace_path}: {e}"))?;
 
     // flight.jsonl: every slice's ring-buffer sample, one event per line,
     // tagged with the slice label.
@@ -455,10 +508,8 @@ fn cmd_trace(flags: &Flags, scale: f64) -> ExitCode {
         }
     }
     let flight_path = format!("{dir}/flight.jsonl");
-    if let Err(e) = std::fs::write(&flight_path, &flight) {
-        eprintln!("trace: cannot write {flight_path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&flight_path, &flight)
+        .map_err(|e| format!("cannot write {flight_path}: {e}"))?;
 
     for r in &reports {
         let req = r.hist.network[0].count();
@@ -475,7 +526,7 @@ fn cmd_trace(flags: &Flags, scale: f64) -> ExitCode {
         );
     }
     eprintln!("trace: wrote {trace_path} and {flight_path} ({events} events)");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Default service address: port 0x7e0c, the workspace's seed constant.
@@ -484,21 +535,16 @@ const SERVE_ADDR: &str = "127.0.0.1:32268";
 /// `tenoc serve`: run the sweep service until killed. Results are
 /// journaled to the cache directory as they complete, so a killed server
 /// restarted on the same `--cache` resumes without re-simulating.
-fn cmd_serve(flags: &Flags) -> ExitCode {
+fn cmd_serve(flags: &Flags) -> CmdResult {
     let mut cfg = tenoc::serve::ServerConfig::new(
-        flags.get("addr").map(String::as_str).unwrap_or(SERVE_ADDR),
-        flags.get("cache").map(String::as_str).unwrap_or("sweep-cache"),
+        flags.get("addr").unwrap_or(SERVE_ADDR),
+        flags.get("cache").unwrap_or("sweep-cache"),
     );
     if let Some(jobs) = flags.jobs() {
         cfg.workers = jobs;
     }
-    let handle = match tenoc::serve::start(cfg.clone()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve: cannot start on {}: {e}", cfg.addr);
-            return ExitCode::FAILURE;
-        }
-    };
+    let handle = tenoc::serve::start(cfg.clone())
+        .map_err(|e| format!("cannot start on {}: {e}", cfg.addr))?;
     eprintln!(
         "serve: listening on {} ({} workers, cache {})",
         handle.addr(),
@@ -511,111 +557,96 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     }
 }
 
+/// The one flags-to-request site: `tenoc sweep` runs this request's grid
+/// in-process, `tenoc submit` puts the same request on the wire, so the
+/// same flags name the same cells (and bytes) through either.
+fn sweep_request(flags: &Flags, scale: f64) -> SweepRequest {
+    let names = |specs: Vec<KernelSpec>| specs.into_iter().map(|s| s.name).collect();
+    let list = |csv: &str| csv.split(',').map(str::to_owned).collect();
+    SweepRequest {
+        tenant: flags.get("tenant").unwrap_or("cli").to_owned(),
+        presets: match flags.get("presets") {
+            None => vec![Preset::BaselineTbDor.flag().to_owned()],
+            Some("all") => preset_flags().into_iter().map(str::to_owned).collect(),
+            Some(csv) => list(csv),
+        },
+        benchmarks: match flags.get("benchmarks") {
+            None | Some("smoke") => names(smoke_suite()),
+            Some("all") => names(suite()),
+            Some(csv) => list(csv),
+        },
+        scale,
+        seed: flags.seed().unwrap_or(tenoc::serve::DEFAULT_SEED),
+        tiny: flags.contains_key("tiny"),
+        ..SweepRequest::default()
+    }
+}
+
+/// `tenoc sweep`: fan a (preset x benchmark) grid over the worker pool and
+/// emit JSON-lines records, optionally checking or refreshing a golden
+/// snapshot.
+fn cmd_sweep(flags: &Flags, scale: f64) -> CmdResult {
+    use tenoc::harness::{check_fingerprints, engine, from_jsonl, to_jsonl};
+
+    let grid = sweep_request(flags, scale).grid()?;
+    let jobs = flags.jobs().unwrap_or_else(tenoc::harness::jobs_from_env);
+    eprintln!(
+        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
+        grid.len(),
+        grid.presets.len(),
+        grid.benchmarks.len(),
+        grid.scale,
+        jobs
+    );
+    let records = engine::run_sweep(&grid, jobs);
+    gate(flags, &format!("{} records", records.len()), &to_jsonl(&records), true, |snapshot| {
+        let golden = from_jsonl(snapshot).map_err(|e| format!("malformed golden: {e}"))?;
+        check_fingerprints(&records, &golden)
+            .map_err(|problems| format!("golden mismatch:\n  {}", problems.join("\n  ")))?;
+        Ok(format!("{} records match the golden snapshot", records.len()))
+    })
+}
+
 /// `tenoc submit`: send one sweep to a running service, reassemble the
 /// stream in cell order (byte-identical to `tenoc sweep` output for the
-/// same grid) and report the request's cache accounting. With `--stats`,
+/// same flags) and report the request's cache accounting. With `--stats`,
 /// fetch the service counters instead.
-fn cmd_submit(flags: &Flags) -> ExitCode {
-    use std::time::Duration;
-    let addr = flags.get("addr").map(String::as_str).unwrap_or(SERVE_ADDR);
-
-    let write_out = |flags: &Flags, text: &str, what: &str| -> bool {
-        if let Some(path) = flags.get("out") {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("submit: cannot write {path}: {e}");
-                return false;
-            }
-            eprintln!("submit: wrote {what} to {path}");
-        } else {
-            print!("{text}");
-        }
-        true
-    };
-
+fn cmd_submit(flags: &Flags, scale: f64) -> CmdResult {
+    let addr = flags.get("addr").unwrap_or(SERVE_ADDR);
     if flags.contains_key("stats") {
-        match tenoc::serve::fetch_stats(addr) {
-            Ok(stats) => {
-                let mut text = stats.to_json_compact();
-                text.push('\n');
-                if write_out(flags, &text, "service stats") {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("submit: stats from {addr} failed: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        let mut req = tenoc::serve::SweepRequest {
-            tenant: flags.get("tenant").cloned().unwrap_or_else(|| "cli".to_string()),
-            tiny: flags.contains_key("tiny"),
-            ..Default::default()
-        };
-        if let Some(list) = flags.get("presets") {
-            req.presets = list.split(',').map(str::to_string).collect();
-        } else if !req.tiny {
-            req.presets = vec!["baseline".to_string()];
-        }
-        if let Some(list) = flags.get("benchmarks") {
-            req.benchmarks = list.split(',').map(str::to_string).collect();
-        } else if !req.tiny {
-            req.benchmarks =
-                tenoc::workloads::smoke_suite().iter().map(|s| s.name.clone()).collect();
-        }
-        if let Some(s) = flags.scale() {
-            req.scale = s;
-        }
-        if let Some(s) = flags.seed() {
-            req.seed = s;
-        }
-
-        // The server may have been spawned a moment ago (CI backgrounds
-        // it); retry the connect briefly instead of failing on a race.
-        let mut stream =
-            match tenoc::serve::connect_with_retry(addr, 40, Duration::from_millis(250)) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("submit: cannot reach service at {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        let outcome = match tenoc::serve::submit_on(&mut stream, &req) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("submit: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if outcome.aborted {
-            eprintln!("submit: server aborted the stream after {} records", outcome.lines.len());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "submit: {} cells ({} simulated, {} cache hits, {} dedup hits)",
-            outcome.planned, outcome.simulated, outcome.cache_hits, outcome.dedup_hits
-        );
-        if !write_out(flags, &outcome.jsonl(), "records") {
-            return ExitCode::FAILURE;
-        }
-        if flags.contains_key("require-cached") && outcome.simulated != 0 {
-            eprintln!(
-                "submit: --require-cached violated: {} cells simulated instead of hitting cache",
-                outcome.simulated
-            );
-            return ExitCode::FAILURE;
-        }
-        ExitCode::SUCCESS
+        let stats = tenoc::serve::fetch_stats(addr)
+            .map_err(|e| format!("stats from {addr} failed: {e}"))?;
+        return emit(flags, "service stats", &(stats.to_json_compact() + "\n"), true);
     }
+    let req = sweep_request(flags, scale);
+    // The server may have been spawned a moment ago (CI backgrounds
+    // it); retry the connect briefly instead of failing on a race.
+    let delay = std::time::Duration::from_millis(250);
+    let mut stream = tenoc::serve::connect_with_retry(addr, 40, delay)
+        .map_err(|e| format!("cannot reach service at {addr}: {e}"))?;
+    let outcome = tenoc::serve::submit_on(&mut stream, &req).map_err(|e| e.to_string())?;
+    if outcome.aborted {
+        return Err(format!("server aborted the stream after {} records", outcome.lines.len()));
+    }
+    eprintln!(
+        "submit: {} cells ({} simulated, {} cache hits, {} dedup hits)",
+        outcome.planned, outcome.simulated, outcome.cache_hits, outcome.dedup_hits
+    );
+    emit(flags, "records", &outcome.jsonl(), true)?;
+    if flags.contains_key("require-cached") && outcome.simulated != 0 {
+        return Err(format!(
+            "--require-cached violated: {} cells simulated instead of hitting cache",
+            outcome.simulated
+        ));
+    }
+    Ok(())
 }
 
 /// `tenoc audit`: statically verify, bound, price and rank the config
 /// space (every named preset plus known-illegal variants) without
 /// simulating a cycle, emitting deterministic JSON suitable for golden
 /// snapshotting.
-fn cmd_audit(flags: &Flags) -> ExitCode {
+fn cmd_audit(flags: &Flags) -> CmdResult {
     let report = tenoc::core::audit_grid(flags.k());
     let json = report.to_json();
 
@@ -648,48 +679,11 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
             );
         }
     }
-
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("audit: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("audit: wrote {path}");
-    }
-
-    if let Some(golden_path) = flags.get("golden") {
-        if flags.contains_key("bless") {
-            if let Err(e) = std::fs::write(golden_path, &json) {
-                eprintln!("audit: cannot bless {golden_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("audit: blessed golden snapshot {golden_path}");
-        } else if flags.contains_key("check") {
-            let golden = match std::fs::read_to_string(golden_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("audit: cannot read golden {golden_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if golden.trim() != json.trim() {
-                eprintln!(
-                    "audit: report differs from golden {golden_path}; \
-                     re-run with --bless to accept the new numbers"
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!("audit: report matches the golden snapshot");
-        } else {
-            eprintln!("audit: --golden needs --check or --bless");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    gate(flags, "report", &json, false, same_text(&json))
 }
 
 /// `tenoc tune`: staged-fidelity search of the IPC/mm² Pareto frontier.
-fn cmd_tune(flags: &Flags) -> ExitCode {
+fn cmd_tune(flags: &Flags) -> CmdResult {
     use tenoc::tune::{run_tune, TuneOptions, TuneSpec};
 
     let k = flags.k();
@@ -707,13 +701,7 @@ fn cmd_tune(flags: &Flags) -> ExitCode {
         jobs: flags.jobs().unwrap_or_else(tenoc::harness::jobs_from_env),
         cache_dir: flags.get("cache").map(std::path::PathBuf::from),
     };
-    let (report, stats) = match run_tune(&spec, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("tune: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (report, stats) = run_tune(&spec, &opts).map_err(|e| e.to_string())?;
     let json = report.to_json();
     // Execution counters go to stderr only: the report must stay
     // byte-identical whatever the cache already held.
@@ -759,153 +747,5 @@ fn cmd_tune(flags: &Flags) -> ExitCode {
             );
         }
     }
-
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("tune: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("tune: wrote {path}");
-    }
-
-    if let Some(golden_path) = flags.get("golden") {
-        if flags.contains_key("bless") {
-            if let Err(e) = std::fs::write(golden_path, &json) {
-                eprintln!("tune: cannot bless {golden_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("tune: blessed golden snapshot {golden_path}");
-        } else if flags.contains_key("check") {
-            let golden = match std::fs::read_to_string(golden_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("tune: cannot read golden {golden_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if golden.trim() != json.trim() {
-                eprintln!(
-                    "tune: report differs from golden {golden_path}; \
-                     re-run with --bless to accept the new frontier"
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!("tune: report matches the golden snapshot");
-        } else {
-            eprintln!("tune: --golden needs --check or --bless");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `tenoc sweep`: fan a (preset x benchmark) grid over the worker pool and
-/// emit JSON-lines records, optionally checking or refreshing a golden
-/// snapshot.
-fn cmd_sweep(flags: &Flags, scale: f64) -> ExitCode {
-    use tenoc::harness::{check_fingerprints, engine, from_jsonl, to_jsonl, SeedMode, SweepGrid};
-
-    // Parsed before the grid is chosen: a bad value is rejected even where
-    // `--tiny` would go on to ignore it.
-    let seed = flags.seed().unwrap_or(0x7e0c);
-    let grid = if flags.contains_key("tiny") {
-        tenoc::harness::tiny_grid()
-    } else {
-        let presets = match flags.get("presets").map(String::as_str) {
-            None => vec![Preset::BaselineTbDor],
-            Some("all") => Preset::NAMED.to_vec(),
-            Some(list) => {
-                let mut out = Vec::new();
-                for name in list.split(',') {
-                    let Some(p) = preset_by_flag(name) else {
-                        eprintln!("sweep: unknown preset {name}");
-                        return usage();
-                    };
-                    out.push(p);
-                }
-                out
-            }
-        };
-        let benchmarks: Vec<String> = match flags.get("benchmarks").map(String::as_str) {
-            None | Some("smoke") => {
-                tenoc::workloads::smoke_suite().iter().map(|s| s.name.clone()).collect()
-            }
-            Some("all") => suite().iter().map(|s| s.name.clone()).collect(),
-            Some(list) => {
-                let mut out = Vec::new();
-                for name in list.split(',') {
-                    if by_name(name).is_none() {
-                        eprintln!("sweep: unknown benchmark {name}; see `tenoc list`");
-                        return ExitCode::FAILURE;
-                    }
-                    out.push(name.to_owned());
-                }
-                out
-            }
-        };
-        SweepGrid::new(presets, benchmarks, scale).with_seed_mode(SeedMode::Derived(seed))
-    };
-    // Telemetry rides the records' non-serialized side channel, so armed
-    // and unarmed sweeps emit byte-identical JSONL.
-    let grid = grid.with_telemetry(flags.contains_key("telemetry"));
-
-    let jobs = flags.jobs().unwrap_or_else(tenoc::harness::jobs_from_env);
-    eprintln!(
-        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
-        grid.len(),
-        grid.presets.len(),
-        grid.benchmarks.len(),
-        grid.scale,
-        jobs
-    );
-    let records = engine::run_sweep(&grid, jobs);
-    let jsonl = to_jsonl(&records);
-
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &jsonl) {
-            eprintln!("sweep: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("sweep: wrote {} records to {path}", records.len());
-    } else {
-        print!("{jsonl}");
-    }
-
-    if let Some(golden_path) = flags.get("golden") {
-        if flags.contains_key("bless") {
-            if let Err(e) = std::fs::write(golden_path, &jsonl) {
-                eprintln!("sweep: cannot bless {golden_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("sweep: blessed golden snapshot {golden_path}");
-        } else if flags.contains_key("check") {
-            let golden_text = match std::fs::read_to_string(golden_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("sweep: cannot read golden {golden_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let golden = match from_jsonl(&golden_text) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("sweep: malformed golden {golden_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(problems) = check_fingerprints(&records, &golden) {
-                eprintln!("sweep: golden mismatch against {golden_path}:");
-                for p in &problems {
-                    eprintln!("  {p}");
-                }
-                eprintln!("re-run with --bless to accept the new numbers");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("sweep: {} records match the golden snapshot", records.len());
-        } else {
-            eprintln!("sweep: --golden needs --check or --bless");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    gate(flags, "report", &json, false, same_text(&json))
 }

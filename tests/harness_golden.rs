@@ -41,3 +41,16 @@ fn tiny_sweep_is_jobs_invariant() {
     let par = engine::run_sweep(&grid, 4);
     assert_eq!(to_jsonl(&seq), to_jsonl(&par), "jobs=4 must reproduce jobs=1 byte-for-byte");
 }
+
+#[test]
+fn golden_file_round_trips_byte_for_byte_through_the_derived_codec() {
+    // A record is exactly its JSON: parsing the snapshot and writing it
+    // back must reproduce the file, and every fingerprint must recompute
+    // from the parsed fields alone.
+    let text = std::fs::read_to_string(golden_path()).expect("golden snapshot present");
+    let records = from_jsonl(&text).expect("golden snapshot parses");
+    assert_eq!(to_jsonl(&records), text);
+    for r in &records {
+        assert_eq!(r.compute_fingerprint(), r.fingerprint, "{}", r.key());
+    }
+}

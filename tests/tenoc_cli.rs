@@ -3,11 +3,15 @@
 //! out of range, prints that subcommand's usage and exits 2 (a mistyped
 //! flag or value must never silently run a different experiment), while
 //! every invocation shape the repo benchmark makes
-//! (`benchmark/src/e2e.rs`) keeps exiting 0 — as do the telemetry entry
-//! points, which run on the same engine as every other cell.
+//! (`benchmark/src/e2e.rs`) keeps exiting 0. Also pinned here, from
+//! outside: `trace` observes without perturbing, `sweep` and `submit`
+//! plan the same grid from the same flags, `openloop` probes the preset's
+//! real fabric, and every preset name the CLI prints is one it accepts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use tenoc::core::Preset;
+use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 
 fn tenoc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tenoc"))
@@ -37,7 +41,7 @@ fn assert_usage_error(args: &[&str], problem: &str) {
     assert!(out.stdout.is_empty(), "a rejected invocation must not run anything");
 }
 
-fn assert_ok(args: &[&str]) {
+fn assert_ok(args: &[&str]) -> String {
     let out = tenoc(args);
     assert_eq!(
         out.status.code(),
@@ -45,11 +49,14 @@ fn assert_ok(args: &[&str]) {
         "{args:?} failed; stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    String::from_utf8(out.stdout).expect("stdout is text")
 }
 
 #[test]
 fn unknown_flags_exit_with_code_two() {
     assert_rejected(&["sweep", "--tiny", "--batch", "4"], "--batch");
+    // `trace` is the telemetry entry point; sweeps have no such switch.
+    assert_rejected(&["sweep", "--tiny", "--telemetry"], "--telemetry");
     assert_rejected(&["tune", "--tiny", "--bogus", "1"], "--bogus");
     // A flag another subcommand owns is still unknown here.
     assert_rejected(&["serve", "--tiny"], "--tiny");
@@ -133,24 +140,73 @@ fn benchmark_tune_invocations_still_succeed() {
 #[test]
 fn telemetry_entry_points_still_succeed_with_identical_records() {
     let dir = scratch("telemetry");
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-    let (armed, trace) = (path("armed.jsonl"), path("trace"));
-    assert_ok(&["sweep", "--tiny", "--telemetry", "--jobs", "2", "--out", &armed]);
-    let golden = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tiny.jsonl"));
-    assert_eq!(std::fs::read(&armed).unwrap(), golden.unwrap(), "armed sweep bytes moved");
-    assert_ok(&[
-        "trace",
-        "--preset",
-        "thr-eff",
-        "--benchmark",
-        "RD",
-        "--scale",
-        "0.02",
-        "--out",
-        &trace,
-    ]);
-    assert!(std::fs::metadata(dir.join("trace/flight.jsonl")).unwrap().len() > 0);
+    let trace = dir.join("trace");
+    let cell = ["--preset", "thr-eff", "--benchmark", "RD", "--scale", "0.02"];
+    let with = |head: [&str; 1], tail: &[&str]| assert_ok(&[&head, &cell[..], tail].concat());
+    with(["trace"], &["--out", trace.to_str().unwrap()]);
+    assert!(std::fs::metadata(trace.join("flight.jsonl")).unwrap().len() > 0);
+    // Observation does not perturb: the traced run recorded exactly the
+    // metrics the same cell reports untraced.
+    let metrics = |text: &str| {
+        let v = serde::json::parse(text).expect("valid JSON");
+        v.field("metrics").expect("metrics object").to_json_compact()
+    };
+    let traced = std::fs::read_to_string(trace.join("trace.json")).unwrap();
+    assert_eq!(metrics(&traced), metrics(&with(["run"], &["--json"])));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_and_submit_plan_the_same_grid_from_the_same_flags() {
+    let dir = scratch("plan");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let server = tenoc::serve::start(tenoc::serve::ServerConfig::new("127.0.0.1:0", path("cache")))
+        .expect("service starts");
+    let addr = server.addr().to_string();
+    // No `--scale`: both subcommands must fall back to the same default.
+    let grid = ["--presets", "thr-eff,baseline", "--benchmarks", "HIS,RD", "--seed", "11"];
+    let (swept, submitted) = (path("sweep.jsonl"), path("submit.jsonl"));
+    let mut sweep = vec!["sweep", "--jobs", "2", "--out", &swept];
+    sweep.extend(grid);
+    let mut submit = vec!["submit", "--addr", &addr, "--out", &submitted];
+    submit.extend(grid);
+    assert_ok(&sweep);
+    assert_ok(&submit);
+    server.shutdown();
+    let swept = std::fs::read(&swept).unwrap();
+    assert_eq!(swept.iter().filter(|&&b| b == b'\n').count(), 4);
+    assert_eq!(swept, std::fs::read(&submitted).unwrap(), "submit planned a different grid");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn openloop_probes_the_sliced_fabric_of_a_double_preset() {
+    let line = |preset: &str| assert_ok(&["openloop", "--preset", preset, "--rate", "0.05"]);
+    assert_ne!(line("double"), line("cp-cr"), "double was probed as its unsliced single network");
+    // The CLI line is a library probe of the two half-width slices.
+    let icnt = Preset::DoubleCpCr.icnt(6);
+    let cfg = OpenLoopConfig::new(icnt.net().clone(), 0.05, TrafficPattern::UniformRandom);
+    let r = run_open_loop_on(&cfg, &mut *tenoc::noc::build_double(icnt.net()));
+    let saturated = if r.saturated() { " (saturated)" } else { "" };
+    let expected = format!(
+        "rate 0.05: latency {:.1} cyc, delivered {:.1}%{saturated}\n",
+        r.avg_latency,
+        r.delivered_fraction * 100.0
+    );
+    assert_eq!(line("double"), expected);
+    // Ideal presets have no fabric to probe.
+    assert_eq!(tenoc(&["openloop", "--preset", "perfect"]).status.code(), Some(1));
+}
+
+#[test]
+fn every_printed_preset_name_is_accepted() {
+    let listed = assert_ok(&["list"]);
+    let usage = String::from_utf8(tenoc(&[]).stderr).unwrap();
+    for (text, sep) in [(&listed, ", "), (&usage, " ")] {
+        let names = text.lines().find_map(|l| l.strip_prefix("presets: ")).expect("presets line");
+        let presets: Vec<_> = names.split(sep).map(Preset::from_flag).collect();
+        assert_eq!(presets, Preset::NAMED.map(Some), "printed: {names}");
+    }
 }
 
 #[test]
