@@ -1,4 +1,4 @@
-//! Canonical content addressing for sweep cells.
+//! Canonical content addressing for sweep cells and open-loop probes.
 //!
 //! A cell is a pure function of `(config, benchmark, scale, seed)`, so a
 //! stable hash of those inputs is a universal result address: any cell
@@ -12,11 +12,16 @@
 //! The hash is computed over the **resolved** interconnect configuration
 //! (the concrete `NetworkConfig`, not the preset name), so two presets
 //! that denote the same fabric — e.g. `thr-eff` and the
-//! `Double-CP-CR-2P(inj)` point it aliases — share cache entries.
+//! `Double-CP-CR-2P(inj)` point it aliases — share cache entries. An
+//! open-loop probe ([`probe_key`]) is addressed the same way, under its
+//! own domain tag.
 
+use crate::grid::{ConfigCell, SweepCell};
+use crate::record::fnv1a64;
 use serde::json::Value;
 use serde::Serialize;
-use tenoc_harness::{ConfigCell, SweepCell};
+use tenoc_core::IcntConfig;
+use tenoc_noc::openloop::{OpenLoopConfig, TrafficPattern};
 
 /// Recursively sorts every object's keys, making the tree independent of
 /// the field order it was built or parsed with. Arrays keep their order
@@ -39,17 +44,6 @@ pub fn canonicalize(v: &Value) -> Value {
 /// of the workspace uses (shortest round-trip).
 pub fn canonical_json(v: &Value) -> String {
     canonicalize(v).to_json_compact()
-}
-
-/// FNV-1a 64-bit over a byte string (the workspace's standard stable
-/// hash, same constants as `RunRecord` fingerprints).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Lower-case-hex FNV-1a of a value's canonical JSON.
@@ -99,11 +93,65 @@ pub fn cell_key(cell: &SweepCell) -> String {
     config_cell_key(&cell.config())
 }
 
+/// The canonical identity of one open-loop probe: the interconnect the
+/// probe's fabric is built from plus every traffic-generator input.
+///
+/// It hashes the [`IcntConfig`], not `icnt.net()`: a double candidate
+/// and its unsliced base carry the same `NetworkConfig` but build
+/// different fabrics and measure different results. `cfg.net` is that
+/// shared `NetworkConfig` (the generator addresses its nodes), so it is
+/// already inside `icnt` and is not hashed twice. The destructuring is
+/// exhaustive on purpose: a new [`OpenLoopConfig`] field does not compile
+/// until it is keyed here. The `"probe"` field is the domain tag — no
+/// cell value has one, so a probe and a cell never share an address.
+///
+/// Excluded, as for cells: the engine and worker placement
+/// (result-identical) and whatever names or ranks the caller gives the
+/// probe.
+pub fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> Value {
+    let OpenLoopConfig {
+        net,
+        injection_rate,
+        pattern,
+        warmup,
+        measure,
+        drain,
+        request_bytes,
+        reply_bytes,
+        seed,
+    } = cfg;
+    debug_assert_eq!(net, icnt.net(), "a probe's generator addresses its own fabric's nodes");
+    let pattern = match *pattern {
+        TrafficPattern::UniformRandom => "uniform".to_value(),
+        TrafficPattern::Hotspot { hot, fraction } => Value::Object(vec![
+            ("hot".to_string(), hot.to_value()),
+            ("fraction".to_string(), fraction.to_value()),
+        ]),
+    };
+    Value::Object(vec![
+        ("probe".to_string(), "open-loop".to_value()),
+        ("icnt".to_string(), icnt.to_value()),
+        ("rate".to_string(), injection_rate.to_value()),
+        ("pattern".to_string(), pattern),
+        ("warmup".to_string(), warmup.to_value()),
+        ("measure".to_string(), measure.to_value()),
+        ("drain".to_string(), drain.to_value()),
+        ("request_bytes".to_string(), request_bytes.to_value()),
+        ("reply_bytes".to_string(), reply_bytes.to_value()),
+        ("seed".to_string(), seed.to_value()),
+    ])
+}
+
+/// The content address of an open-loop probe: 16 lower-case hex digits.
+pub fn probe_key(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> String {
+    hash_value(&probe_value(icnt, cfg))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::SweepGrid;
     use tenoc_core::Preset;
-    use tenoc_harness::SweepGrid;
 
     fn cell(preset: Preset, bench: &str, scale: f64) -> SweepCell {
         SweepGrid::new(vec![preset], vec![bench.into()], scale).cell(0)
@@ -155,5 +203,57 @@ mod tests {
         keys.push(cell_key(&radix));
         let unique: std::collections::HashSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "key collision in {keys:?}");
+    }
+
+    fn probe(icnt: &IcntConfig) -> OpenLoopConfig {
+        OpenLoopConfig::new(icnt.net().clone(), 0.04, TrafficPattern::UniformRandom)
+    }
+
+    #[test]
+    fn every_probe_input_moves_the_probe_key() {
+        let icnt = Preset::DoubleCpCr.icnt(6);
+        let base = probe(&icnt);
+        let mut keys = vec![probe_key(&icnt, &base)];
+        let perturbations: [fn(&mut OpenLoopConfig); 9] = [
+            |c| c.injection_rate = 0.05,
+            |c| c.pattern = TrafficPattern::Hotspot { hot: 0, fraction: 0.2 },
+            |c| c.pattern = TrafficPattern::Hotspot { hot: 1, fraction: 0.2 },
+            |c| c.warmup += 1,
+            |c| c.measure += 1,
+            |c| c.drain += 1,
+            |c| c.request_bytes += 8,
+            |c| c.reply_bytes += 8,
+            |c| c.seed ^= 1,
+        ];
+        for perturb in perturbations {
+            let mut cfg = base.clone();
+            perturb(&mut cfg);
+            keys.push(probe_key(&icnt, &cfg));
+        }
+        // The sliced fabric and its unsliced base share a `NetworkConfig`
+        // (so the same `OpenLoopConfig`) and must not share an entry.
+        let unsliced = IcntConfig::Mesh(icnt.net().clone());
+        assert_eq!(unsliced.net(), icnt.net());
+        keys.push(probe_key(&unsliced, &base));
+        // A different fabric altogether.
+        let other = Preset::BaselineTbDor.icnt(6);
+        keys.push(probe_key(&other, &probe(&other)));
+        let unique: std::collections::HashSet<&String> = keys.iter().collect();
+        assert_eq!(unique.len(), keys.len(), "probe key collision in {keys:?}");
+        assert_eq!(probe_key(&icnt, &base), keys[0], "and the key is stable across calls");
+    }
+
+    #[test]
+    fn a_probe_never_shares_an_address_with_a_cell_on_the_same_fabric() {
+        for preset in [Preset::BaselineTbDor, Preset::CpCr4vc, Preset::ThroughputEffective] {
+            let c = cell(preset, "HIS", 0.02);
+            let icnt = preset.icnt(c.mesh_k);
+            let p = probe_value(&icnt, &probe(&icnt));
+            // The domain tag: a field every probe value has and no cell
+            // value does, so the hashed texts cannot coincide.
+            assert!(p.field("probe").is_ok());
+            assert!(cell_value(&c).field("probe").is_err());
+            assert_ne!(hash_value(&p), cell_key(&c));
+        }
     }
 }

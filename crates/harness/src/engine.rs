@@ -75,17 +75,6 @@ pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> Vec<RunRecord> {
     run_grid(grid, jobs).into_iter().map(|r| annotate(&r)).collect()
 }
 
-/// Runs every config cell across `jobs` workers, returning
-/// `(class, metrics)` in cell order — the explicit-config analogue of
-/// [`run_grid`].
-///
-/// # Panics
-///
-/// Propagates panics from [`run_config_cell`].
-pub fn run_config_cells(cells: &[ConfigCell], jobs: usize) -> Vec<(TrafficClass, RunMetrics)> {
-    run_indexed(cells.len(), jobs, |i| run_config_cell(&cells[i]))
-}
-
 /// Annotates a raw result with the design point's area/power model and
 /// seals the fingerprint.
 pub fn annotate(result: &CellResult) -> RunRecord {
@@ -162,19 +151,6 @@ mod tests {
             crate::record::to_jsonl(std::slice::from_ref(&cached)),
             crate::record::to_jsonl(std::slice::from_ref(&direct))
         );
-    }
-
-    #[test]
-    fn config_cells_return_in_input_order_at_any_job_count() {
-        let a =
-            SweepGrid::new(vec![Preset::BaselineTbDor], vec!["HIS".into()], 0.02).cell(0).config();
-        let mut b = a.clone();
-        b.benchmark = "MM".into();
-        b.seed = a.seed ^ 0x5bd1;
-        let cells = vec![a, b];
-        let solo: Vec<_> = cells.iter().map(run_config_cell).collect();
-        assert_ne!(solo[0], solo[1]);
-        assert_eq!(solo, run_config_cells(&cells, 2));
     }
 
     #[test]

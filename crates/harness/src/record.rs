@@ -47,8 +47,9 @@ pub struct RunRecord {
     pub fingerprint: String,
 }
 
-/// FNV-1a 64-bit over a byte string.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over a byte string: the workspace's one stable hash,
+/// behind record fingerprints and canonical content addresses alike.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 use serde::json::Value;
 use tenoc_core::Preset;
-use tenoc_harness::{SeedMode, SweepCell, SweepGrid};
-use tenoc_serve::{cell_key, cell_value, hash_value};
+use tenoc_harness::{cell_key, cell_value, hash_value, SeedMode, SweepCell, SweepGrid};
 
 const PRESETS: [Preset; 8] = [
     Preset::BaselineTbDor,

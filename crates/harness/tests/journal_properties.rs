@@ -8,6 +8,10 @@
 //! 2. replay never panics on a mangled tail, and
 //! 3. `skipped_lines` counts exactly the corrupted records.
 //!
+//! A fourth property covers the store's other value kind: an open-loop
+//! probe result, whose floats can be non-finite, must come back from a
+//! reopened journal bit for bit.
+//!
 //! The model below mirrors the journal as an ordered list of
 //! `(key, line length)` entries, simulates crashes by truncating the
 //! real file at an arbitrary byte, and checks the replayed cache against
@@ -17,7 +21,8 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tenoc_core::RunMetrics;
-use tenoc_serve::{CachedCell, DiskCache};
+use tenoc_harness::{CachedCell, DiskCache};
+use tenoc_noc::openloop::OpenLoopResult;
 use tenoc_simt::TrafficClass;
 
 fn metrics_for(tag: u64) -> RunMetrics {
@@ -42,7 +47,7 @@ fn metrics_for(tag: u64) -> RunMetrics {
 fn fresh_dir() -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "tenoc-serve-journal-prop-{}-{}",
+        "tenoc-journal-prop-{}-{}",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
@@ -152,6 +157,57 @@ proptest! {
             }
         }
         drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A probe result survives put → reopen → get with every field's bit
+    /// pattern intact, whatever the pattern: infinities, NaNs with
+    /// payloads, subnormals and negative zero included (a bare JSON
+    /// number would turn the non-finite ones into `null`).
+    #[test]
+    fn probe_results_round_trip_bit_exactly(
+        raw in prop::collection::vec((0u8..10, any::<u64>()), 8..9)
+    ) {
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let bits: Vec<u64> = raw
+            .iter()
+            .map(|&(kind, x)| match kind {
+                0 => f64::INFINITY.to_bits(),
+                1 => f64::NEG_INFINITY.to_bits(),
+                2 => f64::NAN.to_bits() | (x & MANTISSA), // NaN, arbitrary payload
+                3 => (x & MANTISSA) | (x & (1 << 63)),    // signed zero or subnormal
+                4 => (-0.0f64).to_bits(),
+                _ => x,
+            })
+            .collect();
+        let f = |i: usize| f64::from_bits(bits[i]);
+        let probe = OpenLoopResult {
+            offered: f(0),
+            accepted: f(1),
+            ejection_rate: f(2),
+            ejection_bytes_rate: f(3),
+            avg_latency: f(4),
+            avg_request_latency: f(5),
+            avg_reply_latency: f(6),
+            delivered_fraction: f(7),
+        };
+        let dir = fresh_dir();
+        DiskCache::open(&dir).unwrap().store("probe", probe).unwrap();
+        let cache = DiskCache::open(&dir).unwrap();
+        prop_assert_eq!((cache.skipped_lines, cache.stale_lines), (0, 0));
+        let back: &OpenLoopResult = cache.lookup("probe").expect("journaled probe replays");
+        let got = [
+            back.offered,
+            back.accepted,
+            back.ejection_rate,
+            back.ejection_bytes_rate,
+            back.avg_latency,
+            back.avg_request_latency,
+            back.avg_reply_latency,
+            back.delivered_fraction,
+        ]
+        .map(f64::to_bits);
+        prop_assert_eq!(got.to_vec(), bits);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,7 +16,7 @@
 //! equivalence tested in `tenoc-harness`), so the service is provably
 //! just a memoized, fairly-scheduled `tenoc sweep`.
 
-use crate::cache::{CachedCell, DiskCache};
+use crate::cache::{CachedCell, DiskCache, Memo};
 use crate::canon::cell_key;
 use crate::proto::{event_line, write_line, SweepRequest};
 use crate::sched::DeadlineRr;
@@ -171,12 +171,8 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let cache = DiskCache::open(&config.cache_dir)?;
-    if cache.skipped_lines > 0 {
-        eprintln!(
-            "serve: skipped {} unparseable journal line(s) in {}",
-            cache.skipped_lines,
-            cache.path().display()
-        );
+    if let Some(warning) = cache.replay_warning() {
+        eprintln!("serve: {warning}");
     }
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
@@ -276,20 +272,27 @@ fn worker_loop(inner: &Inner) {
 
         let r = run_cell(&job.cell);
         let cached = CachedCell { class: r.class, metrics: r.metrics };
+        finish(&mut inner.state.lock().expect("state lock poisoned"), &job.key, cached);
+    }
+}
 
-        let mut st = inner.state.lock().expect("state lock poisoned");
-        // Journal before fan-out: once any waiter has seen this result, a
-        // restarted server will serve it from cache.
-        if let Err(e) = st.cache.put(&job.key, cached) {
-            eprintln!("serve: journal append failed for {}: {e}", job.key);
+/// Records a simulated cell and hands it to everything waiting on it.
+fn finish(st: &mut State, key: &str, cached: CachedCell) {
+    // Journal before fan-out: once any waiter has seen this result, a
+    // restarted server will serve it from cache. A run cut short by the
+    // safety cycle limit is still delivered — its waiters asked for it —
+    // but never remembered.
+    if cached.finished() {
+        if let Err(e) = st.cache.put(key, cached) {
+            eprintln!("serve: journal append failed for {key}: {e}");
         }
-        st.stats.simulated += 1;
-        if let Some(waiters) = st.inflight.remove(&job.key) {
-            for w in waiters {
-                // A hung-up waiter (disconnected client) is fine; the
-                // result is cached either way.
-                let _ = w.tx.send(record_line(&w.cell, &cached));
-            }
+    }
+    st.stats.simulated += 1;
+    if let Some(waiters) = st.inflight.remove(key) {
+        for w in waiters {
+            // A hung-up waiter (disconnected client) is fine; the
+            // result is cached either way.
+            let _ = w.tx.send(record_line(&w.cell, &cached));
         }
     }
 }
@@ -418,4 +421,40 @@ fn handle_sweep(
             ],
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tenoc_harness::{cell_system_config, tiny_grid};
+
+    #[test]
+    fn a_cell_cut_short_by_the_cycle_limit_is_delivered_but_never_journaled() {
+        let dir =
+            std::env::temp_dir().join(format!("tenoc-serve-unfinished-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cell = tiny_grid().cell(0);
+        let spec = tenoc_workloads::by_name(&cell.benchmark).expect("tiny grid benchmark");
+        let mut cfg = cell_system_config(&cell);
+        cfg.max_core_cycles = 500;
+        // `System::run` reports the cap; `run_cell` asserts on it instead.
+        let metrics = tenoc_core::System::new(cfg, &spec.scaled(cell.scale)).run();
+        assert!(!metrics.completed, "500 core cycles cannot finish the cell");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let key = cell_key(&cell);
+        let mut st = State {
+            cache: DiskCache::open(&dir).unwrap(),
+            inflight: HashMap::from([(key.clone(), vec![Waiter { cell, tx }])]),
+            sched: DeadlineRr::new(),
+            stats: Counters::default(),
+        };
+        finish(&mut st, &key, CachedCell { class: spec.class, metrics });
+
+        let line = rx.try_recv().expect("the waiter still gets its record");
+        assert!(line.contains("\"completed\":false"), "{line}");
+        assert!(st.cache.is_empty() && st.cache.get(&key).is_none());
+        assert_eq!(std::fs::read_to_string(st.cache.path()).unwrap(), "", "journal stays empty");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

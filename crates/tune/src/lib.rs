@@ -23,9 +23,13 @@
 //!   steady-state ejection rate per mm² decides promotion.
 //! - **Stage 3 — closed-loop halving (expensive):** survivors race
 //!   through a successive-halving ladder of full closed-loop benchmark
-//!   simulations, with results memoized through `tenoc-serve`'s
-//!   content-addressed cache, and the finalists' measured harmonic-mean
-//!   IPC per mm² defines the Pareto frontier.
+//!   simulations, and the finalists' measured harmonic-mean IPC per mm²
+//!   defines the Pareto frontier.
+//!
+//! Stages 2 and 3 are the ones that tick a simulator, and both go
+//! through `tenoc-harness`'s content-addressed, versioned result store
+//! ([`tenoc_harness::memoize`]): given a cache directory, a probe or cell
+//! measured once is never measured again until the model version moves.
 //!
 //! Pinned reference designs (the baseline mesh, the torus, the
 //! concentrated mesh) ride through every stage regardless of rank so the
@@ -55,10 +59,12 @@ use tenoc_core::{
     audit_icnt, harmonic_mean, AuditEntry, EngineKind, Preset, SystemConfig, TelemetryConfig,
 };
 use tenoc_harness::pool::run_indexed;
-use tenoc_harness::{run_config_cells, ConfigCell};
-use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
+use tenoc_harness::{
+    canonicalize, config_cell_key, memoize, probe_key, run_config_cell, CachedCell, ConfigCell,
+    DiskCache,
+};
+use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc_noc::RoutingKind;
-use tenoc_serve::{config_cell_key, CachedCell, DiskCache};
 use tenoc_verify::load::TrafficMatrix;
 
 /// One organization axis of the grid: a topology/placement paired with
@@ -177,8 +183,9 @@ pub struct TuneOptions {
     /// Worker threads for every parallel stage.
     pub jobs: usize,
     /// Directory of a persistent result cache shared with `tenoc serve`
-    /// (cells are keyed by canonical content address, so re-runs and
-    /// preset sweeps are memoized across processes).
+    /// (open-loop probes and closed-loop cells are keyed by canonical
+    /// content address, so re-runs and preset sweeps are memoized across
+    /// processes).
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -236,36 +243,27 @@ fn probe_seed(spec_seed: u64, config_hash: &str, rate_index: usize) -> u64 {
     tenoc_harness::cell_seed(spec_seed ^ h, rate_index as u64)
 }
 
-fn probe_candidate(
-    cand: &Candidate,
-    audit: &AuditEntry,
-    spec: &TuneSpec,
-) -> (Vec<f64>, Vec<OpenLoopResult>) {
+/// The open-loop probes of one candidate, one per probe multiplier.
+fn probe_configs(cand: &Candidate, audit: &AuditEntry, spec: &TuneSpec) -> Vec<OpenLoopConfig> {
     let sat =
         audit.matrix(TrafficMatrix::ManyToFew).map(|m| m.saturation_rate).unwrap_or(0.01).max(1e-6);
-    let rates: Vec<f64> = spec.probe_multipliers.iter().map(|m| m * sat).collect();
-    // Probes drive the candidate's *actual* fabric: a double candidate
-    // is probed on its two half-width slices, not on the unsliced base
-    // (which would cap its measured ejection at the single-network
-    // capacity and structurally penalize every sliced design). Fabrics
-    // of different channel widths eject different flit counts for the
-    // same payload, so cross-candidate comparison happens on the
-    // width-independent `ejection_bytes_rate`.
     let [warmup, measure, drain] = spec.probe_windows;
-    let results = rates
+    spec.probe_multipliers
         .iter()
         .enumerate()
-        .map(|(i, &rate)| {
-            let mut cfg =
-                OpenLoopConfig::new(cand.icnt.net().clone(), rate, TrafficPattern::UniformRandom);
+        .map(|(i, m)| {
+            let mut cfg = OpenLoopConfig::new(
+                cand.icnt.net().clone(),
+                m * sat,
+                TrafficPattern::UniformRandom,
+            );
             cfg.warmup = warmup;
             cfg.measure = measure;
             cfg.drain = drain;
             cfg.seed = probe_seed(spec.seed, &cand.config_hash, i);
-            run_open_loop_on(&cfg, &mut *cand.icnt.build(EngineKind::Arena))
+            cfg
         })
-        .collect();
-    (rates, results)
+        .collect()
 }
 
 /// The Pareto frontier of `(area ↓, hm_ipc ↑)` over the finalists:
@@ -464,19 +462,45 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     for &i in &probe_set {
         reached[i] = Reached::Probed;
     }
-    let probed: Vec<(Vec<f64>, Vec<OpenLoopResult>)> = run_indexed(probe_set.len(), jobs, |j| {
-        probe_candidate(&cands[probe_set[j]], &audits[probe_set[j]], spec)
-    });
-    stats.probes = probed.iter().map(|(r, _)| r.len()).sum();
+    let mut cache = match &opts.cache_dir {
+        Some(dir) => Some(DiskCache::open(dir)?),
+        None => None,
+    };
+    if let Some(warning) = cache.as_ref().and_then(DiskCache::replay_warning) {
+        eprintln!("tune: {warning}");
+    }
+    // Probes drive the candidate's *actual* fabric: a double candidate
+    // is probed on its two half-width slices, not on the unsliced base
+    // (which would cap its measured ejection at the single-network
+    // capacity and structurally penalize every sliced design) — and is
+    // addressed by its `IcntConfig`, which tells the two apart. Fabrics
+    // of different channel widths eject different flit counts for the
+    // same payload, so cross-candidate comparison happens on the
+    // width-independent `ejection_bytes_rate`.
+    let probes: Vec<(usize, OpenLoopConfig)> = probe_set
+        .iter()
+        .flat_map(|&i| probe_configs(&cands[i], &audits[i], spec).into_iter().map(move |c| (i, c)))
+        .collect();
+    let probe_keys: Vec<String> =
+        probes.iter().map(|(i, cfg)| probe_key(&cands[*i].icnt, cfg)).collect();
+    let (probed, probe_hits) = memoize(cache.as_mut(), &probe_keys, jobs, |p| {
+        let (i, cfg) = &probes[p];
+        run_open_loop_on(cfg, &mut *cands[*i].icnt.build(EngineKind::Arena))
+    })?;
+    stats.probes = probes.len() - probe_hits;
+    stats.probe_cache_hits = probe_hits;
+    let per_cand = spec.probe_multipliers.len();
     let mut stage2: Vec<Stage2Entry> = probe_set
         .iter()
-        .zip(&probed)
-        .map(|(&i, (rates, results))| {
+        .enumerate()
+        .map(|(j, &i)| {
+            let span = j * per_cand..(j + 1) * per_cand;
+            let results = &probed[span.clone()];
             let best = results.iter().map(|r| r.ejection_bytes_rate).fold(0.0, f64::max);
             Stage2Entry {
                 name: cands[i].name.clone(),
                 family: cands[i].family.clone(),
-                rates: rates.clone(),
+                rates: probes[span].iter().map(|(_, cfg)| cfg.injection_rate).collect(),
                 ejection_rates: results.iter().map(|r| r.ejection_rate).collect(),
                 ejection_bytes: results.iter().map(|r| r.ejection_bytes_rate).collect(),
                 probe_score: 1000.0 * best / audits[i].area_mm2,
@@ -529,10 +553,6 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     stage2.sort_by(|a, b| b.probe_score.total_cmp(&a.probe_score).then(a.name.cmp(&b.name)));
 
     // ---- Stage 3: successive halving over the benchmark ladder -----------
-    let mut cache = match &opts.cache_dir {
-        Some(dir) => Some(DiskCache::open(dir)?),
-        None => None,
-    };
     let mut per_bench: HashMap<usize, Vec<BenchIpc>> = HashMap::new();
     let mut rungs: Vec<Rung> = Vec::new();
     let mut stage3_cells: u64 = 0;
@@ -552,26 +572,16 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         stage3_cells += cells.len() as u64;
         stats.stage3_cells += cells.len();
         let keys: Vec<String> = cells.iter().map(config_cell_key).collect();
-        let mut metrics: Vec<Option<tenoc_core::RunMetrics>> = keys
-            .iter()
-            .map(|k| cache.as_ref().and_then(|c| c.get(k)).map(|hit| hit.metrics))
-            .collect();
-        stats.stage3_cache_hits += metrics.iter().filter(|m| m.is_some()).count();
-        let miss: Vec<usize> = (0..cells.len()).filter(|&j| metrics[j].is_none()).collect();
-        let miss_cells: Vec<ConfigCell> = miss.iter().map(|&j| cells[j].clone()).collect();
-        let fresh = run_config_cells(&miss_cells, jobs);
-        for (&j, &(class, m)) in miss.iter().zip(fresh.iter()) {
-            metrics[j] = Some(m);
-            if let Some(c) = cache.as_mut() {
-                c.put(&keys[j], CachedCell { class, metrics: m })?;
-            }
-        }
-        for (&i, m) in alive.iter().zip(&metrics) {
-            let m = m.expect("every cell measured");
+        let (measured, hits) = memoize(cache.as_mut(), &keys, jobs, |j| {
+            let (class, metrics) = run_config_cell(&cells[j]);
+            CachedCell { class, metrics }
+        })?;
+        stats.stage3_cache_hits += hits;
+        for (&i, cell) in alive.iter().zip(&measured) {
             per_bench.entry(i).or_default().push(BenchIpc {
                 benchmark: bench.clone(),
-                ipc: m.ipc,
-                avg_net_latency: m.avg_net_latency,
+                ipc: cell.metrics.ipc,
+                avg_net_latency: cell.metrics.avg_net_latency,
             });
         }
         // Re-rank on the objective measured so far and halve the field
@@ -660,7 +670,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
                 hm_ipc: f.hm_ipc,
                 ipc_per_mm2: f.ipc_per_mm2,
                 te_score: audits[i].te_score,
-                resolved: tenoc_serve::canonicalize(&cands[i].icnt.to_value()),
+                resolved: canonicalize(&cands[i].icnt.to_value()),
                 heatmaps,
             }
         })
@@ -736,10 +746,16 @@ mod tests {
         assert!(c.frontier >= 1 && c.frontier <= c.finalists);
     }
 
+    fn tmp_cache(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("tenoc-tune-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn cache_reuse_does_not_change_the_report() {
-        let dir = std::env::temp_dir().join(format!("tenoc-tune-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_cache("reuse");
         let spec = TuneSpec::tiny();
         let cold_opts = TuneOptions { jobs: 2, cache_dir: Some(dir.clone()) };
         let (cold, cold_stats) = run_tune(&spec, &cold_opts).unwrap();
@@ -747,8 +763,37 @@ mod tests {
         assert_eq!(cold.to_json(), warm.to_json());
         assert_eq!(cold_stats.stage3_cache_hits, 0);
         assert_eq!(warm_stats.stage3_cache_hits, warm_stats.stage3_cells);
-        let (nocache, _) = run_tune(&spec, &TuneOptions::default()).unwrap();
-        assert_eq!(cold.to_json(), nocache.to_json());
+        // `probes` counts probes ticked; a warm run ticks none of them.
+        assert!(cold_stats.probes > 0 && cold_stats.probe_cache_hits == 0, "{cold_stats:?}");
+        assert_eq!((warm_stats.probes, warm_stats.probe_cache_hits), (0, cold_stats.probes));
+        let (nocache, nocache_stats) = run_tune(&spec, &TuneOptions::default()).unwrap();
+        assert_eq!(cold.to_json(), nocache.to_json(), "uncached, --jobs 1");
+        assert_eq!(nocache_stats, cold_stats, "without a cache everything is ticked");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn nothing_crosses_a_model_version_bump() {
+        let dir = tmp_cache("version");
+        let spec = TuneSpec::tiny();
+        let opts = TuneOptions { jobs: 2, cache_dir: Some(dir.clone()) };
+        let (cold, cold_stats) = run_tune(&spec, &opts).unwrap();
+        // Re-stamp the whole journal as another model version's.
+        let journal = DiskCache::journal_path(&dir);
+        let stamp = format!("{{\"v\":{},", tenoc_harness::MODEL_VERSION);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let lines = text.lines().count();
+        assert_eq!(lines, cold_stats.probes + cold_stats.stage3_cells);
+        assert_eq!(text.matches(&stamp).count(), lines);
+        std::fs::write(&journal, text.replace(&stamp, "{\"v\":0,")).unwrap();
+        let (again, again_stats) = run_tune(&spec, &opts).unwrap();
+        assert_eq!(again_stats, cold_stats, "every probe and cell is measured again");
+        assert_eq!(again.to_json(), cold.to_json());
+        // ...and what it re-measured is served to the run after it.
+        let (warm, warm_stats) = run_tune(&spec, &opts).unwrap();
+        assert_eq!((warm_stats.probes, warm_stats.probe_cache_hits), (0, cold_stats.probes));
+        assert_eq!(warm_stats.stage3_cache_hits, warm_stats.stage3_cells);
+        assert_eq!(warm.to_json(), cold.to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -261,6 +261,8 @@ impl TuneReport {
 pub struct TuneStats {
     /// Open-loop probes ticked.
     pub probes: usize,
+    /// Open-loop probes served from the result cache instead.
+    pub probe_cache_hits: usize,
     /// Closed-loop cells requested across all rungs.
     pub stage3_cells: usize,
     /// Of those, served from the result cache.

@@ -224,11 +224,11 @@ pub struct Candidate {
 }
 
 /// Canonical content hash of a resolved interconnect configuration — the
-/// same address `tenoc-serve` keys its result cache by, so two
+/// same canonical form the result store keys cells and probes by, so two
 /// candidates (or a candidate and a preset) with equal hashes are the
 /// same fabric.
 pub fn config_hash(icnt: &IcntConfig) -> String {
-    tenoc_serve::hash_value(&icnt.to_value())
+    tenoc_harness::hash_value(&icnt.to_value())
 }
 
 #[cfg(test)]

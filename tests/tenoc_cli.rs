@@ -6,7 +6,9 @@
 //! (`benchmark/src/e2e.rs`) keeps exiting 0. Also pinned here, from
 //! outside: `trace` observes without perturbing, `sweep` and `submit`
 //! plan the same grid from the same flags, `openloop` probes the preset's
-//! real fabric, and every preset name the CLI prints is one it accepts.
+//! real fabric, every preset name the CLI prints is one it accepts, and
+//! `tune`'s stderr summary keeps the closed-loop cache pair the benchmark
+//! parses ahead of the probe counts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -134,6 +136,42 @@ fn benchmark_tune_invocations_still_succeed() {
     };
     assert_ok(&with("--bless"));
     assert_ok(&with("--check"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tune_summary_reports_memoized_probes_behind_the_closed_loop_pair() {
+    let dir = scratch("tune-summary");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (cache, cold, warm) = (path("cache"), path("cold.json"), path("warm.json"));
+    let run = |out: &str| {
+        let o =
+            tenoc(&["tune", "--tiny", "--jobs", "2", "--json", "--cache", &cache, "--out", out]);
+        assert_eq!(o.status.code(), Some(0));
+        String::from_utf8(o.stderr).expect("stderr is text")
+    };
+    // What `benchmark/src/e2e.rs::all_from_cache` reads: the number in
+    // front of the *first* occurrence of each marker.
+    let number_before = |stderr: &str, marker: &str| -> u64 {
+        let head = &stderr[..stderr.find(marker).expect("marker present")];
+        head.rsplit(|c: char| !c.is_ascii_digit()).next().unwrap().parse().expect("a count")
+    };
+    let first = run(&cold);
+    assert!(first.contains("; 12 probes ticked, 0 memoized"), "{first}");
+    assert_eq!(number_before(&first, " from cache"), 0, "{first}");
+    let second = run(&warm);
+    assert!(second.contains("; 0 probes ticked, 12 memoized"), "{second}");
+    let cells = number_before(&second, " closed-loop cells");
+    assert_eq!((cells, number_before(&second, " from cache")), (4, 4), "{second}");
+    assert_eq!(std::fs::read(&cold).unwrap(), std::fs::read(&warm).unwrap());
+    assert!(!second.contains("ignored"), "a journal this binary wrote replays whole: {second}");
+    // A journal line from another model version is reported, not served.
+    let journal = dir.join("cache").join("cells.jsonl");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    std::fs::write(&journal, text.replacen("{\"v\":", "{\"v\":9", 1)).unwrap();
+    let third = run(&warm);
+    assert!(third.contains("tune: ignored 1 journal line(s)"), "{third}");
+    assert!(third.contains("; 1 probes ticked, 11 memoized"), "{third}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
