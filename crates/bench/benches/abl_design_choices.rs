@@ -42,7 +42,8 @@ fn main() {
         for depth in [4usize, 8, 16] {
             let mut net = NetworkConfig::baseline_mesh(6);
             net.vc_depth = depth;
-            let m = experiments::run_with_icnt(IcntConfig::Mesh(net), &spec, scale);
+            let cfg = SystemConfig::with_icnt(IcntConfig::Mesh(net));
+            let m = experiments::run_with_system_config(cfg, &spec, scale);
             row.push_str(&format!(" {:>10.1}", m.ipc));
         }
         println!("{row}");
@@ -55,7 +56,8 @@ fn main() {
         let m3 = experiments::run_benchmark(Preset::CpCr4vc, &spec, scale);
         let mut net = NetworkConfig::checkerboard_mesh(6);
         net.half_router_stages = 4;
-        let m4 = experiments::run_with_icnt(IcntConfig::Mesh(net), &spec, scale);
+        let cfg = SystemConfig::with_icnt(IcntConfig::Mesh(net));
+        let m4 = experiments::run_with_system_config(cfg, &spec, scale);
         println!(
             "{name:>6} {:>12.1} {:>12.1} {:>+7.1}%",
             m3.ipc,

@@ -2,7 +2,7 @@
 //! estimated area) versus the aggregate bandwidth of a zero-latency
 //! network, expressed as a fraction of peak off-chip DRAM bandwidth.
 
-use tenoc_bench::{experiments, header, Preset};
+use tenoc_bench::{experiments, header, run_suites_par, Preset};
 use tenoc_core::area::COMPUTE_AREA_MM2;
 use tenoc_core::harmonic_mean;
 use tenoc_core::presets::bw_limit_flits_per_icnt_cycle;
@@ -11,9 +11,16 @@ fn main() {
     header("Figure 6", "bandwidth limit study with a zero-latency network");
     let scale = experiments::scale_from_env();
 
-    // Reference: infinite bandwidth (perfect network).
-    let perfect = experiments::run_suite(Preset::Perfect, scale);
-    let perfect_hm = harmonic_mean(perfect.iter().map(|r| r.metrics.ipc));
+    // Reference: infinite bandwidth (perfect network), then one suite per
+    // bandwidth cap — all thirteen on one worker pool.
+    let fractions = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.4, 1.6];
+    let presets: Vec<Preset> =
+        std::iter::once(Preset::Perfect).chain(fractions.map(Preset::BwLimited)).collect();
+    let hm_ipcs: Vec<f64> = run_suites_par(&presets, scale)
+        .iter()
+        .map(|suite| harmonic_mean(suite.iter().map(|r| r.metrics.ipc)))
+        .collect();
+    let perfect_hm = hm_ipcs[0];
 
     // The baseline mesh's bisection point: 12 links x 16 B at the marked
     // x = 0.816 of the paper.
@@ -28,9 +35,7 @@ fn main() {
     );
     let mut max_te = 0.0f64;
     let mut argmax = 0.0;
-    for pct in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.4, 1.6] {
-        let results = experiments::run_suite(Preset::BwLimited(pct), scale);
-        let hm = harmonic_mean(results.iter().map(|r| r.metrics.ipc));
+    for (pct, &hm) in fractions.into_iter().zip(&hm_ipcs[1..]) {
         let area = COMPUTE_AREA_MM2 + base_noc_area * (pct / base_frac) * (pct / base_frac);
         let te = hm / area;
         if te > max_te {

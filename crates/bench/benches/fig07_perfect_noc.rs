@@ -3,7 +3,7 @@
 
 use tenoc_bench::{
     experiments, header, hm_of_percent, hm_of_percent_class, print_speedup_rows, run_suites_par,
-    Preset,
+    speedups_percent, Preset,
 };
 use tenoc_workloads::TrafficClass;
 
@@ -12,7 +12,7 @@ fn main() {
     let scale = experiments::scale_from_env();
     let [base, perfect]: [_; 2] =
         run_suites_par(&[Preset::BaselineTbDor, Preset::Perfect], scale).try_into().unwrap();
-    let rows = experiments::speedups_percent(&base, &perfect);
+    let rows = speedups_percent(&base, &perfect);
     print_speedup_rows(&rows);
     println!("\nHM speedup (all): {:+.1}%   (paper: 36%)", hm_of_percent(&rows));
     println!(

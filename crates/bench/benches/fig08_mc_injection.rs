@@ -2,19 +2,19 @@
 //! injection rate observed on the perfect network — the correlation that
 //! identifies the read-reply path as the bottleneck.
 
-use tenoc_bench::{experiments, header, Preset};
+use tenoc_bench::{experiments, header, run_suites_par, Preset};
 
 fn main() {
     header("Figure 8", "perfect-NoC speedup vs MC injection rate (flits/cycle/MC)");
     let scale = experiments::scale_from_env();
-    let base = experiments::run_suite(Preset::BaselineTbDor, scale);
-    let perfect = experiments::run_suite(Preset::Perfect, scale);
+    let [base, perfect]: [_; 2] =
+        run_suites_par(&[Preset::BaselineTbDor, Preset::Perfect], scale).try_into().unwrap();
     println!("{:>6} {:>5} {:>12} {:>10}", "bench", "class", "MC inj rate", "speedup");
     let mut pts = Vec::new();
     for (b, p) in base.iter().zip(&perfect) {
         let speedup = (p.metrics.ipc / b.metrics.ipc - 1.0) * 100.0;
         let rate = p.metrics.mc_injection_rate;
-        println!("{:>6} {:>5} {:>12.3} {:>+9.1}%", b.name, b.class.to_string(), rate, speedup);
+        println!("{:>6} {:>5} {rate:>12.3} {speedup:>+9.1}%", b.cell.benchmark, b.class.label());
         pts.push((rate, speedup));
     }
     // Rank correlation between injection rate and speedup.

@@ -1,13 +1,13 @@
 //! Figure 10: in-network latency reduction of 1-cycle routers over the
 //! baseline 4-cycle routers (ratio of mean packet network latencies).
 
-use tenoc_bench::{experiments, header, Preset};
+use tenoc_bench::{experiments, header, run_suites_par, Preset};
 
 fn main() {
     header("Figure 10", "NoC latency ratio: 1-cycle routers / 4-cycle routers");
     let scale = experiments::scale_from_env();
-    let base = experiments::run_suite(Preset::BaselineTbDor, scale);
-    let fast = experiments::run_suite(Preset::TbDor1Cycle, scale);
+    let [base, fast]: [_; 2] =
+        run_suites_par(&[Preset::BaselineTbDor, Preset::TbDor1Cycle], scale).try_into().unwrap();
     println!(
         "{:>6} {:>5} {:>10} {:>10} {:>7}",
         "bench", "class", "lat(4cyc)", "lat(1cyc)", "ratio"
@@ -17,8 +17,8 @@ fn main() {
         let ratio = f.metrics.avg_net_latency / b.metrics.avg_net_latency;
         println!(
             "{:>6} {:>5} {:>10.1} {:>10.1} {:>7.2}",
-            b.name,
-            b.class.to_string(),
+            b.cell.benchmark,
+            b.class.label(),
             b.metrics.avg_net_latency,
             f.metrics.avg_net_latency,
             ratio

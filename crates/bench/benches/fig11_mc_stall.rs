@@ -1,19 +1,19 @@
 //! Figure 11: fraction of time the MCs' reply injection is blocked by the
 //! network — the many-to-few-to-many bottleneck signal.
 
-use tenoc_bench::{experiments, header, run_suite_par, Preset};
+use tenoc_bench::{experiments, header, run_suites_par, Preset};
 
 fn main() {
     header("Figure 11", "fraction of time MC reply injection is blocked (baseline mesh)");
     let scale = experiments::scale_from_env();
-    let base = run_suite_par(Preset::BaselineTbDor, scale);
+    let base = run_suites_par(&[Preset::BaselineTbDor], scale).remove(0);
     println!("{:>6} {:>5} {:>10}", "bench", "class", "% stalled");
     let mut max = (String::new(), 0.0f64);
     for r in &base {
         let pct = r.metrics.mc_stall_fraction * 100.0;
-        println!("{:>6} {:>5} {:>9.1}%", r.name, r.class.to_string(), pct);
+        println!("{:>6} {:>5} {pct:>9.1}%", r.cell.benchmark, r.class.label());
         if pct > max.1 {
-            max = (r.name.clone(), pct);
+            max = (r.cell.benchmark.clone(), pct);
         }
     }
     println!("\nmax: {} at {:.1}% (paper: up to ~70% for some HH benchmarks)", max.0, max.1);

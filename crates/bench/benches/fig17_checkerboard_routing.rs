@@ -2,7 +2,7 @@
 //! routing (half-routers) with 4 VCs, both against DOR with 2 VCs — all
 //! with the staggered checkerboard MC placement.
 
-use tenoc_bench::{experiments, header, hm_of_percent, run_suites_par, Preset};
+use tenoc_bench::{experiments, header, hm_of_percent, run_suites_par, speedups_percent, Preset};
 
 fn main() {
     header("Figure 17", "CP-DOR-4VC and CP-CR-4VC relative to CP-DOR-2VC");
@@ -11,8 +11,8 @@ fn main() {
         run_suites_par(&[Preset::CpDor2vc, Preset::CpDor4vc, Preset::CpCr4vc], scale)
             .try_into()
             .unwrap();
-    let rows4 = experiments::speedups_percent(&dor2, &dor4);
-    let rowsc = experiments::speedups_percent(&dor2, &cr4);
+    let rows4 = speedups_percent(&dor2, &dor4);
+    let rowsc = speedups_percent(&dor2, &cr4);
     println!("{:>6} {:>5} {:>12} {:>12}", "bench", "class", "DOR 4VC", "CR 4VC");
     for (a, c) in rows4.iter().zip(&rowsc) {
         println!("{:>6} {:>5} {:>11.1}% {:>11.1}%", a.0, a.1.to_string(), 100.0 + a.2, 100.0 + c.2);

@@ -1,7 +1,7 @@
 //! Figure 19: multi-port MC routers — extra injection ports, extra
 //! ejection ports and both, over the double checkerboard network.
 
-use tenoc_bench::{experiments, header, hm_of_percent, run_suites_par, Preset};
+use tenoc_bench::{experiments, header, hm_of_percent, run_suites_par, speedups_percent, Preset};
 
 fn main() {
     header("Figure 19", "multi-port MC routers over the double CP-CR network");
@@ -17,9 +17,9 @@ fn main() {
     )
     .try_into()
     .unwrap();
-    let ri = experiments::speedups_percent(&base, &inj);
-    let re = experiments::speedups_percent(&base, &ej);
-    let rb = experiments::speedups_percent(&base, &both);
+    let ri = speedups_percent(&base, &inj);
+    let re = speedups_percent(&base, &ej);
+    let rb = speedups_percent(&base, &both);
     println!("{:>6} {:>5} {:>10} {:>10} {:>10}", "bench", "class", "2 inj", "2 ej", "both");
     for ((a, b), c) in ri.iter().zip(&re).zip(&rb) {
         println!("{:>6} {:>5} {:>+9.1}% {:>+9.1}% {:>+9.1}%", a.0, a.1.to_string(), a.2, b.2, c.2);

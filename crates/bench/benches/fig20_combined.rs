@@ -4,7 +4,7 @@
 
 use tenoc_bench::{
     experiments, header, hm_of_percent, hm_of_percent_class, print_speedup_rows, run_suites_par,
-    Preset,
+    speedups_percent, Preset,
 };
 use tenoc_core::area::AreaModel;
 use tenoc_workloads::TrafficClass;
@@ -18,7 +18,7 @@ fn main() {
     )
     .try_into()
     .unwrap();
-    let rows = experiments::speedups_percent(&base, &te);
+    let rows = speedups_percent(&base, &te);
     print_speedup_rows(&rows);
     println!("\nHM speedup: {:+.1}% (paper: 17%)", hm_of_percent(&rows));
     println!("HM speedup (HH): {:+.1}%", hm_of_percent_class(&rows, TrafficClass::HH));
@@ -42,7 +42,7 @@ fn main() {
     // stricter bandwidth accounting, the 50/50 slice caps saturated reply
     // throughput below the single network (see EXPERIMENTS.md), so the
     // single-network combination better isolates the CP+CR+2P gains.
-    let rows_s = experiments::speedups_percent(&base, &single);
+    let rows_s = speedups_percent(&base, &single);
     let s_area = AreaModel::chip_area(&Preset::CpCr2pSingle.icnt(6));
     let s_ratio = 1.0 + tenoc_bench::hm_of_percent(&rows_s) / 100.0;
     println!(

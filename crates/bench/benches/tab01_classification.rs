@@ -28,13 +28,13 @@ fn main() {
         let first = if speedup > 30.0 { 'H' } else { 'L' };
         let second = if bytes > 1.0 { 'H' } else { 'L' };
         let measured = format!("{first}{second}");
-        let intended = b.class.to_string();
+        let intended = b.class.label();
         let ok = measured == intended;
         matches += ok as u32;
         hl += (measured == "HL") as u32;
         println!(
             "{:>6} {:>8} {:>+8.1}% {:>12.2} {:>9} {:>6}",
-            b.name,
+            b.cell.benchmark,
             intended,
             speedup,
             bytes,

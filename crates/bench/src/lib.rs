@@ -29,22 +29,17 @@
 //! Suite sweeps fan out over `tenoc-harness`'s worker pool (one cell per
 //! `(preset, benchmark)` pair): `TENOC_JOBS=N` picks the worker count,
 //! defaulting to the machine's available parallelism. Results are
-//! bit-identical at any job count and reproduce exactly what the old
-//! sequential loops printed (every cell pins the system default seed).
+//! bit-identical at any job count, and every cell pins the system default
+//! seed, so each reports exactly what `tenoc run` does for the same pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use tenoc_core::experiments::SuiteResult;
-use tenoc_harness::{engine, SeedMode, SweepGrid};
+use tenoc_harness::{run_grid, CellResult, SweepGrid};
 use tenoc_workloads::TrafficClass;
 
 pub use tenoc_core::experiments;
 pub use tenoc_core::presets::Preset;
-
-/// Workload seed of every bench cell: the closed-loop system's default,
-/// pinned so the engine reproduces the sequential loops' numbers.
-const BENCH_SEED: u64 = 0x7e0c;
 
 /// Prints a standard figure header with the scale in effect.
 pub fn header(fig: &str, what: &str) {
@@ -57,44 +52,49 @@ pub fn header(fig: &str, what: &str) {
 }
 
 /// Runs each preset's full 31-benchmark suite through the parallel sweep
-/// engine, returning one result list per preset in suite order.
-///
-/// Equivalent to mapping [`experiments::run_suite`] over `presets`, but
-/// all `presets x benchmarks` cells share one worker pool, so the grid
-/// parallelizes across `TENOC_JOBS` workers instead of running strictly
-/// sequentially.
+/// engine, returning one result list per preset in suite order. All
+/// `presets x benchmarks` cells share one worker pool, so the grid
+/// parallelizes across `TENOC_JOBS` workers.
 ///
 /// # Panics
 ///
 /// Panics if any run hits the safety cycle limit (closed-loop runs must
 /// always drain).
-pub fn run_suites_par(presets: &[Preset], scale: f64) -> Vec<Vec<SuiteResult>> {
-    let names: Vec<String> = tenoc_workloads::suite().iter().map(|s| s.name.clone()).collect();
-    let grid =
-        SweepGrid::new(presets.to_vec(), names, scale).with_seed_mode(SeedMode::Fixed(BENCH_SEED));
-    let results = engine::run_grid(&grid, tenoc_harness::jobs_from_env());
-    results
-        .chunks(grid.benchmarks.len())
-        .map(|chunk| {
-            chunk
-                .iter()
-                .map(|r| SuiteResult {
-                    name: r.cell.benchmark.clone(),
-                    class: r.class,
-                    metrics: r.metrics,
-                })
-                .collect()
-        })
-        .collect()
+pub fn run_suites_par(presets: &[Preset], scale: f64) -> Vec<Vec<CellResult>> {
+    let grid = SweepGrid::suites(presets, scale);
+    let mut results = run_grid(&grid, tenoc_harness::jobs_from_env()).into_iter();
+    presets.iter().map(|_| results.by_ref().take(grid.benchmarks.len()).collect()).collect()
 }
 
-/// Runs one preset's whole suite through the parallel sweep engine.
+/// Per-benchmark speedup (percent) of `new` over `base`, matched by name.
+///
+/// A benchmark whose baseline retired nothing has no defined speedup
+/// ([`RunMetrics::speedup_over`](tenoc_core::RunMetrics::speedup_over)
+/// returns `None`); its row is **skipped with a warning** on stderr rather
+/// than handing [`hm_of_percent`] an `inf` (which adds nothing to the
+/// harmonic sum and silently inflates the mean) or a `NaN` (which
+/// poisons it).
 ///
 /// # Panics
 ///
-/// Panics if any run hits the safety cycle limit.
-pub fn run_suite_par(preset: Preset, scale: f64) -> Vec<SuiteResult> {
-    run_suites_par(&[preset], scale).pop().expect("one preset in, one sweep out")
+/// Panics if the two sweeps cover different benchmarks.
+pub fn speedups_percent(
+    base: &[CellResult],
+    new: &[CellResult],
+) -> Vec<(String, TrafficClass, f64)> {
+    assert_eq!(base.len(), new.len(), "mismatched sweeps");
+    let row = |(b, n): (&CellResult, &CellResult)| {
+        assert_eq!(b.cell.benchmark, n.cell.benchmark, "benchmark order mismatch");
+        let Some(ratio) = n.metrics.speedup_over(&b.metrics) else {
+            eprintln!(
+                "warning: skipping {}: baseline IPC is {} (no defined speedup)",
+                b.cell.benchmark, b.metrics.ipc
+            );
+            return None;
+        };
+        Some((b.cell.benchmark.clone(), b.class, (ratio - 1.0) * 100.0))
+    };
+    base.iter().zip(new).filter_map(row).collect()
 }
 
 /// Prints one per-benchmark percentage row set.
@@ -120,11 +120,65 @@ pub fn hm_of_percent_class(rows: &[(String, TrafficClass, f64)], class: TrafficC
     (hm - 1.0) * 100.0
 }
 
-/// Convenience accessor for a benchmark's metrics within a sweep.
-///
-/// # Panics
-///
-/// Panics if the benchmark is missing from the sweep.
-pub fn find<'a>(results: &'a [SuiteResult], name: &str) -> &'a SuiteResult {
-    results.iter().find(|r| r.name == name).expect("benchmark present in sweep")
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tenoc_core::RunMetrics;
+
+    #[test]
+    fn speedups_are_matched_by_name() {
+        // Ideal networks keep this a sub-second pair of suites.
+        let [limited, perfect]: [_; 2] =
+            run_suites_par(&[Preset::BwLimited(0.5), Preset::Perfect], 0.02).try_into().unwrap();
+        let suite = tenoc_workloads::suite();
+        assert_eq!((limited.len(), perfect.len()), (suite.len(), suite.len()));
+        let rows = speedups_percent(&limited, &perfect);
+        assert_eq!(rows.len(), suite.len());
+        for (((name, class, pct), spec), cell) in rows.iter().zip(&suite).zip(&perfect) {
+            assert_eq!((name, class), (&spec.name, &spec.class));
+            assert_eq!((&cell.cell.benchmark, cell.cell.preset), (name, Preset::Perfect));
+            assert!(*pct > -1.0, "{name}: removing a bandwidth cap cannot slow a kernel: {pct}");
+        }
+    }
+
+    /// Satellite regression: a zero-IPC baseline benchmark is skipped
+    /// (with a warning) rather than reaching the harmonic mean as an
+    /// `inf` or `NaN` row.
+    #[test]
+    fn hm_speedup_skips_degenerate_baselines() {
+        let grid = SweepGrid::new(vec![Preset::Perfect], vec!["OK".into(), "DEAD".into()], 1.0);
+        let with_ipc = |index: usize, ipc: f64| CellResult {
+            cell: grid.cell(index),
+            class: TrafficClass::LL,
+            metrics: RunMetrics {
+                completed: true,
+                core_cycles: 100,
+                icnt_cycles: 50,
+                scalar_insts: (ipc * 100.0) as u64,
+                ipc,
+                avg_net_latency: 0.0,
+                mc_injection_rate: 0.0,
+                core_injection_rate: 0.0,
+                mc_stall_fraction: 0.0,
+                dram_efficiency: 0.0,
+                l2_read_hit_rate: 0.0,
+                accepted_flits_per_node: 0.0,
+                core_replays: 0,
+                flit_hops: 0,
+            },
+            wall_nanos: 0,
+        };
+        let base = [with_ipc(0, 2.0), with_ipc(1, 0.0)];
+        for dead_new_ipc in [1.0, 0.0] {
+            // 1/0 = inf used to inflate the mean, 0/0 = NaN to poison it.
+            let new = [with_ipc(0, 4.0), with_ipc(1, dead_new_ipc)];
+            let rows = speedups_percent(&base, &new);
+            assert_eq!(rows.len(), 1, "DEAD must be skipped: {rows:?}");
+            assert_eq!(rows[0].0, "OK");
+            let hm = hm_of_percent(&rows);
+            assert!((hm - 100.0).abs() < 1e-9, "HM speedup is OK's +100%: {hm}");
+        }
+        let nothing = speedups_percent(&base[1..], &base[1..]);
+        assert!(nothing.is_empty(), "nothing left after skipping");
+    }
 }

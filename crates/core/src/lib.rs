@@ -13,7 +13,9 @@
 //!   combined throughput-effective design, and the ideal networks).
 //! * [`area`] — an ORION-2.0-calibrated analytical area model reproducing
 //!   the paper's Table VI.
-//! * [`experiments`] — runners that regenerate each figure's data.
+//! * [`experiments`] — the one closed-loop run body (plain and traced);
+//!   anything that runs more than one cell goes through `tenoc-harness`'s
+//!   `run_grid`.
 //!
 //! # Example
 //!
@@ -39,7 +41,6 @@ pub mod mc;
 pub mod metrics;
 pub mod power;
 pub mod presets;
-pub mod report;
 pub mod system;
 
 pub use area::{AreaModel, ChipArea, RouterArea};
@@ -49,7 +50,12 @@ pub use mc::{McConfig, McNode, McRequest, McStats, Reply};
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};
 pub use power::{HopEnergy, PowerModel};
 pub use presets::Preset;
-pub use report::SweepReport;
 pub use system::{EngineKind, IcntConfig, System, SystemConfig};
 pub use tenoc_noc::Tick;
+
+/// The workspace's default workload seed: what [`SystemConfig::with_icnt`]
+/// simulates with, the base `tenoc sweep` / `serve` / `tune` derive or fix
+/// per-cell seeds from, and the seed every paper-shape tolerance band and
+/// figure bench is pinned at.
+pub const DEFAULT_SEED: u64 = 0x7e0c;
 pub use tenoc_noc::{ArmSpec, FlightEvent, LatencyHistogram, TelemetryConfig, TelemetryReport};

@@ -47,19 +47,13 @@ impl RunMetrics {
     /// Returning `0.0` for that case — as an earlier version did —
     /// silently collapsed any downstream [`harmonic_mean`] of speedups to
     /// zero, turning one broken baseline run into a whole-suite zero.
-    /// Callers must now decide explicitly (report code skips the
+    /// Callers must now decide explicitly (the figure benches skip the
     /// benchmark with a warning).
     pub fn speedup_over(&self, baseline: &RunMetrics) -> Option<f64> {
         if baseline.ipc <= 0.0 {
             return None;
         }
         Some(self.ipc / baseline.ipc)
-    }
-
-    /// Accepted traffic in bytes/cycle/node given the flit width used by
-    /// the run's interconnect.
-    pub fn accepted_bytes_per_node(&self, flit_bytes: u32) -> f64 {
-        self.accepted_flits_per_node * flit_bytes as f64
     }
 }
 
@@ -147,7 +141,6 @@ mod tests {
         let b = RunMetrics { ipc: 5.0, ..a };
         a.ipc = 10.0;
         assert!((a.speedup_over(&b).unwrap() - 2.0).abs() < 1e-12);
-        assert!((a.accepted_bytes_per_node(16) - 8.0).abs() < 1e-12);
     }
 
     /// Satellite regression: a zero-IPC (or pathological negative-IPC)

@@ -214,6 +214,10 @@ mod tests {
         for p in Preset::NAMED {
             let icnt = p.icnt(6);
             icnt.net().validate().unwrap_or_else(|e| panic!("{}: {e}", p.label()));
+            if let IcntConfig::Double(single) = &icnt {
+                // What a double preset simulates is its two slices.
+                single.slice().validate().unwrap_or_else(|e| panic!("{} slice: {e}", p.label()));
+            }
         }
     }
 

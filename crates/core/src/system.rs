@@ -6,7 +6,7 @@ use crate::mc::{McConfig, McNode, McRequest};
 use crate::metrics::RunMetrics;
 use tenoc_noc::{
     BandwidthLimitedInterconnect, DoubleNetwork, Interconnect, Network, NetworkConfig, NodeId,
-    Packet, PerfectInterconnect, Tick,
+    Packet, Tick,
 };
 use tenoc_simt::{CoreConfig, KernelSpec, MemRequest, ShaderCore};
 
@@ -71,9 +71,9 @@ impl IcntConfig {
 
     /// Builds the interconnect this configuration describes. Physical
     /// networks come from `tenoc-noc`'s one constructor pair
-    /// ([`tenoc_noc::build_mesh`] / [`tenoc_noc::build_double`]), which
-    /// owns the choice of engine; [`EngineKind::PerCell`] forces the
-    /// per-router reference by name instead.
+    /// ([`tenoc_noc::build_mesh`] / [`tenoc_noc::build_double`]);
+    /// [`EngineKind::PerCell`] is the one way to reach the per-router
+    /// reference instead.
     ///
     /// # Panics
     ///
@@ -90,9 +90,12 @@ impl IcntConfig {
             (IcntConfig::Mesh(c), EngineKind::PerCell) => Box::new(Network::new(c.clone())),
             (IcntConfig::Double(c), EngineKind::Arena) => tenoc_noc::build_double(c),
             (IcntConfig::Double(c), EngineKind::PerCell) => Box::new(DoubleNetwork::from_single(c)),
-            (IcntConfig::Perfect(c), _) => {
-                Box::new(PerfectInterconnect::new(c.mesh.len(), c.channel_bytes))
-            }
+            // The perfect network is the limit-study network with no cap.
+            (IcntConfig::Perfect(c), _) => Box::new(BandwidthLimitedInterconnect::new(
+                c.mesh.len(),
+                c.channel_bytes,
+                f64::INFINITY,
+            )),
             (IcntConfig::BwLimited(c, flits), _) => {
                 Box::new(BandwidthLimitedInterconnect::new(c.mesh.len(), c.channel_bytes, *flits))
             }
@@ -110,11 +113,10 @@ pub enum EngineKind {
     /// forced by name: the reference side of equivalence tests and
     /// same-run engine comparisons.
     PerCell,
-    /// The production engine, as chosen by `tenoc-noc`'s constructors: the
+    /// The production engine, as built by `tenoc-noc`'s constructors: the
     /// flat structure-of-arrays kernel ([`tenoc_noc::ArenaNetwork`] /
     /// [`tenoc_noc::ArenaDoubleNetwork`]), several times faster than the
-    /// oracle, with the oracle as fallback for shapes the arena cannot
-    /// pack.
+    /// oracle. Every valid configuration fits it.
     Arena,
 }
 
@@ -158,7 +160,7 @@ impl SystemConfig {
             clocks: ClockConfig::gtx280(),
             chunk: 256,
             cores_per_node,
-            seed: 0x7e0c,
+            seed: crate::DEFAULT_SEED,
             max_core_cycles: 50_000_000,
             engine: EngineKind::Arena,
         }

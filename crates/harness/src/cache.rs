@@ -46,23 +46,6 @@ pub struct CachedCell {
     pub metrics: RunMetrics,
 }
 
-fn class_label(class: TrafficClass) -> &'static str {
-    match class {
-        TrafficClass::LL => "LL",
-        TrafficClass::LH => "LH",
-        TrafficClass::HH => "HH",
-    }
-}
-
-fn class_from_label(s: &str) -> Option<TrafficClass> {
-    match s {
-        "LL" => Some(TrafficClass::LL),
-        "LH" => Some(TrafficClass::LH),
-        "HH" => Some(TrafficClass::HH),
-        _ => None,
-    }
-}
-
 /// One journaled result.
 #[derive(Copy, Clone, Debug)]
 pub enum Entry {
@@ -262,7 +245,7 @@ impl DiskCache {
                 }
                 return Some((key, Entry::Probe(probe_from_bits(words))));
             }
-            let class = class_from_label(v.field("class").ok()?.as_str().ok()?)?;
+            let class = v.field("class").ok()?.as_str().ok()?.parse().ok()?;
             let metrics = RunMetrics::from_value(v.field("metrics").ok()?).ok()?;
             Some((key, Entry::Cell(CachedCell { class, metrics })))
         };
@@ -334,7 +317,7 @@ impl DiskCache {
             vec![("v".to_string(), MODEL_VERSION.to_value()), ("key".to_string(), key.to_value())];
         match entry {
             Entry::Cell(cell) => {
-                line.push(("class".to_string(), class_label(cell.class).to_value()));
+                line.push(("class".to_string(), cell.class.label().to_value()));
                 line.push(("metrics".to_string(), cell.metrics.to_value()));
             }
             Entry::Probe(probe) => {

@@ -87,7 +87,7 @@ pub fn annotate(result: &CellResult) -> RunRecord {
         cell: result.cell.index as u64,
         preset: result.cell.preset.label(),
         benchmark: result.cell.benchmark.clone(),
-        class: result.class.to_string(),
+        class: result.class.label().to_owned(),
         scale: result.cell.scale,
         seed: result.cell.seed,
         metrics: result.metrics,
@@ -115,7 +115,8 @@ pub fn annotate_cached(cell: &SweepCell, class: TrafficClass, metrics: RunMetric
 mod tests {
     use super::*;
     use crate::grid::SeedMode;
-    use tenoc_core::Preset;
+    use tenoc_core::experiments::run_benchmark;
+    use tenoc_core::{Preset, DEFAULT_SEED};
 
     fn tiny() -> SweepGrid {
         SweepGrid::new(
@@ -163,16 +164,23 @@ mod tests {
 
     #[test]
     fn fixed_seed_reproduces_the_default_system_seed() {
-        // The engine with a fixed 0x7e0c seed must agree with the plain
-        // sequential runner the benches used before.
-        let grid = tiny().with_seed_mode(SeedMode::Fixed(0x7e0c));
-        let engine = run_grid(&grid, 2);
-        let spec = tenoc_workloads::by_name("HIS").unwrap();
-        let direct = run_with_system_config(
-            SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6)),
-            &spec,
-            0.02,
-        );
-        assert_eq!(engine[0].metrics, direct);
+        // A suite grid reports, cell for cell, what the single-run
+        // convenience does — including for the one parameterized preset
+        // (`fig06` sends `BwLimited` through the grid), which no flag
+        // names. Two of the 31 benchmarks keep the test short.
+        let limited = Preset::BwLimited(0.5);
+        let mut grid = SweepGrid::suites(&[Preset::BaselineTbDor, limited], 0.02);
+        assert_eq!(grid.seed_mode, SeedMode::Fixed(DEFAULT_SEED));
+        assert_eq!(grid.benchmarks.len(), tenoc_workloads::suite().len());
+        grid.benchmarks = vec!["HIS".into(), "RD".into()];
+        let results = run_grid(&grid, 2);
+        assert_eq!(results.len(), 4);
+        for r in &results {
+            let spec = tenoc_workloads::by_name(&r.cell.benchmark).unwrap();
+            assert_eq!(r.class, spec.class);
+            assert_eq!(r.metrics, run_benchmark(r.cell.preset, &spec, 0.02), "{:?}", r.cell);
+        }
+        assert_eq!(results[3].cell.preset, limited);
+        assert_eq!(annotate(&results[3]).preset, "BW-0.50");
     }
 }

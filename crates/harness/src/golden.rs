@@ -11,9 +11,6 @@ use tenoc_core::Preset;
 /// traffic through the network.
 pub const TINY_SCALE: f64 = 0.02;
 
-/// Grid seed of the golden grid.
-pub const TINY_GRID_SEED: u64 = 0x7e0c;
-
 /// The canonical tiny golden grid: three design points that exercise the
 /// mesh, the checkerboard router/routing pair and the combined
 /// throughput-effective (double-network) configuration, each over the
@@ -24,7 +21,7 @@ pub fn tiny_grid() -> SweepGrid {
         vec!["HIS".into(), "MM".into(), "RD".into()],
         TINY_SCALE,
     )
-    .with_seed_mode(SeedMode::Derived(TINY_GRID_SEED))
+    .with_seed_mode(SeedMode::Derived(tenoc_core::DEFAULT_SEED))
 }
 
 /// Compares a fresh sweep against a golden snapshot by cell identity and

@@ -11,9 +11,8 @@ pub enum SeedMode {
     /// Every cell derives a private seed from `(grid_seed, cell index)`
     /// via [`cell_seed`] — the sweep default.
     Derived(u64),
-    /// Every cell uses the same fixed seed. The figure-regeneration
-    /// benches use this with the system default seed so the engine
-    /// reproduces exactly the numbers the old sequential loops printed.
+    /// Every cell uses the same fixed seed ([`SweepGrid::suites`] pins the
+    /// system default; the tuner's closed-loop stage its spec's seed).
     Fixed(u64),
 }
 
@@ -93,7 +92,18 @@ impl SweepGrid {
     /// A grid over `presets x benchmarks` with the system default seed
     /// derived per cell and the paper's 6x6 mesh.
     pub fn new(presets: Vec<Preset>, benchmarks: Vec<String>, scale: f64) -> Self {
-        SweepGrid { presets, benchmarks, scale, seed_mode: SeedMode::Derived(0x7e0c), mesh_k: 6 }
+        let seed_mode = SeedMode::Derived(tenoc_core::DEFAULT_SEED);
+        SweepGrid { presets, benchmarks, scale, seed_mode, mesh_k: 6 }
+    }
+
+    /// The suite-shaped grid behind `tenoc suite`, `tenoc classify` and
+    /// the figure benches: every Table I benchmark on each of `presets`,
+    /// every cell pinned at [`tenoc_core::DEFAULT_SEED`] — so each cell is
+    /// the one `run_benchmark` (and `tenoc run`) runs for the same pair.
+    pub fn suites(presets: &[Preset], scale: f64) -> Self {
+        let names = tenoc_workloads::suite().into_iter().map(|s| s.name).collect();
+        SweepGrid::new(presets.to_vec(), names, scale)
+            .with_seed_mode(SeedMode::Fixed(tenoc_core::DEFAULT_SEED))
     }
 
     /// Replaces the seed policy.

@@ -262,24 +262,31 @@ pub struct ArenaNetwork {
 }
 
 impl ArenaNetwork {
+    /// Most input-VC lanes one router may have — `(4 + injection ports) x
+    /// VCs` — because occupancy masks are 128-bit.
+    pub(crate) const MAX_LANES: usize = 128;
+    /// Deepest VC buffer, because ring indices are 8-bit.
+    pub(crate) const MAX_VC_DEPTH: usize = 255;
+
     /// `true` if this configuration's shape fits the arena's packed
-    /// representation (occupancy masks are 128-bit, ring indices 8-bit).
-    /// Unsupported shapes must run on the oracle engine.
+    /// representation: at most 128 lanes per router, VC depth at most 255.
+    /// An unsupported shape fails [`NetworkConfig::validate`], which
+    /// consults this.
     pub fn supports(cfg: &NetworkConfig) -> bool {
         let nv = cfg.vcs.total as usize;
         let max_inject = cfg.mc_inject_ports.max(cfg.core_inject_ports);
-        (4 + max_inject) * nv <= 128 && cfg.vc_depth <= 255 && !cfg.mesh.is_empty()
+        (4 + max_inject) * nv <= Self::MAX_LANES
+            && cfg.vc_depth <= Self::MAX_VC_DEPTH
+            && !cfg.mesh.is_empty()
     }
 
     /// Builds an arena engine from a validated configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.validate()` fails or [`ArenaNetwork::supports`] is
-    /// false for `cfg`.
+    /// Panics if `cfg.validate()` fails.
     pub fn new(cfg: NetworkConfig) -> Self {
         cfg.validate().expect("invalid network configuration");
-        assert!(Self::supports(&cfg), "config shape exceeds arena limits; use Network");
         crate::audit::audit(&cfg);
         let n = cfg.mesh.len();
         let nv = cfg.vcs.total as usize;

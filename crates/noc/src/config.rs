@@ -1,6 +1,7 @@
 //! Network configuration: channel widths, virtual-channel layout, router
 //! pipeline timing and routing selection.
 
+use crate::arena::ArenaNetwork;
 use crate::packet::{PacketClass, Phase};
 use crate::routing::VcSet;
 use crate::topology::{Fabric, Mesh, Placement};
@@ -393,7 +394,9 @@ impl NetworkConfig {
     /// Returns a human-readable message if the routing algorithm, VC
     /// layout, router kinds and MC placement are inconsistent (e.g.
     /// checkerboard routing without phase-split VCs, or an MC on a node id
-    /// outside the mesh).
+    /// outside the mesh), or if the shape exceeds what the simulation
+    /// kernel packs ([`ArenaNetwork::supports`]) — the message names the
+    /// limit.
     pub fn validate(&self) -> Result<(), String> {
         if self.channel_bytes == 0 {
             return Err("channel width must be positive".into());
@@ -456,6 +459,18 @@ impl NetworkConfig {
             if mc >= self.mesh.len() {
                 return Err(format!("MC node {mc} outside mesh"));
             }
+        }
+        if !ArenaNetwork::supports(self) {
+            let ports = 4 + self.mc_inject_ports.max(self.core_inject_ports);
+            return Err(format!(
+                "shape exceeds the simulation kernel's packed layout: {ports} input ports x {} \
+                 VCs = {} lanes per router (limit {}), VC depth {} (limit {})",
+                self.vcs.total,
+                ports * self.vcs.total as usize,
+                ArenaNetwork::MAX_LANES,
+                self.vc_depth,
+                ArenaNetwork::MAX_VC_DEPTH
+            ));
         }
         Ok(())
     }
@@ -577,6 +592,22 @@ mod tests {
         let mut c = NetworkConfig::baseline_mesh(6);
         c.mc_nodes.push(999);
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn shapes_the_kernel_cannot_pack_are_rejected_with_the_limit() {
+        // (4 mesh + 1 injection) input ports x 40 VCs = 200 lanes.
+        let mut c = NetworkConfig::baseline_mesh(6);
+        c.vcs = VcLayout::new(40, 2, false);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("200 lanes per router (limit 128)"), "{err}");
+
+        let mut c = NetworkConfig::baseline_mesh(6);
+        c.vc_depth = 256;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("VC depth 256 (limit 255)"), "{err}");
+        c.vc_depth = 255;
+        c.validate().unwrap();
     }
 
     #[test]

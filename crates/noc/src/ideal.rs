@@ -1,14 +1,16 @@
-//! Idealized interconnect models used in the paper's limit studies.
+//! The idealized interconnect model used in the paper's limit studies.
 //!
-//! * [`PerfectInterconnect`]: zero latency, infinite bandwidth — the
-//!   "perfect network" of Figures 7/8 and the `Ideal NoC` point of
-//!   Figure 2.
-//! * [`BandwidthLimitedInterconnect`]: zero latency once a flit is
-//!   accepted, but a cap on the total flits accepted per cycle across the
-//!   whole network — the limit-study network of Figure 6. Multiple sources
-//!   may transmit to a destination in one cycle and a source may send
-//!   multiple flits in one cycle; a packet is accepted provided the
-//!   bandwidth budget has not already been exhausted this cycle.
+//! [`BandwidthLimitedInterconnect`] has zero latency once a flit is
+//! accepted, but a cap on the total flits accepted per cycle across the
+//! whole network — the limit-study network of Figure 6. Multiple sources
+//! may transmit to a destination in one cycle and a source may send
+//! multiple flits in one cycle; a packet is accepted provided the
+//! bandwidth budget has not already been exhausted this cycle.
+//!
+//! The "perfect network" of Figures 7/8 and the `Ideal NoC` point of
+//! Figure 2 — zero latency, infinite bandwidth — is the same model with
+//! the cap at `f64::INFINITY`: the budget then stays `+inf` through every
+//! replenish and every accepted packet, so nothing is ever refused.
 
 use crate::interconnect::Interconnect;
 use crate::packet::{EjectedPacket, Packet, PacketHeader};
@@ -16,73 +18,6 @@ use crate::stats::NetStats;
 use crate::tick::Tick;
 use crate::types::NodeId;
 use std::collections::VecDeque;
-
-/// Zero-latency, infinite-bandwidth network.
-pub struct PerfectInterconnect {
-    queues: Vec<VecDeque<EjectedPacket>>,
-    cycle: u64,
-    stats: NetStats,
-    next_id: u64,
-    flit_bytes: u32,
-}
-
-impl PerfectInterconnect {
-    /// Creates a perfect network over `nodes` terminals. `flit_bytes` is
-    /// used only to account flit counts in the statistics.
-    pub fn new(nodes: usize, flit_bytes: u32) -> Self {
-        PerfectInterconnect {
-            queues: (0..nodes).map(|_| VecDeque::new()).collect(),
-            cycle: 0,
-            stats: NetStats::new(nodes),
-            next_id: 1,
-            flit_bytes,
-        }
-    }
-}
-
-impl Tick for PerfectInterconnect {
-    fn tick(&mut self) {
-        self.cycle += 1;
-        self.stats.cycles += 1;
-    }
-}
-
-impl Interconnect for PerfectInterconnect {
-    fn try_inject(&mut self, node: NodeId, mut packet: Packet) -> Result<(), Packet> {
-        self.stats.inject_attempts_by_node[node] += 1;
-        let flits = packet.flits_at_width(self.flit_bytes);
-        let hdr = &mut packet.header;
-        hdr.src = node;
-        hdr.id = self.next_id;
-        self.next_id += 1;
-        hdr.flits = flits;
-        if hdr.created == PacketHeader::CREATED_UNSET {
-            hdr.created = self.cycle;
-        }
-        hdr.injected = self.cycle;
-        self.stats.injected_flits_by_node[node] += flits as u64;
-        let out = EjectedPacket { header: packet.header, ejected: self.cycle };
-        self.stats.record_ejection(&out);
-        self.queues[packet.header.dst].push_back(out);
-        Ok(())
-    }
-
-    fn pop(&mut self, node: NodeId) -> Option<EjectedPacket> {
-        self.queues[node].pop_front()
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn stats(&self) -> NetStats {
-        self.stats.clone()
-    }
-
-    fn in_flight(&self) -> usize {
-        0
-    }
-}
 
 /// Zero-latency network with a global aggregate-bandwidth cap.
 pub struct BandwidthLimitedInterconnect {
@@ -99,8 +34,10 @@ pub struct BandwidthLimitedInterconnect {
 }
 
 impl BandwidthLimitedInterconnect {
-    /// Creates a bandwidth-limited network accepting at most
-    /// `flits_per_cycle` flits per cycle in aggregate.
+    /// Creates a bandwidth-limited network over `nodes` terminals accepting
+    /// at most `flits_per_cycle` flits per cycle in aggregate
+    /// (`f64::INFINITY` for the perfect network). `flit_bytes` sizes
+    /// packets in flits, for the budget and the statistics.
     pub fn new(nodes: usize, flit_bytes: u32, flits_per_cycle: f64) -> Self {
         assert!(flits_per_cycle > 0.0, "bandwidth cap must be positive");
         BandwidthLimitedInterconnect {
@@ -112,11 +49,6 @@ impl BandwidthLimitedInterconnect {
             flits_per_cycle,
             budget: flits_per_cycle,
         }
-    }
-
-    /// The configured aggregate cap, in flits per cycle.
-    pub fn flits_per_cycle(&self) -> f64 {
-        self.flits_per_cycle
     }
 }
 
@@ -178,7 +110,7 @@ mod tests {
 
     #[test]
     fn perfect_delivers_same_cycle() {
-        let mut net = PerfectInterconnect::new(4, 16);
+        let mut net = BandwidthLimitedInterconnect::new(4, 16, f64::INFINITY);
         net.try_inject(0, Packet::request(0, 3, 8, 42)).unwrap();
         let p = net.pop(3).expect("delivered instantly");
         assert_eq!(p.header.tag, 42);
@@ -187,11 +119,13 @@ mod tests {
 
     #[test]
     fn perfect_never_blocks() {
-        let mut net = PerfectInterconnect::new(2, 16);
+        let mut net = BandwidthLimitedInterconnect::new(2, 16, f64::INFINITY);
         for i in 0..1000 {
             net.try_inject(0, Packet::reply(0, 1, 64, i)).unwrap();
         }
-        assert_eq!(net.stats().packets[1], 1000);
+        net.step();
+        assert!(net.try_inject(0, Packet::reply(0, 1, 64, 1000)).is_ok(), "budget stays infinite");
+        assert_eq!(net.stats().packets[1], 1001);
     }
 
     #[test]

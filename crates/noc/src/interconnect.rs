@@ -1,51 +1,40 @@
 //! The interface between the compute/memory system and any interconnect
-//! implementation (real mesh, double network, or idealized models), and
-//! the one place that decides which engine simulates a physical network
-//! ([`build_mesh`] / [`build_double`]).
+//! implementation (real mesh, double network, or the idealized model),
+//! and the one constructor pair production code builds physical networks
+//! with ([`build_mesh`] / [`build_double`]).
 
 use crate::arena::ArenaNetwork;
 use crate::config::NetworkConfig;
-use crate::double::{ArenaDoubleNetwork, DoubleNetwork};
-use crate::network::Network;
+use crate::double::ArenaDoubleNetwork;
 use crate::packet::{EjectedPacket, Packet};
 use crate::stats::NetStats;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
 use crate::tick::Tick;
 use crate::types::{Direction, NodeId};
 
-/// Builds the engine that simulates one physical mesh: the arena kernel
-/// whenever the shape fits its packed representation
-/// ([`ArenaNetwork::supports`]), the per-router oracle otherwise. The two
-/// are bit-identical in every observable (statistics, ejection order,
-/// telemetry), so the choice is a pure function of the configuration and
-/// no caller needs to make it.
+/// Builds the production engine — the arena kernel — for one physical
+/// mesh. Every configuration that passes [`NetworkConfig::validate`] fits
+/// the arena's packed representation (validation consults
+/// [`ArenaNetwork::supports`]), so there is no other engine to fall back
+/// to; the per-router reference is reached only by naming it.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.validate()` fails.
 pub fn build_mesh(cfg: NetworkConfig) -> Box<dyn Interconnect> {
-    if ArenaNetwork::supports(&cfg) {
-        Box::new(ArenaNetwork::new(cfg))
-    } else {
-        Box::new(Network::new(cfg))
-    }
+    Box::new(ArenaNetwork::new(cfg))
 }
 
-/// Builds the engine that simulates the channel-sliced double network
+/// Builds the production engine for the channel-sliced double network
 /// derived from the single-network configuration `cfg` (see
-/// [`DoubleNetwork::from_single`]), by the same rule as [`build_mesh`]
-/// applied to one slice.
+/// [`NetworkConfig::slice`]): two arena kernels, one per slice.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.channel_bytes` is odd or the sliced configuration fails
 /// validation.
 pub fn build_double(cfg: &NetworkConfig) -> Box<dyn Interconnect> {
-    if cfg.channel_bytes.is_multiple_of(2) && ArenaNetwork::supports(&cfg.slice()) {
-        Box::new(ArenaDoubleNetwork::from_single(cfg))
-    } else {
-        Box::new(DoubleNetwork::from_single(cfg))
-    }
+    Box::new(ArenaDoubleNetwork::from_single(cfg))
 }
 
 /// A network as seen from its terminals.
@@ -53,11 +42,11 @@ pub fn build_double(cfg: &NetworkConfig) -> Box<dyn Interconnect> {
 /// Implementations: [`crate::ArenaNetwork`] / [`crate::ArenaDoubleNetwork`]
 /// (single mesh / two channel-sliced meshes on the production engine),
 /// [`crate::Network`] / [`crate::DoubleNetwork`] (the same two on the
-/// per-router reference engine), [`crate::PerfectInterconnect`] (zero
-/// latency, infinite bandwidth) and
+/// per-router reference engine) and
 /// [`crate::BandwidthLimitedInterconnect`] (zero latency, capped aggregate
-/// bandwidth). Callers build physical networks through [`build_mesh`] /
-/// [`build_double`] rather than naming an engine.
+/// bandwidth — infinite for the perfect network). Callers build physical
+/// networks through [`build_mesh`] / [`build_double`] rather than naming
+/// an engine.
 ///
 /// Cycle advancement comes from the [`Tick`] supertrait: every
 /// implementation's clock edge is `Tick::tick`, and [`Interconnect::step`]

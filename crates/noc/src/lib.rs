@@ -18,17 +18,18 @@
 //!   oblivious routing algorithm ([`routing`]).
 //! * Multi-port (extra injection/ejection) routers for memory-controller
 //!   nodes, and channel-sliced **double networks** ([`double::DoubleNetwork`]).
-//! * Idealized interconnect models used in the paper's limit studies:
-//!   a perfect network and a zero-latency, aggregate-bandwidth-limited
-//!   network ([`ideal`]).
+//! * The idealized interconnect model used in the paper's limit studies:
+//!   a zero-latency network with an aggregate bandwidth cap, which at an
+//!   infinite cap is the perfect network ([`ideal`]).
 //! * An open-loop traffic harness for latency/throughput curves under
 //!   many-to-few-to-many traffic ([`openloop`]), reproducing Figure 21.
 //! * Two bit-identical execution engines for the physical networks — the
-//!   flat structure-of-arrays [`arena`] kernel that production runs use,
-//!   and the per-router [`network`] kernel kept as the differential
-//!   reference and as the fallback for shapes the arena cannot pack —
-//!   behind one constructor pair, [`build_mesh`] / [`build_double`], so
-//!   no caller picks an engine. Telemetry ([`telemetry`]) works on both.
+//!   flat structure-of-arrays [`arena`] kernel that every production run
+//!   uses, built by the one constructor pair [`build_mesh`] /
+//!   [`build_double`], and the per-router [`network`] kernel kept as the
+//!   differential reference. A shape the arena cannot pack is a
+//!   [`NetworkConfig::validate`] error, never a silent change of engine.
+//!   Telemetry ([`telemetry`]) works on both.
 //!
 //! # Example
 //!
@@ -77,7 +78,7 @@ pub use activeset::ActiveSet;
 pub use arena::{ArenaNetwork, ARENA_PHASES};
 pub use config::{AllocatorKind, NetworkConfig, RouterTiming, RoutingKind, VcLayout};
 pub use double::{ArenaDoubleNetwork, DoubleNetwork};
-pub use ideal::{BandwidthLimitedInterconnect, PerfectInterconnect};
+pub use ideal::BandwidthLimitedInterconnect;
 pub use interconnect::{build_double, build_mesh, Interconnect};
 pub use network::Network;
 pub use packet::{EjectedPacket, Flit, Packet, PacketClass, PacketHeader, Phase};

@@ -22,7 +22,7 @@ use tenoc_core::Preset;
 use tenoc_harness::{tiny_grid, SeedMode, SweepGrid};
 
 /// Derived-seed base of a request that names none, matching `tenoc sweep`.
-pub const DEFAULT_SEED: u64 = 0x7e0c;
+pub const DEFAULT_SEED: u64 = tenoc_core::DEFAULT_SEED;
 /// Kernel-length scale of a wire request that names none (the golden tiny
 /// grid's). The CLI always sends the field.
 pub const DEFAULT_SCALE: f64 = 0.02;

@@ -17,14 +17,32 @@ pub enum TrafficClass {
     HH,
 }
 
-impl std::fmt::Display for TrafficClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl TrafficClass {
+    /// The class's two-letter label — the one spelling every table, record
+    /// and journal line uses; [`FromStr`](std::str::FromStr) reads it back.
+    pub fn label(self) -> &'static str {
+        match self {
             TrafficClass::LL => "LL",
             TrafficClass::LH => "LH",
             TrafficClass::HH => "HH",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for TrafficClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for TrafficClass {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [TrafficClass::LL, TrafficClass::LH, TrafficClass::HH]
+            .into_iter()
+            .find(|c| c.label() == s)
+            .ok_or_else(|| format!("unknown traffic class {s}"))
     }
 }
 
@@ -236,6 +254,15 @@ mod tests {
             .build();
         assert_eq!(s.total_warp_insts(), 1600);
         assert_eq!(s.class, TrafficClass::HH);
+    }
+
+    #[test]
+    fn class_labels_round_trip() {
+        for class in [TrafficClass::LL, TrafficClass::LH, TrafficClass::HH] {
+            assert_eq!(class.label().parse(), Ok(class));
+            assert_eq!(class.to_string(), class.label());
+        }
+        assert!("HL".parse::<TrafficClass>().is_err());
     }
 
     #[test]

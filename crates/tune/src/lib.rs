@@ -144,7 +144,7 @@ impl TuneSpec {
             probe_windows: [2_000, 6_000, 8_000],
             benchmarks: vec!["HIS".to_string(), "MM".to_string(), "RD".to_string()],
             scale: 0.12,
-            seed: 0x7e0c,
+            seed: tenoc_core::DEFAULT_SEED,
             pinned: vec![Preset::BaselineTbDor, Preset::TorusDor, Preset::CMeshDor],
         }
     }
@@ -170,9 +170,42 @@ impl TuneSpec {
             probe_windows: [200, 600, 800],
             benchmarks: vec!["HIS".to_string()],
             scale: 0.02,
-            seed: 0x7e0c,
+            seed: tenoc_core::DEFAULT_SEED,
             pinned: vec![Preset::BaselineTbDor],
         }
+    }
+}
+
+impl TuneSpec {
+    /// Every grid point, in enumeration order (organization, routing, VCs,
+    /// depth, channel width, slicing, MC ports — last axis fastest).
+    fn points(&self) -> Vec<Point> {
+        let mut points = Vec::new();
+        for axis in &self.axes {
+            for &routing in &axis.routings {
+                for &vc_total in &self.vc_totals {
+                    for &vc_depth in &self.vc_depths {
+                        for &channel_bytes in &self.channel_bytes {
+                            for &double in &self.slicings {
+                                for &[mc_inject, mc_eject] in &self.mc_ports {
+                                    points.push(Point {
+                                        org: axis.org,
+                                        routing,
+                                        vc_total,
+                                        vc_depth,
+                                        channel_bytes,
+                                        double,
+                                        mc_inject,
+                                        mc_eject,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        points
     }
 }
 
@@ -326,50 +359,23 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     let mut enumerated: u64 = 0;
     let mut unconstructible: u64 = 0;
     let mut cands: Vec<Candidate> = Vec::new();
-    for axis in &spec.axes {
-        for &routing in &axis.routings {
-            for &vc_total in &spec.vc_totals {
-                for &vc_depth in &spec.vc_depths {
-                    for &channel_bytes in &spec.channel_bytes {
-                        for &double in &spec.slicings {
-                            for &[mc_inject, mc_eject] in &spec.mc_ports {
-                                let p = Point {
-                                    org: axis.org,
-                                    routing,
-                                    vc_total,
-                                    vc_depth,
-                                    channel_bytes,
-                                    double,
-                                    mc_inject,
-                                    mc_eject,
-                                };
-                                enumerated += 1;
-                                match p.build(spec.k) {
-                                    Ok(icnt) => {
-                                        let config_hash = config_hash(&icnt);
-                                        cands.push(Candidate {
-                                            name: p.name(),
-                                            family: p.family(),
-                                            icnt,
-                                            config_hash,
-                                            aliases: Vec::new(),
-                                            pinned: false,
-                                        });
-                                    }
-                                    Err(witness) => {
-                                        unconstructible += 1;
-                                        push_rejection(
-                                            &mut rejections,
-                                            "unconstructible",
-                                            vec![witness],
-                                            &p.name(),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+    for p in spec.points() {
+        enumerated += 1;
+        match p.build(spec.k) {
+            Ok(icnt) => {
+                let config_hash = config_hash(&icnt);
+                cands.push(Candidate {
+                    name: p.name(),
+                    family: p.family(),
+                    icnt,
+                    config_hash,
+                    aliases: Vec::new(),
+                    pinned: false,
+                });
+            }
+            Err(witness) => {
+                unconstructible += 1;
+                push_rejection(&mut rejections, "unconstructible", vec![witness], &p.name());
             }
         }
     }
@@ -744,6 +750,29 @@ mod tests {
             "grid accounting must balance: {c:?}"
         );
         assert!(c.frontier >= 1 && c.frontier <= c.finalists);
+    }
+
+    /// ROADMAP 2c: nothing the tuner can construct and no named preset
+    /// exceeds the arena's packed layout — neither the carried network nor,
+    /// for a double fabric, the slice that is actually simulated — so
+    /// `NetworkConfig::validate` refusing unpackable shapes refuses nothing
+    /// anyone runs, and no run can land on the oracle unasked.
+    #[test]
+    fn every_constructible_point_and_named_preset_fits_the_arena() {
+        let mut fabrics: Vec<(String, tenoc_core::IcntConfig)> = Vec::new();
+        for spec in [TuneSpec::default_at(6), TuneSpec::tiny()] {
+            let built =
+                spec.points().into_iter().filter_map(|p| Some((p.name(), p.build(6).ok()?)));
+            fabrics.extend(built);
+        }
+        assert!(fabrics.len() > 300, "the default grid is ~480 points: {}", fabrics.len());
+        fabrics.extend(Preset::NAMED.iter().map(|p| (p.label(), p.icnt(6))));
+        for (name, icnt) in &fabrics {
+            assert!(tenoc_noc::ArenaNetwork::supports(icnt.net()), "{name}");
+            if let tenoc_core::IcntConfig::Double(single) = icnt {
+                assert!(tenoc_noc::ArenaNetwork::supports(&single.slice()), "{name} (slice)");
+            }
+        }
     }
 
     fn tmp_cache(tag: &str) -> PathBuf {

@@ -7,12 +7,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use serde::json::Value;
+use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use tenoc::core::area::{throughput_effectiveness, AreaModel};
-use tenoc::core::experiments::{run_benchmark, run_suite, scale_from_env};
+use tenoc::core::experiments::{run_benchmark, scale_from_env};
 use tenoc::core::presets::Preset;
-use tenoc::core::{EngineKind, IcntConfig, SweepReport};
+use tenoc::core::{harmonic_mean, EngineKind, IcntConfig};
+use tenoc::harness::{jobs_from_env, run_grid, CellResult, SweepGrid};
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc::serve::SweepRequest;
 use tenoc::simt::KernelSpec;
@@ -259,7 +262,7 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&flags, scale),
         "openloop" => cmd_openloop(&flags),
         "area" => cmd_area(),
-        "classify" => cmd_classify(scale),
+        "classify" => cmd_classify(&flags, scale),
         "list" => cmd_list(),
         other => unreachable!("{other} is in COMMANDS but not dispatched"),
     };
@@ -349,14 +352,67 @@ fn cmd_run(flags: &Flags, scale: f64) -> CmdResult {
     Ok(())
 }
 
+/// Says on stderr what is about to run on the worker pool: the grid's
+/// size and the worker count.
+fn announce(cmd: &Command, grid: &SweepGrid, jobs: usize) {
+    eprintln!(
+        "{}: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
+        cmd.name,
+        grid.len(),
+        grid.presets.len(),
+        grid.benchmarks.len(),
+        grid.scale,
+        jobs
+    );
+}
+
+/// Each preset's full 31-benchmark suite on `TENOC_JOBS` workers,
+/// preset-major in suite order.
+fn run_suites(cmd: &Command, presets: &[Preset], scale: f64) -> Vec<CellResult> {
+    let grid = SweepGrid::suites(presets, scale);
+    let jobs = jobs_from_env();
+    announce(cmd, &grid, jobs);
+    run_grid(&grid, jobs)
+}
+
+/// A JSON object with `fields` in the given order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
 fn cmd_suite(flags: &Flags, scale: f64) -> CmdResult {
     let preset = flags.preset();
-    let report = SweepReport::new(&preset.label(), scale, &run_suite(preset, scale));
+    let results = run_suites(flags.cmd, &[preset], scale);
     if flags.contains_key("json") {
-        println!("{}", report.to_json());
+        let benchmarks = results.iter().map(|r| {
+            object([
+                ("name", r.cell.benchmark.to_value()),
+                ("class", r.class.label().to_value()),
+                ("metrics", r.metrics.to_value()),
+            ])
+        });
+        let report = object([
+            ("design", preset.label().to_value()),
+            ("scale", scale.to_value()),
+            ("benchmarks", Value::Array(benchmarks.collect())),
+        ]);
+        println!("{}", report.to_json_pretty());
     } else {
-        print!("{}", report.to_markdown());
-        println!("\nHM IPC: {:.1}", report.hm_ipc());
+        println!("### {} (scale {scale})\n", preset.label());
+        println!(
+            "| bench | class | IPC | net lat | MC stall | DRAM eff |\n|---|---|---|---|---|---|"
+        );
+        for CellResult { cell, class, metrics: m, .. } in &results {
+            println!(
+                "| {} | {class} | {:.1} | {:.1} | {:.0}% | {:.0}% |",
+                cell.benchmark,
+                m.ipc,
+                m.avg_net_latency,
+                m.mc_stall_fraction * 100.0,
+                m.dram_efficiency * 100.0
+            );
+        }
+        println!("\nHM IPC: {:.1}", harmonic_mean(results.iter().map(|r| r.metrics.ipc)));
     }
     Ok(())
 }
@@ -415,15 +471,15 @@ fn cmd_area() -> CmdResult {
     Ok(())
 }
 
-fn cmd_classify(scale: f64) -> CmdResult {
-    let base = run_suite(Preset::BaselineTbDor, scale);
-    let perfect = run_suite(Preset::Perfect, scale);
+fn cmd_classify(flags: &Flags, scale: f64) -> CmdResult {
+    let results = run_suites(flags.cmd, &[Preset::BaselineTbDor, Preset::Perfect], scale);
+    let (base, perfect) = results.split_at(results.len() / 2);
     println!("{:>6} {:>8} {:>9} {:>12}", "bench", "class", "speedup", "B/cyc/node");
-    for (b, p) in base.iter().zip(&perfect) {
+    for (b, p) in base.iter().zip(perfect) {
         println!(
             "{:>6} {:>8} {:>+8.1}% {:>12.2}",
-            b.name,
-            b.class.to_string(),
+            b.cell.benchmark,
+            b.class.label(),
             (p.metrics.ipc / b.metrics.ipc - 1.0) * 100.0,
             p.metrics.accepted_flits_per_node * 16.0
         );
@@ -446,8 +502,8 @@ fn cmd_list() -> CmdResult {
 /// buffer occupancies) and `flight.jsonl` (one flight-recorder event per
 /// line, tagged with its network slice).
 fn cmd_trace(flags: &Flags, scale: f64) -> CmdResult {
-    use serde::Serialize;
-    use tenoc::core::experiments::run_traced;
+    use tenoc::core::experiments::run_traced_with_system_config;
+    use tenoc::core::SystemConfig;
     use tenoc::noc::{ArmSpec, PacketClass, TelemetryConfig};
 
     let (preset, spec) = (flags.preset(), flags.benchmark(Some("RD"))?);
@@ -468,7 +524,8 @@ fn cmd_trace(flags: &Flags, scale: f64) -> CmdResult {
     };
 
     eprintln!("trace: {} on {} at scale {scale}", spec.name, preset.label());
-    let (metrics, reports) = run_traced(preset, &spec, scale, tcfg);
+    let cfg = SystemConfig::with_icnt(preset.icnt(6));
+    let (metrics, reports) = run_traced_with_system_config(cfg, &spec, scale, tcfg);
     if reports.is_empty() {
         return Err(format!(
             "preset {} has no physical network to observe (ideal model)",
@@ -481,12 +538,12 @@ fn cmd_trace(flags: &Flags, scale: f64) -> CmdResult {
 
     // trace.json: everything except the flight events (those go to the
     // JSON-lines file, which is friendlier to streaming consumers).
-    let trace = serde::json::Value::Object(vec![
-        ("preset".to_string(), preset.label().to_value()),
-        ("benchmark".to_string(), spec.name.to_value()),
-        ("scale".to_string(), scale.to_value()),
-        ("metrics".to_string(), metrics.to_value()),
-        ("reports".to_string(), reports.to_value()),
+    let trace = object([
+        ("preset", preset.label().to_value()),
+        ("benchmark", spec.name.to_value()),
+        ("scale", scale.to_value()),
+        ("metrics", metrics.to_value()),
+        ("reports", reports.to_value()),
     ]);
     let trace_path = format!("{dir}/trace.json");
     std::fs::write(&trace_path, trace.to_json_pretty())
@@ -499,10 +556,10 @@ fn cmd_trace(flags: &Flags, scale: f64) -> CmdResult {
     for r in &reports {
         for ev in &r.flight {
             let mut obj = vec![("net".to_string(), r.label.to_value())];
-            if let serde::json::Value::Object(fields) = ev.to_value() {
+            if let Value::Object(fields) = ev.to_value() {
                 obj.extend(fields);
             }
-            flight.push_str(&serde::json::Value::Object(obj).to_json_compact());
+            flight.push_str(&Value::Object(obj).to_json_compact());
             flight.push('\n');
             events += 1;
         }
@@ -589,15 +646,8 @@ fn cmd_sweep(flags: &Flags, scale: f64) -> CmdResult {
     use tenoc::harness::{check_fingerprints, engine, from_jsonl, to_jsonl};
 
     let grid = sweep_request(flags, scale).grid()?;
-    let jobs = flags.jobs().unwrap_or_else(tenoc::harness::jobs_from_env);
-    eprintln!(
-        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
-        grid.len(),
-        grid.presets.len(),
-        grid.benchmarks.len(),
-        grid.scale,
-        jobs
-    );
+    let jobs = flags.jobs().unwrap_or_else(jobs_from_env);
+    announce(flags.cmd, &grid, jobs);
     let records = engine::run_sweep(&grid, jobs);
     gate(flags, &format!("{} records", records.len()), &to_jsonl(&records), true, |snapshot| {
         let golden = from_jsonl(snapshot).map_err(|e| format!("malformed golden: {e}"))?;
@@ -698,7 +748,7 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
         spec.seed = s;
     }
     let opts = TuneOptions {
-        jobs: flags.jobs().unwrap_or_else(tenoc::harness::jobs_from_env),
+        jobs: flags.jobs().unwrap_or_else(jobs_from_env),
         cache_dir: flags.get("cache").map(std::path::PathBuf::from),
     };
     let (report, stats) = run_tune(&spec, &opts).map_err(|e| e.to_string())?;

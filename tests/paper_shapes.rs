@@ -8,7 +8,7 @@
 //! (seed, scale) point — change either and the bands must be re-derived.
 
 use tenoc::core::area::{throughput_effectiveness, AreaModel};
-use tenoc::core::experiments::{run_benchmark, run_with_icnt};
+use tenoc::core::experiments::{run_benchmark, run_with_system_config};
 use tenoc::core::presets::Preset;
 use tenoc::core::system::SystemConfig;
 use tenoc::workloads::by_name;
@@ -175,9 +175,9 @@ fn custom_icnt_configs_run_end_to_end() {
     use tenoc::core::system::IcntConfig;
     use tenoc::noc::NetworkConfig;
     let spec = by_name("HIS").unwrap();
+    let run =
+        |net| run_with_system_config(SystemConfig::with_icnt(IcntConfig::Mesh(net)), &spec, 0.05);
     // An 8x8 mesh with 8 MCs: the stack is not hard-coded to 6x6.
-    let m = run_with_icnt(IcntConfig::Mesh(NetworkConfig::baseline_mesh(8)), &spec, 0.05);
-    assert!(m.completed);
-    let m = run_with_icnt(IcntConfig::Mesh(NetworkConfig::checkerboard_mesh(8)), &spec, 0.05);
-    assert!(m.completed);
+    assert!(run(NetworkConfig::baseline_mesh(8)).completed);
+    assert!(run(NetworkConfig::checkerboard_mesh(8)).completed);
 }

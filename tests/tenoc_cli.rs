@@ -6,9 +6,11 @@
 //! (`benchmark/src/e2e.rs`) keeps exiting 0. Also pinned here, from
 //! outside: `trace` observes without perturbing, `sweep` and `submit`
 //! plan the same grid from the same flags, `openloop` probes the preset's
-//! real fabric, every preset name the CLI prints is one it accepts, and
+//! real fabric, every preset name the CLI prints is one it accepts,
 //! `tune`'s stderr summary keeps the closed-loop cache pair the benchmark
-//! parses ahead of the probe counts.
+//! parses ahead of the probe counts, and the suite-shaped commands
+//! (`suite`, `classify`) run on the worker pool without a byte of their
+//! output depending on `TENOC_JOBS`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -21,6 +23,21 @@ fn tenoc(args: &[&str]) -> Output {
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("binary runs")
+}
+
+/// Stdout of a successful run under `TENOC_JOBS=jobs`, which must announce
+/// on stderr that its `cells` went to that many pool workers.
+fn ok_on_pool(args: &[&str], jobs: &str, cells: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_tenoc"))
+        .args(args)
+        .env("TENOC_JOBS", jobs)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?} at {jobs} jobs failed; stderr: {stderr}");
+    let announced = format!("{}: {cells} at scale 0.02, {jobs} jobs\n", args[0]);
+    assert_eq!(stderr, announced, "{args:?} did not run on a {jobs}-worker pool");
+    String::from_utf8(out.stdout).expect("stdout is text")
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -265,4 +282,74 @@ fn benchmark_serve_invocation_still_starts() {
     assert!(line.contains("serve: listening on 127.0.0.1:"), "unexpected banner: {line}");
     assert!(still_running, "serve must keep running after a clean start");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The keys of a JSON object, in serialized order.
+fn keys(v: &serde::json::Value) -> Vec<&str> {
+    let serde::json::Value::Object(fields) = v else { panic!("not an object: {v:?}") };
+    fields.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+#[test]
+fn suite_runs_on_the_pool_with_job_count_invariant_output() {
+    let suite = |jobs: &str, tail: &[&str]| {
+        let args = [&["suite", "--preset", "baseline", "--scale", "0.02"], tail].concat();
+        ok_on_pool(&args, jobs, "31 cells (1 presets x 31 benchmarks)")
+    };
+    let (text, json) = (suite("1", &[]), suite("1", &["--json"]));
+    assert_eq!(text, suite("2", &[]), "suite table depends on TENOC_JOBS");
+    assert_eq!(json, suite("2", &["--json"]), "suite --json depends on TENOC_JOBS");
+
+    // The table: heading, 31 benchmark rows in suite order, the HM line.
+    assert!(text.starts_with("### TB-DOR (scale 0.02)\n\n| bench | class | IPC |"), "{text}");
+    let rows: Vec<&str> = text.lines().skip(4).take_while(|l| l.starts_with("| ")).collect();
+    assert_eq!(rows.len(), 31, "{text}");
+    assert!(rows[0].starts_with("| AES | LL | "), "{}", rows[0]);
+    assert!(text.lines().last().unwrap().starts_with("HM IPC: "), "{text}");
+
+    // The object: `design`, `scale`, then one `name`/`class`/`metrics`
+    // entry per benchmark, in that order.
+    let report = serde::json::parse(&json).expect("suite --json is JSON");
+    assert_eq!(keys(&report), ["design", "scale", "benchmarks"]);
+    assert_eq!(report.field("design").unwrap().as_str().unwrap(), "TB-DOR");
+    assert_eq!(report.field("scale").unwrap().as_f64().unwrap(), 0.02);
+    let benchmarks = report.field("benchmarks").unwrap().as_array().unwrap();
+    assert_eq!(benchmarks.len(), 31);
+    for (b, row) in benchmarks.iter().zip(&rows) {
+        assert_eq!(keys(b), ["name", "class", "metrics"]);
+        let cell = |key| b.field(key).unwrap().as_str().unwrap();
+        assert!(row.starts_with(&format!("| {} | {} | ", cell("name"), cell("class"))), "{row}");
+    }
+    // A suite cell is the cell `tenoc run` runs: same seed, same metrics.
+    let his = benchmarks.iter().find(|b| b.field("name").unwrap().as_str() == Ok("HIS")).unwrap();
+    let run = assert_ok(&[
+        "run",
+        "--benchmark",
+        "HIS",
+        "--preset",
+        "baseline",
+        "--scale",
+        "0.02",
+        "--json",
+    ]);
+    let run = serde::json::parse(&run).expect("run --json is JSON");
+    assert_eq!(his.field("metrics").unwrap(), run.field("metrics").unwrap());
+}
+
+#[test]
+fn classify_runs_on_the_pool_with_job_count_invariant_output() {
+    let classify = |jobs: &str| {
+        ok_on_pool(&["classify", "--scale", "0.02"], jobs, "62 cells (2 presets x 31 benchmarks)")
+    };
+    let table = classify("1");
+    assert_eq!(table, classify("2"), "classify depends on TENOC_JOBS");
+    let mut lines = table.lines();
+    assert_eq!(lines.next().unwrap().split_whitespace().next(), Some("bench"));
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split_whitespace().collect()).collect();
+    assert_eq!(rows.len(), 31, "{table}");
+    for row in rows {
+        let [_bench, class, speedup, bytes] = row[..] else { panic!("4 columns: {row:?}") };
+        assert!(["LL", "LH", "HH"].contains(&class), "{row:?}");
+        assert!(speedup.ends_with('%') && bytes.parse::<f64>().is_ok(), "{row:?}");
+    }
 }
