@@ -14,8 +14,8 @@ use tenoc_noc::NetworkConfig;
 use tenoc_workloads::by_name;
 
 fn main() {
-    header("Ablations", "design-choice sensitivity studies (not in the paper's figures)");
-    let scale = experiments::scale_from_env();
+    let scale =
+        header("Ablations", "design-choice sensitivity studies (not in the paper's figures)");
     let names = ["HIS", "MM", "KM", "RD"];
 
     println!("\n-- DRAM scheduling policy (baseline mesh) --");

@@ -9,8 +9,8 @@ use tenoc_core::PowerModel;
 use tenoc_workloads::by_name;
 
 fn main() {
-    header("Energy extension", "NoC power of the paper's design points (IPC/W methodology)");
-    let scale = experiments::scale_from_env();
+    let scale =
+        header("Energy extension", "NoC power of the paper's design points (IPC/W methodology)");
     let names = ["HIS", "MM", "KM", "RD"];
     println!(
         "{:>6} {:>18} {:>10} {:>10} {:>10} {:>12}",

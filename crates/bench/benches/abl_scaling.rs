@@ -4,7 +4,7 @@
 //! built two ways — concentration (2 cores per terminal on the same 6x6
 //! mesh) and a bigger 8x8 mesh — all with 8 MCs.
 
-use tenoc_bench::{experiments, header, Preset};
+use tenoc_bench::{header, Preset};
 use tenoc_core::system::{IcntConfig, System, SystemConfig};
 use tenoc_noc::{Mesh, NetworkConfig, Placement};
 use tenoc_workloads::by_name;
@@ -24,8 +24,7 @@ fn checkerboard_8x8() -> NetworkConfig {
 }
 
 fn main() {
-    header("Scaling study", "28 vs 56 cores over 8 MCs (concentration vs bigger mesh)");
-    let scale = experiments::scale_from_env();
+    let scale = header("Scaling study", "28 vs 56 cores over 8 MCs (concentration vs bigger mesh)");
     println!(
         "{:>6} {:>26} {:>7} {:>9} {:>11} {:>9}",
         "bench", "configuration", "cores", "IPC", "IPC/core", "MC stall"

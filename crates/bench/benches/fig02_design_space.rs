@@ -5,13 +5,12 @@
 //! effectiveness (IPC/mm²), plus the improvement over the balanced
 //! baseline mesh.
 
-use tenoc_bench::{experiments, header, run_suites_par, Preset};
+use tenoc_bench::{header, run_suites_par, Preset};
 use tenoc_core::area::{throughput_effectiveness, AreaModel};
 use tenoc_core::arithmetic_mean;
 
 fn main() {
-    header("Figure 2", "throughput-effective design space (IPC vs 1/mm^2)");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 2", "throughput-effective design space (IPC vs 1/mm^2)");
     let points = [
         ("Balanced Mesh (Sec. III)", Preset::BaselineTbDor),
         ("2x BW", Preset::TbDor2xBw),

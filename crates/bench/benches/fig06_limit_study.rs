@@ -2,14 +2,13 @@
 //! estimated area) versus the aggregate bandwidth of a zero-latency
 //! network, expressed as a fraction of peak off-chip DRAM bandwidth.
 
-use tenoc_bench::{experiments, header, run_suites_par, Preset};
+use tenoc_bench::{header, run_suites_par, Preset};
 use tenoc_core::area::COMPUTE_AREA_MM2;
 use tenoc_core::harmonic_mean;
 use tenoc_core::presets::bw_limit_flits_per_icnt_cycle;
 
 fn main() {
-    header("Figure 6", "bandwidth limit study with a zero-latency network");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 6", "bandwidth limit study with a zero-latency network");
 
     // Reference: infinite bandwidth (perfect network), then one suite per
     // bandwidth cap — all thirteen on one worker pool.

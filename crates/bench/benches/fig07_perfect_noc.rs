@@ -2,14 +2,13 @@
 //! per benchmark, with the LL/LH/HH classification.
 
 use tenoc_bench::{
-    experiments, header, hm_of_percent, hm_of_percent_class, print_speedup_rows, run_suites_par,
+    header, hm_of_percent, hm_of_percent_class, print_speedup_rows, run_suites_par,
     speedups_percent, Preset,
 };
 use tenoc_workloads::TrafficClass;
 
 fn main() {
-    header("Figure 7", "speedup of a perfect network over the baseline mesh");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 7", "speedup of a perfect network over the baseline mesh");
     let [base, perfect]: [_; 2] =
         run_suites_par(&[Preset::BaselineTbDor, Preset::Perfect], scale).try_into().unwrap();
     let rows = speedups_percent(&base, &perfect);

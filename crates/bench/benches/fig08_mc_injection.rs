@@ -2,11 +2,10 @@
 //! injection rate observed on the perfect network — the correlation that
 //! identifies the read-reply path as the bottleneck.
 
-use tenoc_bench::{experiments, header, run_suites_par, Preset};
+use tenoc_bench::{header, run_suites_par, Preset};
 
 fn main() {
-    header("Figure 8", "perfect-NoC speedup vs MC injection rate (flits/cycle/MC)");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 8", "perfect-NoC speedup vs MC injection rate (flits/cycle/MC)");
     let [base, perfect]: [_; 2] =
         run_suites_par(&[Preset::BaselineTbDor, Preset::Perfect], scale).try_into().unwrap();
     println!("{:>6} {:>5} {:>12} {:>10}", "bench", "class", "MC inj rate", "speedup");

@@ -2,11 +2,11 @@
 //! channel width (16 B -> 32 B) against replacing the 4-cycle routers
 //! with aggressive 1-cycle routers.
 
-use tenoc_bench::{experiments, header, hm_of_percent, run_suites_par, speedups_percent, Preset};
+use tenoc_bench::{header, hm_of_percent, run_suites_par, speedups_percent, Preset};
 
 fn main() {
-    header("Figure 9", "2x channel bandwidth vs 1-cycle routers (speedup over baseline)");
-    let scale = experiments::scale_from_env();
+    let scale =
+        header("Figure 9", "2x channel bandwidth vs 1-cycle routers (speedup over baseline)");
     let [base, bw2, r1]: [_; 3] =
         run_suites_par(&[Preset::BaselineTbDor, Preset::TbDor2xBw, Preset::TbDor1Cycle], scale)
             .try_into()

@@ -1,11 +1,10 @@
 //! Figure 10: in-network latency reduction of 1-cycle routers over the
 //! baseline 4-cycle routers (ratio of mean packet network latencies).
 
-use tenoc_bench::{experiments, header, run_suites_par, Preset};
+use tenoc_bench::{header, run_suites_par, Preset};
 
 fn main() {
-    header("Figure 10", "NoC latency ratio: 1-cycle routers / 4-cycle routers");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 10", "NoC latency ratio: 1-cycle routers / 4-cycle routers");
     let [base, fast]: [_; 2] =
         run_suites_par(&[Preset::BaselineTbDor, Preset::TbDor1Cycle], scale).try_into().unwrap();
     println!(

@@ -1,11 +1,11 @@
 //! Figure 11: fraction of time the MCs' reply injection is blocked by the
 //! network — the many-to-few-to-many bottleneck signal.
 
-use tenoc_bench::{experiments, header, run_suites_par, Preset};
+use tenoc_bench::{header, run_suites_par, Preset};
 
 fn main() {
-    header("Figure 11", "fraction of time MC reply injection is blocked (baseline mesh)");
-    let scale = experiments::scale_from_env();
+    let scale =
+        header("Figure 11", "fraction of time MC reply injection is blocked (baseline mesh)");
     let base = run_suites_par(&[Preset::BaselineTbDor], scale).remove(0);
     println!("{:>6} {:>5} {:>10}", "bench", "class", "% stalled");
     let mut max = (String::new(), 0.0f64);

@@ -2,13 +2,11 @@
 //! over the baseline top-bottom placement (both DOR, 2 VCs).
 
 use tenoc_bench::{
-    experiments, header, hm_of_percent, print_speedup_rows, run_suites_par, speedups_percent,
-    Preset,
+    header, hm_of_percent, print_speedup_rows, run_suites_par, speedups_percent, Preset,
 };
 
 fn main() {
-    header("Figure 16", "checkerboard MC placement vs top-bottom placement");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 16", "checkerboard MC placement vs top-bottom placement");
     let [tb, cp]: [_; 2] =
         run_suites_par(&[Preset::BaselineTbDor, Preset::CpDor2vc], scale).try_into().unwrap();
     let rows = speedups_percent(&tb, &cp);

@@ -2,11 +2,10 @@
 //! routing (half-routers) with 4 VCs, both against DOR with 2 VCs — all
 //! with the staggered checkerboard MC placement.
 
-use tenoc_bench::{experiments, header, hm_of_percent, run_suites_par, speedups_percent, Preset};
+use tenoc_bench::{header, hm_of_percent, run_suites_par, speedups_percent, Preset};
 
 fn main() {
-    header("Figure 17", "CP-DOR-4VC and CP-CR-4VC relative to CP-DOR-2VC");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 17", "CP-DOR-4VC and CP-CR-4VC relative to CP-DOR-2VC");
     let [dor2, dor4, cr4]: [_; 3] =
         run_suites_par(&[Preset::CpDor2vc, Preset::CpDor4vc, Preset::CpCr4vc], scale)
             .try_into()

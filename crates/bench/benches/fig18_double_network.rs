@@ -3,13 +3,11 @@
 //! checkerboard routing and placement.
 
 use tenoc_bench::{
-    experiments, header, hm_of_percent, print_speedup_rows, run_suites_par, speedups_percent,
-    Preset,
+    header, hm_of_percent, print_speedup_rows, run_suites_par, speedups_percent, Preset,
 };
 
 fn main() {
-    header("Figure 18", "double network (2 x 8B) vs single network (16B, 4VC)");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 18", "double network (2 x 8B) vs single network (16B, 4VC)");
     let [single, double]: [_; 2] =
         run_suites_par(&[Preset::CpCr4vc, Preset::DoubleCpCr], scale).try_into().unwrap();
     let rows = speedups_percent(&single, &double);

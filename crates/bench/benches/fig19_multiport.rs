@@ -1,11 +1,10 @@
 //! Figure 19: multi-port MC routers — extra injection ports, extra
 //! ejection ports and both, over the double checkerboard network.
 
-use tenoc_bench::{experiments, header, hm_of_percent, run_suites_par, speedups_percent, Preset};
+use tenoc_bench::{header, hm_of_percent, run_suites_par, speedups_percent, Preset};
 
 fn main() {
-    header("Figure 19", "multi-port MC routers over the double CP-CR network");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 19", "multi-port MC routers over the double CP-CR network");
     let [base, inj, ej, both]: [_; 4] = run_suites_par(
         &[
             Preset::DoubleCpCr,

@@ -3,15 +3,14 @@
 //! versus the baseline top-bottom DOR mesh.
 
 use tenoc_bench::{
-    experiments, header, hm_of_percent, hm_of_percent_class, print_speedup_rows, run_suites_par,
+    header, hm_of_percent, hm_of_percent_class, print_speedup_rows, run_suites_par,
     speedups_percent, Preset,
 };
 use tenoc_core::area::AreaModel;
 use tenoc_workloads::TrafficClass;
 
 fn main() {
-    header("Figure 20", "combined throughput-effective design vs baseline");
-    let scale = experiments::scale_from_env();
+    let scale = header("Figure 20", "combined throughput-effective design vs baseline");
     let [base, te, single]: [_; 3] = run_suites_par(
         &[Preset::BaselineTbDor, Preset::ThroughputEffective, Preset::CpCr2pSingle],
         scale,

@@ -7,11 +7,10 @@
 //! benchmarks must fall into LL, LH or HH (an HL kernel — light traffic
 //! yet network-sensitive — should not exist).
 
-use tenoc_bench::{experiments, header, run_suites_par, Preset};
+use tenoc_bench::{header, run_suites_par, Preset};
 
 fn main() {
-    header("Table I / Sec. III-B", "measured LL/LH/HH classification");
-    let scale = experiments::scale_from_env();
+    let scale = header("Table I / Sec. III-B", "measured LL/LH/HH classification");
     let [base, perfect]: [_; 2] =
         run_suites_par(&[Preset::BaselineTbDor, Preset::Perfect], scale).try_into().unwrap();
     println!(

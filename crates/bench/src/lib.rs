@@ -41,14 +41,25 @@ use tenoc_workloads::TrafficClass;
 pub use tenoc_core::experiments;
 pub use tenoc_core::presets::Preset;
 
-/// Prints a standard figure header with the scale in effect.
-pub fn header(fig: &str, what: &str) {
-    let scale = tenoc_core::experiments::scale_from_env();
-    let jobs = tenoc_harness::jobs_from_env();
+/// An environment knob's value; a malformed variable aborts the bench with
+/// the message instead of regenerating a figure at the default.
+fn env_or_exit<T>(knob: Result<T, String>) -> T {
+    knob.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// Prints a standard figure header and returns the kernel scale in effect
+/// (`TENOC_SCALE` / `TENOC_FULL`).
+pub fn header(fig: &str, what: &str) -> f64 {
+    let scale = env_or_exit(tenoc_core::experiments::scale_from_env());
+    let jobs = env_or_exit(tenoc_harness::jobs_from_env());
     println!("================================================================");
     println!("{fig}: {what}");
     println!("(kernel scale {scale}; TENOC_FULL=1 for full-length runs; {jobs} jobs)");
     println!("================================================================");
+    scale
 }
 
 /// Runs each preset's full 31-benchmark suite through the parallel sweep
@@ -62,7 +73,7 @@ pub fn header(fig: &str, what: &str) {
 /// always drain).
 pub fn run_suites_par(presets: &[Preset], scale: f64) -> Vec<Vec<CellResult>> {
     let grid = SweepGrid::suites(presets, scale);
-    let mut results = run_grid(&grid, tenoc_harness::jobs_from_env()).into_iter();
+    let mut results = run_grid(&grid, env_or_exit(tenoc_harness::jobs_from_env())).into_iter();
     presets.iter().map(|_| results.by_ref().take(grid.benchmarks.len()).collect()).collect()
 }
 

@@ -8,30 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Replacement policy for victim selection within a set.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum ReplacementPolicy {
-    /// Evict the least recently used line (the default, and the paper's
-    /// assumed policy).
-    Lru,
-    /// Evict the oldest-filled line regardless of use.
-    Fifo,
-    /// Evict a pseudo-randomly chosen line (deterministic hash of the
-    /// cache's access count, so simulations stay reproducible).
-    Random,
-}
-
-/// Write-hit policy.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum WritePolicy {
-    /// Write hits mark the line dirty; dirty victims are written back on
-    /// eviction.
-    WriteBack,
-    /// Write hits propagate immediately (no dirty state).
-    WriteThrough,
-}
-
-/// Cache geometry and policy.
+/// Cache geometry. Every cache is LRU, write-back and write-allocate (the
+/// paper's L1 and L2 both are).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -40,38 +18,18 @@ pub struct CacheConfig {
     pub line_bytes: u64,
     /// Associativity (ways per set).
     pub assoc: usize,
-    /// Write-hit policy.
-    pub write_policy: WritePolicy,
-    /// Whether write misses allocate a line.
-    pub write_allocate: bool,
-    /// Victim selection policy.
-    pub replacement: ReplacementPolicy,
 }
 
 impl CacheConfig {
     /// The paper's 16 KB per-core L1 data cache: 64 B lines, 4-way,
     /// write-back write-allocate.
     pub fn l1_16k() -> Self {
-        CacheConfig {
-            size_bytes: 16 * 1024,
-            line_bytes: 64,
-            assoc: 4,
-            write_policy: WritePolicy::WriteBack,
-            write_allocate: true,
-            replacement: ReplacementPolicy::Lru,
-        }
+        CacheConfig { size_bytes: 16 * 1024, line_bytes: 64, assoc: 4 }
     }
 
     /// The paper's 128 KB per-MC L2 bank: 64 B lines, 8-way, write-back.
     pub fn l2_128k() -> Self {
-        CacheConfig {
-            size_bytes: 128 * 1024,
-            line_bytes: 64,
-            assoc: 8,
-            write_policy: WritePolicy::WriteBack,
-            write_allocate: true,
-            replacement: ReplacementPolicy::Lru,
-        }
+        CacheConfig { size_bytes: 128 * 1024, line_bytes: 64, assoc: 8 }
     }
 
     /// Number of sets.
@@ -163,7 +121,6 @@ struct Line {
     valid: bool,
     dirty: bool,
     last_use: u64,
-    filled_at: u64,
 }
 
 /// A set-associative LRU cache tag store (see the crate-level example).
@@ -192,7 +149,7 @@ impl Cache {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid cache configuration");
-        let empty = Line { tag: 0, valid: false, dirty: false, last_use: 0, filled_at: 0 };
+        let empty = Line { tag: 0, valid: false, dirty: false, last_use: 0 };
         let sets_count = cfg.sets() as u64;
         Cache {
             sets: vec![vec![empty; cfg.assoc]; cfg.sets()],
@@ -223,23 +180,20 @@ impl Cache {
         }
     }
 
-    /// Probes the cache. Hits update LRU state and (for write-back writes)
-    /// the dirty bit. Misses update statistics only; the caller is
+    /// Probes the cache. Hits update LRU state and (for writes) the dirty
+    /// bit. Misses update statistics only; the caller is
     /// responsible for fetching and [`fill`](Self::fill)ing the line.
     pub fn access(&mut self, addr: u64, access: Access) -> LookupResult {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(addr);
         let tick = self.tick;
-        let write_back = self.cfg.write_policy == WritePolicy::WriteBack;
         if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
             line.last_use = tick;
             match access {
                 Access::Read => self.stats.read_hits += 1,
                 Access::Write => {
                     self.stats.write_hits += 1;
-                    if write_back {
-                        line.dirty = true;
-                    }
+                    line.dirty = true;
                 }
             }
             LookupResult::Hit
@@ -272,36 +226,16 @@ impl Cache {
         let tick = self.tick;
         let sets_count = self.sets_count;
         let line_bytes = self.cfg.line_bytes;
-        let policy = self.cfg.replacement;
-        let way = self.sets[set].iter().position(|l| !l.valid).unwrap_or_else(|| match policy {
-            ReplacementPolicy::Lru => {
-                self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.last_use)
-                    .expect("associativity > 0")
-                    .0
-            }
-            ReplacementPolicy::Fifo => {
-                self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.filled_at)
-                    .expect("associativity > 0")
-                    .0
-            }
-            ReplacementPolicy::Random => {
-                // SplitMix-style hash of the access counter: cheap,
-                // uniform enough, and fully deterministic.
-                let mut z = tick.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                ((z ^ (z >> 31)) % self.cfg.assoc as u64) as usize
-            }
+        let way = self.sets[set].iter().position(|l| !l.valid).unwrap_or_else(|| {
+            self.sets[set]
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.last_use)
+                .expect("associativity > 0")
+                .0
         });
         let victim = self.sets[set][way];
-        self.sets[set][way] =
-            Line { tag, valid: true, dirty: false, last_use: tick, filled_at: tick };
+        self.sets[set][way] = Line { tag, valid: true, dirty: false, last_use: tick };
         if victim.valid {
             if victim.dirty {
                 self.stats.writebacks += 1;
@@ -336,14 +270,7 @@ mod tests {
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64 B = 512 B.
-        Cache::new(CacheConfig {
-            size_bytes: 512,
-            line_bytes: 64,
-            assoc: 2,
-            write_policy: WritePolicy::WriteBack,
-            write_allocate: true,
-            replacement: ReplacementPolicy::Lru,
-        })
+        Cache::new(CacheConfig { size_bytes: 512, line_bytes: 64, assoc: 2 })
     }
 
     #[test]
@@ -389,25 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn write_through_never_dirty() {
-        let mut c = Cache::new(CacheConfig {
-            write_policy: WritePolicy::WriteThrough,
-            ..CacheConfig::l1_16k()
-        });
-        c.fill(0x40);
-        c.access(0x40, Access::Write);
-        // Force eviction of everything in that set.
-        let sets = c.config().sets() as u64;
-        let mut dirty_seen = false;
-        for i in 1..=c.config().assoc as u64 {
-            if let Some(ev) = c.fill(0x40 + i * sets * 64) {
-                dirty_seen |= ev.dirty;
-            }
-        }
-        assert!(!dirty_seen);
-    }
-
-    #[test]
     fn fill_is_idempotent() {
         let mut c = tiny();
         c.fill(0x80);
@@ -445,44 +353,6 @@ mod tests {
             c.access(0, Access::Read);
         }
         assert!((c.stats().hit_rate() - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fifo_evicts_oldest_fill_despite_recent_use() {
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 512,
-            line_bytes: 64,
-            assoc: 2,
-            write_policy: WritePolicy::WriteBack,
-            write_allocate: true,
-            replacement: ReplacementPolicy::Fifo,
-        });
-        c.fill(0x000);
-        c.fill(0x100);
-        c.access(0x000, Access::Read); // recency must not matter
-        let ev = c.fill(0x200).unwrap();
-        assert_eq!(ev.line_addr, 0x000, "FIFO evicts the oldest fill");
-    }
-
-    #[test]
-    fn random_replacement_is_deterministic_and_in_set() {
-        let mk = || {
-            let mut c = Cache::new(CacheConfig {
-                size_bytes: 512,
-                line_bytes: 64,
-                assoc: 2,
-                write_policy: WritePolicy::WriteBack,
-                write_allocate: true,
-                replacement: ReplacementPolicy::Random,
-            });
-            c.fill(0x000);
-            c.fill(0x100);
-            c.fill(0x200).unwrap().line_addr
-        };
-        let a = mk();
-        let b = mk();
-        assert_eq!(a, b, "random replacement must be reproducible");
-        assert!(a == 0x000 || a == 0x100);
     }
 
     #[test]

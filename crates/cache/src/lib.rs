@@ -1,15 +1,11 @@
-//! # tenoc-cache — caches, MSHRs and warp access coalescing
+//! # tenoc-cache — caches and MSHRs
 //!
 //! The cache hierarchy substrate for the accelerator model:
 //!
-//! * [`Cache`] — a set-associative, LRU cache with write-back/write-through
-//!   and write-allocate/no-write-allocate policies, probed and filled
-//!   explicitly so the timing simulator controls when misses return.
+//! * [`Cache`] — a set-associative, LRU, write-back cache, probed and
+//!   filled explicitly so the timing simulator controls when misses return.
 //! * [`MshrTable`] — miss status holding registers with same-line merging
 //!   (64 per core in the paper's Table II).
-//! * [`coalesce`] — the memory divergence/coalescing stage (DD in the
-//!   paper's Figure 4): collapses the 32 scalar accesses of a warp into
-//!   the minimal set of cache-line transactions.
 //!
 //! # Example
 //!
@@ -31,12 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod coalescer;
-pub mod mshr;
+mod cache;
+mod mshr;
 
-pub use cache::{
-    Access, Cache, CacheConfig, CacheStats, Eviction, LookupResult, ReplacementPolicy, WritePolicy,
-};
-pub use coalescer::coalesce;
+pub use cache::{Access, Cache, CacheConfig, CacheStats, Eviction, LookupResult};
 pub use mshr::{MshrOutcome, MshrTable};

@@ -1,21 +1,11 @@
-//! Property-based tests for caches, MSHRs and the coalescer.
+//! Property-based tests for caches and MSHRs.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use tenoc_cache::{
-    coalesce, Access, Cache, CacheConfig, LookupResult, MshrOutcome, MshrTable, ReplacementPolicy,
-    WritePolicy,
-};
+use tenoc_cache::{Access, Cache, CacheConfig, LookupResult, MshrOutcome, MshrTable};
 
 fn tiny_cache() -> Cache {
-    Cache::new(CacheConfig {
-        size_bytes: 1024,
-        line_bytes: 64,
-        assoc: 2,
-        write_policy: WritePolicy::WriteBack,
-        write_allocate: true,
-        replacement: ReplacementPolicy::Lru,
-    })
+    Cache::new(CacheConfig { size_bytes: 1024, line_bytes: 64, assoc: 2 })
 }
 
 proptest! {
@@ -106,44 +96,5 @@ proptest! {
             prop_assert_eq!(m.complete(a), targets);
         }
         prop_assert!(m.is_empty());
-    }
-
-    /// Coalescing output is the distinct line set of the input, capped at
-    /// the warp width.
-    #[test]
-    fn coalesce_distinct_and_complete(addrs in prop::collection::vec(prop::option::of(0u64..100_000), 0..32)) {
-        let lines = coalesce(addrs.clone(), 64);
-        // Distinct.
-        let set: HashSet<&u64> = lines.iter().collect();
-        prop_assert_eq!(set.len(), lines.len());
-        // Complete and line-aligned.
-        for a in addrs.iter().flatten() {
-            prop_assert!(lines.contains(&(a & !63)));
-        }
-        for l in &lines {
-            prop_assert_eq!(l % 64, 0);
-        }
-        prop_assert!(lines.len() <= 32);
-    }
-
-    /// Write-through caches never report dirty evictions.
-    #[test]
-    fn write_through_never_dirty(ops in prop::collection::vec(0u64..64, 1..150)) {
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 1024,
-            line_bytes: 64,
-            assoc: 2,
-            write_policy: WritePolicy::WriteThrough,
-            write_allocate: true,
-            replacement: ReplacementPolicy::Lru,
-        });
-        for addr in ops {
-            let a = addr * 64;
-            if c.access(a, Access::Write) == LookupResult::Miss {
-                if let Some(ev) = c.fill(a) {
-                    prop_assert!(!ev.dirty);
-                }
-            }
-        }
     }
 }

@@ -127,7 +127,7 @@ impl AreaModel {
     /// extra ports (in a dedicated double network, extra injection ports
     /// matter on the reply slice and extra ejection ports on the request
     /// slice).
-    pub fn network_area(
+    pub(crate) fn network_area(
         cfg: &NetworkConfig,
         mc_extra_inject: bool,
         mc_extra_eject: bool,

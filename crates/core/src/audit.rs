@@ -196,7 +196,7 @@ pub fn audit_icnt(name: &str, icnt: &IcntConfig) -> AuditEntry {
 /// checkerboard network without phase-split VCs (routing-deadlock cycle),
 /// O1TURN on a checkerboard mesh (illegal turns at half-routers), and a
 /// torus without dateline VCs (ring cycle across the wraparound links).
-pub fn illegal_variants(k: usize) -> Vec<(String, IcntConfig)> {
+pub(crate) fn illegal_variants(k: usize) -> Vec<(String, IcntConfig)> {
     let mut unsplit = NetworkConfig::checkerboard_mesh(k);
     unsplit.vcs = VcLayout::new(2, 2, false);
     let mut o1turn = NetworkConfig::checkerboard_mesh(k);
@@ -211,7 +211,7 @@ pub fn illegal_variants(k: usize) -> Vec<(String, IcntConfig)> {
 }
 
 /// Audits the default grid: every named preset plus the
-/// [`illegal_variants`], on a `k x k` mesh. Entries are ordered legal
+/// `illegal_variants`, on a `k x k` mesh. Entries are ordered legal
 /// physical (by descending score, ties by name), then ideal, then
 /// illegal.
 pub fn audit_grid(k: usize) -> AuditReport {

@@ -69,18 +69,41 @@ fn run(
     (m, sys.telemetry_reports())
 }
 
+/// Reads the environment knob `name`: `Ok(None)` when it is unset, and an
+/// error naming the variable and its value when it is set to something
+/// that does not parse as `T` or fails `ok` — a mistyped knob must not
+/// silently run the default experiment, any more than a mistyped flag.
+///
+/// # Errors
+///
+/// Returns `NAME=value is not <expects>`.
+pub fn env_knob<T: std::str::FromStr>(
+    name: &str,
+    expects: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    let Some(raw) = std::env::var_os(name) else { return Ok(None) };
+    match raw.to_str().and_then(|v| v.parse().ok()).filter(ok) {
+        Some(value) => Ok(Some(value)),
+        None => Err(format!("{name}={} is not {expects}", raw.to_string_lossy())),
+    }
+}
+
 /// Kernel-length scale factor for harness runs: `TENOC_FULL=1` selects
 /// full-length kernels, `TENOC_SCALE=<f>` an explicit factor; the default
 /// is 0.12 (fast, preserves every qualitative trend).
-pub fn scale_from_env() -> f64 {
+///
+/// # Errors
+///
+/// Returns a message naming `TENOC_SCALE` when it is set to anything but
+/// a finite factor above zero (the `--scale` flag's predicate).
+pub fn scale_from_env() -> Result<f64, String> {
     if std::env::var("TENOC_FULL").map(|v| v == "1").unwrap_or(false) {
-        return 1.0;
+        return Ok(1.0);
     }
-    std::env::var("TENOC_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|f| *f > 0.0)
-        .unwrap_or(0.12)
+    let scale =
+        env_knob("TENOC_SCALE", "a finite scale factor > 0", |f: &f64| *f > 0.0 && f.is_finite())?;
+    Ok(scale.unwrap_or(0.12))
 }
 
 #[cfg(test)]
@@ -118,7 +141,7 @@ mod tests {
     #[test]
     fn scale_env_default() {
         // Not setting the env vars in tests: default applies.
-        let s = scale_from_env();
+        let s = scale_from_env().unwrap();
         assert!(s > 0.0 && s <= 1.0);
     }
 

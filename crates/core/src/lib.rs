@@ -34,21 +34,21 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod audit;
-pub mod clock;
+mod audit;
+mod clock;
 pub mod experiments;
-pub mod mc;
-pub mod metrics;
-pub mod power;
+mod mc;
+mod metrics;
+mod power;
 pub mod presets;
 pub mod system;
 
 pub use area::{AreaModel, ChipArea, RouterArea};
-pub use audit::{audit_grid, audit_icnt, AuditEntry, AuditReport};
+pub use audit::{audit_grid, audit_icnt, AuditEntry, AuditReport, MatrixMetrics};
 pub use clock::{ClockConfig, Clocks, Domain};
-pub use mc::{McConfig, McNode, McRequest, McStats, Reply};
+pub use mc::McConfig;
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};
-pub use power::{HopEnergy, PowerModel};
+pub use power::PowerModel;
 pub use presets::Preset;
 pub use system::{EngineKind, IcntConfig, System, SystemConfig};
 pub use tenoc_noc::Tick;

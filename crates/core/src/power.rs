@@ -43,7 +43,7 @@ const XP_NORM: f64 = 20.0;
 /// Energy breakdown for one flit traversing one router + its outgoing
 /// link, in pJ.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HopEnergy {
+pub(crate) struct HopEnergy {
     /// Buffer write + read.
     pub buffer_pj: f64,
     /// Crossbar traversal.
@@ -56,13 +56,8 @@ pub struct HopEnergy {
 
 impl HopEnergy {
     /// Total energy per flit-hop.
-    pub fn total_pj(&self) -> f64 {
+    pub(crate) fn total_pj(&self) -> f64 {
         self.buffer_pj + self.crossbar_pj + self.link_pj + self.allocator_pj
-    }
-
-    /// Energy per *bit* transported one hop.
-    pub fn pj_per_bit(&self, channel_bytes: u32) -> f64 {
-        self.total_pj() / (channel_bytes as f64 * 8.0)
     }
 }
 
@@ -70,10 +65,11 @@ impl HopEnergy {
 ///
 /// ```
 /// use tenoc_core::PowerModel;
-/// use tenoc_noc::RouterKind;
+/// use tenoc_noc::NetworkConfig;
 ///
-/// let hop = PowerModel::hop_energy(RouterKind::Full, 16);
-/// assert!(hop.pj_per_bit(16) < 1.0, "sub-pJ/bit per hop at 65 nm");
+/// // A million flit-hops in a millisecond on the baseline mesh.
+/// let watts = PowerModel::dynamic_power_w(&NetworkConfig::baseline_mesh(6), 1_000_000, 1e-3);
+/// assert!(watts > 0.0 && watts < 1.0);
 /// ```
 #[derive(Copy, Clone, Debug, Default)]
 pub struct PowerModel;
@@ -81,7 +77,7 @@ pub struct PowerModel;
 impl PowerModel {
     /// Per-flit-hop energy for a router of `kind` in a network with the
     /// given channel width.
-    pub fn hop_energy(kind: RouterKind, channel_bytes: u32) -> HopEnergy {
+    pub(crate) fn hop_energy(kind: RouterKind, channel_bytes: u32) -> HopEnergy {
         let w = channel_bytes as f64;
         let crosspoints = match kind {
             RouterKind::Full => 20.0,
@@ -99,7 +95,7 @@ impl PowerModel {
     }
 
     /// Mean per-flit-hop energy over a network's router mix.
-    pub fn mean_hop_energy(cfg: &NetworkConfig) -> HopEnergy {
+    pub(crate) fn mean_hop_energy(cfg: &NetworkConfig) -> HopEnergy {
         let mut full = 0usize;
         let mut half = 0usize;
         for n in cfg.mesh.nodes() {
@@ -132,13 +128,6 @@ impl PowerModel {
     pub fn leakage_power_w(area: &ChipArea) -> f64 {
         area.noc() * LEAKAGE_W_PER_MM2
     }
-
-    /// Energy to move one 64-byte line across `hops` hops, in pJ — the
-    /// end-to-end number architects quote.
-    pub fn line_transfer_pj(cfg: &NetworkConfig, hops: u32) -> f64 {
-        let flits = 64u32.div_ceil(cfg.channel_bytes).max(1) as f64;
-        Self::mean_hop_energy(cfg).total_pj() * flits * hops as f64
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +141,7 @@ mod tests {
     fn hop_energy_in_orion_ballpark() {
         // ~0.3-0.8 pJ/bit/hop at 65 nm for a 16-byte datapath.
         let e = PowerModel::hop_energy(RouterKind::Full, 16);
-        let per_bit = e.pj_per_bit(16);
+        let per_bit = e.total_pj() / (16.0 * 8.0);
         assert!((0.2..1.0).contains(&per_bit), "{per_bit} pJ/bit");
     }
 
@@ -174,21 +163,6 @@ mod tests {
         assert!((e32.buffer_pj / e16.buffer_pj - 2.0).abs() < 1e-9);
         assert!((e32.link_pj / e16.link_pj - 2.0).abs() < 1e-9);
         assert!((e32.crossbar_pj / e16.crossbar_pj - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn line_transfer_energy_independent_of_slicing_to_first_order() {
-        // Moving 64 bytes over the same hop count costs about the same in
-        // a 16B network (4 flits) and an 8B slice (8 flits) — buffers and
-        // links are linear in bytes; the slice saves a little crossbar.
-        let single = NetworkConfig::checkerboard_mesh(6);
-        let mut slice = single.clone();
-        slice.channel_bytes = 8;
-        slice.vcs = tenoc_noc::VcLayout::new(2, 1, true);
-        let e_single = PowerModel::line_transfer_pj(&single, 5);
-        let e_slice = PowerModel::line_transfer_pj(&slice, 5);
-        assert!(e_slice < e_single, "narrower crossbars must save energy");
-        assert!(e_slice > e_single * 0.8, "savings are second-order");
     }
 
     #[test]

@@ -239,11 +239,6 @@ impl System {
         }
     }
 
-    /// Number of compute cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     fn mc_index_of(&self, addr: u64) -> usize {
         ((addr / self.cfg.chunk) % self.mc_nodes.len() as u64) as usize
     }
@@ -568,7 +563,7 @@ mod tests {
         cfg.cores_per_node = 2;
         let spec = tiny_spec(0.2);
         let mut sys = System::new(cfg, &spec);
-        assert_eq!(sys.num_cores(), 56);
+        assert_eq!(sys.cores.len(), 56);
         let m = sys.run();
         assert!(m.completed);
         assert_eq!(m.scalar_insts, 56 * spec.total_warp_insts() * 32);

@@ -4,7 +4,7 @@ use crate::timing::GddrTimings;
 
 /// State of one DRAM bank.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Bank {
+pub(crate) struct Bank {
     open_row: Option<u64>,
     /// Earliest cycle an ACTIVATE may issue (covers tRC and tRP).
     next_activate: u64,
@@ -27,28 +27,28 @@ impl Bank {
     }
 
     /// Currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
+    pub(crate) fn open_row(&self) -> Option<u64> {
         self.open_row
     }
 
     /// `true` if `row` is open.
-    pub fn row_hit(&self, row: u64) -> bool {
+    pub(crate) fn row_hit(&self, row: u64) -> bool {
         self.open_row == Some(row)
     }
 
     /// `true` if an ACTIVATE may issue at `now` (bank-local constraints;
     /// the controller also enforces the inter-bank tRRD).
-    pub fn can_activate(&self, now: u64) -> bool {
+    pub(crate) fn can_activate(&self, now: u64) -> bool {
         self.open_row.is_none() && now >= self.next_activate
     }
 
     /// `true` if a PRECHARGE may issue at `now`.
-    pub fn can_precharge(&self, now: u64) -> bool {
+    pub(crate) fn can_precharge(&self, now: u64) -> bool {
         self.open_row.is_some() && now >= self.next_precharge
     }
 
     /// `true` if a column command to `row` may issue at `now`.
-    pub fn can_cas(&self, row: u64, now: u64) -> bool {
+    pub(crate) fn can_cas(&self, row: u64, now: u64) -> bool {
         self.row_hit(row) && now >= self.next_cas
     }
 
@@ -57,7 +57,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if the activate violates bank timing (simulator bug).
-    pub fn activate(&mut self, row: u64, now: u64, t: &GddrTimings) {
+    pub(crate) fn activate(&mut self, row: u64, now: u64, t: &GddrTimings) {
         assert!(self.can_activate(now), "ACT issued while bank busy or row open");
         self.open_row = Some(row);
         self.next_cas = now + t.t_rcd;
@@ -70,7 +70,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if the precharge violates tRAS.
-    pub fn precharge(&mut self, now: u64, t: &GddrTimings) {
+    pub(crate) fn precharge(&mut self, now: u64, t: &GddrTimings) {
         assert!(self.can_precharge(now), "PRE issued before tRAS or with no open row");
         self.open_row = None;
         self.next_activate = self.next_activate.max(now + t.t_rp);
@@ -81,7 +81,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if the row is not open or tRCD has not elapsed.
-    pub fn cas(&mut self, row: u64, now: u64) {
+    pub(crate) fn cas(&mut self, row: u64, now: u64) {
         assert!(self.can_cas(row, now), "CAS issued to closed row or before tRCD");
     }
 }

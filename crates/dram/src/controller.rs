@@ -16,18 +16,6 @@ pub enum SchedulingPolicy {
     Fcfs,
 }
 
-/// Row-buffer management policy.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum PagePolicy {
-    /// Keep rows open until a conflicting request needs the bank (the
-    /// default; pairs naturally with FR-FCFS).
-    Open,
-    /// Precharge a bank as soon as no queued request hits its open row
-    /// (approximates auto-precharge; trades row-hit opportunity for lower
-    /// conflict latency).
-    Closed,
-}
-
 /// A request presented to the DRAM channel.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramRequest {
@@ -135,7 +123,6 @@ impl DramStats {
 pub struct MemoryController {
     cfg: DramConfig,
     policy: SchedulingPolicy,
-    page_policy: PagePolicy,
     banks: Vec<Bank>,
     queue: VecDeque<QueuedRequest>,
     in_flight: VecDeque<Completion>,
@@ -166,23 +153,9 @@ impl MemoryController {
     ///
     /// Panics if the timing parameters are inconsistent.
     pub fn with_policy(cfg: DramConfig, policy: SchedulingPolicy) -> Self {
-        Self::with_policies(cfg, policy, PagePolicy::Open)
-    }
-
-    /// Creates a controller with explicit scheduling and page policies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the timing parameters are inconsistent.
-    pub fn with_policies(
-        cfg: DramConfig,
-        policy: SchedulingPolicy,
-        page_policy: PagePolicy,
-    ) -> Self {
         cfg.timings.validate().expect("invalid DRAM timings");
         MemoryController {
             policy,
-            page_policy,
             banks: vec![Bank::new(); cfg.banks],
             queue: VecDeque::with_capacity(cfg.queue_capacity),
             in_flight: VecDeque::new(),
@@ -208,11 +181,6 @@ impl MemoryController {
     /// `true` if the request queue has room.
     pub fn can_accept(&self) -> bool {
         self.queue.len() < self.cfg.queue_capacity
-    }
-
-    /// Queued request count.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Requests queued or being transferred.
@@ -339,21 +307,6 @@ impl MemoryController {
             let b = self.queue[idx].bank;
             self.banks[b].precharge(now, &self.cfg.timings);
             self.stats.precharges += 1;
-            return;
-        }
-        // Closed-page: eagerly precharge banks no queued request hits.
-        if self.page_policy == PagePolicy::Closed {
-            for b in 0..self.banks.len() {
-                let bank = &self.banks[b];
-                let Some(open) = bank.open_row() else { continue };
-                if bank.can_precharge(now)
-                    && !self.queue.iter().any(|q| q.bank == b && q.row == open)
-                {
-                    self.banks[b].precharge(now, &self.cfg.timings);
-                    self.stats.precharges += 1;
-                    return;
-                }
-            }
         }
     }
 
@@ -518,37 +471,6 @@ mod tests {
         }
         let eff = mc.stats().efficiency();
         assert!(eff > 0.9, "streaming same-row reads should keep the pins busy, got {eff}");
-    }
-
-    #[test]
-    fn closed_page_precharges_eagerly() {
-        let cfg = DramConfig::gddr3();
-        let mut open_mc = MemoryController::new(cfg);
-        let mut closed_mc =
-            MemoryController::with_policies(cfg, SchedulingPolicy::FrFcfs, PagePolicy::Closed);
-        for mc in [&mut open_mc, &mut closed_mc] {
-            mc.push(DramRequest::read(0, 0, 0)).unwrap();
-        }
-        for now in 0..200 {
-            open_mc.step(now);
-            closed_mc.step(now);
-            open_mc.pop_completed(now);
-            closed_mc.pop_completed(now);
-        }
-        assert_eq!(open_mc.stats().precharges, 0, "open-page keeps the row open");
-        assert_eq!(closed_mc.stats().precharges, 1, "closed-page precharges after use");
-    }
-
-    #[test]
-    fn closed_page_still_completes_all_requests() {
-        let cfg = DramConfig::gddr3();
-        let mut mc =
-            MemoryController::with_policies(cfg, SchedulingPolicy::FrFcfs, PagePolicy::Closed);
-        for i in 0..16u64 {
-            mc.push(DramRequest::read(i * 4096, i, 0)).unwrap();
-        }
-        let done = run(&mut mc, 5_000);
-        assert_eq!(done.len(), 16);
     }
 
     #[test]

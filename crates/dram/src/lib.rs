@@ -35,12 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
-pub mod controller;
-pub mod timing;
+mod bank;
+mod controller;
+mod timing;
 
-pub use bank::Bank;
-pub use controller::{
-    Completion, DramRequest, DramStats, MemoryController, PagePolicy, SchedulingPolicy,
-};
+pub use controller::{Completion, DramRequest, DramStats, MemoryController, SchedulingPolicy};
 pub use timing::{DramConfig, GddrTimings};

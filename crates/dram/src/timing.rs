@@ -106,12 +106,12 @@ impl DramConfig {
 
     /// Bank index for a byte address (bank bits above the row offset,
     /// interleaving consecutive rows across banks).
-    pub fn bank_of(&self, addr: u64) -> usize {
+    pub(crate) fn bank_of(&self, addr: u64) -> usize {
         ((addr / self.row_bytes) % self.banks as u64) as usize
     }
 
     /// Row index within a bank for a byte address.
-    pub fn row_of(&self, addr: u64) -> u64 {
+    pub(crate) fn row_of(&self, addr: u64) -> u64 {
         addr / self.row_bytes / self.banks as u64
     }
 }

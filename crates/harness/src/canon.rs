@@ -64,7 +64,7 @@ pub fn hash_value(v: &Value) -> String {
 ///
 /// The remaining `SystemConfig` parameters (core, MC, clocks, interleave
 /// chunk, concentration) are fixed Table II constants under
-/// [`ConfigCell::system_config`]; `chunk` and `cores_per_node` are
+/// `ConfigCell::system_config`; `chunk` and `cores_per_node` are
 /// included as cheap insurance because they are plain scalars.
 pub fn config_cell_value(cell: &ConfigCell) -> Value {
     let cfg = cell.system_config();
@@ -108,7 +108,7 @@ pub fn cell_key(cell: &SweepCell) -> String {
 /// Excluded, as for cells: the engine and worker placement
 /// (result-identical) and whatever names or ranks the caller gives the
 /// probe.
-pub fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> Value {
+pub(crate) fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> Value {
     let OpenLoopConfig {
         net,
         injection_rate,

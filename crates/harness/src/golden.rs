@@ -9,7 +9,7 @@ use tenoc_core::Preset;
 /// Kernel-length scale of the golden grid: small enough that the whole
 /// sweep finishes in seconds, large enough that every cell moves real
 /// traffic through the network.
-pub const TINY_SCALE: f64 = 0.02;
+pub(crate) const TINY_SCALE: f64 = 0.02;
 
 /// The canonical tiny golden grid: three design points that exercise the
 /// mesh, the checkerboard router/routing pair and the combined

@@ -68,7 +68,7 @@ impl RunRecord {
     }
 
     /// Computes and stores the fingerprint.
-    pub fn seal(&mut self) {
+    pub(crate) fn seal(&mut self) {
         self.fingerprint = self.compute_fingerprint();
     }
 

@@ -9,7 +9,7 @@
 
 /// A fixed-capacity set of node indices, stored one bit per node.
 #[derive(Clone, Debug)]
-pub struct ActiveSet {
+pub(crate) struct ActiveSet {
     words: Vec<u64>,
     n: usize,
 }
@@ -44,11 +44,6 @@ impl ActiveSet {
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// `true` if node `i` is active.
-    pub fn contains(&self, i: usize) -> bool {
-        i < self.n && self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
     /// Number of active nodes.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -59,7 +54,7 @@ impl ActiveSet {
     /// The sweep loop is `while let Some(i) = set.next_from(cursor)`, which
     /// tolerates insertions behind or ahead of the cursor mid-sweep (wakes
     /// triggered by the nodes being visited).
-    pub fn next_from(&self, from: usize) -> Option<usize> {
+    pub(crate) fn next_from(&self, from: usize) -> Option<usize> {
         if from >= self.n {
             return None;
         }
@@ -94,18 +89,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_contains() {
+    fn insert_remove_membership() {
         let mut s = ActiveSet::empty(100);
         assert_eq!(s.count(), 0);
         s.insert(0);
         s.insert(63);
         s.insert(64);
         s.insert(99);
-        assert!(s.contains(0) && s.contains(63) && s.contains(64) && s.contains(99));
-        assert!(!s.contains(1) && !s.contains(65));
+        assert_eq!(collect(&s), vec![0, 63, 64, 99]);
         assert_eq!(s.count(), 4);
         s.remove(63);
-        assert!(!s.contains(63));
+        assert_eq!(collect(&s), vec![0, 64, 99]);
         s.remove(63); // idempotent
         assert_eq!(s.count(), 3);
     }
@@ -124,7 +118,6 @@ mod tests {
         let s = ActiveSet::all(70);
         assert_eq!(s.count(), 70);
         assert_eq!(collect(&s), (0..70).collect::<Vec<_>>());
-        assert!(!s.contains(70));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! iSLIP-style allocation updates an arbiter's priority pointer only when a
 //! grant is *accepted*, so the arbiter exposes both a non-destructive
-//! [`RoundRobin::peek`] and an explicit [`RoundRobin::advance_past`].
+//! `RoundRobin::peek` and an explicit `RoundRobin::advance_past`.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +31,7 @@ impl RoundRobin {
 
     /// Returns the highest-priority requester `i` for which `req(i)` is
     /// true, without updating the priority pointer.
-    pub fn peek(&self, mut req: impl FnMut(usize) -> bool) -> Option<usize> {
+    pub(crate) fn peek(&self, mut req: impl FnMut(usize) -> bool) -> Option<usize> {
         for off in 0..self.n {
             let i = (self.ptr + off) % self.n;
             if req(i) {
@@ -42,8 +42,8 @@ impl RoundRobin {
     }
 
     /// Grants to the highest-priority requester and advances the pointer
-    /// past the winner (combined [`peek`](Self::peek) +
-    /// [`advance_past`](Self::advance_past)).
+    /// past the winner (combined `peek` +
+    /// `advance_past`).
     pub fn pick(&mut self, req: impl FnMut(usize) -> bool) -> Option<usize> {
         let winner = self.peek(req)?;
         self.advance_past(winner);
@@ -52,7 +52,7 @@ impl RoundRobin {
 
     /// Moves the priority pointer one past `winner`, making it the
     /// lowest-priority requester next time.
-    pub fn advance_past(&mut self, winner: usize) {
+    pub(crate) fn advance_past(&mut self, winner: usize) {
         debug_assert!(winner < self.n);
         self.ptr = (winner + 1) % self.n;
     }

@@ -117,7 +117,7 @@ struct ChFlit {
 /// [`Interconnect::tick_phase`]. The arena fuses its whole cycle into a
 /// single per-node sweep (see [`ArenaNetwork::run_phase`]), so one phase
 /// is the cycle.
-pub const ARENA_PHASES: usize = 1;
+pub(crate) const ARENA_PHASES: usize = 1;
 
 /// One physical mesh network, stored as flat structure-of-arrays slabs.
 ///
@@ -1037,7 +1037,7 @@ impl ArenaNetwork {
     /// sweep used). A node retired before an upstream neighbor's router
     /// step wakes it is re-inserted by that step's push, leaving the
     /// same active set at cycle end.
-    pub fn run_phase(&mut self, phase: usize) {
+    pub(crate) fn run_phase(&mut self, phase: usize) {
         let now = self.cycle;
         match phase {
             0 => {

@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 
 /// A configuration auditor: returns `Err` with a human-readable report if
 /// the configuration is unsafe to simulate.
-pub type ConfigAuditor = fn(&NetworkConfig) -> Result<(), String>;
+pub(crate) type ConfigAuditor = fn(&NetworkConfig) -> Result<(), String>;
 
 static AUDITOR: OnceLock<ConfigAuditor> = OnceLock::new();
 

@@ -103,7 +103,7 @@ impl InputVc {
 
     /// Mutable access to the front flit (route computation mutates head
     /// flit headers in place, e.g. clearing the checkerboard `via` node).
-    pub fn front_mut(&mut self) -> Option<&mut (Flit, u64)> {
+    pub(crate) fn front_mut(&mut self) -> Option<&mut (Flit, u64)> {
         self.fifo.front_mut()
     }
 
@@ -115,7 +115,7 @@ impl InputVc {
 
 /// All virtual channels of one input port.
 #[derive(Clone, Debug)]
-pub struct InputUnit {
+pub(crate) struct InputUnit {
     vcs: Vec<InputVc>,
 }
 
@@ -125,18 +125,13 @@ impl InputUnit {
         InputUnit { vcs: (0..vcs).map(|_| InputVc::new(depth)).collect() }
     }
 
-    /// Number of VCs.
-    pub fn num_vcs(&self) -> usize {
-        self.vcs.len()
-    }
-
     /// Immutable access to VC `vc`.
     pub fn vc(&self, vc: u8) -> &InputVc {
         &self.vcs[vc as usize]
     }
 
     /// Mutable access to VC `vc`.
-    pub fn vc_mut(&mut self, vc: u8) -> &mut InputVc {
+    pub(crate) fn vc_mut(&mut self, vc: u8) -> &mut InputVc {
         &mut self.vcs[vc as usize]
     }
 

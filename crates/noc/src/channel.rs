@@ -28,19 +28,19 @@ impl Channel {
     ///
     /// In debug builds, panics if `due` is not monotonically non-decreasing
     /// (channels are FIFO).
-    pub fn push_flit(&mut self, due: u64, vc: u8, flit: Flit) {
+    pub(crate) fn push_flit(&mut self, due: u64, vc: u8, flit: Flit) {
         debug_assert!(self.flits.back().map(|&(d, _, _)| d <= due).unwrap_or(true));
         self.total_flits += 1;
         self.flits.push_back((due, vc, flit));
     }
 
     /// Schedules a credit for VC `vc` to arrive back upstream at `due`.
-    pub fn push_credit(&mut self, due: u64, vc: u8) {
+    pub(crate) fn push_credit(&mut self, due: u64, vc: u8) {
         self.credits.push_back((due, vc));
     }
 
     /// Removes and returns the next flit if it is due at or before `now`.
-    pub fn pop_flit(&mut self, now: u64) -> Option<(u8, Flit)> {
+    pub(crate) fn pop_flit(&mut self, now: u64) -> Option<(u8, Flit)> {
         match self.flits.front() {
             Some(&(due, vc, flit)) if due <= now => {
                 self.flits.pop_front();
@@ -51,7 +51,7 @@ impl Channel {
     }
 
     /// Removes and returns the next credit if due at or before `now`.
-    pub fn pop_credit(&mut self, now: u64) -> Option<u8> {
+    pub(crate) fn pop_credit(&mut self, now: u64) -> Option<u8> {
         match self.credits.front() {
             Some(&(due, vc)) if due <= now => {
                 self.credits.pop_front();
@@ -62,18 +62,18 @@ impl Channel {
     }
 
     /// Flits currently in flight.
-    pub fn flits_in_flight(&self) -> usize {
+    pub(crate) fn flits_in_flight(&self) -> usize {
         self.flits.len()
     }
 
     /// Credits currently in flight.
-    pub fn credits_in_flight(&self) -> usize {
+    pub(crate) fn credits_in_flight(&self) -> usize {
         self.credits.len()
     }
 
     /// Total flits ever pushed onto this channel (for link-utilization
     /// reports).
-    pub fn total_flits(&self) -> u64 {
+    pub(crate) fn total_flits(&self) -> u64 {
         self.total_flits
     }
 }

@@ -155,7 +155,7 @@ impl VcLayout {
     }
 
     /// The VC subset available to a protocol class (ignoring phase).
-    pub fn class_set(&self, class: PacketClass) -> VcSet {
+    pub(crate) fn class_set(&self, class: PacketClass) -> VcSet {
         if self.classes == 1 {
             VcSet::new(0, self.total)
         } else {
@@ -226,7 +226,7 @@ impl RouterTiming {
     /// # Panics
     ///
     /// Panics if `stages == 0`.
-    pub fn from_stages(stages: u32) -> Self {
+    pub(crate) fn from_stages(stages: u32) -> Self {
         assert!(stages >= 1, "router needs at least one pipeline stage");
         match stages {
             1 => RouterTiming { rc_delay: 0, same_cycle_sa: true, st_delay: 0 },
@@ -355,7 +355,7 @@ impl NetworkConfig {
     }
 
     /// Number of injection ports at `node`.
-    pub fn inject_ports(&self, node: NodeId) -> usize {
+    pub(crate) fn inject_ports(&self, node: NodeId) -> usize {
         if self.mc_nodes.contains(&node) {
             self.mc_inject_ports
         } else {
@@ -364,7 +364,7 @@ impl NetworkConfig {
     }
 
     /// Number of ejection ports at `node`.
-    pub fn eject_ports(&self, node: NodeId) -> usize {
+    pub(crate) fn eject_ports(&self, node: NodeId) -> usize {
         if self.mc_nodes.contains(&node) {
             self.mc_eject_ports
         } else {

@@ -39,16 +39,6 @@ impl<N> Sliced<N> {
         reply_cfg.seed = sub_cfg.seed.wrapping_add(0x9e37_79b9);
         Sliced { request: engine(sub_cfg), reply: engine(reply_cfg) }
     }
-
-    /// The request subnetwork.
-    pub fn request_net(&self) -> &N {
-        &self.request
-    }
-
-    /// The reply subnetwork.
-    pub fn reply_net(&self) -> &N {
-        &self.reply
-    }
 }
 
 impl DoubleNetwork {
@@ -184,8 +174,8 @@ mod tests {
         // 8-byte slices: a 64-byte reply is 8 flits.
         let rep = dn.pop(0).expect("reply delivered");
         assert_eq!(rep.header.flits, 8);
-        assert_eq!(dn.request_net().stats().packets[0], 1);
-        assert_eq!(dn.reply_net().stats().packets[1], 1);
+        assert_eq!(dn.request.stats().packets[0], 1);
+        assert_eq!(dn.reply.stats().packets[1], 1);
     }
 
     /// The double network yields one labeled report per slice.
@@ -240,6 +230,6 @@ mod tests {
         assert_eq!(oracle.stats(), arena.stats());
         assert_eq!(oracle.link_loads(), arena.link_loads());
         assert_eq!(arena.link_loads().iter().map(|l| l.2).sum::<u64>(), arena.flit_hops());
-        assert!(arena.request_net().flit_hops() > 0 && arena.reply_net().flit_hops() > 0);
+        assert!(arena.request.flit_hops() > 0 && arena.reply.flit_hops() > 0);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! The crate provides:
 //!
-//! * A canonical input-queued virtual-channel router ([`router::Router`])
+//! * A canonical input-queued virtual-channel router (`router::Router`)
 //!   with a configurable pipeline depth (4-stage baseline, 3-stage
 //!   half-routers, aggressive 1-cycle routers), credit-based flow control
 //!   and iSLIP-style separable switch allocation.
@@ -20,13 +20,13 @@
 //!   nodes, and channel-sliced **double networks** ([`double::DoubleNetwork`]).
 //! * The idealized interconnect model used in the paper's limit studies:
 //!   a zero-latency network with an aggregate bandwidth cap, which at an
-//!   infinite cap is the perfect network ([`ideal`]).
+//!   infinite cap is the perfect network (`ideal`).
 //! * An open-loop traffic harness for latency/throughput curves under
 //!   many-to-few-to-many traffic ([`openloop`]), reproducing Figure 21.
 //! * Two bit-identical execution engines for the physical networks — the
-//!   flat structure-of-arrays [`arena`] kernel that every production run
+//!   flat structure-of-arrays `arena` kernel that every production run
 //!   uses, built by the one constructor pair [`build_mesh`] /
-//!   [`build_double`], and the per-router [`network`] kernel kept as the
+//!   [`build_double`], and the per-router `network` kernel kept as the
 //!   differential reference. A shape the arena cannot pack is a
 //!   [`NetworkConfig::validate`] error, never a silent change of engine.
 //!   Telemetry ([`telemetry`]) works on both.
@@ -52,41 +52,38 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod activeset;
+mod activeset;
 pub mod arbiter;
-pub mod arena;
+mod arena;
 pub mod audit;
 pub mod buffer;
-pub mod channel;
+mod channel;
 pub mod config;
-pub mod double;
-pub mod ideal;
-pub mod interconnect;
-pub mod network;
+mod double;
+mod ideal;
+mod interconnect;
+mod network;
 pub mod openloop;
-pub mod packet;
-pub mod router;
+mod packet;
+mod router;
 pub mod routing;
-pub mod stats;
-pub mod synthetic;
+mod stats;
 pub mod telemetry;
-pub mod tick;
+mod tick;
 pub mod topology;
-pub mod types;
+mod types;
 
-pub use activeset::ActiveSet;
-pub use arena::{ArenaNetwork, ARENA_PHASES};
-pub use config::{AllocatorKind, NetworkConfig, RouterTiming, RoutingKind, VcLayout};
+pub use arena::ArenaNetwork;
+pub use config::{AllocatorKind, NetworkConfig, RoutingKind, VcLayout};
 pub use double::{ArenaDoubleNetwork, DoubleNetwork};
 pub use ideal::BandwidthLimitedInterconnect;
 pub use interconnect::{build_double, build_mesh, Interconnect};
 pub use network::Network;
 pub use packet::{EjectedPacket, Flit, Packet, PacketClass, PacketHeader, Phase};
-pub use routing::{OutPort, RouteDecision, VcSet};
+pub use routing::{OutPort, VcSet};
 pub use stats::NetStats;
 pub use telemetry::{
-    ArmSpec, FlightEvent, FlightRecorder, LatencyHistogram, LatencyHistograms, LinkRecord,
-    TelemetryConfig, TelemetryReport,
+    ArmSpec, FlightEvent, LatencyHistogram, LinkRecord, TelemetryConfig, TelemetryReport,
 };
 pub use tick::Tick;
 pub use topology::{Fabric, Mesh, Placement, RouterKind, Topology};

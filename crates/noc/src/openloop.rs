@@ -83,7 +83,7 @@ impl OpenLoopConfig {
     /// both the generation and the throughput-accounting paths of
     /// [`run_open_loop`] go through here, so the boundary semantics
     /// cannot drift apart.
-    pub fn in_measurement_window(&self, now: u64) -> bool {
+    pub(crate) fn in_measurement_window(&self, now: u64) -> bool {
         (self.warmup..self.warmup + self.measure).contains(&now)
     }
 }

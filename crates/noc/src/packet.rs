@@ -168,13 +168,13 @@ pub struct Flit {
 
 impl Flit {
     /// `true` for the first flit of a packet.
-    pub fn is_head(&self) -> bool {
+    pub(crate) fn is_head(&self) -> bool {
         self.seq == 0
     }
 
     /// `true` for the last flit of a packet (a single-flit packet is both
     /// head and tail).
-    pub fn is_tail(&self) -> bool {
+    pub(crate) fn is_tail(&self) -> bool {
         self.seq + 1 == self.hdr.flits
     }
 }

@@ -33,7 +33,7 @@ use crate::types::{Direction, NodeId};
 
 /// Read-only routing context threaded through router steps.
 #[derive(Copy, Clone, Debug)]
-pub struct RouteCtx<'a> {
+pub(crate) struct RouteCtx<'a> {
     /// Topology (router kinds, coordinates).
     pub mesh: &'a Mesh,
     /// Routing algorithm.
@@ -44,7 +44,7 @@ pub struct RouteCtx<'a> {
 
 /// Flits and credits a router emits in one cycle.
 #[derive(Clone, Debug, Default)]
-pub struct RouterOutputs {
+pub(crate) struct RouterOutputs {
     /// `(output port, downstream VC, flit)` triples granted this cycle.
     pub flits: Vec<(usize, u8, Flit)>,
     /// Credits to return upstream: `(input direction, vc)` of consumed
@@ -86,7 +86,6 @@ pub struct Router {
     timing: RouterTiming,
     allocator: AllocatorKind,
     num_vcs: usize,
-    n_inject: usize,
     n_eject: usize,
     vc_depth: usize,
     /// Input units: ports `0..4` are directions, `4..4+n_inject` local.
@@ -112,32 +111,7 @@ pub struct Router {
 impl Router {
     /// Builds a router for `node`.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        node: NodeId,
-        kind: RouterKind,
-        timing: RouterTiming,
-        num_vcs: usize,
-        vc_depth: usize,
-        n_inject: usize,
-        n_eject: usize,
-        dir_exists: [bool; 4],
-    ) -> Self {
-        Self::with_allocator(
-            node,
-            kind,
-            timing,
-            AllocatorKind::InputFirst,
-            num_vcs,
-            vc_depth,
-            n_inject,
-            n_eject,
-            dir_exists,
-        )
-    }
-
-    /// Builds a router with an explicit switch-allocator organization.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_allocator(
+    pub(crate) fn with_allocator(
         node: NodeId,
         kind: RouterKind,
         timing: RouterTiming,
@@ -158,7 +132,6 @@ impl Router {
             timing,
             allocator,
             num_vcs,
-            n_inject,
             n_eject,
             vc_depth,
             inputs: (0..n_in).map(|_| InputUnit::new(num_vcs, vc_depth)).collect(),
@@ -184,45 +157,19 @@ impl Router {
         }
     }
 
-    /// Node this router serves.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Router kind (full or half).
-    pub fn kind(&self) -> RouterKind {
-        self.kind
-    }
-
     /// Pipeline timing.
     pub fn timing(&self) -> RouterTiming {
         self.timing
     }
 
-    /// Number of local injection ports.
-    pub fn inject_ports(&self) -> usize {
-        self.n_inject
-    }
-
-    /// Number of local ejection ports.
-    pub fn eject_ports(&self) -> usize {
-        self.n_eject
-    }
-
     /// Free buffer slots in injection port `port`, VC `vc`.
-    pub fn inject_space(&self, port: usize, vc: u8) -> usize {
+    pub(crate) fn inject_space(&self, port: usize, vc: u8) -> usize {
         self.inputs[4 + port].vc(vc).free_slots()
     }
 
     /// Total flits buffered in all input units (used by drain detection).
     pub fn occupancy(&self) -> usize {
         self.inputs.iter().map(InputUnit::occupancy).sum()
-    }
-
-    /// Flits buffered on one virtual channel, summed over all input
-    /// ports (telemetry: per-VC buffer-occupancy breakdown).
-    pub fn vc_occupancy(&self, vc: u8) -> usize {
-        self.inputs.iter().map(|i| i.vc(vc).len()).sum()
     }
 
     /// `true` when a `step` would be a no-op: no input VC holds a flit.
@@ -233,7 +180,7 @@ impl Router {
     /// still be mid-packet (`Active` with its body flits in flight
     /// upstream), but such a VC does nothing until the next flit arrives —
     /// and that arrival re-wakes the router.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.occupancy() == 0
     }
 
@@ -242,7 +189,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the buffer is full (credit protocol violation).
-    pub fn accept_flit(&mut self, in_port: usize, vc: u8, flit: Flit, now: u64) {
+    pub(crate) fn accept_flit(&mut self, in_port: usize, vc: u8, flit: Flit, now: u64) {
         self.inputs[in_port].vc_mut(vc).push(flit, now);
     }
 
@@ -251,7 +198,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics if credits would exceed the downstream buffer depth.
-    pub fn accept_credit(&mut self, out_port: usize, vc: u8) {
+    pub(crate) fn accept_credit(&mut self, out_port: usize, vc: u8) {
         let c = &mut self.credits[out_port][vc as usize];
         *c += 1;
         assert!(
@@ -552,10 +499,11 @@ mod tests {
     fn make_router(node: NodeId, mesh: &Mesh, stages: u32) -> Router {
         let dir_exists =
             std::array::from_fn(|i| mesh.neighbor(node, Direction::from_index(i)).is_some());
-        Router::new(
+        Router::with_allocator(
             node,
             mesh.kind(node),
             RouterTiming::from_stages(stages),
+            AllocatorKind::InputFirst,
             2,
             8,
             1,
@@ -735,10 +683,11 @@ mod tests {
         let node = mesh.node(crate::types::Coord::new(1, 1));
         let dir_exists =
             std::array::from_fn(|i| mesh.neighbor(node, Direction::from_index(i)).is_some());
-        let mut r = Router::new(
+        let mut r = Router::with_allocator(
             node,
             mesh.kind(node),
             RouterTiming::from_stages(1),
+            AllocatorKind::InputFirst,
             2,
             8,
             1,

@@ -1,7 +1,7 @@
 //! Network statistics: latency, throughput and injection-blocking
 //! accounting used by the paper's figures.
 
-use crate::packet::{EjectedPacket, PacketClass};
+use crate::packet::EjectedPacket;
 use crate::telemetry::LatencyHistograms;
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +30,7 @@ pub struct NetStats {
     /// when read at MC nodes).
     pub inject_blocked_by_node: Vec<u64>,
     /// Optional log2-bucketed latency histograms (telemetry). `None` — the
-    /// default — keeps [`NetStats::record_ejection`] free of histogram
+    /// default — keeps `NetStats::record_ejection` free of histogram
     /// work, preserving the zero-cost-when-off telemetry contract.
     pub hist: Option<LatencyHistograms>,
 }
@@ -54,12 +54,12 @@ impl NetStats {
 
     /// Turns on latency-histogram collection. Ejections recorded before
     /// this call are not retroactively bucketed.
-    pub fn enable_histograms(&mut self) {
+    pub(crate) fn enable_histograms(&mut self) {
         self.hist.get_or_insert_with(LatencyHistograms::default);
     }
 
     /// Records an ejected packet.
-    pub fn record_ejection(&mut self, pkt: &EjectedPacket) {
+    pub(crate) fn record_ejection(&mut self, pkt: &EjectedPacket) {
         let c = pkt.header.class.index();
         self.packets[c] += 1;
         self.flits[c] += pkt.header.flits as u64;
@@ -75,23 +75,13 @@ impl NetStats {
     }
 
     /// Total packets ejected across classes.
-    pub fn total_packets(&self) -> u64 {
+    pub(crate) fn total_packets(&self) -> u64 {
         self.packets.iter().sum()
     }
 
     /// Total flits ejected across classes.
-    pub fn total_flits(&self) -> u64 {
+    pub(crate) fn total_flits(&self) -> u64 {
         self.flits.iter().sum()
-    }
-
-    /// Mean packet latency from creation to ejection, across classes.
-    /// Returns 0.0 when no packet has been ejected.
-    pub fn avg_total_latency(&self) -> f64 {
-        let n = self.total_packets();
-        if n == 0 {
-            return 0.0;
-        }
-        self.total_latency_sum.iter().sum::<u64>() as f64 / n as f64
     }
 
     /// Mean in-network latency (injection to ejection), across classes.
@@ -103,19 +93,10 @@ impl NetStats {
         self.net_latency_sum.iter().sum::<u64>() as f64 / n as f64
     }
 
-    /// Mean in-network latency for one class.
-    pub fn avg_network_latency_class(&self, class: PacketClass) -> f64 {
-        let c = class.index();
-        if self.packets[c] == 0 {
-            return 0.0;
-        }
-        self.net_latency_sum[c] as f64 / self.packets[c] as f64
-    }
-
     /// Mean flits a node injected per cycle.
     ///
     /// Bounds-safe: an out-of-range `node` reads as zero traffic, matching
-    /// how [`NetStats::record_ejection`] treats an unknown destination.
+    /// how `NetStats::record_ejection` treats an unknown destination.
     pub fn injection_rate(&self, node: usize) -> f64 {
         if self.cycles == 0 {
             return 0.0;
@@ -124,18 +105,6 @@ impl NetStats {
             Some(&f) => f as f64 / self.cycles as f64,
             None => 0.0,
         }
-    }
-
-    /// Fraction of `try_inject` calls at `node` that were refused.
-    ///
-    /// Bounds-safe: an out-of-range `node` has made no attempts, so its
-    /// blocked fraction is zero.
-    pub fn blocked_fraction(&self, node: usize) -> f64 {
-        let a = self.inject_attempts_by_node.get(node).copied().unwrap_or(0);
-        if a == 0 {
-            return 0.0;
-        }
-        self.inject_blocked_by_node[node] as f64 / a as f64
     }
 
     /// Accepted traffic averaged over all nodes, in flits/cycle/node.
@@ -161,7 +130,7 @@ impl NetStats {
     ///
     /// Panics if the node counts differ. In debug builds, panics if the
     /// cycle counts differ (the slices did not share a clock).
-    pub fn merge_parallel(&mut self, other: &NetStats) {
+    pub(crate) fn merge_parallel(&mut self, other: &NetStats) {
         assert_eq!(
             self.injected_flits_by_node.len(),
             other.injected_flits_by_node.len(),
@@ -197,7 +166,7 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Packet;
+    use crate::packet::{Packet, PacketClass};
 
     fn ejected(
         class: PacketClass,
@@ -222,16 +191,13 @@ mod tests {
         assert_eq!(s.flits, [1, 4]);
         assert_eq!(s.total_latency_sum, [10, 20]);
         assert_eq!(s.net_latency_sum, [8, 19]);
-        assert!((s.avg_total_latency() - 15.0).abs() < 1e-9);
         assert!((s.avg_network_latency() - 13.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_have_zero_averages() {
         let s = NetStats::new(2);
-        assert_eq!(s.avg_total_latency(), 0.0);
         assert_eq!(s.avg_network_latency(), 0.0);
-        assert_eq!(s.blocked_fraction(0), 0.0);
         assert_eq!(s.injection_rate(1), 0.0);
     }
 
@@ -248,12 +214,12 @@ mod tests {
         a.merge_parallel(&b);
         assert_eq!(a.total_packets(), 2);
         assert_eq!(a.total_flits(), 5);
-        assert_eq!(a.blocked_fraction(0), 0.5);
+        assert_eq!((a.inject_attempts_by_node[0], a.inject_blocked_by_node[0]), (10, 5));
     }
 
-    /// Satellite regression: `injection_rate`/`blocked_fraction` used to
-    /// panic on an out-of-range node while `record_ejection` silently
-    /// ignored a bad `dst`. All three are now bounds-safe and consistent.
+    /// Satellite regression: `injection_rate` used to panic on an
+    /// out-of-range node while `record_ejection` silently ignored a bad
+    /// `dst`. Both are now bounds-safe and consistent.
     #[test]
     fn out_of_range_node_is_safe_and_consistent() {
         let mut s = NetStats::new(2);
@@ -264,9 +230,8 @@ mod tests {
         s.record_ejection(&ejected_to(PacketClass::Reply, 99));
         assert_eq!(s.total_packets(), 1);
         assert_eq!(s.ejected_flits_by_node, vec![0, 0]);
-        // Rate accessors return 0.0 instead of panicking.
+        // The rate accessor returns 0.0 instead of panicking.
         assert_eq!(s.injection_rate(99), 0.0);
-        assert_eq!(s.blocked_fraction(99), 0.0);
         // In-range behavior is unchanged.
         assert!((s.injection_rate(0) - 0.5).abs() < 1e-9);
     }

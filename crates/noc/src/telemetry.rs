@@ -11,7 +11,7 @@
 //! 2. **Link heatmaps**: per-link, per-VC flit counters and per-router
 //!    buffer-occupancy integrals sampled by the engine, exported as a
 //!    mesh-shaped utilization grid.
-//! 3. **Flight recorder** ([`FlightRecorder`]): a bounded ring buffer of
+//! 3. **Flight recorder** (`FlightRecorder`): a bounded ring buffer of
 //!    per-hop flit events (packet id, node, output port, cycle), armable
 //!    per node or per class via [`ArmSpec`].
 //!
@@ -22,16 +22,16 @@
 //! allocations and no extra RNG draws**, and every simulated outcome —
 //! golden sweep fingerprints, figure outputs, scheduler behavior — is
 //! byte-identical to a build without this module. Enabling telemetry
-//! allocates all buffers up front ([`NetTelemetry::new`]) and never
+//! allocates all buffers up front (`NetTelemetry::new`) and never
 //! reallocates afterwards, so the allocation-free steady state of the
 //! cycle kernel (DESIGN.md §12) also holds with telemetry *on*. Telemetry
 //! observes the simulation; it never influences it.
 //!
 //! Telemetry is engine-independent: [`crate::ArenaNetwork`] and the
-//! per-router oracle [`crate::Network`] own the same [`NetTelemetry`],
+//! per-router oracle [`crate::Network`] own the same `NetTelemetry`,
 //! feed it from the same three hook sites (switch grant, end-of-cycle
 //! occupancy, ejection) and snapshot it through the one report builder,
-//! [`NetTelemetry::report`] — so their reports are equal field for field.
+//! `NetTelemetry::report` — so their reports are equal field for field.
 
 use crate::packet::{PacketClass, PacketHeader};
 use crate::stats::NetStats;
@@ -42,13 +42,13 @@ use serde::{Deserialize, Serialize};
 /// Number of log2 latency buckets. Bucket 0 counts zero-cycle latencies,
 /// bucket `i` (for `1 <= i < 31`) counts latencies in `[2^(i-1), 2^i)`,
 /// and the last bucket absorbs everything at or above `2^30` cycles.
-pub const HIST_BUCKETS: usize = 32;
+pub(crate) const HIST_BUCKETS: usize = 32;
 
 /// A log2-bucketed latency histogram with a fixed, allocation-free
 /// footprint.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    /// Bucket counts; see [`HIST_BUCKETS`] for the bucket boundaries.
+    /// Bucket counts; see `HIST_BUCKETS` for the bucket boundaries.
     pub buckets: [u64; HIST_BUCKETS],
 }
 
@@ -65,29 +65,11 @@ impl LatencyHistogram {
     }
 
     /// Bucket index a latency value falls into.
-    pub fn bucket_of(latency: u64) -> usize {
+    pub(crate) fn bucket_of(latency: u64) -> usize {
         if latency == 0 {
             0
         } else {
             ((64 - latency.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-        }
-    }
-
-    /// Inclusive lower bound of bucket `i`.
-    pub fn bucket_lo(i: usize) -> u64 {
-        match i {
-            0 => 0,
-            _ => 1 << (i - 1),
-        }
-    }
-
-    /// Exclusive upper bound of bucket `i` (`u64::MAX` for the last,
-    /// open-ended bucket).
-    pub fn bucket_hi(i: usize) -> u64 {
-        if i + 1 >= HIST_BUCKETS {
-            u64::MAX
-        } else {
-            1 << i
         }
     }
 
@@ -102,30 +84,10 @@ impl LatencyHistogram {
     }
 
     /// Adds another histogram's counts into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
-    }
-
-    /// Upper bound (exclusive) of the bucket containing the `p`-th
-    /// percentile observation, `p` in `[0, 1]`. Returns 0 for an empty
-    /// histogram. Because buckets are logarithmic this is an upper
-    /// estimate, never an underestimate.
-    pub fn percentile_upper_bound(&self, p: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = (p.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Self::bucket_hi(i);
-            }
-        }
-        u64::MAX
     }
 }
 
@@ -142,7 +104,7 @@ pub struct LatencyHistograms {
 
 impl LatencyHistograms {
     /// Adds another set of histograms into this one.
-    pub fn merge(&mut self, other: &LatencyHistograms) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistograms) {
         for c in 0..2 {
             self.total[c].merge(&other.total[c]);
             self.network[c].merge(&other.network[c]);
@@ -214,7 +176,7 @@ pub struct FlightEvent {
 /// A bounded ring buffer of [`FlightEvent`]s. The buffer is allocated
 /// once at arm time; recording never allocates.
 #[derive(Clone, Debug)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     events: Vec<FlightEvent>,
     cap: usize,
     /// Overwrite position once the ring is full.
@@ -231,7 +193,7 @@ impl FlightRecorder {
     }
 
     /// `true` if a packet with this header should be recorded.
-    pub fn armed_for(&self, hdr: &PacketHeader) -> bool {
+    pub(crate) fn armed_for(&self, hdr: &PacketHeader) -> bool {
         self.cap > 0 && self.arm.matches(hdr)
     }
 
@@ -254,11 +216,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Events ever recorded (≥ the number currently held).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
     /// Events that were overwritten by newer ones.
     pub fn dropped(&self) -> u64 {
         self.total - self.events.len() as u64
@@ -268,7 +225,7 @@ impl FlightRecorder {
 /// Live telemetry state owned by a physical network (either engine)
 /// when enabled: all buffers are sized at construction and never grow.
 #[derive(Clone, Debug)]
-pub struct NetTelemetry {
+pub(crate) struct NetTelemetry {
     num_vcs: usize,
     /// Flits carried per `[(node * 4 + dir) * num_vcs + vc]`.
     link_vc_flits: Vec<u64>,
@@ -295,7 +252,7 @@ impl NetTelemetry {
     /// The switch-grant hook: counts a flit leaving `node` on a link
     /// (`out_port < 4`; ejection ports have no link) and offers the hop
     /// to the flight recorder.
-    pub fn record_grant(
+    pub(crate) fn record_grant(
         &mut self,
         hdr: &PacketHeader,
         seq: u16,
@@ -320,28 +277,28 @@ impl NetTelemetry {
     }
 
     /// Counts one flit leaving `node` toward `dir` on downstream VC `vc`.
-    pub fn count_link_flit(&mut self, node: NodeId, dir: usize, vc: u8) {
+    pub(crate) fn count_link_flit(&mut self, node: NodeId, dir: usize, vc: u8) {
         self.link_vc_flits[(node * 4 + dir) * self.num_vcs + vc as usize] += 1;
     }
 
     /// Accumulates one occupancy sample for `node`.
-    pub fn add_occupancy_sample(&mut self, node: NodeId, buffered: u64) {
+    pub(crate) fn add_occupancy_sample(&mut self, node: NodeId, buffered: u64) {
         self.occupancy_sum[node] += buffered;
     }
 
     /// Advances the occupancy sampling clock by one cycle.
-    pub fn tick_occupancy(&mut self) {
+    pub(crate) fn tick_occupancy(&mut self) {
         self.occupancy_cycles += 1;
     }
 
     /// Flits carried by the `(node, dir)` link, summed over VCs.
-    pub fn link_flits(&self, node: NodeId, dir: usize) -> u64 {
+    pub(crate) fn link_flits(&self, node: NodeId, dir: usize) -> u64 {
         let base = (node * 4 + dir) * self.num_vcs;
         self.link_vc_flits[base..base + self.num_vcs].iter().sum()
     }
 
     /// Flits carried by the `(node, dir)` link on one VC.
-    pub fn link_vc_flits(&self, node: NodeId, dir: usize, vc: u8) -> u64 {
+    pub(crate) fn link_vc_flits(&self, node: NodeId, dir: usize, vc: u8) -> u64 {
         self.link_vc_flits[(node * 4 + dir) * self.num_vcs + vc as usize]
     }
 
@@ -423,7 +380,7 @@ pub struct LinkRecord {
 }
 
 /// A serializable snapshot of one network's telemetry, built by
-/// [`NetTelemetry::report`].
+/// `NetTelemetry::report`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
     /// Which network this report describes (`net`, `request`, `reply`).
@@ -456,32 +413,6 @@ impl TelemetryReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report is plain data")
     }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error on malformed input.
-    pub fn from_json(s: &str) -> Result<Self, serde::json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// The busiest physical link: the record with the most flits,
-    /// breaking ties toward the lowest `(node, dir)` in record order.
-    /// `None` when the report has no links (a 1×1 mesh).
-    pub fn hottest_link(&self) -> Option<&LinkRecord> {
-        self.links.iter().reduce(|best, r| if r.flits > best.flits { r } else { best })
-    }
-
-    /// Flight events serialized as JSON lines (one event per line).
-    pub fn flight_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.flight {
-            out.push_str(&serde_json::to_string(ev).expect("event is plain data"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Helper for report construction: direction label used in link records.
@@ -509,15 +440,10 @@ mod tests {
         assert_eq!(LatencyHistogram::bucket_of(1023), 10);
         assert_eq!(LatencyHistogram::bucket_of(1024), 11);
         assert_eq!(LatencyHistogram::bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        // Every bucket's bounds are consistent with bucket_of.
-        for i in 0..HIST_BUCKETS {
-            let lo = LatencyHistogram::bucket_lo(i);
-            assert_eq!(LatencyHistogram::bucket_of(lo), i, "lo of bucket {i}");
-            let hi = LatencyHistogram::bucket_hi(i);
-            if i + 1 < HIST_BUCKETS {
-                assert_eq!(LatencyHistogram::bucket_of(hi - 1), i, "hi-1 of bucket {i}");
-                assert_eq!(LatencyHistogram::bucket_of(hi), i + 1, "hi of bucket {i}");
-            }
+        // Bucket i >= 1 spans [2^(i-1), 2^i).
+        for i in 1..HIST_BUCKETS - 1 {
+            assert_eq!(LatencyHistogram::bucket_of(1 << (i - 1)), i, "lo of bucket {i}");
+            assert_eq!(LatencyHistogram::bucket_of((1 << i) - 1), i, "hi-1 of bucket {i}");
         }
     }
 
@@ -540,20 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_upper_bound_brackets_observations() {
-        let mut h = LatencyHistogram::new();
-        for lat in [10, 20, 30, 1000] {
-            h.record(lat);
-        }
-        // p50 falls within the first two observations' buckets.
-        assert!(h.percentile_upper_bound(0.5) >= 20);
-        assert!(h.percentile_upper_bound(0.5) <= 64);
-        // p100 covers the 1000-cycle outlier.
-        assert!(h.percentile_upper_bound(1.0) > 1000);
-        assert_eq!(LatencyHistogram::new().percentile_upper_bound(0.5), 0);
-    }
-
-    #[test]
     fn flight_ring_wraps_and_preserves_order() {
         let mut fr = FlightRecorder::new(3, ArmSpec::default());
         let ev =
@@ -561,7 +473,6 @@ mod tests {
         for c in 0..5 {
             fr.record(ev(c));
         }
-        assert_eq!(fr.total_recorded(), 5);
         assert_eq!(fr.dropped(), 2);
         let cycles: Vec<u64> = fr.events().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4], "ring keeps the newest, oldest first");
@@ -636,8 +547,7 @@ mod tests {
             }],
             flight_dropped: 0,
         };
-        let back = TelemetryReport::from_json(&report.to_json()).unwrap();
+        let back: TelemetryReport = serde_json::from_str(&report.to_json()).unwrap();
         assert_eq!(back, report);
-        assert_eq!(report.flight_jsonl().lines().count(), 1);
     }
 }

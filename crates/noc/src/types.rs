@@ -93,16 +93,6 @@ impl Direction {
     pub fn from_index(idx: usize) -> Direction {
         Self::ALL[idx]
     }
-
-    /// `true` for `East`/`West` (movement in the X dimension).
-    pub fn is_x(self) -> bool {
-        matches!(self, Direction::East | Direction::West)
-    }
-
-    /// `true` for `North`/`South` (movement in the Y dimension).
-    pub fn is_y(self) -> bool {
-        !self.is_x()
-    }
 }
 
 impl std::fmt::Display for Direction {
@@ -143,14 +133,6 @@ mod tests {
         for d in Direction::ALL {
             assert_eq!(Direction::from_index(d.index()), d);
         }
-    }
-
-    #[test]
-    fn x_y_partition() {
-        assert!(Direction::East.is_x());
-        assert!(Direction::West.is_x());
-        assert!(Direction::North.is_y());
-        assert!(Direction::South.is_y());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use tenoc_harness::{tiny_grid, SeedMode, SweepGrid};
 pub const DEFAULT_SEED: u64 = tenoc_core::DEFAULT_SEED;
 /// Kernel-length scale of a wire request that names none (the golden tiny
 /// grid's). The CLI always sends the field.
-pub const DEFAULT_SCALE: f64 = 0.02;
+pub(crate) const DEFAULT_SCALE: f64 = 0.02;
 
 /// A parsed sweep submission.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,13 +168,13 @@ impl SweepRequest {
 /// # Errors
 ///
 /// Returns the transport's write or flush error.
-pub fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+pub(crate) fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
     writer.write_all(format!("{line}\n").as_bytes())?;
     writer.flush()
 }
 
 /// Builds a control-event line (no trailing newline).
-pub fn event_line(event: &str, fields: &[(&str, Value)]) -> String {
+pub(crate) fn event_line(event: &str, fields: &[(&str, Value)]) -> String {
     let mut obj = vec![("event".to_string(), event.to_value())];
     obj.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
     Value::Object(obj).to_json_compact()

@@ -16,20 +16,20 @@
 //! equivalence tested in `tenoc-harness`), so the service is provably
 //! just a memoized, fairly-scheduled `tenoc sweep`.
 
-use crate::cache::{CachedCell, DiskCache, Memo};
 use crate::canon::cell_key;
 use crate::proto::{event_line, write_line, SweepRequest};
 use crate::sched::DeadlineRr;
 use serde::json::Value;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use tenoc_harness::{annotate_cached, run_cell, SweepCell};
+use tenoc_harness::{CachedCell, DiskCache, Memo};
 
 /// Server construction parameters.
 #[derive(Clone, Debug)]
@@ -297,27 +297,46 @@ fn finish(st: &mut State, key: &str, cached: CachedCell) {
     }
 }
 
+/// Longest request line a connection may send. A `sweep` request naming
+/// every preset and benchmark is under 2 kB; the cap is what keeps one
+/// peer from growing the line buffer without bound.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
+
+/// Sends one `error` event.
+fn reject(writer: &mut TcpStream, msg: String) -> std::io::Result<()> {
+    write_line(writer, &event_line("error", &[("message", msg.to_value())]))
+}
+
 fn handle_conn(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) -> std::io::Result<()> {
     // Replies are several small lines; Nagle would hold each behind the
     // client's delayed ACK of the one before.
     stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an over-long line from a full one
+        // without ever buffering more than the cap.
+        if reader.by_ref().take(MAX_REQUEST_LINE + 1).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        if line.len() as u64 > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            return reject(
+                &mut writer,
+                format!("request line longer than {MAX_REQUEST_LINE} bytes; closing"),
+            );
+        }
+        // Lossy: bytes that are not UTF-8 become U+FFFD, which the parser
+        // rejects anywhere but inside a string.
+        let text = String::from_utf8_lossy(&line);
+        if text.trim().is_empty() {
             continue;
         }
-        let parsed = match serde::json::parse(&line) {
+        let parsed = match serde::json::parse(&text) {
             Ok(v) => v,
             Err(e) => {
-                write_line(
-                    &mut writer,
-                    &event_line(
-                        "error",
-                        &[("message", format!("malformed request: {e}").to_value())],
-                    ),
-                )?;
+                reject(&mut writer, format!("malformed request: {e}"))?;
                 continue;
             }
         };
@@ -328,13 +347,9 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) -> std::io::
                 write_line(&mut writer, &snap.to_line())?;
             }
             Some("sweep") => handle_sweep(inner, &mut writer, &parsed, conn_id)?,
-            other => {
-                let msg = format!("unknown op {other:?}");
-                write_line(&mut writer, &event_line("error", &[("message", msg.to_value())]))?;
-            }
+            other => reject(&mut writer, format!("unknown op {other:?}"))?,
         }
     }
-    Ok(())
 }
 
 fn handle_sweep(
@@ -343,9 +358,6 @@ fn handle_sweep(
     parsed: &Value,
     conn_id: u64,
 ) -> std::io::Result<()> {
-    let reject = |writer: &mut TcpStream, msg: String| {
-        write_line(writer, &event_line("error", &[("message", msg.to_value())]))
-    };
     let req = match SweepRequest::from_value(parsed) {
         Ok(r) => r,
         Err(msg) => return reject(writer, msg),

@@ -35,7 +35,7 @@ fn racing_clients_simulate_each_cell_exactly_once() {
     const CLIENTS: u64 = 4;
     let grid = tiny_grid();
     let distinct = grid.len() as u64;
-    let reference = to_jsonl(&run_sweep(&grid, tenoc_harness::jobs_from_env()));
+    let reference = to_jsonl(&run_sweep(&grid, tenoc_harness::jobs_from_env().unwrap()));
 
     let cache = tmp_cache("race");
     let mut cfg = server::ServerConfig::new("127.0.0.1:0", &cache);

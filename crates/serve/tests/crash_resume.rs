@@ -22,7 +22,7 @@ fn killed_server_resumes_without_resimulating_journaled_cells() {
     const K: usize = 3;
     let grid = tiny_grid();
     let total = grid.len();
-    let reference = to_jsonl(&run_sweep(&grid, tenoc_harness::jobs_from_env()));
+    let reference = to_jsonl(&run_sweep(&grid, tenoc_harness::jobs_from_env().unwrap()));
     let cache = tmp_cache("resume");
 
     // First life: single worker, paused so the whole grid is queued before anything runs.

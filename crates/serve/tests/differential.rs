@@ -26,7 +26,7 @@ fn local_server(cache: &PathBuf) -> server::ServerHandle {
 #[test]
 fn service_stream_is_byte_identical_to_batch_sweep() {
     let grid = tiny_grid();
-    let reference = to_jsonl(&run_sweep(&grid, tenoc_harness::jobs_from_env()));
+    let reference = to_jsonl(&run_sweep(&grid, tenoc_harness::jobs_from_env().unwrap()));
 
     let cache = tmp_cache("bytes");
     let handle = local_server(&cache);

@@ -169,11 +169,6 @@ impl ShaderCore {
         &self.stats
     }
 
-    /// L1 statistics.
-    pub fn l1_stats(&self) -> &tenoc_cache::CacheStats {
-        self.l1.stats()
-    }
-
     /// Outstanding read line-fetches (MSHR entries in use).
     pub fn outstanding_fetches(&self) -> usize {
         self.mshrs.len()
@@ -448,12 +443,12 @@ mod tests {
 
     #[test]
     fn single_warp_exposes_dependency_latency() {
-        let spec = KernelSpec::builder("dep")
+        let mut spec = KernelSpec::builder("dep")
             .warps_per_core(1)
             .insts_per_warp(100)
             .mem_fraction(0.0)
-            .alu_latency(20)
             .build();
+        spec.alu_latency = 20;
         let (core, cycles) = run_with_ideal_memory(&spec, 1_000_000);
         assert!(core.done());
         assert!(cycles >= 99 * 20, "dependency chain must be exposed: {cycles}");
@@ -488,7 +483,7 @@ mod tests {
             .build();
         let (core, _) = run_with_ideal_memory(&spec, 1_000_000);
         assert!(core.done());
-        let hit = core.l1_stats().hit_rate();
+        let hit = core.l1.stats().hit_rate();
         assert!(hit > 0.9, "4 KB working set must hit in a 16 KB L1, rate {hit}");
         // At most the 64 distinct lines of the working set are fetched.
         assert!(core.stats().read_requests <= 64);
@@ -570,12 +565,12 @@ mod tests {
 
     #[test]
     fn gto_scheduler_completes_and_prefers_one_warp() {
-        let spec = KernelSpec::builder("gto")
+        let mut spec = KernelSpec::builder("gto")
             .warps_per_core(8)
             .insts_per_warp(100)
             .mem_fraction(0.0)
-            .alu_latency(0)
             .build();
+        spec.alu_latency = 0;
         let mut cfg = CoreConfig::gtx280_like();
         cfg.scheduler = SchedulerPolicy::GreedyThenOldest;
         let mut core = ShaderCore::new(0, cfg, &spec, 1);

@@ -209,12 +209,6 @@ impl KernelSpecBuilder {
         self
     }
 
-    /// Sets the arithmetic dependency latency.
-    pub fn alu_latency(mut self, l: u64) -> Self {
-        self.spec.alu_latency = l;
-        self
-    }
-
     /// Sets the number of independent memory instructions in flight per
     /// warp before it blocks.
     pub fn mem_dep_distance(mut self, d: u32) -> Self {

@@ -48,10 +48,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod core;
-pub mod kernel;
-pub mod warp;
+mod core;
+mod kernel;
+mod warp;
 
 pub use crate::core::{CoreConfig, CoreStats, MemRequest, SchedulerPolicy, ShaderCore};
 pub use kernel::{KernelSpec, KernelSpecBuilder, TrafficClass};
-pub use warp::{Warp, WarpState};

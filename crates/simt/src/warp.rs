@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 
 /// Scheduling state of a warp.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum WarpState {
+pub(crate) enum WarpState {
     /// Eligible for issue.
     Ready,
     /// Blocked on a result dependency until the given core cycle.
@@ -24,7 +24,7 @@ pub enum WarpState {
 /// change the generated instruction stream — the workload is identical
 /// across network configurations.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PendingInst {
+pub(crate) struct PendingInst {
     /// `true` for a global memory operation.
     pub is_mem: bool,
     /// `true` if the memory operation is a store.
@@ -36,7 +36,7 @@ pub struct PendingInst {
 
 /// One warp of 32 scalar threads.
 #[derive(Clone, Debug)]
-pub struct Warp {
+pub(crate) struct Warp {
     /// Warp index within its core.
     pub id: usize,
     /// Instructions retired so far.
@@ -95,7 +95,7 @@ impl Warp {
 
     /// Retires one instruction; transitions to `Done` at the end of the
     /// stream.
-    pub fn retire_one(&mut self) {
+    pub(crate) fn retire_one(&mut self) {
         self.retired += 1;
         if self.retired >= self.total {
             self.state = WarpState::Done;
@@ -105,7 +105,7 @@ impl Warp {
     /// Records `n` more outstanding load transactions, blocking the warp
     /// once `limit` transactions are in flight (the memory-level
     /// parallelism allowance).
-    pub fn add_outstanding(&mut self, n: u32, limit: u32) {
+    pub(crate) fn add_outstanding(&mut self, n: u32, limit: u32) {
         if n > 0 {
             self.outstanding_loads += n;
             if self.state != WarpState::Done && self.outstanding_loads >= limit {
@@ -120,7 +120,7 @@ impl Warp {
     /// # Panics
     ///
     /// Panics if no load was outstanding (simulator bug).
-    pub fn complete_load(&mut self, limit: u32) {
+    pub(crate) fn complete_load(&mut self, limit: u32) {
         assert!(self.outstanding_loads > 0, "load completion without outstanding load");
         self.outstanding_loads -= 1;
         if self.outstanding_loads < limit && self.state == WarpState::WaitingMem {

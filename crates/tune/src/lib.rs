@@ -41,8 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
-pub mod space;
+mod report;
+mod space;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -51,7 +51,9 @@ pub use report::{
     BenchIpc, Finalist, FrontierPoint, GridCounts, HeatmapReport, NamedPoint, Rejection, Rung,
     Stage1Entry, Stage2Entry, TuneReport, TuneStats,
 };
-pub use space::{config_hash, Candidate, Org, Point};
+pub use space::{config_hash, Candidate, Org};
+
+use space::Point;
 
 use serde::Serialize;
 use tenoc_core::experiments::run_traced_with_system_config;

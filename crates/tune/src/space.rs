@@ -73,7 +73,7 @@ impl Org {
     /// The routing functions worth pairing with this organization in the
     /// default grid (others are either redundant by symmetry or known
     /// illegal for every axis combination).
-    pub fn default_routings(self) -> Vec<RoutingKind> {
+    pub(crate) fn default_routings(self) -> Vec<RoutingKind> {
         match self {
             Org::MeshTb | Org::MeshCp => vec![RoutingKind::DorXy, RoutingKind::O1Turn],
             Org::CbMeshCp => {
@@ -89,7 +89,7 @@ impl Org {
 }
 
 /// Short label for a routing function, used in candidate names.
-pub fn routing_label(r: RoutingKind) -> &'static str {
+pub(crate) fn routing_label(r: RoutingKind) -> &'static str {
     match r {
         RoutingKind::DorXy => "dor-xy",
         RoutingKind::DorYx => "dor-yx",
@@ -101,7 +101,7 @@ pub fn routing_label(r: RoutingKind) -> &'static str {
 
 /// One point of the search grid, before construction.
 #[derive(Copy, Clone, Debug)]
-pub struct Point {
+pub(crate) struct Point {
     /// Topology + MC placement.
     pub org: Org,
     /// Routing function.
@@ -143,7 +143,7 @@ impl Point {
     /// saturation throughput (which prices families very differently
     /// from closed-loop IPC) ranks candidates within a family without
     /// letting one family flood the cut.
-    pub fn family(&self) -> String {
+    pub(crate) fn family(&self) -> String {
         format!(
             "{}/{}/{}",
             self.org.label(),
@@ -205,10 +205,10 @@ impl Point {
 /// configuration and canonical content hash.
 #[derive(Clone, Debug)]
 pub struct Candidate {
-    /// Deterministic grid name (see [`Point::name`]), or `pin:<label>`
+    /// Deterministic grid name (see `Point::name`), or `pin:<label>`
     /// for a pinned reference preset absent from the grid.
     pub name: String,
-    /// Fabric family ([`Point::family`]) used for stratified stage-2
+    /// Fabric family (`Point::family`) used for stratified stage-2
     /// promotion; pinned out-of-grid candidates are each their own
     /// family.
     pub family: String,

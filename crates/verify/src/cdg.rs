@@ -23,7 +23,7 @@ use tenoc_noc::{Direction, Mesh, NodeId, PacketClass, Phase};
 /// The packet population that introduced a dependency edge. The first
 /// witness wins; it is reported when the edge participates in a cycle.
 #[derive(Copy, Clone, Debug)]
-pub struct Witness {
+pub(crate) struct Witness {
     /// Source terminal of the witnessing route.
     pub src: NodeId,
     /// Destination terminal of the witnessing route.
@@ -48,7 +48,7 @@ impl std::fmt::Display for Witness {
 }
 
 /// A channel dependency graph at virtual-channel granularity.
-pub struct Cdg {
+pub(crate) struct Cdg {
     mesh: Mesh,
     total_vcs: usize,
     n_vertices: usize,
@@ -80,7 +80,7 @@ impl Cdg {
 
     /// Marks the (link, VC) resources in `vcs` as reachable by traffic.
     /// Resources no route ever touches are excluded from the vertex count.
-    pub fn mark_used(&mut self, node: NodeId, dir: Direction, vcs: VcSet) {
+    pub(crate) fn mark_used(&mut self, node: NodeId, dir: Direction, vcs: VcSet) {
         for vc in vcs.iter() {
             let v = self.vid(node, dir, vc) as usize;
             self.used[v] = true;
@@ -90,7 +90,7 @@ impl Cdg {
     /// Adds the dependency edges from every VC a packet may hold on the
     /// link `(hold_node, hold_dir)` to every VC it may request on the next
     /// link `(want_node, want_dir)`.
-    pub fn add_dependency(
+    pub(crate) fn add_dependency(
         &mut self,
         hold: (NodeId, Direction, VcSet),
         want: (NodeId, Direction, VcSet),
@@ -111,19 +111,19 @@ impl Cdg {
     }
 
     /// Number of (link, VC) resources reachable by at least one route.
-    pub fn vertex_count(&self) -> usize {
+    pub(crate) fn vertex_count(&self) -> usize {
         self.used.iter().filter(|&&u| u).count()
     }
 
     /// Number of distinct dependency edges.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
     /// Human-readable name of a vertex: `(x,y)->(x',y') vc<n>`. The target
     /// comes from the topology's own `neighbor` function, so a torus wrap
     /// link reads `(k-1,y)->(0,y)` rather than a phantom off-grid node.
-    pub fn describe_vertex(&self, v: u32) -> String {
+    pub(crate) fn describe_vertex(&self, v: u32) -> String {
         let v = v as usize;
         let vc = v % self.total_vcs;
         let rest = v / self.total_vcs;
@@ -209,7 +209,7 @@ impl Cdg {
     /// A shortest dependency cycle, if any exists: the vertex sequence
     /// `v0 -> v1 -> ... -> vL-1 (-> v0)` plus the witness of each edge
     /// (including the closing edge). `None` proves the CDG acyclic.
-    pub fn shortest_cycle(&self) -> Option<(Vec<u32>, Vec<Witness>)> {
+    pub(crate) fn shortest_cycle(&self) -> Option<(Vec<u32>, Vec<Witness>)> {
         let mut best: Option<Vec<u32>> = None;
         for scc in self.cyclic_sccs() {
             let members: HashSet<u32> = scc.iter().copied().collect();

@@ -20,7 +20,7 @@ use tenoc_noc::{Mesh, NetworkConfig, NodeId, PacketClass, Phase, RoutingKind};
 /// share neither row nor column, and the XY turn node `(d.x, s.y)` has
 /// odd parity (for full-to-full pairs the YX turn node then has odd
 /// parity too, so every minimal turn lands on a half-router).
-pub fn expected_unroutable(mesh: &Mesh, src: NodeId, dst: NodeId) -> bool {
+pub(crate) fn expected_unroutable(mesh: &Mesh, src: NodeId, dst: NodeId) -> bool {
     let s = mesh.coord(src);
     let d = mesh.coord(dst);
     !mesh.is_half(src)

@@ -34,20 +34,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cdg;
-pub mod checks;
+mod cdg;
+mod checks;
 pub mod load;
-pub mod route;
-
-pub use cdg::{Cdg, Witness};
-pub use checks::expected_unroutable;
+mod route;
 
 use std::sync::Mutex;
 use tenoc_noc::NetworkConfig;
 
 /// Which property a finding is about.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum CheckKind {
+pub(crate) enum CheckKind {
     /// `NetworkConfig::validate` preconditions.
     Config,
     /// Channel-dependency-graph acyclicity.
@@ -82,7 +79,7 @@ impl CheckKind {
 
 /// Whether a finding breaks the configuration or documents a proof.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Severity {
+pub(crate) enum Severity {
     /// A property was proven or a caveat is worth knowing; not an error.
     Info,
     /// The configuration is unsafe to simulate.
@@ -93,21 +90,21 @@ pub enum Severity {
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// The property this finding is about.
-    pub check: CheckKind,
+    pub(crate) check: CheckKind,
     /// Proof note or violation.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
     /// Human-readable detail (multi-line for cycles and tallies).
     pub message: String,
 }
 
 impl Finding {
     /// An informational (proof) finding.
-    pub fn info(check: CheckKind, message: String) -> Self {
+    pub(crate) fn info(check: CheckKind, message: String) -> Self {
         Finding { check, severity: Severity::Info, message }
     }
 
     /// A violation finding.
-    pub fn violation(check: CheckKind, message: String) -> Self {
+    pub(crate) fn violation(check: CheckKind, message: String) -> Self {
         Finding { check, severity: Severity::Violation, message }
     }
 }
@@ -157,11 +154,6 @@ impl VerifyReport {
     /// The violation findings only.
     pub fn violations(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| f.severity == Severity::Violation)
-    }
-
-    /// `true` if some violation concerns the given check.
-    pub fn has_violation(&self, check: CheckKind) -> bool {
-        self.violations().any(|f| f.check == check)
     }
 }
 
@@ -218,7 +210,7 @@ fn subject_of(cfg: &NetworkConfig) -> String {
 
 /// Statically verifies one physical network configuration. See the crate
 /// docs for the properties checked. Never panics on well-formed meshes;
-/// structural problems surface as [`CheckKind::Config`] violations.
+/// structural problems surface as `CheckKind::Config` violations.
 pub fn analyze(cfg: &NetworkConfig) -> VerifyReport {
     let mut findings = Vec::new();
     let mut stats = VerifyStats::default();
@@ -306,6 +298,10 @@ mod tests {
     use super::*;
     use tenoc_noc::{RoutingKind, VcLayout};
 
+    fn has_violation(report: &VerifyReport, check: CheckKind) -> bool {
+        report.violations().any(|f| f.check == check)
+    }
+
     #[test]
     fn baseline_mesh_is_clean() {
         let report = analyze(&NetworkConfig::baseline_mesh(6));
@@ -335,9 +331,9 @@ mod tests {
         cfg.vcs = VcLayout::new(2, 2, false);
         let report = analyze(&cfg);
         assert!(!report.is_clean());
-        assert!(report.has_violation(CheckKind::Config), "validate() must also complain");
+        assert!(has_violation(&report, CheckKind::Config), "validate() must also complain");
         assert!(
-            report.has_violation(CheckKind::RoutingDeadlock),
+            has_violation(&report, CheckKind::RoutingDeadlock),
             "the CDG must be cyclic: {report}"
         );
         let deadlock = report
@@ -374,9 +370,9 @@ mod tests {
         cfg.vcs = VcLayout::new(4, 2, false); // dateline split dropped
         let report = analyze(&cfg);
         assert!(!report.is_clean());
-        assert!(report.has_violation(CheckKind::Config), "validate() must also complain");
+        assert!(has_violation(&report, CheckKind::Config), "validate() must also complain");
         assert!(
-            report.has_violation(CheckKind::RoutingDeadlock),
+            has_violation(&report, CheckKind::RoutingDeadlock),
             "the ring CDG must be cyclic: {report}"
         );
         let deadlock = report
@@ -407,7 +403,7 @@ mod tests {
         let mut cfg = NetworkConfig::checkerboard_mesh(6);
         cfg.vcs = VcLayout::new(2, 1, false);
         let report = analyze(&cfg);
-        assert!(report.has_violation(CheckKind::RoutingDeadlock), "{report}");
+        assert!(has_violation(&report, CheckKind::RoutingDeadlock), "{report}");
     }
 
     /// O1Turn needs its phase split for the same reason.
@@ -417,7 +413,7 @@ mod tests {
         cfg.routing = RoutingKind::O1Turn;
         cfg.vcs = VcLayout::new(2, 2, false);
         let report = analyze(&cfg);
-        assert!(report.has_violation(CheckKind::RoutingDeadlock), "{report}");
+        assert!(has_violation(&report, CheckKind::RoutingDeadlock), "{report}");
     }
 
     /// O1Turn and ROMM with phase-split VCs verify clean on full meshes.
@@ -449,7 +445,7 @@ mod tests {
         let full = cfg.mesh.nodes().find(|&n| !cfg.mesh.is_half(n)).expect("full router exists");
         cfg.mc_nodes = vec![full];
         let report = analyze(&cfg);
-        assert!(report.has_violation(CheckKind::Routability), "{report}");
+        assert!(has_violation(&report, CheckKind::Routability), "{report}");
         assert!(report.violations().any(|f| f.message.contains("MC placement")), "{report}");
     }
 
@@ -458,7 +454,7 @@ mod tests {
         let mut cfg = NetworkConfig::baseline_mesh(4);
         cfg.mc_nodes = vec![999];
         let report = analyze(&cfg);
-        assert!(report.has_violation(CheckKind::Config));
+        assert!(has_violation(&report, CheckKind::Config));
         assert_eq!(report.stats.pairs, 0, "no enumeration on unusable geometry");
     }
 

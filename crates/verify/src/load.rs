@@ -65,7 +65,7 @@ impl TrafficMatrix {
 /// One source→destination flow of the traffic matrix: `rate` packets per
 /// cycle of `size_bytes` payload at unit injection scale.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Demand {
+pub(crate) struct Demand {
     /// Source node.
     pub src: NodeId,
     /// Destination node.
@@ -82,7 +82,7 @@ pub struct Demand {
 /// normalized so one unit of injection scale means one packet per cycle
 /// per source node ([`TrafficMatrix::ManyToFew`]: per *compute* node, the
 /// open-loop harness's `injection_rate` convention).
-pub fn demands(matrix: TrafficMatrix, cfg: &NetworkConfig) -> Vec<Demand> {
+pub(crate) fn demands(matrix: TrafficMatrix, cfg: &NetworkConfig) -> Vec<Demand> {
     let mesh = &cfg.mesh;
     let one_flit = cfg.channel_bytes;
     let mut out = Vec::new();
@@ -198,7 +198,7 @@ pub struct LoadReport {
     /// `eject terminal at node 28`.
     pub bottleneck: String,
     /// Saturation-throughput upper bound: the injection scale (packets
-    /// per cycle per source node, see [`demands`]) at which the binding
+    /// per cycle per source node, see `demands`) at which the binding
     /// resource reaches capacity. `0.0` for an empty matrix.
     pub saturation_rate: f64,
     /// The bound converted to the open-loop harness's unit: ejected
@@ -229,12 +229,6 @@ impl LoadReport {
         }
         self.channels.iter().filter(|c| c.load >= max * (1.0 - eps)).collect()
     }
-
-    /// The maximum expected load over channels only (excluding
-    /// terminals), in flits/cycle at unit injection scale.
-    pub fn max_channel_load(&self) -> f64 {
-        self.channels.iter().map(|c| c.load).fold(0.0_f64, f64::max)
-    }
 }
 
 /// Router pipeline depth of `node` under `cfg` (half-routers are
@@ -260,7 +254,7 @@ pub fn analyze_load(cfg: &NetworkConfig, matrix: TrafficMatrix) -> LoadReport {
 /// The enumeration core: analyzes an explicit demand list (callers
 /// normally go through [`analyze_load`]; the double-network path filters
 /// the demand list by class first).
-pub fn analyze_load_demands(
+pub(crate) fn analyze_load_demands(
     cfg: &NetworkConfig,
     matrix_label: String,
     flows: Vec<Demand>,

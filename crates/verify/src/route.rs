@@ -10,7 +10,7 @@ use tenoc_noc::routing::{next_hop, OutPort, VcSet};
 use tenoc_noc::{Direction, Mesh, NodeId, Packet, PacketClass, Phase, RoutingKind, VcLayout};
 
 /// One fully walked route for one plan of one (src, dst, class) triple.
-pub struct RouteTrace {
+pub(crate) struct RouteTrace {
     /// The checkerboard phase the plan was injected with.
     pub phase: Phase,
     /// The case-2 intermediate node, if the plan routes through one.

@@ -28,7 +28,7 @@ pub use tenoc_simt::TrafficClass;
 use tenoc_simt::{KernelSpec, KernelSpecBuilder};
 
 /// Full benchmark names keyed by abbreviation (paper Table I).
-pub const FULL_NAMES: [(&str, &str); 31] = [
+pub(crate) const FULL_NAMES: [(&str, &str); 31] = [
     ("AES", "AES Cryptography"),
     ("BIN", "Binomial Option Pricing"),
     ("HSP", "HotSpot"),
@@ -371,11 +371,6 @@ pub fn by_name(name: &str) -> Option<KernelSpec> {
     suite().into_iter().find(|s| s.name == name)
 }
 
-/// The benchmarks of one traffic class, in suite order.
-pub fn by_class(class: TrafficClass) -> Vec<KernelSpec> {
-    suite().into_iter().filter(|s| s.class == class).collect()
-}
-
 /// A reduced smoke suite (one benchmark per class) for fast tests.
 pub fn smoke_suite() -> Vec<KernelSpec> {
     ["HIS", "MM", "RD"].iter().map(|n| by_name(n).expect("known benchmark")).collect()
@@ -389,6 +384,10 @@ pub fn full_name(abbr: &str) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn by_class(class: TrafficClass) -> Vec<KernelSpec> {
+        suite().into_iter().filter(|s| s.class == class).collect()
+    }
 
     #[test]
     fn suite_has_31_valid_benchmarks() {

@@ -243,13 +243,21 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and `tenoc serve` feeds it lines from the network, so
+/// without a bound one long run of `[` overflows the stack — an abort no
+/// `catch_unwind` can contain. Every document the workspace writes nests
+/// fewer than 16 levels.
+const MAX_DEPTH: usize = 64;
+
 /// Parses JSON text into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`Error`] (with byte offset) on malformed input.
+/// Returns [`Error`] (with byte offset) on malformed input and on
+/// containers nested deeper than 64 levels.
 pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -262,6 +270,8 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -303,12 +313,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -393,9 +413,10 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xd800) << 10) + (lo.wrapping_sub(0xdc00));
-                                    char::from_u32(combined)
+                                    (0xdc00..0xe000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -508,6 +529,67 @@ mod tests {
     fn malformed_inputs_error() {
         for bad in ["{not json", "[1,", "\"unterminated", "tru", "{\"a\" 1}", "1 2"] {
             assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// What a hostile peer can put on a `tenoc serve` socket: the parser
+    /// must answer every one with `Ok` or `Err`, never a panic or a stack
+    /// overflow (which aborts the whole process).
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let close = if open == "[" { "]" } else { "}" };
+            let nest = |n: usize| format!("{}1{}", open.repeat(n), close.repeat(n));
+            assert!(parse(&nest(MAX_DEPTH)).is_ok(), "{MAX_DEPTH} levels of `{open}` parse");
+            for n in [MAX_DEPTH + 1, 1_000, 300_000] {
+                let err = parse(&nest(n)).expect_err("over-deep document");
+                assert!(err.to_string().contains("nesting deeper"), "{n} x `{open}`: {err}");
+                // Unclosed, as the reviewer's probe sent it.
+                assert!(parse(&open.repeat(n)).is_err(), "{n} unclosed `{open}`");
+            }
+        }
+        // Depth counts open containers, not containers seen: siblings are free.
+        assert!(parse(&format!("[{}]", vec!["[[1]]"; 1_000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn truncated_escapes_and_huge_numbers_never_panic() {
+        let escapes = [
+            "\\",
+            "\\u",
+            "\\u1",
+            "\\u12",
+            "\\u123",
+            "\\ud800",
+            "\\ud800\\",
+            "\\ud800\\u",
+            "\\ud800\\u00",
+            "\\ud800\\u0041",
+            "\\ud800\\ud800",
+            "\\udc00",
+            "\\u+123",
+            "\\x",
+        ];
+        for esc in escapes {
+            for text in [format!("\"{esc}"), format!("\"{esc}\""), format!("[\"{esc}\",1]")] {
+                let _ = parse(&text);
+            }
+        }
+        assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap().as_str().unwrap(), "\u{1f600}");
+        let digits = "9".repeat(5_000);
+        for text in [
+            digits.clone(),
+            format!("-{digits}"),
+            format!("{digits}.{digits}"),
+            format!("1e{digits}"),
+            format!("-1e-{digits}"),
+            "1e".to_string(),
+            "-".to_string(),
+            "1.".to_string(),
+        ] {
+            if let Ok(v) = parse(&text) {
+                assert!(matches!(v, Value::F64(_)), "{} chars parsed as {v:?}", text.len());
+            }
         }
     }
 

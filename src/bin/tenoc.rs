@@ -139,6 +139,12 @@ impl Command {
         eprintln!("{}: {problem}\nusage: tenoc {} {}", self.name, self.name, self.usage);
         std::process::exit(2)
     }
+
+    /// The flag's value, else the environment knob's; a malformed
+    /// variable is a usage error exactly like a malformed flag.
+    fn or_env<T>(&self, flag: Option<T>, knob: fn() -> Result<T, String>) -> T {
+        flag.unwrap_or_else(|| knob().unwrap_or_else(|e| self.usage_error(&e)))
+    }
 }
 
 /// A subcommand's parsed `--flag [value]` pairs.
@@ -249,7 +255,7 @@ fn main() -> ExitCode {
         Ok(values) => Flags { cmd, values },
         Err(e) => cmd.usage_error(&e),
     };
-    let scale = flags.scale().unwrap_or_else(scale_from_env);
+    let scale = cmd.or_env(flags.scale(), scale_from_env);
 
     let result = match cmd.name {
         "run" => cmd_run(&flags, scale),
@@ -370,7 +376,7 @@ fn announce(cmd: &Command, grid: &SweepGrid, jobs: usize) {
 /// preset-major in suite order.
 fn run_suites(cmd: &Command, presets: &[Preset], scale: f64) -> Vec<CellResult> {
     let grid = SweepGrid::suites(presets, scale);
-    let jobs = jobs_from_env();
+    let jobs = cmd.or_env(None, jobs_from_env);
     announce(cmd, &grid, jobs);
     run_grid(&grid, jobs)
 }
@@ -646,7 +652,7 @@ fn cmd_sweep(flags: &Flags, scale: f64) -> CmdResult {
     use tenoc::harness::{check_fingerprints, engine, from_jsonl, to_jsonl};
 
     let grid = sweep_request(flags, scale).grid()?;
-    let jobs = flags.jobs().unwrap_or_else(jobs_from_env);
+    let jobs = flags.cmd.or_env(flags.jobs(), jobs_from_env);
     announce(flags.cmd, &grid, jobs);
     let records = engine::run_sweep(&grid, jobs);
     gate(flags, &format!("{} records", records.len()), &to_jsonl(&records), true, |snapshot| {
@@ -748,7 +754,7 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
         spec.seed = s;
     }
     let opts = TuneOptions {
-        jobs: flags.jobs().unwrap_or_else(jobs_from_env),
+        jobs: flags.cmd.or_env(flags.jobs(), jobs_from_env),
         cache_dir: flags.get("cache").map(std::path::PathBuf::from),
     };
     let (report, stats) = run_tune(&spec, &opts).map_err(|e| e.to_string())?;

@@ -7,7 +7,7 @@
 //! * [`noc`] — cycle-level NoC simulator (mesh, checkerboard half-routers,
 //!   checkerboard routing, multi-port MC routers, double networks).
 //! * [`dram`] — GDDR3 timing model with an FR-FCFS memory controller.
-//! * [`cache`] — set-associative caches, MSHRs, warp access coalescing.
+//! * [`cache`] — set-associative caches and MSHRs.
 //! * [`simt`] — SIMT shader-core timing model with synthetic kernels.
 //! * [`workloads`] — the 31-benchmark synthetic suite mirroring Table I.
 //! * [`core`] — the closed-loop accelerator system simulator, configuration

@@ -21,7 +21,7 @@ fn tiny_sweep_matches_checked_in_fingerprints() {
     for g in &golden {
         assert!(g.fingerprint_valid(), "checked-in record {} is self-consistent", g.key());
     }
-    let records = engine::run_sweep(&tiny_grid(), tenoc::harness::jobs_from_env());
+    let records = engine::run_sweep(&tiny_grid(), tenoc::harness::jobs_from_env().unwrap());
     if let Err(problems) = check_fingerprints(&records, &golden) {
         panic!(
             "golden sweep drifted ({} problems):\n  {}\nif intended, re-bless with \

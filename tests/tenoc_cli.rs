@@ -1,7 +1,8 @@
 //! End-to-end test of the `tenoc` CLI's flag contract: a flag a
-//! subcommand does not accept, or a flag value that does not parse or is
-//! out of range, prints that subcommand's usage and exits 2 (a mistyped
-//! flag or value must never silently run a different experiment), while
+//! subcommand does not accept, or a flag value or `TENOC_SCALE` /
+//! `TENOC_JOBS` setting that does not parse or is out of range, prints
+//! that subcommand's usage and exits 2 (a mistyped flag, value or
+//! variable must never silently run a different experiment), while
 //! every invocation shape the repo benchmark makes
 //! (`benchmark/src/e2e.rs`) keeps exiting 0. Also pinned here, from
 //! outside: `trace` observes without perturbing, `sweep` and `submit`
@@ -18,8 +19,13 @@ use tenoc::core::Preset;
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 
 fn tenoc(args: &[&str]) -> Output {
+    tenoc_env(args, &[])
+}
+
+fn tenoc_env(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tenoc"))
         .args(args)
+        .envs(env.iter().copied())
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("binary runs")
@@ -28,11 +34,7 @@ fn tenoc(args: &[&str]) -> Output {
 /// Stdout of a successful run under `TENOC_JOBS=jobs`, which must announce
 /// on stderr that its `cells` went to that many pool workers.
 fn ok_on_pool(args: &[&str], jobs: &str, cells: &str) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_tenoc"))
-        .args(args)
-        .env("TENOC_JOBS", jobs)
-        .output()
-        .expect("binary runs");
+    let out = tenoc_env(args, &[("TENOC_JOBS", jobs)]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{args:?} at {jobs} jobs failed; stderr: {stderr}");
     let announced = format!("{}: {cells} at scale 0.02, {jobs} jobs\n", args[0]);
@@ -52,7 +54,11 @@ fn assert_rejected(args: &[&str], flag: &str) {
 }
 
 fn assert_usage_error(args: &[&str], problem: &str) {
-    let out = tenoc(args);
+    assert_usage_error_env(args, &[], problem);
+}
+
+fn assert_usage_error_env(args: &[&str], env: &[(&str, &str)], problem: &str) {
+    let out = tenoc_env(args, env);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error; stderr: {stderr}");
     assert!(stderr.contains(problem), "stderr must say `{problem}`: {stderr}");
@@ -99,6 +105,32 @@ fn bad_flag_values_exit_with_code_two() {
     bad(&["trace", "--preset", "thr-eff", "--node", "36"], "node", "36");
     // A value-taking flag with its value missing reads as `true`.
     bad(&["tune", "--tiny", "--seed"], "seed", "true");
+}
+
+/// The environment knobs obey the flags' predicates: `TENOC_SCALE=O.5`
+/// used to run silently at 0.12, `=inf` was accepted, and `TENOC_JOBS=0`
+/// became "all cores".
+#[test]
+fn bad_env_knobs_exit_with_code_two() {
+    let suite: &[&str] = &["suite", "--preset", "baseline"];
+    // With the scale pinned small, should a bad TENOC_JOBS ever be accepted again.
+    let quick: &[&str] = &["suite", "--preset", "baseline", "--scale", "0.02"];
+    for (args, var, value) in [
+        (suite, "TENOC_SCALE", "x"),
+        (suite, "TENOC_SCALE", "0"),
+        (suite, "TENOC_SCALE", "inf"),
+        (quick, "TENOC_JOBS", "0"),
+        (quick, "TENOC_JOBS", "two"),
+    ] {
+        assert_usage_error_env(args, &[(var, value)], &format!("{var}={value} is not"));
+    }
+    // Valid settings still work, and a flag outranks its variable.
+    let run = ["run", "--benchmark", "HIS", "--preset", "baseline", "--json"];
+    let by_env = tenoc_env(&run, &[("TENOC_SCALE", "0.02")]);
+    assert_eq!(by_env.status.code(), Some(0), "{}", String::from_utf8_lossy(&by_env.stderr));
+    let by_flag = tenoc_env(&[&run[..], &["--scale", "0.02"]].concat(), &[("TENOC_SCALE", "x")]);
+    assert_eq!(by_flag.status.code(), Some(0), "{}", String::from_utf8_lossy(&by_flag.stderr));
+    assert_eq!(by_env.stdout, by_flag.stdout);
 }
 
 #[test]
