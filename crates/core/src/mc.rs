@@ -210,6 +210,9 @@ impl McNode {
                 self.in_q.pop_front();
             }
             LookupResult::Miss => {
+                // Known bug, kept until the next `MODEL_VERSION` bump (ROADMAP
+                // item 6): the `access` above already counted this miss and
+                // ticked the LRU, and does so again on every retried cycle.
                 if self.mshrs.is_full() || !self.dram.can_accept() {
                     return; // retry next cycle
                 }

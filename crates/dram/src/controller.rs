@@ -41,10 +41,8 @@ impl DramRequest {
     }
 }
 
-/// A queued request with its address decode cached: the schedulers
-/// re-inspect every queue entry's (bank, row) each cycle, and the decode
-/// divides by runtime values (`row_bytes`, `banks`), so it is computed
-/// once at enqueue instead of O(queue) times per scan.
+/// A queued request with its address decode (divisions by the runtime
+/// `row_bytes` and `banks`) computed once at enqueue.
 #[derive(Copy, Clone, Debug)]
 struct QueuedRequest {
     req: DramRequest,
@@ -124,7 +122,12 @@ pub struct MemoryController {
     cfg: DramConfig,
     policy: SchedulingPolicy,
     banks: Vec<Bank>,
-    queue: VecDeque<QueuedRequest>,
+    /// Arrival order, so the lowest set bit of a position mask is the oldest.
+    queue: Vec<QueuedRequest>,
+    /// Per bank: bit `p` is set iff `queue[p]` addresses that bank.
+    bank_mask: Vec<u64>,
+    /// Bit `p` is set iff `queue[p].row` is its bank's open row.
+    hit_mask: u64,
     in_flight: VecDeque<Completion>,
     /// Earliest cycle the shared data bus is free.
     bus_free: u64,
@@ -142,7 +145,7 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if the timing parameters are inconsistent.
+    /// Panics if the timings are inconsistent or the geometry is invalid.
     pub fn new(cfg: DramConfig) -> Self {
         Self::with_policy(cfg, SchedulingPolicy::FrFcfs)
     }
@@ -151,13 +154,16 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if the timing parameters are inconsistent.
+    /// Panics if the timings are inconsistent or the geometry is invalid.
     pub fn with_policy(cfg: DramConfig, policy: SchedulingPolicy) -> Self {
         cfg.timings.validate().expect("invalid DRAM timings");
+        cfg.validate().expect("invalid DRAM configuration");
         MemoryController {
             policy,
             banks: vec![Bank::new(); cfg.banks],
-            queue: VecDeque::with_capacity(cfg.queue_capacity),
+            queue: Vec::with_capacity(cfg.queue_capacity),
+            bank_mask: vec![0; cfg.banks],
+            hit_mask: 0,
             in_flight: VecDeque::new(),
             bus_free: 0,
             last_activate: None,
@@ -201,7 +207,12 @@ impl MemoryController {
         self.stats.accepted += 1;
         let bank = self.cfg.bank_of(req.addr);
         let row = self.cfg.row_of(req.addr);
-        self.queue.push_back(QueuedRequest { req, bank, row });
+        let bit = 1u64 << self.queue.len();
+        self.bank_mask[bank] |= bit;
+        if self.banks[bank].row_hit(row) {
+            self.hit_mask |= bit;
+        }
+        self.queue.push(QueuedRequest { req, bank, row });
         Ok(())
     }
 
@@ -215,6 +226,16 @@ impl MemoryController {
 
     /// Advances the channel by one DRAM clock, issuing at most one command.
     pub fn step(&mut self, now: u64) {
+        if self.begin_cycle(now) && !self.queue.is_empty() {
+            match self.policy {
+                SchedulingPolicy::FrFcfs => self.step_frfcfs(now),
+                SchedulingPolicy::Fcfs => self.step_fcfs(now),
+            }
+        }
+    }
+
+    /// Accounts the cycle and runs refresh; `false` while one blocks the channel.
+    fn begin_cycle(&mut self, now: u64) -> bool {
         self.stats.cycles += 1;
         if self.pending() > 0 {
             self.stats.busy_cycles += 1;
@@ -225,10 +246,9 @@ impl MemoryController {
             let all_idle =
                 self.banks.iter().all(|b| b.open_row().is_none() || b.can_precharge(now));
             if all_idle {
-                for b in &mut self.banks {
-                    if b.open_row().is_some() {
-                        b.precharge(now, &self.cfg.timings);
-                        self.stats.precharges += 1;
+                for b in 0..self.banks.len() {
+                    if self.banks[b].open_row().is_some() {
+                        self.precharge(b, now);
                     }
                 }
                 self.refresh_until = now + self.cfg.timings.t_rfc;
@@ -236,13 +256,7 @@ impl MemoryController {
                 self.stats.refreshes += 1;
             }
         }
-        if now < self.refresh_until {
-            return;
-        }
-        match self.policy {
-            SchedulingPolicy::FrFcfs => self.step_frfcfs(now),
-            SchedulingPolicy::Fcfs => self.step_fcfs(now),
-        }
+        now >= self.refresh_until
     }
 
     fn rrd_ok(&self, now: u64) -> bool {
@@ -252,8 +266,32 @@ impl MemoryController {
         }
     }
 
+    /// Opens `row` in bank `b`: its queued requests to that row become hits.
+    fn activate(&mut self, b: usize, row: u64, now: u64) {
+        self.banks[b].activate(row, now, &self.cfg.timings);
+        self.last_activate = Some(now);
+        self.stats.activates += 1;
+        for (p, r) in self.queue.iter().enumerate() {
+            if r.bank == b && r.row == row {
+                self.hit_mask |= 1 << p;
+            }
+        }
+    }
+
+    /// Closes bank `b` (as a command or within a refresh): no hits remain.
+    fn precharge(&mut self, b: usize, now: u64) {
+        self.banks[b].precharge(now, &self.cfg.timings);
+        self.stats.precharges += 1;
+        self.hit_mask &= !self.bank_mask[b];
+    }
+
     fn issue_cas(&mut self, idx: usize, now: u64) {
-        let QueuedRequest { req, bank, row } = self.queue.remove(idx).expect("index valid");
+        let QueuedRequest { req, bank, row } = self.queue.remove(idx);
+        // Younger requests moved down a position: squeeze bit `idx` out.
+        let below = (1u64 << idx) - 1;
+        let squeeze = |m: u64| (m & below) | ((m >> 1) & !below);
+        self.hit_mask = squeeze(self.hit_mask);
+        self.bank_mask.iter_mut().for_each(|m| *m = squeeze(*m));
         self.banks[bank].cas(row, now);
         let burst = self.cfg.burst_cycles();
         let start = (now + self.cfg.timings.t_cl).max(self.bus_free);
@@ -271,60 +309,43 @@ impl MemoryController {
         self.in_flight.push_back(Completion { request: req, done });
     }
 
+    /// One pass over the banks collects, as position masks, the requests each
+    /// command class could serve now; the oldest (lowest bit) of the first
+    /// non-empty class issues: row hit, then activate, then conflict precharge.
     fn step_frfcfs(&mut self, now: u64) {
-        // 1. Oldest row hit whose bank may issue and whose data slot is
-        //    available.
-        let hit = self.queue.iter().position(|r| self.banks[r.bank].can_cas(r.row, now));
-        if let Some(idx) = hit {
-            self.issue_cas(idx, now);
-            return;
-        }
-        // 2. Oldest request whose bank is closed and may activate.
-        if self.rrd_ok(now) {
-            let act = self.queue.iter().position(|r| self.banks[r.bank].can_activate(now));
-            if let Some(idx) = act {
-                let r = self.queue[idx];
-                self.banks[r.bank].activate(r.row, now, &self.cfg.timings);
-                self.last_activate = Some(now);
-                self.stats.activates += 1;
-                return;
-            }
-        }
-        // 3. Oldest request with a row conflict — precharge, but only if no
-        //    earlier queued request still hits that bank's open row.
-        let pre = self.queue.iter().position(|r| {
-            let bank = &self.banks[r.bank];
+        let (mut cas, mut act, mut pre) = (0u64, 0u64, 0u64);
+        for (bank, &queued) in self.banks.iter().zip(&self.bank_mask) {
+            let hits = queued & self.hit_mask;
             match bank.open_row() {
-                Some(open) => {
-                    open != r.row
-                        && bank.can_precharge(now)
-                        && !self.queue.iter().any(|q| q.bank == r.bank && q.row == open)
-                }
-                None => false,
+                None if bank.can_activate(now) => act |= queued,
+                Some(open) if hits != 0 && bank.can_cas(open, now) => cas |= hits,
+                // A conflict precharges only once nothing queued hits the open row.
+                Some(_) if hits == 0 && bank.can_precharge(now) => pre |= queued,
+                _ => {}
             }
-        });
-        if let Some(idx) = pre {
-            let b = self.queue[idx].bank;
-            self.banks[b].precharge(now, &self.cfg.timings);
-            self.stats.precharges += 1;
+        }
+        if cas != 0 {
+            self.issue_cas(cas.trailing_zeros() as usize, now);
+        } else if act != 0 && self.rrd_ok(now) {
+            let r = self.queue[act.trailing_zeros() as usize];
+            self.activate(r.bank, r.row, now);
+        } else if pre != 0 {
+            let b = self.queue[pre.trailing_zeros() as usize].bank;
+            self.precharge(b, now);
         }
     }
 
     fn step_fcfs(&mut self, now: u64) {
-        let Some(&r) = self.queue.front() else { return };
-        let QueuedRequest { bank: b, row, .. } = r;
+        let Some(&QueuedRequest { bank: b, row, .. }) = self.queue.first() else { return };
         if self.banks[b].can_cas(row, now) {
             self.issue_cas(0, now);
         } else if self.banks[b].open_row().is_some()
             && self.banks[b].open_row() != Some(row)
             && self.banks[b].can_precharge(now)
         {
-            self.banks[b].precharge(now, &self.cfg.timings);
-            self.stats.precharges += 1;
+            self.precharge(b, now);
         } else if self.banks[b].can_activate(now) && self.rrd_ok(now) {
-            self.banks[b].activate(row, now, &self.cfg.timings);
-            self.last_activate = Some(now);
-            self.stats.activates += 1;
+            self.activate(b, row, now);
         }
     }
 }
@@ -332,6 +353,130 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    impl MemoryController {
+        /// The reference picker: the body of `step_frfcfs` as it was before
+        /// the position masks, verbatim — three scans of the queue that read
+        /// bank state only, never `bank_mask` or `hit_mask`.
+        fn step_three_scans(&mut self, now: u64) {
+            // 1. Oldest row hit whose bank may issue and whose data slot is
+            //    available.
+            let hit = self.queue.iter().position(|r| self.banks[r.bank].can_cas(r.row, now));
+            if let Some(idx) = hit {
+                self.issue_cas(idx, now);
+                return;
+            }
+            // 2. Oldest request whose bank is closed and may activate.
+            if self.rrd_ok(now) {
+                let act = self.queue.iter().position(|r| self.banks[r.bank].can_activate(now));
+                if let Some(idx) = act {
+                    let r = self.queue[idx];
+                    self.banks[r.bank].activate(r.row, now, &self.cfg.timings);
+                    self.last_activate = Some(now);
+                    self.stats.activates += 1;
+                    return;
+                }
+            }
+            // 3. Oldest request with a row conflict — precharge, but only if no
+            //    earlier queued request still hits that bank's open row.
+            let pre = self.queue.iter().position(|r| {
+                let bank = &self.banks[r.bank];
+                match bank.open_row() {
+                    Some(open) => {
+                        open != r.row
+                            && bank.can_precharge(now)
+                            && !self.queue.iter().any(|q| q.bank == r.bank && q.row == open)
+                    }
+                    None => false,
+                }
+            });
+            if let Some(idx) = pre {
+                let b = self.queue[idx].bank;
+                self.banks[b].precharge(now, &self.cfg.timings);
+                self.stats.precharges += 1;
+            }
+        }
+
+        /// Everything a command changes: two controllers that agree on this
+        /// after a cycle issued the same command on the same queue entry.
+        fn observable(&self) -> (Vec<u64>, &[Bank], &DramStats, Option<u64>, u64) {
+            let tags = self.queue.iter().map(|r| r.req.tag).collect();
+            (tags, &self.banks, &self.stats, self.last_activate, self.bus_free)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+        /// Differential test of the position masks against the old scans: the
+        /// production controller and a twin stepped by `step_three_scans` see
+        /// one random stream of reads and writes — bursts that overrun the
+        /// queue (back-pressure), then gaps — for over three refresh
+        /// intervals, on every `banks` x `queue_capacity` shape. Every cycle
+        /// both must have issued the same command on the same entry; at the
+        /// end their statistics and `(tag, done)` sequences must be equal.
+        ///
+        /// It must catch (checked by hand on each): not clearing `hit_mask`
+        /// when a refresh closes the banks, and squeezing `bank_mask` but not
+        /// `hit_mask` after a CAS.
+        #[test]
+        fn position_masks_issue_what_the_three_scans_issued(seed in any::<u64>()) {
+            for banks in [1usize, 4, 8, 16] {
+                for queue_capacity in [1usize, 7, 32, 64] {
+                    let cfg = DramConfig { banks, queue_capacity, ..DramConfig::gddr3() };
+                    let shape = (banks * 100 + queue_capacity) as u64;
+                    let mut rng = SmallRng::seed_from_u64(seed ^ shape);
+                    let mut masks = MemoryController::new(cfg);
+                    let mut scans = MemoryController::new(cfg);
+                    let (mut done_masks, mut done_scans) = (Vec::new(), Vec::new());
+                    // Few rows per bank: hits, conflicts and requests left
+                    // hitting a row that a refresh closes are all common.
+                    let rows = rng.gen_range(2..5u64);
+                    let drive = 3 * cfg.timings.t_refi + 500;
+                    let (mut tag, mut burst_left, mut gap_left) = (0u64, 0u32, 0u32);
+                    let mut now = 0u64;
+                    while now < drive || masks.pending() > 0 {
+                        prop_assert!(now < drive + 20_000, "the queue must drain");
+                        if now < drive && gap_left == 0 && burst_left == 0 {
+                            burst_left = rng.gen_range(1..3 * queue_capacity as u32 + 8);
+                            gap_left = rng.gen_range(0..120);
+                        }
+                        if now < drive && burst_left > 0 {
+                            for _ in 0..rng.gen_range(1..4) {
+                                let (row, bank) = (rng.gen_range(0..rows), rng.gen_range(0..banks as u64));
+                                let block = row * banks as u64 + bank;
+                                let addr = block * cfg.row_bytes + rng.gen_range(0..32u64) * 64;
+                                let is_write = rng.gen_bool(0.3);
+                                let req = DramRequest { addr, is_write, tag, arrival: now };
+                                tag += 1;
+                                burst_left = burst_left.saturating_sub(1);
+                                prop_assert_eq!(masks.push(req), scans.push(req));
+                            }
+                        } else {
+                            gap_left = gap_left.saturating_sub(1);
+                        }
+                        masks.step(now);
+                        if scans.begin_cycle(now) {
+                            scans.step_three_scans(now);
+                        }
+                        prop_assert_eq!(
+                            masks.observable(), scans.observable(),
+                            "cycle {} on {} banks, {} entries", now, banks, queue_capacity
+                        );
+                        done_masks.extend(std::iter::from_fn(|| masks.pop_completed(now)));
+                        done_scans.extend(std::iter::from_fn(|| scans.pop_completed(now)));
+                        now += 1;
+                    }
+                    prop_assert!(masks.stats().refreshes >= 3 && masks.stats().refused > 0);
+                    prop_assert_eq!(masks.stats(), scans.stats());
+                    prop_assert_eq!(done_masks.len() as u64, masks.stats().accepted);
+                    prop_assert_eq!(done_masks, done_scans);
+                }
+            }
+        }
+    }
 
     fn run(mc: &mut MemoryController, cycles: u64) -> Vec<Completion> {
         let mut out = Vec::new();

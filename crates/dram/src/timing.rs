@@ -99,6 +99,17 @@ impl DramConfig {
         }
     }
 
+    /// Checks the geometry: the scheduler keeps a bit per queue position in a `u64`.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if !(1..=64).contains(&self.queue_capacity) {
+            return Err(format!("queue_capacity ({}) must be in 1..=64", self.queue_capacity));
+        }
+        if self.banks == 0 {
+            return Err("banks (0) must be at least 1".to_string());
+        }
+        Ok(())
+    }
+
     /// Cycles the data bus is occupied by one burst.
     pub fn burst_cycles(&self) -> u64 {
         self.burst_bytes.div_ceil(self.bytes_per_cycle)
@@ -133,6 +144,21 @@ mod tests {
         let mut t = GddrTimings::gtx280();
         t.t_ras = 5;
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn geometry_outside_the_position_masks_rejected() {
+        let base = DramConfig::gddr3();
+        base.validate().unwrap();
+        DramConfig { queue_capacity: 64, ..base }.validate().unwrap();
+        for (cfg, field) in [
+            (DramConfig { queue_capacity: 0, ..base }, "queue_capacity"),
+            (DramConfig { queue_capacity: 65, ..base }, "queue_capacity (65) must be in 1..=64"),
+            (DramConfig { banks: 0, ..base }, "banks"),
+        ] {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
     }
 
     #[test]

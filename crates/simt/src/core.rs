@@ -105,6 +105,9 @@ pub struct ShaderCore {
     idle_until: u64,
     l1: Cache,
     mshrs: MshrTable,
+    /// Bumped where L1 residency or MSHR membership can change: on a fill
+    /// and on a memory instruction that issues. Starts at 1.
+    mem_epoch: u64,
     /// Scratch for MSHR completions (reused across fills).
     fill_targets: Vec<u64>,
     out: VecDeque<MemRequest>,
@@ -127,6 +130,7 @@ impl ShaderCore {
             id,
             l1: Cache::new(cfg.l1),
             mshrs: MshrTable::new(cfg.mshrs, cfg.mshr_targets),
+            mem_epoch: 1,
             fill_targets: Vec::new(),
             warps,
             rr: 0,
@@ -193,6 +197,7 @@ impl ShaderCore {
     /// Panics if no fetch for `line_addr` is outstanding.
     pub fn push_fill(&mut self, line_addr: u64) {
         self.idle_until = 0;
+        self.mem_epoch += 1;
         let mut targets = std::mem::take(&mut self.fill_targets);
         self.mshrs.complete_into(line_addr, &mut targets);
         if let Some(ev) = self.l1.fill(line_addr) {
@@ -230,7 +235,7 @@ impl ShaderCore {
         let n = self.warps.len();
         let picked = match self.cfg.scheduler {
             SchedulerPolicy::RoundRobin => {
-                (0..n).map(|i| (self.rr + i) % n).find(|&w| self.warps[w].ready(now))
+                (self.rr..n).chain(0..self.rr).find(|&w| self.warps[w].ready(now))
             }
             // Greedy: stick with the last-issued warp while it stays
             // ready; otherwise fall back to the lowest-id (oldest) ready
@@ -245,35 +250,32 @@ impl ShaderCore {
             }
         };
         let Some(wid) = picked else {
-            if self.warps.iter().all(|w| w.state == WarpState::Done) {
-                self.done = true;
-            } else {
-                self.stats.idle_issue_cycles += 1;
-                // Readiness only changes with time (WaitingDep expiry) or
-                // a fill (which clears this): sleep until the earliest
-                // dependency expires.
-                self.idle_until = self
-                    .warps
-                    .iter()
-                    .filter_map(|w| match w.state {
-                        WarpState::WaitingDep(until) => Some(until),
-                        _ => None,
-                    })
-                    .min()
-                    .unwrap_or(u64::MAX);
-            }
+            self.stats.idle_issue_cycles += 1;
+            // Readiness only changes with time (WaitingDep expiry) or a
+            // fill (which clears this): sleep until the earliest
+            // dependency expires.
+            self.idle_until = self
+                .warps
+                .iter()
+                .filter_map(|w| match w.state {
+                    WarpState::WaitingDep(until) => Some(until),
+                    _ => None,
+                })
+                .min()
+                .unwrap_or(u64::MAX);
             return;
         };
         self.rr = (wid + 1) % n;
         self.issue_free_at = now + self.cfg.issue_interval;
         self.issue_instruction(wid, now);
-        if self.warps.iter().all(|w| w.state == WarpState::Done) {
-            self.done = true;
+        // The kernel can only finish on the cycle its last warp retires.
+        if self.warps[wid].state == WarpState::Done {
+            self.done = self.warps.iter().all(|w| w.state == WarpState::Done);
         }
     }
 
     fn issue_instruction(&mut self, wid: usize, now: u64) {
-        let inst = match self.warps[wid].pending_inst.take() {
+        let mut inst = match self.warps[wid].pending_inst.take() {
             Some(i) => i,
             None => self.generate_inst(wid),
         };
@@ -290,19 +292,12 @@ impl ShaderCore {
         // Atomic resource check: the instruction replays if the MSHRs or
         // the outgoing queue cannot absorb every transaction. The drawn
         // instruction is kept so the stream is timing-independent.
-        let mut new_fetches = 0usize;
-        let mut out_needed = 0usize;
-        for &line in &inst.lines {
-            if self.l1.contains(line) {
-                continue;
-            }
-            if inst.is_write {
-                out_needed += 1; // write-through, no allocation
-            } else if !self.mshrs.contains(line) {
-                new_fetches += 1;
-                out_needed += 1;
-            }
+        if inst.demand.0 == self.mem_epoch {
+            debug_assert_eq!(inst.demand, self.demand(&inst), "stale demand memo");
+        } else {
+            inst.demand = self.demand(&inst);
         }
+        let (_, new_fetches, out_needed) = inst.demand;
         if self.mshrs.len() + new_fetches > self.cfg.mshrs
             || self.out.len() + out_needed > self.cfg.out_queue_cap
         {
@@ -310,6 +305,7 @@ impl ShaderCore {
             self.warps[wid].pending_inst = Some(inst);
             return; // warp stays ready; the same instruction retries later
         }
+        self.mem_epoch += 1;
         let mut loads_outstanding = 0u32;
         for &line in &inst.lines {
             if inst.is_write {
@@ -354,16 +350,40 @@ impl ShaderCore {
         self.stats.warp_insts += 1;
     }
 
+    /// MSHR entries and outgoing-queue slots `inst` would take if it issued
+    /// now, stamped with the epoch: `(mem_epoch, new_fetches, out_needed)`.
+    fn demand(&self, inst: &PendingInst) -> (u64, usize, usize) {
+        let mut new_fetches = 0usize;
+        let mut out_needed = 0usize;
+        for &line in &inst.lines {
+            if self.l1.contains(line) {
+                continue;
+            }
+            if inst.is_write {
+                out_needed += 1; // write-through, no allocation
+            } else if !self.mshrs.contains(line) {
+                new_fetches += 1;
+                out_needed += 1;
+            }
+        }
+        (self.mem_epoch, new_fetches, out_needed)
+    }
+
     /// Draws the next instruction of a warp from its RNG (exactly once per
     /// instruction).
     fn generate_inst(&mut self, wid: usize) -> PendingInst {
         let is_mem = self.warps[wid].rng.gen_bool(self.spec.mem_fraction);
         if !is_mem {
-            return PendingInst { is_mem: false, is_write: false, lines: Vec::new() };
+            return PendingInst {
+                is_mem: false,
+                is_write: false,
+                lines: Vec::new(),
+                demand: (0, 0, 0),
+            };
         }
         let is_write = self.warps[wid].rng.gen_bool(self.spec.write_fraction);
         let lines = self.generate_lines(wid);
-        PendingInst { is_mem: true, is_write, lines }
+        PendingInst { is_mem: true, is_write, lines, demand: (0, 0, 0) }
     }
 
     /// In-flight load-transaction allowance per warp before it blocks.
@@ -532,6 +552,42 @@ mod tests {
         assert!(core.pending_requests() <= 16);
         assert!(core.stats().replays > 0);
         assert!(!core.done());
+    }
+
+    #[test]
+    fn fill_between_replays_refreshes_the_memoized_demand() {
+        let spec = KernelSpec::builder("memo")
+            .warps_per_core(2)
+            .insts_per_warp(1)
+            .mem_fraction(1.0)
+            .build();
+        let mut cfg = CoreConfig::gtx280_like();
+        cfg.out_queue_cap = 1;
+        let mut core = ShaderCore::new(0, cfg, &spec, 1);
+        let (x, z) = (0x1000, 0x2000);
+        let plant = |is_write, lines: &[u64]| {
+            Some(PendingInst { is_mem: true, is_write, lines: lines.to_vec(), demand: (0, 0, 0) })
+        };
+        core.warps[0].pending_inst = plant(false, &[x]);
+        core.warps[1].pending_inst = plant(true, &[x, z]);
+        core.step(0); // warp 0's load misses; the memory system takes the fetch of X
+        assert_eq!(core.pop_request().map(|r| r.line_addr), Some(x));
+        // Warp 1's store needs two slots of a one-slot queue that stays
+        // empty: it replays, the second time from the memo.
+        core.step(4);
+        let memo = core.warps[1].pending_inst.as_ref().unwrap().demand;
+        assert_eq!(memo, (core.mem_epoch, 0, 2));
+        core.step(8);
+        assert_eq!(core.stats().replays, 2);
+        assert_eq!(core.warps[1].pending_inst.as_ref().unwrap().demand, memo);
+        // X becomes L1-resident: only the demand changed, and the store fits.
+        core.push_fill(x);
+        core.step(12);
+        assert_eq!(core.stats().replays, 2);
+        assert!(core.done());
+        let sent = core.pop_request().unwrap();
+        assert_eq!((sent.line_addr, sent.is_write), (z, true));
+        assert_eq!(core.pop_request(), None);
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub(crate) struct PendingInst {
     /// Distinct line addresses the operation touches after coalescing
     /// (empty for ALU instructions).
     pub lines: Vec<u64>,
+    /// `(mem_epoch, new_fetches, out_needed)` of the last resource check; a
+    /// replay in the same epoch of its core reuses it (epoch 0: never checked).
+    pub demand: (u64, usize, usize),
 }
 
 /// One warp of 32 scalar threads.
