@@ -15,12 +15,19 @@
 //! `Double-CP-CR-2P(inj)` point it aliases — share cache entries. An
 //! open-loop probe ([`probe_key`]) is addressed the same way, under its
 //! own domain tag.
+//!
+//! Cell addresses are not rendered from the value tree: nearly all of a
+//! cell's canonical text is its interconnect, which every cell of one
+//! fabric shares, so [`FabricText`] canonicalizes that once and the six
+//! sorted fields are written around it as text. [`cell_value`] under
+//! [`canonical_json`] stays the definition — every address is checked
+//! against it in debug builds.
 
 use crate::grid::{ConfigCell, SweepCell};
 use crate::record::fnv1a64;
 use serde::json::Value;
 use serde::Serialize;
-use tenoc_core::IcntConfig;
+use tenoc_core::{IcntConfig, Preset, SystemConfig};
 use tenoc_noc::openloop::{OpenLoopConfig, TrafficPattern};
 
 /// Recursively sorts every object's keys, making the tree independent of
@@ -46,9 +53,14 @@ pub fn canonical_json(v: &Value) -> String {
     canonicalize(v).to_json_compact()
 }
 
+/// Lower-case-hex FNV-1a of a canonical text: the address it names.
+fn address(canonical: &str) -> String {
+    format!("{:016x}", fnv1a64(canonical.as_bytes()))
+}
+
 /// Lower-case-hex FNV-1a of a value's canonical JSON.
 pub fn hash_value(v: &Value) -> String {
-    format!("{:016x}", fnv1a64(canonical_json(v).as_bytes()))
+    address(&canonical_json(v))
 }
 
 /// The canonical identity of a cell as a value tree: the resolved
@@ -78,9 +90,47 @@ pub fn config_cell_value(cell: &ConfigCell) -> Value {
     ])
 }
 
+/// What a cell's address takes from its fabric alone: the canonical JSON
+/// of the resolved interconnect (a value tree, a recursive key sort and a
+/// kilobyte of text — the expensive part of an address) and the two
+/// scalars [`SystemConfig::with_icnt`] derives beside it.
+struct FabricText {
+    icnt: String,
+    chunk: u64,
+    cores_per_node: usize,
+}
+
+impl FabricText {
+    fn of(cfg: &SystemConfig) -> Self {
+        FabricText {
+            icnt: canonical_json(&cfg.icnt.to_value()),
+            chunk: cfg.chunk,
+            cores_per_node: cfg.cores_per_node,
+        }
+    }
+
+    /// The canonical JSON of a cell on this fabric: the fields of
+    /// [`config_cell_value`] in sorted order, each scalar rendered as
+    /// [`Value`] renders it.
+    fn cell_text(&self, benchmark: &str, scale: f64, seed: u64) -> String {
+        format!(
+            "{{\"benchmark\":{},\"chunk\":{},\"cores_per_node\":{},\"icnt\":{},\"scale\":{},\"seed\":{}}}",
+            benchmark.to_value().to_json_compact(),
+            self.chunk,
+            self.cores_per_node,
+            self.icnt,
+            scale.to_value().to_json_compact(),
+            seed,
+        )
+    }
+}
+
 /// The content address of a cell: 16 lower-case hex digits.
 pub fn config_cell_key(cell: &ConfigCell) -> String {
-    hash_value(&config_cell_value(cell))
+    let text =
+        FabricText::of(&cell.system_config()).cell_text(&cell.benchmark, cell.scale, cell.seed);
+    debug_assert_eq!(text, canonical_json(&config_cell_value(cell)));
+    address(&text)
 }
 
 /// [`config_cell_value`] of a preset cell's resolved configuration.
@@ -88,9 +138,29 @@ pub fn cell_value(cell: &SweepCell) -> Value {
     config_cell_value(&cell.config())
 }
 
-/// [`config_cell_key`] of a preset cell's resolved configuration.
+/// The content address of each of `cells`, in order: [`config_cell_key`]
+/// of its resolved configuration, with each distinct `(preset, mesh_k)`
+/// resolved and canonicalized once — a grid is a few fabrics under many
+/// workloads.
+pub fn cell_keys(cells: &[SweepCell]) -> Vec<String> {
+    let mut fabrics: Vec<(Preset, usize, FabricText)> = Vec::new();
+    let keys = cells.iter().map(|cell| {
+        let known = fabrics.iter().position(|(p, k, _)| (*p, *k) == (cell.preset, cell.mesh_k));
+        let at = known.unwrap_or_else(|| {
+            let cfg = SystemConfig::with_icnt(cell.preset.icnt(cell.mesh_k));
+            fabrics.push((cell.preset, cell.mesh_k, FabricText::of(&cfg)));
+            fabrics.len() - 1
+        });
+        let text = fabrics[at].2.cell_text(&cell.benchmark, cell.scale, cell.seed);
+        debug_assert_eq!(text, canonical_json(&cell_value(cell)));
+        address(&text)
+    });
+    keys.collect()
+}
+
+/// The content address of one preset cell.
 pub fn cell_key(cell: &SweepCell) -> String {
-    config_cell_key(&cell.config())
+    cell_keys(std::slice::from_ref(cell)).pop().expect("one cell, one address")
 }
 
 /// The canonical identity of one open-loop probe: the interconnect the

@@ -1,6 +1,7 @@
 //! The sweep engine: runs every grid cell on the worker pool and turns
 //! results into sealed [`RunRecord`]s.
 
+use crate::cache::CachedCell;
 use crate::grid::{ConfigCell, SweepCell, SweepGrid};
 use crate::pool::run_indexed;
 use crate::record::RunRecord;
@@ -72,43 +73,70 @@ pub fn run_grid(grid: &SweepGrid, jobs: usize) -> Vec<CellResult> {
 ///
 /// Propagates panics from [`run_cell`].
 pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> Vec<RunRecord> {
-    run_grid(grid, jobs).into_iter().map(|r| annotate(&r)).collect()
+    run_sweep_jsonl(grid, jobs).0
+}
+
+/// [`run_sweep`]'s records beside their JSON-lines text — what
+/// [`to_jsonl`](crate::to_jsonl) makes of them, taken from the one
+/// rendering that sealing each record already does.
+///
+/// # Panics
+///
+/// Propagates panics from [`run_cell`].
+pub fn run_sweep_jsonl(grid: &SweepGrid, jobs: usize) -> (Vec<RunRecord>, String) {
+    let mut text = String::new();
+    let records = run_grid(grid, jobs)
+        .iter()
+        .map(|r| {
+            let (record, line) = sealed(&r.cell, r.class, &r.metrics);
+            text.push_str(&line);
+            text.push('\n');
+            record
+        })
+        .collect();
+    (records, text)
+}
+
+/// A cell's record, annotated with the design point's area/power model
+/// and sealed, beside its JSON line.
+fn sealed(cell: &SweepCell, class: TrafficClass, metrics: &RunMetrics) -> (RunRecord, String) {
+    let icnt = cell.preset.icnt(cell.mesh_k);
+    let area = AreaModel::chip_area(&icnt);
+    let icnt_hz = ClockConfig::gtx280().icnt_mhz * 1e6;
+    let elapsed_s = metrics.icnt_cycles as f64 / icnt_hz;
+    let power = PowerModel::dynamic_power_w(icnt.net(), metrics.flit_hops, elapsed_s);
+    let mut record = RunRecord {
+        cell: cell.index as u64,
+        preset: cell.preset.label(),
+        benchmark: cell.benchmark.clone(),
+        class: class.label().to_owned(),
+        scale: cell.scale,
+        seed: cell.seed,
+        metrics: *metrics,
+        noc_area_mm2: area.noc(),
+        chip_area_mm2: area.total(),
+        ipc_per_mm2: throughput_effectiveness(metrics.ipc, &area),
+        noc_dynamic_power_w: power,
+        fingerprint: String::new(),
+    };
+    let line = record.seal();
+    (record, line)
 }
 
 /// Annotates a raw result with the design point's area/power model and
 /// seals the fingerprint.
 pub fn annotate(result: &CellResult) -> RunRecord {
-    let icnt = result.cell.preset.icnt(result.cell.mesh_k);
-    let area = AreaModel::chip_area(&icnt);
-    let icnt_hz = ClockConfig::gtx280().icnt_mhz * 1e6;
-    let elapsed_s = result.metrics.icnt_cycles as f64 / icnt_hz;
-    let power = PowerModel::dynamic_power_w(icnt.net(), result.metrics.flit_hops, elapsed_s);
-    let mut record = RunRecord {
-        cell: result.cell.index as u64,
-        preset: result.cell.preset.label(),
-        benchmark: result.cell.benchmark.clone(),
-        class: result.class.label().to_owned(),
-        scale: result.cell.scale,
-        seed: result.cell.seed,
-        metrics: result.metrics,
-        noc_area_mm2: area.noc(),
-        chip_area_mm2: area.total(),
-        ipc_per_mm2: throughput_effectiveness(result.metrics.ipc, &area),
-        noc_dynamic_power_w: power,
-        fingerprint: String::new(),
-    };
-    record.seal();
-    record
+    sealed(&result.cell, result.class, &result.metrics).0
 }
 
-/// The cache hook: seals a record for `cell` from a previously-measured
-/// `(class, metrics)` pair without re-simulating. A record carries
-/// nothing but the cell and its measured values, so this one is
-/// byte-identical to the one [`run_cell`] + [`annotate`] would have
-/// produced — which is what lets a result cache substitute for
-/// simulation without perturbing golden snapshots.
-pub fn annotate_cached(cell: &SweepCell, class: TrafficClass, metrics: RunMetrics) -> RunRecord {
-    annotate(&CellResult { cell: cell.clone(), class, metrics, wall_nanos: 0 })
+/// The cache hook: the record line (no newline) for `cell` from a
+/// previously-measured result, without re-simulating. A record carries
+/// nothing but the cell and its measured values, so these are the bytes
+/// [`run_cell`] + [`annotate`] would have serialized to — which is what
+/// lets a result cache substitute for simulation without perturbing
+/// golden snapshots.
+pub fn cached_line(cell: &SweepCell, cached: &CachedCell) -> String {
+    sealed(cell, cached.class, &cached.metrics).1
 }
 
 #[cfg(test)]
@@ -128,8 +156,9 @@ mod tests {
 
     #[test]
     fn sweep_runs_every_cell_in_order() {
-        let records = run_sweep(&tiny(), 2);
+        let (records, jsonl) = run_sweep_jsonl(&tiny(), 2);
         assert_eq!(records.len(), 4);
+        assert_eq!(jsonl, crate::record::to_jsonl(&records));
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.cell, i as u64);
             assert!(r.metrics.completed);
@@ -146,12 +175,9 @@ mod tests {
         let cell = grid.cell(0);
         let result = run_cell(&cell);
         let direct = annotate(&result);
-        let cached = annotate_cached(&cell, result.class, result.metrics);
-        assert_eq!(cached, direct);
-        assert_eq!(
-            crate::record::to_jsonl(std::slice::from_ref(&cached)),
-            crate::record::to_jsonl(std::slice::from_ref(&direct))
-        );
+        let cached =
+            cached_line(&cell, &CachedCell { class: result.class, metrics: result.metrics });
+        assert_eq!(cached + "\n", crate::record::to_jsonl(std::slice::from_ref(&direct)));
     }
 
     #[test]

@@ -67,9 +67,19 @@ impl RunRecord {
         format!("{:016x}", fnv1a64(canonical.as_bytes()))
     }
 
-    /// Computes and stores the fingerprint.
-    pub(crate) fn seal(&mut self) {
-        self.fingerprint = self.compute_fingerprint();
+    /// Computes and stores the fingerprint, and returns the record's JSON
+    /// line (no newline). The fingerprint is the last field and its hashed
+    /// text is the line with that field blank, so the sealed line is the
+    /// hashed text with the hex spliced into the trailing `"fingerprint":""`
+    /// — one serialization where sealing and then rendering costs two.
+    pub(crate) fn seal(&mut self) -> String {
+        const BLANK_TAIL: &str = "\"fingerprint\":\"\"}";
+        self.fingerprint.clear();
+        let mut line = serde_json::to_string(self).expect("record is plain data");
+        assert!(line.ends_with(BLANK_TAIL), "fingerprint is the record's last field: {line}");
+        self.fingerprint = format!("{:016x}", fnv1a64(line.as_bytes()));
+        line.insert_str(line.len() - 2, &self.fingerprint);
+        line
     }
 
     /// `true` if the stored fingerprint matches the field values.
@@ -158,6 +168,24 @@ mod tests {
         assert!(r.fingerprint_valid());
         assert_eq!(r.fingerprint, sample().fingerprint);
         assert_eq!(r.fingerprint.len(), 16);
+    }
+
+    #[test]
+    fn the_spliced_line_is_the_sealed_records_serialization_on_every_golden_record() {
+        let golden = include_str!("../../../tests/golden/tiny.jsonl");
+        let mut records = from_jsonl(golden).unwrap();
+        records.push(sample());
+        let mut rendered = String::new();
+        for mut r in records {
+            // Re-seal from a wrong fingerprint: the line may not depend on it.
+            r.fingerprint = "stale".into();
+            let line = r.seal();
+            assert_eq!(line, serde_json::to_string(&r).unwrap());
+            assert!(r.fingerprint_valid(), "{line}");
+            rendered.push_str(&line);
+            rendered.push('\n');
+        }
+        assert!(rendered.starts_with(golden), "re-rendered golden lines moved a byte");
     }
 
     #[test]

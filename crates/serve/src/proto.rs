@@ -6,7 +6,10 @@
 //! cell, streamed in completion order), then a `done` event with the
 //! request's cache accounting. Control events are objects carrying an
 //! `"event"` key; record lines never have one, which is how a stream
-//! consumer tells them apart without buffering.
+//! consumer tells them apart without buffering. A cell whose simulation
+//! panicked is answered in its record's place by
+//! `{"event":"error","cell":<index>,"message":…}`; the stream still ends
+//! in `done`.
 //!
 //! ```text
 //! -> {"op":"sweep","tenant":"alice","presets":["baseline"],"benchmarks":["HIS"],"scale":0.02,"seed":32268}

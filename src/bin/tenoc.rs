@@ -649,13 +649,13 @@ fn sweep_request(flags: &Flags, scale: f64) -> SweepRequest {
 /// emit JSON-lines records, optionally checking or refreshing a golden
 /// snapshot.
 fn cmd_sweep(flags: &Flags, scale: f64) -> CmdResult {
-    use tenoc::harness::{check_fingerprints, engine, from_jsonl, to_jsonl};
+    use tenoc::harness::{check_fingerprints, engine, from_jsonl};
 
     let grid = sweep_request(flags, scale).grid()?;
     let jobs = flags.cmd.or_env(flags.jobs(), jobs_from_env);
     announce(flags.cmd, &grid, jobs);
-    let records = engine::run_sweep(&grid, jobs);
-    gate(flags, &format!("{} records", records.len()), &to_jsonl(&records), true, |snapshot| {
+    let (records, jsonl) = engine::run_sweep_jsonl(&grid, jobs);
+    gate(flags, &format!("{} records", records.len()), &jsonl, true, |snapshot| {
         let golden = from_jsonl(snapshot).map_err(|e| format!("malformed golden: {e}"))?;
         check_fingerprints(&records, &golden)
             .map_err(|problems| format!("golden mismatch:\n  {}", problems.join("\n  ")))?;
