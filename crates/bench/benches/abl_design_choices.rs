@@ -6,6 +6,7 @@
 //! 3. Half-router pipeline depth (3-stage, as modeled, vs. a conservative
 //!    4-stage half-router) — the paper notes "the performance impact of
 //!    one less stage was negligible".
+//! 4. Warp scheduler: round-robin versus greedy-then-oldest.
 
 use tenoc_bench::{experiments, header, Preset};
 use tenoc_core::system::{IcntConfig, SystemConfig};
@@ -13,30 +14,35 @@ use tenoc_dram::SchedulingPolicy;
 use tenoc_noc::NetworkConfig;
 use tenoc_workloads::by_name;
 
+const NAMES: [&str; 4] = ["HIS", "MM", "KM", "RD"];
+
+/// One A-versus-B section: both IPCs per benchmark and A's gain over B
+/// (through `speedup_over`, so a B that retired nothing prints NaN, not
+/// `inf`).
+fn versus(title: &str, head: [&str; 3], scale: f64, a: &SystemConfig, b: &SystemConfig) {
+    println!("\n-- {title} --");
+    println!("{:>6} {:>12} {:>12} {:>10}", "bench", head[0], head[1], head[2]);
+    for name in NAMES {
+        let spec = by_name(name).unwrap();
+        let [a, b] = [a, b].map(|c| experiments::run_with_system_config(c.clone(), &spec, scale));
+        let gain = a.speedup_over(&b).map_or(f64::NAN, |ratio| (ratio - 1.0) * 100.0);
+        println!("{name:>6} {:>12.1} {:>12.1} {gain:>+9.1}%", a.ipc, b.ipc);
+    }
+}
+
 fn main() {
     let scale =
         header("Ablations", "design-choice sensitivity studies (not in the paper's figures)");
-    let names = ["HIS", "MM", "KM", "RD"];
+    let baseline = SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6));
 
-    println!("\n-- DRAM scheduling policy (baseline mesh) --");
-    println!("{:>6} {:>12} {:>12} {:>10}", "bench", "FR-FCFS IPC", "FCFS IPC", "FR gain");
-    for name in names {
-        let spec = by_name(name).unwrap();
-        let frf = experiments::run_benchmark(Preset::BaselineTbDor, &spec, scale);
-        let mut cfg = SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6));
-        cfg.mc.policy = SchedulingPolicy::Fcfs;
-        let fcfs = experiments::run_with_system_config(cfg, &spec, scale);
-        println!(
-            "{name:>6} {:>12.1} {:>12.1} {:>+9.1}%",
-            frf.ipc,
-            fcfs.ipc,
-            (frf.ipc / fcfs.ipc - 1.0) * 100.0
-        );
-    }
+    let mut fcfs = baseline.clone();
+    fcfs.mc.policy = SchedulingPolicy::Fcfs;
+    let head = ["FR-FCFS IPC", "FCFS IPC", "FR gain"];
+    versus("DRAM scheduling policy (baseline mesh)", head, scale, &baseline, &fcfs);
 
     println!("\n-- VC buffer depth (baseline mesh, flits per VC) --");
     println!("{:>6} {:>10} {:>10} {:>10}", "bench", "depth 4", "depth 8", "depth 16");
-    for name in names {
+    for name in NAMES {
         let spec = by_name(name).unwrap();
         let mut row = format!("{name:>6}");
         for depth in [4usize, 8, 16] {
@@ -49,37 +55,21 @@ fn main() {
         println!("{row}");
     }
 
-    println!("\n-- half-router pipeline depth (CP-CR mesh) --");
-    println!("{:>6} {:>12} {:>12} {:>8}", "bench", "3-stage IPC", "4-stage IPC", "delta");
-    for name in names {
-        let spec = by_name(name).unwrap();
-        let m3 = experiments::run_benchmark(Preset::CpCr4vc, &spec, scale);
-        let mut net = NetworkConfig::checkerboard_mesh(6);
-        net.half_router_stages = 4;
-        let cfg = SystemConfig::with_icnt(IcntConfig::Mesh(net));
-        let m4 = experiments::run_with_system_config(cfg, &spec, scale);
-        println!(
-            "{name:>6} {:>12.1} {:>12.1} {:>+7.1}%",
-            m3.ipc,
-            m4.ipc,
-            (m3.ipc / m4.ipc - 1.0) * 100.0
-        );
-    }
+    let mut deep = NetworkConfig::checkerboard_mesh(6);
+    deep.half_router_stages = 4;
+    let deep = SystemConfig::with_icnt(IcntConfig::Mesh(deep));
+    let shallow = SystemConfig::with_icnt(Preset::CpCr4vc.icnt(6));
+    let head = ["3-stage IPC", "4-stage IPC", "delta"];
+    versus("half-router pipeline depth (CP-CR mesh)", head, scale, &shallow, &deep);
     println!("\npaper note: \"we found the performance impact of one less stage was negligible\"");
 
-    println!("\n-- warp scheduler (baseline mesh) --");
-    println!("{:>6} {:>10} {:>10} {:>8}", "bench", "RR IPC", "GTO IPC", "RR gain");
-    for name in names {
-        let spec = by_name(name).unwrap();
-        let rr = experiments::run_benchmark(Preset::BaselineTbDor, &spec, scale);
-        let mut cfg = SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6));
-        cfg.core.scheduler = tenoc_simt::SchedulerPolicy::GreedyThenOldest;
-        let gto = experiments::run_with_system_config(cfg, &spec, scale);
-        println!(
-            "{name:>6} {:>10.1} {:>10.1} {:>+7.1}%",
-            rr.ipc,
-            gto.ipc,
-            (rr.ipc / gto.ipc - 1.0) * 100.0
-        );
-    }
+    let mut gto = baseline.clone();
+    gto.core.scheduler = tenoc_simt::SchedulerPolicy::GreedyThenOldest;
+    versus(
+        "warp scheduler (baseline mesh)",
+        ["RR IPC", "GTO IPC", "RR gain"],
+        scale,
+        &baseline,
+        &gto,
+    );
 }

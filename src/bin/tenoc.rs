@@ -15,6 +15,7 @@ use tenoc::core::area::{throughput_effectiveness, AreaModel};
 use tenoc::core::experiments::{run_benchmark, scale_from_env};
 use tenoc::core::presets::Preset;
 use tenoc::core::{harmonic_mean, EngineKind, IcntConfig};
+use tenoc::harness::figures::figure;
 use tenoc::harness::{jobs_from_env, run_grid, CellResult, SweepGrid};
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc::serve::SweepRequest;
@@ -128,7 +129,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "classify",
         flags: &["scale"],
-        usage: "[--scale F] (measured LL/LH/HH classes)",
+        usage: "[--scale F] (Table I: intended vs measured LL/LH/HH class per benchmark)",
     },
     Command { name: "list", flags: &[], usage: "(benchmarks and presets)" },
 ];
@@ -477,19 +478,15 @@ fn cmd_area() -> CmdResult {
     Ok(())
 }
 
+/// `tenoc classify`: Table I re-derived from measured behaviour — the
+/// rows and the count the figures reducer computes.
 fn cmd_classify(flags: &Flags, scale: f64) -> CmdResult {
-    let results = run_suites(flags.cmd, &[Preset::BaselineTbDor, Preset::Perfect], scale);
-    let (base, perfect) = results.split_at(results.len() / 2);
-    println!("{:>6} {:>8} {:>9} {:>12}", "bench", "class", "speedup", "B/cyc/node");
-    for (b, p) in base.iter().zip(perfect) {
-        println!(
-            "{:>6} {:>8} {:>+8.1}% {:>12.2}",
-            b.cell.benchmark,
-            b.class.label(),
-            (p.metrics.ipc / b.metrics.ipc - 1.0) * 100.0,
-            p.metrics.accepted_flits_per_node * 16.0
-        );
-    }
+    let table1 = figure("Table I");
+    let report = (table1.reduce)(&run_suites(flags.cmd, table1.presets, scale));
+    print!("{report}");
+    let matched = report.summary.iter().find(|s| s.0 == "in intended class");
+    let matched = &matched.expect("Table I counts its matches").2.text;
+    println!("\n{matched}/{} land in their intended class", report.rows.len());
     Ok(())
 }
 

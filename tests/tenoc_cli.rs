@@ -377,11 +377,22 @@ fn classify_runs_on_the_pool_with_job_count_invariant_output() {
     assert_eq!(table, classify("2"), "classify depends on TENOC_JOBS");
     let mut lines = table.lines();
     assert_eq!(lines.next().unwrap().split_whitespace().next(), Some("bench"));
-    let rows: Vec<Vec<&str>> = lines.map(|l| l.split_whitespace().collect()).collect();
+    let rows: Vec<Vec<&str>> = lines
+        .by_ref()
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().collect())
+        .collect();
     assert_eq!(rows.len(), 31, "{table}");
+    let mut matched = 0;
     for row in rows {
-        let [_bench, class, speedup, bytes] = row[..] else { panic!("4 columns: {row:?}") };
-        assert!(["LL", "LH", "HH"].contains(&class), "{row:?}");
+        let [_bench, intended, speedup, bytes, measured, matches] = row[..] else {
+            panic!("6 columns: {row:?}")
+        };
+        assert!(["LL", "LH", "HH"].contains(&intended), "{row:?}");
+        assert!(["LL", "LH", "HL", "HH"].contains(&measured), "{row:?}");
         assert!(speedup.ends_with('%') && bytes.parse::<f64>().is_ok(), "{row:?}");
+        assert_eq!(matches, if intended == measured { "yes" } else { "NO" }, "{row:?}");
+        matched += (intended == measured) as usize;
     }
+    assert_eq!(lines.next(), Some(&*format!("{matched}/31 land in their intended class")));
 }
