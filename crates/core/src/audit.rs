@@ -17,9 +17,9 @@ use crate::system::IcntConfig;
 use serde::{Deserialize, Serialize};
 use tenoc_noc::{NetworkConfig, VcLayout};
 use tenoc_verify::load::{
-    analyze_load, analyze_load_double, ClassZeroLoad, LoadReport, TrafficMatrix,
+    analyze_load_double_with, analyze_load_with, ClassZeroLoad, LoadReport, TrafficMatrix,
 };
-use tenoc_verify::{analyze, analyze_double, VerifyReport};
+use tenoc_verify::{analyze_double_with, analyze_with, RouteTable, VerifyReport};
 
 /// Per-matrix static metrics of one audited configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -132,13 +132,38 @@ impl AuditReport {
     }
 }
 
-/// Audits one interconnect configuration under a given name.
+/// The physical network an interconnect routes its packets on: a double
+/// network's slice, otherwise the carried network. Its
+/// [`route_key`](tenoc_verify::route_key) decides which interconnects can
+/// share one [`RouteTable`]. (A double network whose channel cannot be
+/// sliced is rejected before any route is read; it keys on its carried
+/// network.)
+pub fn route_net(icnt: &IcntConfig) -> NetworkConfig {
+    match icnt {
+        IcntConfig::Double(c) if c.channel_bytes.is_multiple_of(2) => c.slice(),
+        _ => icnt.net().clone(),
+    }
+}
+
+/// Audits one interconnect configuration under a given name: one route
+/// table, shared by the prover and every load analysis.
 pub fn audit_icnt(name: &str, icnt: &IcntConfig) -> AuditEntry {
+    audit_icnt_with(name, icnt, &RouteTable::new(&route_net(icnt)))
+}
+
+/// [`audit_icnt`] on a route table built from `route_net(icnt)` (or any
+/// network with its route key), so interconnects that route alike share
+/// one walk of their routes.
+///
+/// # Panics
+///
+/// Panics if `table` routes a different shape than `route_net(icnt)`.
+pub fn audit_icnt_with(name: &str, icnt: &IcntConfig, table: &RouteTable) -> AuditEntry {
     let net = icnt.net();
     let ideal = matches!(icnt, IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _));
     let verify: VerifyReport = match icnt {
-        IcntConfig::Double(c) => analyze_double(c),
-        _ => analyze(net),
+        IcntConfig::Double(c) => analyze_double_with(c, table),
+        _ => analyze_with(net, table),
     };
     let legal = verify.violations().next().is_none();
     let violations = verify.violations().map(|f| f.to_string()).collect();
@@ -148,7 +173,7 @@ pub fn audit_icnt(name: &str, icnt: &IcntConfig) -> AuditEntry {
         for m in TrafficMatrix::ALL {
             matrices.push(match icnt {
                 IcntConfig::Double(c) => {
-                    let d = analyze_load_double(c, m);
+                    let d = analyze_load_double_with(c, table, m);
                     // Report the binding slice's resource picture with the
                     // combined bound.
                     let binding =
@@ -167,7 +192,7 @@ pub fn audit_icnt(name: &str, icnt: &IcntConfig) -> AuditEntry {
                             + d.reply.demands_unroutable,
                     }
                 }
-                _ => MatrixMetrics::from_report(&analyze_load(net, m)),
+                _ => MatrixMetrics::from_report(&analyze_load_with(net, table, m)),
             });
         }
     }

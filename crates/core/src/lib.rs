@@ -44,7 +44,9 @@ pub mod presets;
 pub mod system;
 
 pub use area::{AreaModel, ChipArea, RouterArea};
-pub use audit::{audit_grid, audit_icnt, AuditEntry, AuditReport, MatrixMetrics};
+pub use audit::{
+    audit_grid, audit_icnt, audit_icnt_with, route_net, AuditEntry, AuditReport, MatrixMetrics,
+};
 pub use clock::{ClockConfig, Clocks, Domain};
 pub use mc::McConfig;
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};

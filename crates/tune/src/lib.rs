@@ -13,14 +13,16 @@
 //!   VC-layout rules are rejected by the builder with a witness; the
 //!   rest are run through `tenoc-verify`'s prover, and illegal fabrics
 //!   are rejected with the prover's witnesses. Every rejection is
-//!   recorded in the report.
+//!   recorded in the report. Candidates that route alike share one
+//!   route table, so the grid's routes are walked once per shape.
 //! - **Stage 1 — static rank (cheap):** survivors are ranked by the
 //!   audit's static throughput-effectiveness score (many-to-few
 //!   saturation bound per mm²) and the best are promoted.
 //! - **Stage 2 — open-loop probes (medium):** promoted candidates are
 //!   probed at a few injection rates around their static bound, each
-//!   probe run to completion on the candidate's own fabric; the measured
-//!   steady-state ejection rate per mm² decides promotion.
+//!   probe run to the end of its measurement window on the candidate's
+//!   own fabric; the measured steady-state ejection rate per mm² decides
+//!   promotion.
 //! - **Stage 3 — closed-loop halving (expensive):** survivors race
 //!   through a successive-halving ladder of full closed-loop benchmark
 //!   simulations, and the finalists' measured harmonic-mean IPC per mm²
@@ -58,7 +60,8 @@ use space::Point;
 use serde::Serialize;
 use tenoc_core::experiments::run_traced_with_system_config;
 use tenoc_core::{
-    audit_icnt, harmonic_mean, AuditEntry, EngineKind, Preset, SystemConfig, TelemetryConfig,
+    audit_icnt_with, harmonic_mean, route_net, AuditEntry, EngineKind, Preset, SystemConfig,
+    TelemetryConfig,
 };
 use tenoc_harness::pool::run_indexed;
 use tenoc_harness::{
@@ -68,6 +71,7 @@ use tenoc_harness::{
 use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc_noc::RoutingKind;
 use tenoc_verify::load::TrafficMatrix;
+use tenoc_verify::{route_key, RouteTable};
 
 /// One organization axis of the grid: a topology/placement paired with
 /// the routing functions to try on it.
@@ -110,8 +114,10 @@ pub struct TuneSpec {
     /// Probe injection rates, as multiples of each candidate's static
     /// many-to-few saturation bound.
     pub probe_multipliers: Vec<f64>,
-    /// Open-loop probe windows: `[warmup, measure, drain]` cycles.
-    pub probe_windows: [u64; 3],
+    /// Open-loop probe windows: `[warmup, measure]` cycles. A probe
+    /// stops at the end of its measurement window: the tuner reads only
+    /// the in-window ejection rates, which no later cycle can change.
+    pub probe_windows: [u64; 2],
     /// Successive-halving benchmark ladder (rung order). Must not be
     /// empty.
     pub benchmarks: Vec<String>,
@@ -143,7 +149,7 @@ impl TuneSpec {
             stage1_keep: 32,
             stage2_keep: 16,
             probe_multipliers: vec![0.6, 0.9, 1.3],
-            probe_windows: [2_000, 6_000, 8_000],
+            probe_windows: [2_000, 6_000],
             benchmarks: vec!["HIS".to_string(), "MM".to_string(), "RD".to_string()],
             scale: 0.12,
             seed: tenoc_core::DEFAULT_SEED,
@@ -169,7 +175,7 @@ impl TuneSpec {
             stage1_keep: 6,
             stage2_keep: 4,
             probe_multipliers: vec![0.5, 1.0],
-            probe_windows: [200, 600, 800],
+            probe_windows: [200, 600],
             benchmarks: vec!["HIS".to_string()],
             scale: 0.02,
             seed: tenoc_core::DEFAULT_SEED,
@@ -282,7 +288,7 @@ fn probe_seed(spec_seed: u64, config_hash: &str, rate_index: usize) -> u64 {
 fn probe_configs(cand: &Candidate, audit: &AuditEntry, spec: &TuneSpec) -> Vec<OpenLoopConfig> {
     let sat =
         audit.matrix(TrafficMatrix::ManyToFew).map(|m| m.saturation_rate).unwrap_or(0.01).max(1e-6);
-    let [warmup, measure, drain] = spec.probe_windows;
+    let [warmup, measure] = spec.probe_windows;
     spec.probe_multipliers
         .iter()
         .enumerate()
@@ -294,11 +300,42 @@ fn probe_configs(cand: &Candidate, audit: &AuditEntry, spec: &TuneSpec) -> Vec<O
             );
             cfg.warmup = warmup;
             cfg.measure = measure;
-            cfg.drain = drain;
+            cfg.drain = 0;
             cfg.seed = probe_seed(spec.seed, &cand.config_hash, i);
             cfg
         })
         .collect()
+}
+
+/// Stage 0b: audits every candidate, walking each fabric shape's routes
+/// once. Candidates are grouped by the [`route_key`] of the network they
+/// route on (a double candidate's slice); each group builds one
+/// [`RouteTable`] on the pool, audits its members on it, and drops it, so
+/// at most `jobs` tables are alive. Returns the audits in candidate
+/// order and the number of tables built.
+fn audit_candidates(cands: &[Candidate], jobs: usize) -> (Vec<AuditEntry>, usize) {
+    let nets: Vec<_> = cands.iter().map(|c| route_net(&c.icnt)).collect();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, net) in nets.iter().enumerate() {
+        match groups.iter_mut().find(|g| route_key(&nets[g[0]]) == route_key(net)) {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let audited: Vec<Vec<AuditEntry>> = run_indexed(groups.len(), jobs, |g| {
+        let table = RouteTable::new(&nets[groups[g][0]]);
+        groups[g].iter().map(|&i| audit_icnt_with(&cands[i].name, &cands[i].icnt, &table)).collect()
+    });
+    let mut audits: Vec<Option<AuditEntry>> = vec![None; cands.len()];
+    for (group, entries) in groups.iter().zip(audited) {
+        for (&i, entry) in group.iter().zip(entries) {
+            audits[i] = Some(entry);
+        }
+    }
+    (
+        audits.into_iter().map(|a| a.expect("every candidate is in one group")).collect(),
+        groups.len(),
+    )
 }
 
 /// The Pareto frontier of `(area ↓, hm_ipc ↑)` over the finalists:
@@ -412,8 +449,8 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     }
 
     // ---- Stage 0b: verify; Stage 1: static rank --------------------------
-    let audits: Vec<AuditEntry> =
-        run_indexed(cands.len(), jobs, |i| audit_icnt(&cands[i].name, &cands[i].icnt));
+    let (audits, route_tables) = audit_candidates(&cands, jobs);
+    stats.route_tables = route_tables;
     let mut reached: Vec<Reached> = vec![Reached::Rejected; cands.len()];
     let mut legal: Vec<usize> = Vec::new();
     for (i, a) in audits.iter().enumerate() {
@@ -773,6 +810,78 @@ mod tests {
             assert!(tenoc_noc::ArenaNetwork::supports(icnt.net()), "{name}");
             if let tenoc_core::IcntConfig::Double(single) = icnt {
                 assert!(tenoc_noc::ArenaNetwork::supports(&single.slice()), "{name} (slice)");
+            }
+        }
+    }
+
+    /// The grid's constructible points as candidates, in enumeration order.
+    fn grid(spec: &TuneSpec) -> Vec<Candidate> {
+        let built = spec.points().into_iter().filter_map(|p| Some((p, p.build(spec.k).ok()?)));
+        built
+            .map(|(p, icnt)| Candidate {
+                name: p.name(),
+                family: p.family(),
+                config_hash: config_hash(&icnt),
+                icnt,
+                aliases: Vec::new(),
+                pinned: false,
+            })
+            .collect()
+    }
+
+    /// Stage 0b's grouped audit equals a standalone `audit_icnt` for every
+    /// constructed candidate, field for field: sharing a route table is
+    /// invisible. Debug builds check the tiny grid, release builds (CI's
+    /// `tune` job) the default k=6 grid and its 20 route tables.
+    #[test]
+    fn grouped_audits_equal_standalone_audits() {
+        let release = !cfg!(debug_assertions);
+        let spec = if release { TuneSpec::default_at(6) } else { TuneSpec::tiny() };
+        let cands = grid(&spec);
+        let (grouped, tables) = audit_candidates(&cands, 2);
+        assert_eq!(tables, if release { 20 } else { 6 }, "one table per (mesh, routing, VCs)");
+        assert_eq!(grouped.len(), cands.len());
+        for (cand, audit) in cands.iter().zip(&grouped) {
+            assert_eq!(audit, &tenoc_core::audit_icnt(&cand.name, &cand.icnt), "{}", cand.name);
+        }
+    }
+
+    /// A probe stops at the end of its measurement window because no later
+    /// cycle can change the two rates the tuner reads: they are
+    /// bit-identical with and without an 8 000-cycle drain, for every probe
+    /// of the tiny search and for one probe at 1.3x the static bound.
+    #[test]
+    fn probe_rates_do_not_depend_on_the_drain() {
+        let spec = TuneSpec::tiny();
+        let (report, _) = run_tune(&spec, &TuneOptions::default()).unwrap();
+        let cands = grid(&spec);
+        let mut probes = Vec::new();
+        for entry in &report.stage2 {
+            let cand = cands.iter().find(|c| c.name == entry.name).expect("a grid point");
+            let audit = tenoc_core::audit_icnt(&cand.name, &cand.icnt);
+            let cfgs = probe_configs(cand, &audit, &spec);
+            let rates: Vec<f64> = cfgs.iter().map(|c| c.injection_rate).collect();
+            assert_eq!(rates, entry.rates, "{}: the report's probes", cand.name);
+            if probes.is_empty() {
+                let hot = TuneSpec { probe_multipliers: vec![1.3], ..spec.clone() };
+                probes.extend(probe_configs(cand, &audit, &hot).into_iter().map(|c| (cand, c)));
+            }
+            probes.extend(cfgs.into_iter().map(|c| (cand, c)));
+        }
+        assert_eq!(probes.len(), 1 + report.stage2.len() * spec.probe_multipliers.len());
+        for (i, (cand, cfg)) in probes.iter().enumerate() {
+            let run = |drain| {
+                let cfg = OpenLoopConfig { drain, ..cfg.clone() };
+                run_open_loop_on(&cfg, &mut *cand.icnt.build(EngineKind::Arena))
+            };
+            let (cut, drained) = (run(0), run(8_000));
+            let bits = |r: &tenoc_noc::openloop::OpenLoopResult| {
+                (r.ejection_rate.to_bits(), r.ejection_bytes_rate.to_bits())
+            };
+            assert_eq!(bits(&cut), bits(&drained), "{} at {}", cand.name, cfg.injection_rate);
+            if i == 0 {
+                // What the drain does change, and the tuner never reads.
+                assert!(cut.delivered_fraction < drained.delivered_fraction, "{cut:?}");
             }
         }
     }

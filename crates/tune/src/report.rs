@@ -267,4 +267,7 @@ pub struct TuneStats {
     pub stage3_cells: usize,
     /// Of those, served from the result cache.
     pub stage3_cache_hits: usize,
+    /// Route tables built in stage 0: one per distinct `(mesh, routing,
+    /// VC layout)` the candidates route on.
+    pub route_tables: usize,
 }

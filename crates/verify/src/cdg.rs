@@ -15,14 +15,19 @@
 //! ([`Direction::index`]). Edges carry a [`Witness`] — the first
 //! (src, dst, class, plan) whose traced route introduced the dependency —
 //! so a reported cycle names concrete packets that can form it.
+//!
+//! The graph is small and dense-indexed (a 6×6 mesh at 8 VCs has 1 152
+//! vertices), so edge membership is one bit of a `vertices²` bitset
+//! (~166 kB there) and each vertex keeps its out-edges, and their
+//! witnesses, in first-insertion order — the order Tarjan and the cycle
+//! search visit them in, which fixes the reported cycle.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use tenoc_noc::routing::VcSet;
 use tenoc_noc::{Direction, Mesh, NodeId, PacketClass, Phase};
 
 /// The packet population that introduced a dependency edge. The first
 /// witness wins; it is reported when the edge participates in a cycle.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub(crate) struct Witness {
     /// Source terminal of the witnessing route.
     pub src: NodeId,
@@ -52,11 +57,17 @@ pub(crate) struct Cdg {
     mesh: Mesh,
     total_vcs: usize,
     n_vertices: usize,
+    /// Out-edges per vertex, in first-insertion order.
     adj: Vec<Vec<u32>>,
-    edges: HashSet<(u32, u32)>,
-    witnesses: HashMap<(u32, u32), Witness>,
+    /// `witnesses[v][i]` introduced the edge `v -> adj[v][i]`.
+    witnesses: Vec<Vec<Witness>>,
+    /// Bit `from * n_vertices + to` is set once that edge exists.
+    seen: Vec<u64>,
+    n_edges: usize,
     used: Vec<bool>,
 }
+
+const NONE: u32 = u32::MAX;
 
 impl Cdg {
     /// An empty CDG sized for `mesh` with `total_vcs` VCs per link.
@@ -67,10 +78,22 @@ impl Cdg {
             total_vcs: total_vcs as usize,
             n_vertices,
             adj: vec![Vec::new(); n_vertices],
-            edges: HashSet::new(),
-            witnesses: HashMap::new(),
+            witnesses: vec![Vec::new(); n_vertices],
+            seen: vec![0; (n_vertices * n_vertices).div_ceil(64)],
+            n_edges: 0,
             used: vec![false; n_vertices],
         }
+    }
+
+    /// The word of `seen` holding edge `from -> to`, and its bit.
+    fn edge_bit(&self, from: u32, to: u32) -> (usize, u64) {
+        let bit = from as usize * self.n_vertices + to as usize;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    fn has_edge(&self, from: u32, to: u32) -> bool {
+        let (word, mask) = self.edge_bit(from, to);
+        self.seen[word] & mask != 0
     }
 
     fn vid(&self, node: NodeId, dir: Direction, vc: u8) -> u32 {
@@ -102,9 +125,12 @@ impl Cdg {
             let from = self.vid(hold.0, hold.1, hvc);
             for wvc in want.2.iter() {
                 let to = self.vid(want.0, want.1, wvc);
-                if self.edges.insert((from, to)) {
+                let (word, mask) = self.edge_bit(from, to);
+                if self.seen[word] & mask == 0 {
+                    self.seen[word] |= mask;
                     self.adj[from as usize].push(to);
-                    self.witnesses.insert((from, to), witness);
+                    self.witnesses[from as usize].push(witness);
+                    self.n_edges += 1;
                 }
             }
         }
@@ -117,7 +143,13 @@ impl Cdg {
 
     /// Number of distinct dependency edges.
     pub(crate) fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.n_edges
+    }
+
+    /// The witness of the edge `from -> to`, which must exist.
+    fn witness(&self, from: u32, to: u32) -> Witness {
+        let i = self.adj[from as usize].iter().position(|&w| w == to).expect("edge exists");
+        self.witnesses[from as usize][i]
     }
 
     /// Human-readable name of a vertex: `(x,y)->(x',y') vc<n>`. The target
@@ -194,8 +226,7 @@ impl Cdg {
                                 break;
                             }
                         }
-                        let self_loop =
-                            scc.len() == 1 && self.edges.contains(&(v as u32, v as u32));
+                        let self_loop = scc.len() == 1 && self.has_edge(v as u32, v as u32);
                         if scc.len() > 1 || self_loop {
                             out.push(scc);
                         }
@@ -211,51 +242,68 @@ impl Cdg {
     /// (including the closing edge). `None` proves the CDG acyclic.
     pub(crate) fn shortest_cycle(&self) -> Option<(Vec<u32>, Vec<Witness>)> {
         let mut best: Option<Vec<u32>> = None;
+        let mut member = vec![false; self.n_vertices];
+        let mut parent = vec![NONE; self.n_vertices];
         for scc in self.cyclic_sccs() {
-            let members: HashSet<u32> = scc.iter().copied().collect();
+            for &v in &scc {
+                member[v as usize] = true;
+            }
             for &start in &scc {
-                if let Some(cycle) = self.bfs_cycle(start, &members) {
+                if let Some(cycle) = self.bfs_cycle(start, &member, &mut parent) {
                     if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
                         best = Some(cycle);
                     }
                 }
+            }
+            for &v in &scc {
+                member[v as usize] = false;
             }
         }
         let cycle = best?;
         let witnesses = cycle
             .iter()
             .zip(cycle.iter().cycle().skip(1))
-            .map(|(&a, &b)| self.witnesses[&(a, b)])
+            .map(|(&a, &b)| self.witness(a, b))
             .collect();
         Some((cycle, witnesses))
     }
 
-    /// Shortest path `start -> ... -> start` inside `members` (BFS).
-    fn bfs_cycle(&self, start: u32, members: &HashSet<u32>) -> Option<Vec<u32>> {
-        let mut parent: HashMap<u32, u32> = HashMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(start);
-        // `start` itself is intentionally never marked visited, so the
-        // first edge back into it closes the cycle.
-        while let Some(v) = queue.pop_front() {
+    /// Shortest path `start -> ... -> start` through `member` vertices
+    /// (BFS). `parent` is all `NONE` on entry and on return.
+    fn bfs_cycle(&self, start: u32, member: &[bool], parent: &mut [u32]) -> Option<Vec<u32>> {
+        // The queue keeps every vertex it ever held, so the parents they
+        // were given can be reset. `start` itself is intentionally never
+        // given a parent, so the first edge back into it closes the cycle.
+        let mut queue = vec![start];
+        let mut head = 0;
+        let mut closing = None;
+        'search: while let Some(&v) = queue.get(head) {
+            head += 1;
             for &w in &self.adj[v as usize] {
                 if w == start {
-                    let mut path = vec![v];
-                    let mut cur = v;
-                    while cur != start {
-                        cur = parent[&cur];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
+                    closing = Some(v);
+                    break 'search;
                 }
-                if members.contains(&w) && !parent.contains_key(&w) {
-                    parent.insert(w, v);
-                    queue.push_back(w);
+                if member[w as usize] && parent[w as usize] == NONE {
+                    parent[w as usize] = v;
+                    queue.push(w);
                 }
             }
         }
-        None
+        let path = closing.map(|v| {
+            let mut path = vec![v];
+            let mut cur = v;
+            while cur != start {
+                cur = parent[cur as usize];
+                path.push(cur);
+            }
+            path.reverse();
+            path
+        });
+        for &v in &queue[1..] {
+            parent[v as usize] = NONE;
+        }
+        path
     }
 }
 
@@ -308,6 +356,53 @@ mod tests {
         for &v in &cycle {
             assert!(!g.describe_vertex(v).contains("(0,2)"), "{}", g.describe_vertex(v));
         }
+    }
+
+    /// When two routes induce the same edges, the cycle is reported with
+    /// the first route's witnesses.
+    #[test]
+    fn first_route_to_induce_an_edge_is_its_witness() {
+        let mesh = Mesh::all_full(3);
+        let mut g = Cdg::new(&mesh, 1);
+        let ring = [
+            (0, Direction::East),
+            (1, Direction::South),
+            (4, Direction::West),
+            (3, Direction::North),
+        ];
+        let first = witness();
+        let second =
+            Witness { src: 4, dst: 3, class: PacketClass::Reply, phase: Phase::Yx, via: Some(1) };
+        for w in [first, second] {
+            for i in 0..4 {
+                let (hold, want) = (ring[i], ring[(i + 1) % 4]);
+                g.add_dependency((hold.0, hold.1, vcs1(0)), (want.0, want.1, vcs1(0)), w);
+            }
+        }
+        assert_eq!(g.edge_count(), 4, "a repeated edge is not a new edge");
+        let (cycle, wits) = g.shortest_cycle().expect("ring must be found");
+        assert_eq!(cycle.len(), 4);
+        assert_eq!(wits, vec![first; 4]);
+    }
+
+    /// A vertex's out-edges are visited in the order they were first
+    /// added, not in vertex-id order, and re-adding one does not move it.
+    #[test]
+    fn adjacency_keeps_first_insertion_order() {
+        let mesh = Mesh::all_full(3);
+        let mut g = Cdg::new(&mesh, 2);
+        let hold = (4, Direction::East, vcs1(0));
+        let wants = [(5, Direction::South), (1, Direction::East), (3, Direction::North)];
+        for (node, dir) in wants.into_iter().chain([wants[0]]) {
+            g.add_dependency(hold, (node, dir, VcSet::new(0, 2)), witness());
+        }
+        let from = g.vid(hold.0, hold.1, 0) as usize;
+        let expected: Vec<u32> = wants
+            .iter()
+            .flat_map(|&(node, dir)| [g.vid(node, dir, 0), g.vid(node, dir, 1)])
+            .collect();
+        assert_eq!(g.adj[from], expected);
+        assert_eq!(g.edge_count(), 6);
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! The individual static checks run by [`crate::analyze`].
 //!
-//! All checks share one exhaustive enumeration of the routing function:
-//! for every ordered (src, dst) pair, every protocol class and every plan
-//! in [`plan_options`] (the complete set of outcomes `plan_injection` can
-//! produce), the route is walked with the simulator's own [`next_hop`].
-//! Because the walk reuses the production routing code, the proofs cover
-//! the simulator's behavior by construction rather than a re-derivation
-//! of it.
+//! All checks read one exhaustive enumeration of the routing function,
+//! the [`RouteTable`]: for every ordered (src, dst) pair, every protocol
+//! class and every plan in `plan_options` (the complete set of outcomes
+//! `plan_injection` can produce), the route the simulator's own
+//! `next_hop` takes. Because the walk reuses the production routing code,
+//! the proofs cover the simulator's behavior by construction rather than
+//! a re-derivation of it.
+//!
+//! Everything but MC reachability depends on the routes alone, so it is
+//! proven once per table ([`prove`]) and shared by every configuration
+//! the table routes ([`RouteProof::findings`]).
 
 use crate::cdg::{Cdg, Witness};
-use crate::route::{trace, RouteTrace};
+use crate::route::{Hop, RouteTable, Walk};
 use crate::{CheckKind, Finding, VerifyStats};
-use tenoc_noc::routing::{plan_options, vc_set_for, VcSet};
+use tenoc_noc::routing::{vc_set_for, VcSet};
 use tenoc_noc::topology::{connection_allowed, InPort, OutPortKind};
-use tenoc_noc::{Mesh, NetworkConfig, NodeId, PacketClass, Phase, RoutingKind};
+use tenoc_noc::{Mesh, NetworkConfig, NodeId, PacketClass, Phase, RoutingKind, VcLayout};
 
 /// The independent routability specification for checkerboard meshes: a
 /// pair is unroutable exactly when both endpoints are full-routers, they
@@ -34,6 +38,7 @@ pub(crate) fn expected_unroutable(mesh: &Mesh, src: NodeId, dst: NodeId) -> bool
 /// broken configuration produces a readable report.
 const MAX_DETAILS: usize = 8;
 
+#[derive(Clone)]
 struct Tally {
     violations: Vec<String>,
     total: usize,
@@ -51,34 +56,65 @@ impl Tally {
         }
     }
 
-    fn into_finding(self, check: CheckKind, ok_msg: String, findings: &mut Vec<Finding>) {
+    fn into_finding(self, check: CheckKind, ok_msg: String) -> Finding {
         if self.total == 0 {
-            findings.push(Finding::info(check, ok_msg));
-        } else {
-            let mut msg = format!("{} violation(s):", self.total);
-            for v in &self.violations {
-                msg.push_str("\n    ");
-                msg.push_str(v);
-            }
-            if self.total > self.violations.len() {
-                msg.push_str(&format!("\n    ... and {} more", self.total - self.violations.len()));
-            }
-            findings.push(Finding::violation(check, msg));
+            return Finding::info(check, ok_msg);
         }
+        let mut msg = format!("{} violation(s):", self.total);
+        for v in &self.violations {
+            msg.push_str("\n    ");
+            msg.push_str(v);
+        }
+        if self.total > self.violations.len() {
+            msg.push_str(&format!("\n    ... and {} more", self.total - self.violations.len()));
+        }
+        Finding::violation(check, msg)
     }
 }
 
-/// Runs routability, turn-legality, minimality, routing-deadlock,
-/// VC-partition and protocol-separation checks, appending one finding per
-/// check (info when proven, violation with details otherwise).
-pub fn run(cfg: &NetworkConfig, findings: &mut Vec<Finding>, stats: &mut VerifyStats) {
-    let mesh = &cfg.mesh;
-    let layout = &cfg.vcs;
-    let kind = cfg.routing;
-    let classes: &[PacketClass] =
-        if layout.classes == 2 { &PacketClass::ALL } else { &[PacketClass::Request] };
+/// What the prover concludes from a route table alone: the work counts,
+/// the routability iff, and the turn-legality, minimality,
+/// routing-deadlock, VC-partition and protocol-separation findings.
+pub(crate) struct RouteProof {
+    pub stats: VerifyStats,
+    /// The unroutable-iff tally; each configuration adds its own MC
+    /// placement violations before reporting it.
+    routability: Tally,
+    /// The route-only findings, in report order.
+    findings: Vec<Finding>,
+}
 
-    let mut cdg = Cdg::new(mesh, layout.total);
+impl RouteProof {
+    /// One finding per check for `cfg` (routed by `table`), info when
+    /// proven, violation with details otherwise: routability, turn
+    /// legality, minimality, routing deadlock, VC partition, protocol
+    /// separation.
+    pub(crate) fn findings(&self, cfg: &NetworkConfig, table: &RouteTable) -> Vec<Finding> {
+        let mut routability = self.routability.clone();
+        check_mc_reachability(cfg, table, &mut routability);
+        let stats = &self.stats;
+        let routable = stats.pairs - stats.unroutable_pairs;
+        let ok = if cfg.routing == RoutingKind::Checkerboard {
+            format!(
+                "{routable}/{} ordered pairs routable; all {} unroutable pairs match the \
+                 full-to-full odd-parity predicate exactly; every MC <-> node pair routable",
+                stats.pairs, stats.unroutable_pairs
+            )
+        } else {
+            format!("all {} ordered pairs routable", stats.pairs)
+        };
+        let mut findings = vec![routability.into_finding(CheckKind::Routability, ok)];
+        findings.extend(self.findings.iter().cloned());
+        findings
+    }
+}
+
+/// Proves everything the routes alone decide, walking the table once.
+pub(crate) fn prove(table: &RouteTable) -> RouteProof {
+    let mesh = &table.mesh;
+    let kind = table.routing;
+    let mut stats = VerifyStats::default();
+    let mut cdg = Cdg::new(mesh, table.vcs.total);
     let mut routability = Tally::new();
     let mut turns = Tally::new();
     let mut minimality = Tally::new();
@@ -89,88 +125,64 @@ pub fn run(cfg: &NetworkConfig, findings: &mut Vec<Finding>, stats: &mut VerifyS
                 continue;
             }
             stats.pairs += 1;
-            let options = match plan_options(kind, mesh, src, dst) {
-                Ok(o) => o,
-                Err(_) => {
-                    stats.unroutable_pairs += 1;
-                    let expected =
-                        kind == RoutingKind::Checkerboard && expected_unroutable(mesh, src, dst);
-                    if !expected {
-                        routability.push(format!(
-                            "{src} -> {dst} unroutable but not a full-to-full odd-parity \
-                             checkerboard pair"
-                        ));
-                    }
-                    continue;
+            let expected = kind == RoutingKind::Checkerboard && expected_unroutable(mesh, src, dst);
+            if !table.routable(src, dst) {
+                stats.unroutable_pairs += 1;
+                if !expected {
+                    routability.push(format!(
+                        "{src} -> {dst} unroutable but not a full-to-full odd-parity \
+                         checkerboard pair"
+                    ));
                 }
-            };
-            if kind == RoutingKind::Checkerboard && expected_unroutable(mesh, src, dst) {
+                continue;
+            }
+            if expected {
                 routability.push(format!(
                     "{src} -> {dst} routable but the checkerboard specification says it must \
                      not be"
                 ));
             }
-            // Dedup: repeated options only carry probability weight.
-            let mut plans: Vec<(Phase, Option<NodeId>)> = Vec::new();
-            for p in options {
-                if !plans.contains(&p) {
-                    plans.push(p);
-                }
-            }
-            for &plan in &plans {
-                for &class in classes {
+            // Distinct plans only: repeated options only carry probability
+            // weight.
+            for plan in table.plans(src, dst) {
+                for &class in table.classes() {
                     stats.plans_traced += 1;
-                    let t = trace(kind, layout, mesh, src, dst, class, plan);
-                    check_route(cfg, &t, src, dst, class, &mut turns, &mut minimality);
-                    feed_cdg(&mut cdg, &t, src, dst, class);
+                    let walk = table.walk(plan, class);
+                    let hops = table.hops(walk);
+                    check_route(mesh, walk, hops, src, dst, class, &mut turns, &mut minimality);
+                    feed_cdg(&mut cdg, walk, hops, src, dst, class);
                 }
             }
         }
     }
 
-    check_mc_reachability(cfg, &mut routability);
-
     stats.cdg_vertices = cdg.vertex_count();
     stats.cdg_edges = cdg.edge_count();
 
-    let routable = stats.pairs - stats.unroutable_pairs;
-    routability.into_finding(
-        CheckKind::Routability,
-        if kind == RoutingKind::Checkerboard {
-            format!(
-                "{routable}/{} ordered pairs routable; all {} unroutable pairs match the \
-                 full-to-full odd-parity predicate exactly; every MC <-> node pair routable",
-                stats.pairs, stats.unroutable_pairs
-            )
-        } else {
-            format!("all {} ordered pairs routable", stats.pairs)
-        },
-        findings,
-    );
-    turns.into_finding(
-        CheckKind::TurnLegality,
-        "no route turns at a half-router and every hop uses an allowed router connection"
-            .to_string(),
-        findings,
-    );
-    minimality.into_finding(
-        CheckKind::Minimality,
-        format!(
-            "all {} traced routes are minimal (hop count == shortest-path distance)",
-            stats.plans_traced
+    let mut findings = vec![
+        turns.into_finding(
+            CheckKind::TurnLegality,
+            "no route turns at a half-router and every hop uses an allowed router connection"
+                .to_string(),
         ),
-        findings,
-    );
+        minimality.into_finding(
+            CheckKind::Minimality,
+            format!(
+                "all {} traced routes are minimal (hop count == shortest-path distance)",
+                stats.plans_traced
+            ),
+        ),
+    ];
 
-    match cdg.shortest_cycle() {
-        None => findings.push(Finding::info(
+    findings.push(match cdg.shortest_cycle() {
+        None => Finding::info(
             CheckKind::RoutingDeadlock,
             format!(
                 "channel dependency graph is acyclic ({} vc-channels, {} dependencies): \
                  routing-deadlock-free",
                 stats.cdg_vertices, stats.cdg_edges
             ),
-        )),
+        ),
         Some((cycle, witnesses)) => {
             let mut msg = format!(
                 "channel dependency graph has a cycle of length {} (of {} vc-channels, {} \
@@ -188,66 +200,67 @@ pub fn run(cfg: &NetworkConfig, findings: &mut Vec<Finding>, stats: &mut VerifyS
                     witnesses[i]
                 ));
             }
-            findings.push(Finding::violation(CheckKind::RoutingDeadlock, msg));
+            Finding::violation(CheckKind::RoutingDeadlock, msg)
         }
-    }
+    });
 
-    check_vc_partition(cfg, findings);
-    check_protocol_separation(cfg, findings);
+    findings.push(check_vc_partition(kind, &table.vcs));
+    findings.push(check_protocol_separation(kind, &table.vcs));
+    RouteProof { stats, routability, findings }
 }
 
 /// Per-route checks: turn legality at every intermediate router, and
 /// minimality — the walk must eject at its destination after exactly
 /// Manhattan-distance hops.
+#[allow(clippy::too_many_arguments)]
 fn check_route(
-    cfg: &NetworkConfig,
-    t: &RouteTrace,
+    mesh: &Mesh,
+    walk: &Walk,
+    hops: &[Hop],
     src: NodeId,
     dst: NodeId,
     class: PacketClass,
     turns: &mut Tally,
     minimality: &mut Tally,
 ) {
-    let mesh = &cfg.mesh;
     let label = || {
-        let via = t.via.map(|v| format!(" via {v}")).unwrap_or_default();
-        format!("{class:?} {src} -> {dst} [{:?}{via}]", t.phase)
+        let via = walk.via.map(|v| format!(" via {v}")).unwrap_or_default();
+        format!("{class:?} {src} -> {dst} [{:?}{via}]", walk.phase)
     };
 
-    if !t.ejected {
+    if !walk.ejected {
         minimality.push(format!("{} never reaches an ejection decision", label()));
         return;
     }
-    if *t.nodes.last().expect("trace has nodes") != dst {
+    if walk.end != dst {
         minimality.push(format!(
             "{} ejects at node {} instead of its destination",
             label(),
-            t.nodes.last().expect("trace has nodes")
+            walk.end
         ));
         return;
     }
     let dist = mesh.distance(src, dst);
-    if t.hops.len() as u32 != dist {
+    if hops.len() as u32 != dist {
         minimality.push(format!(
             "{} takes {} hops, shortest-path distance is {dist}",
             label(),
-            t.hops.len()
+            hops.len()
         ));
     }
 
-    // Hop i enters nodes[i+1] from direction hops[i] (so through input
-    // port hops[i].opposite()) and leaves through hops[i+1]; the final
-    // decision at the destination is an ejection, which is always allowed.
-    for i in 0..t.hops.len().saturating_sub(1) {
-        let router = t.nodes[i + 1];
-        let inp = InPort::Dir(t.hops[i].opposite());
-        let out = OutPortKind::Dir(t.hops[i + 1]);
+    // Hop i enters the router hop i + 1 leaves, from direction hops[i].dir
+    // (so through input port hops[i].dir.opposite()); the final decision
+    // at the destination is an ejection, which is always allowed.
+    for pair in hops.windows(2) {
+        let (inbound, outbound) = (pair[0].dir, pair[1].dir);
+        let router = pair[1].node;
+        let inp = InPort::Dir(inbound.opposite());
+        let out = OutPortKind::Dir(outbound);
         if !connection_allowed(mesh.kind(router), inp, out) {
             turns.push(format!(
-                "{} turns {:?} -> {:?} at {} router {router}",
+                "{} turns {inbound:?} -> {outbound:?} at {} router {router}",
                 label(),
-                t.hops[i],
-                t.hops[i + 1],
                 if mesh.is_half(router) { "half" } else { "full" }
             ));
         }
@@ -258,14 +271,21 @@ fn check_route(
 /// granted VC on link `i` while requesting the VCs granted on link
 /// `i + 1`. Injection sources and ejection sinks terminate chains, so
 /// they contribute no edges (only vertex usage).
-fn feed_cdg(cdg: &mut Cdg, t: &RouteTrace, src: NodeId, dst: NodeId, class: PacketClass) {
-    let witness = Witness { src, dst, class, phase: t.phase, via: t.via };
-    for i in 0..t.hops.len() {
-        cdg.mark_used(t.nodes[i], t.hops[i], t.vcsets[i]);
-        if i + 1 < t.hops.len() {
+fn feed_cdg(
+    cdg: &mut Cdg,
+    walk: &Walk,
+    hops: &[Hop],
+    src: NodeId,
+    dst: NodeId,
+    class: PacketClass,
+) {
+    let witness = Witness { src, dst, class, phase: walk.phase, via: walk.via };
+    for (i, hold) in hops.iter().enumerate() {
+        cdg.mark_used(hold.node, hold.dir, hold.vcs);
+        if let Some(want) = hops.get(i + 1) {
             cdg.add_dependency(
-                (t.nodes[i], t.hops[i], t.vcsets[i]),
-                (t.nodes[i + 1], t.hops[i + 1], t.vcsets[i + 1]),
+                (hold.node, hold.dir, hold.vcs),
+                (want.node, want.dir, want.vcs),
                 witness,
             );
         }
@@ -275,14 +295,14 @@ fn feed_cdg(cdg: &mut Cdg, t: &RouteTrace, src: NodeId, dst: NodeId, class: Pack
 /// Every configured MC must be able to exchange traffic with every other
 /// node in both directions — the paper's placement rule (MCs and L2 banks
 /// on half-routers) exists precisely to avoid unroutable pairs.
-fn check_mc_reachability(cfg: &NetworkConfig, routability: &mut Tally) {
+fn check_mc_reachability(cfg: &NetworkConfig, table: &RouteTable, routability: &mut Tally) {
     for &mc in &cfg.mc_nodes {
         for node in cfg.mesh.nodes() {
             if node == mc {
                 continue;
             }
             for (a, b) in [(node, mc), (mc, node)] {
-                if plan_options(cfg.routing, &cfg.mesh, a, b).is_err() {
+                if !table.routable(a, b) {
                     routability.push(format!(
                         "MC placement broken: {a} -> {b} unroutable (MC at node {mc})"
                     ));
@@ -297,9 +317,7 @@ fn check_mc_reachability(cfg: &NetworkConfig, routability: &mut Tally) {
 /// physical VCs exactly: no overlap between distinct sets (overlap
 /// re-couples traffic the layout claims to isolate) and no unused VC
 /// (dead buffering the area model would still pay for).
-fn check_vc_partition(cfg: &NetworkConfig, findings: &mut Vec<Finding>) {
-    let layout = &cfg.vcs;
-    let kind = cfg.routing;
+fn check_vc_partition(kind: RoutingKind, layout: &VcLayout) -> Finding {
     let classes: &[PacketClass] =
         if layout.classes == 2 { &PacketClass::ALL } else { &[PacketClass::Request] };
     let phases: &[Phase] =
@@ -331,11 +349,10 @@ fn check_vc_partition(cfg: &NetworkConfig, findings: &mut Vec<Finding>) {
             if (vc as usize) < owners.len() {
                 owners[vc as usize].push(name.as_str());
             } else {
-                findings.push(Finding::violation(
+                return Finding::violation(
                     CheckKind::VcPartition,
                     format!("{name} grants vc{vc}, beyond the {} physical VCs", layout.total),
-                ));
-                return;
+                );
             }
         }
     }
@@ -353,16 +370,16 @@ fn check_vc_partition(cfg: &NetworkConfig, findings: &mut Vec<Finding>) {
         }
     }
     if problems.is_empty() {
-        findings.push(Finding::info(
+        Finding::info(
             CheckKind::VcPartition,
             format!(
                 "{} distinct (class, phase) sets tile the {} VCs exactly",
                 sets.len(),
                 layout.total
             ),
-        ));
+        )
     } else {
-        findings.push(Finding::violation(CheckKind::VcPartition, problems.join("; ")));
+        Finding::violation(CheckKind::VcPartition, problems.join("; "))
     }
 }
 
@@ -372,24 +389,22 @@ fn check_vc_partition(cfg: &NetworkConfig, findings: &mut Vec<Finding>) {
 /// that is only safe when each physical network carries one class, as the
 /// channel-sliced double network does, so it is reported as info rather
 /// than a violation.
-fn check_protocol_separation(cfg: &NetworkConfig, findings: &mut Vec<Finding>) {
-    let layout = &cfg.vcs;
+fn check_protocol_separation(kind: RoutingKind, layout: &VcLayout) -> Finding {
     if layout.classes != 2 {
-        findings.push(Finding::info(
+        return Finding::info(
             CheckKind::ProtocolSeparation,
             "single-class VC layout: request/reply isolation is not provided in-network and \
              must come from physically disjoint networks (double-network slicing)"
                 .to_string(),
-        ));
-        return;
+        );
     }
     let phases: &[Phase] =
-        if cfg.routing.needs_phase_split() { &[Phase::Xy, Phase::Yx] } else { &[Phase::Xy] };
+        if kind.needs_phase_split() { &[Phase::Xy, Phase::Yx] } else { &[Phase::Xy] };
     let mut overlaps = Vec::new();
     for &pq in phases {
         for &pr in phases {
-            let rq = vc_set_for(cfg.routing, layout, PacketClass::Request, pq);
-            let rp = vc_set_for(cfg.routing, layout, PacketClass::Reply, pr);
+            let rq = vc_set_for(kind, layout, PacketClass::Request, pq);
+            let rp = vc_set_for(kind, layout, PacketClass::Reply, pr);
             for vc in rq.iter() {
                 if rp.contains(vc) {
                     overlaps
@@ -399,14 +414,14 @@ fn check_protocol_separation(cfg: &NetworkConfig, findings: &mut Vec<Finding>) {
         }
     }
     if overlaps.is_empty() {
-        findings.push(Finding::info(
+        Finding::info(
             CheckKind::ProtocolSeparation,
             "request and reply classes own disjoint VC sets in every phase: \
              protocol-deadlock-free (two logical networks on one fabric)"
                 .to_string(),
-        ));
+        )
     } else {
         overlaps.truncate(MAX_DETAILS);
-        findings.push(Finding::violation(CheckKind::ProtocolSeparation, overlaps.join("; ")));
+        Finding::violation(CheckKind::ProtocolSeparation, overlaps.join("; "))
     }
 }

@@ -25,6 +25,11 @@
 //! * **VC-partition correctness** — the (class, phase) VC sets tile the
 //!   physical VCs with no overlap and no waste.
 //!
+//! Every check, and the [`load`] analyzer, reads one [`RouteTable`] — the
+//! routes of one `(mesh, routing, VC layout)`, walked once — so callers
+//! analyzing many configurations of one shape build the table once and
+//! use [`analyze_with`] / [`load::analyze_load_with`].
+//!
 //! The library entry point is [`analyze`]; the `noc-verify` binary (in the
 //! root `tenoc` package) applies it to every shipped preset. Debug-build
 //! simulations self-verify: [`install_debug_auditor`] hooks the analyzer
@@ -39,6 +44,7 @@ mod checks;
 pub mod load;
 mod route;
 
+pub use route::{route_key, RouteTable};
 use std::sync::Mutex;
 use tenoc_noc::NetworkConfig;
 
@@ -212,15 +218,30 @@ fn subject_of(cfg: &NetworkConfig) -> String {
 /// docs for the properties checked. Never panics on well-formed meshes;
 /// structural problems surface as `CheckKind::Config` violations.
 pub fn analyze(cfg: &NetworkConfig) -> VerifyReport {
-    let mut findings = Vec::new();
-    let mut stats = VerifyStats::default();
+    analyze_with(cfg, &RouteTable::new(cfg))
+}
 
+/// [`analyze`] on routes already walked: `table` must have been built
+/// from a configuration with `cfg`'s [`route_key`]. Only `validate()`,
+/// MC reachability and the subject line are computed per call; the
+/// route-only verdicts are the table's, computed on its first use.
+///
+/// # Panics
+///
+/// Panics if `table` routes a different `(mesh, routing, VC layout)`.
+pub fn analyze_with(cfg: &NetworkConfig, table: &RouteTable) -> VerifyReport {
+    assert!(table.routes(cfg), "route table of another fabric shape");
+    let mut findings = Vec::new();
     if let Err(e) = cfg.validate() {
         findings.push(Finding::violation(CheckKind::Config, e));
         if cfg.mc_nodes.iter().any(|&m| m >= cfg.mesh.len()) {
             // The geometry itself is unusable; nothing further can be
-            // proven (or safely enumerated).
-            return VerifyReport { subject: subject_of(cfg), findings, stats };
+            // proven.
+            return VerifyReport {
+                subject: subject_of(cfg),
+                findings,
+                stats: VerifyStats::default(),
+            };
         }
         // Otherwise keep going: the remaining checks demonstrate *which*
         // property the invalid configuration breaks — e.g. the dependency
@@ -228,12 +249,13 @@ pub fn analyze(cfg: &NetworkConfig) -> VerifyReport {
         // VCs.
     }
 
-    checks::run(cfg, &mut findings, &mut stats);
+    let proof = table.proof();
+    findings.extend(proof.findings(cfg, table));
     findings.sort_by_key(|f| match f.severity {
         Severity::Violation => 0,
         Severity::Info => 1,
     });
-    VerifyReport { subject: subject_of(cfg), findings, stats }
+    VerifyReport { subject: subject_of(cfg), findings, stats: proof.stats.clone() }
 }
 
 /// Verifies a configuration used as a channel-sliced **double network**
@@ -243,16 +265,21 @@ pub fn analyze(cfg: &NetworkConfig) -> VerifyReport {
 /// disjointness, which is recorded as an info finding.
 pub fn analyze_double(cfg: &NetworkConfig) -> VerifyReport {
     if !cfg.channel_bytes.is_multiple_of(2) {
-        return VerifyReport {
-            subject: format!("double network of [{}]", subject_of(cfg)),
-            findings: vec![Finding::violation(
-                CheckKind::Config,
-                format!("cannot channel-slice an odd channel width ({} B)", cfg.channel_bytes),
-            )],
-            stats: VerifyStats::default(),
-        };
+        return unsliceable(cfg);
     }
-    let mut report = analyze(&cfg.slice());
+    analyze_double_with(cfg, &RouteTable::new(&cfg.slice()))
+}
+
+/// [`analyze_double`] on routes already walked for `cfg.slice()`.
+///
+/// # Panics
+///
+/// Panics if `table` routes a different shape than the slice.
+pub fn analyze_double_with(cfg: &NetworkConfig, table: &RouteTable) -> VerifyReport {
+    if !cfg.channel_bytes.is_multiple_of(2) {
+        return unsliceable(cfg);
+    }
+    let mut report = analyze_with(&cfg.slice(), table);
     report.subject = format!("double network, per-slice [{}]", report.subject);
     report.findings.push(Finding::info(
         CheckKind::ProtocolSeparation,
@@ -261,6 +288,17 @@ pub fn analyze_double(cfg: &NetworkConfig) -> VerifyReport {
             .to_string(),
     ));
     report
+}
+
+fn unsliceable(cfg: &NetworkConfig) -> VerifyReport {
+    VerifyReport {
+        subject: format!("double network of [{}]", subject_of(cfg)),
+        findings: vec![Finding::violation(
+            CheckKind::Config,
+            format!("cannot channel-slice an odd channel width ({} B)", cfg.channel_bytes),
+        )],
+        stats: VerifyStats::default(),
+    }
 }
 
 /// Auditor installed into `tenoc_noc::audit`: memoized [`analyze`].

@@ -1,9 +1,9 @@
 //! Static channel-load and throughput-bound analysis.
 //!
-//! For a [`NetworkConfig`] plus a [`TrafficMatrix`], this module
-//! enumerates the routing function exactly as the safety checks do —
-//! every plan [`plan_options`] can produce, walked with the simulator's
-//! own `next_hop` — and turns the walks into *performance* facts:
+//! For a [`NetworkConfig`] plus a [`TrafficMatrix`], this module reads
+//! the same [`RouteTable`] the safety checks do — every plan
+//! `plan_options` can produce, walked with the simulator's own
+//! `next_hop` — and turns the walks into *performance* facts:
 //!
 //! * expected per-channel (and per-VC) load under the matrix, in
 //!   flits/cycle at unit injection;
@@ -23,9 +23,8 @@
 //! conflicts and protocol coupling between requests and replies — so
 //! measured accepted throughput always sits at or below it.
 
-use crate::route::trace;
+use crate::RouteTable;
 use serde::{Deserialize, Serialize};
-use tenoc_noc::routing::plan_options;
 use tenoc_noc::telemetry::dir_label;
 use tenoc_noc::{Coord, NetworkConfig, NodeId, Packet, PacketClass};
 
@@ -248,17 +247,33 @@ fn stages(cfg: &NetworkConfig, node: NodeId) -> u64 {
 /// but the configuration's geometry must be usable (MC nodes inside the
 /// mesh), which [`crate::analyze`] checks first.
 pub fn analyze_load(cfg: &NetworkConfig, matrix: TrafficMatrix) -> LoadReport {
-    analyze_load_demands(cfg, matrix.label().to_string(), demands(matrix, cfg))
+    analyze_load_with(cfg, &RouteTable::new(cfg), matrix)
 }
 
-/// The enumeration core: analyzes an explicit demand list (callers
-/// normally go through [`analyze_load`]; the double-network path filters
-/// the demand list by class first).
-pub(crate) fn analyze_load_demands(
+/// [`analyze_load`] on routes already walked: `table` must have been
+/// built from a configuration with `cfg`'s [`route_key`](crate::route_key).
+///
+/// # Panics
+///
+/// Panics if `table` routes a different `(mesh, routing, VC layout)`.
+pub fn analyze_load_with(
     cfg: &NetworkConfig,
+    table: &RouteTable,
+    matrix: TrafficMatrix,
+) -> LoadReport {
+    analyze_load_demands(cfg, table, matrix.label().to_string(), demands(matrix, cfg))
+}
+
+/// The accumulation core: analyzes an explicit demand list (callers
+/// normally go through [`analyze_load_with`]; the double-network path
+/// filters the demand list by class first).
+fn analyze_load_demands(
+    cfg: &NetworkConfig,
+    table: &RouteTable,
     matrix_label: String,
     flows: Vec<Demand>,
 ) -> LoadReport {
+    assert!(table.routes(cfg), "route table of another fabric shape");
     let mesh = &cfg.mesh;
     let n = mesh.len();
     let total_vcs = cfg.vcs.total as usize;
@@ -278,18 +293,21 @@ pub(crate) fn analyze_load_demands(
         let flits = f64::from(
             Packet::new(d.class, d.src, d.dst, d.size_bytes, 0).flits_at_width(cfg.channel_bytes),
         );
-        let Ok(plans) = plan_options(cfg.routing, mesh, d.src, d.dst) else {
+        if !table.routable(d.src, d.dst) {
             unroutable += 1;
             continue;
-        };
-        let share = d.rate / plans.len() as f64;
+        }
+        // Every option, repeats included: multiplicity is probability.
+        let options = table.options(d.src, d.dst);
+        let share = d.rate / options.len() as f64;
         let mut best_lat = u64::MAX;
         let mut delivered = false;
-        for &plan in &plans {
-            let t = trace(cfg.routing, &cfg.vcs, mesh, d.src, d.dst, d.class, plan);
-            if !t.ejected {
+        for &plan in options {
+            let walk = table.walk(plan, d.class);
+            if !walk.ejected {
                 continue;
             }
+            let hops = table.hops(walk);
             delivered = true;
             // Full pipeline plus link traversal at every router the
             // packet *leaves*; at the destination only route computation
@@ -298,20 +316,19 @@ pub(crate) fn analyze_load_demands(
             // plus head-to-tail serialization of a multi-flit packet.
             // Calibrated cycle-exact against single-packet simulations
             // on 1-, 3- and 4-stage routers.
-            let mut l: u64 = t.hops.len() as u64 * u64::from(cfg.link_latency);
-            for &node in &t.nodes[..t.hops.len()] {
-                l += stages(cfg, node);
+            let mut l: u64 = hops.len() as u64 * u64::from(cfg.link_latency);
+            for hop in hops {
+                l += stages(cfg, hop.node);
             }
             let dst_t = cfg.timing(d.dst);
             l += dst_t.rc_delay + dst_t.st_delay;
             l += flits as u64 - 1;
             best_lat = best_lat.min(l);
-            for (i, &dir) in t.hops.iter().enumerate() {
-                let slot = t.nodes[i] * 4 + dir as usize;
+            for hop in hops {
+                let slot = hop.node * 4 + hop.dir as usize;
                 chan[slot] += share * flits;
-                let set = t.vcsets[i];
-                let per_vc = share * flits / f64::from(set.count.max(1));
-                for vc in set.iter() {
+                let per_vc = share * flits / f64::from(hop.vcs.count.max(1));
+                for vc in hop.vcs.iter() {
                     vc_chan[slot * total_vcs + vc as usize] += per_vc;
                 }
             }
@@ -435,9 +452,23 @@ pub struct DoubleLoadReport {
 /// Panics if `cfg.channel_bytes` is odd (cannot be sliced); gate on
 /// [`crate::analyze_double`] first.
 pub fn analyze_load_double(cfg: &NetworkConfig, matrix: TrafficMatrix) -> DoubleLoadReport {
+    analyze_load_double_with(cfg, &RouteTable::new(&cfg.slice()), matrix)
+}
+
+/// [`analyze_load_double`] on routes already walked for `cfg.slice()`.
+///
+/// # Panics
+///
+/// Panics if `cfg.channel_bytes` is odd, or if `table` routes a different
+/// shape than the slice.
+pub fn analyze_load_double_with(
+    cfg: &NetworkConfig,
+    table: &RouteTable,
+    matrix: TrafficMatrix,
+) -> DoubleLoadReport {
     let sliced = cfg.slice();
-    let request = analyze_class_slice(&sliced, cfg, matrix, PacketClass::Request);
-    let reply = analyze_class_slice(&sliced, cfg, matrix, PacketClass::Reply);
+    let request = analyze_class_slice(&sliced, table, cfg, matrix, PacketClass::Request);
+    let reply = analyze_class_slice(&sliced, table, cfg, matrix, PacketClass::Reply);
     let mut saturation_rate = f64::INFINITY;
     for slice in [&request, &reply] {
         if slice.max_load > 0.0 {
@@ -465,6 +496,7 @@ pub fn analyze_load_double(cfg: &NetworkConfig, matrix: TrafficMatrix) -> Double
 /// config carries only `class`'s share of `matrix`'s demands.
 fn analyze_class_slice(
     sliced: &NetworkConfig,
+    table: &RouteTable,
     orig: &NetworkConfig,
     matrix: TrafficMatrix,
     class: PacketClass,
@@ -475,6 +507,7 @@ fn analyze_class_slice(
     let flows = demands(matrix, sliced).into_iter().filter(|d| d.class == class).collect();
     let mut report = analyze_load_demands(
         sliced,
+        table,
         format!("{} ({} slice)", matrix.label(), class_label(class)),
         flows,
     );

@@ -1,73 +1,276 @@
-//! Exhaustive route enumeration shared by the safety checks
-//! ([`crate::checks`]) and the static load analyzer ([`crate::load`]).
+//! The route table: every route of one fabric shape, walked once and
+//! shared by the safety checks ([`crate::checks`]) and the static load
+//! analyzer ([`crate::load`]).
 //!
-//! A [`RouteTrace`] is one plan of one `(src, dst, class)` triple walked
-//! through the simulator's own [`next_hop`], so everything derived from
-//! it — deadlock proofs, channel loads, latency bounds — covers the
-//! production routing code by construction rather than a re-derivation.
+//! A route depends on the mesh, the routing function and the VC layout
+//! and on nothing else a [`NetworkConfig`] carries — buffer depth, channel
+//! width, pipeline depth and MC ports never change one — so one table
+//! serves every configuration with that `(mesh, routing, VC layout)`
+//! ([`route_key`]). For each ordered pair the table holds the
+//! [`plan_options`] outcome with its multiplicity (the load analyzer
+//! weights each option `rate / options`, repeats included), and each
+//! distinct `(plan, class)` of the pair is walked once through the
+//! simulator's own [`next_hop`], so everything derived from it — deadlock
+//! proofs, channel loads, latency bounds — covers the production routing
+//! code by construction rather than a re-derivation.
 
-use tenoc_noc::routing::{next_hop, OutPort, VcSet};
-use tenoc_noc::{Direction, Mesh, NodeId, Packet, PacketClass, Phase, RoutingKind, VcLayout};
+use crate::checks::{self, RouteProof};
+use std::cell::OnceCell;
+use std::ops::Range;
+use tenoc_noc::routing::{next_hop, plan_options, OutPort, VcSet};
+use tenoc_noc::{
+    Direction, Mesh, NetworkConfig, NodeId, Packet, PacketClass, Phase, RoutingKind, VcLayout,
+};
 
-/// One fully walked route for one plan of one (src, dst, class) triple.
-pub(crate) struct RouteTrace {
+/// What a configuration's routes depend on: its mesh, routing function
+/// and VC layout. Configurations with equal keys route identically and
+/// can share one [`RouteTable`].
+pub fn route_key(cfg: &NetworkConfig) -> (&Mesh, RoutingKind, VcLayout) {
+    (&cfg.mesh, cfg.routing, cfg.vcs)
+}
+
+/// One link of a walk: the packet leaves `node` through `dir` and is
+/// granted a VC of `vcs` on that link.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub(crate) struct Hop {
+    pub node: NodeId,
+    pub dir: Direction,
+    pub vcs: VcSet,
+}
+
+/// One plan of one `(src, dst, class)` walked hop by hop; its links are
+/// [`RouteTable::hops`].
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub(crate) struct Walk {
     /// The checkerboard phase the plan was injected with.
     pub phase: Phase,
     /// The case-2 intermediate node, if the plan routes through one.
     pub via: Option<NodeId>,
-    /// Nodes visited, `src..=dst` (last only when `ejected`).
-    pub nodes: Vec<NodeId>,
-    /// `hops[i]` is the direction of the hop `nodes[i] -> nodes[i+1]`.
-    pub hops: Vec<Direction>,
-    /// `vcsets[i]` is the VC set granted on the link of `hops[i]`.
-    pub vcsets: Vec<VcSet>,
     /// Whether the walk reached an ejection decision within the hop cap.
     pub ejected: bool,
+    /// The node the walk stopped at (its destination when it ejected
+    /// there).
+    pub end: NodeId,
+    first_hop: u32,
+    hop_count: u32,
 }
 
-/// Walks one plan through the production `next_hop`, recording every
-/// link-level decision. Never panics: a walk that fails to eject within
-/// `4 * mesh.len()` hops is returned truncated with `ejected == false`.
-pub fn trace(
-    kind: RoutingKind,
-    layout: &VcLayout,
-    mesh: &Mesh,
+/// Every route of one fabric shape: per ordered pair the plan options,
+/// per distinct `(plan, class)` one walk, the links of all walks in one
+/// flat `Vec`. Build it once per [`route_key`] and hand it to
+/// [`analyze_with`](crate::analyze_with) and
+/// [`analyze_load_with`](crate::load::analyze_load_with) for every
+/// configuration of that shape; the prover's route-only verdicts are
+/// computed on first use and kept with the table.
+pub struct RouteTable {
+    pub(crate) mesh: Mesh,
+    pub(crate) routing: RoutingKind,
+    pub(crate) vcs: VcLayout,
+    /// Per pair `src * n + dst`, the plan ids of its `plan_options`
+    /// entries in order, repeats included (none when unroutable): pair `p`
+    /// owns `options[option_starts[p]..option_starts[p + 1]]`.
+    options: Vec<u32>,
+    option_starts: Vec<u32>,
+    /// Per pair, its distinct plans are the ids
+    /// `plan_starts[p]..plan_starts[p + 1]`, in first-appearance order.
+    plan_starts: Vec<u32>,
+    /// Plan `id`, class `c` is `walks[id * classes + c]`.
+    walks: Vec<Walk>,
+    hops: Vec<Hop>,
+    proof: OnceCell<RouteProof>,
+}
+
+impl RouteTable {
+    /// Walks every route of `cfg`'s fabric shape: all ordered pairs
+    /// (including `src == dst`), every distinct plan, every protocol
+    /// class the VC layout separates.
+    pub fn new(cfg: &NetworkConfig) -> Self {
+        let pairs = cfg.mesh.len() * cfg.mesh.len();
+        let mut table = RouteTable {
+            mesh: cfg.mesh.clone(),
+            routing: cfg.routing,
+            vcs: cfg.vcs,
+            options: Vec::new(),
+            option_starts: Vec::with_capacity(pairs + 1),
+            plan_starts: Vec::with_capacity(pairs + 1),
+            walks: Vec::new(),
+            hops: Vec::new(),
+            proof: OnceCell::new(),
+        };
+        table.option_starts.push(0);
+        table.plan_starts.push(0);
+        let mut distinct: Vec<(Phase, Option<NodeId>)> = Vec::new();
+        for src in cfg.mesh.nodes() {
+            for dst in cfg.mesh.nodes() {
+                let first = *table.plan_starts.last().expect("starts at 0");
+                distinct.clear();
+                // An unroutable pair has no options.
+                for plan in plan_options(cfg.routing, &cfg.mesh, src, dst).unwrap_or_default() {
+                    let idx = match distinct.iter().position(|&p| p == plan) {
+                        Some(idx) => idx,
+                        None => {
+                            distinct.push(plan);
+                            for &class in table.classes() {
+                                let walk = trace(cfg, src, dst, class, plan, &mut table.hops);
+                                table.walks.push(walk);
+                            }
+                            distinct.len() - 1
+                        }
+                    };
+                    table.options.push(first + idx as u32);
+                }
+                table.option_starts.push(table.options.len() as u32);
+                table.plan_starts.push(first + distinct.len() as u32);
+            }
+        }
+        table
+    }
+
+    /// Whether `cfg` routes exactly like the configuration the table was
+    /// built from.
+    pub(crate) fn routes(&self, cfg: &NetworkConfig) -> bool {
+        route_key(cfg) == (&self.mesh, self.routing, self.vcs)
+    }
+
+    /// The classes walked per plan: both for a two-class layout, else
+    /// requests only — a single-class layout grants every class the same
+    /// VCs, so a reply walks exactly the request's route.
+    pub(crate) fn classes(&self) -> &'static [PacketClass] {
+        if self.vcs.classes == 2 {
+            &PacketClass::ALL
+        } else {
+            &[PacketClass::Request]
+        }
+    }
+
+    fn pair(&self, src: NodeId, dst: NodeId) -> usize {
+        src * self.mesh.len() + dst
+    }
+
+    /// Whether the routing function can plan `src -> dst` at all.
+    pub(crate) fn routable(&self, src: NodeId, dst: NodeId) -> bool {
+        !self.options(src, dst).is_empty()
+    }
+
+    /// The pair's `plan_options`, as plan ids, repeats included (empty
+    /// when unroutable).
+    pub(crate) fn options(&self, src: NodeId, dst: NodeId) -> &[u32] {
+        let p = self.pair(src, dst);
+        &self.options[self.option_starts[p] as usize..self.option_starts[p + 1] as usize]
+    }
+
+    /// The pair's distinct plan ids, in first-appearance order.
+    pub(crate) fn plans(&self, src: NodeId, dst: NodeId) -> Range<u32> {
+        let p = self.pair(src, dst);
+        self.plan_starts[p]..self.plan_starts[p + 1]
+    }
+
+    /// The walk of plan `plan` for a packet of `class`.
+    pub(crate) fn walk(&self, plan: u32, class: PacketClass) -> &Walk {
+        let classes = self.classes().len();
+        let c = if classes == 2 { class.index() } else { 0 };
+        &self.walks[plan as usize * classes + c]
+    }
+
+    /// The links of `walk`, in order.
+    pub(crate) fn hops(&self, walk: &Walk) -> &[Hop] {
+        &self.hops[walk.first_hop as usize..(walk.first_hop + walk.hop_count) as usize]
+    }
+
+    /// The prover's verdicts that depend on the routes alone, computed
+    /// the first time any configuration of this shape is analyzed.
+    pub(crate) fn proof(&self) -> &RouteProof {
+        self.proof.get_or_init(|| checks::prove(self))
+    }
+}
+
+/// Walks one plan of `cfg`'s routing function through the production
+/// `next_hop`, appending each link to `hops`. Never panics: a walk that
+/// fails to eject within `4 * mesh.len()` hops is returned truncated with
+/// `ejected == false`.
+fn trace(
+    cfg: &NetworkConfig,
     src: NodeId,
     dst: NodeId,
     class: PacketClass,
     plan: (Phase, Option<NodeId>),
-) -> RouteTrace {
+    hops: &mut Vec<Hop>,
+) -> Walk {
     let mut hdr = Packet::new(class, src, dst, 8, 0).header;
     hdr.phase = plan.0;
     hdr.via = plan.1;
-    let mut t = RouteTrace {
-        phase: plan.0,
-        via: plan.1,
-        nodes: vec![src],
-        hops: Vec::new(),
-        vcsets: Vec::new(),
-        ejected: false,
-    };
+    let first_hop = hops.len() as u32;
+    let mut walk =
+        Walk { phase: plan.0, via: plan.1, ejected: false, end: src, first_hop, hop_count: 0 };
+    let mesh = &cfg.mesh;
     let mut node = src;
     for _ in 0..4 * mesh.len() {
-        let dec = next_hop(kind, layout, mesh, node, &mut hdr);
+        let dec = next_hop(cfg.routing, &cfg.vcs, mesh, node, &mut hdr);
         match dec.out {
             OutPort::Eject => {
-                t.ejected = true;
-                return t;
+                walk.ejected = true;
+                break;
             }
-            OutPort::Dir(d) => {
-                let Some(next) = mesh.neighbor(node, d) else {
+            OutPort::Dir(dir) => {
+                let Some(next) = mesh.neighbor(node, dir) else {
                     // Route points off the mesh edge; stop here and let
                     // the minimality check report the broken walk.
-                    return t;
+                    break;
                 };
-                t.hops.push(d);
-                t.vcsets.push(dec.vcs);
+                hops.push(Hop { node, dir, vcs: dec.vcs });
                 node = next;
-                t.nodes.push(node);
             }
         }
     }
-    t
+    walk.end = node;
+    walk.hop_count = hops.len() as u32 - first_hop;
+    walk
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The table is `plan_options` plus `trace`, indexed: per pair the
+    /// option multiplicities, per distinct `(plan, class)` the walk a
+    /// fresh `trace` produces — for every named preset's routed network
+    /// at three radices, slices of double networks included.
+    #[test]
+    fn table_matches_plan_options_and_fresh_walks_on_every_named_preset() {
+        for k in [4, 6, 8] {
+            for preset in tenoc_core::Preset::NAMED {
+                let cfg = match preset.icnt(k) {
+                    tenoc_core::IcntConfig::Double(c) => c.slice(),
+                    icnt => icnt.net().clone(),
+                };
+                let table = RouteTable::new(&cfg);
+                let mesh = &cfg.mesh;
+                let mut fresh = Vec::new();
+                for src in mesh.nodes() {
+                    for dst in mesh.nodes() {
+                        let label = format!("{} k={k} {src}->{dst}", preset.label());
+                        let Ok(options) = plan_options(cfg.routing, mesh, src, dst) else {
+                            assert!(!table.routable(src, dst), "{label}");
+                            continue;
+                        };
+                        assert!(table.routable(src, dst), "{label}");
+                        let ids = table.options(src, dst);
+                        assert_eq!(ids.len(), options.len(), "{label}: multiplicity");
+                        let plans = table.plans(src, dst);
+                        for (&id, &plan) in ids.iter().zip(&options) {
+                            assert!(plans.contains(&id), "{label}");
+                            for class in PacketClass::ALL {
+                                let walk = table.walk(id, class);
+                                assert_eq!((walk.phase, walk.via), plan, "{label}");
+                                fresh.clear();
+                                let want = trace(&cfg, src, dst, class, plan, &mut fresh);
+                                assert_eq!(table.hops(walk), &fresh[..], "{label} {class:?}");
+                                assert_eq!((walk.ejected, walk.end), (want.ejected, want.end));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use tenoc_noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
 use tenoc_noc::{NetworkConfig, VcLayout};
-use tenoc_verify::load::{analyze_load, TrafficMatrix};
+use tenoc_verify::load::{analyze_load, analyze_load_double, TrafficMatrix};
 
 /// A randomly drawn legal configuration: baseline full-router mesh (DOR
 /// with 2 or 4 VCs) or checkerboard mesh (checkerboard routing,
@@ -114,5 +114,30 @@ proptest! {
             zl("reply"),
             r.avg_reply_latency
         );
+    }
+}
+
+/// A double network's slices split the many-to-few matrix by class: the
+/// request and reply slices' demands partition the matrix analyzed on the
+/// slice fabric as a whole, every channel's load is the sum of the two,
+/// and the binding slice sets the combined bound.
+#[test]
+fn double_network_slices_partition_the_matrix_by_class() {
+    for cfg in [NetworkConfig::checkerboard_mesh(6), NetworkConfig::baseline_mesh(6)] {
+        let double = analyze_load_double(&cfg, TrafficMatrix::ManyToFew);
+        let whole = analyze_load(&cfg.slice(), TrafficMatrix::ManyToFew);
+        let (request, reply) = (&double.request, &double.reply);
+        assert_eq!(request.demands_total + reply.demands_total, whole.demands_total);
+        let classes = |r: &tenoc_verify::load::LoadReport| {
+            r.zero_load.iter().map(|z| z.class.clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            (classes(request), classes(reply)),
+            (vec!["request".into()], vec!["reply".into()])
+        );
+        for ((a, b), w) in request.channels.iter().zip(&reply.channels).zip(&whole.channels) {
+            assert!((a.load + b.load - w.load).abs() <= 1e-9 * w.load.max(1.0), "{w:?}");
+        }
+        assert_eq!(double.saturation_rate, request.saturation_rate.min(reply.saturation_rate));
     }
 }

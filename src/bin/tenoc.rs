@@ -762,7 +762,8 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
     // reads the first such pair as the closed-loop one.
     eprintln!(
         "tune: {} enumerated, {} legal, {} probed, {} halved; {} closed-loop cells \
-         ({} from cache), {} finalists, {} on the frontier; {} probes ticked, {} memoized",
+         ({} from cache), {} finalists, {} on the frontier; {} probes ticked, {} memoized; \
+         {} route tables",
         report.counts.enumerated,
         report.counts.legal,
         report.counts.stage1_promoted,
@@ -772,7 +773,8 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
         report.counts.finalists,
         report.counts.frontier,
         stats.probes,
-        stats.probe_cache_hits
+        stats.probe_cache_hits,
+        stats.route_tables
     );
 
     if flags.contains_key("json") {
