@@ -1,7 +1,8 @@
 //! Dense bitset over node indices: the network's active-router worklist.
 //!
-//! The scheduler wakes a node on any event that could give it work (flit
-//! or credit pushed toward it, NI injection) and retires it once provably
+//! The scheduler wakes a node on any event that could give it work (the
+//! oracle: a flit or credit pushed toward it; the arena: a flit landing
+//! in its buffers; both: an NI injection) and retires it once provably
 //! idle, so the per-cycle sweep only visits nodes that can make progress.
 //! Iteration is in ascending node order — the same order as the full
 //! `0..n` sweep it replaces — which keeps the event schedule bit-identical

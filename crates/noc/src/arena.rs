@@ -4,11 +4,13 @@
 //! simulation that [`Network`](crate::network::Network) defines: instead of
 //! per-router `Vec<Router>` / `Vec<Vec<…>>` nesting, every piece of router
 //! state — input-VC FIFOs, per-VC credit counters, `out_vc_owner`, the
-//! round-robin arbiter pointers, NI slots, channel delay lines — lives in
-//! one contiguous index-addressed slab per kind of state. The pipeline
-//! stages then iterate over dense arrays with a per-node occupancy bitmask
-//! selecting the (input port, VC) lanes that hold flits, which is what
-//! makes the inner loops cache-dense and branch-uniform.
+//! round-robin arbiter pointers, NI slots — lives in one contiguous
+//! index-addressed slab per kind of state, and the links are one delivery
+//! wheel of flits filed by arrival cycle plus one next-cycle credit list
+//! per network. The pipeline stages then iterate over dense arrays with a
+//! per-node occupancy bitmask selecting the (input port, VC) lanes that
+//! hold flits, which is what makes the inner loops cache-dense and
+//! branch-uniform.
 //!
 //! The arena is an *engine*, not a model: it executes the oracle's event
 //! schedule bit-exactly. Every arbiter pointer is sized by the router's
@@ -87,7 +89,7 @@ struct NiPacket {
 /// A flit in flight: a reference into the packet table plus its sequence
 /// number. 6 bytes instead of a ~90-byte header copy — the single biggest
 /// lever on the engine's memory traffic, since every hop moves each flit
-/// through a buffer pop, a channel ring, and a buffer push.
+/// through a buffer pop, the delivery wheel, and a buffer push.
 #[derive(Copy, Clone, Debug)]
 struct LaneFlit {
     pkt: u32,
@@ -104,12 +106,14 @@ struct FifoEntry {
     seq: u16,
 }
 
-/// A flit on a channel ring: 12 bytes per slot.
+/// A flit on a link, filed in the delivery wheel under the cycle it
+/// reaches the receiving router's input port `dir`: 12 bytes per entry.
 #[derive(Copy, Clone, Debug)]
-struct ChFlit {
+struct Arrival {
     pkt: u32,
-    due: u32,
+    node: u32,
     seq: u16,
+    dir: u8,
     vc: u8,
 }
 
@@ -209,27 +213,19 @@ pub struct ArenaNetwork {
     /// SA output-arbiter pointer per `[node * out_max + out_port]`, over
     /// the node's actual input ports.
     sa_out_ptr: Vec<u8>,
-    // --- channel slabs, indexed `node * 4 + dir` ---
-    /// Flit delay-line rings: channel `c` owns
-    /// `ch_flit[c*ch_cap .. (c+1)*ch_cap]`, entries `(due, vc, flit)`.
-    ch_flit: Vec<ChFlit>,
-    ch_flit_head: Vec<u16>,
-    ch_flit_len: Vec<u16>,
-    /// Ring capacity per channel (max flit delay + 2, one slot per cycle
-    /// in flight plus slack).
-    ch_cap: usize,
-    /// Credit return rings: channel `c` owns `ch_credit[c*4 .. c*4+4]`,
-    /// entries `(due, vc)`; at most one credit per channel per cycle with
-    /// a one-cycle delay, so 4 slots cannot overflow.
-    ch_credit: Vec<(u64, u8)>,
-    ch_credit_head: Vec<u8>,
-    ch_credit_len: Vec<u8>,
+    // --- links ---
+    /// Delivery wheel: slot `due & (len - 1)` holds the flits that reach
+    /// their receiver at cycle `due`. `len` is the longest
+    /// `node_flit_delay` rounded up to a power of two, so the dues
+    /// outstanding after a cycle's slot is drained (`now + 1 ..= now +
+    /// max delay`) never share a slot.
+    wheel: Vec<Vec<Arrival>>,
+    /// Credits that land next cycle, as `(node, output-VC slot)`: a
+    /// channel credit for the upstream router or an ejection credit for
+    /// the ejecting one.
+    credits_next: Vec<(u32, u32)>,
+    /// Flits sent per channel `node * 4 + dir`.
     ch_total: Vec<u64>,
-    /// Per-node direction masks of non-empty inbound flit rings /
-    /// outbound credit rings — set at the push, cleared when delivery
-    /// drains the ring, so delivery and idle checks skip empty rings.
-    flit_pending: Vec<u8>,
-    credit_pending: Vec<u8>,
     // --- network interfaces, indexed `node * (in_max - 4) + port` ---
     ni: Vec<Option<NiPacket>>,
     node_n_inject: Vec<u8>,
@@ -238,15 +234,15 @@ pub struct ArenaNetwork {
     ni_cursor: Vec<u32>,
     // --- cold state ---
     ejected: Vec<VecDeque<EjectedPacket>>,
-    eject_credits: VecDeque<(u64, NodeId, usize, u8)>,
     cycle: u64,
     stats: NetStats,
     rng: SmallRng,
     next_pkt_id: u64,
+    /// Routers with buffered flits or a busy NI — exactly the ones with
+    /// work this cycle.
     active: ActiveSet,
-    // --- O(1) in-flight accounting ---
+    // --- in-flight accounting (flits on links are the wheel's length) ---
     buffered: usize,
-    flying: usize,
     ni_pending: usize,
     // --- per-cycle scratch (steady-state allocation-free) ---
     /// VA per-(out_port, out_vc) requester masks (bit `in_port * nv + vc`).
@@ -324,7 +320,12 @@ impl ArenaNetwork {
                 cfg.mesh.neighbor(node, Direction::from_index(d)).map_or(-1, |x| x as i32)
             }));
         }
-        let ch_cap = (max_delay as usize + 2).next_power_of_two();
+        // Capacities are the per-cycle maxima — one flit per directed
+        // channel; one credit per direction input port plus one per
+        // ejection port — so steady state never grows a slot or the list.
+        let wheel = (0..(max_delay as usize).next_power_of_two())
+            .map(|_| Vec::with_capacity(n * 4))
+            .collect();
 
         // Downstream credits start at the buffer depth for present ports
         // (all local ports; direction ports only where a neighbor exists).
@@ -375,29 +376,20 @@ impl ArenaNetwork {
             va_ptr: vec![0; n * ovc_stride],
             sa_in_ptr: vec![0; n * in_max],
             sa_out_ptr: vec![0; n * out_max],
-            ch_flit: vec![ChFlit { pkt: 0, due: 0, seq: 0, vc: 0 }; n * 4 * ch_cap],
-            ch_flit_head: vec![0; n * 4],
-            ch_flit_len: vec![0; n * 4],
-            ch_cap,
-            ch_credit: vec![(0, 0); n * 4 * 4],
-            ch_credit_head: vec![0; n * 4],
-            ch_credit_len: vec![0; n * 4],
+            wheel,
+            credits_next: Vec::with_capacity(n * out_max),
             ch_total: vec![0; n * 4],
-            flit_pending: vec![0; n],
-            credit_pending: vec![0; n],
             ni: vec![None; n * max_inject],
             node_n_inject,
             ni_busy: vec![0; n],
             ni_cursor: vec![0; n],
             ejected: (0..n).map(|_| VecDeque::new()).collect(),
-            eject_credits: VecDeque::new(),
             cycle: 0,
             stats: NetStats::new(n),
             rng: SmallRng::seed_from_u64(cfg.seed),
             next_pkt_id: 1,
-            active: ActiveSet::all(n),
+            active: ActiveSet::empty(n),
             buffered: 0,
-            flying: 0,
             ni_pending: 0,
             va_req: vec![0; out_max * nv],
             sa_grants: (0..in_max).map(|_| Vec::with_capacity(out_max)).collect(),
@@ -464,92 +456,32 @@ impl ArenaNetwork {
         out
     }
 
-    /// Delivery phase for one node: pops this node's due incoming flits
-    /// (from each neighbor's channel toward it) and due returning credits
-    /// (from its own outgoing channels). Mirrors `Network::deliver_node`.
-    fn deliver_node(&mut self, node: NodeId, now: u64) {
-        // Pending-direction masks stand in for probing all eight rings:
-        // a bit is set exactly while its ring is non-empty (set at the
-        // push in `commit_grant`, cleared here on drain-to-empty), and
-        // flit and credit deliveries touch disjoint state, so draining
-        // all flit rings before all credit rings matches the oracle's
-        // per-direction interleaving.
-        let mut fp = self.flit_pending[node];
-        while fp != 0 {
-            let d = fp.trailing_zeros() as usize;
-            fp &= fp - 1;
-            let nb = self.nbr[node][d];
-            debug_assert!(nb >= 0, "pending bit for a direction off the mesh edge");
-            let inbound = nb as usize * 4 + OPP[d];
-            loop {
-                let len = self.ch_flit_len[inbound] as usize;
-                if len == 0 {
-                    self.flit_pending[node] &= !(1 << d);
-                    break;
-                }
-                let head = self.ch_flit_head[inbound] as usize;
-                let e = self.ch_flit[inbound * self.ch_cap + head];
-                if e.due as u64 > now {
-                    break;
-                }
-                self.ch_flit_head[inbound] = ((head + 1) & (self.ch_cap - 1)) as u16;
-                self.ch_flit_len[inbound] = (len - 1) as u16;
-                self.flying -= 1;
-                let idx = self.ivc(node, d, e.vc as usize);
-                self.fifo_push(node, idx, LaneFlit { pkt: e.pkt, seq: e.seq }, now);
-            }
-        }
-        let mut cp = self.credit_pending[node];
-        while cp != 0 {
-            let d = cp.trailing_zeros() as usize;
-            cp &= cp - 1;
-            let outbound = node * 4 + d;
-            loop {
-                let len = self.ch_credit_len[outbound] as usize;
-                if len == 0 {
-                    self.credit_pending[node] &= !(1 << d);
-                    break;
-                }
-                let head = self.ch_credit_head[outbound] as usize;
-                let (due, vc) = self.ch_credit[outbound * 4 + head];
-                if due > now {
-                    break;
-                }
-                self.ch_credit_head[outbound] = ((head + 1) & 3) as u8;
-                self.ch_credit_len[outbound] = (len - 1) as u8;
-                let o = node * self.ovc_stride + d * self.nv + vc as usize;
-                self.credits[o] += 1;
-                debug_assert!(
-                    self.credits[o] as usize <= self.depth,
-                    "credit overflow on router {node} out port {d} vc {vc}"
-                );
-                let holder = self.owner[o];
-                if holder >= 0 {
-                    self.credit_ok[node] |= 1u128 << holder;
-                }
-            }
-        }
-    }
-
-    /// Returns due ejection-buffer credits to their routers (global, like
-    /// `Network::return_eject_credits`).
-    fn return_eject_credits(&mut self, now: u64) {
-        while let Some(&(due, node, out_port, vc)) = self.eject_credits.front() {
-            if due > now {
-                break;
-            }
-            self.eject_credits.pop_front();
-            let o = self.ovc(node, out_port, vc as usize);
+    /// Link delivery at the top of cycle `now`: lands the credits filed
+    /// last cycle, then moves the flits due now from their wheel slot into
+    /// the receivers' input FIFOs and wakes each receiver.
+    fn deliver(&mut self, now: u64) {
+        for &(node, o) in &self.credits_next {
+            let (node, o) = (node as usize, o as usize);
             self.credits[o] += 1;
             debug_assert!(
                 self.credits[o] as usize <= self.depth,
-                "eject credit overflow at router {node}"
+                "credit overflow at router {node}"
             );
             let holder = self.owner[o];
             if holder >= 0 {
                 self.credit_ok[node] |= 1u128 << holder;
             }
         }
+        self.credits_next.clear();
+        let s = now as usize & (self.wheel.len() - 1);
+        let mut slot = std::mem::take(&mut self.wheel[s]);
+        for a in slot.drain(..) {
+            let node = a.node as usize;
+            let idx = self.ivc(node, a.dir as usize, a.vc as usize);
+            self.fifo_push(node, idx, LaneFlit { pkt: a.pkt, seq: a.seq }, now);
+            self.active.insert(node);
+        }
+        self.wheel[s] = slot;
     }
 
     /// NI phase for one node: streams one flit per busy injection port,
@@ -767,25 +699,23 @@ impl ArenaNetwork {
     }
 
     /// Commits one switch grant: pops the flit, charges the downstream
-    /// credit, returns the upstream credit, and emits the flit directly
-    /// onto its output channel (or the ejection path). Direct emission is
-    /// state-identical to the oracle's collect-then-route scratch pass:
-    /// flits and credits land on disjoint FIFOs whose per-queue order
-    /// equals commit order either way, and active-set wakes are idempotent.
+    /// credit, files the upstream credit for next cycle, and files the
+    /// flit in the delivery wheel under its arrival cycle (or ejects it,
+    /// filing the ejection credit for next cycle). Filing wakes nobody:
+    /// the receiver is woken when its flit lands.
     fn commit_grant(&mut self, node: usize, ip: usize, vc: u8, op: usize, out_vc: u8, now: u64) {
         let idx = self.ivc(node, ip, vc as usize);
         let (flit, _) = self.fifo_pop(node, idx);
         if let Some(t) = &mut self.telemetry {
             t.record_grant(&self.pkts[flit.pkt as usize], flit.seq, node, op, out_vc, now);
         }
+        let o = self.ovc(node, op, out_vc as usize);
         let is_tail = flit.seq + 1 == self.pkt_flits[flit.pkt as usize];
         if is_tail {
-            let o = self.ovc(node, op, out_vc as usize);
             self.owner[o] = -1;
             self.vc_state[idx] = VcState::Idle;
             self.active_vcs[node] &= !(1u128 << (ip * self.nv + vc as usize));
         }
-        let o = node * self.ovc_stride + op * self.nv + out_vc as usize;
         debug_assert!(self.credits[o] > 0, "SA granted without a credit");
         self.credits[o] -= 1;
         if self.credits[o] == 0 {
@@ -794,37 +724,25 @@ impl ArenaNetwork {
         if ip < 4 {
             let upstream = self.nbr[node][ip];
             debug_assert!(upstream >= 0, "credit for a direction port implies a neighbor");
-            let ch = upstream as usize * 4 + OPP[ip];
-            let len = self.ch_credit_len[ch] as usize;
-            debug_assert!(len < 4, "credit ring overflow");
-            let pos = (self.ch_credit_head[ch] as usize + len) & 3;
-            self.ch_credit[ch * 4 + pos] = (now + 1, vc);
-            self.ch_credit_len[ch] = (len + 1) as u8;
-            self.credit_pending[upstream as usize] |= 1 << OPP[ip];
-            self.active.insert(upstream as usize);
+            let up = upstream as usize;
+            self.credits_next.push((up as u32, self.ovc(up, OPP[ip], vc as usize) as u32));
         }
         if op < 4 {
-            let ch = node * 4 + op;
-            let len = self.ch_flit_len[ch] as usize;
-            debug_assert!(len < self.ch_cap, "channel ring overflow");
-            let pos = (self.ch_flit_head[ch] as usize + len) & (self.ch_cap - 1);
-            let due = now + self.node_flit_delay[node];
-            debug_assert!(due <= u32::MAX as u64, "cycle stamp overflows the packed u32");
-            self.ch_flit[ch * self.ch_cap + pos] =
-                ChFlit { pkt: flit.pkt, due: due as u32, seq: flit.seq, vc: out_vc };
-            self.ch_flit_len[ch] = (len + 1) as u16;
-            self.ch_total[ch] += 1;
-            self.flying += 1;
             let neighbor = self.nbr[node][op];
             debug_assert!(neighbor >= 0, "router checked the direction exists");
-            self.flit_pending[neighbor as usize] |= 1 << OPP[op];
-            self.active.insert(neighbor as usize);
+            let due = now + self.node_flit_delay[node];
+            let s = due as usize & (self.wheel.len() - 1);
+            let a = Arrival {
+                pkt: flit.pkt,
+                node: neighbor as u32,
+                seq: flit.seq,
+                dir: OPP[op] as u8,
+                vc: out_vc,
+            };
+            self.wheel[s].push(a);
+            self.ch_total[node * 4 + op] += 1;
         } else {
-            debug_assert!(
-                self.eject_credits.back().is_none_or(|&(due, ..)| due <= now + 1),
-                "eject credit queue must stay due-ordered"
-            );
-            self.eject_credits.push_back((now + 1, node, op, out_vc));
+            self.credits_next.push((node as u32, o as u32));
             if is_tail {
                 let row = flit.pkt as usize;
                 let mut header = self.pkts[row];
@@ -993,12 +911,9 @@ impl ArenaNetwork {
     /// Router phase for one node: RC, VA, SA with direct flit/credit
     /// emission. Mirrors `Network::step_router_node` + `Router::step`.
     fn step_router_node(&mut self, node: NodeId, now: u64) {
-        // Nothing buffered means no stage can progress or move a pointer:
-        // RC/VA candidates are buffered lanes, and SA readiness requires
-        // occupancy even for lanes still owning a downstream VC.
-        if self.node_occ[node] == 0 {
-            return;
-        }
+        // An awake router has buffered flits or a busy NI, and a busy NI
+        // leaves a flit buffered: it pushed one, or its VCs are full.
+        debug_assert!(self.node_occ[node] > 0, "awake router {node} buffers nothing");
         self.sa_gate[node] = 0;
         self.route_compute(node);
         self.vc_allocate(node, now);
@@ -1010,45 +925,42 @@ impl ArenaNetwork {
         }
     }
 
-    /// `true` when the node can do nothing this cycle or any future cycle
-    /// without a new wake event. Mirrors `Network::node_idle`.
+    /// `true` when the node has no work until a flit lands or a packet is
+    /// injected. Flits on the wire and credits in return wake nobody, so
+    /// unlike `Network::node_idle` this probes no channel.
     fn node_idle(&self, node: NodeId) -> bool {
-        // The pending masks are exact mirrors of ring non-emptiness, so
-        // this equals the oracle's eight-ring probe.
-        self.node_occ[node] == 0
-            && self.ni_busy[node] == 0
-            && self.flit_pending[node] == 0
-            && self.credit_pending[node] == 0
+        self.node_occ[node] == 0 && self.ni_busy[node] == 0
     }
 
     /// Runs one of the [`ARENA_PHASES`] sub-phases of a cycle. Calling
     /// phases `0..ARENA_PHASES` in order is exactly one [`Tick::tick`].
     ///
-    /// The whole cycle is one fused sweep — each active node runs
-    /// deliver, NI, router and retire back to back, so its masks, FIFO
-    /// lanes and ring heads are touched once per cycle instead of once
-    /// per stage. Fusing is bit-identical to the oracle's four global
-    /// stage sweeps because every cross-node effect a router step emits
-    /// travels through a ring stamped `due >= now + 1` (invisible to any
-    /// same-cycle pop), a pending/active-set insert (idempotent, and a
-    /// freshly woken node's deliver/NI/router are all no-ops this cycle),
-    /// or the due-ordered eject-credit queue (drained once up front, and
-    /// appended to in the same ascending node order the phased router
-    /// sweep used). A node retired before an upstream neighbor's router
-    /// step wakes it is re-inserted by that step's push, leaving the
-    /// same active set at cycle end.
+    /// The cycle is one [`deliver`](Self::deliver) followed by one fused
+    /// sweep in which each active node runs NI, router and retire back to
+    /// back. That is bit-identical to the oracle's per-node delivery and
+    /// four global stage sweeps, for four reasons:
+    ///
+    /// - every link delay is `>= 1` and every credit delay exactly 1, so
+    ///   nothing filed during cycle `t` is due at `t`;
+    /// - deliveries touch disjoint per-lane FIFOs and per-output-VC
+    ///   counters, so their order within the cycle is immaterial;
+    /// - a router's `owner` slab changes only in that router's own step,
+    ///   so a credit's `credit_ok` update sees the same holder at the top
+    ///   of the cycle as at the router's turn;
+    /// - a node woken at arrival runs the same stages it would have run:
+    ///   the visits the oracle's push-time wakes add are ones in which
+    ///   every stage returns early and no arbiter pointer moves.
     pub(crate) fn run_phase(&mut self, phase: usize) {
         let now = self.cycle;
         match phase {
             0 => {
-                self.return_eject_credits(now);
+                self.deliver(now);
                 let mut i = 0;
                 while let Some(node) = self.active.next_from(i) {
-                    self.deliver_node(node, now);
                     self.stream_ni_node(node, now);
                     self.step_router_node(node, now);
-                    // No later node can change this node's buffers within
-                    // the cycle (flits travel through rings), so this is
+                    // No node can change another's buffers within the
+                    // cycle (flits travel through the wheel), so this is
                     // the end-of-cycle occupancy the oracle samples; nodes
                     // outside the active set hold nothing.
                     if let Some(t) = &mut self.telemetry {
@@ -1139,7 +1051,7 @@ impl Interconnect for ArenaNetwork {
     }
 
     fn in_flight(&self) -> usize {
-        self.buffered + self.flying + self.ni_pending
+        self.buffered + self.wheel.iter().map(Vec::len).sum::<usize>() + self.ni_pending
     }
 
     fn flit_hops(&self) -> u64 {
@@ -1273,6 +1185,54 @@ mod tests {
             }
         }
         assert_eq!(whole.stats(), phased.stats());
+    }
+
+    /// A router is awake exactly while it has work — buffered flits or a
+    /// busy NI. Flits on a 3-cycle link and returning credits wake nobody,
+    /// so a packet crossing a link leaves every router asleep, and a
+    /// drained network has an empty active set (the arena's twin of the
+    /// oracle's "a drained network steps zero routers").
+    #[test]
+    fn a_router_is_awake_only_when_it_has_work() {
+        let mut cfg = NetworkConfig::checkerboard_mesh(6);
+        cfg.link_latency = 3;
+        let mcs = cfg.mc_nodes.clone();
+        let cores: Vec<usize> = (0..36).filter(|n| !mcs.contains(n)).collect();
+        let mut net = ArenaNetwork::new(cfg);
+        let mut asleep_on_the_wire = 0;
+        let mut tick = |net: &mut ArenaNetwork| {
+            net.tick();
+            let awake: Vec<usize> =
+                (0..36).filter(|&n| net.active.next_from(n) == Some(n)).collect();
+            let busy: Vec<usize> =
+                (0..36).filter(|&n| net.node_occ[n] > 0 || net.ni_busy[n] > 0).collect();
+            assert_eq!(awake, busy, "active set is not the busy set at cycle {}", net.cycle);
+            if awake.is_empty() && net.in_flight() > 0 {
+                asleep_on_the_wire += 1;
+            }
+            for node in 0..36 {
+                while net.pop(node).is_some() {}
+            }
+        };
+        for t in 0..400u64 {
+            let core = cores[t as usize * 7 % cores.len()];
+            let mc = mcs[t as usize % mcs.len()];
+            let _ = net.try_inject(core, Packet::request(core, mc, 8, t));
+            let _ = net.try_inject(mc, Packet::reply(mc, core, 64, t));
+            tick(&mut net);
+        }
+        while net.in_flight() > 0 {
+            tick(&mut net);
+        }
+        assert_eq!(net.active.count(), 0, "a drained network keeps no router awake");
+        // A lone packet: between routers it is only on the wire.
+        net.try_inject(cores[0], Packet::request(cores[0], mcs[0], 8, 400)).unwrap();
+        while net.in_flight() > 0 {
+            tick(&mut net);
+        }
+        assert_eq!(net.active.count(), 0);
+        assert!(asleep_on_the_wire > 0, "some flit crossed a link with every router asleep");
+        assert!(net.flit_hops() > 1_000);
     }
 
     /// Arming telemetry changes no simulated outcome on the arena either:
