@@ -117,12 +117,6 @@ struct Arrival {
     vc: u8,
 }
 
-/// The number of phases one [`ArenaNetwork`] cycle splits into; see
-/// [`Interconnect::tick_phase`]. The arena fuses its whole cycle into a
-/// single per-node sweep (see [`ArenaNetwork::run_phase`]), so one phase
-/// is the cycle.
-pub(crate) const ARENA_PHASES: usize = 1;
-
 /// One physical mesh network, stored as flat structure-of-arrays slabs.
 ///
 /// Drop-in replacement for [`Network`](crate::network::Network) behind the
@@ -147,8 +141,6 @@ pub struct ArenaNetwork {
     /// Actual input-port count per node — arbiter modulo arithmetic uses
     /// this, never the slab stride, to match the oracle's pointer orbits.
     node_n_in: Vec<u8>,
-    /// Actual output-port count per node.
-    node_n_out: Vec<u8>,
     node_n_eject: Vec<u8>,
     node_kind: Vec<RouterKind>,
     node_timing: Vec<RouterTiming>,
@@ -247,10 +239,6 @@ pub struct ArenaNetwork {
     // --- per-cycle scratch (steady-state allocation-free) ---
     /// VA per-(out_port, out_vc) requester masks (bit `in_port * nv + vc`).
     va_req: Vec<u128>,
-    /// SA output-first grants offered to each input port.
-    sa_grants: Vec<Vec<(u8, u8, u8)>>,
-    /// SA output-first per-output request masks (bit `in_port * nv + vc`).
-    sa_op_req: Vec<u128>,
     /// Observability instruments, `None` unless armed — the same
     /// `Option` discipline as the oracle: an unarmed run pays one branch
     /// per switch grant and per active node, and allocates nothing.
@@ -258,22 +246,45 @@ pub struct ArenaNetwork {
 }
 
 impl ArenaNetwork {
-    /// Most input-VC lanes one router may have — `(4 + injection ports) x
-    /// VCs` — because occupancy masks are 128-bit.
-    pub(crate) const MAX_LANES: usize = 128;
+    /// Most input ports one router may have, because the switch
+    /// allocator's per-output courting masks are `u32` rings that
+    /// [`circ_first`] rotates (`n < 32`).
+    const MAX_IN_PORTS: usize = 31;
+    /// Most output ports, because SA's nominated-output mask is a `u32`.
+    const MAX_OUT_PORTS: usize = 32;
+    /// Most input-VC lanes — `(4 + injection ports) x VCs` — because the
+    /// per-node state masks are 128-bit.
+    const MAX_LANES: usize = 128;
+    /// Most output-VC slots — `(4 + ejection ports) x VCs` — because VA's
+    /// requested-slot mask is 128-bit.
+    const MAX_OUT_VCS: usize = 128;
     /// Deepest VC buffer, because ring indices are 8-bit.
-    pub(crate) const MAX_VC_DEPTH: usize = 255;
+    const MAX_VC_DEPTH: usize = 255;
 
     /// `true` if this configuration's shape fits the arena's packed
-    /// representation: at most 128 lanes per router, VC depth at most 255.
-    /// An unsupported shape fails [`NetworkConfig::validate`], which
-    /// consults this.
+    /// representation (see [`broken_limits`](Self::broken_limits)). An
+    /// unsupported shape fails [`NetworkConfig::validate`], which consults
+    /// this.
     pub fn supports(cfg: &NetworkConfig) -> bool {
+        Self::broken_limits(cfg).next().is_none() && !cfg.mesh.is_empty()
+    }
+
+    /// Each packed-layout limit `cfg`'s shape exceeds, named with the
+    /// shape's value and the limit — e.g. `33 input ports (limit 31)`.
+    pub(crate) fn broken_limits(cfg: &NetworkConfig) -> impl Iterator<Item = String> {
         let nv = cfg.vcs.total as usize;
-        let max_inject = cfg.mc_inject_ports.max(cfg.core_inject_ports);
-        (4 + max_inject) * nv <= Self::MAX_LANES
-            && cfg.vc_depth <= Self::MAX_VC_DEPTH
-            && !cfg.mesh.is_empty()
+        let n_in = 4 + cfg.mc_inject_ports.max(cfg.core_inject_ports);
+        let n_out = 4 + cfg.mc_eject_ports.max(cfg.core_eject_ports);
+        [
+            (n_in, Self::MAX_IN_PORTS, "input ports"),
+            (n_out, Self::MAX_OUT_PORTS, "output ports"),
+            (n_in * nv, Self::MAX_LANES, "lanes per router"),
+            (n_out * nv, Self::MAX_OUT_VCS, "output-VC slots per router"),
+            (cfg.vc_depth, Self::MAX_VC_DEPTH, "flits of VC depth"),
+        ]
+        .into_iter()
+        .filter(|&(value, limit, _)| value > limit)
+        .map(|(value, limit, what)| format!("{value} {what} (limit {limit})"))
     }
 
     /// Builds an arena engine from a validated configuration.
@@ -295,7 +306,6 @@ impl ArenaNetwork {
         let ovc_stride = out_max * nv;
 
         let mut node_n_in = Vec::with_capacity(n);
-        let mut node_n_out = Vec::with_capacity(n);
         let mut node_n_eject = Vec::with_capacity(n);
         let mut node_n_inject = Vec::with_capacity(n);
         let mut node_kind = Vec::with_capacity(n);
@@ -307,7 +317,6 @@ impl ArenaNetwork {
             let inj = cfg.inject_ports(node);
             let ej = cfg.eject_ports(node);
             node_n_in.push((4 + inj) as u8);
-            node_n_out.push((4 + ej) as u8);
             node_n_eject.push(ej as u8);
             node_n_inject.push(inj as u8);
             node_kind.push(cfg.mesh.kind(node));
@@ -331,7 +340,7 @@ impl ArenaNetwork {
         // (all local ports; direction ports only where a neighbor exists).
         let mut credits = vec![0u16; n * ovc_stride];
         for node in 0..n {
-            for op in 0..node_n_out[node] as usize {
+            for op in 0..4 + node_n_eject[node] as usize {
                 if op >= 4 || nbr[node][op] >= 0 {
                     for vc in 0..nv {
                         credits[node * ovc_stride + op * nv + vc] = depth as u16;
@@ -350,7 +359,6 @@ impl ArenaNetwork {
             ivc_stride,
             ovc_stride,
             node_n_in,
-            node_n_out,
             node_n_eject,
             node_kind,
             node_timing,
@@ -392,8 +400,6 @@ impl ArenaNetwork {
             buffered: 0,
             ni_pending: 0,
             va_req: vec![0; out_max * nv],
-            sa_grants: (0..in_max).map(|_| Vec::with_capacity(out_max)).collect(),
-            sa_op_req: vec![0; out_max],
             telemetry: None,
             cfg,
         }
@@ -767,7 +773,7 @@ impl ArenaNetwork {
     /// Both separable stages are round-robin "first requester at or after
     /// the pointer" picks, so each resolves with one rotate-and-scan over a
     /// request bitmask ([`circ_first`]) instead of a pointer-offset loop.
-    fn switch_allocate_input_first(&mut self, node: NodeId, now: u64) {
+    fn switch_allocate(&mut self, node: NodeId, now: u64) {
         let ready = self.sa_ready_mask(node);
         if ready == 0 {
             return;
@@ -806,106 +812,10 @@ impl ArenaNetwork {
             let ptr = self.sa_out_ptr[node * self.out_max + op] as usize;
             let winner = circ_first(op_in[op], ptr, n_in);
             let (vc, out_vc) = nom[winner];
-            self.sa_out_arb_advance(node, op, winner, n_in);
-            self.sa_in_arb_advance(node, winner, vc as usize);
+            self.sa_out_ptr[node * self.out_max + op] = ((winner + 1) % n_in) as u8;
+            self.sa_in_ptr[node * self.in_max + winner] = ((vc as usize + 1) % nv) as u8;
             self.commit_grant(node, winner, vc, op, out_vc, now);
         }
-    }
-
-    /// Separable output-first switch allocation for one node.
-    fn switch_allocate_output_first(&mut self, node: NodeId, now: u64) {
-        let n_in = self.node_n_in[node] as usize;
-        let n_out = self.node_n_out[node] as usize;
-        let ready = self.sa_ready_mask(node);
-        let mut grants = std::mem::take(&mut self.sa_grants);
-        for g in &mut grants {
-            g.clear();
-        }
-        if ready == 0 {
-            self.sa_grants = grants;
-            return;
-        }
-        // Ready lanes bucketed by requested output port, so each output's
-        // arbitration is a bit scan instead of a state-table sweep.
-        let base = node * self.ivc_stride;
-        let mut op_req = std::mem::take(&mut self.sa_op_req);
-        op_req[..n_out].fill(0);
-        let mut mask = ready;
-        while mask != 0 {
-            let bit = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let VcState::Active { out_port, .. } = self.vc_state[base + bit] else {
-                unreachable!("ready lanes are Active")
-            };
-            op_req[out_port] |= 1u128 << bit;
-        }
-        let port_mask = (1u128 << self.nv) - 1;
-        // Phase 1: each output grants one requesting (input, vc).
-        for (op, &req) in op_req.iter().enumerate().take(n_out) {
-            if req == 0 {
-                continue;
-            }
-            let ptr = self.sa_out_ptr[node * self.out_max + op] as usize;
-            let mut winner = usize::MAX;
-            for off in 0..n_in {
-                let ip = ptr + off;
-                let ip = if ip >= n_in { ip - n_in } else { ip };
-                if req >> (ip * self.nv) & port_mask != 0 {
-                    winner = ip;
-                    break;
-                }
-            }
-            debug_assert!(winner != usize::MAX, "a ready lane requested this output");
-            // Which VC of that input targets this output? The input's RR
-            // pointer decides, as in the oracle.
-            let ptr = self.sa_in_ptr[node * self.in_max + winner] as usize;
-            for off in 0..self.nv {
-                let vc = ptr + off;
-                let vc = if vc >= self.nv { vc - self.nv } else { vc };
-                if req & (1u128 << (winner * self.nv + vc)) != 0 {
-                    let VcState::Active { out_vc, .. } = self.vc_state[self.ivc(node, winner, vc)]
-                    else {
-                        unreachable!("ready lanes are Active")
-                    };
-                    grants[winner].push((vc as u8, op as u8, out_vc));
-                    break;
-                }
-            }
-        }
-        self.sa_op_req = op_req;
-        // Phase 2: each input accepts one grant (RR over its VCs).
-        for (ip, offers) in grants.iter().enumerate().take(n_in) {
-            if offers.is_empty() {
-                continue;
-            }
-            let ptr = self.sa_in_ptr[node * self.in_max + ip] as usize;
-            let mut pick = usize::MAX;
-            for off in 0..self.nv {
-                let vc = ptr + off;
-                let vc = if vc >= self.nv { vc - self.nv } else { vc };
-                if offers.iter().any(|&(v, _, _)| v as usize == vc) {
-                    pick = vc;
-                    break;
-                }
-            }
-            debug_assert!(pick != usize::MAX, "at least one grant");
-            let &(vc, op, out_vc) =
-                offers.iter().find(|&&(v, _, _)| v as usize == pick).expect("picked grant present");
-            self.sa_in_arb_advance(node, ip, vc as usize);
-            self.sa_out_arb_advance(node, op as usize, ip, n_in);
-            self.commit_grant(node, ip, vc, op as usize, out_vc, now);
-        }
-        self.sa_grants = grants;
-    }
-
-    #[inline(always)]
-    fn sa_in_arb_advance(&mut self, node: usize, ip: usize, winner_vc: usize) {
-        self.sa_in_ptr[node * self.in_max + ip] = ((winner_vc + 1) % self.nv) as u8;
-    }
-
-    #[inline(always)]
-    fn sa_out_arb_advance(&mut self, node: usize, op: usize, winner_ip: usize, n_in: usize) {
-        self.sa_out_ptr[node * self.out_max + op] = ((winner_ip + 1) % n_in) as u8;
     }
 
     /// Router phase for one node: RC, VA, SA with direct flit/credit
@@ -917,12 +827,7 @@ impl ArenaNetwork {
         self.sa_gate[node] = 0;
         self.route_compute(node);
         self.vc_allocate(node, now);
-        match self.cfg.allocator {
-            crate::config::AllocatorKind::InputFirst => self.switch_allocate_input_first(node, now),
-            crate::config::AllocatorKind::OutputFirst => {
-                self.switch_allocate_output_first(node, now)
-            }
-        }
+        self.switch_allocate(node, now);
     }
 
     /// `true` when the node has no work until a flit lands or a packet is
@@ -931,14 +836,13 @@ impl ArenaNetwork {
     fn node_idle(&self, node: NodeId) -> bool {
         self.node_occ[node] == 0 && self.ni_busy[node] == 0
     }
+}
 
-    /// Runs one of the [`ARENA_PHASES`] sub-phases of a cycle. Calling
-    /// phases `0..ARENA_PHASES` in order is exactly one [`Tick::tick`].
-    ///
-    /// The cycle is one [`deliver`](Self::deliver) followed by one fused
-    /// sweep in which each active node runs NI, router and retire back to
-    /// back. That is bit-identical to the oracle's per-node delivery and
-    /// four global stage sweeps, for four reasons:
+impl Tick for ArenaNetwork {
+    /// One cycle: one [`deliver`](ArenaNetwork::deliver) followed by one
+    /// fused sweep in which each active node runs NI, router and retire
+    /// back to back. That is bit-identical to the oracle's per-node
+    /// delivery and four global stage sweeps, for four reasons:
     ///
     /// - every link delay is `>= 1` and every credit delay exactly 1, so
     ///   nothing filed during cycle `t` is due at `t`;
@@ -950,43 +854,30 @@ impl ArenaNetwork {
     /// - a node woken at arrival runs the same stages it would have run:
     ///   the visits the oracle's push-time wakes add are ones in which
     ///   every stage returns early and no arbiter pointer moves.
-    pub(crate) fn run_phase(&mut self, phase: usize) {
-        let now = self.cycle;
-        match phase {
-            0 => {
-                self.deliver(now);
-                let mut i = 0;
-                while let Some(node) = self.active.next_from(i) {
-                    self.stream_ni_node(node, now);
-                    self.step_router_node(node, now);
-                    // No node can change another's buffers within the
-                    // cycle (flits travel through the wheel), so this is
-                    // the end-of-cycle occupancy the oracle samples; nodes
-                    // outside the active set hold nothing.
-                    if let Some(t) = &mut self.telemetry {
-                        t.add_occupancy_sample(node, self.node_occ[node] as u64);
-                    }
-                    if self.node_idle(node) {
-                        self.active.remove(node);
-                    }
-                    i = node + 1;
-                }
-                if let Some(t) = &mut self.telemetry {
-                    t.tick_occupancy();
-                }
-                self.stats.cycles += 1;
-                self.cycle += 1;
-            }
-            _ => panic!("arena cycle has {ARENA_PHASES} phases, got {phase}"),
-        }
-    }
-}
-
-impl Tick for ArenaNetwork {
     fn tick(&mut self) {
-        for p in 0..ARENA_PHASES {
-            self.run_phase(p);
+        let now = self.cycle;
+        self.deliver(now);
+        let mut i = 0;
+        while let Some(node) = self.active.next_from(i) {
+            self.stream_ni_node(node, now);
+            self.step_router_node(node, now);
+            // No node can change another's buffers within the cycle (flits
+            // travel through the wheel), so this is the end-of-cycle
+            // occupancy the oracle samples; nodes outside the active set
+            // hold nothing.
+            if let Some(t) = &mut self.telemetry {
+                t.add_occupancy_sample(node, self.node_occ[node] as u64);
+            }
+            if self.node_idle(node) {
+                self.active.remove(node);
+            }
+            i = node + 1;
         }
+        if let Some(t) = &mut self.telemetry {
+            t.tick_occupancy();
+        }
+        self.stats.cycles += 1;
+        self.cycle += 1;
     }
 }
 
@@ -1077,14 +968,6 @@ impl Interconnect for ArenaNetwork {
     fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
         out.extend(self.telemetry.as_deref().map(|t| t.report("net", &self.cfg.mesh, &self.stats)));
     }
-
-    fn phase_count(&self) -> usize {
-        ARENA_PHASES
-    }
-
-    fn tick_phase(&mut self, phase: usize) {
-        self.run_phase(phase);
-    }
 }
 
 #[cfg(test)]
@@ -1144,13 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_matches_oracle_output_first() {
-        let mut cfg = NetworkConfig::baseline_mesh(4);
-        cfg.allocator = crate::config::AllocatorKind::OutputFirst;
-        assert_twin(cfg, 300);
-    }
-
-    #[test]
     fn arena_matches_oracle_multiport_sliced() {
         let cfg = NetworkConfig::checkerboard_mesh(6);
         let mut sliced = cfg.slice();
@@ -1158,33 +1034,29 @@ mod tests {
         assert_twin(sliced, 200);
     }
 
+    /// The widest shapes the packed layout admits — 31 input ports, 32
+    /// output ports, 8 VCs x 16 output ports = 128 output-VC slots — fit
+    /// and match the oracle packet for packet; one port or slot more is
+    /// refused.
     #[test]
-    fn phase_ticking_equals_whole_ticking() {
-        let cfg = NetworkConfig::baseline_mesh(4);
-        let mut whole = ArenaNetwork::new(cfg.clone());
-        let mut phased = ArenaNetwork::new(cfg);
-        for i in 0..200u64 {
-            let src = (i as usize * 5) % 16;
-            let dst = (src + 3) % 16;
-            let p = Packet::request(src, dst, 64, i);
-            let _ = whole.try_inject(src, p);
-            let _ = phased.try_inject(src, p);
-            whole.tick();
-            for ph in 0..phased.phase_count() {
-                phased.tick_phase(ph);
-            }
-            assert_eq!(whole.in_flight(), phased.in_flight());
-            for node in 0..16 {
-                loop {
-                    let a = whole.pop(node);
-                    assert_eq!(a, phased.pop(node));
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
+    fn arena_matches_oracle_at_every_packing_limit() {
+        let shapes: [fn(&mut NetworkConfig, usize); 3] = [
+            |c, extra| c.mc_inject_ports = 27 + extra,
+            |c, extra| c.mc_eject_ports = 28 + extra,
+            |c, extra| {
+                c.vcs = crate::config::VcLayout::new(8, 2, false);
+                c.mc_eject_ports = 12 + extra;
+            },
+        ];
+        for shape in shapes {
+            let mut cfg = NetworkConfig::baseline_mesh(4);
+            shape(&mut cfg, 1);
+            let (inj, ej, nv) = (cfg.mc_inject_ports, cfg.mc_eject_ports, cfg.vcs.total);
+            assert!(!ArenaNetwork::supports(&cfg), "{inj} inject, {ej} eject ports, {nv} VCs fit");
+            shape(&mut cfg, 0);
+            assert!(ArenaNetwork::supports(&cfg));
+            assert_twin(cfg, 400);
         }
-        assert_eq!(whole.stats(), phased.stats());
     }
 
     /// A router is awake exactly while it has work — buffered flits or a

@@ -9,16 +9,13 @@ use crate::types::NodeId;
 use serde::json;
 use serde::{Deserialize, Serialize};
 
-/// Switch-allocator organization.
+/// Switch-allocator organization. Both engines implement exactly one.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum AllocatorKind {
     /// Separable input-first (iSLIP-style, Table III's allocator): each
     /// input port nominates one VC, then each output port picks one
     /// nominating input. Pointers advance on accepted grants.
     InputFirst,
-    /// Separable output-first: each output port grants one requesting
-    /// input VC, then each input accepts one of its grants.
-    OutputFirst,
 }
 
 /// Routing algorithm selection.
@@ -26,8 +23,6 @@ pub enum AllocatorKind {
 pub enum RoutingKind {
     /// Dimension-ordered routing, X first.
     DorXy,
-    /// Dimension-ordered routing, Y first.
-    DorYx,
     /// Checkerboard routing (paper Section IV-B): per-packet XY or YX
     /// selection that respects half-router turn restrictions, with a
     /// random intermediate full-router for half-to-half case-2 routes.
@@ -36,19 +31,13 @@ pub enum RoutingKind {
     /// uniformly at random, achieving near-optimal worst-case throughput
     /// on full-router meshes. Requires phase-split VCs.
     O1Turn,
-    /// Two-phase ROMM (Nesson & Johnsson, SPAA 1995): route YX to a
-    /// uniformly random intermediate node in the minimal quadrant, then
-    /// XY to the destination. Full-router meshes only; requires
-    /// phase-split VCs. Checkerboard routing is the half-router-aware
-    /// restriction of this scheme.
-    Romm,
 }
 
 impl RoutingKind {
     /// `true` if this algorithm requires the virtual channels of each
-    /// protocol class to be split into XY/YX phase subsets (like O1Turn).
+    /// protocol class to be split into XY/YX phase subsets.
     pub fn needs_phase_split(self) -> bool {
-        matches!(self, RoutingKind::Checkerboard | RoutingKind::O1Turn | RoutingKind::Romm)
+        matches!(self, RoutingKind::Checkerboard | RoutingKind::O1Turn)
     }
 }
 
@@ -257,7 +246,10 @@ pub struct NetworkConfig {
     pub link_latency: u32,
     /// Routing algorithm.
     pub routing: RoutingKind,
-    /// Switch-allocator organization.
+    /// Switch-allocator organization. Single-valued, but kept: the derived
+    /// serialization of this struct is the content address of every
+    /// journaled cell and probe, so the field leaves only with the next
+    /// `MODEL_VERSION` bump.
     pub allocator: AllocatorKind,
     /// Nodes hosting memory controllers (used for multi-port router
     /// placement and by the open-loop traffic patterns).
@@ -407,13 +399,11 @@ impl NetworkConfig {
         if self.routing.needs_phase_split() && !self.vcs.split_phases {
             return Err(format!("{:?} routing requires a phase-split VC layout", self.routing));
         }
-        if matches!(self.routing, RoutingKind::O1Turn | RoutingKind::Romm)
-            && self.mesh.nodes().any(|n| self.mesh.is_half(n))
-        {
+        if self.routing == RoutingKind::O1Turn && self.mesh.nodes().any(|n| self.mesh.is_half(n)) {
             return Err(format!("{:?} routing supports full-router meshes only", self.routing));
         }
         if self.mesh.is_torus() {
-            if !matches!(self.routing, RoutingKind::DorXy | RoutingKind::DorYx) {
+            if self.routing != RoutingKind::DorXy {
                 return Err(format!("{:?} routing is not defined on the torus", self.routing));
             }
             if self.mesh.nodes().any(|n| self.mesh.is_half(n)) {
@@ -461,15 +451,10 @@ impl NetworkConfig {
             }
         }
         if !ArenaNetwork::supports(self) {
-            let ports = 4 + self.mc_inject_ports.max(self.core_inject_ports);
+            let broken: Vec<String> = ArenaNetwork::broken_limits(self).collect();
             return Err(format!(
-                "shape exceeds the simulation kernel's packed layout: {ports} input ports x {} \
-                 VCs = {} lanes per router (limit {}), VC depth {} (limit {})",
-                self.vcs.total,
-                ports * self.vcs.total as usize,
-                ArenaNetwork::MAX_LANES,
-                self.vc_depth,
-                ArenaNetwork::MAX_VC_DEPTH
+                "shape exceeds the simulation kernel's packed layout: {}",
+                broken.join(", ")
             ));
         }
         Ok(())
@@ -596,16 +581,27 @@ mod tests {
 
     #[test]
     fn shapes_the_kernel_cannot_pack_are_rejected_with_the_limit() {
+        let rejects = |shape: fn(&mut NetworkConfig), limit: &str| {
+            let mut c = NetworkConfig::baseline_mesh(4);
+            shape(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(limit), "{err}");
+        };
         // (4 mesh + 1 injection) input ports x 40 VCs = 200 lanes.
-        let mut c = NetworkConfig::baseline_mesh(6);
-        c.vcs = VcLayout::new(40, 2, false);
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("200 lanes per router (limit 128)"), "{err}");
-
-        let mut c = NetworkConfig::baseline_mesh(6);
-        c.vc_depth = 256;
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("VC depth 256 (limit 255)"), "{err}");
+        rejects(|c| c.vcs = VcLayout::new(40, 2, false), "200 lanes per router (limit 128)");
+        rejects(|c| c.vc_depth = 256, "256 flits of VC depth (limit 255)");
+        rejects(|c| c.mc_inject_ports = 28, "32 input ports (limit 31)");
+        rejects(|c| c.mc_inject_ports = 29, "33 input ports (limit 31)");
+        rejects(|c| c.mc_eject_ports = 29, "33 output ports (limit 32)");
+        // (4 mesh + 13 ejection) output ports x 8 VCs.
+        rejects(
+            |c| {
+                c.vcs = VcLayout::new(8, 2, false);
+                c.mc_eject_ports = 13;
+            },
+            "136 output-VC slots per router (limit 128)",
+        );
+        let mut c = NetworkConfig::baseline_mesh(4);
         c.vc_depth = 255;
         c.validate().unwrap();
     }

@@ -77,11 +77,10 @@ impl Network {
                 let dir_exists = std::array::from_fn(|i| {
                     cfg.mesh.neighbor(node, Direction::from_index(i)).is_some()
                 });
-                Router::with_allocator(
+                Router::new(
                     node,
                     cfg.mesh.kind(node),
                     cfg.timing(node),
-                    cfg.allocator,
                     cfg.vcs.total as usize,
                     cfg.vc_depth,
                     cfg.inject_ports(node),
@@ -447,7 +446,7 @@ impl Interconnect for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{NetworkConfig, RoutingKind, VcLayout};
+    use crate::config::{NetworkConfig, VcLayout};
     use crate::types::Coord;
 
     fn run_until_delivered(net: &mut Network, dst: NodeId, max: u64) -> EjectedPacket {
@@ -618,17 +617,6 @@ mod tests {
         assert_eq!(net.in_flight(), 0);
     }
 
-    /// DOR on the baseline mesh with routing kind DorYx works symmetrically.
-    #[test]
-    fn dor_yx_network_delivers() {
-        let mut cfg = NetworkConfig::baseline_mesh(6);
-        cfg.routing = RoutingKind::DorYx;
-        let mut net = Network::new(cfg);
-        net.try_inject(2, Packet::request(2, 33, 8, 5)).unwrap();
-        let p = run_until_delivered(&mut net, 33, 500);
-        assert_eq!(p.header.tag, 5);
-    }
-
     /// Link-load telemetry matches the path a lone packet takes.
     #[test]
     fn link_loads_track_a_single_packet() {
@@ -688,30 +676,6 @@ mod tests {
             }
         }
         assert_eq!(delivered, vec![1, 2, 3], "same source/dest/class traffic is FIFO");
-    }
-
-    /// The output-first allocator delivers the same traffic as iSLIP.
-    #[test]
-    fn output_first_allocator_delivers() {
-        let mut cfg = NetworkConfig::baseline_mesh(6);
-        cfg.allocator = crate::config::AllocatorKind::OutputFirst;
-        let mcs = cfg.mc_nodes.clone();
-        let mut net = Network::new(cfg);
-        let mut pending: Vec<Packet> =
-            (6..30).map(|s| Packet::request(s, mcs[s % 8], 64, s as u64)).collect();
-        let mut delivered = 0;
-        for _ in 0..5000 {
-            pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
-            for &mc in &mcs {
-                while let Some(p) = net.pop(mc) {
-                    assert_eq!(p.header.tag, p.header.src as u64);
-                    delivered += 1;
-                }
-            }
-        }
-        assert_eq!(delivered, 24);
-        assert_eq!(net.in_flight(), 0);
     }
 
     /// Telemetry reproduces the lone packet's path: link counters match

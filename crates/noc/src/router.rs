@@ -25,7 +25,7 @@
 
 use crate::arbiter::RoundRobin;
 use crate::buffer::{InputUnit, VcState};
-use crate::config::{AllocatorKind, RouterTiming, RoutingKind, VcLayout};
+use crate::config::{RouterTiming, RoutingKind, VcLayout};
 use crate::packet::Flit;
 use crate::routing::{self, OutPort, VcSet};
 use crate::topology::{connection_allowed, InPort, Mesh, OutPortKind, RouterKind};
@@ -72,10 +72,8 @@ struct Scratch {
     va_requests: Vec<(usize, u8, usize, u8)>,
     /// Contenders for one output VC during VA output arbitration.
     va_contenders: Vec<(usize, u8)>,
-    /// Input-first SA nominees, one slot per input port.
+    /// SA nominees, one slot per input port.
     sa_nominee: Vec<Option<(u8, usize, u8)>>,
-    /// Output-first SA grants offered to each input port.
-    sa_grants: Vec<Vec<(u8, usize, u8)>>,
 }
 
 /// One mesh router.
@@ -84,7 +82,6 @@ pub struct Router {
     node: NodeId,
     kind: RouterKind,
     timing: RouterTiming,
-    allocator: AllocatorKind,
     num_vcs: usize,
     n_eject: usize,
     vc_depth: usize,
@@ -111,11 +108,10 @@ pub struct Router {
 impl Router {
     /// Builds a router for `node`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_allocator(
+    pub(crate) fn new(
         node: NodeId,
         kind: RouterKind,
         timing: RouterTiming,
-        allocator: AllocatorKind,
         num_vcs: usize,
         vc_depth: usize,
         n_inject: usize,
@@ -130,7 +126,6 @@ impl Router {
             node,
             kind,
             timing,
-            allocator,
             num_vcs,
             n_eject,
             vc_depth,
@@ -152,7 +147,6 @@ impl Router {
                 va_requests: Vec::with_capacity(n_in * num_vcs),
                 va_contenders: Vec::with_capacity(n_in * num_vcs),
                 sa_nominee: vec![None; n_in],
-                sa_grants: (0..n_in).map(|_| Vec::with_capacity(n_out)).collect(),
             },
         }
     }
@@ -330,14 +324,8 @@ impl Router {
 
     /// Picks one candidate downstream VC for a waiting input VC, rotating
     /// through the allowed set with the VC's request cursor.
-    fn pick_candidate_vc(
-        &self,
-        _in_port: usize,
-        _vc: u8,
-        out_port: usize,
-        vcs: VcSet,
-    ) -> Option<u8> {
-        let cursor = self.inputs[_in_port].vc(_vc).vc_request_cursor;
+    fn pick_candidate_vc(&self, in_port: usize, vc: u8, out_port: usize, vcs: VcSet) -> Option<u8> {
+        let cursor = self.inputs[in_port].vc(vc).vc_request_cursor;
         let n = vcs.count as usize;
         for off in 0..n {
             let ovc = vcs.first + ((cursor as usize + off) % n) as u8;
@@ -346,14 +334,6 @@ impl Router {
             }
         }
         None
-    }
-
-    /// SA stage: one flit per input port, one flit per output port.
-    fn switch_allocate(&mut self, now: u64, out: &mut RouterOutputs) {
-        match self.allocator {
-            AllocatorKind::InputFirst => self.switch_allocate_input_first(now, out),
-            AllocatorKind::OutputFirst => self.switch_allocate_output_first(now, out),
-        }
     }
 
     /// Commits one switch grant: moves the flit, returns credits, updates
@@ -374,61 +354,9 @@ impl Router {
         out.flits.push((op, out_vc, flit));
     }
 
-    /// Separable output-first allocation: outputs grant, inputs accept.
-    fn switch_allocate_output_first(&mut self, now: u64, out: &mut RouterOutputs) {
-        let n_in = self.inputs.len();
-        let n_out = self.credits.len();
-        // Phase 1: each output grants one requesting (input, vc).
-        let mut grant_to_input = std::mem::take(&mut self.scratch.sa_grants);
-        for g in &mut grant_to_input {
-            g.clear();
-        }
-        for op in 0..n_out {
-            let winner = self.sa_out_arb[op].peek(|ip| {
-                (0..self.num_vcs).any(|vc| {
-                    matches!(
-                        self.inputs[ip].vc(vc as u8).state,
-                        VcState::Active { out_port, .. } if out_port == op
-                    ) && self.sa_ready(ip, vc as u8, now)
-                })
-            });
-            if let Some(ip) = winner {
-                // Which VC of that input targets this output? Use the
-                // input's RR pointer for fairness among its VCs.
-                if let Some(vc) = self.sa_in_arb[ip].peek(|vc| {
-                    matches!(
-                        self.inputs[ip].vc(vc as u8).state,
-                        VcState::Active { out_port, .. } if out_port == op
-                    ) && self.sa_ready(ip, vc as u8, now)
-                }) {
-                    if let VcState::Active { out_vc, .. } = self.inputs[ip].vc(vc as u8).state {
-                        grant_to_input[ip].push((vc as u8, op, out_vc));
-                    }
-                }
-            }
-        }
-        // Phase 2: each input accepts one grant (RR over its VCs).
-        #[allow(clippy::needless_range_loop)]
-        for ip in 0..n_in {
-            if grant_to_input[ip].is_empty() {
-                continue;
-            }
-            let pick = self.sa_in_arb[ip]
-                .peek(|vc| grant_to_input[ip].iter().any(|&(v, _, _)| v as usize == vc))
-                .expect("at least one grant");
-            let &(vc, op, out_vc) = grant_to_input[ip]
-                .iter()
-                .find(|&&(v, _, _)| v as usize == pick)
-                .expect("picked grant present");
-            self.sa_in_arb[ip].advance_past(vc as usize);
-            self.sa_out_arb[op].advance_past(ip);
-            self.commit_grant(ip, vc, op, out_vc, out);
-        }
-        self.scratch.sa_grants = grant_to_input;
-    }
-
-    /// Separable input-first (iSLIP) allocation.
-    fn switch_allocate_input_first(&mut self, now: u64, out: &mut RouterOutputs) {
+    /// SA stage, separable input-first (iSLIP): one flit per input port,
+    /// one flit per output port.
+    fn switch_allocate(&mut self, now: u64, out: &mut RouterOutputs) {
         let n_out = self.credits.len();
         // Phase 1: each input port nominates one VC (in_vc, out_port, out_vc).
         let mut nominee = std::mem::take(&mut self.scratch.sa_nominee);
@@ -499,11 +427,10 @@ mod tests {
     fn make_router(node: NodeId, mesh: &Mesh, stages: u32) -> Router {
         let dir_exists =
             std::array::from_fn(|i| mesh.neighbor(node, Direction::from_index(i)).is_some());
-        Router::with_allocator(
+        Router::new(
             node,
             mesh.kind(node),
             RouterTiming::from_stages(stages),
-            AllocatorKind::InputFirst,
             2,
             8,
             1,
@@ -580,13 +507,8 @@ mod tests {
         let node = mesh.node(crate::types::Coord::new(1, 1));
         let dst = mesh.node(crate::types::Coord::new(3, 1));
         let mut r = make_router(node, &mesh, 1);
-        // Drain all credits for East VC0 and VC1 (request class VC is 0,
-        // but exhaust both to be safe).
-        for vc in 0..2u8 {
-            for _ in 0..8 {
-                r.credits[Direction::East.index()][vc as usize] -= 0; // keep clippy quiet
-            }
-        }
+        // Exhaust the credits of both East VCs (the request class uses
+        // VC 0).
         r.credits[Direction::East.index()] = vec![0, 0];
         let c = ctx(&mesh);
         let mut out = RouterOutputs::default();
@@ -683,11 +605,10 @@ mod tests {
         let node = mesh.node(crate::types::Coord::new(1, 1));
         let dir_exists =
             std::array::from_fn(|i| mesh.neighbor(node, Direction::from_index(i)).is_some());
-        let mut r = Router::with_allocator(
+        let mut r = Router::new(
             node,
             mesh.kind(node),
             RouterTiming::from_stages(1),
-            AllocatorKind::InputFirst,
             2,
             8,
             1,

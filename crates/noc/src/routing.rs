@@ -1,4 +1,4 @@
-//! Routing algorithms: dimension-ordered (XY/YX) and the paper's
+//! Routing algorithms: dimension-ordered XY, O1Turn and the paper's
 //! **checkerboard routing** (CR).
 //!
 //! Checkerboard routing (paper Section IV-B) is an oblivious, minimal
@@ -105,21 +105,15 @@ type Plan = (Phase, Option<NodeId>);
 
 /// The plans one `(algorithm, source, destination)` may be injected with,
 /// as a count and an index-to-plan function — the single enumeration
-/// [`plan_injection`] draws from and [`plan_options`] lists.
-///
-/// The set may name the same plan under several indices: repetitions
-/// carry the probability weight of the original per-dimension draws (ROMM
-/// picks its intermediate per coordinate, and several coordinates
-/// degenerate to the same single-phase plan).
+/// [`plan_injection`] draws from and [`plan_options`] lists. No plan
+/// appears under two indices, so each is drawn with probability
+/// `1 / count`.
 #[derive(Copy, Clone, Debug)]
 enum PlanSet {
     /// One deterministic plan: DOR, straight lines, checkerboard cases 0/1.
     Fixed(Plan),
     /// O1Turn: XY or YX, no intermediate.
     EitherOrder,
-    /// Two-phase ROMM: every node of the `nx x ny` minimal quadrant at
-    /// `(x_lo, y_lo)` as intermediate, x-major; YX to it, XY from it.
-    Quadrant { x_lo: u16, y_lo: u16, nx: usize, ny: usize, src: NodeId, dst: NodeId },
     /// Checkerboard case 2: the `nx x ny` grid of [`case2_ranges`]
     /// intermediates, x-major.
     Case2 { s: Coord, d: Coord, nx: usize, ny: usize },
@@ -139,19 +133,12 @@ impl PlanSet {
     ) -> Result<PlanSet, UnroutableError> {
         let (s, d) = match kind {
             RoutingKind::DorXy => return Ok(PlanSet::Fixed((Phase::Xy, None))),
-            RoutingKind::DorYx => return Ok(PlanSet::Fixed((Phase::Yx, None))),
             RoutingKind::O1Turn => return Ok(PlanSet::EitherOrder),
-            RoutingKind::Romm | RoutingKind::Checkerboard => (mesh.coord(src), mesh.coord(dst)),
+            RoutingKind::Checkerboard => (mesh.coord(src), mesh.coord(dst)),
         };
         if s.same_row(d) || s.same_col(d) {
             // Straight line: no turn, either phase legal; XY covers both.
             return Ok(PlanSet::Fixed((Phase::Xy, None)));
-        }
-        if kind == RoutingKind::Romm {
-            let (x_lo, y_lo) = (s.x.min(d.x), s.y.min(d.y));
-            let nx = usize::from(s.x.max(d.x) - x_lo) + 1;
-            let ny = usize::from(s.y.max(d.y) - y_lo) + 1;
-            return Ok(PlanSet::Quadrant { x_lo, y_lo, nx, ny, src, dst });
         }
         if !mesh.is_half(mesh.node(Coord::new(d.x, s.y))) {
             return Ok(PlanSet::Fixed((Phase::Xy, None)));
@@ -182,7 +169,7 @@ impl PlanSet {
         match *self {
             PlanSet::Fixed(_) => 1,
             PlanSet::EitherOrder => 2,
-            PlanSet::Quadrant { nx, ny, .. } | PlanSet::Case2 { nx, ny, .. } => nx * ny,
+            PlanSet::Case2 { nx, ny, .. } => nx * ny,
         }
     }
 
@@ -192,17 +179,6 @@ impl PlanSet {
         match *self {
             PlanSet::Fixed(plan) => plan,
             PlanSet::EitherOrder => [(Phase::Xy, None), (Phase::Yx, None)][idx],
-            PlanSet::Quadrant { x_lo, y_lo, ny, src, dst, .. } => {
-                let via = mesh.node(Coord::new(x_lo + (idx / ny) as u16, y_lo + (idx % ny) as u16));
-                if via == src {
-                    // Degenerate intermediates: a single phase suffices.
-                    (Phase::Xy, None)
-                } else if via == dst {
-                    (Phase::Yx, None)
-                } else {
-                    (Phase::Yx, Some(via))
-                }
-            }
             PlanSet::Case2 { s, d, ny, .. } => {
                 let (mut xs, mut ys) = case2_ranges(s, d);
                 let x = xs.nth(idx / ny).expect("index is within the candidate grid");
@@ -258,7 +234,7 @@ pub fn plan_injection<R: Rng + ?Sized>(
 /// this pair, in index order. Both functions read the same plan set, so
 /// static analyses that check each entry (e.g. the channel-dependency-
 /// graph verifier) cover the simulator's routing function exhaustively
-/// *by construction*. Repeated entries carry probability weight.
+/// *by construction*. The entries are distinct.
 ///
 /// # Errors
 ///
@@ -485,24 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn dor_yx_routes_y_first() {
-        let mesh = Mesh::all_full(6);
-        let l = VcLayout::new(2, 2, false);
-        let path = trace_path(
-            RoutingKind::DorYx,
-            &l,
-            &mesh,
-            mesh.node(Coord::new(0, 0)),
-            mesh.node(Coord::new(3, 2)),
-            PacketClass::Request,
-            &mut rng(),
-        )
-        .unwrap();
-        assert_eq!(mesh.coord(path[1]), Coord::new(0, 1));
-        assert_eq!(mesh.coord(path[2]), Coord::new(0, 2));
-    }
-
-    #[test]
     fn paths_are_minimal_dor() {
         let mesh = Mesh::all_full(6);
         let l = VcLayout::new(2, 2, false);
@@ -680,30 +638,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn romm_routes_via_minimal_quadrant() {
-        let mesh = Mesh::all_full(6);
-        let l = VcLayout::new(4, 2, true);
-        let mut r = rng();
-        let src = mesh.node(Coord::new(0, 0));
-        let dst = mesh.node(Coord::new(4, 3));
-        let mut vias = std::collections::HashSet::new();
-        for _ in 0..100 {
-            if let (_, Some(via)) =
-                plan_injection(RoutingKind::Romm, &mesh, src, dst, &mut r).unwrap()
-            {
-                let v = mesh.coord(via);
-                assert!(v.x <= 4 && v.y <= 3, "inside minimal quadrant");
-                vias.insert(via);
-            }
-            let p =
-                trace_path(RoutingKind::Romm, &l, &mesh, src, dst, PacketClass::Request, &mut r)
-                    .unwrap();
-            assert_eq!(p.len() as u32 - 1, mesh.coord(src).manhattan(mesh.coord(dst)));
-        }
-        assert!(vias.len() > 3, "ROMM must spread over many intermediates: {}", vias.len());
-    }
-
     /// The allocation-free `plan_injection` must draw exactly the entry
     /// that indexing the materialized `plan_options` list with the same
     /// RNG would, consuming the same amount of randomness — that is what
@@ -714,9 +648,7 @@ mod tests {
         use rand::RngCore;
         for (kind, mesh) in [
             (RoutingKind::DorXy, Mesh::all_full(6)),
-            (RoutingKind::DorYx, Mesh::all_full(6)),
             (RoutingKind::O1Turn, Mesh::all_full(6)),
-            (RoutingKind::Romm, Mesh::all_full(6)),
             (RoutingKind::Checkerboard, Mesh::checkerboard(6)),
             (RoutingKind::Checkerboard, Mesh::checkerboard(8)),
         ] {
@@ -743,6 +675,33 @@ mod tests {
                                 assert_eq!(fast.next_u64(), list.next_u64());
                             }
                             (p, o) => panic!("routability disagrees: {p:?} vs {o:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// No plan set names one plan under two indices, for every routing
+    /// kind on every fabric at every radix the repo builds — so a
+    /// consumer of `plan_options` may treat each entry as one distinct
+    /// plan of probability `1 / len`.
+    #[test]
+    fn plan_options_never_repeat_a_plan() {
+        for k in [2usize, 3, 4, 5, 6, 7, 8, 10] {
+            for mesh in
+                [Mesh::all_full(k), Mesh::checkerboard(k), Mesh::torus(k), Mesh::cmesh(k, 2)]
+            {
+                for kind in [RoutingKind::DorXy, RoutingKind::O1Turn, RoutingKind::Checkerboard] {
+                    for src in mesh.nodes() {
+                        for dst in mesh.nodes() {
+                            let Ok(plans) = plan_options(kind, &mesh, src, dst) else { continue };
+                            for (i, plan) in plans.iter().enumerate() {
+                                assert!(
+                                    !plans[..i].contains(plan),
+                                    "{kind:?} k={k} {src}->{dst} repeats {plan:?}"
+                                );
+                            }
                         }
                     }
                 }

@@ -10,46 +10,56 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tenoc_noc::{
-    AllocatorKind, ArenaNetwork, ArmSpec, Interconnect, NetStats, Network, NetworkConfig, Packet,
-    PacketClass, TelemetryConfig, TelemetryReport,
+    ArenaNetwork, ArmSpec, Interconnect, NetStats, Network, NetworkConfig, Packet, PacketClass,
+    RoutingKind, TelemetryConfig, TelemetryReport, VcLayout,
 };
 
 /// One observed ejection: (cycle, node, packet id, tag).
 type Ejection = (u64, usize, u64, u64);
 
 /// A random legal configuration the arena engine supports. Covers every
-/// fabric the sweeps run (full-router DOR mesh, checkerboard half-router,
-/// dateline torus, concentrated mesh), both allocator organizations,
-/// multi-port MC routers, and link delays from 2 to 5 cycles — mixed
-/// full/half-router pipelines put one router's flits in different
-/// delivery-wheel slots than its neighbor's.
+/// fabric and routing function production simulates — full-router DOR
+/// mesh, checkerboard half-router, dateline torus, concentrated mesh, and
+/// O1Turn on phase-split full meshes (the tuner's `o1turn` candidates) —
+/// each either whole or as one channel slice of a double network
+/// (single-class VCs, doubled terminal ports), with multi-port MC
+/// routers and link delays from 2 to 5 cycles: mixed full/half-router
+/// pipelines put one router's flits in different delivery-wheel slots
+/// than its neighbor's.
 fn legal_cfg() -> impl Strategy<Value = NetworkConfig> {
     let fabric = (
         prop::sample::select(vec![4usize, 6]),
-        0usize..4,
+        0usize..5,
         prop::sample::select(vec![2usize, 4, 8]),
-        prop::sample::select(vec![AllocatorKind::InputFirst, AllocatorKind::OutputFirst]),
+        any::<bool>(),
         prop::sample::select(vec![1usize, 2]),
         prop::sample::select(vec![1usize, 2]),
         any::<u64>(),
     );
     let timing = (1u32..=3, 1u32..=5, 1u32..=3);
     (fabric, timing).prop_map(
-        |((k, family, depth, alloc, mc_inj, mc_ej, seed), (link, stages, half_stages))| {
+        |((k, family, depth, sliced, mc_inj, mc_ej, seed), (link, stages, half_stages))| {
             let mut cfg = match family {
                 0 => NetworkConfig::baseline_mesh(k),
                 1 => NetworkConfig::checkerboard_mesh(k),
                 2 => NetworkConfig::baseline_torus(k),
-                _ => NetworkConfig::concentrated_mesh(k, 2),
+                3 => NetworkConfig::concentrated_mesh(k, 2),
+                _ => NetworkConfig {
+                    routing: RoutingKind::O1Turn,
+                    vcs: VcLayout::new(4, 2, true),
+                    ..NetworkConfig::baseline_mesh(k)
+                },
             };
             cfg.vc_depth = depth;
             cfg.link_latency = link;
             cfg.router_stages = stages;
             cfg.half_router_stages = half_stages;
-            cfg.allocator = alloc;
             cfg.mc_inject_ports = mc_inj;
             cfg.mc_eject_ports = mc_ej;
             cfg.seed = seed;
+            if sliced {
+                cfg = cfg.slice();
+            }
             cfg
         },
     )

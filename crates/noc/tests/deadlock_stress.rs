@@ -82,14 +82,6 @@ fn o1turn_no_deadlock_on_full_mesh() {
     stress(build_mesh(cfg.clone()), &cfg, 800, 44);
 }
 
-#[test]
-fn romm_no_deadlock_on_full_mesh() {
-    let mut cfg = NetworkConfig::baseline_mesh(6);
-    cfg.routing = RoutingKind::Romm;
-    cfg.vcs = VcLayout::new(4, 2, true);
-    stress(build_mesh(cfg.clone()), &cfg, 800, 55);
-}
-
 /// Multi-port MC routers under the same stress.
 #[test]
 fn multiport_no_deadlock() {
@@ -97,14 +89,6 @@ fn multiport_no_deadlock() {
     cfg.mc_inject_ports = 2;
     cfg.mc_eject_ports = 2;
     stress(build_mesh(cfg.clone()), &cfg, 1000, 66);
-}
-
-#[test]
-fn output_first_allocator_no_deadlock() {
-    let mut cfg = NetworkConfig::checkerboard_mesh(6);
-    cfg.allocator = tenoc_noc::config::AllocatorKind::OutputFirst;
-    cfg.vc_depth = 2;
-    stress(build_mesh(cfg.clone()), &cfg, 800, 88);
 }
 
 /// Aggressive single-cycle routers under stress.

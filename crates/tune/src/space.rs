@@ -92,10 +92,8 @@ impl Org {
 pub(crate) fn routing_label(r: RoutingKind) -> &'static str {
     match r {
         RoutingKind::DorXy => "dor-xy",
-        RoutingKind::DorYx => "dor-yx",
         RoutingKind::Checkerboard => "cr",
         RoutingKind::O1Turn => "o1turn",
-        RoutingKind::Romm => "romm",
     }
 }
 

@@ -142,8 +142,6 @@ pub(crate) fn prove(table: &RouteTable) -> RouteProof {
                      not be"
                 ));
             }
-            // Distinct plans only: repeated options only carry probability
-            // weight.
             for plan in table.plans(src, dst) {
                 for &class in table.classes() {
                     stats.plans_traced += 1;

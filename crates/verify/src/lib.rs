@@ -454,23 +454,12 @@ mod tests {
         assert!(has_violation(&report, CheckKind::RoutingDeadlock), "{report}");
     }
 
-    /// O1Turn and ROMM with phase-split VCs verify clean on full meshes.
+    /// O1Turn with phase-split VCs verifies clean on full meshes.
     #[test]
-    fn o1turn_and_romm_with_phase_split_are_clean() {
-        for kind in [RoutingKind::O1Turn, RoutingKind::Romm] {
-            let mut cfg = NetworkConfig::baseline_mesh(6);
-            cfg.routing = kind;
-            cfg.vcs = VcLayout::new(4, 2, true);
-            let report = analyze(&cfg);
-            assert!(report.is_clean(), "{kind:?}: {report}");
-        }
-    }
-
-    /// DOR-YX is acyclic too (the turn set is restricted the other way).
-    #[test]
-    fn dor_yx_is_clean() {
-        let mut cfg = NetworkConfig::baseline_mesh(4);
-        cfg.routing = RoutingKind::DorYx;
+    fn o1turn_with_phase_split_is_clean() {
+        let mut cfg = NetworkConfig::baseline_mesh(6);
+        cfg.routing = RoutingKind::O1Turn;
+        cfg.vcs = VcLayout::new(4, 2, true);
         let report = analyze(&cfg);
         assert!(report.is_clean(), "{report}");
     }

@@ -2,7 +2,7 @@
 //!
 //! For a [`NetworkConfig`] plus a [`TrafficMatrix`], this module reads
 //! the same [`RouteTable`] the safety checks do — every plan
-//! `plan_options` can produce, walked with the simulator's own
+//! `plan_options` lists, walked with the simulator's own
 //! `next_hop` — and turns the walks into *performance* facts:
 //!
 //! * expected per-channel (and per-VC) load under the matrix, in
@@ -297,12 +297,12 @@ fn analyze_load_demands(
             unroutable += 1;
             continue;
         }
-        // Every option, repeats included: multiplicity is probability.
-        let options = table.options(d.src, d.dst);
-        let share = d.rate / options.len() as f64;
+        // The routing function draws each plan with equal probability.
+        let plans = table.plans(d.src, d.dst);
+        let share = d.rate / plans.len() as f64;
         let mut best_lat = u64::MAX;
         let mut delivered = false;
-        for &plan in options {
+        for plan in plans {
             let walk = table.walk(plan, d.class);
             if !walk.ejected {
                 continue;

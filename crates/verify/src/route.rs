@@ -6,11 +6,10 @@
 //! and on nothing else a [`NetworkConfig`] carries — buffer depth, channel
 //! width, pipeline depth and MC ports never change one — so one table
 //! serves every configuration with that `(mesh, routing, VC layout)`
-//! ([`route_key`]). For each ordered pair the table holds the
-//! [`plan_options`] outcome with its multiplicity (the load analyzer
-//! weights each option `rate / options`, repeats included), and each
-//! distinct `(plan, class)` of the pair is walked once through the
-//! simulator's own [`next_hop`], so everything derived from it — deadlock
+//! ([`route_key`]). For each ordered pair the table holds one range of
+//! plan ids, one per [`plan_options`] entry (the load analyzer weights
+//! each `rate / plans`), and each `(plan, class)` is walked once through
+//! the simulator's own [`next_hop`], so everything derived from it — deadlock
 //! proofs, channel loads, latency bounds — covers the production routing
 //! code by construction rather than a re-derivation.
 
@@ -55,8 +54,8 @@ pub(crate) struct Walk {
     hop_count: u32,
 }
 
-/// Every route of one fabric shape: per ordered pair the plan options,
-/// per distinct `(plan, class)` one walk, the links of all walks in one
+/// Every route of one fabric shape: per ordered pair a range of plans,
+/// per `(plan, class)` one walk, the links of all walks in one
 /// flat `Vec`. Build it once per [`route_key`] and hand it to
 /// [`analyze_with`](crate::analyze_with) and
 /// [`analyze_load_with`](crate::load::analyze_load_with) for every
@@ -66,13 +65,9 @@ pub struct RouteTable {
     pub(crate) mesh: Mesh,
     pub(crate) routing: RoutingKind,
     pub(crate) vcs: VcLayout,
-    /// Per pair `src * n + dst`, the plan ids of its `plan_options`
-    /// entries in order, repeats included (none when unroutable): pair `p`
-    /// owns `options[option_starts[p]..option_starts[p + 1]]`.
-    options: Vec<u32>,
-    option_starts: Vec<u32>,
-    /// Per pair, its distinct plans are the ids
-    /// `plan_starts[p]..plan_starts[p + 1]`, in first-appearance order.
+    /// Per pair `p = src * n + dst`, its `plan_options` entries in order
+    /// are the plan ids `plan_starts[p]..plan_starts[p + 1]` (none when
+    /// unroutable).
     plan_starts: Vec<u32>,
     /// Plan `id`, class `c` is `walks[id * classes + c]`.
     walks: Vec<Walk>,
@@ -82,45 +77,32 @@ pub struct RouteTable {
 
 impl RouteTable {
     /// Walks every route of `cfg`'s fabric shape: all ordered pairs
-    /// (including `src == dst`), every distinct plan, every protocol
-    /// class the VC layout separates.
+    /// (including `src == dst`), every plan, every protocol class the VC
+    /// layout separates.
     pub fn new(cfg: &NetworkConfig) -> Self {
         let pairs = cfg.mesh.len() * cfg.mesh.len();
         let mut table = RouteTable {
             mesh: cfg.mesh.clone(),
             routing: cfg.routing,
             vcs: cfg.vcs,
-            options: Vec::new(),
-            option_starts: Vec::with_capacity(pairs + 1),
             plan_starts: Vec::with_capacity(pairs + 1),
             walks: Vec::new(),
             hops: Vec::new(),
             proof: OnceCell::new(),
         };
-        table.option_starts.push(0);
         table.plan_starts.push(0);
-        let mut distinct: Vec<(Phase, Option<NodeId>)> = Vec::new();
         for src in cfg.mesh.nodes() {
             for dst in cfg.mesh.nodes() {
-                let first = *table.plan_starts.last().expect("starts at 0");
-                distinct.clear();
-                // An unroutable pair has no options.
-                for plan in plan_options(cfg.routing, &cfg.mesh, src, dst).unwrap_or_default() {
-                    let idx = match distinct.iter().position(|&p| p == plan) {
-                        Some(idx) => idx,
-                        None => {
-                            distinct.push(plan);
-                            for &class in table.classes() {
-                                let walk = trace(cfg, src, dst, class, plan, &mut table.hops);
-                                table.walks.push(walk);
-                            }
-                            distinct.len() - 1
-                        }
-                    };
-                    table.options.push(first + idx as u32);
+                // An unroutable pair has no plans.
+                let plans = plan_options(cfg.routing, &cfg.mesh, src, dst).unwrap_or_default();
+                for &plan in &plans {
+                    for &class in table.classes() {
+                        let walk = trace(cfg, src, dst, class, plan, &mut table.hops);
+                        table.walks.push(walk);
+                    }
                 }
-                table.option_starts.push(table.options.len() as u32);
-                table.plan_starts.push(first + distinct.len() as u32);
+                let end = table.plan_starts.last().expect("starts at 0") + plans.len() as u32;
+                table.plan_starts.push(end);
             }
         }
         table
@@ -149,17 +131,11 @@ impl RouteTable {
 
     /// Whether the routing function can plan `src -> dst` at all.
     pub(crate) fn routable(&self, src: NodeId, dst: NodeId) -> bool {
-        !self.options(src, dst).is_empty()
+        !self.plans(src, dst).is_empty()
     }
 
-    /// The pair's `plan_options`, as plan ids, repeats included (empty
+    /// The pair's plan ids, one per `plan_options` entry in order (empty
     /// when unroutable).
-    pub(crate) fn options(&self, src: NodeId, dst: NodeId) -> &[u32] {
-        let p = self.pair(src, dst);
-        &self.options[self.option_starts[p] as usize..self.option_starts[p + 1] as usize]
-    }
-
-    /// The pair's distinct plan ids, in first-appearance order.
     pub(crate) fn plans(&self, src: NodeId, dst: NodeId) -> Range<u32> {
         let p = self.pair(src, dst);
         self.plan_starts[p]..self.plan_starts[p + 1]
@@ -231,10 +207,10 @@ fn trace(
 mod tests {
     use super::*;
 
-    /// The table is `plan_options` plus `trace`, indexed: per pair the
-    /// option multiplicities, per distinct `(plan, class)` the walk a
-    /// fresh `trace` produces — for every named preset's routed network
-    /// at three radices, slices of double networks included.
+    /// The table is `plan_options` plus `trace`, indexed: per pair one
+    /// plan id per option, per `(plan, class)` the walk a fresh `trace`
+    /// produces — for every named preset's routed network at three
+    /// radices, slices of double networks included.
     #[test]
     fn table_matches_plan_options_and_fresh_walks_on_every_named_preset() {
         for k in [4, 6, 8] {
@@ -254,11 +230,9 @@ mod tests {
                             continue;
                         };
                         assert!(table.routable(src, dst), "{label}");
-                        let ids = table.options(src, dst);
-                        assert_eq!(ids.len(), options.len(), "{label}: multiplicity");
-                        let plans = table.plans(src, dst);
-                        for (&id, &plan) in ids.iter().zip(&options) {
-                            assert!(plans.contains(&id), "{label}");
+                        let ids = table.plans(src, dst);
+                        assert_eq!(ids.len(), options.len(), "{label}");
+                        for (id, &plan) in ids.zip(&options) {
                             for class in PacketClass::ALL {
                                 let walk = table.walk(id, class);
                                 assert_eq!((walk.phase, walk.via), plan, "{label}");
