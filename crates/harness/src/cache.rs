@@ -8,15 +8,16 @@
 //! journaled result is served without re-simulation — across restarts,
 //! across tenants, across sweeps and tuner runs.
 //!
-//! The store holds two kinds of result under one journal, one replay
+//! The store holds three kinds of result under one journal, one replay
 //! and one version gate: closed-loop cells ([`CachedCell`], addressed by
-//! [`config_cell_key`](crate::canon::config_cell_key)) and open-loop
-//! probes ([`OpenLoopResult`], addressed by
-//! [`probe_key`](crate::canon::probe_key)). Every line carries the
-//! [`MODEL_VERSION`] that produced it; a line from any other version is
-//! left on disk but never loaded, so no result outlives the simulator
-//! that measured it. [`memoize`] is the one lookup → run-misses → put
-//! path every caller with a batch of addressed work goes through.
+//! [`config_cell_key`](crate::canon::config_cell_key)), open-loop probes
+//! ([`OpenLoopResult`], addressed by [`probe_key`](crate::canon::probe_key))
+//! and the link-utilization heatmaps of a traced cell ([`Heatmaps`],
+//! addressed by [`heatmap_key`](crate::canon::heatmap_key)). Every line
+//! carries the [`MODEL_VERSION`] that produced it; a line from any other
+//! version is left on disk but never loaded, so no result outlives the
+//! simulator that measured it. [`memoize`] is the one lookup → run-misses
+//! → put path every caller with a batch of addressed work goes through.
 
 use crate::pool::run_indexed;
 use serde::json::Value;
@@ -46,17 +47,25 @@ pub struct CachedCell {
     pub metrics: RunMetrics,
 }
 
+/// The link-utilization heatmaps of one traced cell, one per physical
+/// network in the order the system reports them: `(label, heatmap)`, with
+/// `heatmap[y][x]` the mean utilization of node `(x, y)`'s outgoing links.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Heatmaps(pub Vec<(String, Vec<Vec<f64>>)>);
+
 /// One journaled result.
-#[derive(Copy, Clone, Debug)]
+#[derive(Clone, Debug)]
 pub enum Entry {
     /// A closed-loop cell.
     Cell(CachedCell),
     /// An open-loop probe.
     Probe(OpenLoopResult),
+    /// A traced cell's heatmaps.
+    Heatmap(Heatmaps),
 }
 
 /// A result kind the store can hold.
-pub trait Memo: Copy + Into<Entry> {
+pub trait Memo: Clone + Into<Entry> {
     /// The result an entry holds, if it is of this kind.
     fn from_entry(entry: &Entry) -> Option<&Self>;
     /// `false` for a run that was cut short (a closed-loop cell that hit
@@ -75,7 +84,7 @@ impl Memo for CachedCell {
     fn from_entry(entry: &Entry) -> Option<&Self> {
         match entry {
             Entry::Cell(cell) => Some(cell),
-            Entry::Probe(_) => None,
+            _ => None,
         }
     }
 
@@ -94,11 +103,31 @@ impl Memo for OpenLoopResult {
     fn from_entry(entry: &Entry) -> Option<&Self> {
         match entry {
             Entry::Probe(probe) => Some(probe),
-            Entry::Cell(_) => None,
+            _ => None,
         }
     }
 
     /// A probe runs its fixed windows to the end whatever the fabric does.
+    fn finished(&self) -> bool {
+        true
+    }
+}
+
+impl From<Heatmaps> for Entry {
+    fn from(heatmaps: Heatmaps) -> Self {
+        Entry::Heatmap(heatmaps)
+    }
+}
+
+impl Memo for Heatmaps {
+    fn from_entry(entry: &Entry) -> Option<&Self> {
+        match entry {
+            Entry::Heatmap(heatmaps) => Some(heatmaps),
+            _ => None,
+        }
+    }
+
+    /// A traced run that hits its cycle limit panics instead of reporting.
     fn finished(&self) -> bool {
         true
     }
@@ -146,6 +175,39 @@ fn probe_from_bits(bits: [u64; 8]) -> OpenLoopResult {
         avg_reply_latency: f[6],
         delivered_fraction: f[7],
     }
+}
+
+/// A float's bit pattern as the journal writes it: 16 hex digits.
+fn hex(bits: u64) -> Value {
+    Value::String(format!("{bits:016x}"))
+}
+
+/// The inverse of [`hex`].
+fn unhex(v: &Value) -> Option<u64> {
+    u64::from_str_radix(v.as_str().ok()?, 16).ok()
+}
+
+/// Every grid of a [`Heatmaps`] as bit-pattern rows, like a probe's
+/// fields: `[[label, [[bits…]…]]…]`.
+fn heatmaps_value(heatmaps: &Heatmaps) -> Value {
+    let slices = heatmaps.0.iter().map(|(label, grid)| {
+        let rows =
+            grid.iter().map(|row| Value::Array(row.iter().map(|x| hex(x.to_bits())).collect()));
+        Value::Array(vec![label.to_value(), Value::Array(rows.collect())])
+    });
+    Value::Array(slices.collect())
+}
+
+/// The inverse of [`heatmaps_value`].
+fn heatmaps_from_value(v: &Value) -> Option<Heatmaps> {
+    let cell = |h: &Value| unhex(h).map(f64::from_bits);
+    let row = |r: &Value| r.as_array().ok()?.iter().map(cell).collect::<Option<Vec<f64>>>();
+    let slice = |s: &Value| {
+        let [label, rows] = s.as_array().ok()? else { return None };
+        let grid = rows.as_array().ok()?.iter().map(row).collect::<Option<_>>()?;
+        Some((label.as_str().ok()?.to_string(), grid))
+    };
+    v.as_array().ok()?.iter().map(slice).collect::<Option<_>>().map(Heatmaps)
 }
 
 /// What replay makes of one complete journal line.
@@ -241,9 +303,12 @@ impl DiskCache {
                     return None;
                 }
                 for (word, h) in words.iter_mut().zip(hex) {
-                    *word = u64::from_str_radix(h.as_str().ok()?, 16).ok()?;
+                    *word = unhex(h)?;
                 }
                 return Some((key, Entry::Probe(probe_from_bits(words))));
+            }
+            if let Ok(slices) = v.field("heatmap") {
+                return Some((key, Entry::Heatmap(heatmaps_from_value(slices)?)));
             }
             let class = v.field("class").ok()?.as_str().ok()?.parse().ok()?;
             let metrics = RunMetrics::from_value(v.field("metrics").ok()?).ok()?;
@@ -307,24 +372,27 @@ impl DiskCache {
     /// in-memory insert happens regardless so the running process stays
     /// correct even on a full disk.
     pub fn store<V: Memo>(&mut self, key: &str, value: V) -> std::io::Result<()> {
-        let entry: Entry = value.into();
-        if self.map.insert(key.to_string(), entry).is_some() {
+        if self.map.contains_key(key) {
             // Already journaled (e.g. two workers raced on a non-deduped
             // path); keep the journal free of duplicates.
             return Ok(());
         }
+        let entry: Entry = value.into();
         let mut line =
             vec![("v".to_string(), MODEL_VERSION.to_value()), ("key".to_string(), key.to_value())];
-        match entry {
+        match &entry {
             Entry::Cell(cell) => {
                 line.push(("class".to_string(), cell.class.label().to_value()));
                 line.push(("metrics".to_string(), cell.metrics.to_value()));
             }
             Entry::Probe(probe) => {
-                let hex = probe_bits(&probe).map(|bits| Value::String(format!("{bits:016x}")));
-                line.push(("probe".to_string(), Value::Array(hex.to_vec())));
+                line.push(("probe".to_string(), Value::Array(probe_bits(probe).map(hex).to_vec())));
+            }
+            Entry::Heatmap(heatmaps) => {
+                line.push(("heatmap".to_string(), heatmaps_value(heatmaps)));
             }
         }
+        self.map.insert(key.to_string(), entry);
         let mut text = Value::Object(line).to_json_compact();
         text.push('\n');
         self.journal.write_all(text.as_bytes())?;
@@ -358,12 +426,12 @@ pub fn memoize<V: Memo + Send>(
     run: impl Fn(usize) -> V + Sync,
 ) -> std::io::Result<(Vec<V>, usize)> {
     let mut results: Vec<Option<V>> =
-        keys.iter().map(|k| cache.as_deref().and_then(|c| c.lookup(k)).copied()).collect();
+        keys.iter().map(|k| cache.as_deref().and_then(|c| c.lookup(k)).cloned()).collect();
     let misses: Vec<usize> = (0..keys.len()).filter(|&j| results[j].is_none()).collect();
     let fresh = run_indexed(misses.len(), jobs, |m| run(misses[m]));
     for (&j, value) in misses.iter().zip(fresh) {
         if let Some(c) = cache.as_deref_mut().filter(|_| value.finished()) {
-            c.store(&keys[j], value)?;
+            c.store(&keys[j], value.clone())?;
         }
         results[j] = Some(value);
     }
@@ -539,6 +607,41 @@ mod tests {
         // An address holds one kind: asking for the other is a miss.
         assert!(cache.get("probe").is_none());
         assert!(cache.lookup::<OpenLoopResult>("cell").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_two_slice_heatmap_replays_bit_exactly_beside_its_cell() {
+        let dir = tmp_dir("heatmap");
+        let cell = crate::ConfigCell {
+            icnt: tenoc_core::Preset::ThroughputEffective.icnt(6),
+            benchmark: "HIS".to_string(),
+            scale: 0.12,
+            seed: tenoc_core::DEFAULT_SEED,
+        };
+        let (cell_key, key) = (crate::config_cell_key(&cell), crate::heatmap_key(&cell));
+        assert_ne!(cell_key, key, "the domain tag separates a cell from its heatmaps");
+        let grid = |x: f64| vec![vec![x, -0.0], vec![f64::from_bits(1), 1.0 / 3.0]];
+        let heatmaps =
+            Heatmaps(vec![("request".to_string(), grid(0.1)), ("reply".to_string(), grid(0.7))]);
+        {
+            let mut cache = DiskCache::open(&dir).unwrap();
+            let metrics = sample_metrics();
+            cache.put(&cell_key, CachedCell { class: TrafficClass::HH, metrics }).unwrap();
+            cache.store(&key, heatmaps.clone()).unwrap();
+            cache.store(&key, heatmaps.clone()).unwrap();
+        }
+        let text = std::fs::read_to_string(DiskCache::journal_path(&dir)).unwrap();
+        assert_eq!(text.lines().count(), 2, "one line per result, duplicates suppressed");
+        let cache = DiskCache::open(&dir).unwrap();
+        assert_eq!((cache.len(), cache.skipped_lines, cache.stale_lines), (2, 0, 0));
+        let bits = |h: &Heatmaps| -> Vec<(String, Vec<Vec<u64>>)> {
+            let row = |r: &Vec<f64>| r.iter().map(|x| x.to_bits()).collect();
+            h.0.iter().map(|(label, g)| (label.clone(), g.iter().map(row).collect())).collect()
+        };
+        let back: &Heatmaps = cache.lookup(&key).expect("heatmaps replayed");
+        assert_eq!(bits(back), bits(&heatmaps));
+        assert!(cache.get(&key).is_none() && cache.lookup::<Heatmaps>(&cell_key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

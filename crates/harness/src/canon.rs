@@ -13,8 +13,9 @@
 //! (the concrete `NetworkConfig`, not the preset name), so two presets
 //! that denote the same fabric — e.g. `thr-eff` and the
 //! `Double-CP-CR-2P(inj)` point it aliases — share cache entries. An
-//! open-loop probe ([`probe_key`]) is addressed the same way, under its
-//! own domain tag.
+//! open-loop probe ([`probe_key`]) and a cell's heatmaps
+//! ([`heatmap_key`]) are addressed the same way, each under its own
+//! domain tag.
 //!
 //! Cell addresses are not rendered from the value tree: nearly all of a
 //! cell's canonical text is its interconnect, which every cell of one
@@ -215,6 +216,24 @@ pub(crate) fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> Value {
 /// The content address of an open-loop probe: 16 lower-case hex digits.
 pub fn probe_key(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> String {
     hash_value(&probe_value(icnt, cfg))
+}
+
+/// The canonical identity of a cell's link-utilization heatmaps: the
+/// cell's own value under a `"heatmap"` domain tag. A heatmap is a pure
+/// function of the cell — telemetry observes without perturbing, and the
+/// telemetry options shape only the flight recorder — so the cell value
+/// is the whole input; the tag keeps the traced result and the cell's
+/// metrics at different addresses.
+pub(crate) fn heatmap_value(cell: &ConfigCell) -> Value {
+    Value::Object(vec![
+        ("heatmap".to_string(), "link-utilization".to_value()),
+        ("cell".to_string(), config_cell_value(cell)),
+    ])
+}
+
+/// The content address of a cell's heatmaps: 16 lower-case hex digits.
+pub fn heatmap_key(cell: &ConfigCell) -> String {
+    hash_value(&heatmap_value(cell))
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub struct ConfigCell {
 
 impl ConfigCell {
     /// The system configuration the cell simulates with.
-    pub(crate) fn system_config(&self) -> SystemConfig {
+    pub fn system_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::with_icnt(self.icnt.clone());
         cfg.seed = self.seed;
         cfg

@@ -77,16 +77,12 @@ impl CoreConfig {
 pub struct CoreStats {
     /// Warp instructions retired.
     pub warp_insts: u64,
-    /// Cycles stepped until the kernel finished.
-    pub cycles: u64,
     /// Memory instructions replayed for lack of MSHRs or queue space.
     pub replays: u64,
     /// Read line-fetches sent to the memory system.
     pub read_requests: u64,
     /// Write requests sent to the memory system.
     pub write_requests: u64,
-    /// Issue cycles with no ready warp (exposed memory latency).
-    pub idle_issue_cycles: u64,
 }
 
 /// One SIMT compute node (see the crate-level example).
@@ -222,14 +218,12 @@ impl ShaderCore {
         if self.done {
             return;
         }
-        self.stats.cycles += 1;
         if now < self.issue_free_at {
             return;
         }
         // A previous failed scan proved no warp wakes before `idle_until`
         // (fills reset it): this cycle is idle without re-scanning.
         if now < self.idle_until {
-            self.stats.idle_issue_cycles += 1;
             return;
         }
         let n = self.warps.len();
@@ -250,7 +244,6 @@ impl ShaderCore {
             }
         };
         let Some(wid) = picked else {
-            self.stats.idle_issue_cycles += 1;
             // Readiness only changes with time (WaitingDep expiry) or a
             // fill (which clears this): sleep until the earliest
             // dependency expires.

@@ -28,10 +28,11 @@
 //!   simulations, and the finalists' measured harmonic-mean IPC per mm²
 //!   defines the Pareto frontier.
 //!
-//! Stages 2 and 3 are the ones that tick a simulator, and both go
-//! through `tenoc-harness`'s content-addressed, versioned result store
-//! ([`tenoc_harness::memoize`]): given a cache directory, a probe or cell
-//! measured once is never measured again until the model version moves.
+//! Stages 2 and 3 and the frontier's telemetry heatmaps are the work
+//! that ticks a simulator, and all three go through `tenoc-harness`'s
+//! content-addressed, versioned result store ([`tenoc_harness::memoize`]):
+//! given a cache directory, a probe, cell or heatmap measured once is
+//! never measured again until the model version moves.
 //!
 //! Pinned reference designs (the baseline mesh, the torus, the
 //! concentrated mesh) ride through every stage regardless of rank so the
@@ -60,13 +61,12 @@ use space::Point;
 use serde::Serialize;
 use tenoc_core::experiments::run_traced_with_system_config;
 use tenoc_core::{
-    audit_icnt_with, harmonic_mean, route_net, AuditEntry, EngineKind, Preset, SystemConfig,
-    TelemetryConfig,
+    audit_icnt_with, harmonic_mean, route_net, AuditEntry, EngineKind, Preset, TelemetryConfig,
 };
 use tenoc_harness::pool::run_indexed;
 use tenoc_harness::{
-    canonicalize, config_cell_key, memoize, probe_key, run_config_cell, CachedCell, ConfigCell,
-    DiskCache,
+    canonicalize, config_cell_key, heatmap_key, memoize, probe_key, run_config_cell, CachedCell,
+    ConfigCell, DiskCache, Heatmaps,
 };
 use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc_noc::RoutingKind;
@@ -681,31 +681,41 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
 
     // Telemetry heatmaps for each frontier point, captured on the first
     // ladder benchmark (telemetry observes without perturbing, so this
-    // re-run measures exactly the cell stage 3 scored).
+    // re-run measures exactly the cell stage 3 scored) and memoized at
+    // that cell's heatmap address.
     let (heat_bench, heat_spec) = (&spec.benchmarks[0], &ladder[0]);
-    let heatmaps: Vec<Vec<HeatmapReport>> = run_indexed(frontier_idx.len(), jobs, |j| {
-        let f = &finalists[frontier_idx[j]];
-        let i = alive[frontier_idx[j]];
-        debug_assert_eq!(cands[i].name, f.name);
-        let mut cfg = SystemConfig::with_icnt(cands[i].icnt.clone());
-        cfg.seed = spec.seed;
+    let heat_cells: Vec<ConfigCell> = frontier_idx
+        .iter()
+        .map(|&j| ConfigCell {
+            icnt: cands[alive[j]].icnt.clone(),
+            benchmark: heat_bench.clone(),
+            scale: spec.scale,
+            seed: spec.seed,
+        })
+        .collect();
+    let heat_keys: Vec<String> = heat_cells.iter().map(heatmap_key).collect();
+    let (heatmaps, heat_hits) = memoize(cache.as_mut(), &heat_keys, jobs, |j| {
+        let cfg = heat_cells[j].system_config();
         let (_, reports) =
             run_traced_with_system_config(cfg, heat_spec, spec.scale, TelemetryConfig::default());
-        reports
-            .into_iter()
-            .map(|t| HeatmapReport {
-                label: t.label,
-                benchmark: heat_bench.clone(),
-                heatmap: t.heatmap,
-            })
-            .collect()
-    });
+        Heatmaps(reports.into_iter().map(|t| (t.label, t.heatmap)).collect())
+    })?;
+    stats.heatmaps = heat_keys.len() - heat_hits;
+    stats.heatmap_cache_hits = heat_hits;
     let frontier: Vec<FrontierPoint> = frontier_idx
         .iter()
         .zip(heatmaps)
-        .map(|(&j, heatmaps)| {
+        .map(|(&j, Heatmaps(slices))| {
             let f = &finalists[j];
             let i = alive[j];
+            let heatmaps = slices
+                .into_iter()
+                .map(|(label, heatmap)| HeatmapReport {
+                    label,
+                    benchmark: heat_bench.clone(),
+                    heatmap,
+                })
+                .collect();
             FrontierPoint {
                 name: f.name.clone(),
                 aliases: f.aliases.clone(),
@@ -906,6 +916,9 @@ mod tests {
         // `probes` counts probes ticked; a warm run ticks none of them.
         assert!(cold_stats.probes > 0 && cold_stats.probe_cache_hits == 0, "{cold_stats:?}");
         assert_eq!((warm_stats.probes, warm_stats.probe_cache_hits), (0, cold_stats.probes));
+        // Nor does it re-run a frontier heatmap.
+        assert!(cold_stats.heatmaps > 0 && cold_stats.heatmap_cache_hits == 0, "{cold_stats:?}");
+        assert_eq!((warm_stats.heatmaps, warm_stats.heatmap_cache_hits), (0, cold_stats.heatmaps));
         let (nocache, nocache_stats) = run_tune(&spec, &TuneOptions::default()).unwrap();
         assert_eq!(cold.to_json(), nocache.to_json(), "uncached, --jobs 1");
         assert_eq!(nocache_stats, cold_stats, "without a cache everything is ticked");
@@ -923,16 +936,17 @@ mod tests {
         let stamp = format!("{{\"v\":{},", tenoc_harness::MODEL_VERSION);
         let text = std::fs::read_to_string(&journal).unwrap();
         let lines = text.lines().count();
-        assert_eq!(lines, cold_stats.probes + cold_stats.stage3_cells);
+        assert_eq!(lines, cold_stats.probes + cold_stats.stage3_cells + cold_stats.heatmaps);
         assert_eq!(text.matches(&stamp).count(), lines);
         std::fs::write(&journal, text.replace(&stamp, "{\"v\":0,")).unwrap();
         let (again, again_stats) = run_tune(&spec, &opts).unwrap();
-        assert_eq!(again_stats, cold_stats, "every probe and cell is measured again");
+        assert_eq!(again_stats, cold_stats, "every probe, cell and heatmap is measured again");
         assert_eq!(again.to_json(), cold.to_json());
         // ...and what it re-measured is served to the run after it.
         let (warm, warm_stats) = run_tune(&spec, &opts).unwrap();
         assert_eq!((warm_stats.probes, warm_stats.probe_cache_hits), (0, cold_stats.probes));
         assert_eq!(warm_stats.stage3_cache_hits, warm_stats.stage3_cells);
+        assert_eq!((warm_stats.heatmaps, warm_stats.heatmap_cache_hits), (0, cold_stats.heatmaps));
         assert_eq!(warm.to_json(), cold.to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -270,4 +270,8 @@ pub struct TuneStats {
     /// Route tables built in stage 0: one per distinct `(mesh, routing,
     /// VC layout)` the candidates route on.
     pub route_tables: usize,
+    /// Frontier heatmaps captured by a traced re-run of their cell.
+    pub heatmaps: usize,
+    /// Frontier heatmaps served from the result cache instead.
+    pub heatmap_cache_hits: usize,
 }

@@ -25,6 +25,7 @@
 
 use crate::RouteTable;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tenoc_noc::telemetry::dir_label;
 use tenoc_noc::{Coord, NetworkConfig, NodeId, Packet, PacketClass};
 
@@ -144,7 +145,7 @@ pub(crate) fn demands(matrix: TrafficMatrix, cfg: &NetworkConfig) -> Vec<Demand>
 }
 
 /// Expected traffic on one directed physical channel.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChannelLoad {
     /// Source node of the channel.
     pub node: u64,
@@ -176,7 +177,7 @@ pub struct ClassZeroLoad {
 }
 
 /// The static load analysis of one physical network under one matrix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadReport {
     /// Human-readable configuration summary (same as the verify report).
     pub subject: String,
@@ -184,8 +185,9 @@ pub struct LoadReport {
     pub matrix: String,
     /// Every directed channel's expected load, in node-major order —
     /// index-compatible with [`tenoc_noc::Network::link_loads`] and the
-    /// telemetry link records.
-    pub channels: Vec<ChannelLoad>,
+    /// telemetry link records. Port counts never move a channel's load,
+    /// so every analysis of one accumulation shares one list.
+    pub channels: Arc<[ChannelLoad]>,
     /// Per-node injection-terminal load, normalized by the node's
     /// injection port count (1.0 = terminal saturated), node order.
     pub inject_loads: Vec<f64>,
@@ -261,19 +263,96 @@ pub fn analyze_load_with(
     table: &RouteTable,
     matrix: TrafficMatrix,
 ) -> LoadReport {
-    analyze_load_demands(cfg, table, matrix.label().to_string(), demands(matrix, cfg))
+    analyze_load_keyed(cfg, table, LoadKey::of(cfg, matrix, None), crate::subject_of(cfg))
 }
 
-/// The accumulation core: analyzes an explicit demand list (callers
-/// normally go through [`analyze_load_with`]; the double-network path
-/// filters the demand list by class first).
-fn analyze_load_demands(
-    cfg: &NetworkConfig,
-    table: &RouteTable,
-    matrix_label: String,
-    flows: Vec<Demand>,
-) -> LoadReport {
-    assert!(table.routes(cfg), "route table of another fabric shape");
+/// What one load accumulation reads besides the route table: the demand
+/// list (the matrix, and the class a double network's slice keeps) and
+/// every configuration field the demand loop prices a walk with.
+/// Configurations of one shape that differ only in port counts or
+/// buffering — tuner candidates, most of them — share one key, and with it
+/// the one [`Accumulation`] their table keeps.
+#[derive(PartialEq)]
+pub(crate) struct LoadKey {
+    matrix: TrafficMatrix,
+    class: Option<PacketClass>,
+    channel_bytes: u32,
+    mc_nodes: Vec<NodeId>,
+    link_latency: u32,
+    router_stages: u32,
+    half_router_stages: u32,
+}
+
+impl LoadKey {
+    fn of(cfg: &NetworkConfig, matrix: TrafficMatrix, class: Option<PacketClass>) -> Self {
+        // Exhaustive on purpose: a new `NetworkConfig` field does not
+        // compile until it is keyed here or named as one the demand loop
+        // never reads. (`route_key` omits `mc_nodes`, which the demand
+        // list is built from: mesh-tb and mesh-cp candidates share tables.)
+        let NetworkConfig {
+            // The route table's own key.
+            mesh: _,
+            routing: _,
+            vcs: _,
+            // Read per configuration, after the accumulation.
+            mc_inject_ports: _,
+            mc_eject_ports: _,
+            core_inject_ports: _,
+            core_eject_ports: _,
+            // Read by no static analysis.
+            vc_depth: _,
+            allocator: _,
+            seed: _,
+            channel_bytes,
+            mc_nodes,
+            link_latency,
+            router_stages,
+            half_router_stages,
+        } = cfg;
+        LoadKey {
+            matrix,
+            class,
+            channel_bytes: *channel_bytes,
+            mc_nodes: mc_nodes.clone(),
+            link_latency: *link_latency,
+            router_stages: *router_stages,
+            half_router_stages: *half_router_stages,
+        }
+    }
+
+    /// The report's matrix label.
+    fn label(&self) -> String {
+        match self.class {
+            None => self.matrix.label().to_string(),
+            Some(class) => format!("{} ({} slice)", self.matrix.label(), class_label(class)),
+        }
+    }
+}
+
+/// The port-independent part of a load analysis: every sum the demand
+/// loop adds up, kept by the route table under its [`LoadKey`].
+pub(crate) struct Accumulation {
+    /// Every directed channel's load, node-major, with its per-VC split.
+    channels: Arc<[ChannelLoad]>,
+    /// Per-node injected and ejected flit rates, before normalization by
+    /// the node's port count.
+    inject: Vec<f64>,
+    eject: Vec<f64>,
+    flit_rate_total: f64,
+    zero_load: Vec<ClassZeroLoad>,
+    demands_total: usize,
+    unroutable: usize,
+}
+
+/// Walks `key`'s demand list over `table`: the loads, flit rate, zero-load
+/// latencies and unroutable count every configuration with that key
+/// shares. Reads nothing of `cfg` that `key` and the table's route key do
+/// not hold.
+fn accumulate(cfg: &NetworkConfig, table: &RouteTable, key: &LoadKey) -> Accumulation {
+    let mut flows = demands(key.matrix, cfg);
+    if let Some(class) = key.class {
+        flows.retain(|d| d.class == class);
+    }
     let mesh = &cfg.mesh;
     let n = mesh.len();
     let total_vcs = cfg.vcs.total as usize;
@@ -347,6 +426,59 @@ fn analyze_load_demands(
         lat[c].2 = lat[c].2.min(bl);
     }
 
+    let channels = mesh
+        .links()
+        .map(|(node, dir)| {
+            let slot = node * 4 + dir as usize;
+            let c = mesh.coord(node);
+            ChannelLoad {
+                node: node as u64,
+                x: c.x,
+                y: c.y,
+                dir: dir_label(dir).to_string(),
+                load: chan[slot],
+                vc_loads: vc_chan[slot * total_vcs..(slot + 1) * total_vcs].to_vec(),
+            }
+        })
+        .collect();
+
+    let mut zero_load = Vec::new();
+    for class in [PacketClass::Request, PacketClass::Reply] {
+        let (sum, rate, min) = lat[class as usize];
+        if rate > 0.0 {
+            zero_load.push(ClassZeroLoad {
+                class: class_label(class).to_string(),
+                mean: sum / rate,
+                min,
+            });
+        }
+    }
+
+    Accumulation {
+        channels,
+        inject,
+        eject,
+        flit_rate_total,
+        zero_load,
+        demands_total: flows.len(),
+        unroutable,
+    }
+}
+
+/// One load analysis: the table's accumulation for `key` (walked on
+/// first use), normalized by `cfg`'s port counts and scanned for its
+/// binding resource.
+fn analyze_load_keyed(
+    cfg: &NetworkConfig,
+    table: &RouteTable,
+    key: LoadKey,
+    subject: String,
+) -> LoadReport {
+    assert!(table.routes(cfg), "route table of another fabric shape");
+    let matrix = key.label();
+    let acc = table.accumulation(key, |key| accumulate(cfg, table, key));
+    let n = cfg.mesh.len();
+
     let ports = |node: NodeId, counts: (usize, usize)| -> f64 {
         if cfg.mc_nodes.contains(&node) {
             counts.0 as f64
@@ -355,31 +487,19 @@ fn analyze_load_demands(
         }
     };
 
-    let mut channels = Vec::new();
     let mut max_load = 0.0_f64;
     let mut bottleneck = String::from("none");
-    for (node, dir) in mesh.links() {
-        let slot = node * 4 + dir as usize;
-        let load = chan[slot];
-        let c = mesh.coord(node);
-        channels.push(ChannelLoad {
-            node: node as u64,
-            x: c.x,
-            y: c.y,
-            dir: dir_label(dir).to_string(),
-            load,
-            vc_loads: vc_chan[slot * total_vcs..(slot + 1) * total_vcs].to_vec(),
-        });
-        if load > max_load {
-            max_load = load;
-            bottleneck = format!("channel {node} {}", dir_label(dir));
+    for c in acc.channels.iter() {
+        if c.load > max_load {
+            max_load = c.load;
+            bottleneck = format!("channel {} {}", c.node, c.dir);
         }
     }
     let mut inject_loads = Vec::with_capacity(n);
     let mut eject_loads = Vec::with_capacity(n);
-    for node in mesh.nodes() {
-        let inj = inject[node] / ports(node, (cfg.mc_inject_ports, cfg.core_inject_ports));
-        let ej = eject[node] / ports(node, (cfg.mc_eject_ports, cfg.core_eject_ports));
+    for node in cfg.mesh.nodes() {
+        let inj = acc.inject[node] / ports(node, (cfg.mc_inject_ports, cfg.core_inject_ports));
+        let ej = acc.eject[node] / ports(node, (cfg.mc_eject_ports, cfg.core_eject_ports));
         if inj > max_load {
             max_load = inj;
             bottleneck = format!("inject terminal at node {node}");
@@ -393,42 +513,27 @@ fn analyze_load_demands(
     }
 
     let saturation_rate = if max_load > 0.0 { 1.0 / max_load } else { 0.0 };
-    let accepted_bound = saturation_rate * flit_rate_total / n as f64;
-
-    let mut zero_load = Vec::new();
-    for class in [PacketClass::Request, PacketClass::Reply] {
-        let (sum, rate, min) = lat[class as usize];
-        if rate > 0.0 {
-            zero_load.push(ClassZeroLoad {
-                class: match class {
-                    PacketClass::Request => "request".to_string(),
-                    PacketClass::Reply => "reply".to_string(),
-                },
-                mean: sum / rate,
-                min,
-            });
-        }
-    }
+    let accepted_bound = saturation_rate * acc.flit_rate_total / n as f64;
 
     LoadReport {
-        subject: crate::subject_of(cfg),
-        matrix: matrix_label,
-        channels,
+        subject,
+        matrix,
+        channels: Arc::clone(&acc.channels),
         inject_loads,
         eject_loads,
         max_load,
         bottleneck,
         saturation_rate,
         accepted_bound,
-        zero_load,
-        demands_total: flows.len(),
-        demands_unroutable: unroutable,
+        zero_load: acc.zero_load.clone(),
+        demands_total: acc.demands_total,
+        demands_unroutable: acc.unroutable,
     }
 }
 
 /// The static load analysis of a channel-sliced double network: requests
 /// ride one half-width slice, replies the other.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DoubleLoadReport {
     /// Analysis of the request slice (request demands only).
     pub request: LoadReport,
@@ -493,7 +598,9 @@ pub fn analyze_load_double_with(
 }
 
 /// Analyzes one class's slice of a double network: the sliced physical
-/// config carries only `class`'s share of `matrix`'s demands.
+/// config carries only `class`'s share of `matrix`'s demands. (The
+/// demand expansion depends only on mesh and MC placement, which the
+/// slice shares with the original.)
 fn analyze_class_slice(
     sliced: &NetworkConfig,
     table: &RouteTable,
@@ -501,23 +608,46 @@ fn analyze_class_slice(
     matrix: TrafficMatrix,
     class: PacketClass,
 ) -> LoadReport {
-    // The demand expansion only depends on mesh and MC placement, which
-    // the slice shares with the original — so expand on the slice and
-    // keep this class's flows.
-    let flows = demands(matrix, sliced).into_iter().filter(|d| d.class == class).collect();
-    let mut report = analyze_load_demands(
-        sliced,
-        table,
-        format!("{} ({} slice)", matrix.label(), class_label(class)),
-        flows,
-    );
-    report.subject = format!("{} slice of [{}]", class_label(class), crate::subject_of(orig));
-    report
+    let subject = format!("{} slice of [{}]", class_label(class), crate::subject_of(orig));
+    analyze_load_keyed(sliced, table, LoadKey::of(sliced, matrix, Some(class)), subject)
 }
 
 fn class_label(class: PacketClass) -> &'static str {
     match class {
         PacketClass::Request => "request",
         PacketClass::Reply => "reply",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Configurations of one shape that differ only in MC ports and VC
+    /// depth share one accumulation per demand list on their route table,
+    /// and each still gets exactly the report a standalone analysis gives
+    /// it; a different MC placement is a different demand list.
+    #[test]
+    fn port_and_depth_variants_share_one_accumulation() {
+        let m = TrafficMatrix::ManyToFew;
+        let a = NetworkConfig::baseline_mesh(6);
+        let b = NetworkConfig { mc_inject_ports: 2, mc_eject_ports: 2, vc_depth: 4, ..a.clone() };
+        let table = RouteTable::new(&a);
+        let (shared_a, shared_b) =
+            (analyze_load_with(&a, &table, m), analyze_load_with(&b, &table, m));
+        assert_eq!(table.accumulations(), 1);
+        assert_eq!(shared_a, analyze_load(&a, m));
+        assert_eq!(shared_b, analyze_load(&b, m));
+        assert_ne!(shared_a.eject_loads, shared_b.eject_loads, "the ports are each config's own");
+        let c = NetworkConfig { mc_nodes: a.mesh.checkerboard_mcs(8), ..a.clone() };
+        assert_eq!(analyze_load_with(&c, &table, m), analyze_load(&c, m));
+        assert_eq!(table.accumulations(), 2, "mc_nodes is in the key");
+
+        // A double network: one accumulation per class slice.
+        let slices = RouteTable::new(&a.slice());
+        for cfg in [&a, &b] {
+            assert_eq!(analyze_load_double_with(cfg, &slices, m), analyze_load_double(cfg, m));
+        }
+        assert_eq!(slices.accumulations(), 2);
     }
 }

@@ -11,11 +11,17 @@
 //! each `rate / plans`), and each `(plan, class)` is walked once through
 //! the simulator's own [`next_hop`], so everything derived from it — deadlock
 //! proofs, channel loads, latency bounds — covers the production routing
-//! code by construction rather than a re-derivation.
+//! code by construction rather than a re-derivation. What is derived from
+//! the routes alone is derived once per table: the prover's route-only
+//! verdicts, and each demand-loop accumulation the load analyzer asks for
+//! (per [`LoadKey`]: configurations that differ only in port counts or
+//! buffering share one).
 
 use crate::checks::{self, RouteProof};
-use std::cell::OnceCell;
+use crate::load::{Accumulation, LoadKey};
+use std::cell::{OnceCell, RefCell};
 use std::ops::Range;
+use std::sync::Arc;
 use tenoc_noc::routing::{next_hop, plan_options, OutPort, VcSet};
 use tenoc_noc::{
     Direction, Mesh, NetworkConfig, NodeId, Packet, PacketClass, Phase, RoutingKind, VcLayout,
@@ -59,8 +65,9 @@ pub(crate) struct Walk {
 /// flat `Vec`. Build it once per [`route_key`] and hand it to
 /// [`analyze_with`](crate::analyze_with) and
 /// [`analyze_load_with`](crate::load::analyze_load_with) for every
-/// configuration of that shape; the prover's route-only verdicts are
-/// computed on first use and kept with the table.
+/// configuration of that shape; the prover's route-only verdicts and the
+/// load analyzer's accumulations are computed on first use and kept with
+/// the table.
 pub struct RouteTable {
     pub(crate) mesh: Mesh,
     pub(crate) routing: RoutingKind,
@@ -73,6 +80,8 @@ pub struct RouteTable {
     walks: Vec<Walk>,
     hops: Vec<Hop>,
     proof: OnceCell<RouteProof>,
+    /// Every load accumulation served so far, under what it read.
+    loads: RefCell<Vec<(LoadKey, Arc<Accumulation>)>>,
 }
 
 impl RouteTable {
@@ -89,6 +98,7 @@ impl RouteTable {
             walks: Vec::new(),
             hops: Vec::new(),
             proof: OnceCell::new(),
+            loads: RefCell::new(Vec::new()),
         };
         table.plan_starts.push(0);
         for src in cfg.mesh.nodes() {
@@ -157,6 +167,27 @@ impl RouteTable {
     /// the first time any configuration of this shape is analyzed.
     pub(crate) fn proof(&self) -> &RouteProof {
         self.proof.get_or_init(|| checks::prove(self))
+    }
+
+    /// The load accumulation `key` names: `accumulate(key)` the first time
+    /// any configuration of this shape asks for it, the kept one after.
+    pub(crate) fn accumulation(
+        &self,
+        key: LoadKey,
+        accumulate: impl FnOnce(&LoadKey) -> Accumulation,
+    ) -> Arc<Accumulation> {
+        if let Some((_, acc)) = self.loads.borrow().iter().find(|(k, _)| *k == key) {
+            return Arc::clone(acc);
+        }
+        let acc = Arc::new(accumulate(&key));
+        self.loads.borrow_mut().push((key, Arc::clone(&acc)));
+        acc
+    }
+
+    /// How many distinct accumulations the table keeps.
+    #[cfg(test)]
+    pub(crate) fn accumulations(&self) -> usize {
+        self.loads.borrow().len()
     }
 }
 

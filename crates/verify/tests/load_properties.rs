@@ -135,7 +135,9 @@ fn double_network_slices_partition_the_matrix_by_class() {
             (classes(request), classes(reply)),
             (vec!["request".into()], vec!["reply".into()])
         );
-        for ((a, b), w) in request.channels.iter().zip(&reply.channels).zip(&whole.channels) {
+        for ((a, b), w) in
+            request.channels.iter().zip(reply.channels.iter()).zip(whole.channels.iter())
+        {
             assert!((a.load + b.load - w.load).abs() <= 1e-9 * w.load.max(1.0), "{w:?}");
         }
         assert_eq!(double.saturation_rate, request.saturation_rate.min(reply.saturation_rate));

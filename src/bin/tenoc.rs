@@ -89,7 +89,8 @@ const COMMANDS: &[Command] = &[
            \x20           [--golden FILE --check|--bless]\n\
            \x20           (staged-fidelity search of the IPC/mm2 Pareto frontier:\n\
            \x20            verify -> static rank -> open-loop probes -> closed-loop\n\
-           \x20            successive halving; --cache memoizes probes and cells)",
+           \x20            successive halving; --cache memoizes probes, cells and\n\
+           \x20            frontier heatmaps)",
     },
     Command {
         name: "serve",
@@ -757,13 +758,13 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
     let (report, stats) = run_tune(&spec, &opts).map_err(|e| e.to_string())?;
     let json = report.to_json();
     // Execution counters go to stderr only: the report must stay
-    // byte-identical whatever the cache already held. The probe counts
-    // trail the line and avoid the words "from cache": the benchmark
-    // reads the first such pair as the closed-loop one.
+    // byte-identical whatever the cache already held. The probe and
+    // heatmap counts trail the line and avoid the words "from cache": the
+    // benchmark reads the first such pair as the closed-loop one.
     eprintln!(
         "tune: {} enumerated, {} legal, {} probed, {} halved; {} closed-loop cells \
          ({} from cache), {} finalists, {} on the frontier; {} probes ticked, {} memoized; \
-         {} route tables",
+         {} route tables; {} heatmaps re-run, {} memoized",
         report.counts.enumerated,
         report.counts.legal,
         report.counts.stage1_promoted,
@@ -774,7 +775,9 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
         report.counts.frontier,
         stats.probes,
         stats.probe_cache_hits,
-        stats.route_tables
+        stats.route_tables,
+        stats.heatmaps,
+        stats.heatmap_cache_hits
     );
 
     if flags.contains_key("json") {

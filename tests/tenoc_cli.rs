@@ -208,8 +208,11 @@ fn tune_summary_reports_memoized_probes_behind_the_closed_loop_pair() {
     let first = run(&cold);
     assert!(first.contains("; 12 probes ticked, 0 memoized"), "{first}");
     assert_eq!(number_before(&first, " from cache"), 0, "{first}");
+    let frontier = number_before(&first, " on the frontier");
+    assert!(first.contains(&format!("; {frontier} heatmaps re-run, 0 memoized\n")), "{first}");
     let second = run(&warm);
     assert!(second.contains("; 0 probes ticked, 12 memoized"), "{second}");
+    assert!(second.contains(&format!("; 0 heatmaps re-run, {frontier} memoized\n")), "{second}");
     let cells = number_before(&second, " closed-loop cells");
     assert_eq!((cells, number_before(&second, " from cache")), (4, 4), "{second}");
     assert_eq!(std::fs::read(&cold).unwrap(), std::fs::read(&warm).unwrap());
