@@ -2,28 +2,21 @@
 //! to-many traffic (uniform random and hotspot), for the five network
 //! organizations the paper compares.
 
-use tenoc_bench::header;
+use tenoc_bench::{header, Preset};
 use tenoc_noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
-use tenoc_noc::{Mesh, NetworkConfig, Placement};
+use tenoc_noc::NetworkConfig;
 
 fn configs() -> Vec<(&'static str, NetworkConfig)> {
-    let tb = NetworkConfig::baseline_mesh(6);
-    let tb2x = NetworkConfig { channel_bytes: 32, ..tb.clone() };
-    let cp_dor = {
-        let mesh = Mesh::all_full(6);
-        let mc_nodes = Mesh::checkerboard(6).mcs(Placement::Checkerboard, 8);
-        NetworkConfig { mesh, mc_nodes, ..tb.clone() }
-    };
-    let cp_cr = NetworkConfig::checkerboard_mesh(6);
-    let mut cp_cr_2p = cp_cr.clone();
-    cp_cr_2p.mc_inject_ports = 2;
-    vec![
-        ("TB-DOR", tb),
-        ("2x-TB-DOR", tb2x),
-        ("CP-DOR", cp_dor),
-        ("CP-CR", cp_cr),
-        ("CP-CR-2P", cp_cr_2p),
+    [
+        ("TB-DOR", Preset::BaselineTbDor),
+        ("2x-TB-DOR", Preset::TbDor2xBw),
+        ("CP-DOR", Preset::CpDor2vc),
+        ("CP-CR", Preset::CpCr4vc),
+        ("CP-CR-2P", Preset::CpCr2pSingle),
     ]
+    .into_iter()
+    .map(|(name, preset)| (name, preset.icnt(6).net().clone()))
+    .collect()
 }
 
 fn sweep(pattern: TrafficPattern, title: &str) {

@@ -12,7 +12,6 @@
 //! | `abl_design_choices` | ablations beyond the paper (DRAM scheduler, VC depth, ...) |
 //! | `abl_energy` | energy extension (IPC per NoC-watt) |
 //! | `abl_scaling` | mesh-radix scaling |
-//! | `perf_micro` | criterion microbenchmarks of the simulator itself |
 //!
 //! Run all of them with `cargo bench --workspace`. By default kernels are
 //! scaled down (`TENOC_SCALE`, default 0.12) so the full set finishes in

@@ -30,8 +30,8 @@
 //! analyzing many configurations of one shape build the table once and
 //! use [`analyze_with`] / [`load::analyze_load_with`].
 //!
-//! The library entry point is [`analyze`]; the `noc-verify` binary (in the
-//! root `tenoc` package) applies it to every shipped preset. Debug-build
+//! The library entry point is [`analyze`]; `tenoc audit` (through
+//! `tenoc_core::audit_grid`) applies it to every shipped preset. Debug-build
 //! simulations self-verify: [`install_debug_auditor`] hooks the analyzer
 //! into [`tenoc_noc::audit`], making `Network::new` panic on any
 //! configuration that fails verification (release builds skip this).

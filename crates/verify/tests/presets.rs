@@ -1,9 +1,9 @@
 //! Conformance: every shipped tenoc-core preset verifies clean.
 //!
-//! This is the library-level counterpart of `noc-verify --all-presets`:
-//! if any paper design point permits a routing deadlock, an unroutable
-//! MC pair, a half-router turn or a broken VC partition, this test names
-//! it and prints the full report.
+//! The prover alone, on the presets `tenoc audit` also verifies: if any
+//! paper design point permits a routing deadlock, an unroutable MC pair,
+//! a half-router turn or a broken VC partition, this test names it and
+//! prints the full report.
 
 use tenoc_core::presets::Preset;
 use tenoc_core::system::IcntConfig;

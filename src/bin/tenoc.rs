@@ -11,7 +11,6 @@ use serde::json::Value;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
-use tenoc::core::area::{throughput_effectiveness, AreaModel};
 use tenoc::core::experiments::{run_benchmark, scale_from_env};
 use tenoc::core::presets::Preset;
 use tenoc::core::{harmonic_mean, EngineKind, IcntConfig};
@@ -126,7 +125,6 @@ const COMMANDS: &[Command] = &[
         flags: &["preset", "hotspot", "rate"],
         usage: "--preset <NAME> [--hotspot] [--rate F]",
     },
-    Command { name: "area", flags: &[], usage: "(Table VI summary)" },
     Command {
         name: "classify",
         flags: &["scale"],
@@ -191,6 +189,17 @@ impl Flags {
     /// Mesh radix, default 6; a 1x1 mesh has no network to study.
     fn k(&self) -> usize {
         self.parsed("k", |k| *k >= 2).unwrap_or(6)
+    }
+
+    /// Whether `--tiny` is set. It names a fixed experiment, so a flag in
+    /// `fixed` beside it is a usage error rather than silently ignored
+    /// (callers parse flag values first, so a bad value reports as one).
+    fn tiny(&self, fixed: &[&str]) -> bool {
+        let tiny = self.contains_key("tiny");
+        if let Some(flag) = fixed.iter().find(|f| tiny && self.contains_key(f)) {
+            self.cmd.usage_error(&format!("--tiny cannot be combined with --{flag}"));
+        }
+        tiny
     }
 
     /// The required `--preset`; a missing or unknown one is a usage error.
@@ -269,7 +278,6 @@ fn main() -> ExitCode {
         "tune" => cmd_tune(&flags),
         "trace" => cmd_trace(&flags, scale),
         "openloop" => cmd_openloop(&flags),
-        "area" => cmd_area(),
         "classify" => cmd_classify(&flags, scale),
         "list" => cmd_list(),
         other => unreachable!("{other} is in COMMANDS but not dispatched"),
@@ -464,21 +472,6 @@ fn cmd_openloop(flags: &Flags) -> CmdResult {
     Ok(())
 }
 
-fn cmd_area() -> CmdResult {
-    println!("{:>22} {:>12} {:>10} {:>12}", "design", "NoC [mm^2]", "chip", "IPC/mm^2@200");
-    for preset in Preset::NAMED {
-        let a = AreaModel::chip_area(&preset.icnt(6));
-        println!(
-            "{:>22} {:>12.1} {:>10.1} {:>12.4}",
-            preset.label(),
-            a.noc(),
-            a.total(),
-            throughput_effectiveness(200.0, &a)
-        );
-    }
-    Ok(())
-}
-
 /// `tenoc classify`: Table I re-derived from measured behaviour — the
 /// rows and the count the figures reducer computes.
 fn cmd_classify(flags: &Flags, scale: f64) -> CmdResult {
@@ -624,6 +617,8 @@ fn cmd_serve(flags: &Flags) -> CmdResult {
 fn sweep_request(flags: &Flags, scale: f64) -> SweepRequest {
     let names = |specs: Vec<KernelSpec>| specs.into_iter().map(|s| s.name).collect();
     let list = |csv: &str| csv.split(',').map(str::to_owned).collect();
+    let seed = flags.seed().unwrap_or(tenoc::serve::DEFAULT_SEED);
+    let tiny = flags.tiny(&["presets", "benchmarks", "scale", "seed"]);
     SweepRequest {
         tenant: flags.get("tenant").unwrap_or("cli").to_owned(),
         presets: match flags.get("presets") {
@@ -637,8 +632,8 @@ fn sweep_request(flags: &Flags, scale: f64) -> SweepRequest {
             Some(csv) => list(csv),
         },
         scale,
-        seed: flags.seed().unwrap_or(tenoc::serve::DEFAULT_SEED),
-        tiny: flags.contains_key("tiny"),
+        seed,
+        tiny,
         ..SweepRequest::default()
     }
 }
@@ -708,8 +703,8 @@ fn cmd_audit(flags: &Flags) -> CmdResult {
         println!("{json}");
     } else {
         println!(
-            "{:>22} {:>8} {:>9} {:>10} {:>10}  bottleneck (many-to-few)",
-            "design", "legal", "score", "bound", "chip[mm2]"
+            "{:>22} {:>8} {:>9} {:>10} {:>10} {:>9}  bottleneck (many-to-few)",
+            "design", "legal", "score", "bound", "chip[mm2]", "noc[mm2]"
         );
         for e in &report.entries {
             let (score, bound, bneck) = match e.matrices.iter().find(|m| m.matrix == "many-to-few")
@@ -723,12 +718,13 @@ fn cmd_audit(flags: &Flags) -> CmdResult {
                 None => ("-".into(), "-".into(), e.violations.join("; ")),
             };
             println!(
-                "{:>22} {:>8} {:>9} {:>10} {:>10.1}  {}",
+                "{:>22} {:>8} {:>9} {:>10} {:>10.1} {:>9.1}  {}",
                 e.name,
                 if e.legal { "yes" } else { "NO" },
                 score,
                 bound,
                 e.area_mm2,
+                e.noc_area_mm2,
                 bneck
             );
         }
@@ -741,8 +737,7 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
     use tenoc::tune::{run_tune, TuneOptions, TuneSpec};
 
     let k = flags.k();
-    let mut spec =
-        if flags.contains_key("tiny") { TuneSpec::tiny() } else { TuneSpec::default_at(k) };
+    let mut spec = if flags.tiny(&["k"]) { TuneSpec::tiny() } else { TuneSpec::default_at(k) };
     // The spec's own scale/seed are the deterministic defaults; explicit
     // flags override them (and change every content address with them).
     if let Some(s) = flags.scale() {

@@ -1,0 +1,147 @@
+//! The commands the docs tell a reader to type must exist. Every fenced
+//! code block of README.md, EXPERIMENTS.md, DESIGN.md and the verify
+//! skill is read line by line (`\` continuations joined), and:
+//!
+//! - a `--bin NAME` is a file in `src/bin/`;
+//! - a `tenoc CMD` — through `--bin tenoc --`, a path ending in `/tenoc`
+//!   or a bare `tenoc` — is a command in the listing `tenoc` prints with
+//!   no arguments, and every `--flag` after it is in that command's usage;
+//! - a `--bench NAME` is a `[[bench]]` of `crates/bench/Cargo.toml`;
+//! - an `--example NAME` is a file in `examples/` or `crates/*/examples/`.
+
+use std::path::Path;
+use std::process::Command;
+
+const DOCS: [&str; 4] =
+    ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The lines of `text`'s fenced code blocks, each with its 1-based line
+/// number, a line ending in `\` joined with the next.
+fn block_lines(text: &str) -> Vec<(usize, String)> {
+    let (mut lines, mut fenced, mut pending) = (Vec::new(), false, None);
+    for (i, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            let (n, mut joined) = pending.take().unwrap_or((i + 1, String::new()));
+            joined.push(' ');
+            joined.push_str(line);
+            match joined.strip_suffix('\\') {
+                Some(head) => pending = Some((n, head.to_owned())),
+                None => lines.push((n, joined)),
+            }
+        }
+    }
+    lines
+}
+
+/// The `--flags` named anywhere in `text`.
+fn flags_in(text: &str) -> Vec<&str> {
+    let not_flag_char = |c: char| !(c.is_ascii_alphanumeric() || c == '-');
+    text.split(not_flag_char).filter(|t| t.starts_with("--")).collect()
+}
+
+/// `tenoc`'s command listing, printed with no arguments: each command's
+/// name and usage text, continuation lines included.
+fn listing() -> Vec<(String, String)> {
+    let out = Command::new(env!("CARGO_BIN_EXE_tenoc")).output().expect("binary runs");
+    let text = String::from_utf8(out.stderr).expect("the listing is text");
+    let mut commands: Vec<(String, String)> = Vec::new();
+    for line in text.lines().skip_while(|l| *l != "commands:").skip(1) {
+        match line.strip_prefix("  ") {
+            Some(entry) if !entry.starts_with(' ') => {
+                let (name, usage) = entry.split_once(' ').unwrap_or((entry, ""));
+                commands.push((name.to_owned(), usage.to_owned()));
+            }
+            Some(more) => commands.last_mut().expect("a command before its usage").1.push_str(more),
+            None => break,
+        }
+    }
+    assert!(commands.iter().any(|(name, _)| name == "sweep"), "no listing in:\n{text}");
+    commands
+}
+
+/// The `[[bench]]` target names of `crates/bench/Cargo.toml`.
+fn bench_targets() -> Vec<String> {
+    let manifest = std::fs::read_to_string(root().join("crates/bench/Cargo.toml")).unwrap();
+    let mut targets = Vec::new();
+    let mut in_bench = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_bench = line == "[[bench]]";
+        } else if let Some(name) = line.strip_prefix("name = ").filter(|_| in_bench) {
+            targets.push(name.trim_matches('"').to_owned());
+        }
+    }
+    targets
+}
+
+fn example_exists(name: &str) -> bool {
+    let file = format!("{name}.rs");
+    let crates = std::fs::read_dir(root().join("crates")).expect("crates/ is listable");
+    root().join("examples").join(&file).is_file()
+        || crates.flatten().any(|c| c.path().join("examples").join(&file).is_file())
+}
+
+#[test]
+fn fenced_doc_commands_name_binaries_commands_flags_and_targets_that_exist() {
+    let commands = listing();
+    let benches = bench_targets();
+    let mut problems = Vec::new();
+    let mut invocations = 0;
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root().join(doc)).expect("doc present");
+        for (line_no, line) in block_lines(&text) {
+            let mut problem = |what: String| problems.push(format!("{doc}:{line_no}: {what}"));
+            let tokens: Vec<&str> =
+                line.split_whitespace().take_while(|t| !t.starts_with('#')).collect();
+            for seg in tokens.split(|t| ["&&", "||", "|", ";", "&"].contains(t)) {
+                // Where `tenoc`'s own arguments start, if this segment runs it.
+                let mut cmd_at = None;
+                let program = seg.iter().position(|t| !t.contains('='));
+                for (i, &tok) in seg.iter().enumerate() {
+                    let next = seg.get(i + 1).copied().unwrap_or("");
+                    match tok {
+                        "--bin" if !root().join(format!("src/bin/{next}.rs")).is_file() => {
+                            problem(format!("`--bin {next}`: no src/bin/{next}.rs"));
+                        }
+                        "--bin" if next == "tenoc" && seg.get(i + 2) == Some(&"--") => {
+                            cmd_at = Some(i + 3);
+                        }
+                        "--bench" if !benches.iter().any(|b| b == next) => {
+                            problem(format!("`--bench {next}`: not a [[bench]] of crates/bench"));
+                        }
+                        "--example" if !example_exists(next) => {
+                            problem(format!("`--example {next}`: no such example"));
+                        }
+                        _ if tok.ends_with("/tenoc") || (tok == "tenoc" && program == Some(i)) => {
+                            cmd_at = Some(i + 1);
+                        }
+                        _ => {}
+                    }
+                }
+                let Some((&cmd, args)) = cmd_at.and_then(|at| seg.get(at..)?.split_first()) else {
+                    continue;
+                };
+                invocations += 1;
+                let Some((_, usage)) = commands.iter().find(|(name, _)| name == cmd) else {
+                    problem(format!("`tenoc {cmd}`: not a command `tenoc` lists"));
+                    continue;
+                };
+                let known = flags_in(usage);
+                for flag in args.iter().filter(|a| a.starts_with("--")) {
+                    let flag = flag.split('=').next().unwrap_or(flag);
+                    if !known.contains(&flag) {
+                        problem(format!("`tenoc {cmd} {flag}`: not in its usage ({usage})"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(problems.is_empty(), "stale doc commands:\n  {}", problems.join("\n  "));
+    assert!(invocations >= 20, "only {invocations} `tenoc` invocations found: is the parser lost?");
+}

@@ -6,13 +6,19 @@
 //! The comparisons use tolerance bands (`* 1.05`, `>=` rather than `>`)
 //! where two configs can legitimately tie at these short windows.
 
+use tenoc::core::Preset;
 use tenoc::noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
-use tenoc::noc::{Mesh, NetworkConfig, Placement};
+use tenoc::noc::NetworkConfig;
 
 /// Traffic RNG seed for every open-loop run in this file (the upstream
 /// default, restated here so a default change cannot silently move the
 /// calibrated bands).
 const PINNED_SEED: u64 = 0x0f21;
+
+/// The network a preset simulates at the paper's 6x6 scale.
+fn net(preset: Preset) -> NetworkConfig {
+    preset.icnt(6).net().clone()
+}
 
 fn quick(
     cfg: NetworkConfig,
@@ -29,7 +35,7 @@ fn quick(
 
 #[test]
 fn openloop_runs_are_deterministic() {
-    let tb = NetworkConfig::baseline_mesh(6);
+    let tb = net(Preset::BaselineTbDor);
     let a = quick(tb.clone(), 0.02, TrafficPattern::UniformRandom);
     let b = quick(tb, 0.02, TrafficPattern::UniformRandom);
     assert_eq!(a.avg_latency.to_bits(), b.avg_latency.to_bits());
@@ -53,8 +59,7 @@ fn saturation_rate(cfg: &NetworkConfig, pattern: TrafficPattern) -> f64 {
 
 #[test]
 fn two_x_bandwidth_raises_saturation() {
-    let tb = NetworkConfig::baseline_mesh(6);
-    let tb2 = NetworkConfig { channel_bytes: 32, ..tb.clone() };
+    let (tb, tb2) = (net(Preset::BaselineTbDor), net(Preset::TbDor2xBw));
     let s1 = saturation_rate(&tb, TrafficPattern::UniformRandom);
     let s2 = saturation_rate(&tb2, TrafficPattern::UniformRandom);
     assert!(s2 > s1, "2x channels must raise saturation: {s2} vs {s1}");
@@ -62,9 +67,7 @@ fn two_x_bandwidth_raises_saturation() {
 
 #[test]
 fn multiport_raises_saturation_over_plain_checkerboard() {
-    let cp = NetworkConfig::checkerboard_mesh(6);
-    let mut cp2p = cp.clone();
-    cp2p.mc_inject_ports = 2;
+    let (cp, cp2p) = (net(Preset::CpCr4vc), net(Preset::CpCr2pSingle));
     let s1 = saturation_rate(&cp, TrafficPattern::UniformRandom);
     let s2 = saturation_rate(&cp2p, TrafficPattern::UniformRandom);
     assert!(s2 >= s1, "2 injection ports must not lower saturation throughput: {s2} vs {s1}");
@@ -72,7 +75,7 @@ fn multiport_raises_saturation_over_plain_checkerboard() {
 
 #[test]
 fn hotspot_saturates_no_later_than_uniform() {
-    let tb = NetworkConfig::baseline_mesh(6);
+    let tb = net(Preset::BaselineTbDor);
     let u = saturation_rate(&tb, TrafficPattern::UniformRandom);
     let h = saturation_rate(&tb, TrafficPattern::Hotspot { hot: 0, fraction: 0.2 });
     assert!(h <= u, "hotspot traffic must saturate no later: {h} vs {u}");
@@ -81,12 +84,7 @@ fn hotspot_saturates_no_later_than_uniform() {
 #[test]
 fn staggered_placement_lowers_low_load_latency() {
     // CP placement shortens average core-MC distance vs top-bottom.
-    let tb = NetworkConfig::baseline_mesh(6);
-    let cp = {
-        let mesh = Mesh::all_full(6);
-        let mc_nodes = Mesh::checkerboard(6).mcs(Placement::Checkerboard, 8);
-        NetworkConfig { mesh, mc_nodes, ..tb.clone() }
-    };
+    let (tb, cp) = (net(Preset::BaselineTbDor), net(Preset::CpDor2vc));
     let l_tb = quick(tb, 0.01, TrafficPattern::UniformRandom).avg_latency;
     let l_cp = quick(cp, 0.01, TrafficPattern::UniformRandom).avg_latency;
     assert!(
@@ -97,7 +95,7 @@ fn staggered_placement_lowers_low_load_latency() {
 
 #[test]
 fn latency_is_monotone_in_offered_load_below_saturation() {
-    let tb = NetworkConfig::baseline_mesh(6);
+    let tb = net(Preset::BaselineTbDor);
     let mut prev = 0.0;
     for rate in [0.005, 0.02, 0.04] {
         let r = quick(tb.clone(), rate, TrafficPattern::UniformRandom);

@@ -9,9 +9,10 @@
 //! plan the same grid from the same flags, `openloop` probes the preset's
 //! real fabric, every preset name the CLI prints is one it accepts,
 //! `tune`'s stderr summary keeps the closed-loop cache pair the benchmark
-//! parses ahead of the probe counts, and the suite-shaped commands
-//! (`suite`, `classify`) run on the worker pool without a byte of their
-//! output depending on `TENOC_JOBS`.
+//! parses ahead of the probe counts, the suite-shaped commands (`suite`,
+//! `classify`) run on the worker pool without a byte of their output
+//! depending on `TENOC_JOBS`, `--tiny` refuses the flags it would
+//! override, and `audit` is the static tier's one command.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -107,6 +108,35 @@ fn bad_flag_values_exit_with_code_two() {
     bad(&["tune", "--tiny", "--seed"], "seed", "true");
 }
 
+/// The static tier's front end keeps the usage contract the retired
+/// `noc-verify` binary had: a stray flag, a preset filter it does not
+/// take, or a mesh radix below 2 prints usage and exits 2 before any
+/// fabric is audited.
+#[test]
+fn audit_usage_errors_exit_with_code_two() {
+    assert_rejected(&["audit", "--bogus"], "--bogus");
+    assert_rejected(&["audit", "--preset"], "--preset");
+    assert_rejected(&["audit", "--preset", "no-such"], "--preset");
+    assert_usage_error(&["audit", "--k", "1"], "invalid value for --k: 1");
+    assert_usage_error(&["audit", "--k"], "invalid value for --k: true");
+}
+
+/// `--tiny` names a fixed experiment — the golden grid, the k=6 smoke
+/// search — so a flag that would change it is refused by name instead of
+/// being ignored while the fixed experiment runs.
+#[test]
+fn tiny_refuses_the_flags_it_would_ignore() {
+    let refused = |args: &[&str], flag: &str| {
+        assert_usage_error(args, &format!("--tiny cannot be combined with --{flag}"));
+    };
+    refused(&["sweep", "--tiny", "--presets", "torus"], "presets");
+    refused(&["sweep", "--tiny", "--benchmarks", "RD"], "benchmarks");
+    refused(&["sweep", "--tiny", "--scale", "0.5"], "scale");
+    refused(&["sweep", "--seed", "11", "--tiny"], "seed");
+    refused(&["submit", "--tiny", "--presets", "torus", "--seed", "11"], "presets");
+    refused(&["tune", "--tiny", "--k", "8"], "k");
+}
+
 /// The environment knobs obey the flags' predicates: `TENOC_SCALE=O.5`
 /// used to run silently at 0.12, `=inf` was accepted, and `TENOC_JOBS=0`
 /// became "all cores".
@@ -174,10 +204,10 @@ fn benchmark_tune_invocations_still_succeed() {
     let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
     let (out, cache, golden) = (path("frontier.json"), path("cache"), path("golden.json"));
     assert_ok(&["tune", "--tiny", "--jobs", "2", "--out", &out]);
-    // The benchmark's `--k 6 … --golden … --check` shape on the tiny
-    // search (`tests/tune_golden.rs` covers the full one): bless, then
+    // The benchmark's `--golden … --check` shape on the tiny search
+    // (`tests/tune_golden.rs` covers the full `--k 6` one): bless, then
     // check warm from the same cache.
-    let shape = ["tune", "--k", "6", "--tiny", "--jobs", "2", "--out", &out, "--seed", "32268"];
+    let shape = ["tune", "--tiny", "--jobs", "2", "--out", &out, "--seed", "32268"];
     let with = |mode: &'static str| {
         let mut args = shape.to_vec();
         args.extend(["--cache", &cache, "--golden", &golden, mode]);
@@ -297,6 +327,39 @@ fn every_printed_preset_name_is_accepted() {
         let presets: Vec<_> = names.split(sep).map(Preset::from_flag).collect();
         assert_eq!(presets, Preset::NAMED.map(Some), "printed: {names}");
     }
+}
+
+/// `tenoc audit` is the static tier's one front end: every named preset
+/// gets a `yes` row, and its chip and NoC areas are the audit's own
+/// numbers (everything `area` printed but a hypothetical IPC/mm²).
+#[test]
+fn audit_prints_a_legal_row_with_both_areas_for_every_named_preset() {
+    let table = assert_ok(&["audit", "--k", "4"]);
+    let header = table.lines().next().unwrap_or_default();
+    assert!(header.contains(" chip[mm2]  noc[mm2]  bottleneck"), "{header}");
+    let report = tenoc::core::audit_grid(4);
+    for preset in Preset::NAMED {
+        let label = preset.label();
+        let row = table
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.first() == Some(&label.as_str()))
+            .unwrap_or_else(|| panic!("no row for {label}:\n{table}"));
+        let entry = report.entries.iter().find(|e| e.name == label).expect("audited");
+        let (chip, noc) = (format!("{:.1}", entry.area_mm2), format!("{:.1}", entry.noc_area_mm2));
+        assert_eq!((row[1], row[4], row[5]), ("yes", &*chip, &*noc), "{label}:\n{table}");
+    }
+}
+
+#[test]
+fn area_is_no_longer_a_command() {
+    let out = tenoc(&["area"]);
+    let usage = String::from_utf8(out.stderr).expect("stderr is text");
+    assert_eq!(out.status.code(), Some(1), "{usage}");
+    assert!(usage.starts_with("usage: tenoc <command> [flags]\ncommands:\n"), "{usage}");
+    assert!(usage.lines().any(|l| l.starts_with("  audit ")), "{usage}");
+    assert!(!usage.lines().any(|l| l.starts_with("  area ")), "{usage}");
+    assert!(out.stdout.is_empty(), "an unknown command must not run anything");
 }
 
 #[test]
