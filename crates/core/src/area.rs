@@ -201,10 +201,13 @@ impl AreaModel {
     }
 
     /// The per-slice configuration of a double network for *area*
-    /// accounting. Unlike `DoubleNetwork::from_single`, the MC port counts
-    /// are kept at their 16-byte-equivalent values: slicing preserves the
-    /// terminal interface width, and the paper's Table VI charges extra
-    /// ports only for the explicit 2P design.
+    /// accounting. Unlike the simulated slice ([`NetworkConfig::slice`]),
+    /// the MC port counts are kept at their 16-byte-equivalent values
+    /// (slicing preserves the terminal interface width, and the paper's
+    /// Table VI charges extra ports only for the explicit 2P design), and
+    /// the VC count is the per-class one where the simulated slice keeps
+    /// the full complement: a double design is priced with half the VC
+    /// buffers it is simulated with (ROADMAP item 6(b)).
     pub fn slice(cfg: &NetworkConfig) -> NetworkConfig {
         let mut sub = cfg.clone();
         sub.channel_bytes = cfg.channel_bytes / 2;
@@ -298,6 +301,23 @@ mod tests {
         assert!(close(a.routers, 29.74, 0.6), "{}", a.routers);
         assert!(close(a.links, 21.0, 0.1));
         assert!(close(a.total(), 536.74, 1.5), "{}", a.total());
+    }
+
+    /// ROADMAP item 6(b): every double design is priced with half the VCs
+    /// and half the MC ports of the slice it is simulated on. Pinned so
+    /// the relation can only change on purpose.
+    #[test]
+    fn priced_slice_has_half_the_vcs_and_mc_ports_of_the_simulated_slice() {
+        let shape = |s: &NetworkConfig| (s.vcs.total, s.mc_inject_ports, s.mc_eject_ports);
+        for (preset, simulated, priced) in [
+            (Preset::DoubleCpCr, (4, 2, 2), (2, 1, 1)),
+            (Preset::ThroughputEffective, (4, 4, 2), (2, 2, 1)),
+            (Preset::DoubleCpCr2Both, (4, 4, 4), (2, 2, 2)),
+        ] {
+            let IcntConfig::Double(c) = preset.icnt(6) else { panic!("{}", preset.label()) };
+            assert_eq!(shape(&c.slice()), simulated, "{} as simulated", preset.label());
+            assert_eq!(shape(&AreaModel::slice(&c)), priced, "{} as priced", preset.label());
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`presets`] — one named configuration per paper design point
 //!   (baseline TB-DOR, 2x bandwidth, 1-cycle routers, checkerboard
 //!   placement/routing, double network, multi-port MC routers, the
-//!   combined throughput-effective design, and the ideal networks).
+//!   combined throughput-effective design, and the ideal networks) as
+//!   named points of the autotuner's space ([`DesignPoint`]).
 //! * [`area`] — an ORION-2.0-calibrated analytical area model reproducing
 //!   the paper's Table VI.
 //! * [`experiments`] — the one closed-loop run body (plain and traced);
@@ -51,7 +52,7 @@ pub use clock::{ClockConfig, Clocks, Domain};
 pub use mc::McConfig;
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};
 pub use power::PowerModel;
-pub use presets::Preset;
+pub use presets::{DesignPoint, Org, Preset};
 pub use system::{EngineKind, IcntConfig, System, SystemConfig};
 pub use tenoc_noc::Tick;
 

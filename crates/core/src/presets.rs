@@ -1,10 +1,16 @@
-//! Named configurations for every design point the paper evaluates.
+//! Named configurations for every design point the paper evaluates, and
+//! the design space they are points of: a [`DesignPoint`] picks one value
+//! per axis, and [`DesignPoint::build`] is the one builder that resolves
+//! it — for the presets ([`Preset::point`]) and for every point the
+//! autotuner (`tenoc-tune`) enumerates.
 
 use crate::system::IcntConfig;
-use tenoc_noc::{Mesh, NetworkConfig, Placement, VcLayout};
+use tenoc_noc::{NetworkConfig, RoutingKind, VcLayout};
 
 /// The design points of the paper's evaluation (Section V; abbreviations
-/// from Table V).
+/// from Table V). All but three are named [`DesignPoint`]s of the space
+/// the autotuner searches ([`point`](Self::point)), built by the one
+/// builder [`DesignPoint::build`].
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub enum Preset {
     /// Balanced baseline: 6x6 full-router mesh, 16 B channels, 2 VCs,
@@ -144,56 +150,222 @@ impl Preset {
         }
     }
 
-    /// Builds the interconnect configuration for a `k x k` mesh.
+    /// The preset's point in the design space, or `None` for the three
+    /// presets no point expresses: `TB-DOR-1cyc` (router pipeline depth is
+    /// not an axis) and the two ideal networks. `Thr-Eff` and
+    /// `Double-CP-CR-2P(inj)` are the same point.
+    pub fn point(&self) -> Option<DesignPoint> {
+        // Every preset routes DOR, or checkerboard routing on the
+        // checkerboard mesh, with the baseline's 8-flit VC buffers.
+        let (org, vc_total, channel_bytes, double, [mc_inject, mc_eject]) = match self {
+            Preset::BaselineTbDor => (Org::MeshTb, 2, 16, false, [1, 1]),
+            Preset::TbDor2xBw => (Org::MeshTb, 2, 32, false, [1, 1]),
+            Preset::CpDor2vc => (Org::MeshCp, 2, 16, false, [1, 1]),
+            Preset::CpDor4vc => (Org::MeshCp, 4, 16, false, [1, 1]),
+            Preset::CpCr4vc => (Org::CbMeshCp, 4, 16, false, [1, 1]),
+            Preset::DoubleCpCr => (Org::CbMeshCp, 4, 16, true, [1, 1]),
+            Preset::DoubleCpCr2InjPorts | Preset::ThroughputEffective => {
+                (Org::CbMeshCp, 4, 16, true, [2, 1])
+            }
+            Preset::DoubleCpCr2EjPorts => (Org::CbMeshCp, 4, 16, true, [1, 2]),
+            Preset::DoubleCpCr2Both => (Org::CbMeshCp, 4, 16, true, [2, 2]),
+            Preset::CpCr2pSingle => (Org::CbMeshCp, 4, 16, false, [2, 1]),
+            Preset::TorusDor => (Org::TorusTb, 4, 16, false, [1, 1]),
+            Preset::CMeshDor => (Org::CMeshTb, 2, 16, false, [1, 1]),
+            Preset::TbDor1Cycle | Preset::Perfect | Preset::BwLimited(_) => return None,
+        };
+        let routing =
+            if org == Org::CbMeshCp { RoutingKind::Checkerboard } else { RoutingKind::DorXy };
+        Some(DesignPoint {
+            org,
+            routing,
+            vc_total,
+            vc_depth: 8,
+            channel_bytes,
+            double,
+            mc_inject,
+            mc_eject,
+        })
+    }
+
+    /// Builds the interconnect configuration for a `k x k` mesh: the
+    /// preset's [`point`](Self::point) built at `k`, or one of the three
+    /// configurations no point expresses.
     pub fn icnt(&self, k: usize) -> IcntConfig {
+        if let Some(point) = self.point() {
+            return point.build(k).unwrap_or_else(|e| panic!("{}: {e}", self.label()));
+        }
         let base = NetworkConfig::baseline_mesh(k);
         match self {
-            Preset::BaselineTbDor => IcntConfig::Mesh(base),
-            Preset::TbDor2xBw => IcntConfig::Mesh(NetworkConfig { channel_bytes: 32, ..base }),
             Preset::TbDor1Cycle => IcntConfig::Mesh(NetworkConfig { router_stages: 1, ..base }),
-            Preset::CpDor2vc => {
-                // Staggered MC placement on a full-router mesh.
-                let mesh = Mesh::all_full(k);
-                let mc_nodes =
-                    Mesh::checkerboard(k).mcs(Placement::Checkerboard, base.mc_nodes.len());
-                IcntConfig::Mesh(NetworkConfig { mesh, mc_nodes, ..base })
-            }
-            Preset::CpDor4vc => {
-                let IcntConfig::Mesh(cp) = Preset::CpDor2vc.icnt(k) else { unreachable!() };
-                IcntConfig::Mesh(NetworkConfig { vcs: VcLayout::new(4, 2, false), ..cp })
-            }
-            Preset::CpCr4vc => IcntConfig::Mesh(NetworkConfig::checkerboard_mesh(k)),
-            Preset::DoubleCpCr => IcntConfig::Double(NetworkConfig::checkerboard_mesh(k)),
-            Preset::DoubleCpCr2InjPorts => {
-                let mut c = NetworkConfig::checkerboard_mesh(k);
-                c.mc_inject_ports = 2;
-                IcntConfig::Double(c)
-            }
-            Preset::DoubleCpCr2EjPorts => {
-                let mut c = NetworkConfig::checkerboard_mesh(k);
-                c.mc_eject_ports = 2;
-                IcntConfig::Double(c)
-            }
-            Preset::DoubleCpCr2Both => {
-                let mut c = NetworkConfig::checkerboard_mesh(k);
-                c.mc_inject_ports = 2;
-                c.mc_eject_ports = 2;
-                IcntConfig::Double(c)
-            }
-            Preset::ThroughputEffective => Preset::DoubleCpCr2InjPorts.icnt(k),
-            Preset::CpCr2pSingle => {
-                let mut c = NetworkConfig::checkerboard_mesh(k);
-                c.mc_inject_ports = 2;
-                IcntConfig::Mesh(c)
-            }
-            Preset::TorusDor => IcntConfig::Mesh(NetworkConfig::baseline_torus(k)),
-            Preset::CMeshDor => IcntConfig::Mesh(NetworkConfig::concentrated_mesh(k, 2)),
             Preset::Perfect => IcntConfig::Perfect(base),
             Preset::BwLimited(fraction) => {
                 let flits = bw_limit_flits_per_icnt_cycle(*fraction, base.mc_nodes.len());
                 IcntConfig::BwLimited(base, flits)
             }
+            _ => unreachable!("{} has a design point", self.label()),
         }
+    }
+}
+
+/// Network organization: topology plus memory-controller placement, the
+/// coarse axis of the paper's design space (Section V).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Org {
+    /// Full-router mesh, MCs on the top/bottom rows (the baseline).
+    MeshTb,
+    /// Full-router mesh, checkerboard-staggered MC placement.
+    MeshCp,
+    /// Checkerboard mesh (alternating half routers), staggered MCs.
+    CbMeshCp,
+    /// Torus with wraparound links, MCs on the top/bottom rows.
+    TorusTb,
+    /// Concentrated mesh (2 cores per router), MCs on the top/bottom rows.
+    CMeshTb,
+}
+
+impl Org {
+    /// Every organization, in enumeration order.
+    pub const ALL: [Org; 5] = [Org::MeshTb, Org::MeshCp, Org::CbMeshCp, Org::TorusTb, Org::CMeshTb];
+
+    /// Short label used in design-point names.
+    pub fn label(self) -> &'static str {
+        match self {
+            Org::MeshTb => "mesh-tb",
+            Org::MeshCp => "mesh-cp",
+            Org::CbMeshCp => "cbmesh-cp",
+            Org::TorusTb => "torus-tb",
+            Org::CMeshTb => "cmesh-tb",
+        }
+    }
+
+    /// The organization's base configuration at radix `k` — topology, MC
+    /// placement and Table III defaults. A [`DesignPoint`] overrides its
+    /// axes (routing, VCs, buffers, channel width, ports) on top.
+    pub fn base(self, k: usize) -> NetworkConfig {
+        match self {
+            Org::MeshTb => NetworkConfig::baseline_mesh(k),
+            Org::MeshCp => {
+                // The checkerboard mesh's staggered MC nodes on full routers.
+                let mut cfg = NetworkConfig::baseline_mesh(k);
+                cfg.mc_nodes = cfg.mesh.checkerboard_mcs(cfg.mc_nodes.len());
+                cfg
+            }
+            Org::CbMeshCp => NetworkConfig::checkerboard_mesh(k),
+            Org::TorusTb => NetworkConfig::baseline_torus(k),
+            Org::CMeshTb => NetworkConfig::concentrated_mesh(k, 2),
+        }
+    }
+}
+
+/// Short label for a routing function, used in design-point names.
+fn routing_label(r: RoutingKind) -> &'static str {
+    match r {
+        RoutingKind::DorXy => "dor-xy",
+        RoutingKind::Checkerboard => "cr",
+        RoutingKind::O1Turn => "o1turn",
+    }
+}
+
+/// One point of the design space: organization × routing × VCs × buffer
+/// depth × channel width × slicing × MC ports. Every physical preset is
+/// one ([`Preset::point`]), and the autotuner enumerates a grid of them.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct DesignPoint {
+    /// Topology + MC placement.
+    pub org: Org,
+    /// Routing function.
+    pub routing: RoutingKind,
+    /// Total virtual channels (split across the 2 protocol classes).
+    pub vc_total: u8,
+    /// Buffer depth per VC, in flits.
+    pub vc_depth: usize,
+    /// Channel width in bytes.
+    pub channel_bytes: u32,
+    /// `true` slices the fabric into two half-width physical networks.
+    pub double: bool,
+    /// MC injection ports.
+    pub mc_inject: usize,
+    /// MC ejection ports.
+    pub mc_eject: usize,
+}
+
+impl DesignPoint {
+    /// The point's deterministic name, e.g. `cbmesh-cp/cr/4v/d8/c16/dbl/i2e1`.
+    pub fn name(&self) -> String {
+        format!(
+            "{}/{}/{}v/d{}/c{}/{}/i{}e{}",
+            self.org.label(),
+            routing_label(self.routing),
+            self.vc_total,
+            self.vc_depth,
+            self.channel_bytes,
+            if self.double { "dbl" } else { "sgl" },
+            self.mc_inject,
+            self.mc_eject
+        )
+    }
+
+    /// The point's fabric *family*: organization, routing and slicing —
+    /// the axes that change what kind of fabric it is, as opposed to the
+    /// tuning knobs (VCs, depth, width, ports) that vary within a kind.
+    pub fn family(&self) -> String {
+        format!(
+            "{}/{}/{}",
+            self.org.label(),
+            routing_label(self.routing),
+            if self.double { "dbl" } else { "sgl" }
+        )
+    }
+
+    /// Resolves the point to a concrete interconnect configuration, or an
+    /// unconstructible-witness explaining which VC-layout rule the axis
+    /// combination cannot satisfy. The checks mirror the `VcLayout`
+    /// constructor panics exactly, so a constructed point can never panic
+    /// downstream.
+    pub fn build(&self, k: usize) -> Result<IcntConfig, String> {
+        let split = self.routing.needs_phase_split();
+        // Wraparound links need dateline VCs.
+        let torus = self.org == Org::TorusTb;
+        let total = self.vc_total;
+        if total < 2 || !total.is_multiple_of(2) {
+            return Err(format!("{total} VCs cannot split evenly across 2 protocol classes"));
+        }
+        if split && !(total / 2).is_multiple_of(2) {
+            return Err(format!(
+                "{} routing needs phase-split VCs: {total} total leaves {} per class, \
+                 which cannot halve into XY/YX phases",
+                routing_label(self.routing),
+                total / 2
+            ));
+        }
+        if torus {
+            let subset = if split { total / 4 } else { total / 2 };
+            if subset < 2 || !subset.is_multiple_of(2) {
+                return Err(format!(
+                    "torus dateline needs an even number (>= 2) of VCs per class/phase \
+                     subset, got {subset}"
+                ));
+            }
+        }
+        if self.double && !self.channel_bytes.is_multiple_of(2) {
+            return Err(format!(
+                "a {}-byte channel cannot slice into two half-width networks",
+                self.channel_bytes
+            ));
+        }
+        let mut cfg = self.org.base(k);
+        cfg.routing = self.routing;
+        cfg.vc_depth = self.vc_depth;
+        cfg.channel_bytes = self.channel_bytes;
+        cfg.mc_inject_ports = self.mc_inject;
+        cfg.mc_eject_ports = self.mc_eject;
+        let mut vcs = VcLayout::new(total, 2, split);
+        if torus {
+            vcs = vcs.with_dateline();
+        }
+        cfg.vcs = vcs;
+        Ok(if self.double { IcntConfig::Double(cfg) } else { IcntConfig::Mesh(cfg) })
     }
 }
 
@@ -207,7 +379,7 @@ pub fn bw_limit_flits_per_icnt_cycle(fraction: f64, n_mc: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tenoc_noc::{RouterKind, RoutingKind};
+    use tenoc_noc::RouterKind;
 
     #[test]
     fn all_named_presets_build_valid_configs() {
@@ -296,6 +468,36 @@ mod tests {
         assert_eq!(Preset::from_flag("CMesh-DOR"), Some(Preset::CMeshDor));
         assert_eq!(Preset::from_flag("te"), Some(Preset::ThroughputEffective));
         assert_eq!(Preset::from_flag(Preset::BwLimited(0.5).flag()), None);
+    }
+
+    #[test]
+    fn thirteen_presets_are_twelve_design_points() {
+        let points: Vec<DesignPoint> = Preset::NAMED.iter().filter_map(Preset::point).collect();
+        assert_eq!(points.len(), 13, "all but TB-DOR-1cyc and Perfect");
+        let names: std::collections::HashSet<String> = points.iter().map(|p| p.name()).collect();
+        assert_eq!(names.len(), 12, "Thr-Eff is Double-CP-CR-2P(inj)");
+        assert_eq!(Preset::ThroughputEffective.point(), Preset::DoubleCpCr2InjPorts.point());
+        assert_eq!(Preset::BwLimited(0.5).point(), None);
+    }
+
+    #[test]
+    fn unconstructible_points_return_witnesses_not_panics() {
+        let cr = Preset::CpCr4vc.point().unwrap();
+        let torus = Preset::TorusDor.point().unwrap();
+        let cases = [
+            // Checkerboard routing with 2 VCs: no room for phase halves.
+            DesignPoint { vc_total: 2, ..cr },
+            // Torus with 2 VCs: one VC per class cannot hold a dateline.
+            DesignPoint { vc_total: 2, ..torus },
+            // Torus + checkerboard at 4 VCs: 1 VC per class/phase subset.
+            DesignPoint { routing: RoutingKind::Checkerboard, ..torus },
+            // An odd channel cannot slice into two half-width networks.
+            DesignPoint { channel_bytes: 15, double: true, ..cr },
+        ];
+        for p in cases {
+            let err = p.build(6).expect_err(&p.name());
+            assert!(!err.is_empty());
+        }
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if more MCs per row are requested than the row can hold.
-    pub fn top_bottom_mcs(&self, n_mc: usize) -> Vec<NodeId> {
+    pub(crate) fn top_bottom_mcs(&self, n_mc: usize) -> Vec<NodeId> {
         let top = n_mc / 2;
         let bottom = n_mc - top;
         assert!(top <= self.k && bottom <= self.k, "too many MCs per row");

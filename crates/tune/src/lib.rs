@@ -4,10 +4,11 @@
 //! that maximize application throughput per mm² of chip area — are found
 //! by co-designing topology, MC placement, routing and channel
 //! organization, not by maximizing any single network metric. This crate
-//! turns that claim into a search: it enumerates a deterministic design
-//! grid over every axis the repository models and drives each candidate
-//! through four fidelity tiers, spending simulation cycles only on
-//! candidates that static analysis cannot already rule out:
+//! turns that claim into a search: it enumerates a deterministic grid of
+//! [`DesignPoint`]s, the space the presets are named points of, over every
+//! axis the repository models and drives each candidate through four
+//! fidelity tiers, spending simulation cycles only on candidates that
+//! static analysis cannot already rule out:
 //!
 //! - **Stage 0 — construct + verify (free):** grid points that violate
 //!   VC-layout rules are rejected by the builder with a witness; the
@@ -36,7 +37,9 @@
 //!
 //! Pinned reference designs (the baseline mesh, the torus, the
 //! concentrated mesh) ride through every stage regardless of rank so the
-//! final report can place them against the frontier. The whole search is
+//! final report can place them against the frontier. A preset is matched
+//! to its grid candidate by design point ([`Preset::point`]), never by
+//! comparing resolved configs. The whole search is
 //! **bit-deterministic at any worker count**: candidate enumeration is
 //! ordered, every tie-break is total, probe seeds derive from content
 //! hashes, and the report carries no wall-clock or cache-state fields.
@@ -54,14 +57,14 @@ pub use report::{
     BenchIpc, Finalist, FrontierPoint, GridCounts, HeatmapReport, NamedPoint, Rejection, Rung,
     Stage1Entry, Stage2Entry, TuneReport, TuneStats,
 };
-pub use space::{config_hash, Candidate, Org};
-
-use space::Point;
+pub use space::{config_hash, Candidate};
+pub use tenoc_core::Org;
 
 use serde::Serialize;
 use tenoc_core::experiments::run_traced_with_system_config;
 use tenoc_core::{
-    audit_icnt_with, harmonic_mean, route_net, AuditEntry, EngineKind, Preset, TelemetryConfig,
+    audit_icnt_with, harmonic_mean, route_net, AuditEntry, DesignPoint, EngineKind, Preset,
+    TelemetryConfig,
 };
 use tenoc_harness::pool::run_indexed;
 use tenoc_harness::{
@@ -139,7 +142,7 @@ impl TuneSpec {
             k,
             axes: Org::ALL
                 .iter()
-                .map(|&org| OrgAxis { org, routings: org.default_routings() })
+                .map(|&org| OrgAxis { org, routings: space::default_routings(org) })
                 .collect(),
             vc_totals: vec![2, 4],
             vc_depths: vec![4, 8],
@@ -187,7 +190,7 @@ impl TuneSpec {
 impl TuneSpec {
     /// Every grid point, in enumeration order (organization, routing, VCs,
     /// depth, channel width, slicing, MC ports — last axis fastest).
-    fn points(&self) -> Vec<Point> {
+    fn points(&self) -> Vec<DesignPoint> {
         let mut points = Vec::new();
         for axis in &self.axes {
             for &routing in &axis.routings {
@@ -196,7 +199,7 @@ impl TuneSpec {
                         for &channel_bytes in &self.channel_bytes {
                             for &double in &self.slicings {
                                 for &[mc_inject, mc_eject] in &self.mc_ports {
-                                    points.push(Point {
+                                    points.push(DesignPoint {
                                         org: axis.org,
                                         routing,
                                         vc_total,
@@ -255,6 +258,16 @@ impl Reached {
             Reached::Halved => "halved",
             Reached::Finalist => "finalist",
         }
+    }
+}
+
+/// Whether `c` is preset `p`'s fabric: the candidate built from `p`'s
+/// design point, or — for a preset no point expresses — `p`'s own pinned
+/// candidate.
+fn is_preset(c: &Candidate, p: &Preset) -> bool {
+    match p.point() {
+        Some(point) => c.point == Some(point),
+        None => c.name == format!("pin:{}", p.label()),
     }
 }
 
@@ -400,18 +413,8 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     let mut cands: Vec<Candidate> = Vec::new();
     for p in spec.points() {
         enumerated += 1;
-        match p.build(spec.k) {
-            Ok(icnt) => {
-                let config_hash = config_hash(&icnt);
-                cands.push(Candidate {
-                    name: p.name(),
-                    family: p.family(),
-                    icnt,
-                    config_hash,
-                    aliases: Vec::new(),
-                    pinned: false,
-                });
-            }
+        match Candidate::from_point(p, spec.k) {
+            Ok(cand) => cands.push(cand),
             Err(witness) => {
                 unconstructible += 1;
                 push_rejection(&mut rejections, "unconstructible", vec![witness], &p.name());
@@ -420,20 +423,19 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     }
 
     // ---- Pinned reference points and preset aliases ----------------------
-    let preset_hashes: Vec<(String, String)> =
-        Preset::NAMED.iter().map(|p| (p.label(), config_hash(&p.icnt(spec.k)))).collect();
     let mut pinned_out_of_grid: u64 = 0;
     for p in &spec.pinned {
-        let h = config_hash(&p.icnt(spec.k));
-        match cands.iter_mut().find(|c| c.config_hash == h) {
+        match cands.iter_mut().find(|c| is_preset(c, p)) {
             Some(c) => c.pinned = true,
             None => {
                 pinned_out_of_grid += 1;
+                let (name, icnt) = (format!("pin:{}", p.label()), p.icnt(spec.k));
                 cands.push(Candidate {
-                    name: format!("pin:{}", p.label()),
-                    family: format!("pin:{}", p.label()),
-                    icnt: p.icnt(spec.k),
-                    config_hash: h,
+                    family: name.clone(),
+                    name,
+                    point: p.point(),
+                    config_hash: config_hash(&icnt),
+                    icnt,
                     aliases: Vec::new(),
                     pinned: true,
                 });
@@ -441,11 +443,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         }
     }
     for c in &mut cands {
-        c.aliases = preset_hashes
-            .iter()
-            .filter(|(_, h)| *h == c.config_hash)
-            .map(|(label, _)| label.clone())
-            .collect();
+        c.aliases = Preset::NAMED.iter().filter(|p| is_preset(c, p)).map(Preset::label).collect();
     }
 
     // ---- Stage 0b: verify; Stage 1: static rank --------------------------
@@ -732,17 +730,17 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         .collect();
 
     // ---- Named-point placement -------------------------------------------
-    let named_points: Vec<NamedPoint> = preset_hashes
+    let named_points: Vec<NamedPoint> = Preset::NAMED
         .iter()
-        .map(|(label, h)| {
-            let cand = cands.iter().position(|c| &c.config_hash == h);
+        .map(|p| {
+            let cand = cands.iter().position(|c| is_preset(c, p));
             NamedPoint {
-                preset: label.clone(),
+                preset: p.label(),
                 candidate: cand.map(|i| cands[i].name.clone()).unwrap_or_else(|| "-".into()),
                 stage_reached: cand
                     .map(|i| reached[i].label().to_string())
                     .unwrap_or_else(|| "not-in-grid".into()),
-                on_frontier: frontier.iter().any(|p| &p.config_hash == h),
+                on_frontier: cand.is_some_and(|i| frontier.iter().any(|f| f.name == cands[i].name)),
             }
         })
         .collect();
@@ -826,17 +824,17 @@ mod tests {
 
     /// The grid's constructible points as candidates, in enumeration order.
     fn grid(spec: &TuneSpec) -> Vec<Candidate> {
-        let built = spec.points().into_iter().filter_map(|p| Some((p, p.build(spec.k).ok()?)));
-        built
-            .map(|(p, icnt)| Candidate {
-                name: p.name(),
-                family: p.family(),
-                config_hash: config_hash(&icnt),
-                icnt,
-                aliases: Vec::new(),
-                pinned: false,
-            })
-            .collect()
+        spec.points().into_iter().filter_map(|p| Candidate::from_point(p, spec.k).ok()).collect()
+    }
+
+    /// The whole search hinges on its grids containing the paper's
+    /// throughput-effective design point.
+    #[test]
+    fn both_grids_contain_the_thr_eff_point() {
+        let thr_eff = Preset::ThroughputEffective.point().expect("a physical preset");
+        for spec in [TuneSpec::default_at(6), TuneSpec::tiny()] {
+            assert!(spec.points().contains(&thr_eff), "{}", thr_eff.name());
+        }
     }
 
     /// Stage 0b's grouped audit equals a standalone `audit_icnt` for every
@@ -951,16 +949,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A pin in the grid marks its grid candidate; a pin no design point
+    /// expresses (`TB-DOR-1cyc`: router depth is not an axis) rides as its
+    /// own `pin:` candidate. Either way it reaches the finalists and is
+    /// its preset's named point.
     #[test]
-    fn pinned_baseline_survives_to_the_finalists() {
-        let spec = TuneSpec::tiny();
+    fn pinned_points_survive_to_the_finalists_in_the_grid_or_out() {
+        let spec = TuneSpec {
+            pinned: vec![Preset::BaselineTbDor, Preset::TbDor1Cycle],
+            ..TuneSpec::tiny()
+        };
         let (report, _) = run_tune(&spec, &TuneOptions::default()).unwrap();
-        let baseline = report
-            .named_points
-            .iter()
-            .find(|n| n.preset == "TB-DOR")
-            .expect("baseline is a named point");
-        assert_eq!(baseline.stage_reached, "finalist", "pinned points ride every stage");
+        assert_eq!(report.counts.pinned_out_of_grid, 1);
+        for (preset, candidate) in
+            [("TB-DOR", "mesh-tb/dor-xy/2v/d8/c16/sgl/i1e1"), ("TB-DOR-1cyc", "pin:TB-DOR-1cyc")]
+        {
+            let named = report.named_points.iter().find(|n| n.preset == preset).expect(preset);
+            assert_eq!(named.candidate, candidate);
+            assert_eq!(named.stage_reached, "finalist", "pinned points ride every stage");
+            let finalist = report.finalists.iter().find(|f| f.name == candidate).expect(candidate);
+            assert_eq!(finalist.aliases, [preset]);
+        }
+    }
+
+    /// Aliases, pins and named points are resolved by design point, which
+    /// says the same as resolving by resolved config only while no two
+    /// points build one fabric.
+    #[test]
+    fn distinct_grid_points_build_distinct_fabrics() {
+        for k in [4, 6, 8] {
+            let cands = grid(&TuneSpec::default_at(k));
+            let hashes: std::collections::HashSet<&str> =
+                cands.iter().map(|c| c.config_hash.as_str()).collect();
+            assert_eq!(hashes.len(), cands.len(), "k = {k}");
+        }
     }
 
     #[test]

@@ -639,7 +639,7 @@ mod tests {
         assert_eq!(shared_a, analyze_load(&a, m));
         assert_eq!(shared_b, analyze_load(&b, m));
         assert_ne!(shared_a.eject_loads, shared_b.eject_loads, "the ports are each config's own");
-        let c = NetworkConfig { mc_nodes: a.mesh.checkerboard_mcs(8), ..a.clone() };
+        let c = tenoc_core::Org::MeshCp.base(6); // a staggered placement of the same 8 MCs
         assert_eq!(analyze_load_with(&c, &table, m), analyze_load(&c, m));
         assert_eq!(table.accumulations(), 2, "mc_nodes is in the key");
 

@@ -8,6 +8,10 @@
 //!   no arguments, and every `--flag` after it is in that command's usage;
 //! - a `--bench NAME` is a `[[bench]]` of `crates/bench/Cargo.toml`;
 //! - an `--example NAME` is a file in `examples/` or `crates/*/examples/`.
+//!
+//! And every inline backticked repository path in those docs — one that
+//! starts `crates/`, `src/`, `tests/` or `scripts/` — exists (a `*` in
+//! its file name must match a file).
 
 use std::path::Path;
 use std::process::Command;
@@ -144,4 +148,78 @@ fn fenced_doc_commands_name_binaries_commands_flags_and_targets_that_exist() {
     }
     assert!(problems.is_empty(), "stale doc commands:\n  {}", problems.join("\n  "));
     assert!(invocations >= 20, "only {invocations} `tenoc` invocations found: is the parser lost?");
+}
+
+/// The inline code spans of `text` outside its fenced blocks, each with
+/// the 1-based line it starts on (a span may wrap onto the next line).
+fn inline_spans(text: &str) -> Vec<(usize, String)> {
+    let (mut spans, mut fenced, mut open) = (Vec::new(), false, None::<(usize, String)>);
+    for (i, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if fenced {
+            continue;
+        }
+        for (j, piece) in line.split('`').enumerate() {
+            if j > 0 {
+                open = match open.take() {
+                    Some(span) => {
+                        spans.push(span);
+                        None
+                    }
+                    None => Some((i + 1, String::new())),
+                };
+            }
+            if let Some((_, span)) = &mut open {
+                span.push_str(piece);
+            }
+        }
+        if let Some((_, span)) = &mut open {
+            span.push(' ');
+        }
+    }
+    spans
+}
+
+/// The repository path a code span names, if it names one: its first
+/// word, up to a `:line` suffix, when that starts with a top-level source
+/// directory and holds no placeholder.
+fn repo_path(span: &str) -> Option<&str> {
+    let path = span.split([' ', ':']).next()?;
+    let rooted = ["crates/", "src/", "tests/", "scripts/"].iter().any(|d| path.starts_with(d));
+    (rooted && !path.contains(['<', '…', '{'])).then_some(path)
+}
+
+/// Whether `path` exists, a `*` in its last component matching any run
+/// of characters in a file name.
+fn path_exists(path: &str) -> bool {
+    let Some((dir, (head, tail))) =
+        path.rsplit_once('/').and_then(|(dir, name)| Some((dir, name.split_once('*')?)))
+    else {
+        return root().join(path).exists();
+    };
+    let names = std::fs::read_dir(root().join(dir)).into_iter().flatten().flatten();
+    names
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .any(|n| n.len() >= head.len() + tail.len() && n.starts_with(head) && n.ends_with(tail))
+}
+
+#[test]
+fn backticked_repository_paths_in_the_docs_exist() {
+    let mut problems = Vec::new();
+    let mut paths = 0;
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root().join(doc)).expect("doc present");
+        for (line_no, span) in inline_spans(&text) {
+            let Some(path) = repo_path(&span) else { continue };
+            paths += 1;
+            if !path_exists(path) {
+                problems.push(format!("{doc}:{line_no}: `{path}` does not exist"));
+            }
+        }
+    }
+    assert!(problems.is_empty(), "stale doc paths:\n  {}", problems.join("\n  "));
+    assert!(paths >= 30, "only {paths} repository paths found: is the parser lost?");
 }
