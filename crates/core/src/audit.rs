@@ -123,7 +123,7 @@ impl AuditReport {
     ///
     /// Never panics: the report is plain data.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report is plain data")
+        self.to_value().to_json_pretty()
     }
 
     /// The legal, physical (rankable) entries, best first.

@@ -3,8 +3,8 @@
 //! occupancy, 1k cycles of the fig. 20 combined design point's double
 //! network on the production engine ([`ArenaDoubleNetwork`]) perform zero
 //! heap allocations — and again with telemetry armed, whose buffers are
-//! all sized at arming. `alloc_free.rs` holds the unarmed guarantee for
-//! the per-router oracle.
+//! all sized at arming. The per-router oracle makes no such promise: it
+//! is the plain reference the arena is checked against, not a fast path.
 //!
 //! This file holds exactly one test: the counting global allocator is
 //! process-wide, so a concurrently running test could blur the count.

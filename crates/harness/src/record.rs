@@ -63,7 +63,7 @@ impl RunRecord {
     pub fn compute_fingerprint(&self) -> String {
         let mut blank = self.clone();
         blank.fingerprint = String::new();
-        let canonical = serde_json::to_string(&blank).expect("record is plain data");
+        let canonical = blank.to_value().to_json_compact();
         format!("{:016x}", fnv1a64(canonical.as_bytes()))
     }
 
@@ -75,7 +75,7 @@ impl RunRecord {
     pub(crate) fn seal(&mut self) -> String {
         const BLANK_TAIL: &str = "\"fingerprint\":\"\"}";
         self.fingerprint.clear();
-        let mut line = serde_json::to_string(self).expect("record is plain data");
+        let mut line = self.to_value().to_json_compact();
         assert!(line.ends_with(BLANK_TAIL), "fingerprint is the record's last field: {line}");
         self.fingerprint = format!("{:016x}", fnv1a64(line.as_bytes()));
         line.insert_str(line.len() - 2, &self.fingerprint);
@@ -98,7 +98,7 @@ impl RunRecord {
 pub fn to_jsonl(records: &[RunRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        out.push_str(&serde_json::to_string(r).expect("record is plain data"));
+        out.push_str(&r.to_value().to_json_compact());
         out.push('\n');
     }
     out
@@ -116,8 +116,9 @@ pub fn from_jsonl(text: &str) -> Result<Vec<RunRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let record: RunRecord =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", lineno + 1))?;
+        let record = serde::json::parse(line)
+            .and_then(|v| RunRecord::from_value(&v))
+            .map_err(|e| format!("line {}: {e:?}", lineno + 1))?;
         out.push(record);
     }
     Ok(out)
@@ -180,7 +181,7 @@ mod tests {
             // Re-seal from a wrong fingerprint: the line may not depend on it.
             r.fingerprint = "stale".into();
             let line = r.seal();
-            assert_eq!(line, serde_json::to_string(&r).unwrap());
+            assert_eq!(line, r.to_value().to_json_compact());
             assert!(r.fingerprint_valid(), "{line}");
             rendered.push_str(&line);
             rendered.push('\n');

@@ -1,12 +1,11 @@
-//! Dense bitset over node indices: the network's active-router worklist.
+//! Dense bitset over node indices: the arena's active-router worklist.
 //!
-//! The scheduler wakes a node on any event that could give it work (the
-//! oracle: a flit or credit pushed toward it; the arena: a flit landing
-//! in its buffers; both: an NI injection) and retires it once provably
+//! The arena wakes a node on any event that could give it work (a flit
+//! landing in its buffers, an NI injection) and retires it once provably
 //! idle, so the per-cycle sweep only visits nodes that can make progress.
-//! Iteration is in ascending node order — the same order as the full
-//! `0..n` sweep it replaces — which keeps the event schedule bit-identical
-//! to the unconditional loop.
+//! Iteration is in ascending node order — the order of the per-router
+//! reference's full `0..n` sweep — which keeps the event schedule
+//! bit-identical to the unconditional loop.
 
 /// A fixed-capacity set of node indices, stored one bit per node.
 #[derive(Clone, Debug)]
@@ -21,18 +20,6 @@ impl ActiveSet {
         ActiveSet { words: vec![0; n.div_ceil(64)], n }
     }
 
-    /// A full set: every node in `0..n` is active.
-    ///
-    /// This is the safe initial state — nodes that are in fact idle retire
-    /// at the end of their first sweep.
-    pub fn all(n: usize) -> Self {
-        let mut s = Self::empty(n);
-        for i in 0..n {
-            s.insert(i);
-        }
-        s
-    }
-
     /// Marks node `i` active. Idempotent.
     pub fn insert(&mut self, i: usize) {
         debug_assert!(i < self.n);
@@ -43,11 +30,6 @@ impl ActiveSet {
     pub fn remove(&mut self, i: usize) {
         debug_assert!(i < self.n);
         self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Number of active nodes.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The smallest active node index `>= from`, if any.
@@ -92,17 +74,16 @@ mod tests {
     #[test]
     fn insert_remove_membership() {
         let mut s = ActiveSet::empty(100);
-        assert_eq!(s.count(), 0);
+        assert!(collect(&s).is_empty());
         s.insert(0);
         s.insert(63);
         s.insert(64);
         s.insert(99);
         assert_eq!(collect(&s), vec![0, 63, 64, 99]);
-        assert_eq!(s.count(), 4);
         s.remove(63);
         assert_eq!(collect(&s), vec![0, 64, 99]);
         s.remove(63); // idempotent
-        assert_eq!(s.count(), 3);
+        assert_eq!(collect(&s), vec![0, 64, 99]);
     }
 
     #[test]
@@ -115,15 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn all_covers_every_node() {
-        let s = ActiveSet::all(70);
-        assert_eq!(s.count(), 70);
-        assert_eq!(collect(&s), (0..70).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn next_from_past_the_end() {
-        let s = ActiveSet::all(36);
+        let mut s = ActiveSet::empty(36);
+        for i in 0..36 {
+            s.insert(i);
+        }
+        assert_eq!(collect(&s), (0..36).collect::<Vec<_>>());
         assert_eq!(s.next_from(35), Some(35));
         assert_eq!(s.next_from(36), None);
         assert_eq!(s.next_from(1000), None);

@@ -15,7 +15,7 @@
 //! The arena is an *engine*, not a model: it executes the oracle's event
 //! schedule bit-exactly. Every arbiter pointer is sized by the router's
 //! actual port counts (not the slab stride), every phase visits nodes in
-//! the same ascending active-set order, and the RNG is consumed by the
+//! the oracle's ascending node order, and the RNG is consumed by the
 //! same calls in the same order — so statistics, ejection traces, cycle
 //! counts, telemetry reports and therefore `RunRecord` fingerprints are
 //! identical to the per-router kernel. `tests/arena_equivalence.rs` pins
@@ -832,7 +832,7 @@ impl ArenaNetwork {
 
     /// `true` when the node has no work until a flit lands or a packet is
     /// injected. Flits on the wire and credits in return wake nobody, so
-    /// unlike `Network::node_idle` this probes no channel.
+    /// this probes no channel.
     fn node_idle(&self, node: NodeId) -> bool {
         self.node_occ[node] == 0 && self.ni_busy[node] == 0
     }
@@ -841,8 +841,9 @@ impl ArenaNetwork {
 impl Tick for ArenaNetwork {
     /// One cycle: one [`deliver`](ArenaNetwork::deliver) followed by one
     /// fused sweep in which each active node runs NI, router and retire
-    /// back to back. That is bit-identical to the oracle's per-node
-    /// delivery and four global stage sweeps, for four reasons:
+    /// back to back. That is bit-identical to the oracle, which runs
+    /// delivery, credit return, NI and router over every node, for four
+    /// reasons:
     ///
     /// - every link delay is `>= 1` and every credit delay exactly 1, so
     ///   nothing filed during cycle `t` is due at `t`;
@@ -851,9 +852,9 @@ impl Tick for ArenaNetwork {
     /// - a router's `owner` slab changes only in that router's own step,
     ///   so a credit's `credit_ok` update sees the same holder at the top
     ///   of the cycle as at the router's turn;
-    /// - a node woken at arrival runs the same stages it would have run:
-    ///   the visits the oracle's push-time wakes add are ones in which
-    ///   every stage returns early and no arbiter pointer moves.
+    /// - the nodes this sweep skips buffer no flit and stream no packet,
+    ///   and the oracle's visits to such a node are ones in which every
+    ///   stage returns early and no arbiter pointer moves.
     fn tick(&mut self) {
         let now = self.cycle;
         self.deliver(now);
@@ -1062,8 +1063,7 @@ mod tests {
     /// A router is awake exactly while it has work — buffered flits or a
     /// busy NI. Flits on a 3-cycle link and returning credits wake nobody,
     /// so a packet crossing a link leaves every router asleep, and a
-    /// drained network has an empty active set (the arena's twin of the
-    /// oracle's "a drained network steps zero routers").
+    /// drained network has an empty active set.
     #[test]
     fn a_router_is_awake_only_when_it_has_work() {
         let mut cfg = NetworkConfig::checkerboard_mesh(6);
@@ -1096,13 +1096,13 @@ mod tests {
         while net.in_flight() > 0 {
             tick(&mut net);
         }
-        assert_eq!(net.active.count(), 0, "a drained network keeps no router awake");
+        assert_eq!(net.active.next_from(0), None, "a drained network keeps no router awake");
         // A lone packet: between routers it is only on the wire.
         net.try_inject(cores[0], Packet::request(cores[0], mcs[0], 8, 400)).unwrap();
         while net.in_flight() > 0 {
             tick(&mut net);
         }
-        assert_eq!(net.active.count(), 0);
+        assert_eq!(net.active.next_from(0), None);
         assert!(asleep_on_the_wire > 0, "some flit crossed a link with every router asleep");
         assert!(net.flit_hops() > 1_000);
     }

@@ -66,11 +66,6 @@ impl Channel {
         self.flits.len()
     }
 
-    /// Credits currently in flight.
-    pub(crate) fn credits_in_flight(&self) -> usize {
-        self.credits.len()
-    }
-
     /// Total flits ever pushed onto this channel (for link-utilization
     /// reports).
     pub(crate) fn total_flits(&self) -> u64 {
@@ -118,15 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_counters() {
+    fn in_flight_counter() {
         let mut ch = Channel::new();
         ch.push_flit(1, 0, flit());
         ch.push_credit(1, 0);
         assert_eq!(ch.flits_in_flight(), 1);
-        assert_eq!(ch.credits_in_flight(), 1);
         ch.pop_flit(1);
-        ch.pop_credit(1);
         assert_eq!(ch.flits_in_flight(), 0);
-        assert_eq!(ch.credits_in_flight(), 0);
     }
 }

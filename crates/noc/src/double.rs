@@ -167,7 +167,7 @@ mod tests {
         dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
         dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
         for _ in 0..300 {
-            dn.step();
+            dn.tick();
         }
         let req = dn.pop(10).expect("request delivered");
         assert_eq!(req.header.class, PacketClass::Request);
@@ -187,7 +187,7 @@ mod tests {
         dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
         dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
         for _ in 0..300 {
-            dn.step();
+            dn.tick();
         }
         let reports = dn.telemetry_reports();
         assert_eq!(reports.len(), 2);

@@ -123,7 +123,7 @@ mod tests {
         for i in 0..1000 {
             net.try_inject(0, Packet::reply(0, 1, 64, i)).unwrap();
         }
-        net.step();
+        net.tick();
         assert!(net.try_inject(0, Packet::reply(0, 1, 64, 1000)).is_ok(), "budget stays infinite");
         assert_eq!(net.stats().packets[1], 1001);
     }
@@ -135,7 +135,7 @@ mod tests {
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 0)).is_ok());
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 1)).is_ok());
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 2)).is_err(), "budget exhausted");
-        net.step();
+        net.tick();
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 3)).is_ok(), "budget replenished");
     }
 
@@ -146,12 +146,12 @@ mod tests {
         let mut net = BandwidthLimitedInterconnect::new(4, 16, 1.0);
         assert!(net.try_inject(0, Packet::reply(0, 1, 64, 0)).is_ok());
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 1)).is_err());
-        net.step();
+        net.tick();
         // Deficit of 3 flits + 1 replenished = -2: still blocked.
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 2)).is_err());
-        net.step();
-        net.step();
-        net.step();
+        net.tick();
+        net.tick();
+        net.tick();
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 3)).is_ok());
     }
 
@@ -164,7 +164,7 @@ mod tests {
             for _ in 0..16 {
                 let _ = net.try_inject(0, Packet::request(0, 1, 8, 0));
             }
-            net.step();
+            net.tick();
         }
         let accepted = net.stats().total_flits() as f64 / cycles as f64;
         assert!((accepted - 3.5).abs() < 0.1, "accepted {accepted} flits/cycle, cap 3.5");

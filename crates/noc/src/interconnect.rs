@@ -49,8 +49,7 @@ pub fn build_double(cfg: &NetworkConfig) -> Box<dyn Interconnect> {
 /// an engine.
 ///
 /// Cycle advancement comes from the [`Tick`] supertrait: every
-/// implementation's clock edge is `Tick::tick`, and [`Interconnect::step`]
-/// is a provided alias kept for terminal-side callers.
+/// implementation's clock edge is `Tick::tick`.
 pub trait Interconnect: Tick {
     /// Offers a packet for injection at `node`.
     ///
@@ -65,12 +64,7 @@ pub trait Interconnect: Tick {
     /// Removes the next packet ejected at `node`, if any.
     fn pop(&mut self, node: NodeId) -> Option<EjectedPacket>;
 
-    /// Advances the interconnect by one cycle (alias for [`Tick::tick`]).
-    fn step(&mut self) {
-        self.tick();
-    }
-
-    /// Current cycle (number of `step` calls so far).
+    /// Current cycle (number of `tick` calls so far).
     fn cycle(&self) -> u64;
 
     /// Snapshot of aggregate statistics.

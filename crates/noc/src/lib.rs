@@ -27,7 +27,9 @@
 //!   flat structure-of-arrays `arena` kernel that every production run
 //!   uses, built by the one constructor pair [`build_mesh`] /
 //!   [`build_double`], and the per-router `network` kernel kept as the
-//!   differential reference. A shape the arena cannot pack is a
+//!   differential reference. The arena sleeps idle routers and allocates
+//!   nothing in steady state; the reference does neither — it steps
+//!   every router every cycle. A shape the arena cannot pack is a
 //!   [`NetworkConfig::validate`] error, never a silent change of engine.
 //!   Telemetry ([`telemetry`]) works on both.
 //!
@@ -43,7 +45,7 @@
 //! let pkt = Packet::request(0, 35, 8, 42); // src, dst, bytes, tag
 //! net.try_inject(0, pkt).expect("empty network accepts injection");
 //! for _ in 0..200 {
-//!     net.step();
+//!     net.tick();
 //! }
 //! let out = net.pop(35).expect("packet delivered");
 //! assert_eq!(out.header.tag, 42);

@@ -1,12 +1,11 @@
 //! A complete single physical network (routers + channels + network
 //! interfaces) on the per-router reference engine.
 
-use crate::activeset::ActiveSet;
 use crate::channel::Channel;
 use crate::config::NetworkConfig;
 use crate::interconnect::Interconnect;
 use crate::packet::{EjectedPacket, Packet, PacketHeader};
-use crate::router::{RouteCtx, Router, RouterOutputs};
+use crate::router::{RouteCtx, Router};
 use crate::routing::{self};
 use crate::stats::NetStats;
 use crate::telemetry::{NetTelemetry, TelemetryConfig, TelemetryReport};
@@ -45,16 +44,6 @@ pub struct Network {
     stats: NetStats,
     rng: SmallRng,
     next_pkt_id: u64,
-    scratch: RouterOutputs,
-    /// Nodes with (possible) work this cycle. Nodes are woken by flit
-    /// arrival, credit return, or NI injection, and retired when provably
-    /// idle; see [`Network::node_idle`].
-    active: ActiveSet,
-    /// Compatibility mode: step every node every cycle (the pre-scheduler
-    /// behavior) instead of only the active set.
-    full_sweep: bool,
-    /// Router `step` invocations since construction (scheduler telemetry).
-    routers_stepped: u64,
     /// Observability instruments (link counters, occupancy integrals, the
     /// flight recorder). `None` — the default — keeps every hot path free
     /// of telemetry work: no allocations, no RNG draws, no branches beyond
@@ -101,30 +90,9 @@ impl Network {
             stats: NetStats::new(n),
             rng: SmallRng::seed_from_u64(cfg.seed),
             next_pkt_id: 1,
-            scratch: RouterOutputs::default(),
-            active: ActiveSet::all(n),
-            full_sweep: false,
-            routers_stepped: 0,
             telemetry: None,
             cfg,
         }
-    }
-
-    /// Forces the pre-scheduler full sweep: every node is stepped every
-    /// cycle regardless of the active set. Wake events are still recorded,
-    /// so the mode can be toggled mid-run without losing nodes.
-    pub fn set_full_sweep(&mut self, on: bool) {
-        self.full_sweep = on;
-    }
-
-    /// Number of nodes currently in the active set.
-    pub fn active_routers(&self) -> usize {
-        self.active.count()
-    }
-
-    /// Total router `step` invocations since construction.
-    pub fn routers_stepped(&self) -> u64 {
-        self.routers_stepped
     }
 
     /// The network's configuration.
@@ -177,10 +145,6 @@ impl Network {
     /// Delivery phase for one node, receiver-centric: pops this node's due
     /// incoming flits (from each neighbor's channel toward it) and due
     /// returning credits (from its own outgoing channels).
-    ///
-    /// Every channel FIFO is drained by exactly one receiver, so visiting
-    /// receivers in any order yields the same post-phase state as the old
-    /// sender-ordered collect-then-apply sweep.
     fn deliver_node(&mut self, node: NodeId, now: u64) {
         for dir in Direction::ALL {
             let Some(neighbor) = self.cfg.mesh.neighbor(node, dir) else { continue };
@@ -197,9 +161,7 @@ impl Network {
         }
     }
 
-    /// Returns due ejection-buffer credits to their routers. Global (not
-    /// per-node): a retired router can safely absorb a credit — with no
-    /// buffered flits the credit cannot enable work.
+    /// Returns due ejection-buffer credits to their routers.
     fn return_eject_credits(&mut self, now: u64) {
         while let Some(&(due, node, out_port, vc)) = self.eject_credits.front() {
             if due > now {
@@ -211,30 +173,19 @@ impl Network {
     }
 
     /// Router phase for one node: runs the pipeline and routes emitted
-    /// flits/credits onto channels, waking the receiving nodes.
+    /// flits/credits onto channels.
     fn step_router_node(&mut self, node: NodeId, now: u64) {
-        self.routers_stepped += 1;
         let timing = self.routers[node].timing();
         let flit_delay = timing.st_delay + self.cfg.link_latency as u64 + 1;
-        self.scratch.clear();
-        {
-            let ctx =
-                RouteCtx { mesh: &self.cfg.mesh, routing: self.cfg.routing, layout: self.cfg.vcs };
-            self.routers[node].step(now, &ctx, &mut self.scratch);
-        }
-        for i in 0..self.scratch.flits.len() {
-            let (out_port, vc, flit) = self.scratch.flits[i];
+        let ctx =
+            RouteCtx { mesh: &self.cfg.mesh, routing: self.cfg.routing, layout: self.cfg.vcs };
+        let out = self.routers[node].step(now, &ctx);
+        for (out_port, vc, flit) in out.flits {
             if let Some(t) = &mut self.telemetry {
                 t.record_grant(&flit.hdr, flit.seq, node, out_port, vc, now);
             }
             if out_port < 4 {
                 self.channels[node * 4 + out_port].push_flit(now + flit_delay, vc, flit);
-                let neighbor = self
-                    .cfg
-                    .mesh
-                    .neighbor(node, Direction::from_index(out_port))
-                    .expect("router checked the direction exists");
-                self.active.insert(neighbor);
             } else {
                 // Ejection: the sink consumes immediately and returns
                 // the buffer credit next cycle.
@@ -250,110 +201,41 @@ impl Network {
                 }
             }
         }
-        for i in 0..self.scratch.credits.len() {
-            let (in_dir, vc) = self.scratch.credits[i];
+        for (in_dir, vc) in out.credits {
             let upstream = self
                 .cfg
                 .mesh
                 .neighbor(node, in_dir)
                 .expect("credit for a direction port implies a neighbor");
             self.channels[upstream * 4 + in_dir.opposite().index()].push_credit(now + 1, vc);
-            self.active.insert(upstream);
         }
-    }
-
-    /// `true` when the node can do nothing this cycle or any future cycle
-    /// without a new wake event: its router buffers are empty, no NI
-    /// stream is in flight, no flit is inbound on any incoming channel,
-    /// and no credit is returning on any outgoing channel.
-    fn node_idle(&self, node: NodeId) -> bool {
-        if !self.routers[node].is_idle() {
-            return false;
-        }
-        if self.ni[node].iter().any(Option::is_some) {
-            return false;
-        }
-        for dir in Direction::ALL {
-            let Some(neighbor) = self.cfg.mesh.neighbor(node, dir) else { continue };
-            if self.channels[neighbor * 4 + dir.opposite().index()].flits_in_flight() > 0 {
-                return false;
-            }
-            if self.channels[node * 4 + dir.index()].credits_in_flight() > 0 {
-                return false;
-            }
-        }
-        true
     }
 }
 
 impl Tick for Network {
+    /// One cycle, every phase over every node in node order: delivery,
+    /// ejection-credit return, NI streaming, then the router pipelines.
     fn tick(&mut self) {
         let now = self.cycle;
-        if self.full_sweep {
-            for node in 0..self.cfg.mesh.len() {
-                self.deliver_node(node, now);
-            }
-            self.return_eject_credits(now);
-            for node in 0..self.cfg.mesh.len() {
-                self.stream_ni_node(node, now);
-            }
-            for node in 0..self.cfg.mesh.len() {
-                self.step_router_node(node, now);
-            }
-        } else {
-            // Ascending active-node order: identical visit order to the
-            // full sweep, minus nodes whose visit would be a no-op.
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                self.deliver_node(node, now);
-                i = node + 1;
-            }
-            self.return_eject_credits(now);
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                self.stream_ni_node(node, now);
-                i = node + 1;
-            }
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                self.step_router_node(node, now);
-                i = node + 1;
-            }
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                if self.node_idle(node) {
-                    self.active.remove(node);
-                }
-                i = node + 1;
-            }
+        let n = self.cfg.mesh.len();
+        for node in 0..n {
+            self.deliver_node(node, now);
         }
-        if self.telemetry.is_some() {
-            self.sample_occupancy();
+        self.return_eject_credits(now);
+        for node in 0..n {
+            self.stream_ni_node(node, now);
+        }
+        for node in 0..n {
+            self.step_router_node(node, now);
+        }
+        if let Some(t) = &mut self.telemetry {
+            for (node, router) in self.routers.iter().enumerate() {
+                t.add_occupancy_sample(node, router.occupancy() as u64);
+            }
+            t.tick_occupancy();
         }
         self.stats.cycles += 1;
         self.cycle += 1;
-    }
-}
-
-impl Network {
-    /// Telemetry: accumulates this cycle's buffered-flit count per router.
-    /// Nodes outside the active set are provably idle (empty buffers, see
-    /// [`Network::node_idle`]), so sampling only active nodes is exact in
-    /// scheduler mode; the full sweep samples everyone.
-    fn sample_occupancy(&mut self) {
-        let t = self.telemetry.as_mut().expect("caller checked");
-        if self.full_sweep {
-            for node in 0..self.routers.len() {
-                t.add_occupancy_sample(node, self.routers[node].occupancy() as u64);
-            }
-        } else {
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                t.add_occupancy_sample(node, self.routers[node].occupancy() as u64);
-                i = node + 1;
-            }
-        }
-        t.tick_occupancy();
     }
 }
 
@@ -384,7 +266,6 @@ impl Interconnect for Network {
         }
         self.stats.injected_flits_by_node[node] += hdr.flits as u64;
         self.ni[node][port] = Some(NiPacket { hdr: *hdr, next_seq: 0, vc: None });
-        self.active.insert(node);
         Ok(())
     }
 
@@ -451,7 +332,7 @@ mod tests {
 
     fn run_until_delivered(net: &mut Network, dst: NodeId, max: u64) -> EjectedPacket {
         for _ in 0..max {
-            net.step();
+            net.tick();
             if let Some(p) = net.pop(dst) {
                 return p;
             }
@@ -539,7 +420,7 @@ mod tests {
         }
         let mut got = 0u64;
         for _ in 0..2000 {
-            net.step();
+            net.tick();
             for &mc in &mcs {
                 while let Some(p) = net.pop(mc) {
                     assert_eq!(p.header.tag, p.header.src as u64);
@@ -564,7 +445,7 @@ mod tests {
         }
         let mut got = 0;
         for _ in 0..3000 {
-            net.step();
+            net.tick();
             for &core in &cores {
                 while net.pop(core).is_some() {
                     got += 1;
@@ -604,7 +485,7 @@ mod tests {
         let mut delivered = 0;
         for _ in 0..5000 {
             pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
+            net.tick();
             while let Some(p) = net.pop(dst) {
                 assert_eq!(p.header.tag, p.header.src as u64);
                 delivered += 1;
@@ -625,7 +506,7 @@ mod tests {
         // 0 -> 3: three eastward hops along row 0, one flit.
         net.try_inject(0, Packet::request(0, 3, 8, 0)).unwrap();
         for _ in 0..100 {
-            net.step();
+            net.tick();
         }
         net.pop(3).expect("delivered");
         let loads = net.link_loads();
@@ -647,7 +528,7 @@ mod tests {
         net.try_inject(0, Packet::request(0, 2, 8, 0)).unwrap();
         net.try_inject(14, Packet::reply(14, 20, 64, 0)).unwrap();
         for _ in 0..200 {
-            net.step();
+            net.tick();
         }
         net.pop(2).unwrap();
         net.pop(20).unwrap();
@@ -670,7 +551,7 @@ mod tests {
         ];
         for _ in 0..1000 {
             pending.retain(|&p| net.try_inject(0, p).is_err());
-            net.step();
+            net.tick();
             while let Some(p) = net.pop(4) {
                 delivered.push(p.header.tag);
             }
@@ -689,7 +570,7 @@ mod tests {
         // 0 -> 3: three eastward hops along row 0, one flit.
         net.try_inject(0, Packet::request(0, 3, 8, 0)).unwrap();
         for _ in 0..100 {
-            net.step();
+            net.tick();
         }
         net.pop(3).expect("delivered");
         let report = net.telemetry_reports().pop().expect("telemetry armed");
@@ -743,7 +624,7 @@ mod tests {
                     .unwrap();
             }
             for _ in 0..500 {
-                net.step();
+                net.tick();
             }
             let mut s = net.stats();
             s.hist = None; // the only intended divergence
@@ -764,7 +645,7 @@ mod tests {
         net.try_inject(0, Packet::request(0, 3, 8, 7)).unwrap(); // matches (dst 3)
         net.try_inject(30, Packet::request(30, 35, 8, 8)).unwrap(); // unrelated
         for _ in 0..100 {
-            net.step();
+            net.tick();
         }
         let report = net.telemetry_reports().pop().unwrap();
         assert!(!report.flight.is_empty());

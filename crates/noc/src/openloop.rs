@@ -216,7 +216,7 @@ impl ProbeCore {
     }
 
     /// One cycle: generate, drain source queues, service MCs, consume
-    /// replies, step the network.
+    /// replies, tick the network.
     fn tick(&mut self, cfg: &OpenLoopConfig, net: &mut dyn Interconnect) {
         let now = self.now;
         // Generate new requests at the compute nodes.
@@ -292,7 +292,7 @@ impl ProbeCore {
                 }
             }
         }
-        net.step();
+        net.tick();
         self.now += 1;
     }
 

@@ -52,30 +52,6 @@ pub(crate) struct RouterOutputs {
     pub credits: Vec<(Direction, u8)>,
 }
 
-impl RouterOutputs {
-    /// Clears both lists, retaining capacity.
-    pub fn clear(&mut self) {
-        self.flits.clear();
-        self.credits.clear();
-    }
-}
-
-/// Reusable per-`step` scratch space.
-///
-/// The allocation stages need short-lived request/grant lists every cycle;
-/// keeping them here (and moving them out with [`std::mem::take`] while a
-/// stage runs) makes the steady-state router step allocation-free once the
-/// lists have grown to their high-water capacity.
-#[derive(Clone, Debug, Default)]
-struct Scratch {
-    /// VA requests: `(out_port, out_vc, in_port, in_vc)`.
-    va_requests: Vec<(usize, u8, usize, u8)>,
-    /// Contenders for one output VC during VA output arbitration.
-    va_contenders: Vec<(usize, u8)>,
-    /// SA nominees, one slot per input port.
-    sa_nominee: Vec<Option<(u8, usize, u8)>>,
-}
-
 /// One mesh router.
 #[derive(Clone, Debug)]
 pub struct Router {
@@ -101,8 +77,6 @@ pub struct Router {
     sa_out_arb: Vec<RoundRobin>,
     /// Whether a neighbor exists per direction.
     dir_exists: [bool; 4],
-    /// Reusable per-cycle temporaries for the allocation stages.
-    scratch: Scratch,
 }
 
 impl Router {
@@ -143,11 +117,6 @@ impl Router {
             sa_in_arb: (0..n_in).map(|_| RoundRobin::new(num_vcs)).collect(),
             sa_out_arb: (0..n_out).map(|_| RoundRobin::new(n_in)).collect(),
             dir_exists,
-            scratch: Scratch {
-                va_requests: Vec::with_capacity(n_in * num_vcs),
-                va_contenders: Vec::with_capacity(n_in * num_vcs),
-                sa_nominee: vec![None; n_in],
-            },
         }
     }
 
@@ -164,18 +133,6 @@ impl Router {
     /// Total flits buffered in all input units (used by drain detection).
     pub fn occupancy(&self) -> usize {
         self.inputs.iter().map(InputUnit::occupancy).sum()
-    }
-
-    /// `true` when a `step` would be a no-op: no input VC holds a flit.
-    ///
-    /// With empty FIFOs every pipeline stage bails out before touching an
-    /// arbiter pointer or a VC state, so an idle router's step has no
-    /// observable effect and the network may skip it outright. A VC may
-    /// still be mid-packet (`Active` with its body flits in flight
-    /// upstream), but such a VC does nothing until the next flit arrives —
-    /// and that arrival re-wakes the router.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.occupancy() == 0
     }
 
     /// Delivers a flit to input `in_port`, VC `vc`, arriving at `now`.
@@ -202,12 +159,12 @@ impl Router {
         );
     }
 
-    /// Runs one cycle of the router pipeline, appending emitted flits and
-    /// credits to `out`.
-    pub fn step(&mut self, now: u64, ctx: &RouteCtx<'_>, out: &mut RouterOutputs) {
+    /// Runs one cycle of the router pipeline and returns the flits and
+    /// credits it emitted.
+    pub(crate) fn step(&mut self, now: u64, ctx: &RouteCtx<'_>) -> RouterOutputs {
         self.route_compute(now, ctx);
         self.vc_allocate(now);
-        self.switch_allocate(now, out);
+        self.switch_allocate(now)
     }
 
     /// RC stage: idle VCs with a head flit at the front get a route.
@@ -270,9 +227,7 @@ impl Router {
     fn vc_allocate(&mut self, now: u64) {
         // Gather one (out_port, out_vc) request per eligible waiting VC.
         // requests[i] = (out_port, out_vc, in_port, vc)
-        let mut requests = std::mem::take(&mut self.scratch.va_requests);
-        let mut contenders = std::mem::take(&mut self.scratch.va_contenders);
-        requests.clear();
+        let mut requests = Vec::new();
         for in_port in 0..self.inputs.len() {
             for vc in 0..self.num_vcs {
                 let ivc = self.inputs[in_port].vc(vc as u8);
@@ -292,13 +247,11 @@ impl Router {
         while i < requests.len() {
             let (op, ovc, _, _) = requests[i];
             // Collect the contenders for this output VC.
-            contenders.clear();
-            contenders.extend(
-                requests
-                    .iter()
-                    .filter(|&&(o, v, _, _)| o == op && v == ovc)
-                    .map(|&(_, _, ip, iv)| (ip, iv)),
-            );
+            let contenders: Vec<(usize, u8)> = requests
+                .iter()
+                .filter(|&&(o, v, _, _)| o == op && v == ovc)
+                .map(|&(_, _, ip, iv)| (ip, iv))
+                .collect();
             let arb = &mut self.va_arb[op][ovc as usize];
             let winner_flat = arb
                 .pick(|flat| {
@@ -318,8 +271,6 @@ impl Router {
             // Restart scanning (simplest; request lists are tiny).
             i = 0;
         }
-        self.scratch.va_requests = requests;
-        self.scratch.va_contenders = contenders;
     }
 
     /// Picks one candidate downstream VC for a waiting input VC, rotating
@@ -356,11 +307,11 @@ impl Router {
 
     /// SA stage, separable input-first (iSLIP): one flit per input port,
     /// one flit per output port.
-    fn switch_allocate(&mut self, now: u64, out: &mut RouterOutputs) {
+    fn switch_allocate(&mut self, now: u64) -> RouterOutputs {
+        let mut out = RouterOutputs::default();
         let n_out = self.credits.len();
         // Phase 1: each input port nominates one VC (in_vc, out_port, out_vc).
-        let mut nominee = std::mem::take(&mut self.scratch.sa_nominee);
-        nominee.iter_mut().for_each(|slot| *slot = None);
+        let mut nominee = vec![None; self.inputs.len()];
         for (in_port, slot) in nominee.iter_mut().enumerate() {
             let pick = self.sa_in_arb[in_port].peek(|vc| self.sa_ready(in_port, vc as u8, now));
             if let Some(vc) = pick {
@@ -380,9 +331,9 @@ impl Router {
             // Accept: advance both pointers (iSLIP), move the flit.
             self.sa_out_arb[op].advance_past(ip);
             self.sa_in_arb[ip].advance_past(vc as usize);
-            self.commit_grant(ip, vc, op, out_vc, out);
+            self.commit_grant(ip, vc, op, out_vc, &mut out);
         }
-        self.scratch.sa_nominee = nominee;
+        out
     }
 
     /// `true` if input VC `(in_port, vc)` may compete for the switch at
@@ -455,13 +406,12 @@ mod tests {
         let dst = mesh.node(crate::types::Coord::new(3, 1));
         let mut r = make_router(node, &mesh, 4);
         let c = ctx(&mesh);
-        let mut out = RouterOutputs::default();
         r.accept_flit(4, 0, head_flit(node, dst), 10);
         for now in 10..=11 {
-            r.step(now, &c, &mut out);
+            let out = r.step(now, &c);
             assert!(out.flits.is_empty(), "flit must not depart at cycle {now}");
         }
-        r.step(12, &c, &mut out);
+        let out = r.step(12, &c);
         assert_eq!(out.flits.len(), 1);
         let (op, _, f) = out.flits[0];
         assert_eq!(op, Direction::East.index());
@@ -476,9 +426,8 @@ mod tests {
         let dst = mesh.node(crate::types::Coord::new(1, 3));
         let mut r = make_router(node, &mesh, 1);
         let c = ctx(&mesh);
-        let mut out = RouterOutputs::default();
         r.accept_flit(4, 0, head_flit(node, dst), 5);
-        r.step(5, &c, &mut out);
+        let out = r.step(5, &c);
         assert_eq!(out.flits.len(), 1);
         assert_eq!(out.flits[0].0, Direction::South.index());
     }
@@ -490,9 +439,8 @@ mod tests {
         let node = mesh.node(crate::types::Coord::new(2, 2));
         let mut r = make_router(node, &mesh, 1);
         let c = ctx(&mesh);
-        let mut out = RouterOutputs::default();
         r.accept_flit(0, 0, head_flit(5, node), 3);
-        r.step(3, &c, &mut out);
+        let out = r.step(3, &c);
         assert_eq!(out.flits.len(), 1);
         assert_eq!(out.flits[0].0, 4, "ejection port index");
         // A credit is returned upstream for the consumed direction-port slot.
@@ -511,14 +459,13 @@ mod tests {
         // VC 0).
         r.credits[Direction::East.index()] = vec![0, 0];
         let c = ctx(&mesh);
-        let mut out = RouterOutputs::default();
         r.accept_flit(4, 0, head_flit(node, dst), 1);
         for now in 1..5 {
-            r.step(now, &c, &mut out);
+            let out = r.step(now, &c);
             assert!(out.flits.is_empty());
         }
         r.accept_credit(Direction::East.index(), 0);
-        r.step(5, &c, &mut out);
+        let out = r.step(5, &c);
         assert_eq!(out.flits.len(), 1);
     }
 
@@ -530,7 +477,6 @@ mod tests {
         let dst = mesh.node(crate::types::Coord::new(3, 1)); // east of node
         let mut r = make_router(node, &mesh, 1);
         let c = ctx(&mesh);
-        let mut out = RouterOutputs::default();
         // Multi-flit packets from the injection port and the west input,
         // both heading east. Give them distinct ids.
         let mk = |id: u64, flits: u16| {
@@ -547,8 +493,7 @@ mod tests {
         }
         let mut sent = Vec::new();
         for now in 0..20 {
-            out.clear();
-            r.step(now, &c, &mut out);
+            let out = r.step(now, &c);
             for &(op, _, f) in &out.flits {
                 assert_eq!(op, Direction::East.index());
                 sent.push(f.hdr.id);
@@ -572,12 +517,12 @@ mod tests {
         assert!(mesh.is_half(node));
         let mut r = make_router(node, &mesh, 3);
         let c = ctx(&mesh); // DOR XY — will try to turn at this half-router
-        let mut out = RouterOutputs::default();
+
         // Flit entering from the west, destined below the router: XY says
         // turn south here, which a half-router cannot do.
         let dst = mesh.node(crate::types::Coord::new(1, 3));
         r.accept_flit(Direction::West.index(), 0, head_flit(0, dst), 0);
-        r.step(0, &c, &mut out);
+        r.step(0, &c);
     }
 
     /// Credit accounting round-trips: after a flit departs, returning the
@@ -589,9 +534,8 @@ mod tests {
         let dst = mesh.node(crate::types::Coord::new(3, 1));
         let mut r = make_router(node, &mesh, 1);
         let c = ctx(&mesh);
-        let mut out = RouterOutputs::default();
         r.accept_flit(4, 0, head_flit(node, dst), 0);
-        r.step(0, &c, &mut out);
+        r.step(0, &c);
         assert_eq!(r.credits[Direction::East.index()][0], 7);
         r.accept_credit(Direction::East.index(), 0);
         assert_eq!(r.credits[Direction::East.index()][0], 8);
@@ -616,7 +560,6 @@ mod tests {
             dir_exists,
         );
         let c = ctx(&mesh);
-        let mut out = RouterOutputs::default();
         let mut ports_used = std::collections::HashSet::new();
         for id in 0..4u64 {
             let mut p = Packet::request(0, node, 8, 0);
@@ -628,8 +571,7 @@ mod tests {
                 Flit { hdr: p.header, seq: 0 },
                 id,
             );
-            out.clear();
-            r.step(id, &c, &mut out);
+            let out = r.step(id, &c);
             for &(op, _, _) in &out.flits {
                 assert!(op == 4 || op == 5, "must leave via an eject port");
                 ports_used.insert(op);
@@ -637,8 +579,7 @@ mod tests {
         }
         // Drain remaining cycles.
         for now in 4..10 {
-            out.clear();
-            r.step(now, &c, &mut out);
+            let out = r.step(now, &c);
             for &(op, _, _) in &out.flits {
                 ports_used.insert(op);
             }

@@ -411,7 +411,7 @@ impl TelemetryReport {
     ///
     /// Never panics: the report is plain data.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report is plain data")
+        self.to_value().to_json_pretty()
     }
 }
 
@@ -547,7 +547,8 @@ mod tests {
             }],
             flight_dropped: 0,
         };
-        let back: TelemetryReport = serde_json::from_str(&report.to_json()).unwrap();
+        let back =
+            TelemetryReport::from_value(&serde::json::parse(&report.to_json()).unwrap()).unwrap();
         assert_eq!(back, report);
     }
 }

@@ -648,7 +648,7 @@ mod tests {
         // canonical-hash stability); other fabrics append keys.
         let m = Topology::checkerboard(2);
         assert_eq!(
-            serde_json::to_string(&m).unwrap(),
+            m.to_value().to_json_compact(),
             r#"{"k":2,"kinds":["Full","Half","Half","Full"]}"#
         );
         let fabrics = [
@@ -661,9 +661,9 @@ mod tests {
             let back = Topology::from_value(&t.to_value()).unwrap();
             assert_eq!(back, t);
         }
-        let torus = serde_json::to_string(&Topology::torus(2)).unwrap();
+        let torus = Topology::torus(2).to_value().to_json_compact();
         assert!(torus.contains(r#""fabric":"torus""#), "{torus}");
-        let cm = serde_json::to_string(&Topology::cmesh(2, 3)).unwrap();
+        let cm = Topology::cmesh(2, 3).to_value().to_json_compact();
         assert!(cm.contains(r#""fabric":"cmesh""#) && cm.contains(r#""conc":3"#), "{cm}");
     }
 }

@@ -5,6 +5,9 @@
 //! fed the exact same traffic — same ejection sequence, same flits in
 //! flight after every tick, same cycle count, same [`NetStats`], and,
 //! when telemetry is armed, the same [`TelemetryReport`] field for field.
+//! Each run drains the network and then offers a burst into it: the
+//! oracle steps every router every cycle, so any router the arena puts
+//! to sleep too early, or fails to wake, shows up as a diverged trace.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -82,12 +85,18 @@ fn telemetry_cfg() -> impl Strategy<Value = TelemetryConfig> {
 
 /// Deterministic many-to-few traffic: core→MC requests and MC→core
 /// replies (legal under every routing kind, including checkerboard's
-/// placement restrictions). Returns this cycle's injection attempts.
-fn offered(cfg: &NetworkConfig, rng: &mut SmallRng, tag: &mut u64) -> Vec<(usize, Packet)> {
+/// placement restrictions), two attempts per cycle each made with
+/// probability `rate`. Returns this cycle's injection attempts.
+fn offered(
+    cfg: &NetworkConfig,
+    rng: &mut SmallRng,
+    rate: f64,
+    tag: &mut u64,
+) -> Vec<(usize, Packet)> {
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !cfg.mc_nodes.contains(n)).collect();
     let mut out = Vec::new();
     for _ in 0..2 {
-        if rng.gen_bool(0.4) {
+        if rng.gen_bool(rate) {
             let t = *tag;
             *tag += 1;
             let core = cores[rng.gen_range(0..cores.len())];
@@ -107,64 +116,113 @@ fn offered(cfg: &NetworkConfig, rng: &mut SmallRng, tag: &mut u64) -> Vec<(usize
 /// flight after each tick, the final statistics and telemetry reports.
 type Observed = (Vec<Ejection>, Vec<usize>, NetStats, Vec<TelemetryReport>);
 
-/// Runs `cycles` of the offered traffic through one engine (telemetry
-/// armed first if asked), recording every ejection and the in-flight
-/// count after every tick.
+/// Cycles of offered traffic before the first drain.
+const OFFERED: u64 = 100;
+/// Cycles of offered traffic in the burst into the drained network.
+const BURST: u64 = 8;
+/// Ticks a drain may take before the run fails.
+const DRAIN_CAP: u64 = 2_000;
+
+/// One engine under test, recording what it shows after every tick.
+struct Run<N> {
+    net: N,
+    trace: Vec<Ejection>,
+    in_flight: Vec<usize>,
+}
+
+impl<N: Interconnect> Run<N> {
+    fn tick(&mut self, nodes: usize) {
+        self.net.tick();
+        self.in_flight.push(self.net.in_flight());
+        let cycle = self.net.cycle();
+        for node in 0..nodes {
+            while let Some(e) = self.net.pop(node) {
+                self.trace.push((cycle, node, e.header.id, e.header.tag));
+            }
+        }
+    }
+
+    /// Ticks until nothing is buffered, streaming or on a wire.
+    fn drain(&mut self, nodes: usize) {
+        let start = self.net.cycle();
+        while self.net.in_flight() > 0 {
+            assert!(
+                self.net.cycle() - start < DRAIN_CAP,
+                "{} flits still in flight {DRAIN_CAP} cycles into a drain",
+                self.net.in_flight()
+            );
+            self.tick(nodes);
+        }
+    }
+}
+
+/// Runs one engine (telemetry armed first if asked) through
+/// phases: [`OFFERED`] cycles of traffic at `rate`, a drain, a pause of
+/// `gap` idle cycles, a [`BURST`] of traffic into the drained network,
+/// and a final drain. Records every ejection and the in-flight count
+/// after every tick.
 fn drive<N: Interconnect>(
     mut net: N,
     cfg: &NetworkConfig,
     traffic_seed: u64,
-    cycles: u64,
+    rate: f64,
+    gap: u64,
     telemetry: Option<TelemetryConfig>,
 ) -> Observed {
     if let Some(tcfg) = telemetry {
         net.enable_telemetry(tcfg);
     }
+    let nodes = cfg.mesh.len();
     let mut rng = SmallRng::seed_from_u64(traffic_seed);
     let mut tag = 0u64;
-    let mut trace = Vec::new();
-    let mut in_flight = Vec::with_capacity(cycles as usize);
-    for c in 0..cycles {
-        for (src, p) in offered(cfg, &mut rng, &mut tag) {
-            let _ = net.try_inject(src, p);
-        }
-        net.tick();
-        in_flight.push(net.in_flight());
-        for node in 0..cfg.mesh.len() {
-            while let Some(e) = net.pop(node) {
-                trace.push((c, node, e.header.id, e.header.tag));
+    let mut run = Run { net, trace: Vec::new(), in_flight: Vec::new() };
+    let mut offer = |run: &mut Run<N>, cycles: u64| {
+        for _ in 0..cycles {
+            for (src, p) in offered(cfg, &mut rng, rate, &mut tag) {
+                let _ = run.net.try_inject(src, p);
             }
+            run.tick(nodes);
         }
+    };
+    offer(&mut run, OFFERED);
+    run.drain(nodes);
+    for _ in 0..gap {
+        run.tick(nodes);
     }
-    (trace, in_flight, net.stats(), net.telemetry_reports())
+    offer(&mut run, BURST);
+    run.drain(nodes);
+    (run.trace, run.in_flight, run.net.stats(), run.net.telemetry_reports())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-    // Random legal configs and traffic seeds: the arena ejects the same
-    // packets at the same cycles, holds the same flits in flight after
-    // every tick, and ends with the same statistics as the oracle fed
-    // identical traffic — unarmed, and with telemetry armed, where the
-    // two reports (histograms, per-VC link counts, heatmap, occupancies,
-    // flight events in recorded order, drop count) must also be equal.
+    // Random legal configs, offered rates and traffic seeds: over the
+    // offered window, the drain, the burst into the drained network and
+    // the final drain, the arena ejects the same packets at the same
+    // cycles, holds the same flits in flight after every tick, and ends
+    // with the same statistics as the oracle fed identical traffic —
+    // unarmed, and with telemetry armed, where the two reports
+    // (histograms, per-VC link counts, heatmap, occupancies, flight
+    // events in recorded order, drop count) must also be equal.
     #[test]
     fn arena_matches_the_oracle(
         cfg in legal_cfg(),
         traffic_seed in any::<u64>(),
+        rate in 0.05f64..0.6,
+        gap in 0u64..16,
         telemetry in prop::option::of(telemetry_cfg()),
     ) {
         prop_assert!(cfg.validate().is_ok() && ArenaNetwork::supports(&cfg));
-        let cycles = 100u64;
         let (oracle_trace, oracle_in_flight, oracle_stats, oracle_reports) =
-            drive(Network::new(cfg.clone()), &cfg, traffic_seed, cycles, telemetry);
+            drive(Network::new(cfg.clone()), &cfg, traffic_seed, rate, gap, telemetry);
         let (arena_trace, arena_in_flight, arena_stats, arena_reports) =
-            drive(ArenaNetwork::new(cfg.clone()), &cfg, traffic_seed, cycles, telemetry);
+            drive(ArenaNetwork::new(cfg.clone()), &cfg, traffic_seed, rate, gap, telemetry);
         prop_assert_eq!(arena_reports.len(), usize::from(telemetry.is_some()));
         prop_assert_eq!(arena_reports, oracle_reports, "telemetry reports diverged");
         prop_assert!(!oracle_trace.is_empty(), "the random traffic should exercise the fabric");
         prop_assert_eq!(arena_trace, oracle_trace, "ejection trace diverged");
         prop_assert_eq!(arena_in_flight, oracle_in_flight, "in-flight counts diverged");
-        prop_assert_eq!(arena_stats.cycles, cycles);
+        prop_assert_eq!(oracle_in_flight.last(), Some(&0), "both runs end drained");
         prop_assert_eq!(arena_stats, oracle_stats, "NetStats diverged");
     }
 }

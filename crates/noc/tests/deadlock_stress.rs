@@ -34,7 +34,7 @@ fn stress(mut net: Box<dyn Interconnect>, cfg: &NetworkConfig, packets: usize, s
     let mut cycle = 0u64;
     while delivered < packets {
         pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-        net.step();
+        net.tick();
         cycle += 1;
         for node in 0..cfg.mesh.len() {
             while net.pop(node).is_some() {

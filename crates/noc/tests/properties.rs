@@ -1,12 +1,14 @@
-//! Property-based tests of the NoC: routing legality/minimality, and
-//! end-to-end delivery with payload integrity under random traffic.
+//! Property-based tests of the NoC: routing legality/minimality,
+//! end-to-end delivery with payload integrity under random traffic, and
+//! the injection-time stamps every interconnect sets.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tenoc_noc::routing::{plan_injection, plan_options, trace_path};
 use tenoc_noc::{
-    build_mesh, Coord, Mesh, NetworkConfig, Packet, PacketClass, Phase, RoutingKind, VcLayout,
+    build_mesh, ArenaNetwork, BandwidthLimitedInterconnect, Coord, Interconnect, Mesh, Network,
+    NetworkConfig, Packet, PacketClass, PacketHeader, Phase, RoutingKind, VcLayout,
 };
 
 // Checkerboard routes between all legal endpoint pairs are minimal and
@@ -124,7 +126,7 @@ proptest! {
         let mut got = std::collections::HashMap::new();
         for _ in 0..20_000 {
             pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
+            net.tick();
             for node in 0..36 {
                 while let Some(out) = net.pop(node) {
                     prop_assert_eq!(out.header.dst, node);
@@ -162,7 +164,7 @@ proptest! {
             .collect();
         for _ in 0..20_000 {
             pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
+            net.tick();
             for node in 0..36 {
                 while net.pop(node).is_some() {}
             }
@@ -496,4 +498,44 @@ fn known_unroutable_pair() {
     // Same row: always routable even between full routers.
     let mut rng = SmallRng::seed_from_u64(0);
     assert!(plan_injection(RoutingKind::Checkerboard, &mesh, src, dst, &mut rng).is_ok());
+}
+
+// Regression for the `created == 0` sentinel bug: a packet genuinely
+// created at cycle 0 that waits in a source queue must keep its stamp, so
+// total latency includes the queueing delay. Only `CREATED_UNSET` packets
+// are stamped at injection time — on both cycle engines and on the ideal
+// network, which each carry their own copy of the stamp.
+#[test]
+fn packet_created_at_cycle_zero_is_not_restamped() {
+    let cfg = NetworkConfig::baseline_mesh(4);
+    let engines: [(&str, Box<dyn Interconnect>); 3] = [
+        ("oracle", Box::new(Network::new(cfg.clone()))),
+        ("arena", Box::new(ArenaNetwork::new(cfg.clone()))),
+        ("ideal", Box::new(BandwidthLimitedInterconnect::new(cfg.mesh.len(), 16, 4.0))),
+    ];
+    for (name, mut net) in engines {
+        net.tick_n(5);
+
+        let mut queued = Packet::request(0, 5, 8, 7);
+        assert_eq!(queued.header.created, PacketHeader::CREATED_UNSET);
+        queued.header.created = 0;
+        net.try_inject(0, queued).unwrap();
+
+        let fresh_at = net.cycle();
+        net.try_inject(1, Packet::request(1, 5, 8, 8)).unwrap();
+
+        let mut seen = Vec::new();
+        while seen.len() < 2 {
+            net.tick();
+            while let Some(e) = net.pop(5) {
+                seen.push(e);
+            }
+            assert!(net.cycle() < 1_000, "{name}: packets not delivered");
+        }
+        let queued_out = seen.iter().find(|e| e.header.tag == 7).unwrap();
+        let fresh_out = seen.iter().find(|e| e.header.tag == 8).unwrap();
+        assert_eq!(queued_out.header.created, 0, "{name}");
+        assert!(queued_out.total_latency() >= 5 + queued_out.network_latency(), "{name}");
+        assert_eq!(fresh_out.header.created, fresh_at, "{name}");
+    }
 }

@@ -598,7 +598,7 @@ mod tests {
     fn per_line(cell: &SweepCell) -> String {
         let CachedCell { class, metrics } = made_up();
         let record = annotate(&CellResult { cell: cell.clone(), class, metrics, wall_nanos: 0 });
-        serde_json::to_string(&record).unwrap() + "\n"
+        record.to_value().to_json_compact() + "\n"
     }
 
     fn next_write(rx: &Receiver<Vec<u8>>) -> String {

@@ -245,7 +245,7 @@ impl TuneReport {
     ///
     /// Never panics: the report is plain data.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report is plain data")
+        self.to_value().to_json_pretty()
     }
 
     /// Whether any frontier point resolves to the given preset label.

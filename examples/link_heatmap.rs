@@ -26,7 +26,7 @@ fn drive(cfg: &NetworkConfig, rate: f64, cycles: u64) -> Box<dyn Interconnect> {
             }
         }
         backlog.retain(|&p| net.try_inject(p.header.src, p).is_err());
-        net.step();
+        net.tick();
         for &mc in &mcs {
             while let Some(req) = net.pop(mc) {
                 backlog.push(Packet::reply(mc, req.header.src, 64, 0));

@@ -352,7 +352,7 @@ fn cmd_run(flags: &Flags, scale: f64) -> CmdResult {
             "{{\"benchmark\":\"{}\",\"preset\":\"{}\",\"metrics\":{}}}",
             spec.name,
             preset.label(),
-            serde_json::to_string(&m).expect("metrics are plain data")
+            m.to_value().to_json_compact()
         );
     } else {
         println!(

@@ -11,7 +11,8 @@
 //!
 //! And every inline backticked repository path in those docs — one that
 //! starts `crates/`, `src/`, `tests/` or `scripts/` — exists (a `*` in
-//! its file name must match a file).
+//! its file name must match a file), and every inline backticked bare
+//! `name.rs` is the file name of some `*.rs` file in the sources.
 
 use std::path::Path;
 use std::process::Command;
@@ -206,13 +207,49 @@ fn path_exists(path: &str) -> bool {
         .any(|n| n.len() >= head.len() + tail.len() && n.starts_with(head) && n.ends_with(tail))
 }
 
+/// The bare Rust file name a code span names, if it names one: its first
+/// word, up to a `:line` suffix, when that is a `name.rs` with no
+/// directory and no placeholder.
+fn bare_rs_name(span: &str) -> Option<&str> {
+    let name = span.split([' ', ':']).next()?;
+    let plain = !name.contains(['/', '*', '<', '…', '{']);
+    (plain && name.len() > 3 && name.ends_with(".rs")).then_some(name)
+}
+
+/// The file names of every `*.rs` file in the repository's sources,
+/// skipping build output (`target/`) and hidden directories.
+fn rs_file_names() -> std::collections::BTreeSet<String> {
+    let (mut names, mut dirs) = (std::collections::BTreeSet::new(), vec![root().to_path_buf()]);
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("source dir is listable").flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.starts_with('.') || name == "target" {
+                continue;
+            }
+            if entry.path().is_dir() {
+                dirs.push(entry.path());
+            } else if name.ends_with(".rs") {
+                names.insert(name);
+            }
+        }
+    }
+    names
+}
+
 #[test]
 fn backticked_repository_paths_in_the_docs_exist() {
+    let rs_names = rs_file_names();
     let mut problems = Vec::new();
-    let mut paths = 0;
+    let (mut paths, mut bare) = (0, 0);
     for doc in DOCS {
         let text = std::fs::read_to_string(root().join(doc)).expect("doc present");
         for (line_no, span) in inline_spans(&text) {
+            if let Some(name) = bare_rs_name(&span) {
+                bare += 1;
+                if !rs_names.contains(name) {
+                    problems.push(format!("{doc}:{line_no}: no `{name}` in the sources"));
+                }
+            }
             let Some(path) = repo_path(&span) else { continue };
             paths += 1;
             if !path_exists(path) {
@@ -222,4 +259,5 @@ fn backticked_repository_paths_in_the_docs_exist() {
     }
     assert!(problems.is_empty(), "stale doc paths:\n  {}", problems.join("\n  "));
     assert!(paths >= 30, "only {paths} repository paths found: is the parser lost?");
+    assert!(bare >= 10, "only {bare} bare `*.rs` names found: is the parser lost?");
 }
