@@ -3,52 +3,48 @@
 //! organizations the paper compares.
 
 use tenoc_bench::{header, Preset};
-use tenoc_noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
-use tenoc_noc::NetworkConfig;
+use tenoc_core::EngineKind;
+use tenoc_noc::openloop::{latency_curve, OpenLoopConfig, TrafficPattern};
 
-fn configs() -> Vec<(&'static str, NetworkConfig)> {
-    [
-        ("TB-DOR", Preset::BaselineTbDor),
-        ("2x-TB-DOR", Preset::TbDor2xBw),
-        ("CP-DOR", Preset::CpDor2vc),
-        ("CP-CR", Preset::CpCr4vc),
-        ("CP-CR-2P", Preset::CpCr2pSingle),
-    ]
-    .into_iter()
-    .map(|(name, preset)| (name, preset.icnt(6).net().clone()))
-    .collect()
-}
+const PRESETS: [(&str, Preset); 5] = [
+    ("TB-DOR", Preset::BaselineTbDor),
+    ("2x-TB-DOR", Preset::TbDor2xBw),
+    ("CP-DOR", Preset::CpDor2vc),
+    ("CP-CR", Preset::CpCr4vc),
+    ("CP-CR-2P", Preset::CpCr2pSingle),
+];
 
 fn sweep(pattern: TrafficPattern, title: &str) {
     println!("\n--- {title} ---");
-    let quick = std::env::var("TENOC_FULL").map(|v| v == "1").unwrap_or(false);
+    let full = std::env::var("TENOC_FULL").map(|v| v == "1").unwrap_or(false);
     let (warmup, measure, drain) =
-        if quick { (10_000, 20_000, 30_000) } else { (2_000, 5_000, 10_000) };
+        if full { (10_000, 20_000, 30_000) } else { (2_000, 5_000, 10_000) };
     let rates: Vec<f64> = (1..=12).map(|i| i as f64 * 0.01).collect();
     print!("{:>10}", "rate");
-    for (name, _) in configs() {
+    for (name, _) in PRESETS {
         print!(" {name:>10}");
     }
     println!();
-    let mut curves: Vec<Vec<Option<f64>>> = vec![Vec::new(); configs().len()];
-    for &rate in &rates {
-        for (i, (_, cfg)) in configs().into_iter().enumerate() {
-            // Stop extending a curve once it saturates.
-            if matches!(curves[i].last(), Some(None)) {
-                curves[i].push(None);
-                continue;
-            }
-            let mut ol = OpenLoopConfig::new(cfg, rate, pattern);
-            ol.warmup = warmup;
-            ol.measure = measure;
-            ol.drain = drain;
-            let r = run_open_loop(&ol);
-            curves[i].push(if r.saturated() { None } else { Some(r.avg_latency) });
-        }
+    // Each curve stops at its first saturated point; later rows print it
+    // as saturated.
+    let curves: Vec<_> = PRESETS
+        .iter()
+        .map(|(_, preset)| {
+            let icnt = preset.icnt(6);
+            let cfg = OpenLoopConfig {
+                warmup,
+                measure,
+                drain,
+                ..OpenLoopConfig::new(icnt.net().clone(), 0.0, pattern)
+            };
+            latency_curve(&cfg, rates.iter().copied(), || icnt.build(EngineKind::Arena))
+        })
+        .collect();
+    for (i, rate) in rates.iter().enumerate() {
         print!("{rate:>10.2}");
-        for c in &curves {
-            match c.last().unwrap() {
-                Some(l) => print!(" {l:>10.1}"),
+        for curve in &curves {
+            match curve.get(i).filter(|r| !r.saturated()) {
+                Some(r) => print!(" {:>10.1}", r.avg_latency),
                 None => print!(" {:>10}", "sat"),
             }
         }

@@ -1,12 +1,13 @@
 //! The closed-loop accelerator system: compute cores, interconnect, L2
 //! banks and DRAM channels stepped in their own clock domains.
 
+use crate::audit::route_net;
 use crate::clock::{ClockConfig, Clocks, Domain};
 use crate::mc::{McConfig, McNode, McRequest};
 use crate::metrics::RunMetrics;
 use tenoc_noc::{
-    BandwidthLimitedInterconnect, DoubleNetwork, Interconnect, Network, NetworkConfig, NodeId,
-    Packet, Tick,
+    ArenaDoubleNetwork, ArenaNetwork, BandwidthLimitedInterconnect, DoubleNetwork, Interconnect,
+    Network, NetworkConfig, NodeId, Packet, Tick,
 };
 use tenoc_simt::{CoreConfig, KernelSpec, MemRequest, ShaderCore};
 
@@ -69,26 +70,27 @@ impl IcntConfig {
         }
     }
 
-    /// Builds the interconnect this configuration describes. Physical
-    /// networks come from `tenoc-noc`'s one constructor pair
-    /// ([`tenoc_noc::build_mesh`] / [`tenoc_noc::build_double`]);
+    /// Builds the interconnect this configuration describes on `engine`:
+    /// the one place production code builds a network.
     /// [`EngineKind::PerCell`] is the one way to reach the per-router
-    /// reference instead.
+    /// reference instead of the arena.
+    ///
+    /// Debug builds then prove the routed fabric (a double network's
+    /// slice) deadlock-free with `tenoc-verify`'s memoized
+    /// [`check_config`](tenoc_verify::check_config); release builds skip
+    /// the check.
     ///
     /// # Panics
     ///
-    /// Panics if the network configuration is invalid.
+    /// Panics if the network configuration is invalid, and in debug builds
+    /// if it fails static verification.
     pub fn build(&self, engine: EngineKind) -> Box<dyn Interconnect> {
-        // Debug builds statically verify every network configuration they
-        // are about to simulate: the auditor runs tenoc-verify's channel-
-        // dependency-graph analysis inside the network constructors and
-        // panics with the report on any violation. Release builds skip
-        // the check.
-        tenoc_verify::install_debug_auditor();
-        match (self, engine) {
-            (IcntConfig::Mesh(c), EngineKind::Arena) => tenoc_noc::build_mesh(c.clone()),
+        let net: Box<dyn Interconnect> = match (self, engine) {
+            (IcntConfig::Mesh(c), EngineKind::Arena) => Box::new(ArenaNetwork::new(c.clone())),
             (IcntConfig::Mesh(c), EngineKind::PerCell) => Box::new(Network::new(c.clone())),
-            (IcntConfig::Double(c), EngineKind::Arena) => tenoc_noc::build_double(c),
+            (IcntConfig::Double(c), EngineKind::Arena) => {
+                Box::new(ArenaDoubleNetwork::from_single(c))
+            }
             (IcntConfig::Double(c), EngineKind::PerCell) => Box::new(DoubleNetwork::from_single(c)),
             // The perfect network is the limit-study network with no cap.
             (IcntConfig::Perfect(c), _) => Box::new(BandwidthLimitedInterconnect::new(
@@ -99,7 +101,13 @@ impl IcntConfig {
             (IcntConfig::BwLimited(c, flits), _) => {
                 Box::new(BandwidthLimitedInterconnect::new(c.mesh.len(), c.channel_bytes, *flits))
             }
+        };
+        if cfg!(debug_assertions) && matches!(self, IcntConfig::Mesh(_) | IcntConfig::Double(_)) {
+            if let Err(report) = tenoc_verify::check_config(&route_net(self)) {
+                panic!("network configuration failed static verification:\n{report}");
+            }
         }
+        net
     }
 }
 
@@ -113,8 +121,7 @@ pub enum EngineKind {
     /// forced by name: the reference side of equivalence tests and
     /// same-run engine comparisons.
     PerCell,
-    /// The production engine, as built by `tenoc-noc`'s constructors: the
-    /// flat structure-of-arrays kernel ([`tenoc_noc::ArenaNetwork`] /
+    /// The production engine: the flat structure-of-arrays kernel ([`tenoc_noc::ArenaNetwork`] /
     /// [`tenoc_noc::ArenaDoubleNetwork`]), several times faster than the
     /// oracle. Every valid configuration fits it.
     Arena,
@@ -478,6 +485,32 @@ mod tests {
             .mem_fraction(mem)
             .stream_fraction(0.5)
             .build()
+    }
+
+    /// Every named preset builds on both engines, so each passes the
+    /// debug-build static check (twice: the second build hits the memo).
+    #[test]
+    fn every_named_preset_builds_on_both_engines() {
+        for p in crate::presets::Preset::NAMED {
+            for engine in [EngineKind::Arena, EngineKind::PerCell] {
+                let net = p.icnt(6).build(engine);
+                assert_eq!(net.in_flight(), 0, "{}", p.label());
+            }
+        }
+    }
+
+    /// A config that passes `validate()` but fails verification (an MC on
+    /// a full router hits unroutable pairs) is refused by the build in
+    /// debug builds.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "failed static verification")]
+    fn build_refuses_a_valid_but_unverifiable_config() {
+        let mut cfg = NetworkConfig::checkerboard_mesh(6);
+        let full = cfg.mesh.nodes().find(|&n| !cfg.mesh.is_half(n)).expect("full router");
+        cfg.mc_nodes = vec![full];
+        assert!(cfg.validate().is_ok(), "must reach the static check, not validate()");
+        let _ = IcntConfig::Mesh(cfg).build(EngineKind::Arena);
     }
 
     #[test]

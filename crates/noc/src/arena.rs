@@ -19,9 +19,8 @@
 //! same calls in the same order — so statistics, ejection traces, cycle
 //! counts, telemetry reports and therefore `RunRecord` fingerprints are
 //! identical to the per-router kernel. `tests/arena_equivalence.rs` pins
-//! this with proptests over random legal configurations. Callers reach
-//! it through [`build_mesh`](crate::build_mesh) /
-//! [`build_double`](crate::build_double). See DESIGN.md §15.
+//! this with proptests over random legal configurations. Production code
+//! reaches it through `tenoc_core::IcntConfig::build`. See DESIGN.md §15.
 
 use crate::activeset::ActiveSet;
 use crate::buffer::VcState;
@@ -294,7 +293,6 @@ impl ArenaNetwork {
     /// Panics if `cfg.validate()` fails.
     pub fn new(cfg: NetworkConfig) -> Self {
         cfg.validate().expect("invalid network configuration");
-        crate::audit::audit(&cfg);
         let n = cfg.mesh.len();
         let nv = cfg.vcs.total as usize;
         let depth = cfg.vc_depth;
@@ -950,8 +948,8 @@ impl Interconnect for ArenaNetwork {
         self.ch_total.iter().sum()
     }
 
-    fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        out.clear();
+    fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
+        let mut out = Vec::new();
         for node in 0..self.n {
             for dir in Direction::ALL {
                 if self.nbr[node][dir.index()] >= 0 {
@@ -959,6 +957,7 @@ impl Interconnect for ArenaNetwork {
                 }
             }
         }
+        out
     }
 
     fn enable_telemetry(&mut self, tcfg: TelemetryConfig) {
@@ -966,8 +965,10 @@ impl Interconnect for ArenaNetwork {
         self.telemetry = Some(Box::new(NetTelemetry::new(self.n, self.nv, tcfg)));
     }
 
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.telemetry.as_deref().map(|t| t.report("net", &self.cfg.mesh, &self.stats)));
+    fn telemetry_reports(&self) -> Vec<TelemetryReport> {
+        let report =
+            self.telemetry.as_deref().map(|t| t.report("net", &self.cfg.mesh, &self.stats));
+        report.into_iter().collect()
     }
 }
 
@@ -1122,7 +1123,9 @@ mod tests {
                 net.try_inject(node, Packet::request(node, mcs[i % mcs.len()], 64, i as u64))
                     .unwrap();
             }
-            net.tick_n(500);
+            for _ in 0..500 {
+                net.tick();
+            }
             let mut s = net.stats();
             s.hist = None; // the only intended divergence
             (s, net.cycle(), net.flit_hops(), net.telemetry_reports().len())

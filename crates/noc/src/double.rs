@@ -26,8 +26,7 @@ pub struct Sliced<N> {
 /// The double network on the per-router reference engine.
 pub type DoubleNetwork = Sliced<Network>;
 
-/// The double network on the arena engine (what
-/// [`build_double`](crate::build_double) returns for packable shapes).
+/// The double network on the arena engine, the one production runs.
 pub type ArenaDoubleNetwork = Sliced<ArenaNetwork>;
 
 impl<N> Sliced<N> {
@@ -119,11 +118,12 @@ impl<N: Interconnect> Interconnect for Sliced<N> {
     }
 
     /// The slices share one geometry, so their counts add link by link.
-    fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        self.request.link_loads_into(out);
+    fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
+        let mut out = self.request.link_loads();
         for (link, (_, _, flits)) in out.iter_mut().zip(self.reply.link_loads()) {
             link.2 += flits;
         }
+        out
     }
 
     fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
@@ -131,14 +131,14 @@ impl<N: Interconnect> Interconnect for Sliced<N> {
         self.reply.enable_telemetry(cfg);
     }
 
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
+    fn telemetry_reports(&self) -> Vec<TelemetryReport> {
+        let mut out = Vec::new();
         for (slice, label) in [(&self.request, "request"), (&self.reply, "reply")] {
-            let first = out.len();
-            slice.telemetry_reports_into(out);
-            for report in &mut out[first..] {
-                report.label = label.to_string();
+            for report in slice.telemetry_reports() {
+                out.push(TelemetryReport { label: label.to_string(), ..report });
             }
         }
+        out
     }
 
     fn phase_count(&self) -> usize {

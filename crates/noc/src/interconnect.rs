@@ -1,41 +1,11 @@
 //! The interface between the compute/memory system and any interconnect
-//! implementation (real mesh, double network, or the idealized model),
-//! and the one constructor pair production code builds physical networks
-//! with ([`build_mesh`] / [`build_double`]).
+//! implementation (real mesh, double network, or the idealized model).
 
-use crate::arena::ArenaNetwork;
-use crate::config::NetworkConfig;
-use crate::double::ArenaDoubleNetwork;
 use crate::packet::{EjectedPacket, Packet};
 use crate::stats::NetStats;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
 use crate::tick::Tick;
 use crate::types::{Direction, NodeId};
-
-/// Builds the production engine — the arena kernel — for one physical
-/// mesh. Every configuration that passes [`NetworkConfig::validate`] fits
-/// the arena's packed representation (validation consults
-/// [`ArenaNetwork::supports`]), so there is no other engine to fall back
-/// to; the per-router reference is reached only by naming it.
-///
-/// # Panics
-///
-/// Panics if `cfg.validate()` fails.
-pub fn build_mesh(cfg: NetworkConfig) -> Box<dyn Interconnect> {
-    Box::new(ArenaNetwork::new(cfg))
-}
-
-/// Builds the production engine for the channel-sliced double network
-/// derived from the single-network configuration `cfg` (see
-/// [`NetworkConfig::slice`]): two arena kernels, one per slice.
-///
-/// # Panics
-///
-/// Panics if `cfg.channel_bytes` is odd or the sliced configuration fails
-/// validation.
-pub fn build_double(cfg: &NetworkConfig) -> Box<dyn Interconnect> {
-    Box::new(ArenaDoubleNetwork::from_single(cfg))
-}
 
 /// A network as seen from its terminals.
 ///
@@ -44,9 +14,9 @@ pub fn build_double(cfg: &NetworkConfig) -> Box<dyn Interconnect> {
 /// [`crate::Network`] / [`crate::DoubleNetwork`] (the same two on the
 /// per-router reference engine) and
 /// [`crate::BandwidthLimitedInterconnect`] (zero latency, capped aggregate
-/// bandwidth — infinite for the perfect network). Callers build physical
-/// networks through [`build_mesh`] / [`build_double`] rather than naming
-/// an engine.
+/// bandwidth — infinite for the perfect network). Production code builds
+/// them through `tenoc_core::IcntConfig::build`, which picks the engine and,
+/// in debug builds, statically verifies the fabric first.
 ///
 /// Cycle advancement comes from the [`Tick`] supertrait: every
 /// implementation's clock edge is `Tick::tick`.
@@ -80,22 +50,13 @@ pub trait Interconnect: Tick {
         0
     }
 
-    /// Writes per-link traffic into a caller-provided buffer (cleared
-    /// first): `(source node, direction, flits carried)` for every
-    /// physical channel, in node order. Divide by [`Interconnect::cycle`]
-    /// for utilization (1.0 = fully utilized link). A double network
-    /// reports the sum over its slices; ideal networks have no links and
-    /// leave the buffer empty.
-    fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        out.clear();
-    }
-
-    /// Convenience wrapper over [`Interconnect::link_loads_into`] that
-    /// allocates a fresh `Vec`.
+    /// Per-link traffic: `(source node, direction, flits carried)` for
+    /// every physical channel, in node order. Divide by
+    /// [`Interconnect::cycle`] for utilization (1.0 = fully utilized link).
+    /// A double network reports the sum over its slices; ideal networks
+    /// have no links and report none.
     fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
-        let mut out = Vec::new();
-        self.link_loads_into(&mut out);
-        out
+        Vec::new()
     }
 
     /// Arms the observability layer (latency histograms, link/VC
@@ -105,20 +66,11 @@ pub trait Interconnect: Tick {
     /// every packet takes the same path at the same cycle.
     fn enable_telemetry(&mut self, _cfg: TelemetryConfig) {}
 
-    /// Appends snapshots of every physical network's telemetry into a
-    /// caller-provided buffer: one report for a single mesh, two
-    /// (request + reply) for a double network, none for ideal networks
-    /// or when telemetry was never enabled. The buffer is *not* cleared,
-    /// so callers can reuse one `Vec` across reads without reallocating.
-    fn telemetry_reports_into(&self, _out: &mut Vec<TelemetryReport>) {}
-
-    /// Convenience wrapper over [`Interconnect::telemetry_reports_into`]
-    /// that allocates a fresh `Vec`. Hot paths should reuse a buffer via
-    /// the `_into` form instead.
+    /// Snapshots of every physical network's telemetry: one report for a
+    /// single mesh, two (request + reply) for a double network, none for
+    /// ideal networks or when telemetry was never enabled.
     fn telemetry_reports(&self) -> Vec<TelemetryReport> {
-        let mut out = Vec::new();
-        self.telemetry_reports_into(&mut out);
-        out
+        Vec::new()
     }
 
     /// Number of sub-phases one [`Tick::tick`] splits into. Engines whose

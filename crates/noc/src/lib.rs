@@ -24,12 +24,14 @@
 //! * An open-loop traffic harness for latency/throughput curves under
 //!   many-to-few-to-many traffic ([`openloop`]), reproducing Figure 21.
 //! * Two bit-identical execution engines for the physical networks — the
-//!   flat structure-of-arrays `arena` kernel that every production run
-//!   uses, built by the one constructor pair [`build_mesh`] /
-//!   [`build_double`], and the per-router `network` kernel kept as the
-//!   differential reference. The arena sleeps idle routers and allocates
+//!   flat structure-of-arrays kernel that every production run uses
+//!   ([`ArenaNetwork`] / [`ArenaDoubleNetwork`]), and the per-router
+//!   kernel kept as the differential reference ([`Network`] /
+//!   [`DoubleNetwork`]). The arena sleeps idle routers and allocates
 //!   nothing in steady state; the reference does neither — it steps
-//!   every router every cycle. A shape the arena cannot pack is a
+//!   every router every cycle. Production code builds both through
+//!   `tenoc_core::IcntConfig::build`, which in debug builds first proves
+//!   the fabric deadlock-free with `tenoc-verify`. A shape the arena cannot pack is a
 //!   [`NetworkConfig::validate`] error, never a silent change of engine.
 //!   Telemetry ([`telemetry`]) works on both.
 //!
@@ -38,10 +40,10 @@
 //! Send a packet across a 6x6 baseline mesh and observe its latency:
 //!
 //! ```
-//! use tenoc_noc::{build_mesh, NetworkConfig, Packet};
+//! use tenoc_noc::{ArenaNetwork, Interconnect, NetworkConfig, Packet, Tick};
 //!
 //! let cfg = NetworkConfig::baseline_mesh(6);
-//! let mut net = build_mesh(cfg);
+//! let mut net = ArenaNetwork::new(cfg);
 //! let pkt = Packet::request(0, 35, 8, 42); // src, dst, bytes, tag
 //! net.try_inject(0, pkt).expect("empty network accepts injection");
 //! for _ in 0..200 {
@@ -57,7 +59,6 @@
 mod activeset;
 pub mod arbiter;
 mod arena;
-pub mod audit;
 pub mod buffer;
 mod channel;
 pub mod config;
@@ -79,7 +80,7 @@ pub use arena::ArenaNetwork;
 pub use config::{AllocatorKind, NetworkConfig, RoutingKind, VcLayout};
 pub use double::{ArenaDoubleNetwork, DoubleNetwork};
 pub use ideal::BandwidthLimitedInterconnect;
-pub use interconnect::{build_double, build_mesh, Interconnect};
+pub use interconnect::Interconnect;
 pub use network::Network;
 pub use packet::{EjectedPacket, Flit, Packet, PacketClass, PacketHeader, Phase};
 pub use routing::{OutPort, VcSet};

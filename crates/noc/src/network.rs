@@ -59,7 +59,6 @@ impl Network {
     /// Panics if `cfg.validate()` fails.
     pub fn new(cfg: NetworkConfig) -> Self {
         cfg.validate().expect("invalid network configuration");
-        crate::audit::audit(&cfg);
         let n = cfg.mesh.len();
         let routers = (0..n)
             .map(|node| {
@@ -297,8 +296,8 @@ impl Interconnect for Network {
         self.channels.iter().map(Channel::total_flits).sum()
     }
 
-    fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        out.clear();
+    fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
+        let mut out = Vec::new();
         for node in 0..self.cfg.mesh.len() {
             for dir in Direction::ALL {
                 if self.cfg.mesh.neighbor(node, dir).is_some() {
@@ -306,6 +305,7 @@ impl Interconnect for Network {
                 }
             }
         }
+        out
     }
 
     /// All buffers are allocated here, once; the instrumented paths never
@@ -319,8 +319,10 @@ impl Interconnect for Network {
         )));
     }
 
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.telemetry.as_deref().map(|t| t.report("net", &self.cfg.mesh, &self.stats)));
+    fn telemetry_reports(&self) -> Vec<TelemetryReport> {
+        let report =
+            self.telemetry.as_deref().map(|t| t.report("net", &self.cfg.mesh, &self.stats));
+        report.into_iter().collect()
     }
 }
 

@@ -7,13 +7,14 @@
 //! including source queueing, so the curves exhibit the classic saturation
 //! blow-up as offered load approaches network capacity.
 //!
-//! The harness comes in two shapes over one core: [`run_open_loop`] /
-//! [`run_open_loop_on`] drive a single probe to completion, while
-//! [`OpenLoopProbe`] exposes the same per-cycle loop one `tick` at a
+//! The harness comes in three shapes over one core: [`run_open_loop_on`]
+//! drives a single probe to completion on a fabric the caller built,
+//! [`latency_curve`] sweeps offered load up to the first saturated point,
+//! and [`OpenLoopProbe`] exposes the same per-cycle loop one `tick` at a
 //! time for callers that instrument the network between cycles.
 
 use crate::config::NetworkConfig;
-use crate::interconnect::{build_mesh, Interconnect};
+use crate::interconnect::Interconnect;
 use crate::packet::Packet;
 use crate::types::NodeId;
 use rand::rngs::SmallRng;
@@ -81,7 +82,7 @@ impl OpenLoopConfig {
     /// cycle), **exclusive** of `warmup + measure` (the first drain
     /// cycle). The single source of truth for measurement membership —
     /// both the generation and the throughput-accounting paths of
-    /// [`run_open_loop`] go through here, so the boundary semantics
+    /// [`run_open_loop_on`] go through here, so the boundary semantics
     /// cannot drift apart.
     pub(crate) fn in_measurement_window(&self, now: u64) -> bool {
         (self.warmup..self.warmup + self.measure).contains(&now)
@@ -133,15 +134,6 @@ impl OpenLoopResult {
     }
 }
 
-/// Runs one open-loop simulation on `cfg.net` as a single mesh.
-///
-/// # Panics
-///
-/// Panics if the configuration has no MC nodes or fails validation.
-pub fn run_open_loop(cfg: &OpenLoopConfig) -> OpenLoopResult {
-    run_open_loop_on(cfg, &mut *build_mesh(cfg.net.clone()))
-}
-
 /// Runs one open-loop simulation on a caller-provided interconnect, so
 /// the caller chooses the fabric (a double network built from `cfg.net`
 /// is probed on its actual slices) and can observe it afterwards — arm
@@ -159,6 +151,29 @@ pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut dyn Interconnect) -> Ope
         core.tick(cfg, net);
     }
     core.result(cfg)
+}
+
+/// A saturating latency curve: one run of `cfg` per rate of `rates`, in
+/// order, each on a fresh fabric from `build`, stopping after the first
+/// saturated run (which is the last entry when the curve saturates).
+///
+/// # Panics
+///
+/// Panics if the configuration has no MC nodes.
+pub fn latency_curve(
+    cfg: &OpenLoopConfig,
+    rates: impl IntoIterator<Item = f64>,
+    mut build: impl FnMut() -> Box<dyn Interconnect>,
+) -> Vec<OpenLoopResult> {
+    let mut curve: Vec<OpenLoopResult> = Vec::new();
+    for injection_rate in rates {
+        if curve.last().is_some_and(OpenLoopResult::saturated) {
+            break;
+        }
+        let point = OpenLoopConfig { injection_rate, ..cfg.clone() };
+        curve.push(run_open_loop_on(&point, &mut *build()));
+    }
+    curve
 }
 
 /// The traffic-generation and accounting state of one open-loop probe,
@@ -410,9 +425,13 @@ mod tests {
         c
     }
 
+    fn run(cfg: &OpenLoopConfig) -> OpenLoopResult {
+        run_open_loop_on(cfg, &mut ArenaNetwork::new(cfg.net.clone()))
+    }
+
     #[test]
     fn low_load_latency_near_zero_load() {
-        let r = run_open_loop(&quick_cfg(0.005));
+        let r = run(&quick_cfg(0.005));
         assert!(!r.saturated(), "0.005 flits/cycle/node must be below saturation");
         // Zero-load-ish: a handful of hops at 5 cycles plus serialization.
         assert!(r.avg_latency > 10.0 && r.avg_latency < 80.0, "latency {}", r.avg_latency);
@@ -421,8 +440,8 @@ mod tests {
 
     #[test]
     fn latency_grows_with_load() {
-        let lo = run_open_loop(&quick_cfg(0.005));
-        let hi = run_open_loop(&quick_cfg(0.05));
+        let lo = run(&quick_cfg(0.005));
+        let hi = run(&quick_cfg(0.05));
         assert!(
             hi.avg_latency > lo.avg_latency,
             "latency must rise with load: {} vs {}",
@@ -433,8 +452,18 @@ mod tests {
 
     #[test]
     fn extreme_load_saturates() {
-        let r = run_open_loop(&quick_cfg(0.5));
+        let r = run(&quick_cfg(0.5));
         assert!(r.saturated(), "0.5 flits/cycle/node is far past many-to-few capacity");
+    }
+
+    #[test]
+    fn latency_curve_stops_after_the_first_saturated_point() {
+        let cfg = quick_cfg(0.0);
+        let build = || -> Box<dyn Interconnect> { Box::new(ArenaNetwork::new(cfg.net.clone())) };
+        let curve = latency_curve(&cfg, [0.005, 0.5, 0.6], build);
+        assert_eq!(curve.len(), 2, "the 0.6 point lies past the first saturated one");
+        assert!(results_eq(&curve[0], &run(&quick_cfg(0.005))), "each point is one run");
+        assert!(!curve[0].saturated() && curve[1].saturated());
     }
 
     #[test]
@@ -489,12 +518,12 @@ mod tests {
     }
 
     /// The per-cycle probe is the same loop as the monolithic runner:
-    /// ticking one probe to completion reproduces `run_open_loop`
+    /// ticking one probe to completion reproduces `run_open_loop_on`
     /// bit for bit.
     #[test]
     fn probe_matches_monolithic_runner() {
         let cfg = quick_cfg(0.02);
-        let solo = run_open_loop(&cfg);
+        let solo = run(&cfg);
         let mut probe = OpenLoopProbe::new(cfg.clone(), Network::new(cfg.net.clone()));
         while !probe.done() {
             probe.tick();

@@ -7,8 +7,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tenoc_noc::routing::{plan_injection, plan_options, trace_path};
 use tenoc_noc::{
-    build_mesh, ArenaNetwork, BandwidthLimitedInterconnect, Coord, Interconnect, Mesh, Network,
-    NetworkConfig, Packet, PacketClass, PacketHeader, Phase, RoutingKind, VcLayout,
+    ArenaNetwork, BandwidthLimitedInterconnect, Coord, Interconnect, Mesh, Network, NetworkConfig,
+    Packet, PacketClass, PacketHeader, Phase, RoutingKind, Tick, VcLayout,
 };
 
 // Checkerboard routes between all legal endpoint pairs are minimal and
@@ -88,7 +88,7 @@ proptest! {
 
 // Every packet injected into a real network is eventually delivered
 // exactly once, with its tag intact, and the network drains completely.
-// Runs on whatever `build_mesh` returns: the engine production runs.
+// Runs on the arena, the engine production runs.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -104,7 +104,7 @@ proptest! {
         };
         let mcs = cfg.mc_nodes.clone();
         let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-        let mut net = build_mesh(cfg);
+        let mut net = ArenaNetwork::new(cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
 
         use rand::Rng;
@@ -152,7 +152,7 @@ proptest! {
         let cfg = NetworkConfig::checkerboard_mesh(6);
         let mcs = cfg.mc_nodes.clone();
         let cores: Vec<usize> = (0..36).filter(|n| !mcs.contains(n)).collect();
-        let mut net = build_mesh(cfg);
+        let mut net = ArenaNetwork::new(cfg);
         use rand::Rng;
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut pending: Vec<Packet> = (0..30)
@@ -514,7 +514,9 @@ fn packet_created_at_cycle_zero_is_not_restamped() {
         ("ideal", Box::new(BandwidthLimitedInterconnect::new(cfg.mesh.len(), 16, 4.0))),
     ];
     for (name, mut net) in engines {
-        net.tick_n(5);
+        for _ in 0..5 {
+            net.tick();
+        }
 
         let mut queued = Packet::request(0, 5, 8, 7);
         assert_eq!(queued.header.created, PacketHeader::CREATED_UNSET);

@@ -32,8 +32,8 @@
 //!
 //! The library entry point is [`analyze`]; `tenoc audit` (through
 //! `tenoc_core::audit_grid`) applies it to every shipped preset. Debug-build
-//! simulations self-verify: [`install_debug_auditor`] hooks the analyzer
-//! into [`tenoc_noc::audit`], making `Network::new` panic on any
+//! simulations self-verify: `tenoc_core::IcntConfig::build` asks
+//! [`check_config`] for its fabric's memoized verdict and panics on any
 //! configuration that fails verification (release builds skip this).
 
 #![forbid(unsafe_code)]
@@ -301,15 +301,16 @@ fn unsliceable(cfg: &NetworkConfig) -> VerifyReport {
     }
 }
 
-/// Auditor installed into `tenoc_noc::audit`: memoized [`analyze`].
+/// Memoized [`analyze`] verdict: `Err` carries the report of a
+/// configuration that fails verification.
 ///
 /// `NetworkConfig` is `PartialEq` but not `Hash`, and simulations build
 /// the same handful of configurations over and over, so a small linear
 /// memo is both simple and sufficient.
-fn audit_config(cfg: &NetworkConfig) -> Result<(), String> {
+pub fn check_config(cfg: &NetworkConfig) -> Result<(), String> {
     type Memo = Vec<(NetworkConfig, Result<(), String>)>;
     static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
-    let mut memo = MEMO.lock().expect("auditor memo poisoned");
+    let mut memo = MEMO.lock().expect("verdict memo poisoned");
     if let Some((_, cached)) = memo.iter().find(|(c, _)| c == cfg) {
         return cached.clone();
     }
@@ -320,15 +321,6 @@ fn audit_config(cfg: &NetworkConfig) -> Result<(), String> {
     }
     memo.push((cfg.clone(), result.clone()));
     result
-}
-
-/// Installs the static analyzer as the process-global debug auditor: from
-/// then on, every `Network::new` in a debug build statically verifies its
-/// configuration before simulating it (and panics with the report if
-/// verification fails). Idempotent; returns `false` if an auditor was
-/// already installed.
-pub fn install_debug_auditor() -> bool {
-    tenoc_noc::audit::install_auditor(audit_config)
 }
 
 #[cfg(test)]
@@ -492,30 +484,5 @@ mod tests {
         assert!(text.contains("CLEAN"), "{text}");
         assert!(text.contains("routing-deadlock"), "{text}");
         assert!(text.contains("acyclic"), "{text}");
-    }
-
-    #[test]
-    fn debug_auditor_accepts_shipped_configs() {
-        install_debug_auditor();
-        // Building networks must not panic once the auditor is installed
-        // (exercises the memoized audit path twice).
-        let _ = tenoc_noc::Network::new(NetworkConfig::checkerboard_mesh(6));
-        let _ = tenoc_noc::Network::new(NetworkConfig::checkerboard_mesh(6));
-        let _ = tenoc_noc::DoubleNetwork::from_single(&NetworkConfig::baseline_mesh(6));
-    }
-
-    /// A config that passes `validate()` but fails verification (an MC on
-    /// a full router hits unroutable pairs) must be refused by
-    /// `Network::new` in debug builds once the auditor is installed.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "failed static verification")]
-    fn debug_auditor_rejects_unsafe_config() {
-        install_debug_auditor();
-        let mut cfg = NetworkConfig::checkerboard_mesh(6);
-        let full = cfg.mesh.nodes().find(|&n| !cfg.mesh.is_half(n)).expect("full router");
-        cfg.mc_nodes = vec![full];
-        assert!(cfg.validate().is_ok(), "must reach the auditor, not validate()");
-        let _ = tenoc_noc::Network::new(cfg);
     }
 }

@@ -11,8 +11,8 @@
 //! only rates the fabric keeps up with witness the bound.
 
 use proptest::prelude::*;
-use tenoc_noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
-use tenoc_noc::{NetworkConfig, VcLayout};
+use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
+use tenoc_noc::{ArenaNetwork, NetworkConfig, VcLayout};
 use tenoc_verify::load::{analyze_load, analyze_load_double, TrafficMatrix};
 
 /// A randomly drawn legal configuration: baseline full-router mesh (DOR
@@ -50,7 +50,7 @@ fn quick_run(cfg: &NetworkConfig, rate: f64) -> tenoc_noc::openloop::OpenLoopRes
     ol.warmup = 800;
     ol.measure = 3_000;
     ol.drain = 5_000;
-    run_open_loop(&ol)
+    run_open_loop_on(&ol, &mut ArenaNetwork::new(cfg.clone()))
 }
 
 proptest! {

@@ -8,13 +8,13 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tenoc::noc::openloop::TrafficPattern;
-use tenoc::noc::{build_mesh, Interconnect, Mesh, NetworkConfig, Packet, Placement};
+use tenoc::noc::{ArenaNetwork, Interconnect, Mesh, NetworkConfig, Packet, Placement, Tick};
 
 /// Drives request/reply traffic for `cycles` and returns the network.
-fn drive(cfg: &NetworkConfig, rate: f64, cycles: u64) -> Box<dyn Interconnect> {
+fn drive(cfg: &NetworkConfig, rate: f64, cycles: u64) -> ArenaNetwork {
     let mcs = cfg.net_mcs();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-    let mut net = build_mesh(cfg.clone());
+    let mut net = ArenaNetwork::new(cfg.clone());
     let mut rng = SmallRng::seed_from_u64(5);
     let mut backlog: Vec<Packet> = Vec::new();
     for now in 0..cycles {
@@ -95,7 +95,7 @@ fn main() {
     let cycles = 30_000;
 
     let tb = NetworkConfig::baseline_mesh(6);
-    heatmap("top-bottom MC placement (paper Figure 3)", &tb, &*drive(&tb, rate, cycles));
+    heatmap("top-bottom MC placement (paper Figure 3)", &tb, &drive(&tb, rate, cycles));
 
     let cp = {
         let base = NetworkConfig::baseline_mesh(6);
@@ -104,5 +104,5 @@ fn main() {
         NetworkConfig { mesh, mc_nodes, ..base }
     };
     let title = "staggered checkerboard MC placement (paper Figure 12)";
-    heatmap(title, &cp, &*drive(&cp, rate, cycles));
+    heatmap(title, &cp, &drive(&cp, rate, cycles));
 }

@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example open_loop_latency`
 
-use tenoc::noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
-use tenoc::noc::NetworkConfig;
+use tenoc::noc::openloop::{latency_curve, OpenLoopConfig, TrafficPattern};
+use tenoc::noc::{ArenaNetwork, Interconnect, NetworkConfig};
 
 fn main() {
     let mut cp_cr_2p = NetworkConfig::checkerboard_mesh(6);
@@ -14,21 +14,29 @@ fn main() {
         ("TB-DOR (baseline)", NetworkConfig::baseline_mesh(6)),
         ("CP-CR-2P (thr.-eff.)", cp_cr_2p),
     ];
+    let rates: Vec<f64> = (1..=10).map(|i| i as f64 * 0.012).collect();
+    // Each curve stops at its first saturated point.
+    let curves: Vec<_> = configs
+        .iter()
+        .map(|(_, net)| {
+            let cfg = OpenLoopConfig {
+                warmup: 2_000,
+                measure: 5_000,
+                drain: 10_000,
+                ..OpenLoopConfig::new(net.clone(), 0.0, TrafficPattern::UniformRandom)
+            };
+            let build = || -> Box<dyn Interconnect> { Box::new(ArenaNetwork::new(net.clone())) };
+            latency_curve(&cfg, rates.iter().copied(), build)
+        })
+        .collect();
     println!("open-loop many-to-few-to-many: 1-flit requests, 4-flit replies");
     println!("{:>6} {:>22} {:>22}", "rate", configs[0].0, configs[1].0);
-    for i in 1..=10 {
-        let rate = i as f64 * 0.012;
+    for (i, rate) in rates.iter().enumerate() {
         print!("{rate:>6.3}");
-        for (_, cfg) in &configs {
-            let mut ol = OpenLoopConfig::new(cfg.clone(), rate, TrafficPattern::UniformRandom);
-            ol.warmup = 2_000;
-            ol.measure = 5_000;
-            ol.drain = 10_000;
-            let r = run_open_loop(&ol);
-            if r.saturated() {
-                print!(" {:>22}", "saturated");
-            } else {
-                print!(" {:>17.1} cyc", r.avg_latency);
+        for curve in &curves {
+            match curve.get(i).filter(|r| !r.saturated()) {
+                Some(r) => print!(" {:>17.1} cyc", r.avg_latency),
+                None => print!(" {:>22}", "saturated"),
             }
         }
         println!();

@@ -16,7 +16,7 @@ use tenoc::core::presets::Preset;
 use tenoc::core::{harmonic_mean, EngineKind, IcntConfig};
 use tenoc::harness::figures::figure;
 use tenoc::harness::{jobs_from_env, run_grid, CellResult, SweepGrid};
-use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
+use tenoc::noc::openloop::{latency_curve, run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc::serve::SweepRequest;
 use tenoc::simt::KernelSpec;
 use tenoc::workloads::{by_name, full_name, smoke_suite, suite};
@@ -445,12 +445,10 @@ fn cmd_openloop(flags: &Flags) -> CmdResult {
     } else {
         TrafficPattern::UniformRandom
     };
-    let probe = |rate: f64| {
-        let cfg = OpenLoopConfig::new(icnt.net().clone(), rate, pattern);
-        run_open_loop_on(&cfg, &mut *icnt.build(EngineKind::Arena))
-    };
+    let cfg = OpenLoopConfig::new(icnt.net().clone(), 0.0, pattern);
+    let build = || icnt.build(EngineKind::Arena);
     if let Some(rate) = flags.parsed("rate", |r: &f64| *r > 0.0 && r.is_finite()) {
-        let r = probe(rate);
+        let r = run_open_loop_on(&OpenLoopConfig { injection_rate: rate, ..cfg }, &mut *build());
         println!(
             "rate {rate}: latency {:.1} cyc, delivered {:.1}%{}",
             r.avg_latency,
@@ -459,14 +457,12 @@ fn cmd_openloop(flags: &Flags) -> CmdResult {
         );
     } else {
         println!("{:>6} {:>10}", "rate", "latency");
-        for i in 1..=12 {
-            let rate = i as f64 * 0.01;
-            let r = probe(rate);
+        for r in latency_curve(&cfg, (1..=12).map(|i| i as f64 * 0.01), build) {
             if r.saturated() {
-                println!("{rate:>6.2} {:>10}", "saturated");
-                break;
+                println!("{:>6.2} {:>10}", r.offered, "saturated");
+            } else {
+                println!("{:>6.2} {:>10.1}", r.offered, r.avg_latency);
             }
-            println!("{rate:>6.2} {:>10.1}", r.avg_latency);
         }
     }
     Ok(())

@@ -11,8 +11,11 @@
 //!
 //! And every inline backticked repository path in those docs — one that
 //! starts `crates/`, `src/`, `tests/` or `scripts/` — exists (a `*` in
-//! its file name must match a file), and every inline backticked bare
-//! `name.rs` is the file name of some `*.rs` file in the sources.
+//! its file name must match a file), every inline backticked bare
+//! `name.rs` is the file name of some `*.rs` file in the sources, and
+//! every inline backticked `tenoc_<crate>::…::name` names an item — a
+//! `fn`, `struct`, `enum`, `trait`, `type`, `mod`, `const` or `static`, or
+//! a `pub use` — declared in `crates/<crate>/src`.
 
 use std::path::Path;
 use std::process::Command;
@@ -236,11 +239,40 @@ fn rs_file_names() -> std::collections::BTreeSet<String> {
     names
 }
 
+/// The crate and item a code span names, if it names one: its first
+/// word, up to any `(` or `<`, when that is `tenoc_<crate>::…::item`.
+fn crate_item(span: &str) -> Option<(&str, &str)> {
+    let path = span.split([' ', '(', '<']).next()?;
+    let (krate, rest) = path.strip_prefix("tenoc_")?.split_once("::")?;
+    Some((krate, rest.rsplit("::").next()?))
+}
+
+/// Whether `item` is declared in `crates/<krate>/src`: some file holds
+/// `fn item`, `struct item`, … `static item`, or a `pub use` statement
+/// naming `item`.
+fn item_declared(krate: &str, item: &str) -> bool {
+    const KEYWORDS: [&str; 8] = ["fn", "struct", "enum", "trait", "type", "mod", "const", "static"];
+    let words = |text: &str| -> Vec<String> {
+        let not_ident = |c: char| !(c.is_ascii_alphanumeric() || c == '_');
+        text.split(not_ident).filter(|w| !w.is_empty()).map(str::to_owned).collect()
+    };
+    let dir = std::fs::read_dir(root().join("crates").join(krate).join("src"));
+    let sources = dir.into_iter().flatten().flatten().map(|e| e.path());
+    sources.filter(|p| p.extension().is_some_and(|e| e == "rs")).any(|p| {
+        let text = std::fs::read_to_string(p).expect("source is readable");
+        let declared = words(&text).windows(2).any(|w| KEYWORDS.contains(&&*w[0]) && w[1] == item);
+        let reexported = text.split("pub use ").skip(1).any(|stmt| {
+            words(stmt.split(';').next().unwrap_or_default()).iter().any(|w| w == item)
+        });
+        declared || reexported
+    })
+}
+
 #[test]
 fn backticked_repository_paths_in_the_docs_exist() {
     let rs_names = rs_file_names();
     let mut problems = Vec::new();
-    let (mut paths, mut bare) = (0, 0);
+    let (mut paths, mut bare, mut items) = (0, 0, 0);
     for doc in DOCS {
         let text = std::fs::read_to_string(root().join(doc)).expect("doc present");
         for (line_no, span) in inline_spans(&text) {
@@ -248,6 +280,13 @@ fn backticked_repository_paths_in_the_docs_exist() {
                 bare += 1;
                 if !rs_names.contains(name) {
                     problems.push(format!("{doc}:{line_no}: no `{name}` in the sources"));
+                }
+            }
+            if let Some((krate, item)) = crate_item(&span) {
+                items += 1;
+                if !item_declared(krate, item) {
+                    problems
+                        .push(format!("{doc}:{line_no}: `{span}` names no item of tenoc-{krate}"));
                 }
             }
             let Some(path) = repo_path(&span) else { continue };
@@ -260,4 +299,5 @@ fn backticked_repository_paths_in_the_docs_exist() {
     assert!(problems.is_empty(), "stale doc paths:\n  {}", problems.join("\n  "));
     assert!(paths >= 30, "only {paths} repository paths found: is the parser lost?");
     assert!(bare >= 10, "only {bare} bare `*.rs` names found: is the parser lost?");
+    assert!(items >= 10, "only {items} `tenoc_<crate>::` paths found: is the parser lost?");
 }

@@ -7,8 +7,10 @@
 //! where two configs can legitimately tie at these short windows.
 
 use tenoc::core::Preset;
-use tenoc::noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
-use tenoc::noc::NetworkConfig;
+use tenoc::noc::openloop::{
+    latency_curve, run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern,
+};
+use tenoc::noc::{ArenaNetwork, Interconnect, NetworkConfig};
 
 /// Traffic RNG seed for every open-loop run in this file (the upstream
 /// default, restated here so a default change cannot silently move the
@@ -20,17 +22,20 @@ fn net(preset: Preset) -> NetworkConfig {
     preset.icnt(6).net().clone()
 }
 
-fn quick(
-    cfg: NetworkConfig,
-    rate: f64,
-    pattern: TrafficPattern,
-) -> tenoc::noc::openloop::OpenLoopResult {
-    let mut ol = OpenLoopConfig::new(cfg, rate, pattern);
-    ol.warmup = 1_500;
-    ol.measure = 4_000;
-    ol.drain = 8_000;
-    ol.seed = PINNED_SEED;
-    run_open_loop(&ol)
+/// The pinned open-loop configuration of this file.
+fn pinned(cfg: NetworkConfig, rate: f64, pattern: TrafficPattern) -> OpenLoopConfig {
+    OpenLoopConfig {
+        warmup: 1_500,
+        measure: 4_000,
+        drain: 8_000,
+        seed: PINNED_SEED,
+        ..OpenLoopConfig::new(cfg, rate, pattern)
+    }
+}
+
+fn quick(cfg: NetworkConfig, rate: f64, pattern: TrafficPattern) -> OpenLoopResult {
+    let ol = pinned(cfg, rate, pattern);
+    run_open_loop_on(&ol, &mut ArenaNetwork::new(ol.net.clone()))
 }
 
 #[test]
@@ -45,16 +50,10 @@ fn openloop_runs_are_deterministic() {
 /// Saturation throughput of a config under uniform many-to-few traffic:
 /// the highest rate of the sweep that is not saturated.
 fn saturation_rate(cfg: &NetworkConfig, pattern: TrafficPattern) -> f64 {
-    let mut last_ok = 0.0;
-    for i in 1..=14 {
-        let rate = i as f64 * 0.01;
-        let r = quick(cfg.clone(), rate, pattern);
-        if r.saturated() {
-            break;
-        }
-        last_ok = rate;
-    }
-    last_ok
+    let rates = (1..=14).map(|i| i as f64 * 0.01);
+    let build = || -> Box<dyn Interconnect> { Box::new(ArenaNetwork::new(cfg.clone())) };
+    let curve = latency_curve(&pinned(cfg.clone(), 0.0, pattern), rates, build);
+    curve.iter().take_while(|r| !r.saturated()).last().map_or(0.0, |r| r.offered)
 }
 
 #[test]

@@ -23,14 +23,16 @@
 //!   latency must not exceed the measured mean latency at a very low
 //!   injection rate.
 //!
-//! Measurements run on the preset's *unsliced* physical network (the
-//! open-loop harness drives a single fabric), so the static side uses
-//! the same single-network analysis.
+//! All three run on each preset's *unsliced* physical network against
+//! the single-network analysis. The latency floor also runs on each
+//! double preset's sliced fabric, against the per-slice analysis; the
+//! sliced throughput bound is not asserted (ROADMAP 12(a)).
 
 use tenoc::core::presets::Preset;
-use tenoc::noc::openloop::{run_open_loop, run_open_loop_on, OpenLoopConfig, TrafficPattern};
-use tenoc::noc::NetworkConfig;
-use tenoc::verify::load::{analyze_load, TrafficMatrix};
+use tenoc::core::{EngineKind, IcntConfig};
+use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
+use tenoc::noc::{ArenaNetwork, Interconnect, NetworkConfig};
+use tenoc::verify::load::{analyze_load, analyze_load_double, ClassZeroLoad, TrafficMatrix};
 
 /// Injection rates swept for the throughput-bound check (request
 /// packets/cycle/compute-node): below-saturation points and one past it,
@@ -98,10 +100,9 @@ fn cross_validate(net: &NetworkConfig) -> XvalResult {
     let mut any_kept_up = false;
     let mut max_sustained = 0.0_f64;
     let mut observed_hottest = String::from("-");
-    let mut loads = Vec::new();
     for rate in RATES {
-        let mut network = tenoc::noc::build_mesh(net.clone());
-        let r = run_open_loop_on(&open_loop(net, rate), &mut *network);
+        let mut network = ArenaNetwork::new(net.clone());
+        let r = run_open_loop_on(&open_loop(net, rate), &mut network);
         let offered = rate * offered_per_rate;
         if offered > 0.0 && r.ejection_rate >= KEEPUP_THRESHOLD * offered {
             any_kept_up = true;
@@ -111,7 +112,7 @@ fn cross_validate(net: &NetworkConfig) -> XvalResult {
             // from it (hot flows clamp first), so saturated heatmaps no
             // longer reflect the matrix the prediction is about. Rates
             // ascend, so the last keeping-up point wins.
-            network.link_loads_into(&mut loads);
+            let loads = network.link_loads();
             if let Some((node, dir, _)) =
                 loads.iter().reduce(|best, c| if c.2 > best.2 { c } else { best })
             {
@@ -120,10 +121,8 @@ fn cross_validate(net: &NetworkConfig) -> XvalResult {
         }
     }
 
-    let low = run_open_loop(&open_loop(net, LOW_RATE));
-    let zl = |class: &str| {
-        report.zero_load.iter().find(|z| z.class == class).map(|z| z.mean).unwrap_or(0.0)
-    };
+    let low = run_open_loop_on(&open_loop(net, LOW_RATE), &mut ArenaNetwork::new(net.clone()));
+    let zl = |class| zero_load_mean(&report.zero_load, class);
     XvalResult {
         accepted_bound: report.accepted_bound,
         max_sustained,
@@ -139,16 +138,31 @@ fn cross_validate(net: &NetworkConfig) -> XvalResult {
     }
 }
 
+/// The static mean zero-load latency of one class (0 when absent).
+fn zero_load_mean(zero_load: &[ClassZeroLoad], class: &str) -> f64 {
+    zero_load.iter().find(|z| z.class == class).map(|z| z.mean).unwrap_or(0.0)
+}
+
+/// The failure, if any, of the zero-load floor: the static (request,
+/// reply) latency must not exceed the measured low-rate means.
+fn latency_floor_failure(label: &str, static_: (f64, f64), measured: (f64, f64)) -> Option<String> {
+    let ((static_req, static_rep), (measured_req, measured_rep)) = (static_, measured);
+    let exceeds = static_req > measured_req * LATENCY_TOLERANCE
+        || static_rep > measured_rep * LATENCY_TOLERANCE;
+    exceeds.then(|| {
+        format!(
+            "{label}: static zero-load latency (req {static_req:.2} / rep {static_rep:.2}) \
+             exceeds measured low-rate means (req {measured_req:.2} / rep {measured_rep:.2})"
+        )
+    })
+}
+
 /// The distinct unsliced physical fabrics behind the named presets.
 fn physical_nets() -> Vec<(String, NetworkConfig)> {
     let mut out: Vec<(String, NetworkConfig)> = Vec::new();
     for p in Preset::NAMED {
         let icnt = p.icnt(6);
-        if matches!(
-            icnt,
-            tenoc::core::system::IcntConfig::Perfect(_)
-                | tenoc::core::system::IcntConfig::BwLimited(_, _)
-        ) {
+        if matches!(icnt, IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _)) {
             continue;
         }
         let net = icnt.net().clone();
@@ -156,6 +170,19 @@ fn physical_nets() -> Vec<(String, NetworkConfig)> {
             continue;
         }
         out.push((p.label(), net));
+    }
+    out
+}
+
+/// The distinct double-network presets.
+fn double_icnts() -> Vec<(String, IcntConfig)> {
+    let mut out: Vec<(String, IcntConfig)> = Vec::new();
+    for p in Preset::NAMED {
+        let icnt = p.icnt(6);
+        if matches!(icnt, IcntConfig::Double(_)) && !out.iter().any(|(_, i)| i.net() == icnt.net())
+        {
+            out.push((p.label(), icnt));
+        }
     }
     out
 }
@@ -177,25 +204,29 @@ fn static_bound_and_latency_floor_hold_on_every_preset() {
                 r.max_sustained, r.accepted_bound
             ));
         }
-        let (static_req, static_rep) = r.static_latency;
-        let (measured_req, measured_rep) = r.measured_latency;
-        if static_req > measured_req * LATENCY_TOLERANCE
-            || static_rep > measured_rep * LATENCY_TOLERANCE
-        {
-            failures.push(format!(
-                "{label}: static zero-load latency (req {static_req:.2} / rep {static_rep:.2}) \
-                 exceeds measured low-rate means (req {measured_req:.2} / rep {measured_rep:.2})"
-            ));
-        }
+        failures.extend(latency_floor_failure(&label, r.static_latency, r.measured_latency));
+    }
+    // The zero-load floor on each double preset's sliced fabric: requests
+    // ride one half-width slice and replies the other.
+    for (label, icnt) in double_icnts() {
+        let report = analyze_load_double(icnt.net(), TrafficMatrix::ManyToFew);
+        let static_ = (
+            zero_load_mean(&report.request.zero_load, "request"),
+            zero_load_mean(&report.reply.zero_load, "reply"),
+        );
+        let low =
+            run_open_loop_on(&open_loop(icnt.net(), LOW_RATE), &mut *icnt.build(EngineKind::Arena));
+        let measured = (low.avg_request_latency, low.avg_reply_latency);
+        failures.extend(latency_floor_failure(&format!("{label} (sliced)"), static_, measured));
     }
     assert!(failures.is_empty(), "cross-validation failures:\n  {}", failures.join("\n  "));
 }
 
 #[test]
 fn predicted_hottest_channel_matches_telemetry_on_thr_eff() {
-    // The thr-eff preset is a double network; the open-loop harness
-    // drives its unsliced physical fabric, so the static side analyzes
-    // the same single network (as everywhere in this file).
+    // The thr-eff preset is a double network; this check drives its
+    // unsliced physical fabric, so the static side analyzes the same
+    // single network.
     let r = cross_validate(Preset::ThroughputEffective.icnt(6).net());
     assert!(
         r.predicted_hottest.contains(&r.observed_hottest),

@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use tenoc::core::Preset;
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
+use tenoc::noc::ArenaDoubleNetwork;
 
 fn tenoc(args: &[&str]) -> Output {
     tenoc_env(args, &[])
@@ -306,7 +307,7 @@ fn openloop_probes_the_sliced_fabric_of_a_double_preset() {
     // The CLI line is a library probe of the two half-width slices.
     let icnt = Preset::DoubleCpCr.icnt(6);
     let cfg = OpenLoopConfig::new(icnt.net().clone(), 0.05, TrafficPattern::UniformRandom);
-    let r = run_open_loop_on(&cfg, &mut *tenoc::noc::build_double(icnt.net()));
+    let r = run_open_loop_on(&cfg, &mut ArenaDoubleNetwork::from_single(icnt.net()));
     let saturated = if r.saturated() { " (saturated)" } else { "" };
     let expected = format!(
         "rate 0.05: latency {:.1} cyc, delivered {:.1}%{saturated}\n",
