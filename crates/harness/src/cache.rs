@@ -10,9 +10,10 @@
 //!
 //! The store holds three kinds of result under one journal, one replay
 //! and one version gate: closed-loop cells ([`CachedCell`], addressed by
-//! [`config_cell_key`](crate::canon::config_cell_key)), open-loop probes
-//! ([`OpenLoopResult`], addressed by [`probe_key`](crate::canon::probe_key))
-//! and the link-utilization heatmaps of a traced cell ([`Heatmaps`],
+//! [`config_cell_key`](crate::canon::config_cell_key)), open-loop probe
+//! answers (an [`OpenLoopResult`], or `None` for a bounded question the
+//! bound cut; addressed by [`probe_key`](crate::canon::probe_key)) and
+//! the link-utilization heatmaps of a traced cell ([`Heatmaps`],
 //! addressed by [`heatmap_key`](crate::canon::heatmap_key)). Every line
 //! carries the [`MODEL_VERSION`] that produced it; a line from any other
 //! version is left on disk but never loaded, so no result outlives the
@@ -58,8 +59,9 @@ pub struct Heatmaps(pub Vec<(String, Vec<Vec<f64>>)>);
 pub enum Entry {
     /// A closed-loop cell.
     Cell(CachedCell),
-    /// An open-loop probe.
-    Probe(OpenLoopResult),
+    /// An open-loop probe answer: measured, or `None` when cut by its
+    /// bound.
+    Probe(Option<OpenLoopResult>),
     /// A traced cell's heatmaps.
     Heatmap(Heatmaps),
 }
@@ -93,13 +95,13 @@ impl Memo for CachedCell {
     }
 }
 
-impl From<OpenLoopResult> for Entry {
-    fn from(probe: OpenLoopResult) -> Self {
+impl From<Option<OpenLoopResult>> for Entry {
+    fn from(probe: Option<OpenLoopResult>) -> Self {
         Entry::Probe(probe)
     }
 }
 
-impl Memo for OpenLoopResult {
+impl Memo for Option<OpenLoopResult> {
     fn from_entry(entry: &Entry) -> Option<&Self> {
         match entry {
             Entry::Probe(probe) => Some(probe),
@@ -107,7 +109,8 @@ impl Memo for OpenLoopResult {
         }
     }
 
-    /// A probe runs its fixed windows to the end whatever the fabric does.
+    /// A probe runs its fixed windows to the end whatever the fabric does,
+    /// and a cut is a proof, not a partial run.
     fn finished(&self) -> bool {
         true
     }
@@ -297,6 +300,9 @@ impl DiskCache {
         let entry = || -> Option<(String, Entry)> {
             let key = v.field("key").ok()?.as_str().ok()?.to_string();
             if let Ok(bits) = v.field("probe") {
+                if bits.as_str().ok() == Some("cut") {
+                    return Some((key, Entry::Probe(None)));
+                }
                 let mut words = [0u64; 8];
                 let hex = bits.as_array().ok()?;
                 if hex.len() != words.len() {
@@ -305,7 +311,7 @@ impl DiskCache {
                 for (word, h) in words.iter_mut().zip(hex) {
                     *word = unhex(h)?;
                 }
-                return Some((key, Entry::Probe(probe_from_bits(words))));
+                return Some((key, Entry::Probe(Some(probe_from_bits(words)))));
             }
             if let Ok(slices) = v.field("heatmap") {
                 return Some((key, Entry::Heatmap(heatmaps_from_value(slices)?)));
@@ -386,7 +392,11 @@ impl DiskCache {
                 line.push(("metrics".to_string(), cell.metrics.to_value()));
             }
             Entry::Probe(probe) => {
-                line.push(("probe".to_string(), Value::Array(probe_bits(probe).map(hex).to_vec())));
+                let answer = match probe {
+                    Some(probe) => Value::Array(probe_bits(probe).map(hex).to_vec()),
+                    None => "cut".to_value(),
+                };
+                line.push(("probe".to_string(), answer));
             }
             Entry::Heatmap(heatmaps) => {
                 line.push(("heatmap".to_string(), heatmaps_value(heatmaps)));
@@ -580,9 +590,10 @@ mod tests {
                 hash(include_bytes!("../../../tests/golden/frontier.json")),
                 hash(include_bytes!("../../../tests/golden/figures.json")),
             ),
-            (1, 0xf3ee_641d_0d39_cb19, 0x1913_8926_9bb7_fb1a, 0xa6e0_51be_4739_952d),
+            (1, 0xf3ee_641d_0d39_cb19, 0xd02d_3430_9c6a_ed9c, 0xa6e0_51be_4739_952d),
             "a simulator change that re-blesses tiny.jsonl, frontier.json or figures.json bumps \
-             MODEL_VERSION; a figures.json row rename moves its hash alone"
+             MODEL_VERSION; a figures.json row rename, or a frontier.json entry that no longer \
+             reports a number it did not simulate, moves its hash alone"
         );
     }
 
@@ -594,19 +605,22 @@ mod tests {
         {
             let mut cache = DiskCache::open(&dir).unwrap();
             cache.put("cell", cell).unwrap();
-            cache.store("probe", probe).unwrap();
-            cache.store("probe", probe).unwrap();
+            cache.store("probe", Some(probe)).unwrap();
+            cache.store("probe", Some(probe)).unwrap();
+            cache.store("cut", None::<OpenLoopResult>).unwrap();
         }
         let text = std::fs::read_to_string(DiskCache::journal_path(&dir)).unwrap();
-        assert_eq!(text.lines().count(), 2, "one line per result, duplicates suppressed");
+        assert_eq!(text.lines().count(), 3, "one line per result, duplicates suppressed");
         let cache = DiskCache::open(&dir).unwrap();
-        assert_eq!((cache.len(), cache.skipped_lines, cache.stale_lines), (2, 0, 0));
+        assert_eq!((cache.len(), cache.skipped_lines, cache.stale_lines), (3, 0, 0));
         assert_eq!(cache.get("cell"), Some(&cell));
-        let back: &OpenLoopResult = cache.lookup("probe").expect("probe replayed");
-        assert_eq!(probe_bits(back), probe_bits(&probe));
+        let back: &Option<OpenLoopResult> = cache.lookup("probe").expect("probe replayed");
+        assert_eq!(back.as_ref().map(probe_bits), Some(probe_bits(&probe)));
+        // A cut answer replays as a cut, not as a miss.
+        assert!(cache.lookup::<Option<OpenLoopResult>>("cut").is_some_and(Option::is_none));
         // An address holds one kind: asking for the other is a miss.
         assert!(cache.get("probe").is_none());
-        assert!(cache.lookup::<OpenLoopResult>("cell").is_none());
+        assert!(cache.lookup::<Option<OpenLoopResult>>("cell").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -653,7 +667,7 @@ mod tests {
             let mut cache = DiskCache::open(&dir).unwrap();
             cache.put("a", cell).unwrap();
             cache.put("b", cell).unwrap();
-            cache.store("p", sample_probe()).unwrap();
+            cache.store("p", Some(sample_probe())).unwrap();
         }
         // Rewrite the version field: one line to another version, one to
         // none at all (a journal from before versioning).
@@ -667,7 +681,7 @@ mod tests {
         {
             let mut cache = DiskCache::open(&dir).unwrap();
             assert!(cache.get("a").is_none() && cache.get("b").is_none());
-            assert!(cache.lookup::<OpenLoopResult>("p").is_none());
+            assert!(cache.lookup::<Option<OpenLoopResult>>("p").is_none());
             assert_eq!((cache.len(), cache.stale_lines, cache.skipped_lines), (0, 3, 0));
             assert!(cache.replay_warning().is_some());
             // A fresh result for a stale key is appended, not suppressed.

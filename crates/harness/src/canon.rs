@@ -164,8 +164,13 @@ pub fn cell_key(cell: &SweepCell) -> String {
     cell_keys(std::slice::from_ref(cell)).pop().expect("one cell, one address")
 }
 
-/// The canonical identity of one open-loop probe: the interconnect the
-/// probe's fabric is built from plus every traffic-generator input.
+/// The canonical identity of one open-loop probe question: the
+/// interconnect the probe's fabric is built from, every traffic-generator
+/// input and, for a bounded question, its `beat` — "measure this probe
+/// unless it provably cannot eject more than `beat`"
+/// ([`run_open_loop_unless`](tenoc_noc::openloop::run_open_loop_unless)).
+/// An unbounded question hashes no `beat` field, so its address is the
+/// one every probe had before bounded questions existed.
 ///
 /// It hashes the [`IcntConfig`], not `icnt.net()`: a double candidate
 /// and its unsliced base carry the same `NetworkConfig` but build
@@ -179,7 +184,7 @@ pub fn cell_key(cell: &SweepCell) -> String {
 /// Excluded, as for cells: the engine and worker placement
 /// (result-identical) and whatever names or ranks the caller gives the
 /// probe.
-pub(crate) fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> Value {
+pub(crate) fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig, beat: Option<f64>) -> Value {
     let OpenLoopConfig {
         net,
         injection_rate,
@@ -199,7 +204,7 @@ pub(crate) fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> Value {
             ("fraction".to_string(), fraction.to_value()),
         ]),
     };
-    Value::Object(vec![
+    let mut fields = vec![
         ("probe".to_string(), "open-loop".to_value()),
         ("icnt".to_string(), icnt.to_value()),
         ("rate".to_string(), injection_rate.to_value()),
@@ -210,12 +215,15 @@ pub(crate) fn probe_value(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> Value {
         ("request_bytes".to_string(), request_bytes.to_value()),
         ("reply_bytes".to_string(), reply_bytes.to_value()),
         ("seed".to_string(), seed.to_value()),
-    ])
+    ];
+    fields.extend(beat.map(|b| ("beat".to_string(), b.to_value())));
+    Value::Object(fields)
 }
 
-/// The content address of an open-loop probe: 16 lower-case hex digits.
-pub fn probe_key(icnt: &IcntConfig, cfg: &OpenLoopConfig) -> String {
-    hash_value(&probe_value(icnt, cfg))
+/// The content address of an open-loop probe question (see
+/// [`probe_value`]): 16 lower-case hex digits.
+pub fn probe_key(icnt: &IcntConfig, cfg: &OpenLoopConfig, beat: Option<f64>) -> String {
+    hash_value(&probe_value(icnt, cfg, beat))
 }
 
 /// The canonical identity of a cell's link-utilization heatmaps: the
@@ -302,7 +310,7 @@ mod tests {
     fn every_probe_input_moves_the_probe_key() {
         let icnt = Preset::DoubleCpCr.icnt(6);
         let base = probe(&icnt);
-        let mut keys = vec![probe_key(&icnt, &base)];
+        let mut keys = vec![probe_key(&icnt, &base, None)];
         let perturbations: [fn(&mut OpenLoopConfig); 9] = [
             |c| c.injection_rate = 0.05,
             |c| c.pattern = TrafficPattern::Hotspot { hot: 0, fraction: 0.2 },
@@ -317,19 +325,22 @@ mod tests {
         for perturb in perturbations {
             let mut cfg = base.clone();
             perturb(&mut cfg);
-            keys.push(probe_key(&icnt, &cfg));
+            keys.push(probe_key(&icnt, &cfg, None));
         }
         // The sliced fabric and its unsliced base share a `NetworkConfig`
         // (so the same `OpenLoopConfig`) and must not share an entry.
         let unsliced = IcntConfig::Mesh(icnt.net().clone());
         assert_eq!(unsliced.net(), icnt.net());
-        keys.push(probe_key(&unsliced, &base));
+        keys.push(probe_key(&unsliced, &base, None));
+        // A bounded question is another question, and so is another bound.
+        keys.push(probe_key(&icnt, &base, Some(0.5)));
+        keys.push(probe_key(&icnt, &base, Some(0.25)));
         // A different fabric altogether.
         let other = Preset::BaselineTbDor.icnt(6);
-        keys.push(probe_key(&other, &probe(&other)));
+        keys.push(probe_key(&other, &probe(&other), None));
         let unique: std::collections::HashSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "probe key collision in {keys:?}");
-        assert_eq!(probe_key(&icnt, &base), keys[0], "and the key is stable across calls");
+        assert_eq!(probe_key(&icnt, &base, None), keys[0], "and the key is stable across calls");
     }
 
     #[test]
@@ -337,7 +348,7 @@ mod tests {
         for preset in [Preset::BaselineTbDor, Preset::CpCr4vc, Preset::ThroughputEffective] {
             let c = cell(preset, "HIS", 0.02);
             let icnt = preset.icnt(c.mesh_k);
-            let p = probe_value(&icnt, &probe(&icnt));
+            let p = probe_value(&icnt, &probe(&icnt), None);
             // The domain tag: a field every probe value has and no cell
             // value does, so the hashed texts cannot coincide.
             assert!(p.field("probe").is_ok());

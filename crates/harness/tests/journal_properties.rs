@@ -192,10 +192,11 @@ proptest! {
             delivered_fraction: f(7),
         };
         let dir = fresh_dir();
-        DiskCache::open(&dir).unwrap().store("probe", probe).unwrap();
+        DiskCache::open(&dir).unwrap().store("probe", Some(probe)).unwrap();
         let cache = DiskCache::open(&dir).unwrap();
         prop_assert_eq!((cache.skipped_lines, cache.stale_lines), (0, 0));
-        let back: &OpenLoopResult = cache.lookup("probe").expect("journaled probe replays");
+        let back: &Option<OpenLoopResult> = cache.lookup("probe").expect("journaled probe replays");
+        let back = back.as_ref().expect("a measured probe replays measured");
         let got = [
             back.offered,
             back.accepted,

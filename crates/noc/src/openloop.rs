@@ -7,8 +7,10 @@
 //! including source queueing, so the curves exhibit the classic saturation
 //! blow-up as offered load approaches network capacity.
 //!
-//! The harness comes in three shapes over one core: [`run_open_loop_on`]
+//! The harness comes in four shapes over one core: [`run_open_loop_on`]
 //! drives a single probe to completion on a fabric the caller built,
+//! [`run_open_loop_unless`] does the same but stops as soon as a sound
+//! upper bound shows the probe cannot eject more than a given rate,
 //! [`latency_curve`] sweeps offered load up to the first saturated point,
 //! and [`OpenLoopProbe`] exposes the same per-cycle loop one `tick` at a
 //! time for callers that instrument the network between cycles.
@@ -19,6 +21,7 @@ use crate::packet::Packet;
 use crate::types::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 
 /// Destination selection among the MC nodes.
@@ -27,7 +30,8 @@ pub enum TrafficPattern {
     /// Each request picks an MC uniformly at random (1/m each).
     UniformRandom,
     /// A fraction of requests target one hot MC; the rest are uniform over
-    /// the others. The paper uses 20% to one of eight MCs.
+    /// the others (with a single MC, every request goes to it). The paper
+    /// uses 20% to one of eight MCs.
     Hotspot {
         /// Index (into the MC list) of the hot MC.
         hot: usize,
@@ -153,6 +157,32 @@ pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut dyn Interconnect) -> Ope
     core.result(cfg)
 }
 
+/// Runs one open-loop probe like [`run_open_loop_on`] unless it provably
+/// cannot eject more than `beat` bytes/cycle/node in its window: returns
+/// `None` as soon as [`OpenLoopProbe::ejection_bytes_bound`]'s bound is
+/// `<= beat`, otherwise exactly the result `run_open_loop_on` returns.
+/// The bound is checked before every cycle up to `warmup`: it is
+/// constant through the window, so a check inside it could not cut.
+///
+/// # Panics
+///
+/// As [`run_open_loop_on`].
+pub fn run_open_loop_unless(
+    cfg: &OpenLoopConfig,
+    net: &mut dyn Interconnect,
+    beat: f64,
+) -> Option<OpenLoopResult> {
+    let mut core = ProbeCore::new(cfg);
+    let planned = core.planned_requests(cfg);
+    while !core.done() {
+        if core.now <= cfg.warmup && core.bytes_bound(cfg, planned) <= beat {
+            return None;
+        }
+        core.tick(cfg, net);
+    }
+    Some(core.result(cfg))
+}
+
 /// A saturating latency curve: one run of `cfg` per rate of `rates`, in
 /// order, each on a fresh fabric from `build`, stopping after the first
 /// saturated run (which is the last entry when the curve saturates).
@@ -191,6 +221,12 @@ struct ProbeCore {
     now: u64,
     total: u64,
     meas_end: u64,
+    /// Requests generated so far.
+    generated: u64,
+    /// Requests ejected at MCs and replies ejected at compute nodes so
+    /// far, inside the window or not.
+    requests_ejected: u64,
+    replies_ejected: u64,
     generated_measured: u64,
     delivered_measured: u64,
     lat_sum: [u64; 2],
@@ -204,6 +240,14 @@ impl ProbeCore {
     fn new(cfg: &OpenLoopConfig) -> Self {
         assert!(!cfg.net.mc_nodes.is_empty(), "open-loop traffic needs MC nodes");
         let mcs = cfg.net.mc_nodes.clone();
+        if let TrafficPattern::Hotspot { hot, fraction } = cfg.pattern {
+            assert!(
+                hot < mcs.len() && (0.0..=1.0).contains(&fraction),
+                "{:?} on {} MC node(s): `hot` must index an MC and `fraction` lie in [0, 1]",
+                cfg.pattern,
+                mcs.len()
+            );
+        }
         let nodes = cfg.net.mesh.len();
         let compute: Vec<NodeId> = (0..nodes).filter(|n| !mcs.contains(n)).collect();
         ProbeCore {
@@ -216,6 +260,9 @@ impl ProbeCore {
             now: 0,
             total: cfg.warmup + cfg.measure + cfg.drain,
             meas_end: cfg.warmup + cfg.measure,
+            generated: 0,
+            requests_ejected: 0,
+            replies_ejected: 0,
             generated_measured: 0,
             delivered_measured: 0,
             lat_sum: [0; 2],
@@ -234,21 +281,16 @@ impl ProbeCore {
     /// replies, tick the network.
     fn tick(&mut self, cfg: &OpenLoopConfig, net: &mut dyn Interconnect) {
         let now = self.now;
-        // Generate new requests at the compute nodes.
         if now < self.meas_end {
-            for &c in &self.compute {
-                if self.rng.gen_bool(cfg.injection_rate.min(1.0)) {
-                    let dst = pick_mc(&self.mcs, cfg.pattern, &mut self.rng);
-                    let mut p = Packet::request(c, dst, cfg.request_bytes, 0);
-                    p.header.created = now;
-                    self.src_q[c].push_back(p);
-                    if cfg.in_measurement_window(now) {
-                        self.generated_measured += 1;
-                        // Mark measured packets via the tag.
-                        self.src_q[c].back_mut().unwrap().header.tag = 1;
-                    }
-                }
-            }
+            // Measured packets are marked via the tag.
+            let tag = u64::from(cfg.in_measurement_window(now));
+            generate(cfg, &self.compute, &self.mcs, &mut self.rng, |c, dst| {
+                let mut p = Packet::request(c, dst, cfg.request_bytes, tag);
+                p.header.created = now;
+                self.src_q[c].push_back(p);
+                self.generated += 1;
+                self.generated_measured += tag;
+            });
         }
         // Drain source queues into the network.
         for &c in &self.compute {
@@ -263,6 +305,7 @@ impl ProbeCore {
         // MCs: service ejected requests, emit replies; drain reply queues.
         for &mc in &self.mcs {
             while let Some(req) = net.pop(mc) {
+                self.requests_ejected += 1;
                 let mut rep = Packet::reply(mc, req.header.src, cfg.reply_bytes, req.header.tag);
                 // Stamped at the service cycle, matching the request
                 // convention (created == first cycle the packet can
@@ -294,6 +337,7 @@ impl ProbeCore {
         // Compute nodes: consume replies.
         for &c in &self.compute {
             while let Some(rep) = net.pop(c) {
+                self.replies_ejected += 1;
                 if cfg.in_measurement_window(now) {
                     self.ejected_flits_in_window += rep.header.flits as u64;
                     self.ejected_bytes_in_window += rep.header.size_bytes as u64;
@@ -311,18 +355,47 @@ impl ProbeCore {
         self.now += 1;
     }
 
+    /// A window count as a rate per cycle per node: the one expression
+    /// behind every rate of [`OpenLoopResult`] and behind
+    /// [`bytes_bound`](Self::bytes_bound), so that for counts `e <= u`
+    /// the rates compare the same way after rounding.
+    fn per_cycle_node(&self, cfg: &OpenLoopConfig, count: u64) -> f64 {
+        count as f64 / cfg.measure as f64 / self.nodes as f64
+    }
+
+    /// `G`: the requests generated in `[0, warmup + measure)`, those not
+    /// yet generated counted by replaying the rest of the schedule on a
+    /// clone of the RNG (generation reads no network state).
+    fn planned_requests(&self, cfg: &OpenLoopConfig) -> u64 {
+        let mut rng = self.rng.clone();
+        let mut planned = self.generated;
+        for _ in self.now..self.meas_end {
+            generate(cfg, &self.compute, &self.mcs, &mut rng, |_, _| planned += 1);
+        }
+        planned
+    }
+
+    /// An upper bound on the final `ejection_bytes_rate`, given `planned`
+    /// = [`planned_requests`](Self::planned_requests). Every byte that can
+    /// still eject in the window is a planned request not yet ejected at
+    /// an MC or the reply of a planned request not yet ejected at its
+    /// core, so the bound never increases, and it is constant through the
+    /// window (each ejection there moves its bytes from the outstanding
+    /// terms to the ejected one).
+    fn bytes_bound(&self, cfg: &OpenLoopConfig, planned: u64) -> f64 {
+        let outstanding = u64::from(cfg.request_bytes) * (planned - self.requests_ejected)
+            + u64::from(cfg.reply_bytes) * (planned - self.replies_ejected);
+        self.per_cycle_node(cfg, self.ejected_bytes_in_window + outstanding)
+    }
+
     fn result(&self, cfg: &OpenLoopConfig) -> OpenLoopResult {
         let total_lat: u64 = self.lat_sum.iter().sum();
         let total_cnt: u64 = self.lat_cnt.iter().sum();
         OpenLoopResult {
             offered: cfg.injection_rate,
-            accepted: self.ejected_flits_window as f64 / cfg.measure as f64 / self.nodes as f64,
-            ejection_rate: self.ejected_flits_in_window as f64
-                / cfg.measure as f64
-                / self.nodes as f64,
-            ejection_bytes_rate: self.ejected_bytes_in_window as f64
-                / cfg.measure as f64
-                / self.nodes as f64,
+            accepted: self.per_cycle_node(cfg, self.ejected_flits_window),
+            ejection_rate: self.per_cycle_node(cfg, self.ejected_flits_in_window),
+            ejection_bytes_rate: self.per_cycle_node(cfg, self.ejected_bytes_in_window),
             avg_latency: if total_cnt == 0 {
                 f64::INFINITY
             } else {
@@ -355,6 +428,8 @@ pub struct OpenLoopProbe<I> {
     cfg: OpenLoopConfig,
     core: ProbeCore,
     net: I,
+    /// [`ProbeCore::planned_requests`], replayed on first use.
+    planned: OnceCell<u64>,
 }
 
 impl<I: Interconnect> OpenLoopProbe<I> {
@@ -365,7 +440,7 @@ impl<I: Interconnect> OpenLoopProbe<I> {
     /// Panics if the configuration has no MC nodes.
     pub fn new(cfg: OpenLoopConfig, net: I) -> Self {
         let core = ProbeCore::new(&cfg);
-        OpenLoopProbe { cfg, core, net }
+        OpenLoopProbe { cfg, core, net, planned: OnceCell::new() }
     }
 
     /// `true` once warmup + measurement + drain have all elapsed.
@@ -385,9 +460,40 @@ impl<I: Interconnect> OpenLoopProbe<I> {
         self.core.result(&self.cfg)
     }
 
+    /// A sound upper bound on the final
+    /// [`ejection_bytes_rate`](OpenLoopResult::ejection_bytes_rate): the
+    /// bytes already ejected in the window plus, for every request the
+    /// generator emits before `warmup + measure`, its bytes if it has not
+    /// ejected at its MC and its reply's bytes if that has not ejected at
+    /// its core. Never increases from one cycle to the next, and is
+    /// constant through the window. The first call replays the
+    /// generator's remaining schedule.
+    pub fn ejection_bytes_bound(&self) -> f64 {
+        let planned = *self.planned.get_or_init(|| self.core.planned_requests(&self.cfg));
+        self.core.bytes_bound(&self.cfg, planned)
+    }
+
     /// The network under test (e.g. to read link loads after the run).
     pub fn network(&self) -> &I {
         &self.net
+    }
+}
+
+/// One cycle of request generation: each compute node, in order, emits a
+/// request with probability `injection_rate`, to an MC drawn by the
+/// pattern; `emit(src, dst)` receives each. The probe and the replay
+/// behind its bound both generate through here.
+fn generate(
+    cfg: &OpenLoopConfig,
+    compute: &[NodeId],
+    mcs: &[NodeId],
+    rng: &mut SmallRng,
+    mut emit: impl FnMut(NodeId, NodeId),
+) {
+    for &c in compute {
+        if rng.gen_bool(cfg.injection_rate.min(1.0)) {
+            emit(c, pick_mc(mcs, cfg.pattern, rng));
+        }
     }
 }
 
@@ -395,7 +501,7 @@ fn pick_mc<R: Rng>(mcs: &[NodeId], pattern: TrafficPattern, rng: &mut R) -> Node
     match pattern {
         TrafficPattern::UniformRandom => mcs[rng.gen_range(0..mcs.len())],
         TrafficPattern::Hotspot { hot, fraction } => {
-            if rng.gen_bool(fraction) {
+            if rng.gen_bool(fraction) || mcs.len() == 1 {
                 mcs[hot]
             } else {
                 let others: usize = rng.gen_range(0..mcs.len() - 1);
@@ -480,6 +586,56 @@ mod tests {
         }
         let frac = hot_hits as f64 / n as f64;
         assert!((frac - 0.2).abs() < 0.02, "hot fraction {frac}");
+    }
+
+    /// With one MC, hotspot traffic sends every request to it (the "others"
+    /// it would otherwise draw from are empty), and a probe runs through.
+    #[test]
+    fn hotspot_with_one_mc_sends_every_request_to_it() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let hotspot = TrafficPattern::Hotspot { hot: 0, fraction: 0.2 };
+        assert!((0..1_000).all(|_| pick_mc(&[7], hotspot, &mut rng) == 7));
+        let mut cfg = quick_cfg(0.01);
+        cfg.net.mc_nodes.truncate(1);
+        cfg.pattern = hotspot;
+        let r = run(&cfg);
+        assert!(r.delivered_fraction > 0.99, "{r:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "on 8 MC node(s): `hot` must index an MC")]
+    fn hotspot_index_past_the_mcs_is_refused_up_front() {
+        let mut cfg = quick_cfg(0.01);
+        cfg.pattern = TrafficPattern::Hotspot { hot: 8, fraction: 0.2 };
+        ProbeCore::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "`fraction` lie in [0, 1]")]
+    fn hotspot_fraction_outside_the_unit_interval_is_refused_up_front() {
+        let mut cfg = quick_cfg(0.01);
+        cfg.pattern = TrafficPattern::Hotspot { hot: 0, fraction: 1.5 };
+        ProbeCore::new(&cfg);
+    }
+
+    /// The early-stopping run is the full run whenever it does not cut:
+    /// below the final rate it never cuts and returns the same result bit
+    /// for bit; above the bound it cuts before the first cycle.
+    #[test]
+    fn early_stopping_run_is_the_full_run_unless_it_cuts() {
+        for rate in [0.01, 0.05] {
+            let cfg = quick_cfg(rate);
+            let full = run(&cfg);
+            for beat in [0.0, full.ejection_bytes_rate.next_down()] {
+                let net = &mut ArenaNetwork::new(cfg.net.clone());
+                let got = run_open_loop_unless(&cfg, net, beat).expect("beat below the final rate");
+                assert_eq!(format!("{got:?}"), format!("{full:?}"), "at {rate}, beat {beat}");
+            }
+            let mut net = ArenaNetwork::new(cfg.net.clone());
+            let probe = OpenLoopProbe::new(cfg.clone(), ArenaNetwork::new(cfg.net.clone()));
+            assert!(run_open_loop_unless(&cfg, &mut net, probe.ejection_bytes_bound()).is_none());
+            assert_eq!(net.cycle(), 0, "cut before its first cycle");
+        }
     }
 
     /// Satellite regression: pin the measurement-window boundaries so

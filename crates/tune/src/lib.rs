@@ -22,8 +22,10 @@
 //! - **Stage 2 — open-loop probes (medium):** promoted candidates are
 //!   probed at a few injection rates around their static bound, each
 //!   probe run to the end of its measurement window on the candidate's
-//!   own fabric; the measured steady-state ejection rate per mm² decides
-//!   promotion.
+//!   own fabric; the best measured steady-state ejection rate per mm²
+//!   decides promotion. Probes run highest rate first, and a lower-rate
+//!   probe stops as soon as a sound bound shows it cannot beat its
+//!   candidate's best so far, so it could not have moved the score.
 //! - **Stage 3 — closed-loop halving (expensive):** survivors race
 //!   through a successive-halving ladder of full closed-loop benchmark
 //!   simulations, and the finalists' measured harmonic-mean IPC per mm²
@@ -52,10 +54,11 @@ mod space;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::time::Instant;
 
 pub use report::{
     BenchIpc, Finalist, FrontierPoint, GridCounts, HeatmapReport, NamedPoint, Rejection, Rung,
-    Stage1Entry, Stage2Entry, TuneReport, TuneStats,
+    Stage1Entry, Stage2Entry, StageWall, TuneReport, TuneStats,
 };
 pub use space::{config_hash, Candidate};
 pub use tenoc_core::Org;
@@ -71,7 +74,7 @@ use tenoc_harness::{
     canonicalize, config_cell_key, heatmap_key, memoize, probe_key, run_config_cell, CachedCell,
     ConfigCell, DiskCache, Heatmaps,
 };
-use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
+use tenoc_noc::openloop::{run_open_loop_on, run_open_loop_unless, OpenLoopConfig, TrafficPattern};
 use tenoc_noc::RoutingKind;
 use tenoc_verify::load::TrafficMatrix;
 use tenoc_verify::{route_key, RouteTable};
@@ -405,6 +408,8 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         .collect::<std::io::Result<Vec<_>>>()?;
     let jobs = opts.jobs.max(1);
     let mut stats = TuneStats::default();
+    let mut clock = Instant::now();
+    let mut lap = || std::mem::replace(&mut clock, Instant::now()).elapsed();
     let mut rejections: Vec<Rejection> = Vec::new();
 
     // ---- Stage 0a: enumerate and construct -------------------------------
@@ -501,6 +506,8 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         })
         .collect();
 
+    stats.wall.verify_rank = lap();
+
     // ---- Stage 2: open-loop probes ---------------------------------------
     for &i in &probe_set {
         reached[i] = Reached::Probed;
@@ -520,32 +527,53 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     // of different channel widths eject different flit counts for the
     // same payload, so cross-candidate comparison happens on the
     // width-independent `ejection_bytes_rate`.
-    let probes: Vec<(usize, OpenLoopConfig)> = probe_set
-        .iter()
-        .flat_map(|&i| probe_configs(&cands[i], &audits[i], spec).into_iter().map(move |c| (i, c)))
-        .collect();
-    let probe_keys: Vec<String> =
-        probes.iter().map(|(i, cfg)| probe_key(&cands[*i].icnt, cfg)).collect();
-    let (probed, probe_hits) = memoize(cache.as_mut(), &probe_keys, jobs, |p| {
-        let (i, cfg) = &probes[p];
-        run_open_loop_on(cfg, &mut *cands[*i].icnt.build(EngineKind::Arena))
-    })?;
-    stats.probes = probes.len() - probe_hits;
-    stats.probe_cache_hits = probe_hits;
-    let per_cand = spec.probe_multipliers.len();
+    let configs: Vec<Vec<OpenLoopConfig>> =
+        probe_set.iter().map(|&i| probe_configs(&cands[i], &audits[i], spec)).collect();
+    // One `memoize` pass per multiplier, highest rate first. A score is
+    // the best ejection over its candidate's probes, so a lower-rate probe
+    // asks only whether it can beat the best of the higher-rate ones
+    // (`beat`), and stops as soon as its bound says it cannot: a cut probe
+    // could not have moved the score, and every probe that is not cut
+    // runs exactly as an unbounded one would.
+    let m = &spec.probe_multipliers;
+    let mut passes: Vec<usize> = (0..m.len()).collect();
+    passes.sort_by(|&a, &b| m[b].total_cmp(&m[a]).then(a.cmp(&b)));
+    let mut answers = vec![vec![None; m.len()]; probe_set.len()];
+    let mut beat: Vec<Option<f64>> = vec![None; probe_set.len()];
+    for r in passes {
+        let keys: Vec<String> = (0..probe_set.len())
+            .map(|j| probe_key(&cands[probe_set[j]].icnt, &configs[j][r], beat[j]))
+            .collect();
+        let (answered, hits) = memoize(cache.as_mut(), &keys, jobs, |j| {
+            let net = &mut *cands[probe_set[j]].icnt.build(EngineKind::Arena);
+            match beat[j] {
+                None => Some(run_open_loop_on(&configs[j][r], net)),
+                Some(b) => run_open_loop_unless(&configs[j][r], net, b),
+            }
+        })?;
+        stats.probes += keys.len() - hits;
+        stats.probe_cache_hits += hits;
+        for (j, answer) in answered.into_iter().enumerate() {
+            match answer.map(|probe| probe.ejection_bytes_rate) {
+                Some(rate) => beat[j] = Some(beat[j].map_or(rate, |b| b.max(rate))),
+                None => stats.probes_cut += 1,
+            }
+            answers[j][r] = answer;
+        }
+    }
     let mut stage2: Vec<Stage2Entry> = probe_set
         .iter()
-        .enumerate()
-        .map(|(j, &i)| {
-            let span = j * per_cand..(j + 1) * per_cand;
-            let results = &probed[span.clone()];
-            let best = results.iter().map(|r| r.ejection_bytes_rate).fold(0.0, f64::max);
+        .zip(&configs)
+        .zip(&answers)
+        .map(|((&i, cfgs), answers)| {
+            let measured = answers.iter().flatten();
+            let best = measured.map(|r| r.ejection_bytes_rate).fold(0.0, f64::max);
             Stage2Entry {
                 name: cands[i].name.clone(),
                 family: cands[i].family.clone(),
-                rates: probes[span].iter().map(|(_, cfg)| cfg.injection_rate).collect(),
-                ejection_rates: results.iter().map(|r| r.ejection_rate).collect(),
-                ejection_bytes: results.iter().map(|r| r.ejection_bytes_rate).collect(),
+                rates: cfgs.iter().map(|cfg| cfg.injection_rate).collect(),
+                ejection_rates: answers.iter().map(|a| a.map(|r| r.ejection_rate)).collect(),
+                ejection_bytes: answers.iter().map(|a| a.map(|r| r.ejection_bytes_rate)).collect(),
                 probe_score: 1000.0 * best / audits[i].area_mm2,
                 promoted: false,
                 pinned: cands[i].pinned,
@@ -594,6 +622,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         .collect();
     let stage2_promoted = alive.len() as u64;
     stage2.sort_by(|a, b| b.probe_score.total_cmp(&a.probe_score).then(a.name.cmp(&b.name)));
+    stats.wall.probes = lap();
 
     // ---- Stage 3: successive halving over the benchmark ladder -----------
     let mut per_bench: HashMap<usize, Vec<BenchIpc>> = HashMap::new();
@@ -654,6 +683,8 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         });
     }
 
+    stats.wall.cells = lap();
+
     // ---- Finalists and the frontier --------------------------------------
     for &i in &alive {
         reached[i] = Reached::Finalist;
@@ -700,6 +731,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     })?;
     stats.heatmaps = heat_keys.len() - heat_hits;
     stats.heatmap_cache_hits = heat_hits;
+    stats.wall.heatmaps = lap();
     let frontier: Vec<FrontierPoint> = frontier_idx
         .iter()
         .zip(heatmaps)
@@ -854,15 +886,24 @@ mod tests {
         }
     }
 
-    /// A probe stops at the end of its measurement window because no later
+    /// Every stage-2 probe, run to the end with no bound, agrees with what
+    /// the search reported: each measured entry bit for bit, each cut
+    /// probe at or below its `beat` (the best of its candidate's
+    /// higher-rate probes), and every `probe_score` is 1000 × the best full
+    /// rate / area, bit for bit — the bound changes no decision. And a
+    /// probe stops at the end of its measurement window because no later
     /// cycle can change the two rates the tuner reads: they are
     /// bit-identical with and without an 8 000-cycle drain, for every probe
-    /// of the tiny search and for one probe at 1.3x the static bound.
+    /// and for one probe at 1.3x the static bound. Debug builds check the
+    /// tiny search, release builds (CI's `tune` job) the default k=6 grid.
     #[test]
     fn probe_rates_do_not_depend_on_the_drain() {
-        let spec = TuneSpec::tiny();
-        let (report, _) = run_tune(&spec, &TuneOptions::default()).unwrap();
+        let release = !cfg!(debug_assertions);
+        let spec = if release { TuneSpec::default_at(6) } else { TuneSpec::tiny() };
+        let (report, _) = run_tune(&spec, &TuneOptions { jobs: 2, cache_dir: None }).unwrap();
         let cands = grid(&spec);
+        let per_cand = spec.probe_multipliers.len();
+        let mut areas = Vec::new();
         let mut probes = Vec::new();
         for entry in &report.stage2 {
             let cand = cands.iter().find(|c| c.name == entry.name).expect("a grid point");
@@ -875,23 +916,85 @@ mod tests {
                 probes.extend(probe_configs(cand, &audit, &hot).into_iter().map(|c| (cand, c)));
             }
             probes.extend(cfgs.into_iter().map(|c| (cand, c)));
+            areas.push(audit.area_mm2);
         }
-        assert_eq!(probes.len(), 1 + report.stage2.len() * spec.probe_multipliers.len());
-        for (i, (cand, cfg)) in probes.iter().enumerate() {
+        assert_eq!(probes.len(), 1 + report.stage2.len() * per_cand);
+        let runs = run_indexed(probes.len(), 2, |p| {
+            let (cand, cfg) = &probes[p];
             let run = |drain| {
                 let cfg = OpenLoopConfig { drain, ..cfg.clone() };
                 run_open_loop_on(&cfg, &mut *cand.icnt.build(EngineKind::Arena))
             };
-            let (cut, drained) = (run(0), run(8_000));
-            let bits = |r: &tenoc_noc::openloop::OpenLoopResult| {
-                (r.ejection_rate.to_bits(), r.ejection_bytes_rate.to_bits())
-            };
-            assert_eq!(bits(&cut), bits(&drained), "{} at {}", cand.name, cfg.injection_rate);
-            if i == 0 {
-                // What the drain does change, and the tuner never reads.
-                assert!(cut.delivered_fraction < drained.delivered_fraction, "{cut:?}");
-            }
+            (run(0), run(8_000))
+        });
+        let bits = |r: &tenoc_noc::openloop::OpenLoopResult| {
+            (r.ejection_rate.to_bits(), r.ejection_bytes_rate.to_bits())
+        };
+        for ((cand, cfg), (cut, drained)) in probes.iter().zip(&runs) {
+            assert_eq!(bits(cut), bits(drained), "{} at {}", cand.name, cfg.injection_rate);
         }
+        // What the drain does change, and the tuner never reads.
+        assert!(runs[0].0.delivered_fraction < runs[0].1.delivered_fraction, "{:?}", runs[0].0);
+        let m = &spec.probe_multipliers;
+        let mut cuts = 0;
+        for ((entry, full), area) in report.stage2.iter().zip(runs[1..].chunks(per_cand)).zip(areas)
+        {
+            let name = &entry.name;
+            let bytes: Vec<f64> = full.iter().map(|(r, _)| r.ejection_bytes_rate).collect();
+            for (r, (full, _)) in full.iter().enumerate() {
+                match (entry.ejection_rates[r], entry.ejection_bytes[r]) {
+                    (None, None) => {
+                        let higher = (0..per_cand).filter(|&h| m[h] > m[r]).map(|h| bytes[h]);
+                        let beat = higher.fold(f64::NEG_INFINITY, f64::max);
+                        assert!(bytes[r] <= beat, "{name} x{}: cut above its beat", m[r]);
+                        cuts += 1;
+                    }
+                    (flits, b) => {
+                        let (flits, b) = (flits.map(f64::to_bits), b.map(f64::to_bits));
+                        let (full_flits, full_b) = bits(full);
+                        assert_eq!((flits, b), (Some(full_flits), Some(full_b)), "{name}");
+                    }
+                }
+            }
+            let best = bytes.into_iter().fold(0.0, f64::max);
+            assert_eq!(entry.probe_score.to_bits(), (1000.0 * best / area).to_bits(), "{name}");
+        }
+        assert!(cuts > 0, "the bound cuts at least one probe");
+    }
+
+    /// A cache filled before probes could be cut holds one unbounded answer
+    /// per probe. The top-rate questions are still unbounded and keep
+    /// those addresses, so they are served from it; only the lower-rate
+    /// questions, which now carry a `beat`, are asked again. Debug builds
+    /// replay the tiny search's journal, release builds the default k=6
+    /// grid's, whose report is the frontier golden.
+    #[test]
+    fn an_unbounded_probe_journal_still_serves_the_top_rate_probes() {
+        let release = !cfg!(debug_assertions);
+        let (spec, journal, top, cut) = if release {
+            let journal = include_str!("../tests/fixtures/unbounded-probes-k6.jsonl");
+            (TuneSpec::default_at(6), journal, 35, 52)
+        } else {
+            let journal = include_str!("../tests/fixtures/unbounded-probes-tiny.jsonl");
+            (TuneSpec::tiny(), journal, 6, 6)
+        };
+        let dir = tmp_cache("unbounded");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(DiskCache::journal_path(&dir), journal).unwrap();
+        let opts = TuneOptions { jobs: 2, cache_dir: Some(dir.clone()) };
+        let (report, stats) = run_tune(&spec, &opts).unwrap();
+        assert_eq!(
+            (stats.probe_cache_hits, stats.probes, stats.probes_cut),
+            (top, journal.lines().count() - top, cut),
+            "{stats:?}"
+        );
+        let expected = if release {
+            include_str!("../../../tests/golden/frontier.json").trim_end().to_string()
+        } else {
+            run_tune(&spec, &TuneOptions::default()).unwrap().0.to_json()
+        };
+        assert_eq!(report.to_json(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn tmp_cache(tag: &str) -> PathBuf {

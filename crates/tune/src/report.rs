@@ -11,6 +11,7 @@
 
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// Candidate counts per stage. The invariant `enumerated =
 /// unconstructible + rejected + legal` (plus any out-of-grid pinned
@@ -97,12 +98,14 @@ pub struct Stage2Entry {
     pub rates: Vec<f64>,
     /// Measured steady-state ejection rate at each probed rate, in
     /// flits/cycle/node of the candidate's own fabric (half-width flits
-    /// for double networks).
-    pub ejection_rates: Vec<f64>,
+    /// for double networks); `null` where the probe was cut because it
+    /// provably could not beat a higher-rate probe's `ejection_bytes`.
+    pub ejection_rates: Vec<Option<f64>>,
     /// Measured steady-state ejection at each probed rate in payload
     /// bytes/cycle/node — width-independent, so comparable across
-    /// candidates of different channel widths and slicings.
-    pub ejection_bytes: Vec<f64>,
+    /// candidates of different channel widths and slicings; `null` where
+    /// the probe was cut.
+    pub ejection_bytes: Vec<Option<f64>>,
     /// Best measured ejection (bytes/cycle/node) per mm² of chip area,
     /// ×1000.
     pub probe_score: f64,
@@ -259,10 +262,14 @@ impl TuneReport {
 /// bytes must not.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuneStats {
-    /// Open-loop probes ticked.
+    /// Open-loop probes asked of the simulator (a cut probe may stop
+    /// before its first cycle).
     pub probes: usize,
     /// Open-loop probes served from the result cache instead.
     pub probe_cache_hits: usize,
+    /// Of all probes, those whose answer is "cut by bound", whether
+    /// asked now or served from the cache.
+    pub probes_cut: usize,
     /// Closed-loop cells requested across all rungs.
     pub stage3_cells: usize,
     /// Of those, served from the result cache.
@@ -274,4 +281,27 @@ pub struct TuneStats {
     pub heatmaps: usize,
     /// Frontier heatmaps served from the result cache instead.
     pub heatmap_cache_hits: usize,
+    /// Wall time per stage.
+    pub wall: StageWall,
+}
+
+/// Wall time of each stage of one search. Timings differ from run to run
+/// while the counters beside them must not, so any two `StageWall`s
+/// compare equal and [`TuneStats`] equality compares counters only.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StageWall {
+    /// Stages 0 and 1: construct, verify and rank.
+    pub verify_rank: Duration,
+    /// Stage 2: open-loop probes and promotion.
+    pub probes: Duration,
+    /// Stage 3: the closed-loop cells of the halving ladder.
+    pub cells: Duration,
+    /// The frontier's heatmaps.
+    pub heatmaps: Duration,
+}
+
+impl PartialEq for StageWall {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }

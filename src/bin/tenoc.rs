@@ -748,14 +748,15 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
     };
     let (report, stats) = run_tune(&spec, &opts).map_err(|e| e.to_string())?;
     let json = report.to_json();
-    // Execution counters go to stderr only: the report must stay
-    // byte-identical whatever the cache already held. The probe and
-    // heatmap counts trail the line and avoid the words "from cache": the
-    // benchmark reads the first such pair as the closed-loop one.
+    // Execution counters and wall times go to stderr only: the report
+    // must stay byte-identical whatever the cache already held. The probe
+    // and heatmap counts trail the line and avoid the words "from cache",
+    // and the wall-time line names neither marker: the benchmark reads
+    // the first such pair as the closed-loop one.
     eprintln!(
         "tune: {} enumerated, {} legal, {} probed, {} halved; {} closed-loop cells \
-         ({} from cache), {} finalists, {} on the frontier; {} probes ticked, {} memoized; \
-         {} route tables; {} heatmaps re-run, {} memoized",
+         ({} from cache), {} finalists, {} on the frontier; {} probes ticked, {} memoized, \
+         {} cut by bound; {} route tables; {} heatmaps re-run, {} memoized",
         report.counts.enumerated,
         report.counts.legal,
         report.counts.stage1_promoted,
@@ -766,9 +767,19 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
         report.counts.frontier,
         stats.probes,
         stats.probe_cache_hits,
+        stats.probes_cut,
         stats.route_tables,
         stats.heatmaps,
         stats.heatmap_cache_hits
+    );
+    let wall = stats.wall;
+    eprintln!(
+        "tune: wall time by stage: verify+rank {:.3} s, probes {:.3} s, closed-loop {:.3} s, \
+         heatmaps {:.3} s",
+        wall.verify_rank.as_secs_f64(),
+        wall.probes.as_secs_f64(),
+        wall.cells.as_secs_f64(),
+        wall.heatmaps.as_secs_f64()
     );
 
     if flags.contains_key("json") {

@@ -237,12 +237,16 @@ fn tune_summary_reports_memoized_probes_behind_the_closed_loop_pair() {
         head.rsplit(|c: char| !c.is_ascii_digit()).next().unwrap().parse().expect("a count")
     };
     let first = run(&cold);
-    assert!(first.contains("; 12 probes ticked, 0 memoized"), "{first}");
+    assert!(first.contains("; 12 probes ticked, 0 memoized, 6 cut by bound;"), "{first}");
+    // The wall-time line follows the summary and names neither marker.
+    let wall = first.lines().nth(1).expect("a second stderr line");
+    assert!(wall.starts_with("tune: wall time by stage: verify+rank "), "{first}");
+    assert!(!wall.contains(" closed-loop cells") && !wall.contains(" from cache"), "{wall}");
     assert_eq!(number_before(&first, " from cache"), 0, "{first}");
     let frontier = number_before(&first, " on the frontier");
     assert!(first.contains(&format!("; {frontier} heatmaps re-run, 0 memoized\n")), "{first}");
     let second = run(&warm);
-    assert!(second.contains("; 0 probes ticked, 12 memoized"), "{second}");
+    assert!(second.contains("; 0 probes ticked, 12 memoized, 6 cut by bound;"), "{second}");
     assert!(second.contains(&format!("; 0 heatmaps re-run, {frontier} memoized\n")), "{second}");
     let cells = number_before(&second, " closed-loop cells");
     assert_eq!((cells, number_before(&second, " from cache")), (4, 4), "{second}");
