@@ -590,10 +590,11 @@ mod tests {
                 hash(include_bytes!("../../../tests/golden/frontier.json")),
                 hash(include_bytes!("../../../tests/golden/figures.json")),
             ),
-            (1, 0xf3ee_641d_0d39_cb19, 0xd02d_3430_9c6a_ed9c, 0xa6e0_51be_4739_952d),
+            (1, 0xf3ee_641d_0d39_cb19, 0x9803_0941_e997_43eb, 0xa6e0_51be_4739_952d),
             "a simulator change that re-blesses tiny.jsonl, frontier.json or figures.json bumps \
-             MODEL_VERSION; a figures.json row rename, or a frontier.json entry that no longer \
-             reports a number it did not simulate, moves its hash alone"
+             MODEL_VERSION; a figures.json row rename, a frontier.json entry that no longer \
+             reports a number it did not simulate, or a change to the probe questions the tuner \
+             asks (whose answers sit at new addresses), moves its hash alone"
         );
     }
 

@@ -148,7 +148,8 @@ impl OpenLoopResult {
 ///
 /// # Panics
 ///
-/// Panics if the configuration has no MC nodes.
+/// Panics if the configuration has no MC nodes, an `injection_rate` that
+/// is negative or not finite, or a hotspot pattern out of range.
 pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut dyn Interconnect) -> OpenLoopResult {
     let mut core = ProbeCore::new(cfg);
     while !core.done() {
@@ -189,7 +190,8 @@ pub fn run_open_loop_unless(
 ///
 /// # Panics
 ///
-/// Panics if the configuration has no MC nodes.
+/// Panics if the configuration has no MC nodes, an `injection_rate` that
+/// is negative or not finite, or a hotspot pattern out of range.
 pub fn latency_curve(
     cfg: &OpenLoopConfig,
     rates: impl IntoIterator<Item = f64>,
@@ -239,6 +241,11 @@ struct ProbeCore {
 impl ProbeCore {
     fn new(cfg: &OpenLoopConfig) -> Self {
         assert!(!cfg.net.mc_nodes.is_empty(), "open-loop traffic needs MC nodes");
+        assert!(
+            cfg.injection_rate.is_finite() && cfg.injection_rate >= 0.0,
+            "injection_rate {} must be finite and non-negative",
+            cfg.injection_rate
+        );
         let mcs = cfg.net.mc_nodes.clone();
         if let TrafficPattern::Hotspot { hot, fraction } = cfg.pattern {
             assert!(
@@ -437,7 +444,8 @@ impl<I: Interconnect> OpenLoopProbe<I> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has no MC nodes.
+    /// Panics if the configuration has no MC nodes, an `injection_rate` that
+    /// is negative or not finite, or a hotspot pattern out of range.
     pub fn new(cfg: OpenLoopConfig, net: I) -> Self {
         let core = ProbeCore::new(&cfg);
         OpenLoopProbe { cfg, core, net, planned: OnceCell::new() }
@@ -616,6 +624,20 @@ mod tests {
         let mut cfg = quick_cfg(0.01);
         cfg.pattern = TrafficPattern::Hotspot { hot: 0, fraction: 1.5 };
         ProbeCore::new(&cfg);
+    }
+
+    /// `gen_bool(rate.min(1.0))` would read a NaN rate as 1.0 and panic
+    /// inside `rand` on a negative one: both are refused by name first.
+    #[test]
+    #[should_panic(expected = "injection_rate NaN must be finite and non-negative")]
+    fn nan_injection_rate_is_refused_up_front() {
+        ProbeCore::new(&quick_cfg(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "injection_rate -0.01 must be finite and non-negative")]
+    fn negative_injection_rate_is_refused_up_front() {
+        ProbeCore::new(&quick_cfg(-0.01));
     }
 
     /// The early-stopping run is the full run whenever it does not cut:

@@ -43,8 +43,10 @@
 //! to its grid candidate by design point ([`Preset::point`]), never by
 //! comparing resolved configs. The whole search is
 //! **bit-deterministic at any worker count**: candidate enumeration is
-//! ordered, every tie-break is total, probe seeds derive from content
-//! hashes, and the report carries no wall-clock or cache-state fields.
+//! ordered, every tie-break is total, probe seeds derive from the spec
+//! seed and the multiplier index (every candidate shares one stream per
+//! multiplier), and the report carries no wall-clock or cache-state
+//! fields.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,11 +120,12 @@ pub struct TuneSpec {
     /// quota fills.
     pub stage2_keep: usize,
     /// Probe injection rates, as multiples of each candidate's static
-    /// many-to-few saturation bound.
+    /// many-to-few saturation bound. Each must be finite and positive.
     pub probe_multipliers: Vec<f64>,
     /// Open-loop probe windows: `[warmup, measure]` cycles. A probe
     /// stops at the end of its measurement window: the tuner reads only
     /// the in-window ejection rates, which no later cycle can change.
+    /// The measurement window must not be empty.
     pub probe_windows: [u64; 2],
     /// Successive-halving benchmark ladder (rung order). Must not be
     /// empty.
@@ -155,7 +158,7 @@ impl TuneSpec {
             stage1_keep: 32,
             stage2_keep: 16,
             probe_multipliers: vec![0.6, 0.9, 1.3],
-            probe_windows: [2_000, 6_000],
+            probe_windows: [1_000, 4_500],
             benchmarks: vec!["HIS".to_string(), "MM".to_string(), "RD".to_string()],
             scale: 0.12,
             seed: tenoc_core::DEFAULT_SEED,
@@ -292,18 +295,20 @@ fn push_rejection(
     });
 }
 
-/// Deterministic per-probe seed: the candidate's content hash folded
-/// into the spec seed, so a probe's traffic depends on *what* is probed,
-/// never on enumeration position.
-fn probe_seed(spec_seed: u64, config_hash: &str, rate_index: usize) -> u64 {
-    let h = u64::from_str_radix(config_hash, 16).unwrap_or(0);
-    tenoc_harness::cell_seed(spec_seed ^ h, rate_index as u64)
-}
-
 /// The open-loop probes of one candidate, one per probe multiplier.
+///
+/// A probe's traffic seed is a function of the spec seed and the
+/// multiplier index alone: every candidate probed at one multiplier sees
+/// the same random stream (common random numbers), so two candidates'
+/// scores differ more by their fabrics and less by their draws, and no
+/// probe's traffic depends on enumeration position.
 fn probe_configs(cand: &Candidate, audit: &AuditEntry, spec: &TuneSpec) -> Vec<OpenLoopConfig> {
-    let sat =
-        audit.matrix(TrafficMatrix::ManyToFew).map(|m| m.saturation_rate).unwrap_or(0.01).max(1e-6);
+    // A probed candidate is legal and routes its memory traffic, so its
+    // audit always carries the many-to-few matrix.
+    let sat = audit
+        .matrix(TrafficMatrix::ManyToFew)
+        .unwrap_or_else(|| panic!("{}: probed without a many-to-few matrix", cand.name))
+        .saturation_rate;
     let [warmup, measure] = spec.probe_windows;
     spec.probe_multipliers
         .iter()
@@ -317,7 +322,7 @@ fn probe_configs(cand: &Candidate, audit: &AuditEntry, spec: &TuneSpec) -> Vec<O
             cfg.warmup = warmup;
             cfg.measure = measure;
             cfg.drain = 0;
-            cfg.seed = probe_seed(spec.seed, &cand.config_hash, i);
+            cfg.seed = tenoc_harness::cell_seed(spec.seed, i as u64);
             cfg
         })
         .collect()
@@ -384,26 +389,32 @@ fn pareto_indices(finalists: &[Finalist]) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Returns [`std::io::ErrorKind::InvalidInput`] before any stage runs if
-/// the ladder names an unknown benchmark; otherwise only result-cache I/O
-/// failures.
+/// Returns [`std::io::ErrorKind::InvalidInput`], naming the field, before
+/// any stage runs if the benchmark ladder is empty or names an unknown
+/// benchmark, if the probe measurement window is zero cycles, or if a
+/// probe multiplier is not finite and positive; otherwise only
+/// result-cache I/O failures.
 ///
 /// # Panics
 ///
-/// Panics if the spec has an empty benchmark ladder, or if a closed-loop
-/// cell hits the safety cycle limit.
+/// Panics if a closed-loop cell hits the safety cycle limit.
 pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneReport, TuneStats)> {
-    assert!(!spec.benchmarks.is_empty(), "benchmark ladder must not be empty");
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+    if spec.benchmarks.is_empty() {
+        return Err(invalid("benchmarks: the ladder must not be empty".to_string()));
+    }
+    if spec.probe_windows[1] == 0 {
+        return Err(invalid("probe_windows: the measurement window must not be empty".to_string()));
+    }
+    if let Some(m) = spec.probe_multipliers.iter().find(|m| !(m.is_finite() && **m > 0.0)) {
+        return Err(invalid(format!("probe_multipliers: {m} is not finite and positive")));
+    }
     let ladder = spec
         .benchmarks
         .iter()
         .map(|b| {
-            tenoc_workloads::by_name(b).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("unknown benchmark {b}; see `tenoc list`"),
-                )
-            })
+            tenoc_workloads::by_name(b)
+                .ok_or_else(|| invalid(format!("unknown benchmark {b}; see `tenoc list`")))
         })
         .collect::<std::io::Result<Vec<_>>>()?;
     let jobs = opts.jobs.max(1);
@@ -1088,12 +1099,77 @@ mod tests {
         }
     }
 
+    /// Stage 2 runs on common random numbers: probe `i` of every legal
+    /// candidate (a superset of the probed ones) draws its traffic from one
+    /// seed, which differs across multipliers and moves with the spec
+    /// seed. Debug builds check the tiny grid, release builds the default
+    /// k=6 grid.
+    #[test]
+    fn probe_seeds_are_common_random_numbers() {
+        let release = !cfg!(debug_assertions);
+        let spec = if release { TuneSpec::default_at(6) } else { TuneSpec::tiny() };
+        let cands = grid(&spec);
+        let (audits, _) = audit_candidates(&cands, 2);
+        let seeds = |spec: &TuneSpec| -> Vec<(&str, Vec<u64>)> {
+            let legal = cands.iter().zip(&audits).filter(|(_, a)| a.legal);
+            let configs = legal.map(|(c, a)| (c.name.as_str(), probe_configs(c, a, spec)));
+            configs.map(|(name, cfgs)| (name, cfgs.iter().map(|cfg| cfg.seed).collect())).collect()
+        };
+        let legal = seeds(&spec);
+        assert!(legal.len() >= if release { 200 } else { 10 }, "{} candidates", legal.len());
+        let common = &legal[0].1;
+        for (name, seeds) in &legal {
+            assert_eq!(seeds, common, "{name}: probe i shares every candidate's seed");
+        }
+        let distinct: std::collections::HashSet<&u64> = common.iter().collect();
+        assert_eq!(distinct.len(), spec.probe_multipliers.len(), "{common:?}");
+        let moved = seeds(&TuneSpec { seed: spec.seed + 1, ..spec.clone() });
+        assert!(moved[0].1.iter().all(|s| !common.contains(s)), "{:?} vs {common:?}", moved[0].1);
+    }
+
+    /// A spec `run_tune` refuses with `InvalidInput` naming `field`.
+    fn refused(spec: TuneSpec, field: &str) {
+        let err = run_tune(&spec, &TuneOptions::default()).expect_err("must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(field), "error names {field}: {err}");
+    }
+
     #[test]
     fn unknown_ladder_benchmark_is_an_input_error_before_any_stage_runs() {
         let mut spec = TuneSpec::tiny();
         spec.benchmarks.push("NOPE".to_string());
-        let err = run_tune(&spec, &TuneOptions::default()).expect_err("must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("NOPE"), "error names the benchmark: {err}");
+        refused(spec, "NOPE");
+    }
+
+    #[test]
+    fn empty_ladder_is_an_input_error() {
+        refused(TuneSpec { benchmarks: Vec::new(), ..TuneSpec::tiny() }, "benchmarks");
+    }
+
+    /// An empty window would score every probe 0/0 = NaN, which
+    /// `total_cmp` ranks above every real score.
+    #[test]
+    fn empty_probe_window_is_an_input_error() {
+        refused(TuneSpec { probe_windows: [200, 0], ..TuneSpec::tiny() }, "probe_windows");
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_probe_multiplier_is_an_input_error() {
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -0.5] {
+            let spec = TuneSpec { probe_multipliers: vec![0.5, bad], ..TuneSpec::tiny() };
+            refused(spec, "probe_multipliers");
+        }
+    }
+
+    /// Every candidate stage 2 probes carries a many-to-few matrix; one
+    /// without it is a broken invariant, not a candidate to probe at a
+    /// made-up rate.
+    #[test]
+    #[should_panic(expected = "probed without a many-to-few matrix")]
+    fn probing_a_candidate_without_a_many_to_few_matrix_panics() {
+        let spec = TuneSpec::tiny();
+        let cand = &grid(&spec)[0];
+        let audit = tenoc_core::audit_icnt(&cand.name, &cand.icnt);
+        probe_configs(cand, &AuditEntry { matrices: Vec::new(), ..audit }, &spec);
     }
 }
