@@ -10,7 +10,6 @@
 //! | `fig21_open_loop` | Figure 21 (open-loop latency curves) |
 //! | `tab06_area` | Table VI (area model) |
 //! | `abl_design_choices` | ablations beyond the paper (DRAM scheduler, VC depth, ...) |
-//! | `abl_energy` | energy extension (IPC per NoC-watt) |
 //! | `abl_scaling` | mesh-radix scaling |
 //!
 //! Run all of them with `cargo bench --workspace`. By default kernels are

@@ -40,7 +40,6 @@ mod clock;
 pub mod experiments;
 mod mc;
 mod metrics;
-mod power;
 pub mod presets;
 pub mod system;
 
@@ -51,7 +50,6 @@ pub use audit::{
 pub use clock::{ClockConfig, Clocks, Domain};
 pub use mc::McConfig;
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};
-pub use power::PowerModel;
 pub use presets::{DesignPoint, Org, Preset};
 pub use system::{EngineKind, IcntConfig, System, SystemConfig};
 pub use tenoc_noc::Tick;

@@ -35,7 +35,7 @@ pub struct RunMetrics {
     /// Memory instructions replayed at the cores (resource pressure).
     pub core_replays: u64,
     /// Total link traversals (flit-hops) in the interconnect; zero for
-    /// ideal networks. Feed to [`crate::PowerModel`] for energy estimates.
+    /// ideal networks.
     pub flit_hops: u64,
 }
 

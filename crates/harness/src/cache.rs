@@ -34,8 +34,11 @@ use tenoc_simt::TrafficClass;
 /// The version of the simulated model. Content addresses name *what* was
 /// asked; this names *which simulator answered*. Bump it whenever a
 /// change moves a simulated number — that is, whenever
-/// `tests/golden/tiny.jsonl` is re-blessed (a test ties the two) — and
-/// every journal written before the bump stops being served.
+/// `tests/golden/tiny.jsonl` is re-blessed for a measured value (a test
+/// ties the two) — and every journal written before the bump stops being
+/// served. A record field that no journaled value feeds moves the golden
+/// alone: the journal stores only [`CachedCell`]s, which still rebuild
+/// every record.
 pub const MODEL_VERSION: u32 = 1;
 
 /// One cached cell result: everything a record needs beyond the cell's
@@ -590,11 +593,12 @@ mod tests {
                 hash(include_bytes!("../../../tests/golden/frontier.json")),
                 hash(include_bytes!("../../../tests/golden/figures.json")),
             ),
-            (1, 0xf3ee_641d_0d39_cb19, 0x9803_0941_e997_43eb, 0xa6e0_51be_4739_952d),
+            (1, 0x1c9a_885c_7aa7_d6c5, 0x9803_0941_e997_43eb, 0xa6e0_51be_4739_952d),
             "a simulator change that re-blesses tiny.jsonl, frontier.json or figures.json bumps \
              MODEL_VERSION; a figures.json row rename, a frontier.json entry that no longer \
-             reports a number it did not simulate, or a change to the probe questions the tuner \
-             asks (whose answers sit at new addresses), moves its hash alone"
+             reports a number it did not simulate, a change to the probe questions the tuner \
+             asks (whose answers sit at new addresses), or a record field that no journaled \
+             value feeds, moves its hash alone"
         );
     }
 

@@ -7,10 +7,10 @@ use crate::pool::run_indexed;
 use crate::record::RunRecord;
 use tenoc_core::area::{throughput_effectiveness, AreaModel};
 use tenoc_core::experiments::run_with_system_config;
-use tenoc_core::{ClockConfig, PowerModel, RunMetrics, SystemConfig};
+use tenoc_core::{RunMetrics, SystemConfig};
 use tenoc_simt::TrafficClass;
 
-/// One cell's raw result, before area/power annotation.
+/// One cell's raw result, before area annotation.
 #[derive(Clone, Debug)]
 pub struct CellResult {
     /// The cell that was run.
@@ -97,14 +97,10 @@ pub fn run_sweep_jsonl(grid: &SweepGrid, jobs: usize) -> (Vec<RunRecord>, String
     (records, text)
 }
 
-/// A cell's record, annotated with the design point's area/power model
-/// and sealed, beside its JSON line.
+/// A cell's record, annotated with the design point's area model and
+/// sealed, beside its JSON line.
 fn sealed(cell: &SweepCell, class: TrafficClass, metrics: &RunMetrics) -> (RunRecord, String) {
-    let icnt = cell.preset.icnt(cell.mesh_k);
-    let area = AreaModel::chip_area(&icnt);
-    let icnt_hz = ClockConfig::gtx280().icnt_mhz * 1e6;
-    let elapsed_s = metrics.icnt_cycles as f64 / icnt_hz;
-    let power = PowerModel::dynamic_power_w(icnt.net(), metrics.flit_hops, elapsed_s);
+    let area = AreaModel::chip_area(&cell.preset.icnt(cell.mesh_k));
     let mut record = RunRecord {
         cell: cell.index as u64,
         preset: cell.preset.label(),
@@ -116,15 +112,14 @@ fn sealed(cell: &SweepCell, class: TrafficClass, metrics: &RunMetrics) -> (RunRe
         noc_area_mm2: area.noc(),
         chip_area_mm2: area.total(),
         ipc_per_mm2: throughput_effectiveness(metrics.ipc, &area),
-        noc_dynamic_power_w: power,
         fingerprint: String::new(),
     };
     let line = record.seal();
     (record, line)
 }
 
-/// Annotates a raw result with the design point's area/power model and
-/// seals the fingerprint.
+/// Annotates a raw result with the design point's area model and seals
+/// the fingerprint.
 pub fn annotate(result: &CellResult) -> RunRecord {
     sealed(&result.cell, result.class, &result.metrics).0
 }
@@ -178,14 +173,6 @@ mod tests {
         let cached =
             cached_line(&cell, &CachedCell { class: result.class, metrics: result.metrics });
         assert_eq!(cached + "\n", crate::record::to_jsonl(std::slice::from_ref(&direct)));
-    }
-
-    #[test]
-    fn ideal_networks_report_zero_noc_power() {
-        let grid = SweepGrid::new(vec![Preset::Perfect], vec!["HIS".into()], 0.02);
-        let r = &run_sweep(&grid, 1)[0];
-        assert_eq!(r.metrics.flit_hops, 0);
-        assert_eq!(r.noc_dynamic_power_w, 0.0);
     }
 
     #[test]

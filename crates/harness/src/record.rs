@@ -40,9 +40,6 @@ pub struct RunRecord {
     pub chip_area_mm2: f64,
     /// Throughput-effectiveness (IPC per mm²) of this run.
     pub ipc_per_mm2: f64,
-    /// Average dynamic NoC power over the run in watts (zero for ideal
-    /// networks, which traverse no links).
-    pub noc_dynamic_power_w: f64,
     /// Stability hash of every other field (see type docs).
     pub fingerprint: String,
 }
@@ -156,7 +153,6 @@ mod tests {
             noc_area_mm2: 40.0,
             chip_area_mm2: 576.0,
             ipc_per_mm2: 12.345 / 576.0,
-            noc_dynamic_power_w: 1.5,
             fingerprint: String::new(),
         };
         r.seal();

@@ -4,8 +4,8 @@
 //! from the persistent cache without simulating anything.
 
 use std::path::PathBuf;
-use tenoc_harness::{run_sweep, tiny_grid, to_jsonl};
-use tenoc_serve::{client, server, SweepRequest};
+use tenoc_harness::{cached_line, run_sweep, tiny_grid, to_jsonl};
+use tenoc_serve::{cell_key, client, server, DiskCache, SweepRequest};
 
 fn tmp_cache(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -63,6 +63,37 @@ fn service_stream_matches_the_checked_in_golden_snapshot() {
     );
 
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn a_journal_written_by_an_earlier_build_still_serves_the_golden_sweep() {
+    // `fixtures/tiny-cells-v1.jsonl` is the `cells.jsonl` a `tenoc serve
+    // --cache` filled for `tenoc submit --tiny` when every record still
+    // carried a NoC power field. A record field that no journaled value
+    // feeds does not change what the journal stores, so its lines stay
+    // live and rebuild today's golden records byte for byte.
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cache = tmp_cache("earlier-build");
+    std::fs::create_dir_all(&cache).unwrap();
+    std::fs::copy(
+        manifest.join("tests/fixtures/tiny-cells-v1.jsonl"),
+        DiskCache::journal_path(&cache),
+    )
+    .expect("fixture present");
+    let journal = DiskCache::open(&cache).expect("journal opens");
+    assert_eq!((journal.len(), journal.stale_lines, journal.skipped_lines), (9, 0, 0));
+
+    let grid = tiny_grid();
+    let mut replayed = String::new();
+    for cell in (0..grid.len()).map(|i| grid.cell(i)) {
+        let cached = journal.get(&cell_key(&cell)).expect("every tiny cell is journaled");
+        replayed.push_str(&cached_line(&cell, cached));
+        replayed.push('\n');
+    }
+    let golden = std::fs::read_to_string(manifest.join("../../tests/golden/tiny.jsonl"))
+        .expect("golden snapshot present");
+    assert_eq!(replayed, golden, "the journal no longer rebuilds the golden sweep");
     let _ = std::fs::remove_dir_all(&cache);
 }
 

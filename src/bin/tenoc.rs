@@ -447,7 +447,10 @@ fn cmd_openloop(flags: &Flags) -> CmdResult {
     };
     let cfg = OpenLoopConfig::new(icnt.net().clone(), 0.0, pattern);
     let build = || icnt.build(EngineKind::Arena);
-    if let Some(rate) = flags.parsed("rate", |r: &f64| *r > 0.0 && r.is_finite()) {
+    // An offered rate is flits/cycle/node, and a source cannot offer more
+    // than one flit a cycle: the generator would clamp it and report the
+    // experiment it did not run.
+    if let Some(rate) = flags.parsed("rate", |r: &f64| *r > 0.0 && *r <= 1.0) {
         let r = run_open_loop_on(&OpenLoopConfig { injection_rate: rate, ..cfg }, &mut *build());
         println!(
             "rate {rate}: latency {:.1} cyc, delivered {:.1}%{}",
@@ -489,6 +492,10 @@ fn cmd_list() -> CmdResult {
     Ok(())
 }
 
+/// The largest `--flight-cap`: 32 MiB of ring per network slice at 32 B
+/// per [`FlightEvent`](tenoc::noc::FlightEvent), allocated at arm time.
+const MAX_FLIGHT_CAP: usize = 1 << 20;
+
 /// `tenoc trace`: run one benchmark on one preset with the telemetry
 /// layer armed and emit the artifacts — `trace.json` (metrics, per-class
 /// latency histograms, per-link utilization with a mesh heatmap, mean
@@ -508,7 +515,7 @@ fn cmd_trace(flags: &Flags, scale: f64) -> CmdResult {
     };
     let tcfg = TelemetryConfig {
         flight_capacity: flags
-            .parsed("flight-cap", |_| true)
+            .parsed("flight-cap", |cap| *cap <= MAX_FLIGHT_CAP)
             .unwrap_or(TelemetryConfig::default().flight_capacity),
         arm: ArmSpec {
             node: flags.parsed("node", |n| *n < preset.icnt(6).net().mesh.len()),

@@ -16,6 +16,9 @@
 //! every inline backticked `tenoc_<crate>::…::name` names an item — a
 //! `fn`, `struct`, `enum`, `trait`, `type`, `mod`, `const` or `static`, or
 //! a `pub use` — declared in `crates/<crate>/src`.
+//!
+//! README's bench table and the one in `crates/bench/src/lib.rs`'s module
+//! docs each list exactly the `[[bench]]` targets, in manifest order.
 
 use std::path::Path;
 use std::process::Command;
@@ -86,6 +89,26 @@ fn bench_targets() -> Vec<String> {
         }
     }
     targets
+}
+
+/// The first column of the `| target | … |` table in `text`, whose lines
+/// may carry a `//!` doc prefix.
+fn bench_table(text: &str) -> Vec<String> {
+    let rows = text.lines().map(|l| l.trim_start_matches("//!").trim());
+    rows.skip_while(|l| !l.starts_with("| target |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.split('|').nth(1).unwrap_or("").trim().trim_matches('`').to_owned())
+        .collect()
+}
+
+#[test]
+fn bench_tables_list_exactly_the_bench_targets() {
+    let targets = bench_targets();
+    for doc in ["README.md", "crates/bench/src/lib.rs"] {
+        let text = std::fs::read_to_string(root().join(doc)).expect("doc present");
+        assert_eq!(bench_table(&text), targets, "{doc}'s bench table vs crates/bench/Cargo.toml");
+    }
 }
 
 fn example_exists(name: &str) -> bool {

@@ -103,7 +103,10 @@ fn bad_flag_values_exit_with_code_two() {
     bad(&["tune", "--tiny", "--k", "six"], "k", "six");
     bad(&["audit", "--k", "1"], "k", "1");
     bad(&["openloop", "--preset", "baseline", "--rate", "fast"], "rate", "fast");
+    bad(&["openloop", "--preset", "baseline", "--rate", "1.5"], "rate", "1.5");
     bad(&["trace", "--preset", "thr-eff", "--flight-cap", "many"], "flight-cap", "many");
+    let huge = "18446744073709551615"; // usize::MAX: refused before any ring is allocated
+    bad(&["trace", "--preset", "thr-eff", "--flight-cap", huge], "flight-cap", huge);
     bad(&["trace", "--preset", "thr-eff", "--node", "36"], "node", "36");
     // A value-taking flag with its value missing reads as `true`.
     bad(&["tune", "--tiny", "--seed"], "seed", "true");
