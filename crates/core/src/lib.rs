@@ -50,7 +50,7 @@ pub use audit::{
 pub use clock::{ClockConfig, Clocks, Domain};
 pub use mc::McConfig;
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};
-pub use presets::{DesignPoint, Org, Preset};
+pub use presets::{DesignPoint, Org, Preset, MAX_MESH_K};
 pub use system::{EngineKind, IcntConfig, System, SystemConfig};
 pub use tenoc_noc::Tick;
 

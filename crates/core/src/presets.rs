@@ -7,6 +7,16 @@
 use crate::system::IcntConfig;
 use tenoc_noc::{NetworkConfig, RoutingKind, VcLayout};
 
+/// The largest mesh radix `k` an entry point accepts: `tenoc tune --k`,
+/// `tenoc audit --k` and a `tenoc serve` request's `mesh_k` all refuse a
+/// radix outside `2..=MAX_MESH_K` before resolving any fabric. It keeps
+/// every preset's core count (at most two cores per router, on the
+/// concentrated mesh) inside the 15 tag bits a packet carries its core
+/// index in, and bounds the process-wide fabric table in
+/// `tenoc-harness` to `Preset::NAMED` × this range. The paper's mesh is
+/// 6 × 6; the tests and the scaling ablation use 4, 6 and 8.
+pub const MAX_MESH_K: usize = 16;
+
 /// The design points of the paper's evaluation (Section V; abbreviations
 /// from Table V). All but three are named [`DesignPoint`]s of the space
 /// the autotuner searches ([`point`](Self::point)), built by the one
@@ -380,6 +390,19 @@ pub fn bw_limit_flits_per_icnt_cycle(fraction: f64, n_mc: usize) -> f64 {
 mod tests {
     use super::*;
     use tenoc_noc::RouterKind;
+
+    /// Every preset at the largest admitted radix has fewer cores than the
+    /// 15-bit core field of a packet tag can name, so no core's reads are
+    /// mistaken for writes (`System::new_mixed` asserts the same limit).
+    #[test]
+    fn every_preset_fits_its_core_indices_in_the_tag_at_the_largest_radix() {
+        for p in Preset::NAMED {
+            let cfg = crate::SystemConfig::with_icnt(p.icnt(MAX_MESH_K));
+            let net = cfg.icnt.net();
+            let cores = (net.mesh.len() - net.mc_nodes.len()) * cfg.cores_per_node;
+            assert!(cores <= 1 << 15, "{}: {cores} cores at k = {MAX_MESH_K}", p.label());
+        }
+    }
 
     #[test]
     fn all_named_presets_build_valid_configs() {

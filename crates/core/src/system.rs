@@ -16,6 +16,9 @@ const WRITE_BIT: u64 = 1 << 63;
 /// Tag bits 48..63 carry the requesting core's index (for concentrated
 /// configurations where several cores share one network terminal).
 const CORE_SHIFT: u32 = 48;
+/// The core-index field: the 15 bits between the address and
+/// [`WRITE_BIT`]. An index that needed a 16th would set `WRITE_BIT`.
+const CORE_MASK: u64 = (WRITE_BIT >> CORE_SHIFT) - 1;
 const ADDR_MASK: u64 = (1 << CORE_SHIFT) - 1;
 
 /// Which interconnect implementation the system uses.
@@ -210,8 +213,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, the network configuration is invalid or
-    /// any kernel spec is out of range.
+    /// Panics if `specs` is empty, the network configuration is invalid,
+    /// any kernel spec is out of range or the fabric hosts more cores than
+    /// a packet tag can name (2^15).
     pub fn new_mixed(cfg: SystemConfig, specs: &[KernelSpec]) -> Self {
         assert!(!specs.is_empty(), "at least one kernel spec required");
         assert!(cfg.cores_per_node >= 1, "concentration must be at least 1");
@@ -223,6 +227,12 @@ impl System {
         // i*c .. (i+1)*c; `core_nodes[j]` is core j's terminal.
         let core_nodes: Vec<NodeId> =
             node_list.iter().flat_map(|&n| std::iter::repeat_n(n, cfg.cores_per_node)).collect();
+        assert!(
+            core_nodes.len() as u64 <= CORE_MASK + 1,
+            "{} cores: a core index must fit the {} tag bits below the write bit",
+            core_nodes.len(),
+            CORE_MASK.count_ones()
+        );
         let cores = core_nodes
             .iter()
             .enumerate()
@@ -296,7 +306,7 @@ impl System {
             let node = self.unique_core_nodes[i];
             while let Some(p) = self.icnt.pop(node) {
                 debug_assert_eq!(p.header.tag & WRITE_BIT, 0, "cores only receive read replies");
-                let core = ((p.header.tag >> CORE_SHIFT) & 0x7fff) as usize;
+                let core = ((p.header.tag >> CORE_SHIFT) & CORE_MASK) as usize;
                 self.cores[core].push_fill(p.header.tag & ADDR_MASK);
             }
         }

@@ -19,16 +19,18 @@
 //!
 //! Cell addresses are not rendered from the value tree: nearly all of a
 //! cell's canonical text is its interconnect, which every cell of one
-//! fabric shares, so [`FabricText`] canonicalizes that once and the six
-//! sorted fields are written around it as text. [`cell_value`] under
+//! fabric shares, so [`FabricText`] canonicalizes that once — once per
+//! process for a named preset, in the fabric table — and the six sorted
+//! fields are written around it as text. [`cell_value`] under
 //! [`canonical_json`] stays the definition — every address is checked
 //! against it in debug builds.
 
+use crate::fabric::fabric;
 use crate::grid::{ConfigCell, SweepCell};
 use crate::record::fnv1a64;
 use serde::json::Value;
 use serde::Serialize;
-use tenoc_core::{IcntConfig, Preset, SystemConfig};
+use tenoc_core::{IcntConfig, SystemConfig};
 use tenoc_noc::openloop::{OpenLoopConfig, TrafficPattern};
 
 /// Recursively sorts every object's keys, making the tree independent of
@@ -94,15 +96,18 @@ pub fn config_cell_value(cell: &ConfigCell) -> Value {
 /// What a cell's address takes from its fabric alone: the canonical JSON
 /// of the resolved interconnect (a value tree, a recursive key sort and a
 /// kilobyte of text — the expensive part of an address) and the two
-/// scalars [`SystemConfig::with_icnt`] derives beside it.
-struct FabricText {
+/// scalars [`SystemConfig::with_icnt`] derives beside it. A named preset's
+/// is built once per process, in the fabric table
+/// ([`fabric`](crate::fabric::fabric)).
+#[derive(Clone)]
+pub(crate) struct FabricText {
     icnt: String,
     chunk: u64,
     cores_per_node: usize,
 }
 
 impl FabricText {
-    fn of(cfg: &SystemConfig) -> Self {
+    pub(crate) fn of(cfg: &SystemConfig) -> Self {
         FabricText {
             icnt: canonical_json(&cfg.icnt.to_value()),
             chunk: cfg.chunk,
@@ -111,18 +116,24 @@ impl FabricText {
     }
 
     /// The canonical JSON of a cell on this fabric: the fields of
-    /// [`config_cell_value`] in sorted order, each scalar rendered as
-    /// [`Value`] renders it.
+    /// [`config_cell_value`] in sorted order, each scalar written by its
+    /// `Serialize::write_json` — the text [`Value`] renders it to.
     fn cell_text(&self, benchmark: &str, scale: f64, seed: u64) -> String {
-        format!(
-            "{{\"benchmark\":{},\"chunk\":{},\"cores_per_node\":{},\"icnt\":{},\"scale\":{},\"seed\":{}}}",
-            benchmark.to_value().to_json_compact(),
-            self.chunk,
-            self.cores_per_node,
-            self.icnt,
-            scale.to_value().to_json_compact(),
-            seed,
-        )
+        let mut text = String::with_capacity(self.icnt.len() + 128);
+        text.push_str("{\"benchmark\":");
+        benchmark.write_json(&mut text);
+        text.push_str(",\"chunk\":");
+        self.chunk.write_json(&mut text);
+        text.push_str(",\"cores_per_node\":");
+        self.cores_per_node.write_json(&mut text);
+        text.push_str(",\"icnt\":");
+        text.push_str(&self.icnt);
+        text.push_str(",\"scale\":");
+        scale.write_json(&mut text);
+        text.push_str(",\"seed\":");
+        seed.write_json(&mut text);
+        text.push('}');
+        text
     }
 }
 
@@ -139,29 +150,20 @@ pub fn cell_value(cell: &SweepCell) -> Value {
     config_cell_value(&cell.config())
 }
 
-/// The content address of each of `cells`, in order: [`config_cell_key`]
-/// of its resolved configuration, with each distinct `(preset, mesh_k)`
-/// resolved and canonicalized once — a grid is a few fabrics under many
-/// workloads.
+/// The content address of each of `cells`, in order (see [`cell_key`]).
 pub fn cell_keys(cells: &[SweepCell]) -> Vec<String> {
-    let mut fabrics: Vec<(Preset, usize, FabricText)> = Vec::new();
-    let keys = cells.iter().map(|cell| {
-        let known = fabrics.iter().position(|(p, k, _)| (*p, *k) == (cell.preset, cell.mesh_k));
-        let at = known.unwrap_or_else(|| {
-            let cfg = SystemConfig::with_icnt(cell.preset.icnt(cell.mesh_k));
-            fabrics.push((cell.preset, cell.mesh_k, FabricText::of(&cfg)));
-            fabrics.len() - 1
-        });
-        let text = fabrics[at].2.cell_text(&cell.benchmark, cell.scale, cell.seed);
-        debug_assert_eq!(text, canonical_json(&cell_value(cell)));
-        address(&text)
-    });
-    keys.collect()
+    cells.iter().map(cell_key).collect()
 }
 
-/// The content address of one preset cell.
+/// The content address of one preset cell: [`config_cell_key`] of its
+/// resolved configuration, with the fabric's text taken from the
+/// process-wide fabric table — a grid is a few fabrics under many
+/// workloads, and a named fabric is canonicalized once per process.
 pub fn cell_key(cell: &SweepCell) -> String {
-    cell_keys(std::slice::from_ref(cell)).pop().expect("one cell, one address")
+    let fabric = fabric(cell.preset, cell.mesh_k);
+    let text = fabric.text.cell_text(&cell.benchmark, cell.scale, cell.seed);
+    debug_assert_eq!(text, canonical_json(&cell_value(cell)));
+    address(&text)
 }
 
 /// The canonical identity of one open-loop probe question: the

@@ -2,10 +2,11 @@
 //! results into sealed [`RunRecord`]s.
 
 use crate::cache::CachedCell;
+use crate::fabric::fabric;
 use crate::grid::{ConfigCell, SweepCell, SweepGrid};
 use crate::pool::run_indexed;
 use crate::record::RunRecord;
-use tenoc_core::area::{throughput_effectiveness, AreaModel};
+use tenoc_core::area::throughput_effectiveness;
 use tenoc_core::experiments::run_with_system_config;
 use tenoc_core::{RunMetrics, SystemConfig};
 use tenoc_simt::TrafficClass;
@@ -97,10 +98,10 @@ pub fn run_sweep_jsonl(grid: &SweepGrid, jobs: usize) -> (Vec<RunRecord>, String
     (records, text)
 }
 
-/// A cell's record, annotated with the design point's area model and
-/// sealed, beside its JSON line.
+/// A cell's record, annotated with the design point's area (from the
+/// fabric table) and sealed, beside its JSON line.
 fn sealed(cell: &SweepCell, class: TrafficClass, metrics: &RunMetrics) -> (RunRecord, String) {
-    let area = AreaModel::chip_area(&cell.preset.icnt(cell.mesh_k));
+    let area = fabric(cell.preset, cell.mesh_k).area;
     let mut record = RunRecord {
         cell: cell.index as u64,
         preset: cell.preset.label(),

@@ -21,7 +21,7 @@
 use serde::json::Value;
 use serde::Serialize;
 use std::io::Write;
-use tenoc_core::Preset;
+use tenoc_core::{Preset, MAX_MESH_K};
 use tenoc_harness::{tiny_grid, SeedMode, SweepGrid};
 
 /// Derived-seed base of a request that names none, matching `tenoc sweep`.
@@ -125,7 +125,10 @@ impl SweepRequest {
             req.seed = s.as_u64().map_err(|e| e.to_string())?;
         }
         if let Ok(k) = v.field("mesh_k") {
-            req.mesh_k = k.as_u64().map_err(|e| e.to_string())? as usize;
+            // Saturating: a radix too wide for `usize` is refused by
+            // `grid` like any other radix above the bound.
+            let k = k.as_u64().map_err(|e| e.to_string())?;
+            req.mesh_k = usize::try_from(k).unwrap_or(usize::MAX);
         }
         Ok(req)
     }
@@ -136,8 +139,9 @@ impl SweepRequest {
     ///
     /// # Errors
     ///
-    /// Returns a message naming any unknown preset or benchmark, or empty
-    /// axes.
+    /// Returns a message naming any unknown preset or benchmark, empty
+    /// axes, or a `mesh_k` outside `2..=MAX_MESH_K` — refused here, before
+    /// any fabric is resolved.
     pub fn grid(&self) -> Result<SweepGrid, String> {
         if self.tiny {
             return Ok(tiny_grid());
@@ -154,8 +158,8 @@ impl SweepRequest {
                 return Err(format!("unknown benchmark {name}"));
             }
         }
-        if self.mesh_k < 2 {
-            return Err("mesh_k must be at least 2".into());
+        if !(2..=MAX_MESH_K).contains(&self.mesh_k) {
+            return Err(format!("mesh_k must be between 2 and {MAX_MESH_K}"));
         }
         let mut grid = SweepGrid::new(presets, self.benchmarks.clone(), self.scale)
             .with_seed_mode(SeedMode::Derived(self.seed));
@@ -261,6 +265,15 @@ mod tests {
         };
         assert!(req.grid().unwrap_err().contains("NOPE"));
         assert!(SweepRequest::default().grid().is_err());
+        let radix = |mesh_k| {
+            let presets = vec!["baseline".into()];
+            let benchmarks = vec!["HIS".into()];
+            SweepRequest { presets, benchmarks, mesh_k, ..SweepRequest::default() }.grid()
+        };
+        assert_eq!(radix(MAX_MESH_K).unwrap().mesh_k, MAX_MESH_K);
+        for k in [0, 1, MAX_MESH_K + 1, usize::MAX] {
+            assert!(radix(k).unwrap_err().contains("mesh_k"), "mesh_k {k}");
+        }
     }
 
     #[test]

@@ -691,6 +691,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A radix above the bound is refused by name before any fabric is
+    /// resolved — unrefused, `65536` panics the connection thread inside
+    /// `cell_keys` and the stream ends with no event — and the same
+    /// connection, on the same state, goes on serving.
+    #[test]
+    fn an_oversized_mesh_radix_is_a_named_error_and_the_next_request_is_served() {
+        let dir = tmp_dir("radix");
+        let small = SweepRequest {
+            presets: vec!["baseline".into()],
+            benchmarks: vec!["HIS".into()],
+            ..SweepRequest::default()
+        };
+        let inner = poolless(&dir, &small.grid().unwrap().cells());
+        let mut input = String::new();
+        for k in ["65536", "4294967296"] {
+            input.push_str(&format!(
+                "{{\"op\":\"sweep\",\"presets\":[\"baseline\"],\"benchmarks\":[\"HIS\"],\"mesh_k\":{k}}}\n"
+            ));
+        }
+        input.push_str(&format!("{}\n", small.to_line()));
+        let writes = converse(&inner, input.as_bytes());
+        let refused = format!(
+            "{{\"event\":\"error\",\"message\":\"mesh_k must be between 2 and {}\"}}\n",
+            tenoc_core::MAX_MESH_K
+        );
+        assert_eq!(writes.len(), 3, "{writes:?}");
+        assert_eq!(writes[..2], [refused.clone(), refused]);
+        assert!(writes[2].starts_with("{\"event\":\"planned\",\"cells\":1}\n"), "{writes:?}");
+        assert!(writes[2].ends_with("\"simulated\":0,\"cache_hits\":1,\"dedup_hits\":0}\n"));
+        let st = inner.state.lock().unwrap();
+        assert_eq!((st.stats.requests, st.sched.len(), st.inflight.len()), (1, 0, 0));
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
         for _ in 0..2000 {
             if cond() {

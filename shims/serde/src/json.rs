@@ -131,7 +131,7 @@ impl Value {
     /// Renders compact JSON text.
     pub fn to_json_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
     }
 
@@ -142,6 +142,12 @@ impl Value {
         out
     }
 
+    /// Appends compact JSON text: [`to_json_compact`](Self::to_json_compact)
+    /// without the fresh `String`.
+    pub(crate) fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let (nl, pad, pad_close, sep) = match indent {
             Some(w) => ("\n", " ".repeat(w * (depth + 1)), " ".repeat(w * depth), ": "),
@@ -149,21 +155,11 @@ impl Value {
         };
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::U64(x) => out.push_str(&x.to_string()),
-            Value::I64(x) => out.push_str(&x.to_string()),
-            Value::F64(x) => {
-                if x.is_finite() {
-                    // `{:?}` prints the shortest representation that
-                    // round-trips, and always includes `.0` for integral
-                    // floats so the type survives re-parsing.
-                    out.push_str(&format!("{x:?}"));
-                } else {
-                    // JSON has no NaN/Inf; null is the conventional stand-in.
-                    out.push_str("null");
-                }
-            }
-            Value::String(s) => write_json_string(out, s),
+            Value::Bool(b) => write_bool(out, *b),
+            Value::U64(x) => write_display(out, x),
+            Value::I64(x) => write_display(out, x),
+            Value::F64(x) => write_f64(out, *x),
+            Value::String(s) => write_str(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -194,7 +190,7 @@ impl Value {
                     }
                     out.push_str(nl);
                     out.push_str(&pad);
-                    write_json_string(out, k);
+                    write_str(out, k);
                     out.push_str(sep);
                     v.write(out, indent, depth + 1);
                 }
@@ -206,19 +202,59 @@ impl Value {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+// The scalar writers: the one spelling of each leaf, shared by the value
+// tree above and by `Serialize::write_json`'s direct impls, so the two
+// ways of writing JSON cannot disagree on a leaf.
+
+pub(crate) fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// An integer, in decimal.
+pub(crate) fn write_display(out: &mut String, x: &impl fmt::Display) {
+    use fmt::Write as _;
+    write!(out, "{x}").expect("writing to a String cannot fail");
+}
+
+pub(crate) fn write_f64(out: &mut String, x: f64) {
+    use fmt::Write as _;
+    if x.is_finite() {
+        // `{:?}` prints the shortest representation that round-trips, and
+        // always includes `.0` for integral floats so the type survives
+        // re-parsing.
+        write!(out, "{x:?}").expect("writing to a String cannot fail");
+    } else {
+        // JSON has no NaN/Inf; null is the conventional stand-in.
+        out.push_str("null");
     }
+}
+
+/// A quoted, escaped string. Every byte that needs an escape is ASCII, so
+/// the runs between them are copied whole and always end on a character
+/// boundary.
+pub(crate) fn write_str(out: &mut String, s: &str) {
+    use fmt::Write as _;
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

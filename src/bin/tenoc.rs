@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use tenoc::core::experiments::{run_benchmark, scale_from_env};
 use tenoc::core::presets::Preset;
-use tenoc::core::{harmonic_mean, EngineKind, IcntConfig};
+use tenoc::core::{harmonic_mean, EngineKind, IcntConfig, MAX_MESH_K};
 use tenoc::harness::figures::figure;
 use tenoc::harness::{jobs_from_env, run_grid, CellResult, SweepGrid};
 use tenoc::noc::openloop::{latency_curve, run_open_loop_on, OpenLoopConfig, TrafficPattern};
@@ -186,9 +186,10 @@ impl Flags {
         self.parsed("jobs", |j| *j >= 1)
     }
 
-    /// Mesh radix, default 6; a 1x1 mesh has no network to study.
+    /// Mesh radix, default 6; a 1x1 mesh has no network to study, and one
+    /// above [`MAX_MESH_K`] has more cores than a packet tag can name.
     fn k(&self) -> usize {
-        self.parsed("k", |k| *k >= 2).unwrap_or(6)
+        self.parsed("k", |k| (2..=MAX_MESH_K).contains(k)).unwrap_or(6)
     }
 
     /// Whether `--tiny` is set. It names a fixed experiment, so a flag in

@@ -102,6 +102,9 @@ fn bad_flag_values_exit_with_code_two() {
     bad(&["submit", "--tiny", "--seed", "0x7e0c"], "seed", "0x7e0c");
     bad(&["tune", "--tiny", "--k", "six"], "k", "six");
     bad(&["audit", "--k", "1"], "k", "1");
+    // Above the radix bound: refused before any fabric is resolved.
+    bad(&["tune", "--k", "100000"], "k", "100000");
+    bad(&["audit", "--k", "100000"], "k", "100000");
     bad(&["openloop", "--preset", "baseline", "--rate", "fast"], "rate", "fast");
     bad(&["openloop", "--preset", "baseline", "--rate", "1.5"], "rate", "1.5");
     bad(&["trace", "--preset", "thr-eff", "--flight-cap", "many"], "flight-cap", "many");
