@@ -5,7 +5,8 @@
 //! mesh) and a bigger 8x8 mesh — all with 8 MCs.
 
 use tenoc_bench::{header, Preset};
-use tenoc_core::system::{System, SystemConfig};
+use tenoc_core::experiments::run_with_system_config;
+use tenoc_core::system::SystemConfig;
 use tenoc_workloads::by_name;
 
 fn main() {
@@ -15,10 +16,11 @@ fn main() {
         "bench", "configuration", "cores", "IPC", "IPC/core", "MC stall"
     );
     for name in ["MM", "KM", "RD"] {
-        let spec = by_name(name).unwrap().scaled(scale);
+        let spec = by_name(name).unwrap();
         let row = |label: &str, cores: usize, cfg: SystemConfig| {
-            let mut sys = System::new(cfg, &spec);
-            let m = sys.run();
+            // Panics on a run that hits its cycle cap: a capped run's IPC
+            // is not a result.
+            let m = run_with_system_config(cfg, &spec, scale);
             println!(
                 "{name:>6} {label:>26} {cores:>7} {:>9.1} {:>11.2} {:>8.0}%",
                 m.ipc,

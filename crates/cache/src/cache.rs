@@ -6,11 +6,9 @@
 //! return a dirty victim that must be written back (the paper's L1 is
 //! write-back write-allocate; the L2 banks use the same model).
 
-use serde::{Deserialize, Serialize};
-
 /// Cache geometry. Every cache is LRU, write-back and write-allocate (the
 /// paper's L1 and L2 both are).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -89,7 +87,7 @@ pub struct Eviction {
 }
 
 /// Hit/miss statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Read hits.
     pub read_hits: u64,

@@ -16,7 +16,6 @@
 //! 486 mm² of compute area, held constant across design points.
 
 use crate::system::IcntConfig;
-use serde::{Deserialize, Serialize};
 use tenoc_noc::{NetworkConfig, RouterKind};
 
 /// mm² per crosspoint per byte² of channel width.
@@ -38,7 +37,7 @@ pub const COMPUTE_AREA_MM2: f64 = 486.0;
 pub const GTX280_AREA_MM2: f64 = 576.0;
 
 /// Per-router area breakdown in mm².
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RouterArea {
     /// Crossbar (or mux network for half-routers).
     pub crossbar: f64,
@@ -81,7 +80,7 @@ impl RouterArea {
 }
 
 /// Chip-level area summary in mm².
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ChipArea {
     /// Sum of all router areas (over all physical networks).
     pub routers: f64,
@@ -207,7 +206,9 @@ impl AreaModel {
     /// Table VI charges extra ports only for the explicit 2P design), and
     /// the VC count is the per-class one where the simulated slice keeps
     /// the full complement: a double design is priced with half the VC
-    /// buffers it is simulated with (ROADMAP item 6(b)).
+    /// buffers it is simulated with, which is what keeps the Table VI
+    /// double-network pins (the slice the paper priced) while the
+    /// simulated slice keeps both classes' VCs.
     pub fn slice(cfg: &NetworkConfig) -> NetworkConfig {
         let mut sub = cfg.clone();
         sub.channel_bytes = cfg.channel_bytes / 2;
@@ -303,9 +304,10 @@ mod tests {
         assert!(close(a.total(), 536.74, 1.5), "{}", a.total());
     }
 
-    /// ROADMAP item 6(b): every double design is priced with half the VCs
-    /// and half the MC ports of the slice it is simulated on. Pinned so
-    /// the relation can only change on purpose.
+    /// Every double design is priced with half the VCs and half the MC
+    /// ports of the slice it is simulated on (the priced slice is the
+    /// paper's Table VI one). Pinned so the relation can only change on
+    /// purpose.
     #[test]
     fn priced_slice_has_half_the_vcs_and_mc_ports_of_the_simulated_slice() {
         let shape = |s: &NetworkConfig| (s.vcs.total, s.mc_inject_ports, s.mc_eject_ports);

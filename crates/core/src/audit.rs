@@ -1,8 +1,8 @@
 //! Static config-space audit: verification, load bounds and area in one
 //! deterministic report.
 //!
-//! An audit is the free fidelity tier of the design-space exploration
-//! staging in ROADMAP item 5: every candidate configuration is first
+//! An audit is the free fidelity tier of the autotuner's staged search
+//! (DESIGN §18): every candidate configuration is first
 //! *verified* (illegal configurations are rejected with the prover's
 //! witnesses), then *bounded* (per-matrix saturation-throughput upper
 //! bounds and zero-load latency from `tenoc-verify`'s load analyzer),
@@ -14,7 +14,7 @@
 use crate::area::AreaModel;
 use crate::presets::Preset;
 use crate::system::IcntConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tenoc_noc::{NetworkConfig, VcLayout};
 use tenoc_verify::load::{
     analyze_load_double_with, analyze_load_with, ClassZeroLoad, LoadReport, TrafficMatrix,
@@ -22,7 +22,7 @@ use tenoc_verify::load::{
 use tenoc_verify::{analyze_double_with, analyze_with, RouteTable, VerifyReport};
 
 /// Per-matrix static metrics of one audited configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct MatrixMetrics {
     /// Matrix label (`uniform` / `transpose` / `many-to-few`).
     pub matrix: String,
@@ -69,7 +69,7 @@ fn hottest_label(r: &LoadReport) -> String {
 }
 
 /// One audited configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct AuditEntry {
     /// Configuration name (preset label, or the variant's name).
     pub name: String,
@@ -106,7 +106,7 @@ impl AuditEntry {
 }
 
 /// A full config-space audit.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct AuditReport {
     /// Mesh radix the grid was audited at.
     pub k: u64,

@@ -5,8 +5,6 @@
 //! scheduler tracks the next edge of each domain in nanoseconds and always
 //! steps the earliest one, exactly like GPGPU-Sim's multi-clock main loop.
 
-use serde::{Deserialize, Serialize};
-
 /// A clock domain identifier.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Domain {
@@ -19,7 +17,7 @@ pub enum Domain {
 }
 
 /// Clock frequencies in MHz.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ClockConfig {
     /// Compute-core clock (paper: 1296 MHz).
     pub core_mhz: f64,

@@ -89,6 +89,14 @@ pub fn env_knob<T: std::str::FromStr>(
     }
 }
 
+/// Whether `scale` is a usable kernel-length factor: finite and above
+/// zero. The one rule behind `--scale`, `TENOC_SCALE` and a wire
+/// request's `scale` (anything else would run `KernelSpec::scaled`'s
+/// instruction floor under a scale nobody asked for).
+pub fn is_valid_scale(scale: &f64) -> bool {
+    *scale > 0.0 && scale.is_finite()
+}
+
 /// Kernel-length scale factor for harness runs: `TENOC_FULL=1` selects
 /// full-length kernels, `TENOC_SCALE=<f>` an explicit factor; the default
 /// is 0.12 (fast, preserves every qualitative trend).
@@ -101,8 +109,7 @@ pub fn scale_from_env() -> Result<f64, String> {
     if std::env::var("TENOC_FULL").map(|v| v == "1").unwrap_or(false) {
         return Ok(1.0);
     }
-    let scale =
-        env_knob("TENOC_SCALE", "a finite scale factor > 0", |f: &f64| *f > 0.0 && f.is_finite())?;
+    let scale = env_knob("TENOC_SCALE", "a finite scale factor > 0", is_valid_scale)?;
     Ok(scale.unwrap_or(0.12))
 }
 

@@ -9,14 +9,13 @@
 //! reply network; when injection blocks, the MC is *stalled* — the signal
 //! of the paper's Figure 11.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use tenoc_cache::{Access, Cache, CacheConfig, LookupResult, MshrTable};
 use tenoc_dram::{Completion, DramConfig, DramRequest, MemoryController, SchedulingPolicy};
 use tenoc_noc::NodeId;
 
 /// MC node configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct McConfig {
     /// L2 bank geometry (paper: 128 KB per MC).
     pub l2: CacheConfig,
@@ -72,7 +71,7 @@ pub(crate) struct McRequest {
 }
 
 /// MC-side statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct McStats {
     /// Requests accepted from the network.
     pub requests: u64,
@@ -210,9 +209,10 @@ impl McNode {
                 self.in_q.pop_front();
             }
             LookupResult::Miss => {
-                // Known bug, kept until the next `MODEL_VERSION` bump (ROADMAP
-                // item 6): the `access` above already counted this miss and
-                // ticked the LRU, and does so again on every retried cycle.
+                // Known bug, kept until the next `MODEL_VERSION` bump (fixing
+                // it moves every golden): the `access` above already counted
+                // this miss and ticked the LRU, and does so again on every
+                // retried cycle.
                 if self.mshrs.is_full() || !self.dram.can_accept() {
                     return; // retry next cycle
                 }

@@ -56,8 +56,8 @@ pub enum Preset {
     /// network's for saturated benchmarks (see EXPERIMENTS.md).
     CpCr2pSingle,
     /// Torus fabric with DOR and dateline VCs: the baseline grid with
-    /// every row and column wrapped (ROADMAP item 4's first non-mesh
-    /// fabric; halves the network diameter for extra link area).
+    /// every row and column wrapped (the first non-mesh fabric, DESIGN
+    /// §17; halves the network diameter for extra link area).
     TorusDor,
     /// Concentrated mesh: two cores share every compute router through
     /// dedicated terminal ports (7-port radix, same grid and links).

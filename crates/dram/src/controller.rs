@@ -3,11 +3,10 @@
 
 use crate::bank::Bank;
 use crate::timing::DramConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Scheduling policy of the controller.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum SchedulingPolicy {
     /// First-ready FCFS: row hits are served first (in age order), then
     /// the oldest request opens its row. The paper's baseline.
@@ -17,7 +16,7 @@ pub enum SchedulingPolicy {
 }
 
 /// A request presented to the DRAM channel.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DramRequest {
     /// Byte address (within this channel's space).
     pub addr: u64,
@@ -60,7 +59,7 @@ pub struct Completion {
 }
 
 /// Controller statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Requests accepted into the queue.
     pub accepted: u64,

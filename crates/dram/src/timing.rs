@@ -1,9 +1,7 @@
 //! GDDR3 timing parameters and DRAM geometry.
 
-use serde::{Deserialize, Serialize};
-
 /// GDDR3 timing constraints, in DRAM clock cycles (paper Table II).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct GddrTimings {
     /// CAS latency: column command to first data beat.
     pub t_cl: u64,
@@ -68,7 +66,7 @@ impl GddrTimings {
 }
 
 /// Full configuration of one DRAM channel (one memory controller).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DramConfig {
     /// Timing constraints.
     pub timings: GddrTimings,

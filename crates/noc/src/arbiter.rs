@@ -4,10 +4,8 @@
 //! grant is *accepted*, so the arbiter exposes both a non-destructive
 //! `RoundRobin::peek` and an explicit `RoundRobin::advance_past`.
 
-use serde::{Deserialize, Serialize};
-
 /// A round-robin arbiter over `n` requesters.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundRobin {
     n: usize,
     ptr: usize,

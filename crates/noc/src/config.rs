@@ -7,10 +7,10 @@ use crate::routing::VcSet;
 use crate::topology::{Fabric, Mesh, Placement};
 use crate::types::NodeId;
 use serde::json;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Switch-allocator organization. Both engines implement exactly one.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum AllocatorKind {
     /// Separable input-first (iSLIP-style, Table III's allocator): each
     /// input port nominates one VC, then each output port picks one
@@ -19,7 +19,7 @@ pub enum AllocatorKind {
 }
 
 /// Routing algorithm selection.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum RoutingKind {
     /// Dimension-ordered routing, X first.
     DorXy,
@@ -82,20 +82,6 @@ impl Serialize for VcLayout {
             pairs.push(("split_dateline".to_owned(), self.split_dateline.to_value()));
         }
         json::Value::Object(pairs)
-    }
-}
-
-impl Deserialize for VcLayout {
-    fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-        Ok(VcLayout {
-            total: u8::from_value(v.field("total")?)?,
-            classes: u8::from_value(v.field("classes")?)?,
-            split_phases: bool::from_value(v.field("split_phases")?)?,
-            split_dateline: match v.field("split_dateline") {
-                Err(_) => false,
-                Ok(b) => bool::from_value(b)?,
-            },
-        })
     }
 }
 
@@ -194,7 +180,7 @@ impl VcLayout {
 /// 5 cycles per hop at zero load. Half-routers use 3 stages, and the
 /// "aggressive" router of the latency study uses a single stage (2 cycles
 /// per hop including the channel).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RouterTiming {
     /// Cycles between head-flit arrival and VC-allocation eligibility
     /// (models route-computation stages).
@@ -227,7 +213,7 @@ impl RouterTiming {
 }
 
 /// Full configuration of one physical network.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct NetworkConfig {
     /// Topology and router kinds.
     pub mesh: Mesh,

@@ -9,10 +9,9 @@
 //! injection-rate imbalance the paper analyzes.
 
 use crate::types::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Protocol class of a packet.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 pub enum PacketClass {
     /// Core-to-MC traffic: read requests (8 B) and write requests (64 B).
@@ -49,7 +48,7 @@ impl PacketClass {
 /// use, exactly like O1Turn. A case-2 packet (half-router to half-router,
 /// both XY and YX turn nodes being half-routers) travels YX to a random
 /// intermediate full-router and then switches to the XY phase.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 pub enum Phase {
     /// Route X first, then Y. Uses the XY virtual-channel subset.
@@ -62,7 +61,7 @@ pub enum Phase {
 ///
 /// Headers are small `Copy` values; carrying a copy in each flit keeps the
 /// router and ejection logic simple without heap allocation.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PacketHeader {
     /// Globally unique packet id (assigned by the creator).
     pub id: u64,
@@ -110,7 +109,7 @@ impl PacketHeader {
 
 /// A packet: the unit of end-to-end transfer. Payload is abstract — only
 /// sizes (for timing) and the `tag` (for correlation) are modeled.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Packet {
     /// Header describing the packet.
     pub header: PacketHeader,
@@ -158,7 +157,7 @@ impl Packet {
 ///
 /// Every flit carries a copy of its packet header plus its sequence number,
 /// which keeps reassembly at ejection trivial.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Flit {
     /// Header of the packet this flit belongs to.
     pub hdr: PacketHeader,

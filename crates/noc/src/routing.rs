@@ -26,10 +26,9 @@ use crate::packet::{PacketClass, PacketHeader, Phase};
 use crate::topology::Mesh;
 use crate::types::{Coord, Direction, NodeId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A contiguous set of virtual channels `[first, first + count)`.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct VcSet {
     /// First VC index in the set.
     pub first: u8,

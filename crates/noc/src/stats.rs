@@ -3,10 +3,9 @@
 
 use crate::packet::EjectedPacket;
 use crate::telemetry::LatencyHistograms;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated statistics of a network (or a pair of sliced networks).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetStats {
     /// Cycles simulated.
     pub cycles: u64,

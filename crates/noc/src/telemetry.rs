@@ -37,7 +37,7 @@ use crate::packet::{PacketClass, PacketHeader};
 use crate::stats::NetStats;
 use crate::topology::Mesh;
 use crate::types::{Direction, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of log2 latency buckets. Bucket 0 counts zero-cycle latencies,
 /// bucket `i` (for `1 <= i < 31`) counts latencies in `[2^(i-1), 2^i)`,
@@ -46,7 +46,7 @@ pub(crate) const HIST_BUCKETS: usize = 32;
 
 /// A log2-bucketed latency histogram with a fixed, allocation-free
 /// footprint.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct LatencyHistogram {
     /// Bucket counts; see `HIST_BUCKETS` for the bucket boundaries.
     pub buckets: [u64; HIST_BUCKETS],
@@ -94,7 +94,7 @@ impl LatencyHistogram {
 /// Latency histograms kept inside [`crate::NetStats`]: total (creation to
 /// tail ejection) and network (head injection to tail ejection) latency,
 /// per protocol class (`[request, reply]`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize)]
 pub struct LatencyHistograms {
     /// Total-latency histograms per class.
     pub total: [LatencyHistogram; 2],
@@ -157,7 +157,7 @@ impl Default for TelemetryConfig {
 }
 
 /// One per-hop flit event captured by the flight recorder.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct FlightEvent {
     /// Packet id ([`PacketHeader::id`]).
     pub packet: u64,
@@ -361,7 +361,7 @@ impl NetTelemetry {
 }
 
 /// One physical link's traffic in a [`TelemetryReport`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct LinkRecord {
     /// Source node of the link.
     pub node: u64,
@@ -381,7 +381,7 @@ pub struct LinkRecord {
 
 /// A serializable snapshot of one network's telemetry, built by
 /// `NetTelemetry::report`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TelemetryReport {
     /// Which network this report describes (`net`, `request`, `reply`).
     pub label: String,
@@ -517,38 +517,5 @@ mod tests {
         t.tick_occupancy();
         assert!((t.avg_occupancy(1) - 3.0).abs() < 1e-12);
         assert_eq!(t.avg_occupancy(0), 0.0);
-    }
-
-    #[test]
-    fn report_json_roundtrip() {
-        let report = TelemetryReport {
-            label: "net".into(),
-            radix: 2,
-            cycles: 10,
-            hist: LatencyHistograms::default(),
-            links: vec![LinkRecord {
-                node: 0,
-                x: 0,
-                y: 0,
-                dir: "E".into(),
-                flits: 5,
-                vc_flits: vec![3, 2],
-                utilization: 0.5,
-            }],
-            heatmap: vec![vec![0.5, 0.0], vec![0.0, 0.0]],
-            avg_occupancy: vec![0.0; 4],
-            flight: vec![FlightEvent {
-                packet: 1,
-                class: 1,
-                seq: 0,
-                node: 0,
-                out_port: 1,
-                cycle: 3,
-            }],
-            flight_dropped: 0,
-        };
-        let back =
-            TelemetryReport::from_value(&serde::json::parse(&report.to_json()).unwrap()).unwrap();
-        assert_eq!(back, report);
     }
 }

@@ -18,10 +18,10 @@
 
 use crate::types::{Coord, Direction, NodeId};
 use serde::json;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Microarchitectural kind of a router.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum RouterKind {
     /// Conventional 2D-mesh router: any input may reach any output (other
     /// than its own port).
@@ -33,7 +33,7 @@ pub enum RouterKind {
 }
 
 /// Memory-controller placement strategy.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Placement {
     /// Baseline: MCs on the top and bottom rows (paper Figure 3), like
     /// Intel's 80-core design and Tilera TILE64.
@@ -98,31 +98,6 @@ impl Serialize for Topology {
             }
         }
         json::Value::Object(pairs)
-    }
-}
-
-impl Deserialize for Topology {
-    fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-        let k = usize::from_value(v.field("k")?)?;
-        let kinds = Vec::<RouterKind>::from_value(v.field("kinds")?)?;
-        let fabric = match v.field("fabric") {
-            Err(_) => Fabric::Mesh,
-            Ok(f) => match f.as_str()? {
-                "mesh" => Fabric::Mesh,
-                "torus" => Fabric::Torus,
-                "cmesh" => Fabric::CMesh { conc: u8::from_value(v.field("conc")?)? },
-                other => {
-                    return Err(json::Error::msg(format!("unknown fabric {other:?}")));
-                }
-            },
-        };
-        if kinds.len() != k * k {
-            return Err(json::Error::msg(format!(
-                "kind map has {} entries for a {k}x{k} grid",
-                kinds.len()
-            )));
-        }
-        Ok(Topology { k, kinds, fabric })
     }
 }
 
@@ -643,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn serialization_is_backward_compatible() {
+    fn serialization_is_backward_compatible_and_injective() {
         // Plain meshes keep the historical two-key shape (fingerprint and
         // canonical-hash stability); other fabrics append keys.
         let m = Topology::checkerboard(2);
@@ -651,15 +626,20 @@ mod tests {
             m.to_value().to_json_compact(),
             r#"{"k":2,"kinds":["Full","Half","Half","Full"]}"#
         );
-        let fabrics = [
-            Topology::all_full(3),
+        // The text is a content address, so no two fabrics may share one.
+        let texts: Vec<String> = [
+            Topology::all_full(4),
             Topology::checkerboard(4),
-            Topology::torus(3),
-            Topology::cmesh(3, 2),
-        ];
-        for t in fabrics {
-            let back = Topology::from_value(&t.to_value()).unwrap();
-            assert_eq!(back, t);
+            Topology::torus(4),
+            Topology::cmesh(4, 2),
+        ]
+        .iter()
+        .map(|t| t.to_value().to_json_compact())
+        .collect();
+        for (i, a) in texts.iter().enumerate() {
+            for b in &texts[i + 1..] {
+                assert_ne!(a, b, "two fabrics serialize alike");
+            }
         }
         let torus = Topology::torus(2).to_value().to_json_compact();
         assert!(torus.contains(r#""fabric":"torus""#), "{torus}");

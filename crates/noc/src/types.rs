@@ -1,7 +1,5 @@
 //! Fundamental identifiers and geometry for 2D-mesh networks.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a network node (router/terminal) in row-major order:
 /// `id = y * k + x` for a `k x k` mesh.
 pub type NodeId = usize;
@@ -9,7 +7,7 @@ pub type NodeId = usize;
 /// A position in the mesh. `x` is the column (grows eastward), `y` is the
 /// row (grows southward; row 0 is the top of the chip as drawn in the
 /// paper's Figure 3).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Coord {
     /// Column index (0-based, grows eastward).
     pub x: u16,
@@ -52,7 +50,7 @@ impl std::fmt::Display for Coord {
 ///
 /// The numeric values double as port indices: direction ports of a router
 /// are numbered `0..4` in the order north, east, south, west.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 pub enum Direction {
     /// Toward row 0 (up in the paper's figures).

@@ -21,6 +21,7 @@
 use serde::json::Value;
 use serde::Serialize;
 use std::io::Write;
+use tenoc_core::experiments::is_valid_scale;
 use tenoc_core::{Preset, MAX_MESH_K};
 use tenoc_harness::{tiny_grid, SeedMode, SweepGrid};
 
@@ -29,6 +30,10 @@ pub const DEFAULT_SEED: u64 = tenoc_core::DEFAULT_SEED;
 /// Kernel-length scale of a wire request that names none (the golden tiny
 /// grid's). The CLI always sends the field.
 pub(crate) const DEFAULT_SCALE: f64 = 0.02;
+
+/// The request fields a `tiny` request fixes (the wire twin of the
+/// flags `tenoc sweep --tiny` refuses).
+const TINY_FIXES: [&str; 5] = ["presets", "benchmarks", "scale", "seed", "mesh_k"];
 
 /// A parsed sweep submission.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,7 +51,8 @@ pub struct SweepRequest {
     pub seed: u64,
     /// Mesh radix.
     pub mesh_k: usize,
-    /// Shorthand for the canonical golden tiny grid (overrides the axes).
+    /// Shorthand for the canonical golden tiny grid, which fixes the axes
+    /// (a wire request may not name them beside it).
     pub tiny: bool,
 }
 
@@ -93,14 +99,22 @@ impl SweepRequest {
     ///
     /// # Errors
     ///
-    /// Returns a message for type mismatches on present fields.
+    /// Returns a message for type mismatches on present fields, and for
+    /// `tiny` beside an axis it fixes: like `--tiny` beside `--presets`,
+    /// the axis would otherwise be silently ignored.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let mut req = SweepRequest::default();
         if let Ok(t) = v.field("tenant") {
             req.tenant = t.as_str().map_err(|e| e.to_string())?.to_string();
         }
         if let Ok(t) = v.field("tiny") {
-            req.tiny = matches!(t, Value::Bool(true));
+            let Value::Bool(tiny) = *t else {
+                return Err(format!("tiny must be a boolean, found {}", t.kind()));
+            };
+            if let Some(axis) = TINY_FIXES.iter().find(|axis| v.field(axis).is_ok()) {
+                return Err(format!("tiny cannot be combined with {axis}"));
+            }
+            req.tiny = tiny;
         }
         if let Ok(p) = v.field("presets") {
             req.presets = p
@@ -140,11 +154,15 @@ impl SweepRequest {
     /// # Errors
     ///
     /// Returns a message naming any unknown preset or benchmark, empty
-    /// axes, or a `mesh_k` outside `2..=MAX_MESH_K` — refused here, before
-    /// any fabric is resolved.
+    /// axes, a `scale` that is not finite and above zero, or a `mesh_k`
+    /// outside `2..=MAX_MESH_K` — refused here, before any fabric is
+    /// resolved.
     pub fn grid(&self) -> Result<SweepGrid, String> {
         if self.tiny {
             return Ok(tiny_grid());
+        }
+        if !is_valid_scale(&self.scale) {
+            return Err(format!("scale must be finite and > 0, got {}", self.scale));
         }
         if self.presets.is_empty() || self.benchmarks.is_empty() {
             return Err("sweep needs at least one preset and one benchmark".into());
@@ -273,6 +291,27 @@ mod tests {
         assert_eq!(radix(MAX_MESH_K).unwrap().mesh_k, MAX_MESH_K);
         for k in [0, 1, MAX_MESH_K + 1, usize::MAX] {
             assert!(radix(k).unwrap_err().contains("mesh_k"), "mesh_k {k}");
+        }
+        // Wire lines the CLI cannot spell: each is refused with the field
+        // it gets wrong, not run as some other experiment.
+        let axes = r#""presets":["baseline"],"benchmarks":["HIS"]"#;
+        let rows = [
+            (format!(r#"{{{axes},"scale":0}}"#), "scale"),
+            (format!(r#"{{{axes},"scale":-1}}"#), "scale"),
+            (format!(r#"{{{axes},"scale":null}}"#), "scale"),
+            (format!(r#"{{{axes},"scale":1e400}}"#), "scale"),
+            (format!(r#"{{{axes},"tiny":1}}"#), "tiny"),
+            (r#"{"tiny":"true"}"#.to_string(), "tiny"),
+            (r#"{"tiny":true,"presets":["baseline"]}"#.to_string(), "presets"),
+            (r#"{"tiny":true,"benchmarks":["HIS"]}"#.to_string(), "benchmarks"),
+            (r#"{"scale":0.5,"tiny":true}"#.to_string(), "scale"),
+            (r#"{"tiny":true,"seed":3}"#.to_string(), "seed"),
+            (r#"{"tiny":true,"mesh_k":6}"#.to_string(), "mesh_k"),
+        ];
+        for (line, field) in rows {
+            let v = serde::json::parse(&line).unwrap();
+            let err = SweepRequest::from_value(&v).and_then(|r| r.grid()).unwrap_err();
+            assert!(err.contains(field), "{line}: {err}");
         }
     }
 

@@ -3,7 +3,6 @@
 use crate::kernel::KernelSpec;
 use crate::warp::{PendingInst, Warp, WarpState};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use tenoc_cache::{Access, Cache, CacheConfig, LookupResult, MshrOutcome, MshrTable};
 
@@ -26,7 +25,7 @@ pub struct MemRequest {
 }
 
 /// Warp scheduling policy.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum SchedulerPolicy {
     /// Round-robin among ready warps (the paper's Table II policy).
     RoundRobin,
@@ -37,7 +36,7 @@ pub enum SchedulerPolicy {
 }
 
 /// Core microarchitecture parameters (paper Table II).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CoreConfig {
     /// Scalar threads per warp.
     pub warp_size: u32,
@@ -73,7 +72,7 @@ impl CoreConfig {
 }
 
 /// Execution statistics of one core.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Warp instructions retired.
     pub warp_insts: u64,

@@ -1,12 +1,10 @@
 //! Synthetic kernel specifications: the statistical workload model that
 //! stands in for the paper's CUDA benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 /// Traffic class of a benchmark, following the paper's two-letter scheme
 /// (Section III-B): the first letter is the speedup with a perfect NoC
 /// (high/low), the second is the traffic intensity (heavy/light).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TrafficClass {
     /// Low speedup, light traffic: locality-optimized kernels.
     LL,
@@ -48,7 +46,7 @@ impl std::str::FromStr for TrafficClass {
 
 /// A synthetic kernel: per-benchmark statistical parameters from which
 /// per-warp instruction streams are generated deterministically.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelSpec {
     /// Benchmark name (abbreviation from the paper's Table I).
     pub name: String,

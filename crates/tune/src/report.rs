@@ -10,14 +10,14 @@
 //! pins the whole search end-to-end.
 
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Duration;
 
 /// Candidate counts per stage. The invariant `enumerated =
 /// unconstructible + rejected + legal` (plus any out-of-grid pinned
 /// reference points) makes grid truncation visible: every enumerated
 /// point is accounted for somewhere.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct GridCounts {
     /// Grid points enumerated from the axes.
     pub enumerated: u64,
@@ -44,7 +44,7 @@ pub struct GridCounts {
 /// One rejected grid point with its witnesses. Points sharing the exact
 /// same witness set are merged (names are listed) to keep the report
 /// readable without losing a single rejection.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Rejection {
     /// `unconstructible` (builder) or `verify` (prover).
     pub stage: String,
@@ -57,7 +57,7 @@ pub struct Rejection {
 
 /// A stage-1 (static audit) ranking entry, recorded for every promoted
 /// or pinned candidate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Stage1Entry {
     /// Candidate name.
     pub name: String,
@@ -83,7 +83,7 @@ pub struct Stage1Entry {
 }
 
 /// A stage-2 (open-loop probe) entry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Stage2Entry {
     /// Candidate name.
     pub name: String,
@@ -116,7 +116,7 @@ pub struct Stage2Entry {
 }
 
 /// One successive-halving rung.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Rung {
     /// Benchmark simulated at this rung.
     pub benchmark: String,
@@ -128,7 +128,7 @@ pub struct Rung {
 }
 
 /// Measured IPC of one finalist on one benchmark.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct BenchIpc {
     /// Benchmark abbreviation.
     pub benchmark: String,
@@ -139,7 +139,7 @@ pub struct BenchIpc {
 }
 
 /// A candidate that survived every halving rung.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Finalist {
     /// Candidate name.
     pub name: String,
@@ -160,7 +160,7 @@ pub struct Finalist {
 }
 
 /// A telemetry heatmap of one physical network of a frontier point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct HeatmapReport {
     /// Network label (`net`, or `request`/`reply` for sliced fabrics).
     pub label: String,
@@ -171,7 +171,7 @@ pub struct HeatmapReport {
 }
 
 /// One Pareto-optimal design point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FrontierPoint {
     /// Candidate name.
     pub name: String,
@@ -197,7 +197,7 @@ pub struct FrontierPoint {
 }
 
 /// Where one of the paper's named presets landed in the search.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct NamedPoint {
     /// Preset label.
     pub preset: String,
@@ -212,7 +212,7 @@ pub struct NamedPoint {
 }
 
 /// The full frontier report.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TuneReport {
     /// Mesh radix searched.
     pub k: u64,
@@ -249,11 +249,6 @@ impl TuneReport {
     /// Never panics: the report is plain data.
     pub fn to_json(&self) -> String {
         self.to_value().to_json_pretty()
-    }
-
-    /// Whether any frontier point resolves to the given preset label.
-    pub fn frontier_has_alias(&self, label: &str) -> bool {
-        self.frontier.iter().any(|p| p.aliases.iter().any(|a| a == label))
     }
 }
 

@@ -24,13 +24,13 @@
 //! measured accepted throughput always sits at or below it.
 
 use crate::RouteTable;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 use tenoc_noc::telemetry::dir_label;
 use tenoc_noc::{Coord, NetworkConfig, NodeId, Packet, PacketClass};
 
 /// The traffic matrices the analyzer understands.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TrafficMatrix {
     /// Every node sends single-flit packets to every other node with
     /// equal probability (total unit rate per source).
@@ -164,7 +164,7 @@ pub struct ChannelLoad {
 }
 
 /// Zero-load latency bounds for one packet class.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ClassZeroLoad {
     /// Class label (`request` / `reply`).
     pub class: String,

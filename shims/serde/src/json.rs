@@ -73,22 +73,6 @@ impl Value {
         }
     }
 
-    /// The value as an `i64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-integral or out-of-range values.
-    pub fn as_i64(&self) -> Result<i64, Error> {
-        match *self {
-            Value::I64(x) => Ok(x),
-            Value::U64(x) => {
-                i64::try_from(x).map_err(|_| Error::msg(format!("integer {x} overflows i64")))
-            }
-            Value::F64(x) if x.fract() == 0.0 && x.abs() <= i64::MAX as f64 => Ok(x as i64),
-            ref other => Err(Error::msg(format!("expected integer, found {}", other.kind()))),
-        }
-    }
-
     /// The value as an `f64` (integers convert losslessly where possible).
     ///
     /// # Errors

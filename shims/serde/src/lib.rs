@@ -2,11 +2,16 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors
 //! a minimal self-describing serialization layer under the `serde` name:
-//! values serialize into a [`json::Value`] tree and deserialize back from
-//! one. The `#[derive(Serialize, Deserialize)]` macros (re-exported from
-//! the sibling `serde_derive` shim) support structs with named fields and
-//! fieldless enums — exactly the shapes this workspace uses. The data
-//! model is JSON-only; there is no `Serializer`/`Deserializer` trait pair.
+//! values serialize into a [`json::Value`] tree. `#[derive(Serialize)]`
+//! (re-exported from the sibling `serde_derive` shim) supports structs
+//! with named fields and fieldless enums. Decoding is narrower, because
+//! the workspace reads back only its own flat records (a sweep record
+//! and the metrics it journals): `#[derive(Deserialize)]` takes
+//! named-field structs, and [`Deserialize`] is implemented only for the
+//! leaves those records hold — unsigned integers, `f64`, `bool` and
+//! `String`. Other input is read as a [`json::Value`] tree by hand. The
+//! data model is JSON-only; there is no `Serializer`/`Deserializer`
+//! trait pair.
 //!
 //! JSON text is written two ways from one definition.
 //! [`Serialize::to_value`] builds the tree, and the tree's
@@ -59,7 +64,7 @@ pub trait Deserialize: Sized {
     /// # Errors
     ///
     /// Returns [`json::Error`] when the tree does not match the expected
-    /// shape (missing field, wrong type, unknown enum variant).
+    /// shape (missing field, wrong type, integer out of range).
     fn from_value(v: &json::Value) -> Result<Self, json::Error>;
 }
 
@@ -95,14 +100,6 @@ macro_rules! impl_signed {
                 json::write_display(out, self);
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-                let raw = v.as_i64()?;
-                <$t>::try_from(raw).map_err(|_| json::Error::msg(format!(
-                    "integer {raw} out of range for {}", stringify!($t)
-                )))
-            }
-        }
     )*};
 }
 impl_signed!(i8, i16, i32, i64, isize);
@@ -128,12 +125,6 @@ impl Serialize for f32 {
     }
     fn write_json(&self, out: &mut String) {
         json::write_f64(out, *self as f64);
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-        Ok(v.as_f64()? as f32)
     }
 }
 
@@ -197,12 +188,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-        v.as_array()?.iter().map(T::from_value).collect()
-    }
-}
-
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> json::Value {
         json::Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -221,16 +206,6 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-        let items: Vec<T> = Deserialize::from_value(v)?;
-        let len = items.len();
-        items
-            .try_into()
-            .map_err(|_| json::Error::msg(format!("expected array of length {N}, found {len}")))
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> json::Value {
         match self {
@@ -246,15 +221,6 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-        match v {
-            json::Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
-}
-
 /// `Value` serializes as itself, so derived types can embed raw JSON
 /// trees (e.g. an already-resolved configuration) without re-encoding.
 impl Serialize for json::Value {
@@ -263,12 +229,6 @@ impl Serialize for json::Value {
     }
     fn write_json(&self, out: &mut String) {
         self.write_compact(out);
-    }
-}
-
-impl Deserialize for json::Value {
-    fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-        Ok(v.clone())
     }
 }
 
@@ -287,18 +247,6 @@ macro_rules! impl_tuple {
                     self.$idx.write_json(out);
                 )+
                 out.push(']');
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &json::Value) -> Result<Self, json::Error> {
-                let items = v.as_array()?;
-                let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(json::Error::msg(format!(
-                        "expected tuple of length {expected}, found {}", items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
             }
         }
     )*};

@@ -3,12 +3,13 @@
 //! The build environment has no crates.io access, so this crate parses the
 //! derive input by walking the raw [`proc_macro::TokenStream`] instead of
 //! depending on `syn`/`quote`. It supports exactly the shapes this
-//! workspace uses: structs with named fields and fieldless enums
-//! (discriminants allowed). `Serialize` gets both `to_value` and the
-//! direct text writer `write_json`, generated from the same field or
-//! variant list. Anything else — tuple structs, generics,
-//! enums with payloads — fails the build with an explicit message rather
-//! than generating wrong code.
+//! workspace uses: `Serialize` on structs with named fields and on
+//! fieldless enums (discriminants allowed), `Deserialize` on structs with
+//! named fields only (the workspace decodes nothing else). `Serialize`
+//! gets both `to_value` and the direct text writer `write_json`,
+//! generated from the same field or variant list. Anything else — tuple
+//! structs, generics, enums with payloads, a decoded enum — fails the
+//! build with an explicit message rather than generating wrong code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,47 +83,28 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     code.parse().expect("derive(Serialize): generated code must parse")
 }
 
-/// Derives `serde::Deserialize` (value-tree reconstruction).
+/// Derives `serde::Deserialize` (value-tree reconstruction) for a struct
+/// with named fields: each field is read by name, in any order.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let shape = parse_shape(input);
-    let code = match &shape {
-        Shape::Struct { name, fields } => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\")?)?"))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::json::Value)\n\
-                         -> Result<Self, ::serde::json::Error> {{\n\
-                         Ok({name} {{ {inits} }})\n\
-                     }}\n\
-                 }}",
-                name = name,
-                inits = inits.join(", ")
-            )
-        }
-        Shape::Enum { name, variants } => {
-            let arms: Vec<String> =
-                variants.iter().map(|v| format!("\"{v}\" => Ok({name}::{v})")).collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::json::Value)\n\
-                         -> Result<Self, ::serde::json::Error> {{\n\
-                         match v.as_str()? {{\n\
-                             {arms},\n\
-                             other => Err(::serde::json::Error::msg(format!(\n\
-                                 \"unknown {name} variant `{{other}}`\"))),\n\
-                         }}\n\
-                     }}\n\
-                 }}",
-                name = name,
-                arms = arms.join(",\n")
-            )
-        }
+    let Shape::Struct { name, fields } = parse_shape(input) else {
+        panic!("serde shim derive: Deserialize supports named-field structs only")
     };
-    code.parse().expect("derive(Deserialize): generated code must parse")
+    let inits: Vec<String> = fields
+        .iter()
+        .map(|f| format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\")?)?"))
+        .collect();
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn from_value(v: &::serde::json::Value)\n\
+                 -> Result<Self, ::serde::json::Error> {{\n\
+                 Ok({name} {{ {inits} }})\n\
+             }}\n\
+         }}",
+        inits = inits.join(", ")
+    )
+    .parse()
+    .expect("derive(Deserialize): generated code must parse")
 }
 
 enum Shape {

@@ -11,7 +11,7 @@ use serde::json::Value;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
-use tenoc::core::experiments::{run_benchmark, scale_from_env};
+use tenoc::core::experiments::{is_valid_scale, run_benchmark, scale_from_env};
 use tenoc::core::presets::Preset;
 use tenoc::core::{harmonic_mean, EngineKind, IcntConfig, MAX_MESH_K};
 use tenoc::harness::figures::figure;
@@ -175,7 +175,7 @@ impl Flags {
     }
 
     fn scale(&self) -> Option<f64> {
-        self.parsed("scale", |s: &f64| *s > 0.0 && s.is_finite())
+        self.parsed("scale", is_valid_scale)
     }
 
     fn seed(&self) -> Option<u64> {

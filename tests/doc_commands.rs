@@ -19,6 +19,11 @@
 //!
 //! README's bench table and the one in `crates/bench/src/lib.rs`'s module
 //! docs each list exactly the `[[bench]]` targets, in manifest order.
+//!
+//! No tracked file outside the roadmap's own documents cites a roadmap
+//! item by number: items are renumbered when the roadmap is re-anchored,
+//! so a citation rots into a pointer at something else. A comment states
+//! its reason, or points at a DESIGN.md section.
 
 use std::path::Path;
 use std::process::Command;
@@ -323,4 +328,67 @@ fn backticked_repository_paths_in_the_docs_exist() {
     assert!(paths >= 30, "only {paths} repository paths found: is the parser lost?");
     assert!(bare >= 10, "only {bare} bare `*.rs` names found: is the parser lost?");
     assert!(items >= 10, "only {items} `tenoc_<crate>::` paths found: is the parser lost?");
+}
+
+/// The word a roadmap citation starts with.
+const ROADMAP: &str = "ROADMAP";
+
+/// Whether the text just past the word [`ROADMAP`] goes on to an item
+/// number: a bare number with an optional sub-item letter, `item` or
+/// `items` before it, `.md` or `'s` after the word, and a line break
+/// inside a `//`, `#` or `*` comment anywhere in between.
+fn cites_an_item(after: &str) -> bool {
+    fn gap(s: &str) -> &str {
+        s.trim_start_matches([' ', '\t', '\n', '\r', '/', '#', '!', '*', '-', '('])
+    }
+    let rest = after.strip_prefix(".md").unwrap_or(after);
+    let rest = gap(rest.strip_prefix("'s").unwrap_or(rest));
+    let rest = ["items", "item"].iter().find_map(|w| rest.strip_prefix(w)).map_or(rest, gap);
+    rest.starts_with(|c: char| c.is_ascii_digit())
+}
+
+/// Whether a top-level document is a numbered change request: its first
+/// line is a heading of one upper-case word and a number (`# WORD 12 · …`).
+/// Such a request plans against the roadmap and may cite its items.
+fn is_change_request(text: &str) -> bool {
+    let heading = text.lines().next().and_then(|l| l.strip_prefix("# ")).unwrap_or("");
+    heading.split_once(' ').is_some_and(|(word, rest)| {
+        !word.is_empty()
+            && word.chars().all(|c| c.is_ascii_uppercase())
+            && rest.starts_with(|c: char| c.is_ascii_digit())
+    })
+}
+
+#[test]
+fn no_tracked_file_cites_a_roadmap_item_by_number() {
+    const OWN: [&str; 2] = ["ROADMAP.md", "CHANGES.md"];
+    for cited in [" 16(b)", " item 5", "\n    // item 6", ".md's item-4", " (items 2, 3)"] {
+        assert!(cites_an_item(cited), "{cited:?} slips through");
+    }
+    for plain in ["'s aim", ".md", ", items", " re-anchor"] {
+        assert!(!cites_an_item(plain), "{plain:?} is not a citation");
+    }
+    let out = Command::new("git").arg("ls-files").current_dir(root()).output();
+    let Some(listing) = out.ok().filter(|o| o.status.success()) else {
+        eprintln!("not a git checkout: no tracked files to scan");
+        return;
+    };
+    let listing = String::from_utf8(listing.stdout).expect("paths are UTF-8");
+    // `benchmark/` is frozen; its citations leave with its next change.
+    let files: Vec<&str> =
+        listing.lines().filter(|f| !OWN.contains(f) && !f.starts_with("benchmark/")).collect();
+    assert!(files.len() >= 100, "only {} tracked files: is the listing lost?", files.len());
+    let mut problems = Vec::new();
+    for file in &files {
+        let Ok(text) = std::fs::read_to_string(root().join(file)) else { continue };
+        if !file.contains('/') && file.ends_with(".md") && is_change_request(&text) {
+            continue;
+        }
+        for (at, _) in text.match_indices(ROADMAP) {
+            if cites_an_item(&text[at + ROADMAP.len()..]) {
+                problems.push(format!("{file}:{}", text[..at].matches('\n').count() + 1));
+            }
+        }
+    }
+    assert!(problems.is_empty(), "roadmap item cited by number at:\n  {}", problems.join("\n  "));
 }

@@ -26,7 +26,9 @@
 //! All three run on each preset's *unsliced* physical network against
 //! the single-network analysis. The latency floor also runs on each
 //! double preset's sliced fabric, against the per-slice analysis; the
-//! sliced throughput bound is not asserted (ROADMAP 12(a)).
+//! sliced throughput bound is not asserted, because the keep-up filter
+//! admits rates at which a slice's reply queues still grow, so a sliced
+//! fabric "keeps up" a few percent above its sound bound.
 
 use tenoc::core::presets::Preset;
 use tenoc::core::{EngineKind, IcntConfig};

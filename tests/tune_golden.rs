@@ -10,68 +10,97 @@
 //! and every enumerated grid point is accounted for in the per-stage
 //! counts — no silent truncation.
 
-use serde::Deserialize;
-use tenoc::tune::TuneReport;
+use serde::json::Value;
 
-fn golden() -> TuneReport {
+/// The snapshot as a JSON tree: the report is an output format, so the
+/// test reads it the way any consumer would, without a typed decoder.
+fn golden() -> Value {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/frontier.json");
     let text = std::fs::read_to_string(path).expect("tests/golden/frontier.json present");
-    serde::json::parse(&text)
-        .and_then(|v| TuneReport::from_value(&v))
-        .expect("frontier snapshot parses as a TuneReport")
+    serde::json::parse(&text).expect("frontier snapshot is JSON")
+}
+
+fn field<'a>(v: &'a Value, name: &str) -> &'a Value {
+    v.field(name).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn items<'a>(v: &'a Value, name: &str) -> &'a [Value] {
+    field(v, name).as_array().unwrap_or_else(|e| panic!("`{name}`: {e}"))
+}
+
+fn text<'a>(v: &'a Value, name: &str) -> &'a str {
+    field(v, name).as_str().unwrap_or_else(|e| panic!("`{name}`: {e}"))
+}
+
+fn num(v: &Value, name: &str) -> f64 {
+    field(v, name).as_f64().unwrap_or_else(|e| panic!("`{name}`: {e}"))
+}
+
+fn count(v: &Value, name: &str) -> u64 {
+    field(v, name).as_u64().unwrap_or_else(|e| panic!("`{name}`: {e}"))
 }
 
 #[test]
 fn frontier_snapshot_rediscovers_the_throughput_effective_design() {
     let report = golden();
+    let frontier = items(&report, "frontier");
     assert!(
-        report.frontier_has_alias("Thr-Eff"),
+        frontier
+            .iter()
+            .any(|p| items(p, "aliases").iter().any(|a| a == &Value::String("Thr-Eff".into()))),
         "the k=6 frontier must contain the paper's throughput-effective design; got: {:?}",
-        report.frontier.iter().map(|p| p.name.as_str()).collect::<Vec<_>>()
+        frontier.iter().map(|p| text(p, "name")).collect::<Vec<_>>()
     );
     // And the report must say where the other organizations landed.
     for preset in ["Torus-DOR", "CMesh-DOR", "TB-DOR"] {
-        let np = report
-            .named_points
+        let np = items(&report, "named_points")
             .iter()
-            .find(|n| n.preset == preset)
+            .find(|n| text(n, "preset") == preset)
             .unwrap_or_else(|| panic!("{preset} missing from named_points"));
-        assert_eq!(np.stage_reached, "finalist", "pinned {preset} must ride to the finalists");
+        assert_eq!(
+            text(np, "stage_reached"),
+            "finalist",
+            "pinned {preset} must ride to the finalists"
+        );
     }
 }
 
 #[test]
 fn frontier_snapshot_accounts_for_every_grid_point() {
     let report = golden();
-    let c = &report.counts;
+    let c = field(&report, "counts");
     assert_eq!(
-        c.enumerated + c.pinned_out_of_grid,
-        c.unconstructible + c.rejected + c.legal,
+        count(c, "enumerated") + count(c, "pinned_out_of_grid"),
+        count(c, "unconstructible") + count(c, "rejected") + count(c, "legal"),
         "per-stage counts must balance: every enumerated point is somewhere"
     );
-    assert!(c.legal >= c.stage1_promoted);
-    assert!(c.stage1_promoted >= c.stage2_promoted);
-    assert!(c.finalists >= c.frontier && c.frontier >= 1);
+    assert!(count(c, "legal") >= count(c, "stage1_promoted"));
+    assert!(count(c, "stage1_promoted") >= count(c, "stage2_promoted"));
+    assert!(count(c, "finalists") >= count(c, "frontier") && count(c, "frontier") >= 1);
     // Every rejection in the tally is backed by named witnesses.
-    let rejected_names: u64 = report.rejections.iter().map(|r| r.names.len() as u64).sum();
-    assert_eq!(rejected_names, c.unconstructible + c.rejected);
+    let rejected_names: u64 =
+        items(&report, "rejections").iter().map(|r| items(r, "names").len() as u64).sum();
+    assert_eq!(rejected_names, count(c, "unconstructible") + count(c, "rejected"));
 }
 
 #[test]
 fn frontier_points_carry_resolved_configs_and_heatmaps() {
     let report = golden();
-    assert_eq!(report.k, 6);
-    for p in &report.frontier {
-        assert!(!p.config_hash.is_empty(), "{}: fingerprint missing", p.name);
-        assert!(p.resolved.field("kind").is_ok(), "{}: resolved config missing", p.name);
-        assert!(!p.heatmaps.is_empty(), "{}: telemetry heatmap missing", p.name);
-        for h in &p.heatmaps {
-            assert_eq!(h.heatmap.len(), 6, "{}: heatmap is k rows", p.name);
+    assert_eq!(count(&report, "k"), 6);
+    let frontier = items(&report, "frontier");
+    for p in frontier {
+        let name = text(p, "name");
+        assert!(!text(p, "config_hash").is_empty(), "{name}: fingerprint missing");
+        assert!(field(p, "resolved").field("kind").is_ok(), "{name}: resolved config missing");
+        let heatmaps = items(p, "heatmaps");
+        assert!(!heatmaps.is_empty(), "{name}: telemetry heatmap missing");
+        for h in heatmaps {
+            assert_eq!(items(h, "heatmap").len(), 6, "{name}: heatmap is k rows");
         }
     }
     // Frontier is sorted by area with strictly increasing performance.
-    for w in report.frontier.windows(2) {
-        assert!(w[0].area_mm2 <= w[1].area_mm2);
-        assert!(w[0].hm_ipc < w[1].hm_ipc);
+    for w in frontier.windows(2) {
+        assert!(num(&w[0], "area_mm2") <= num(&w[1], "area_mm2"));
+        assert!(num(&w[0], "hm_ipc") < num(&w[1], "hm_ipc"));
     }
 }
