@@ -14,11 +14,10 @@ const PRESETS: [(&str, Preset); 5] = [
     ("CP-CR-2P", Preset::CpCr2pSingle),
 ];
 
-fn sweep(pattern: TrafficPattern, title: &str) {
+/// One panel of curves: `OpenLoopConfig::new`'s windows at full length,
+/// shorter ones for a scaled-down run.
+fn sweep(pattern: TrafficPattern, title: &str, full: bool) {
     println!("\n--- {title} ---");
-    let full = std::env::var("TENOC_FULL").map(|v| v == "1").unwrap_or(false);
-    let (warmup, measure, drain) =
-        if full { (10_000, 20_000, 30_000) } else { (2_000, 5_000, 10_000) };
     let rates: Vec<f64> = (1..=12).map(|i| i as f64 * 0.01).collect();
     print!("{:>10}", "rate");
     for (name, _) in PRESETS {
@@ -31,11 +30,11 @@ fn sweep(pattern: TrafficPattern, title: &str) {
         .iter()
         .map(|(_, preset)| {
             let icnt = preset.icnt(6);
-            let cfg = OpenLoopConfig {
-                warmup,
-                measure,
-                drain,
-                ..OpenLoopConfig::new(icnt.net().clone(), 0.0, pattern)
+            let cfg = OpenLoopConfig::new(icnt.net().clone(), 0.0, pattern);
+            let cfg = if full {
+                cfg
+            } else {
+                OpenLoopConfig { warmup: 2_000, measure: 5_000, drain: 10_000, ..cfg }
             };
             latency_curve(&cfg, rates.iter().copied(), || icnt.build(EngineKind::Arena))
         })
@@ -53,11 +52,13 @@ fn sweep(pattern: TrafficPattern, title: &str) {
 }
 
 fn main() {
-    header("Figure 21", "open-loop latency vs injection rate (1-flit requests, 4-flit replies)");
-    sweep(TrafficPattern::UniformRandom, "(a) uniform random many-to-few-to-many");
+    let what = "open-loop latency vs injection rate (1-flit requests, 4-flit replies)";
+    let full = header("Figure 21", what) >= 1.0;
+    sweep(TrafficPattern::UniformRandom, "(a) uniform random many-to-few-to-many", full);
     sweep(
         TrafficPattern::Hotspot { hot: 0, fraction: 0.2 },
         "(b) hotspot many-to-few-to-many (20% of requests to one MC)",
+        full,
     );
     println!("\npaper: CP placement and 2P injection raise saturation throughput;");
     println!("2P helps most under hotspot traffic");

@@ -2,7 +2,7 @@
 //! ORION-calibrated analytical model.
 
 use tenoc_bench::{header, Preset};
-use tenoc_core::area::{AreaModel, RouterArea, GTX280_AREA_MM2};
+use tenoc_core::area::{AreaModel, RouterArea};
 use tenoc_noc::RouterKind;
 
 fn main() {
@@ -78,5 +78,4 @@ fn main() {
         RouterArea::new(RouterKind::Half, 16, 4, 8, 1, 1).total()
             / RouterArea::new(RouterKind::Full, 16, 4, 8, 1, 1).total()
     );
-    let _ = GTX280_AREA_MM2;
 }

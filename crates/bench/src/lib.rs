@@ -14,7 +14,7 @@
 //!
 //! Run all of them with `cargo bench --workspace`. By default kernels are
 //! scaled down (`TENOC_SCALE`, default 0.12) so the full set finishes in
-//! minutes; set `TENOC_FULL=1` for full-length runs.
+//! minutes; set `TENOC_SCALE=1` for full-length runs.
 //!
 //! Grids fan out over `tenoc-harness`'s worker pool (one cell per
 //! `(preset, benchmark)` pair): `TENOC_JOBS=N` picks the worker count,
@@ -43,12 +43,12 @@ pub fn jobs() -> usize {
 }
 
 /// Prints a standard figure header and returns the kernel scale in effect
-/// (`TENOC_SCALE` / `TENOC_FULL`).
+/// (`TENOC_SCALE`).
 pub fn header(fig: &str, what: &str) -> f64 {
     let scale = env_or_exit(tenoc_core::experiments::scale_from_env());
     println!("================================================================");
     println!("{fig}: {what}");
-    println!("(kernel scale {scale}; TENOC_FULL=1 for full-length runs; {} jobs)", jobs());
+    println!("(kernel scale {scale}; TENOC_SCALE=1 for full-length runs; {} jobs)", jobs());
     println!("================================================================");
     scale
 }

@@ -34,7 +34,7 @@ const HALF_XP_PER_PORT: f64 = 3.35;
 /// Compute area of the accelerator (GTX280 die minus baseline NoC).
 pub const COMPUTE_AREA_MM2: f64 = 486.0;
 /// GTX280 total die area at 65 nm.
-pub const GTX280_AREA_MM2: f64 = 576.0;
+pub(crate) const GTX280_AREA_MM2: f64 = 576.0;
 
 /// Per-router area breakdown in mm².
 #[derive(Copy, Clone, Debug, PartialEq)]

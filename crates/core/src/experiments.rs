@@ -97,18 +97,15 @@ pub fn is_valid_scale(scale: &f64) -> bool {
     *scale > 0.0 && scale.is_finite()
 }
 
-/// Kernel-length scale factor for harness runs: `TENOC_FULL=1` selects
-/// full-length kernels, `TENOC_SCALE=<f>` an explicit factor; the default
-/// is 0.12 (fast, preserves every qualitative trend).
+/// Kernel-length scale factor for harness runs: `TENOC_SCALE=<f>`, where
+/// 1 is full-length kernels; the default is 0.12 (fast, preserves every
+/// qualitative trend).
 ///
 /// # Errors
 ///
 /// Returns a message naming `TENOC_SCALE` when it is set to anything but
 /// a finite factor above zero (the `--scale` flag's predicate).
 pub fn scale_from_env() -> Result<f64, String> {
-    if std::env::var("TENOC_FULL").map(|v| v == "1").unwrap_or(false) {
-        return Ok(1.0);
-    }
     let scale = env_knob("TENOC_SCALE", "a finite scale factor > 0", is_valid_scale)?;
     Ok(scale.unwrap_or(0.12))
 }

@@ -7,8 +7,8 @@
 //! suites in `results` by preset, so one [`run_grid`](crate::run_grid)
 //! over [`presets()`] feeds every figure, and a small grid feeds one.
 //! `cargo bench -p tenoc-bench --bench figures` prints all of them,
-//! `tests/golden/figures.json` pins the summary rows, `tests/paper_shapes.rs`
-//! asserts the paper's shapes on them and `tenoc classify` prints Table I's.
+//! `tests/golden/figures.json` pins the summary rows and
+//! `tests/paper_shapes.rs` asserts the paper's shapes on them.
 
 use crate::engine::CellResult;
 use std::fmt;

@@ -96,10 +96,10 @@ impl SweepGrid {
         SweepGrid { presets, benchmarks, scale, seed_mode, mesh_k: 6 }
     }
 
-    /// The suite-shaped grid behind `tenoc suite`, `tenoc classify` and
-    /// the figure benches: every Table I benchmark on each of `presets`,
-    /// every cell pinned at [`tenoc_core::DEFAULT_SEED`] — so each cell is
-    /// the one `run_benchmark` (and `tenoc run`) runs for the same pair.
+    /// The suite-shaped grid behind the figure benches: every Table I
+    /// benchmark on each of `presets`, every cell pinned at
+    /// [`tenoc_core::DEFAULT_SEED`] — so each cell is the one
+    /// `run_benchmark` (and `tenoc run`) runs for the same pair.
     pub fn suites(presets: &[Preset], scale: f64) -> Self {
         let names = tenoc_workloads::suite().into_iter().map(|s| s.name).collect();
         SweepGrid::new(presets.to_vec(), names, scale)

@@ -35,6 +35,10 @@ pub(crate) const DEFAULT_SCALE: f64 = 0.02;
 /// flags `tenoc sweep --tiny` refuses).
 const TINY_FIXES: [&str; 5] = ["presets", "benchmarks", "scale", "seed", "mesh_k"];
 
+/// The request fields besides [`TINY_FIXES`]; `op` is read by the server
+/// before it dispatches.
+const OTHER_FIELDS: [&str; 3] = ["op", "tenant", "tiny"];
+
 /// A parsed sweep submission.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepRequest {
@@ -99,10 +103,17 @@ impl SweepRequest {
     ///
     /// # Errors
     ///
-    /// Returns a message for type mismatches on present fields, and for
-    /// `tiny` beside an axis it fixes: like `--tiny` beside `--presets`,
-    /// the axis would otherwise be silently ignored.
+    /// Returns a message naming a field the request does not have, for
+    /// type mismatches on present fields, and for `tiny` beside an axis it
+    /// fixes: like a mistyped flag or `--tiny` beside `--presets`, either
+    /// would otherwise silently run the default.
     pub fn from_value(v: &Value) -> Result<Self, String> {
+        if let Value::Object(fields) = v {
+            let known = |key: &str| OTHER_FIELDS.contains(&key) || TINY_FIXES.contains(&key);
+            if let Some((key, _)) = fields.iter().find(|(key, _)| !known(key)) {
+                return Err(format!("unknown field {key}"));
+            }
+        }
         let mut req = SweepRequest::default();
         if let Ok(t) = v.field("tenant") {
             req.tenant = t.as_str().map_err(|e| e.to_string())?.to_string();
@@ -307,6 +318,8 @@ mod tests {
             (r#"{"scale":0.5,"tiny":true}"#.to_string(), "scale"),
             (r#"{"tiny":true,"seed":3}"#.to_string(), "seed"),
             (r#"{"tiny":true,"mesh_k":6}"#.to_string(), "mesh_k"),
+            (format!(r#"{{{axes},"sead":3}}"#), "sead"),
+            (format!(r#"{{"op":"sweep",{axes},"meshk":4}}"#), "meshk"),
         ];
         for (line, field) in rows {
             let v = serde::json::parse(&line).unwrap();

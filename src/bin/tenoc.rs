@@ -13,9 +13,8 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use tenoc::core::experiments::{is_valid_scale, run_benchmark, scale_from_env};
 use tenoc::core::presets::Preset;
-use tenoc::core::{harmonic_mean, EngineKind, IcntConfig, MAX_MESH_K};
-use tenoc::harness::figures::figure;
-use tenoc::harness::{jobs_from_env, run_grid, CellResult, SweepGrid};
+use tenoc::core::{EngineKind, IcntConfig, MAX_MESH_K};
+use tenoc::harness::{jobs_from_env, SweepGrid};
 use tenoc::noc::openloop::{latency_curve, run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc::serve::SweepRequest;
 use tenoc::simt::KernelSpec;
@@ -39,11 +38,6 @@ const COMMANDS: &[Command] = &[
         name: "run",
         flags: &["benchmark", "preset", "scale", "json"],
         usage: "--benchmark <ABBR> --preset <NAME> [--scale F] [--json]",
-    },
-    Command {
-        name: "suite",
-        flags: &["preset", "scale", "json"],
-        usage: "--preset <NAME> [--scale F] [--json]",
     },
     Command {
         name: "sweep",
@@ -124,11 +118,6 @@ const COMMANDS: &[Command] = &[
         name: "openloop",
         flags: &["preset", "hotspot", "rate"],
         usage: "--preset <NAME> [--hotspot] [--rate F]",
-    },
-    Command {
-        name: "classify",
-        flags: &["scale"],
-        usage: "[--scale F] (Table I: intended vs measured LL/LH/HH class per benchmark)",
     },
     Command { name: "list", flags: &[], usage: "(benchmarks and presets)" },
 ];
@@ -271,7 +260,6 @@ fn main() -> ExitCode {
 
     let result = match cmd.name {
         "run" => cmd_run(&flags, scale),
-        "suite" => cmd_suite(&flags, scale),
         "sweep" => cmd_sweep(&flags, scale),
         "serve" => cmd_serve(&flags),
         "submit" => cmd_submit(&flags, scale),
@@ -279,7 +267,6 @@ fn main() -> ExitCode {
         "tune" => cmd_tune(&flags),
         "trace" => cmd_trace(&flags, scale),
         "openloop" => cmd_openloop(&flags),
-        "classify" => cmd_classify(&flags, scale),
         "list" => cmd_list(),
         other => unreachable!("{other} is in COMMANDS but not dispatched"),
     };
@@ -383,55 +370,9 @@ fn announce(cmd: &Command, grid: &SweepGrid, jobs: usize) {
     );
 }
 
-/// Each preset's full 31-benchmark suite on `TENOC_JOBS` workers,
-/// preset-major in suite order.
-fn run_suites(cmd: &Command, presets: &[Preset], scale: f64) -> Vec<CellResult> {
-    let grid = SweepGrid::suites(presets, scale);
-    let jobs = cmd.or_env(None, jobs_from_env);
-    announce(cmd, &grid, jobs);
-    run_grid(&grid, jobs)
-}
-
 /// A JSON object with `fields` in the given order.
 fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn cmd_suite(flags: &Flags, scale: f64) -> CmdResult {
-    let preset = flags.preset();
-    let results = run_suites(flags.cmd, &[preset], scale);
-    if flags.contains_key("json") {
-        let benchmarks = results.iter().map(|r| {
-            object([
-                ("name", r.cell.benchmark.to_value()),
-                ("class", r.class.label().to_value()),
-                ("metrics", r.metrics.to_value()),
-            ])
-        });
-        let report = object([
-            ("design", preset.label().to_value()),
-            ("scale", scale.to_value()),
-            ("benchmarks", Value::Array(benchmarks.collect())),
-        ]);
-        println!("{}", report.to_json_pretty());
-    } else {
-        println!("### {} (scale {scale})\n", preset.label());
-        println!(
-            "| bench | class | IPC | net lat | MC stall | DRAM eff |\n|---|---|---|---|---|---|"
-        );
-        for CellResult { cell, class, metrics: m, .. } in &results {
-            println!(
-                "| {} | {class} | {:.1} | {:.1} | {:.0}% | {:.0}% |",
-                cell.benchmark,
-                m.ipc,
-                m.avg_net_latency,
-                m.mc_stall_fraction * 100.0,
-                m.dram_efficiency * 100.0
-            );
-        }
-        println!("\nHM IPC: {:.1}", harmonic_mean(results.iter().map(|r| r.metrics.ipc)));
-    }
-    Ok(())
 }
 
 /// `tenoc openloop`: probe the preset's actual fabric — a sliced preset
@@ -469,18 +410,6 @@ fn cmd_openloop(flags: &Flags) -> CmdResult {
             }
         }
     }
-    Ok(())
-}
-
-/// `tenoc classify`: Table I re-derived from measured behaviour — the
-/// rows and the count the figures reducer computes.
-fn cmd_classify(flags: &Flags, scale: f64) -> CmdResult {
-    let table1 = figure("Table I");
-    let report = (table1.reduce)(&run_suites(flags.cmd, table1.presets, scale));
-    print!("{report}");
-    let matched = report.summary.iter().find(|s| s.0 == "in intended class");
-    let matched = &matched.expect("Table I counts its matches").2.text;
-    println!("\n{matched}/{} land in their intended class", report.rows.len());
     Ok(())
 }
 

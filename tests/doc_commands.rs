@@ -12,7 +12,8 @@
 //! And every inline backticked repository path in those docs — one that
 //! starts `crates/`, `src/`, `tests/` or `scripts/` — exists (a `*` in
 //! its file name must match a file), every inline backticked bare
-//! `name.rs` is the file name of some `*.rs` file in the sources, and
+//! `name.rs` is the file name of some `*.rs` file in the sources, every
+//! inline backticked `tenoc <command>` names a command `tenoc` lists, and
 //! every inline backticked `tenoc_<crate>::…::name` names an item — a
 //! `fn`, `struct`, `enum`, `trait`, `type`, `mod`, `const` or `static`, or
 //! a `pub use` — declared in `crates/<crate>/src`.
@@ -267,6 +268,14 @@ fn rs_file_names() -> std::collections::BTreeSet<String> {
     names
 }
 
+/// The command a code span runs, if it runs one: the word after a
+/// leading `tenoc`, when that is a lower-case word and not a placeholder.
+fn tenoc_command(span: &str) -> Option<&str> {
+    let mut words = span.split_whitespace();
+    let cmd = words.next().filter(|w| *w == "tenoc").and(words.next())?;
+    cmd.chars().all(|c| c.is_ascii_lowercase()).then_some(cmd)
+}
+
 /// The crate and item a code span names, if it names one: its first
 /// word, up to any `(` or `<`, when that is `tenoc_<crate>::…::item`.
 fn crate_item(span: &str) -> Option<(&str, &str)> {
@@ -299,8 +308,9 @@ fn item_declared(krate: &str, item: &str) -> bool {
 #[test]
 fn backticked_repository_paths_in_the_docs_exist() {
     let rs_names = rs_file_names();
+    let commands = listing();
     let mut problems = Vec::new();
-    let (mut paths, mut bare, mut items) = (0, 0, 0);
+    let (mut paths, mut bare, mut items, mut verbs) = (0, 0, 0, 0);
     for doc in DOCS {
         let text = std::fs::read_to_string(root().join(doc)).expect("doc present");
         for (line_no, span) in inline_spans(&text) {
@@ -308,6 +318,12 @@ fn backticked_repository_paths_in_the_docs_exist() {
                 bare += 1;
                 if !rs_names.contains(name) {
                     problems.push(format!("{doc}:{line_no}: no `{name}` in the sources"));
+                }
+            }
+            if let Some(cmd) = tenoc_command(&span) {
+                verbs += 1;
+                if !commands.iter().any(|(name, _)| name == cmd) {
+                    problems.push(format!("{doc}:{line_no}: `tenoc {cmd}` is not a command"));
                 }
             }
             if let Some((krate, item)) = crate_item(&span) {
@@ -328,6 +344,7 @@ fn backticked_repository_paths_in_the_docs_exist() {
     assert!(paths >= 30, "only {paths} repository paths found: is the parser lost?");
     assert!(bare >= 10, "only {bare} bare `*.rs` names found: is the parser lost?");
     assert!(items >= 10, "only {items} `tenoc_<crate>::` paths found: is the parser lost?");
+    assert!(verbs >= 20, "only {verbs} `tenoc <command>` spans found: is the parser lost?");
 }
 
 /// The word a roadmap citation starts with.

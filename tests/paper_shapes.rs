@@ -139,6 +139,32 @@ fn bandwidth_limit_study_is_monotone() {
     assert!(hi > 0.8, "1.6x DRAM bandwidth must be close to infinite: {hi} of perfect");
 }
 
+/// Table I over the whole suite: one row per benchmark with its intended
+/// class, the measured one, and a `match` column that says whether they
+/// agree; the summary counts the agreeing rows.
+#[test]
+fn table_one_classifies_every_benchmark_and_counts_its_matches() {
+    let fig = figure("Table I");
+    let jobs = jobs_from_env().unwrap();
+    let table = (fig.reduce)(&run_grid(&SweepGrid::suites(fig.presets, SCALE), jobs));
+    assert_eq!(table.head.len(), 6);
+    assert_eq!(table.rows.len(), 31);
+    let mut matched = 0;
+    for row in &table.rows {
+        let [_bench, intended, speedup, bytes, measured, matches] = &row[..] else {
+            panic!("6 columns: {}", row.len())
+        };
+        let (intended, measured) = (intended.text.as_str(), measured.text.as_str());
+        assert!(["LL", "LH", "HH"].contains(&intended), "intended {intended}");
+        assert!(["LL", "LH", "HL", "HH"].contains(&measured), "measured {measured}");
+        assert!(speedup.text.ends_with('%') && bytes.text.parse::<f64>().is_ok());
+        assert_eq!(matches.text, if intended == measured { "yes" } else { "NO" });
+        matched += (intended == measured) as usize;
+    }
+    let counted = &table.summary.iter().find(|s| s.0 == "in intended class").unwrap().2;
+    assert_eq!(counted.text, matched.to_string());
+}
+
 #[test]
 fn runs_are_deterministic_across_processes_and_configs() {
     let spec = by_name("HIS").unwrap();

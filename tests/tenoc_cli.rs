@@ -9,10 +9,10 @@
 //! plan the same grid from the same flags, `openloop` probes the preset's
 //! real fabric, every preset name the CLI prints is one it accepts,
 //! `tune`'s stderr summary keeps the closed-loop cache pair the benchmark
-//! parses ahead of the probe counts, the suite-shaped commands (`suite`,
-//! `classify`) run on the worker pool without a byte of their output
-//! depending on `TENOC_JOBS`, `--tiny` refuses the flags it would
-//! override, and `audit` is the static tier's one command.
+//! parses ahead of the probe counts, `sweep` runs on the worker pool
+//! without a byte of its output depending on `TENOC_JOBS`, `--tiny`
+//! refuses the flags it would override, and `audit` is the static tier's
+//! one command.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -149,13 +149,13 @@ fn tiny_refuses_the_flags_it_would_ignore() {
 /// became "all cores".
 #[test]
 fn bad_env_knobs_exit_with_code_two() {
-    let suite: &[&str] = &["suite", "--preset", "baseline"];
+    let sweep: &[&str] = &["sweep", "--presets", "baseline"];
     // With the scale pinned small, should a bad TENOC_JOBS ever be accepted again.
-    let quick: &[&str] = &["suite", "--preset", "baseline", "--scale", "0.02"];
+    let quick: &[&str] = &["sweep", "--presets", "baseline", "--scale", "0.02"];
     for (args, var, value) in [
-        (suite, "TENOC_SCALE", "x"),
-        (suite, "TENOC_SCALE", "0"),
-        (suite, "TENOC_SCALE", "inf"),
+        (sweep, "TENOC_SCALE", "x"),
+        (sweep, "TENOC_SCALE", "0"),
+        (sweep, "TENOC_SCALE", "inf"),
         (quick, "TENOC_JOBS", "0"),
         (quick, "TENOC_JOBS", "two"),
     ] {
@@ -362,15 +362,20 @@ fn audit_prints_a_legal_row_with_both_areas_for_every_named_preset() {
     }
 }
 
+/// Retired commands are unknown: `area` (folded into `audit`), `suite`
+/// (a cell of it is `run`'s) and `classify` (Table I is the `figures`
+/// bench's).
 #[test]
 fn area_is_no_longer_a_command() {
-    let out = tenoc(&["area"]);
-    let usage = String::from_utf8(out.stderr).expect("stderr is text");
-    assert_eq!(out.status.code(), Some(1), "{usage}");
-    assert!(usage.starts_with("usage: tenoc <command> [flags]\ncommands:\n"), "{usage}");
-    assert!(usage.lines().any(|l| l.starts_with("  audit ")), "{usage}");
-    assert!(!usage.lines().any(|l| l.starts_with("  area ")), "{usage}");
-    assert!(out.stdout.is_empty(), "an unknown command must not run anything");
+    for retired in ["area", "suite", "classify"] {
+        let out = tenoc(&[retired]);
+        let usage = String::from_utf8(out.stderr).expect("stderr is text");
+        assert_eq!(out.status.code(), Some(1), "{usage}");
+        assert!(usage.starts_with("usage: tenoc <command> [flags]\ncommands:\n"), "{usage}");
+        assert!(usage.lines().any(|l| l.starts_with("  audit ")), "{usage}");
+        assert!(!usage.lines().any(|l| l.starts_with(&format!("  {retired} "))), "{usage}");
+        assert!(out.stdout.is_empty(), "an unknown command must not run anything");
+    }
 }
 
 #[test]
@@ -393,83 +398,12 @@ fn benchmark_serve_invocation_still_starts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The keys of a JSON object, in serialized order.
-fn keys(v: &serde::json::Value) -> Vec<&str> {
-    let serde::json::Value::Object(fields) = v else { panic!("not an object: {v:?}") };
-    fields.iter().map(|(k, _)| k.as_str()).collect()
-}
-
 #[test]
-fn suite_runs_on_the_pool_with_job_count_invariant_output() {
-    let suite = |jobs: &str, tail: &[&str]| {
-        let args = [&["suite", "--preset", "baseline", "--scale", "0.02"], tail].concat();
-        ok_on_pool(&args, jobs, "31 cells (1 presets x 31 benchmarks)")
-    };
-    let (text, json) = (suite("1", &[]), suite("1", &["--json"]));
-    assert_eq!(text, suite("2", &[]), "suite table depends on TENOC_JOBS");
-    assert_eq!(json, suite("2", &["--json"]), "suite --json depends on TENOC_JOBS");
-
-    // The table: heading, 31 benchmark rows in suite order, the HM line.
-    assert!(text.starts_with("### TB-DOR (scale 0.02)\n\n| bench | class | IPC |"), "{text}");
-    let rows: Vec<&str> = text.lines().skip(4).take_while(|l| l.starts_with("| ")).collect();
-    assert_eq!(rows.len(), 31, "{text}");
-    assert!(rows[0].starts_with("| AES | LL | "), "{}", rows[0]);
-    assert!(text.lines().last().unwrap().starts_with("HM IPC: "), "{text}");
-
-    // The object: `design`, `scale`, then one `name`/`class`/`metrics`
-    // entry per benchmark, in that order.
-    let report = serde::json::parse(&json).expect("suite --json is JSON");
-    assert_eq!(keys(&report), ["design", "scale", "benchmarks"]);
-    assert_eq!(report.field("design").unwrap().as_str().unwrap(), "TB-DOR");
-    assert_eq!(report.field("scale").unwrap().as_f64().unwrap(), 0.02);
-    let benchmarks = report.field("benchmarks").unwrap().as_array().unwrap();
-    assert_eq!(benchmarks.len(), 31);
-    for (b, row) in benchmarks.iter().zip(&rows) {
-        assert_eq!(keys(b), ["name", "class", "metrics"]);
-        let cell = |key| b.field(key).unwrap().as_str().unwrap();
-        assert!(row.starts_with(&format!("| {} | {} | ", cell("name"), cell("class"))), "{row}");
-    }
-    // A suite cell is the cell `tenoc run` runs: same seed, same metrics.
-    let his = benchmarks.iter().find(|b| b.field("name").unwrap().as_str() == Ok("HIS")).unwrap();
-    let run = assert_ok(&[
-        "run",
-        "--benchmark",
-        "HIS",
-        "--preset",
-        "baseline",
-        "--scale",
-        "0.02",
-        "--json",
-    ]);
-    let run = serde::json::parse(&run).expect("run --json is JSON");
-    assert_eq!(his.field("metrics").unwrap(), run.field("metrics").unwrap());
-}
-
-#[test]
-fn classify_runs_on_the_pool_with_job_count_invariant_output() {
-    let classify = |jobs: &str| {
-        ok_on_pool(&["classify", "--scale", "0.02"], jobs, "62 cells (2 presets x 31 benchmarks)")
-    };
-    let table = classify("1");
-    assert_eq!(table, classify("2"), "classify depends on TENOC_JOBS");
-    let mut lines = table.lines();
-    assert_eq!(lines.next().unwrap().split_whitespace().next(), Some("bench"));
-    let rows: Vec<Vec<&str>> = lines
-        .by_ref()
-        .take_while(|l| !l.is_empty())
-        .map(|l| l.split_whitespace().collect())
-        .collect();
-    assert_eq!(rows.len(), 31, "{table}");
-    let mut matched = 0;
-    for row in rows {
-        let [_bench, intended, speedup, bytes, measured, matches] = row[..] else {
-            panic!("6 columns: {row:?}")
-        };
-        assert!(["LL", "LH", "HH"].contains(&intended), "{row:?}");
-        assert!(["LL", "LH", "HL", "HH"].contains(&measured), "{row:?}");
-        assert!(speedup.ends_with('%') && bytes.parse::<f64>().is_ok(), "{row:?}");
-        assert_eq!(matches, if intended == measured { "yes" } else { "NO" }, "{row:?}");
-        matched += (intended == measured) as usize;
-    }
-    assert_eq!(lines.next(), Some(&*format!("{matched}/31 land in their intended class")));
+fn sweep_runs_on_the_pool_with_job_count_invariant_output() {
+    let grid =
+        ["sweep", "--presets", "baseline,thr-eff", "--benchmarks", "HIS,RD", "--scale", "0.02"];
+    let sweep = |jobs: &str| ok_on_pool(&grid, jobs, "4 cells (2 presets x 2 benchmarks)");
+    let records = sweep("1");
+    assert_eq!(records.lines().count(), 4, "{records}");
+    assert_eq!(records, sweep("2"), "sweep records depend on TENOC_JOBS");
 }
