@@ -6,7 +6,7 @@
 //! summary rows, the paper's value beside each. A reducer finds its
 //! suites in `results` by preset, so one [`run_grid`](crate::run_grid)
 //! over [`presets()`] feeds every figure, and a small grid feeds one.
-//! `cargo bench -p tenoc-bench --bench figures` prints all of them,
+//! `tenoc figures --only figures` prints all of them,
 //! `tests/golden/figures.json` pins the summary rows and
 //! `tests/paper_shapes.rs` asserts the paper's shapes on them.
 
@@ -535,10 +535,9 @@ mod tests {
         measured.enumerate().map(result).collect()
     }
 
-    /// Satellite regression, moved here from `tenoc-bench` with the
-    /// arithmetic: a zero-IPC baseline benchmark is skipped (with a
-    /// warning) rather than reaching the harmonic mean, the rank
-    /// correlation or the class threshold as an `inf` or `NaN` row.
+    /// A zero-IPC baseline benchmark is skipped (with a warning) rather
+    /// than reaching the harmonic mean, the rank correlation or the class
+    /// threshold as an `inf` or `NaN` row.
     #[test]
     fn hm_speedup_skips_degenerate_baselines() {
         let base: &[(f64, f64, f64)] = &[(2.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)];
@@ -654,8 +653,9 @@ mod tests {
     }
 
     /// EXPERIMENTS.md's headline table names exactly the `(figure, row)`
-    /// pairs the reducers return: none can be dropped, added or renamed
-    /// without the document following. One hand-built benchmark on every
+    /// pairs the reducers return, each with the reducer's Paper text: none
+    /// can be dropped, added, renamed or re-quoted without the document
+    /// following. One hand-built benchmark on every
     /// pooled preset makes each reducer name its rows without simulating.
     #[test]
     fn experiments_headline_table_names_exactly_the_reducers_rows() {
@@ -665,14 +665,14 @@ mod tests {
         let results = suites(&pooled, &["X"], &suite);
         let reduced = FIGURES.iter().flat_map(|f| {
             let rows = (f.reduce)(&results).summary;
-            rows.into_iter().map(|s| (f.id.to_string(), s.0.to_string()))
+            rows.into_iter().map(|s| (f.id.to_string(), s.0.to_string(), s.1.to_string()))
         });
         let text = include_str!("../../../EXPERIMENTS.md");
         let section = text.split("## Headline summary").nth(1).expect("headline section");
         let table = section.lines().skip_while(|l| !l.starts_with('|'));
         let documented = table.take_while(|l| l.starts_with('|')).skip(2).map(|l| {
             let mut columns = l.split('|').skip(1).map(|c| c.trim().to_string());
-            (columns.next().unwrap(), columns.next().unwrap())
+            (columns.next().unwrap(), columns.next().unwrap(), columns.next().unwrap())
         });
         assert_eq!(documented.collect::<Vec<_>>(), reduced.collect::<Vec<_>>());
     }

@@ -46,5 +46,5 @@ fn main() {
     let headroom = (perfect.ipc / base.ipc - 1.0) * 100.0;
     let captured = (te.ipc / base.ipc - 1.0) * 100.0;
     println!("\nnetwork headroom: {headroom:+.1}%; the throughput-effective design captures {captured:+.1}%");
-    println!("while *shrinking* the NoC (see `cargo bench -p tenoc-bench --bench tab06_area`)");
+    println!("while *shrinking* the NoC (see `tenoc figures --only tab06_area`)");
 }

@@ -6,7 +6,8 @@
 //! - a `tenoc CMD` — through `--bin tenoc --`, a path ending in `/tenoc`
 //!   or a bare `tenoc` — is a command in the listing `tenoc` prints with
 //!   no arguments, and every `--flag` after it is in that command's usage;
-//! - a `--bench NAME` is a `[[bench]]` of `crates/bench/Cargo.toml`;
+//! - a `tenoc figures --only ID` names a section that `figures`' usage
+//!   lists, and no line runs `--bench` (the workspace has no bench targets);
 //! - an `--example NAME` is a file in `examples/` or `crates/*/examples/`.
 //!
 //! And every inline backticked repository path in those docs — one that
@@ -18,8 +19,8 @@
 //! `fn`, `struct`, `enum`, `trait`, `type`, `mod`, `const` or `static`, or
 //! a `pub use` — declared in `crates/<crate>/src`.
 //!
-//! README's bench table and the one in `crates/bench/src/lib.rs`'s module
-//! docs each list exactly the `[[bench]]` targets, in manifest order.
+//! README's figures table lists exactly the sections of `tenoc figures`,
+//! in the order its usage lists them.
 //!
 //! No tracked file outside the roadmap's own documents cites a roadmap
 //! item by number: items are renumbered when the roadmap is re-anchored,
@@ -82,26 +83,18 @@ fn listing() -> Vec<(String, String)> {
     commands
 }
 
-/// The `[[bench]]` target names of `crates/bench/Cargo.toml`.
-fn bench_targets() -> Vec<String> {
-    let manifest = std::fs::read_to_string(root().join("crates/bench/Cargo.toml")).unwrap();
-    let mut targets = Vec::new();
-    let mut in_bench = false;
-    for line in manifest.lines().map(str::trim) {
-        if line.starts_with('[') {
-            in_bench = line == "[[bench]]";
-        } else if let Some(name) = line.strip_prefix("name = ").filter(|_| in_bench) {
-            targets.push(name.trim_matches('"').to_owned());
-        }
-    }
-    targets
+/// The section ids of `tenoc figures`, in order: its usage in `commands`
+/// ends `ID: a|b|…)`.
+fn sections(commands: &[(String, String)]) -> Vec<String> {
+    let (_, usage) = commands.iter().find(|(name, _)| name == "figures").expect("figures listed");
+    let (_, ids) = usage.rsplit_once("ID:").expect("figures' usage names its sections");
+    ids.trim().trim_end_matches(')').split('|').map(str::to_owned).collect()
 }
 
-/// The first column of the `| target | … |` table in `text`, whose lines
-/// may carry a `//!` doc prefix.
-fn bench_table(text: &str) -> Vec<String> {
-    let rows = text.lines().map(|l| l.trim_start_matches("//!").trim());
-    rows.skip_while(|l| !l.starts_with("| target |"))
+/// The first column of the `| section | … |` table in `text`.
+fn sections_table(text: &str) -> Vec<String> {
+    let rows = text.lines().map(str::trim);
+    rows.skip_while(|l| !l.starts_with("| section |"))
         .skip(2)
         .take_while(|l| l.starts_with('|'))
         .map(|l| l.split('|').nth(1).unwrap_or("").trim().trim_matches('`').to_owned())
@@ -109,12 +102,11 @@ fn bench_table(text: &str) -> Vec<String> {
 }
 
 #[test]
-fn bench_tables_list_exactly_the_bench_targets() {
-    let targets = bench_targets();
-    for doc in ["README.md", "crates/bench/src/lib.rs"] {
-        let text = std::fs::read_to_string(root().join(doc)).expect("doc present");
-        assert_eq!(bench_table(&text), targets, "{doc}'s bench table vs crates/bench/Cargo.toml");
-    }
+fn readme_figures_table_lists_exactly_the_sections() {
+    let sections = sections(&listing());
+    assert_eq!(sections.len(), 5, "{sections:?}");
+    let text = std::fs::read_to_string(root().join("README.md")).expect("doc present");
+    assert_eq!(sections_table(&text), sections, "README's figures table vs `tenoc figures`");
 }
 
 fn example_exists(name: &str) -> bool {
@@ -127,7 +119,7 @@ fn example_exists(name: &str) -> bool {
 #[test]
 fn fenced_doc_commands_name_binaries_commands_flags_and_targets_that_exist() {
     let commands = listing();
-    let benches = bench_targets();
+    let sections = sections(&commands);
     let mut problems = Vec::new();
     let mut invocations = 0;
     for doc in DOCS {
@@ -149,8 +141,8 @@ fn fenced_doc_commands_name_binaries_commands_flags_and_targets_that_exist() {
                         "--bin" if next == "tenoc" && seg.get(i + 2) == Some(&"--") => {
                             cmd_at = Some(i + 3);
                         }
-                        "--bench" if !benches.iter().any(|b| b == next) => {
-                            problem(format!("`--bench {next}`: not a [[bench]] of crates/bench"));
+                        "--bench" => {
+                            problem(format!("`--bench {next}`: no bench targets; see `figures`"));
                         }
                         "--example" if !example_exists(next) => {
                             problem(format!("`--example {next}`: no such example"));
@@ -170,10 +162,14 @@ fn fenced_doc_commands_name_binaries_commands_flags_and_targets_that_exist() {
                     continue;
                 };
                 let known = flags_in(usage);
-                for flag in args.iter().filter(|a| a.starts_with("--")) {
+                for (j, flag) in args.iter().enumerate().filter(|(_, a)| a.starts_with("--")) {
                     let flag = flag.split('=').next().unwrap_or(flag);
                     if !known.contains(&flag) {
                         problem(format!("`tenoc {cmd} {flag}`: not in its usage ({usage})"));
+                    }
+                    let id = args.get(j + 1).copied().unwrap_or("");
+                    if cmd == "figures" && flag == "--only" && !sections.iter().any(|s| s == id) {
+                        problem(format!("`tenoc figures --only {id}`: not a section"));
                     }
                 }
             }

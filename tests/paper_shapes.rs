@@ -24,7 +24,7 @@ const PINNED_SEED: u64 = 0x7e0c;
 
 /// The figure EXPERIMENTS.md calls `id`, reduced over its presets' runs
 /// of `benchmarks` alone: the numbers asserted below are the ones
-/// `cargo bench --bench figures` prints, on a grid small enough for tier 1.
+/// `tenoc figures --only figures` prints, on a grid small enough for tier 1.
 fn reduced(id: &str, benchmarks: &[&str]) -> Report {
     let fig = figure(id);
     let mut grid = SweepGrid::suites(fig.presets, SCALE);

@@ -1,7 +1,8 @@
 //! End-to-end test of the `tenoc` CLI's flag contract: a flag a
-//! subcommand does not accept, or a flag value or `TENOC_SCALE` /
-//! `TENOC_JOBS` setting that does not parse or is out of range, prints
-//! that subcommand's usage and exits 2 (a mistyped flag, value or
+//! subcommand does not accept, a switch given a value, a flag given
+//! twice, or a flag value or `TENOC_SCALE` / `TENOC_JOBS` setting that
+//! does not parse or is out of range, prints that subcommand's usage and
+//! exits 2 (a mistyped flag, value or
 //! variable must never silently run a different experiment), while
 //! every invocation shape the repo benchmark makes
 //! (`benchmark/src/e2e.rs`) keeps exiting 0. Also pinned here, from
@@ -11,8 +12,8 @@
 //! `tune`'s stderr summary keeps the closed-loop cache pair the benchmark
 //! parses ahead of the probe counts, `sweep` runs on the worker pool
 //! without a byte of its output depending on `TENOC_JOBS`, `--tiny`
-//! refuses the flags it would override, and `audit` is the static tier's
-//! one command.
+//! refuses the flags it would override, `audit` is the static tier's
+//! one command, and `figures` prints the section `--only` names.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -113,6 +114,25 @@ fn bad_flag_values_exit_with_code_two() {
     bad(&["trace", "--preset", "thr-eff", "--node", "36"], "node", "36");
     // A value-taking flag with its value missing reads as `true`.
     bad(&["tune", "--tiny", "--seed"], "seed", "true");
+    // A switch takes no value: `--json false` must not print JSON, nor
+    // `--tiny false` run the tiny grid.
+    let run = ["run", "--benchmark", "RD", "--preset", "baseline", "--scale", "0.02"];
+    assert_usage_error(
+        &[&run[..], &["--json", "false"]].concat(),
+        "--json takes no value, got false",
+    );
+    assert_usage_error(&["sweep", "--tiny", "false"], "--tiny takes no value, got false");
+    // Nor may `--bless no` bless: a scratch golden shows nothing is written.
+    let dir = scratch("bless-no");
+    let golden = dir.join("audit.json");
+    let args = ["audit", "--golden", golden.to_str().unwrap(), "--bless", "no"];
+    assert_usage_error(&args, "--bless takes no value, got no");
+    assert!(!golden.exists(), "a refused --bless must not write the golden");
+    let _ = std::fs::remove_dir_all(&dir);
+    // A repeated flag is ambiguous: neither value may win silently.
+    assert_usage_error(&[&run[..], &["--scale", "0.03"]].concat(), "--scale given twice");
+    assert_usage_error(&["audit", "--k", "4", "--k", "6"], "--k given twice");
+    assert_usage_error(&["sweep", "--tiny", "--tiny"], "--tiny given twice");
 }
 
 /// The static tier's front end keeps the usage contract the retired
@@ -363,19 +383,48 @@ fn audit_prints_a_legal_row_with_both_areas_for_every_named_preset() {
 }
 
 /// Retired commands are unknown: `area` (folded into `audit`), `suite`
-/// (a cell of it is `run`'s) and `classify` (Table I is the `figures`
-/// bench's).
+/// (a cell of it is `run`'s) and `classify` (Table I is a section of
+/// `figures`). An unknown command, like no command, is a usage error:
+/// the listing and exit 2.
 #[test]
 fn area_is_no_longer_a_command() {
-    for retired in ["area", "suite", "classify"] {
+    for retired in ["area", "suite", "classify", "clasify"] {
         let out = tenoc(&[retired]);
         let usage = String::from_utf8(out.stderr).expect("stderr is text");
-        assert_eq!(out.status.code(), Some(1), "{usage}");
+        assert_eq!(out.status.code(), Some(2), "{usage}");
         assert!(usage.starts_with("usage: tenoc <command> [flags]\ncommands:\n"), "{usage}");
         assert!(usage.lines().any(|l| l.starts_with("  audit ")), "{usage}");
         assert!(!usage.lines().any(|l| l.starts_with(&format!("  {retired} "))), "{usage}");
         assert!(out.stdout.is_empty(), "an unknown command must not run anything");
     }
+    let bare = tenoc(&[]);
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&bare.stderr).starts_with("usage: tenoc <command> [flags]"));
+}
+
+/// `tenoc figures` prints its sections under one 4-line header each, and
+/// `--only` names one of them or is a usage error that lists them all.
+#[test]
+fn figures_prints_the_section_it_is_asked_for_and_refuses_an_unknown_one() {
+    const IDS: [&str; 5] =
+        ["figures", "fig21_open_loop", "tab06_area", "abl_design_choices", "abl_scaling"];
+    let out = tenoc(&["figures", "--only", "tab6"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("figures: unknown section tab6"), "{stderr}");
+    assert!(stderr.contains(&IDS.join("|")), "the usage lists every section: {stderr}");
+    assert!(out.stdout.is_empty());
+
+    let table = assert_ok(&["figures", "--only", "tab06_area", "--scale", "0.5", "--jobs", "3"]);
+    let header = [
+        "================================================================",
+        "Table VI: area estimations (mm^2), overheads relative to the GTX280 die",
+        "(kernel scale 0.5; TENOC_SCALE=1 for full-length runs; 3 jobs)",
+        "================================================================",
+    ];
+    assert_eq!(table.lines().take(4).collect::<Vec<_>>(), header, "{table}");
+    assert_eq!(table.matches(header[0]).count(), 2, "one section only:\n{table}");
+    assert!(table.contains("half-router / full-router area ratio: "), "{table}");
 }
 
 #[test]
