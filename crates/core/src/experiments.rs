@@ -1,8 +1,9 @@
 //! The closed-loop runner: one run of one benchmark on one system
-//! configuration, plain or with telemetry armed. Everything that runs
-//! more than one cell — suites, sweeps, the service, the tuner, the
-//! figure benches — plans a grid and hands it to `tenoc-harness`'s
-//! `run_grid`, whose cell body is [`run_with_system_config`].
+//! configuration, plain or with telemetry armed. Nothing here runs two
+//! cells: sweeps, the tuner and every section of `tenoc figures` run
+//! theirs on `tenoc-harness`'s pool (`pool::run_indexed`, behind
+//! `run_grid` for a planned grid), and the service on its own worker
+//! threads, all through the one cell body [`run_with_system_config`].
 
 use crate::metrics::RunMetrics;
 use crate::presets::Preset;
@@ -35,7 +36,7 @@ pub fn run_with_system_config(cfg: SystemConfig, spec: &KernelSpec, scale: f64) 
 }
 
 /// Like [`run_with_system_config`], with the interconnect's telemetry
-/// armed for the whole run (the engine behind `tenoc trace`). Returns the
+/// armed for the whole run (the engine behind `tenoc run --trace`). Returns the
 /// metrics (identical to an untraced run — telemetry observes without
 /// perturbing) plus one [`TelemetryReport`] per physical network (empty
 /// for ideal networks).

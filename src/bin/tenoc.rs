@@ -12,12 +12,14 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use tenoc::core::experiments::{
-    is_valid_scale, run_benchmark, run_with_system_config, scale_from_env,
+    is_valid_scale, run_traced_with_system_config, run_with_system_config, scale_from_env,
 };
 use tenoc::core::presets::Preset;
-use tenoc::core::{EngineKind, IcntConfig, SystemConfig, MAX_MESH_K};
+use tenoc::core::{EngineKind, IcntConfig, RunMetrics, SystemConfig, MAX_MESH_K};
+use tenoc::harness::pool::run_indexed;
 use tenoc::harness::{jobs_from_env, SweepGrid};
 use tenoc::noc::openloop::{latency_curve, run_open_loop_on, OpenLoopConfig, TrafficPattern};
+use tenoc::noc::{ArmSpec, PacketClass, TelemetryConfig, TelemetryReport};
 use tenoc::serve::SweepRequest;
 use tenoc::simt::KernelSpec;
 use tenoc::workloads::{by_name, full_name, smoke_suite, suite};
@@ -40,9 +42,12 @@ struct Command {
 const COMMANDS: &[Command] = &[
     Command {
         name: "run",
-        flags: &["benchmark", "preset", "scale"],
+        flags: &["benchmark", "preset", "scale", "trace", "flight-cap", "node", "class"],
         switches: &["json"],
-        usage: "--benchmark <ABBR> --preset <NAME> [--scale F] [--json]",
+        usage: "--benchmark <ABBR> --preset <NAME> [--scale F] [--json]\n\
+           \x20           [--trace DIR [--flight-cap N] [--node N] [--class request|reply]]\n\
+           \x20           (--trace arms telemetry: latency histograms, link heatmap,\n\
+           \x20            flight recorder -> DIR/trace.json + DIR/flight.jsonl)",
     },
     Command {
         name: "sweep",
@@ -57,15 +62,6 @@ const COMMANDS: &[Command] = &[
         flags: &["scale", "jobs", "only"],
         switches: &[],
         usage: "[--scale F] [--jobs N] [--only ID]",
-    },
-    Command {
-        name: "trace",
-        flags: &["preset", "benchmark", "scale", "out", "flight-cap", "node", "class"],
-        switches: &[],
-        usage: "--preset <NAME> [--benchmark <ABBR>] [--scale F] [--out DIR]\n\
-           \x20           [--flight-cap N] [--node N] [--class request|reply]\n\
-           \x20           (telemetry artifacts: latency histograms, link heatmap,\n\
-           \x20            flight recorder -> trace.json + flight.jsonl)",
     },
     Command {
         name: "audit",
@@ -204,19 +200,17 @@ impl Flags {
         })
     }
 
-    /// `--benchmark`, or `default` when the subcommand has one.
-    fn benchmark(&self, default: Option<&str>) -> Result<KernelSpec, String> {
-        let Some(name) = self.get("benchmark").or(default) else {
-            self.cmd.usage_error("missing --benchmark")
-        };
+    /// The required `--benchmark`; a missing one is a usage error.
+    fn benchmark(&self) -> Result<KernelSpec, String> {
+        let Some(name) = self.get("benchmark") else { self.cmd.usage_error("missing --benchmark") };
         by_name(name).ok_or_else(|| format!("unknown benchmark {name}; see `tenoc list`"))
     }
 }
 
 /// Parses `--flag [value]` pairs, rejecting anything `cmd` does not
 /// accept: a mistyped flag, a value after a switch (`--json false`) or a
-/// flag given twice must not silently run a different experiment. A
-/// flag whose value is missing reads as `true`.
+/// flag given twice must not silently run a different experiment, and
+/// neither may a flag whose value is missing (`--out` last on the line).
 fn parse_flags(cmd: &Command, args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut args = args.iter().peekable();
@@ -231,7 +225,8 @@ fn parse_flags(cmd: &Command, args: &[String]) -> Result<HashMap<String, String>
         let value = match args.next_if(|next| !next.starts_with("--")) {
             Some(value) if switch => return Err(format!("--{key} takes no value, got {value}")),
             Some(value) => value.clone(),
-            None => "true".to_owned(),
+            None if switch => String::new(),
+            None => return Err(format!("--{key} needs a value")),
         };
         if out.insert(key.to_owned(), value).is_some() {
             return Err(format!("--{key} given twice"));
@@ -265,17 +260,18 @@ fn main() -> ExitCode {
         Ok(values) => Flags { cmd, values },
         Err(e) => cmd.usage_error(&e),
     };
-    let scale = cmd.or_env(flags.scale(), scale_from_env);
+    // Only the commands that read `TENOC_SCALE` resolve it, so a bad
+    // setting is refused by them and by nothing else.
+    let scale = || cmd.or_env(flags.scale(), scale_from_env);
 
     let result = match cmd.name {
-        "run" => cmd_run(&flags, scale),
-        "sweep" => cmd_sweep(&flags, scale),
-        "figures" => cmd_figures(&flags, scale),
+        "run" => cmd_run(&flags, scale()),
+        "sweep" => cmd_sweep(&flags, scale()),
+        "figures" => cmd_figures(&flags, scale()),
         "serve" => cmd_serve(&flags),
-        "submit" => cmd_submit(&flags, scale),
+        "submit" => cmd_submit(&flags, scale()),
         "audit" => cmd_audit(&flags),
         "tune" => cmd_tune(&flags),
-        "trace" => cmd_trace(&flags, scale),
         "openloop" => cmd_openloop(&flags),
         "list" => cmd_list(),
         other => unreachable!("{other} is in COMMANDS but not dispatched"),
@@ -342,9 +338,31 @@ fn same_text(text: &str) -> impl FnOnce(&str) -> Result<String, String> + '_ {
     }
 }
 
+/// `tenoc run`: one benchmark on one preset at the system default seed,
+/// the cell every figure's grid runs for that pair. `--trace DIR` arms the
+/// telemetry layer and writes `DIR/trace.json` (the cell, its metrics and
+/// one report per network slice: latency histograms, link heatmap, buffer
+/// occupancy) and `DIR/flight.jsonl`; stdout is the same either way, since
+/// observation does not perturb the run.
 fn cmd_run(flags: &Flags, scale: f64) -> CmdResult {
-    let (preset, spec) = (flags.preset(), flags.benchmark(None)?);
-    let m = run_benchmark(preset, &spec, scale);
+    let (preset, spec) = (flags.preset(), flags.benchmark()?);
+    let cfg = SystemConfig::with_icnt(preset.icnt(6));
+    let m = match telemetry(flags, preset)? {
+        None => run_with_system_config(cfg, &spec, scale),
+        Some((dir, tcfg)) => {
+            eprintln!("trace: {} on {} at scale {scale}", spec.name, preset.label());
+            let (m, reports) = run_traced_with_system_config(cfg, &spec, scale, tcfg);
+            let trace = Value::Object(vec![
+                ("preset".into(), preset.label().to_value()),
+                ("benchmark".into(), spec.name.to_value()),
+                ("scale".into(), scale.to_value()),
+                ("metrics".into(), m.to_value()),
+                ("reports".into(), reports.to_value()),
+            ]);
+            write_trace(dir, &trace, &reports)?;
+            m
+        }
+    };
     if flags.contains_key("json") {
         println!(
             "{{\"benchmark\":\"{}\",\"preset\":\"{}\",\"metrics\":{}}}",
@@ -366,23 +384,81 @@ fn cmd_run(flags: &Flags, scale: f64) -> CmdResult {
     Ok(())
 }
 
-/// Says on stderr what is about to run on the worker pool: the grid's
-/// size and the worker count.
-fn announce(cmd: &Command, grid: &SweepGrid, jobs: usize) {
-    eprintln!(
-        "{}: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
-        cmd.name,
-        grid.len(),
-        grid.presets.len(),
-        grid.benchmarks.len(),
-        grid.scale,
-        jobs
-    );
+/// The largest `--flight-cap`: 32 MiB of ring per network slice at 32 B
+/// per [`FlightEvent`](tenoc::noc::FlightEvent), allocated at arm time.
+const MAX_FLIGHT_CAP: usize = 1 << 20;
+
+/// `--trace`'s directory and the telemetry it arms, or `None` for an
+/// untraced run. An instrument flag without `--trace` is a usage error
+/// rather than silently ignored, and a preset with no physical network is
+/// refused before a cycle is simulated.
+fn telemetry(flags: &Flags, preset: Preset) -> Result<Option<(&str, TelemetryConfig)>, String> {
+    let Some(dir) = flags.get("trace") else {
+        if let Some(flag) = ["flight-cap", "node", "class"].iter().find(|f| flags.contains_key(f)) {
+            flags.cmd.usage_error(&format!("--{flag} needs --trace"));
+        }
+        return Ok(None);
+    };
+    let class = match flags.get("class") {
+        None => None,
+        Some("request") => Some(PacketClass::Request),
+        Some("reply") => Some(PacketClass::Reply),
+        Some(other) => return Err(format!("--class must be request or reply, got {other}")),
+    };
+    let icnt = preset.icnt(6);
+    let tcfg = TelemetryConfig {
+        flight_capacity: flags
+            .parsed("flight-cap", |cap| *cap <= MAX_FLIGHT_CAP)
+            .unwrap_or(TelemetryConfig::default().flight_capacity),
+        arm: ArmSpec { node: flags.parsed("node", |n| *n < icnt.net().mesh.len()), class },
+    };
+    if !matches!(icnt, IcntConfig::Mesh(_) | IcntConfig::Double(_)) {
+        let label = preset.label();
+        return Err(format!("preset {label} has no physical network to observe (ideal model)"));
+    }
+    Ok(Some((dir, tcfg)))
 }
 
-/// A JSON object with `fields` in the given order.
-fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// Writes a traced run's artifacts to `dir` — `trace` as `trace.json`, the
+/// flight events as `flight.jsonl` (JSON lines stream better: one event a
+/// line, tagged with its network slice) — and summarizes each slice on
+/// stderr.
+fn write_trace(dir: &str, trace: &Value, reports: &[TelemetryReport]) -> CmdResult {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    let trace_path = format!("{dir}/trace.json");
+    std::fs::write(&trace_path, trace.to_json_pretty())
+        .map_err(|e| format!("cannot write {trace_path}: {e}"))?;
+
+    let mut flight = String::new();
+    for r in reports {
+        for ev in &r.flight {
+            let mut obj = vec![("net".to_string(), r.label.to_value())];
+            if let Value::Object(fields) = ev.to_value() {
+                obj.extend(fields);
+            }
+            flight.push_str(&Value::Object(obj).to_json_compact());
+            flight.push('\n');
+        }
+    }
+    let flight_path = format!("{dir}/flight.jsonl");
+    std::fs::write(&flight_path, &flight)
+        .map_err(|e| format!("cannot write {flight_path}: {e}"))?;
+
+    for r in reports {
+        eprintln!(
+            "trace: [{}] {} cycles, {} links, {} flight events ({} dropped), hist req/rep {}/{}",
+            r.label,
+            r.cycles,
+            r.links.len(),
+            r.flight.len(),
+            r.flight_dropped,
+            r.hist.network[0].count(),
+            r.hist.network[1].count()
+        );
+    }
+    let events = flight.lines().count();
+    eprintln!("trace: wrote {trace_path} and {flight_path} ({events} events)");
+    Ok(())
 }
 
 /// `tenoc openloop`: probe the preset's actual fabric — a sliced preset
@@ -432,99 +508,6 @@ fn cmd_list() -> CmdResult {
     Ok(())
 }
 
-/// The largest `--flight-cap`: 32 MiB of ring per network slice at 32 B
-/// per [`FlightEvent`](tenoc::noc::FlightEvent), allocated at arm time.
-const MAX_FLIGHT_CAP: usize = 1 << 20;
-
-/// `tenoc trace`: run one benchmark on one preset with the telemetry
-/// layer armed and emit the artifacts — `trace.json` (metrics, per-class
-/// latency histograms, per-link utilization with a mesh heatmap, mean
-/// buffer occupancies) and `flight.jsonl` (one flight-recorder event per
-/// line, tagged with its network slice).
-fn cmd_trace(flags: &Flags, scale: f64) -> CmdResult {
-    use tenoc::core::experiments::run_traced_with_system_config;
-    use tenoc::noc::{ArmSpec, PacketClass, TelemetryConfig};
-
-    let (preset, spec) = (flags.preset(), flags.benchmark(Some("RD"))?);
-    let class = match flags.get("class") {
-        None => None,
-        Some("request") => Some(PacketClass::Request),
-        Some("reply") => Some(PacketClass::Reply),
-        Some(other) => return Err(format!("--class must be request or reply, got {other}")),
-    };
-    let tcfg = TelemetryConfig {
-        flight_capacity: flags
-            .parsed("flight-cap", |cap| *cap <= MAX_FLIGHT_CAP)
-            .unwrap_or(TelemetryConfig::default().flight_capacity),
-        arm: ArmSpec {
-            node: flags.parsed("node", |n| *n < preset.icnt(6).net().mesh.len()),
-            class,
-        },
-    };
-
-    eprintln!("trace: {} on {} at scale {scale}", spec.name, preset.label());
-    let cfg = SystemConfig::with_icnt(preset.icnt(6));
-    let (metrics, reports) = run_traced_with_system_config(cfg, &spec, scale, tcfg);
-    if reports.is_empty() {
-        return Err(format!(
-            "preset {} has no physical network to observe (ideal model)",
-            preset.label()
-        ));
-    }
-
-    let dir = flags.get("out").unwrap_or("trace-out");
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-
-    // trace.json: everything except the flight events (those go to the
-    // JSON-lines file, which is friendlier to streaming consumers).
-    let trace = object([
-        ("preset", preset.label().to_value()),
-        ("benchmark", spec.name.to_value()),
-        ("scale", scale.to_value()),
-        ("metrics", metrics.to_value()),
-        ("reports", reports.to_value()),
-    ]);
-    let trace_path = format!("{dir}/trace.json");
-    std::fs::write(&trace_path, trace.to_json_pretty())
-        .map_err(|e| format!("cannot write {trace_path}: {e}"))?;
-
-    // flight.jsonl: every slice's ring-buffer sample, one event per line,
-    // tagged with the slice label.
-    let mut flight = String::new();
-    let mut events = 0usize;
-    for r in &reports {
-        for ev in &r.flight {
-            let mut obj = vec![("net".to_string(), r.label.to_value())];
-            if let Value::Object(fields) = ev.to_value() {
-                obj.extend(fields);
-            }
-            flight.push_str(&Value::Object(obj).to_json_compact());
-            flight.push('\n');
-            events += 1;
-        }
-    }
-    let flight_path = format!("{dir}/flight.jsonl");
-    std::fs::write(&flight_path, &flight)
-        .map_err(|e| format!("cannot write {flight_path}: {e}"))?;
-
-    for r in &reports {
-        let req = r.hist.network[0].count();
-        let rep = r.hist.network[1].count();
-        eprintln!(
-            "trace: [{}] {} cycles, {} links, {} flight events ({} dropped), hist req/rep {}/{}",
-            r.label,
-            r.cycles,
-            r.links.len(),
-            r.flight.len(),
-            r.flight_dropped,
-            req,
-            rep
-        );
-    }
-    eprintln!("trace: wrote {trace_path} and {flight_path} ({events} events)");
-    Ok(())
-}
-
 /// Default service address: port 0x7e0c, the workspace's seed constant.
 const SERVE_ADDR: &str = "127.0.0.1:32268";
 
@@ -536,9 +519,7 @@ fn cmd_serve(flags: &Flags) -> CmdResult {
         flags.get("addr").unwrap_or(SERVE_ADDR),
         flags.get("cache").unwrap_or("sweep-cache"),
     );
-    if let Some(jobs) = flags.jobs() {
-        cfg.workers = jobs;
-    }
+    cfg.workers = flags.cmd.or_env(flags.jobs(), jobs_from_env);
     let handle = tenoc::serve::start(cfg.clone())
         .map_err(|e| format!("cannot start on {}: {e}", cfg.addr))?;
     eprintln!(
@@ -588,7 +569,14 @@ fn cmd_sweep(flags: &Flags, scale: f64) -> CmdResult {
 
     let grid = sweep_request(flags, scale).grid()?;
     let jobs = flags.cmd.or_env(flags.jobs(), jobs_from_env);
-    announce(flags.cmd, &grid, jobs);
+    // Say on stderr what is about to run on the pool.
+    eprintln!(
+        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {jobs} jobs",
+        grid.len(),
+        grid.presets.len(),
+        grid.benchmarks.len(),
+        grid.scale
+    );
     let (records, jsonl) = engine::run_sweep_jsonl(&grid, jobs);
     gate(flags, &format!("{} records", records.len()), &jsonl, true, |snapshot| {
         let golden = from_jsonl(snapshot).map_err(|e| format!("malformed golden: {e}"))?;
@@ -682,12 +670,8 @@ fn cmd_tune(flags: &Flags) -> CmdResult {
     let mut spec = if flags.tiny(&["k"]) { TuneSpec::tiny() } else { TuneSpec::default_at(k) };
     // The spec's own scale/seed are the deterministic defaults; explicit
     // flags override them (and change every content address with them).
-    if let Some(s) = flags.scale() {
-        spec.scale = s;
-    }
-    if let Some(s) = flags.seed() {
-        spec.seed = s;
-    }
+    spec.scale = flags.scale().unwrap_or(spec.scale);
+    spec.seed = flags.seed().unwrap_or(spec.seed);
     let opts = TuneOptions {
         jobs: flags.cmd.or_env(flags.jobs(), jobs_from_env),
         cache_dir: flags.get("cache").map(std::path::PathBuf::from),
@@ -844,21 +828,9 @@ fn print_suite_figures(scale: f64, jobs: usize) {
 /// Figure 21: open-loop latency versus offered load under many-to-few-
 /// to-many traffic (uniform random and hotspot), for the five network
 /// organizations the paper compares; `OpenLoopConfig::new`'s windows at
-/// full length, shorter ones for a scaled-down run.
-fn print_fig21(scale: f64, _jobs: usize) {
-    let full = scale >= 1.0;
-    fig21_panel(TrafficPattern::UniformRandom, "(a) uniform random many-to-few-to-many", full);
-    fig21_panel(
-        TrafficPattern::Hotspot { hot: 0, fraction: 0.2 },
-        "(b) hotspot many-to-few-to-many (20% of requests to one MC)",
-        full,
-    );
-    println!("\npaper: CP placement and 2P injection raise saturation throughput;");
-    println!("2P helps most under hotspot traffic");
-}
-
-/// One panel of Figure 21's curves.
-fn fig21_panel(pattern: TrafficPattern, title: &str, full: bool) {
+/// full length, shorter ones for a scaled-down run. The ten curves are
+/// independent, so they run on the pool and print in panel order.
+fn print_fig21(scale: f64, jobs: usize) {
     const PRESETS: [(&str, Preset); 5] = [
         ("TB-DOR", Preset::BaselineTbDor),
         ("2x-TB-DOR", Preset::TbDor2xBw),
@@ -866,38 +838,41 @@ fn fig21_panel(pattern: TrafficPattern, title: &str, full: bool) {
         ("CP-CR", Preset::CpCr4vc),
         ("CP-CR-2P", Preset::CpCr2pSingle),
     ];
-    println!("\n--- {title} ---");
+    let panels = [
+        (TrafficPattern::UniformRandom, "(a) uniform random many-to-few-to-many"),
+        (
+            TrafficPattern::Hotspot { hot: 0, fraction: 0.2 },
+            "(b) hotspot many-to-few-to-many (20% of requests to one MC)",
+        ),
+    ];
     let rates: Vec<f64> = (1..=12).map(|i| i as f64 * 0.01).collect();
-    print!("{:>10}", "rate");
-    for (name, _) in PRESETS {
-        print!(" {name:>10}");
-    }
-    println!();
-    // Each curve stops at its first saturated point; later rows print it
-    // as saturated.
-    let curves: Vec<_> = PRESETS
-        .iter()
-        .map(|(_, preset)| {
-            let icnt = preset.icnt(6);
-            let cfg = OpenLoopConfig::new(icnt.net().clone(), 0.0, pattern);
-            let cfg = if full {
-                cfg
-            } else {
-                OpenLoopConfig { warmup: 2_000, measure: 5_000, drain: 10_000, ..cfg }
-            };
-            latency_curve(&cfg, rates.iter().copied(), || icnt.build(EngineKind::Arena))
-        })
-        .collect();
-    for (i, rate) in rates.iter().enumerate() {
-        print!("{rate:>10.2}");
-        for curve in &curves {
-            match curve.get(i).filter(|r| !r.saturated()) {
-                Some(r) => print!(" {:>10.1}", r.avg_latency),
-                None => print!(" {:>10}", "sat"),
-            }
+    let curves = run_indexed(panels.len() * PRESETS.len(), jobs, |i| {
+        let icnt = PRESETS[i % PRESETS.len()].1.icnt(6);
+        let mut cfg = OpenLoopConfig::new(icnt.net().clone(), 0.0, panels[i / PRESETS.len()].0);
+        if scale < 1.0 {
+            (cfg.warmup, cfg.measure, cfg.drain) = (2_000, 5_000, 10_000);
         }
-        println!();
+        latency_curve(&cfg, rates.iter().copied(), || icnt.build(EngineKind::Arena))
+    });
+    for ((_, title), curves) in panels.iter().zip(curves.chunks(PRESETS.len())) {
+        println!("\n--- {title} ---");
+        let names: String = PRESETS.iter().map(|(name, _)| format!(" {name:>10}")).collect();
+        println!("{:>10}{names}", "rate");
+        // Each curve stops at its first saturated point; later rows print
+        // it as saturated.
+        for (i, rate) in rates.iter().enumerate() {
+            print!("{rate:>10.2}");
+            for curve in curves {
+                match curve.get(i).filter(|r| !r.saturated()) {
+                    Some(r) => print!(" {:>10.1}", r.avg_latency),
+                    None => print!(" {:>10}", "sat"),
+                }
+            }
+            println!();
+        }
     }
+    println!("\npaper: CP placement and 2P injection raise saturation throughput;");
+    println!("2P helps most under hotspot traffic");
 }
 
 /// Table VI: area estimates (65 nm) of every design point, from the
@@ -957,6 +932,26 @@ fn print_table_vi(_scale: f64, _jobs: usize) {
     println!("half-router / full-router area ratio: {ratio:.2} (paper: 0.56)");
 }
 
+/// Runs every kernel on each configuration of each study — study by
+/// study, kernel by kernel — at the system default seed on `jobs` pool
+/// workers, and yields the metrics in that order. Panics on a run that
+/// hits its cycle cap: a capped run's IPC is not a result.
+fn run_studies(
+    studies: &[&[SystemConfig]],
+    kernels: &[&str],
+    scale: f64,
+    jobs: usize,
+) -> impl Iterator<Item = RunMetrics> {
+    let cells: Vec<_> = studies
+        .iter()
+        .flat_map(|cfgs| kernels.iter().flat_map(move |name| cfgs.iter().map(move |c| (c, *name))))
+        .collect();
+    run_indexed(cells.len(), jobs, |i| {
+        run_with_system_config(cells[i].0.clone(), &by_name(cells[i].1).unwrap(), scale)
+    })
+    .into_iter()
+}
+
 /// The kernels the ablations run.
 const ABLATED: [&str; 4] = ["HIS", "MM", "KM", "RD"];
 
@@ -969,54 +964,51 @@ const ABLATED: [&str; 4] = ["HIS", "MM", "KM", "RD"];
 ///    4-stage half-router) — the paper notes "the performance impact of
 ///    one less stage was negligible".
 /// 4. Warp scheduler: round-robin versus greedy-then-oldest.
-fn print_ablations(scale: f64, _jobs: usize) {
+fn print_ablations(scale: f64, jobs: usize) {
     use tenoc::noc::NetworkConfig;
 
     let baseline = SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6));
-
     let mut fcfs = baseline.clone();
     fcfs.mc.policy = tenoc::dram::SchedulingPolicy::Fcfs;
-    let head = ["FR-FCFS IPC", "FCFS IPC", "FR gain"];
-    versus("DRAM scheduling policy (baseline mesh)", head, scale, &baseline, &fcfs);
-
-    println!("\n-- VC buffer depth (baseline mesh, flits per VC) --");
-    println!("{:>6} {:>10} {:>10} {:>10}", "bench", "depth 4", "depth 8", "depth 16");
-    for name in ABLATED {
-        let spec = by_name(name).unwrap();
-        let mut row = format!("{name:>6}");
-        for depth in [4usize, 8, 16] {
-            let mut net = NetworkConfig::baseline_mesh(6);
-            net.vc_depth = depth;
-            let cfg = SystemConfig::with_icnt(IcntConfig::Mesh(net));
-            let m = run_with_system_config(cfg, &spec, scale);
-            row.push_str(&format!(" {:>10.1}", m.ipc));
-        }
-        println!("{row}");
-    }
-
+    let depths = [4usize, 8, 16].map(|depth| {
+        let mut net = NetworkConfig::baseline_mesh(6);
+        net.vc_depth = depth;
+        SystemConfig::with_icnt(IcntConfig::Mesh(net))
+    });
     let mut deep = NetworkConfig::checkerboard_mesh(6);
     deep.half_router_stages = 4;
     let deep = SystemConfig::with_icnt(IcntConfig::Mesh(deep));
     let shallow = SystemConfig::with_icnt(Preset::CpCr4vc.icnt(6));
-    let head = ["3-stage IPC", "4-stage IPC", "delta"];
-    versus("half-router pipeline depth (CP-CR mesh)", head, scale, &shallow, &deep);
-    println!("\npaper note: \"we found the performance impact of one less stage was negligible\"");
-
     let mut gto = baseline.clone();
     gto.core.scheduler = tenoc::simt::SchedulerPolicy::GreedyThenOldest;
-    let head = ["RR IPC", "GTO IPC", "RR gain"];
-    versus("warp scheduler (baseline mesh)", head, scale, &baseline, &gto);
+    let studies: [&[_]; 4] =
+        [&[baseline.clone(), fcfs], &depths, &[shallow, deep], &[baseline, gto]];
+    let runs = &mut run_studies(&studies, &ABLATED, scale, jobs);
+
+    versus("DRAM scheduling policy (baseline mesh)", ["FR-FCFS IPC", "FCFS IPC", "FR gain"], runs);
+
+    println!("\n-- VC buffer depth (baseline mesh, flits per VC) --");
+    println!("{:>6} {:>10} {:>10} {:>10}", "bench", "depth 4", "depth 8", "depth 16");
+    for name in ABLATED {
+        let ipcs: String = runs.take(3).map(|m| format!(" {:>10.1}", m.ipc)).collect();
+        println!("{name:>6}{ipcs}");
+    }
+
+    let head = ["3-stage IPC", "4-stage IPC", "delta"];
+    versus("half-router pipeline depth (CP-CR mesh)", head, runs);
+    println!("\npaper note: \"we found the performance impact of one less stage was negligible\"");
+
+    versus("warp scheduler (baseline mesh)", ["RR IPC", "GTO IPC", "RR gain"], runs);
 }
 
-/// One A-versus-B ablation: both IPCs per kernel and A's gain over B
-/// (through `speedup_over`, so a B that retired nothing prints NaN, not
-/// `inf`).
-fn versus(title: &str, head: [&str; 3], scale: f64, a: &SystemConfig, b: &SystemConfig) {
+/// One A-versus-B ablation from the next `runs`, A then B per kernel: both
+/// IPCs and A's gain over B (through `speedup_over`, so a B that retired
+/// nothing prints NaN, not `inf`).
+fn versus(title: &str, head: [&str; 3], runs: &mut impl Iterator<Item = RunMetrics>) {
     println!("\n-- {title} --");
     println!("{:>6} {:>12} {:>12} {:>10}", "bench", head[0], head[1], head[2]);
     for name in ABLATED {
-        let spec = by_name(name).unwrap();
-        let [a, b] = [a, b].map(|c| run_with_system_config(c.clone(), &spec, scale));
+        let (a, b) = (runs.next().unwrap(), runs.next().unwrap());
         let gain = a.speedup_over(&b).map_or(f64::NAN, |ratio| (ratio - 1.0) * 100.0);
         println!("{name:>6} {:>12.1} {:>12.1} {gain:>+9.1}%", a.ipc, b.ipc);
     }
@@ -1027,31 +1019,32 @@ fn versus(title: &str, head: [&str; 3], scale: f64, a: &SystemConfig, b: &System
 /// imbalance. Compares 28 cores (the paper's chip) against 56-core
 /// futures built two ways — concentration (2 cores per terminal on the
 /// same 6x6 mesh) and a bigger 8x8 mesh — all with 8 MCs.
-fn print_scaling(scale: f64, _jobs: usize) {
+fn print_scaling(scale: f64, jobs: usize) {
+    let mut conc = SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6));
+    conc.cores_per_node = 2;
+    let rows = [
+        ("6x6 mesh (paper)", 28, SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6))),
+        ("6x6 mesh, 2x concentrated", 56, conc),
+        // Both 8x8 fabrics keep 8 MCs, as pins stay scarce.
+        ("8x8 mesh", 56, SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(8))),
+        ("8x8 checkerboard CP-CR", 56, SystemConfig::with_icnt(Preset::CpCr4vc.icnt(8))),
+    ];
+    let configs = rows.each_ref().map(|(.., cfg)| cfg.clone());
+    let kernels = ["MM", "KM", "RD"];
+    let mut runs = run_studies(&[&configs], &kernels, scale, jobs);
     println!(
         "{:>6} {:>26} {:>7} {:>9} {:>11} {:>9}",
         "bench", "configuration", "cores", "IPC", "IPC/core", "MC stall"
     );
-    for name in ["MM", "KM", "RD"] {
-        let spec = by_name(name).unwrap();
-        let row = |label: &str, cores: usize, cfg: SystemConfig| {
-            // Panics on a run that hits its cycle cap: a capped run's IPC
-            // is not a result.
-            let m = run_with_system_config(cfg, &spec, scale);
+    for name in kernels {
+        for ((label, cores, _), m) in rows.iter().zip(runs.by_ref()) {
             println!(
                 "{name:>6} {label:>26} {cores:>7} {:>9.1} {:>11.2} {:>8.0}%",
                 m.ipc,
-                m.ipc / cores as f64,
+                m.ipc / *cores as f64,
                 m.mc_stall_fraction * 100.0
             );
-        };
-        row("6x6 mesh (paper)", 28, SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6)));
-        let mut conc = SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(6));
-        conc.cores_per_node = 2;
-        row("6x6 mesh, 2x concentrated", 56, conc);
-        // Both 8x8 fabrics keep 8 MCs, as pins stay scarce.
-        row("8x8 mesh", 56, SystemConfig::with_icnt(Preset::BaselineTbDor.icnt(8)));
-        row("8x8 checkerboard CP-CR", 56, SystemConfig::with_icnt(Preset::CpCr4vc.icnt(8)));
+        }
     }
     println!("\nwith pins fixed at 8 MCs, doubling cores mostly deepens the");
     println!("many-to-few bottleneck — per-core throughput falls, and the");

@@ -1,22 +1,24 @@
 //! End-to-end test of the `tenoc` CLI's flag contract: a flag a
 //! subcommand does not accept, a switch given a value, a flag given
-//! twice, or a flag value or `TENOC_SCALE` / `TENOC_JOBS` setting that
-//! does not parse or is out of range, prints that subcommand's usage and
-//! exits 2 (a mistyped flag, value or
-//! variable must never silently run a different experiment), while
-//! every invocation shape the repo benchmark makes
-//! (`benchmark/src/e2e.rs`) keeps exiting 0. Also pinned here, from
-//! outside: `trace` observes without perturbing, `sweep` and `submit`
-//! plan the same grid from the same flags, `openloop` probes the preset's
-//! real fabric, every preset name the CLI prints is one it accepts,
+//! twice or without its value, or a flag value or `TENOC_SCALE` /
+//! `TENOC_JOBS` setting that does not parse or is out of range, prints
+//! that subcommand's usage and exits 2 (a mistyped flag, value or
+//! variable must never silently run a different experiment), while a
+//! command that never reads a variable ignores it, and every invocation
+//! shape the repo benchmark makes (`benchmark/src/e2e.rs`) keeps exiting
+//! 0. Also pinned here, from outside: `run --trace` observes without
+//! perturbing, `sweep` and `submit` plan the same grid from the same
+//! flags, `openloop` probes the preset's real fabric, every preset name
+//! the CLI prints is one it accepts,
 //! `tune`'s stderr summary keeps the closed-loop cache pair the benchmark
 //! parses ahead of the probe counts, `sweep` runs on the worker pool
 //! without a byte of its output depending on `TENOC_JOBS`, `--tiny`
 //! refuses the flags it would override, `audit` is the static tier's
 //! one command, and `figures` prints the section `--only` names.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 use tenoc::core::Preset;
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc::noc::ArenaDoubleNetwork;
@@ -26,10 +28,14 @@ fn tenoc(args: &[&str]) -> Output {
 }
 
 fn tenoc_env(args: &[&str], env: &[(&str, &str)]) -> Output {
+    tenoc_in(Path::new(env!("CARGO_MANIFEST_DIR")), args, env)
+}
+
+fn tenoc_in(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tenoc"))
         .args(args)
         .envs(env.iter().copied())
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .current_dir(dir)
         .output()
         .expect("binary runs")
 }
@@ -61,7 +67,11 @@ fn assert_usage_error(args: &[&str], problem: &str) {
 }
 
 fn assert_usage_error_env(args: &[&str], env: &[(&str, &str)], problem: &str) {
-    let out = tenoc_env(args, env);
+    assert_refused(args, tenoc_env(args, env), problem);
+}
+
+/// `out`, the output of `tenoc args`, is a usage error saying `problem`.
+fn assert_refused(args: &[&str], out: Output, problem: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error; stderr: {stderr}");
     assert!(stderr.contains(problem), "stderr must say `{problem}`: {stderr}");
@@ -83,7 +93,7 @@ fn assert_ok(args: &[&str]) -> String {
 #[test]
 fn unknown_flags_exit_with_code_two() {
     assert_rejected(&["sweep", "--tiny", "--batch", "4"], "--batch");
-    // `trace` is the telemetry entry point; sweeps have no such switch.
+    // `run --trace` is the telemetry entry point; sweeps have no such switch.
     assert_rejected(&["sweep", "--tiny", "--telemetry"], "--telemetry");
     assert_rejected(&["tune", "--tiny", "--bogus", "1"], "--bogus");
     // A flag another subcommand owns is still unknown here.
@@ -108,15 +118,38 @@ fn bad_flag_values_exit_with_code_two() {
     bad(&["audit", "--k", "100000"], "k", "100000");
     bad(&["openloop", "--preset", "baseline", "--rate", "fast"], "rate", "fast");
     bad(&["openloop", "--preset", "baseline", "--rate", "1.5"], "rate", "1.5");
-    bad(&["trace", "--preset", "thr-eff", "--flight-cap", "many"], "flight-cap", "many");
+    let run = ["run", "--benchmark", "RD", "--preset", "baseline", "--scale", "0.02"];
+    // The instruments of `run --trace` keep their bounds, checked before a
+    // cycle is simulated or a directory created.
+    let dir = scratch("trace-bounds");
+    let out = dir.join("t");
+    let traced = [&run[..], &["--trace", out.to_str().unwrap()]].concat();
+    let with = |tail: &[&'static str]| [&traced[..], tail].concat();
+    bad(&with(&["--flight-cap", "many"]), "flight-cap", "many");
     let huge = "18446744073709551615"; // usize::MAX: refused before any ring is allocated
-    bad(&["trace", "--preset", "thr-eff", "--flight-cap", huge], "flight-cap", huge);
-    bad(&["trace", "--preset", "thr-eff", "--node", "36"], "node", "36");
-    // A value-taking flag with its value missing reads as `true`.
-    bad(&["tune", "--tiny", "--seed"], "seed", "true");
+    bad(&with(&["--flight-cap", huge]), "flight-cap", huge);
+    bad(&with(&["--node", "36"]), "node", "36");
+    assert!(!out.exists(), "a refused trace must not write its directory");
+    let _ = std::fs::remove_dir_all(&dir);
+    // Without `--trace` they would shape nothing, so they are refused.
+    let untraced = |tail: &[&'static str]| [&run[..], tail].concat();
+    assert_usage_error(&untraced(&["--flight-cap", "8"]), "--flight-cap needs --trace");
+    assert_usage_error(&untraced(&["--class", "reply"]), "--class needs --trace");
+    // A value-taking flag with its value missing is refused, not read as
+    // `true`: neither `sweep --tiny --out` nor `run … --trace` may write
+    // a file or directory named `true`.
+    assert_usage_error(&["tune", "--tiny", "--seed"], "--seed needs a value");
+    let dir = scratch("no-value");
+    for (args, problem) in [
+        (vec!["sweep", "--tiny", "--out"], "--out needs a value"),
+        (untraced(&["--trace"]), "--trace needs a value"),
+    ] {
+        assert_refused(&args, tenoc_in(&dir, &args, &[]), problem);
+    }
+    assert!(std::fs::read_dir(&dir).unwrap().next().is_none(), "a refused run wrote a file");
+    let _ = std::fs::remove_dir_all(&dir);
     // A switch takes no value: `--json false` must not print JSON, nor
     // `--tiny false` run the tiny grid.
-    let run = ["run", "--benchmark", "RD", "--preset", "baseline", "--scale", "0.02"];
     assert_usage_error(
         &[&run[..], &["--json", "false"]].concat(),
         "--json takes no value, got false",
@@ -145,7 +178,7 @@ fn audit_usage_errors_exit_with_code_two() {
     assert_rejected(&["audit", "--preset"], "--preset");
     assert_rejected(&["audit", "--preset", "no-such"], "--preset");
     assert_usage_error(&["audit", "--k", "1"], "invalid value for --k: 1");
-    assert_usage_error(&["audit", "--k"], "invalid value for --k: true");
+    assert_usage_error(&["audit", "--k"], "--k needs a value");
 }
 
 /// `--tiny` names a fixed experiment — the golden grid, the k=6 smoke
@@ -166,7 +199,8 @@ fn tiny_refuses_the_flags_it_would_ignore() {
 
 /// The environment knobs obey the flags' predicates: `TENOC_SCALE=O.5`
 /// used to run silently at 0.12, `=inf` was accepted, and `TENOC_JOBS=0`
-/// became "all cores".
+/// became "all cores" (in `serve` too). A command that never reads a knob
+/// ignores it.
 #[test]
 fn bad_env_knobs_exit_with_code_two() {
     let sweep: &[&str] = &["sweep", "--presets", "baseline"];
@@ -188,6 +222,31 @@ fn bad_env_knobs_exit_with_code_two() {
     let by_flag = tenoc_env(&[&run[..], &["--scale", "0.02"]].concat(), &[("TENOC_SCALE", "x")]);
     assert_eq!(by_flag.status.code(), Some(0), "{}", String::from_utf8_lossy(&by_flag.stderr));
     assert_eq!(by_env.stdout, by_flag.stdout);
+    // A command resolves only the knobs it reads: `list` and `audit` run
+    // at no kernel scale, so a malformed `TENOC_SCALE` is none of theirs.
+    for args in [&["list"][..], &["audit", "--k", "4"]] {
+        let out = tenoc_env(args, &[("TENOC_SCALE", "x")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} under TENOC_SCALE=x: {stderr}");
+    }
+    // `serve` sizes its pool like every other pool user. A server that
+    // accepted the setting would run until killed, so it gets a deadline.
+    let dir = scratch("serve-jobs");
+    let args = ["serve", "--addr", "127.0.0.1:0", "--cache", dir.to_str().unwrap()];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tenoc"))
+        .args(args)
+        .env("TENOC_JOBS", "0")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("wait works").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    assert_refused(&args, child.wait_with_output().unwrap(), "TENOC_JOBS=0 is not");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -292,18 +351,19 @@ fn tune_summary_reports_memoized_probes_behind_the_closed_loop_pair() {
 fn telemetry_entry_points_still_succeed_with_identical_records() {
     let dir = scratch("telemetry");
     let trace = dir.join("trace");
-    let cell = ["--preset", "thr-eff", "--benchmark", "RD", "--scale", "0.02"];
-    let with = |head: [&str; 1], tail: &[&str]| assert_ok(&[&head, &cell[..], tail].concat());
-    with(["trace"], &["--out", trace.to_str().unwrap()]);
+    let run = ["run", "--preset", "thr-eff", "--benchmark", "RD", "--scale", "0.02", "--json"];
+    let traced = assert_ok(&[&run[..], &["--trace", trace.to_str().unwrap()]].concat());
     assert!(std::fs::metadata(trace.join("flight.jsonl")).unwrap().len() > 0);
-    // Observation does not perturb: the traced run recorded exactly the
-    // metrics the same cell reports untraced.
+    // Observation does not perturb: the traced run printed and recorded
+    // exactly the metrics the same cell reports untraced.
     let metrics = |text: &str| {
         let v = serde::json::parse(text).expect("valid JSON");
         v.field("metrics").expect("metrics object").to_json_compact()
     };
-    let traced = std::fs::read_to_string(trace.join("trace.json")).unwrap();
-    assert_eq!(metrics(&traced), metrics(&with(["run"], &["--json"])));
+    let recorded = std::fs::read_to_string(trace.join("trace.json")).unwrap();
+    let untraced = metrics(&assert_ok(&run));
+    assert_eq!(metrics(&traced), untraced, "the traced run printed other metrics");
+    assert_eq!(metrics(&recorded), untraced, "trace.json holds other metrics");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -383,12 +443,12 @@ fn audit_prints_a_legal_row_with_both_areas_for_every_named_preset() {
 }
 
 /// Retired commands are unknown: `area` (folded into `audit`), `suite`
-/// (a cell of it is `run`'s) and `classify` (Table I is a section of
-/// `figures`). An unknown command, like no command, is a usage error:
-/// the listing and exit 2.
+/// (a cell of it is `run`'s), `classify` (Table I is a section of
+/// `figures`) and `trace` (`run --trace`). An unknown command, like no
+/// command, is a usage error: the listing and exit 2.
 #[test]
 fn area_is_no_longer_a_command() {
-    for retired in ["area", "suite", "classify", "clasify"] {
+    for retired in ["area", "suite", "classify", "clasify", "trace"] {
         let out = tenoc(&[retired]);
         let usage = String::from_utf8(out.stderr).expect("stderr is text");
         assert_eq!(out.status.code(), Some(2), "{usage}");
