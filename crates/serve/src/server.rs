@@ -14,13 +14,16 @@
 //!
 //! All three paths produce byte-identical record lines (the cache-hook
 //! equivalence tested in `tenoc-harness`), so the service is provably
-//! just a memoized, fairly-scheduled `tenoc sweep`.
+//! just a memoized, fairly-scheduled `tenoc sweep`. A request whose cells
+//! were all cache hits also leaves its whole answer in a bounded memo,
+//! and the same request again (under any tenant) is answered with those
+//! bytes before it is planned.
 
 use crate::proto::{event_line, write_line, SweepRequest};
 use crate::sched::DeadlineRr;
 use serde::json::Value;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -124,15 +127,64 @@ struct State {
     inflight: HashMap<String, Vec<Waiter>>,
     sched: DeadlineRr<Job>,
     stats: Counters,
+    memo: AnswerMemo,
+}
+
+/// Most record lines the answer memo holds. A record line is at most
+/// ~800 bytes (the longest preset label, 20-digit seeds, shortest
+/// round-trip floats), and an answer's key — its request with `tenant`
+/// blanked — adds under 40 bytes per line, since a grid has at least as
+/// many cells as it names presets and benchmarks, and under 300 bytes of
+/// framing and table overhead per answer. So the memo holds at most
+/// 4096 × (800 + 40 + 300) B ≈ 4.7 MB, however the answers are split:
+/// room for five of the 775-cell figures grid.
+const MEMO_LINES: usize = 1 << 12;
+
+/// A fully cached request's answer, by canonical request: `planned`,
+/// every record, `done`, exactly as the render path wrote them, and the
+/// cell count its counters move by. Exact for the life of the process
+/// because the journal is append-only — [`DiskCache::store`] never
+/// replaces a key and nothing removes one — so an all-hit answer is a
+/// pure function of its request; a restart starts with an empty memo.
+#[derive(Default)]
+struct AnswerMemo {
+    answers: HashMap<String, (Arc<str>, usize)>,
+    /// Keys oldest first, for eviction.
+    order: VecDeque<String>,
+    /// Record lines held, at most [`MEMO_LINES`].
+    lines: usize,
+}
+
+impl AnswerMemo {
+    fn get(&self, request: &str) -> Option<(Arc<str>, usize)> {
+        self.answers.get(request).cloned()
+    }
+
+    /// Keeps `answer` for `request`, evicting the oldest answers until
+    /// its `cells` lines fit. An answer larger than the whole memo, or one
+    /// a concurrent twin already stored, is not kept.
+    fn insert(&mut self, request: String, answer: Arc<str>, cells: usize) {
+        if cells > MEMO_LINES || self.answers.contains_key(&request) {
+            return;
+        }
+        while self.lines + cells > MEMO_LINES {
+            let oldest = self.order.pop_front().expect("held lines belong to some answer");
+            let (_, evicted) = self.answers.remove(&oldest).expect("ordered keys are held");
+            self.lines -= evicted;
+        }
+        self.lines += cells;
+        self.order.push_back(request.clone());
+        self.answers.insert(request, (answer, cells));
+    }
 }
 
 /// Everything connections and workers share. Lock discipline: `state` is
 /// held for table operations only — cache lookups, the in-flight table,
-/// the scheduler, counters — plus, once per simulated cell, the journal
-/// append that must be ordered with them. Addressing a cell and rendering
-/// a record or an event allocate `Value`s and format floats, and never
-/// run under it: a tenant queued behind a 10k-cell request waits out its
-/// lookups, not its serialization.
+/// the scheduler, counters, the answer memo — plus, once per simulated
+/// cell, the journal append that must be ordered with them. Addressing a
+/// cell and rendering a record, an event or a canonical request allocate
+/// `Value`s and format floats, and never run under it: a tenant queued
+/// behind a 10k-cell request waits out its lookups, not its serialization.
 struct Inner {
     state: Mutex<State>,
     work: Condvar,
@@ -141,6 +193,9 @@ struct Inner {
     /// Times a worker looked at the queue: what a wake-up costs.
     #[cfg(test)]
     polls: AtomicU64,
+    /// Sweep requests answered from the answer memo.
+    #[cfg(test)]
+    memo_answers: AtomicU64,
 }
 
 impl Inner {
@@ -151,12 +206,15 @@ impl Inner {
                 inflight: HashMap::new(),
                 sched: DeadlineRr::new(),
                 stats: Counters::default(),
+                memo: AnswerMemo::default(),
             }),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(paused),
             #[cfg(test)]
             polls: AtomicU64::new(0),
+            #[cfg(test)]
+            memo_answers: AtomicU64::new(0),
         }
     }
 }
@@ -410,25 +468,45 @@ fn send(writer: &mut impl Write, burst: &mut String) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Serves one sweep request: plan → address (once per fabric) → look up
-/// under the lock → render → burst. Every line that is ready leaves in
-/// one `write`; a line that is not is never waited for with others
-/// buffered behind it.
+/// Serves one sweep request: a repeated all-hit request straight from
+/// the answer memo; any other through plan → address (once per fabric) →
+/// look up under the lock → render → burst. Every line that is ready
+/// leaves in one `write`; a line that is not is never waited for with
+/// others buffered behind it.
 fn handle_sweep(
     inner: &Inner,
     writer: &mut impl Write,
     parsed: &Value,
     conn_id: u64,
 ) -> std::io::Result<()> {
-    let req = match SweepRequest::from_value(parsed) {
+    let mut req = match SweepRequest::from_value(parsed) {
         Ok(r) => r,
         Err(msg) => return reject(writer, msg),
     };
+    // The tenant only picks a queue, never a byte of the answer.
+    let tenant = std::mem::take(&mut req.tenant);
+    let canonical = req.to_line();
+    {
+        let mut st = inner.state.lock().expect("state lock poisoned");
+        if let Some((answer, cells)) = st.memo.get(&canonical) {
+            if inner.shutdown.load(Ordering::SeqCst) {
+                drop(st);
+                return reject(writer, "server is shutting down".to_string());
+            }
+            st.stats.requests += 1;
+            st.stats.cache_hits += cells as u64;
+            drop(st);
+            #[cfg(test)]
+            inner.memo_answers.fetch_add(1, Ordering::Relaxed);
+            writer.write_all(answer.as_bytes())?;
+            return writer.flush();
+        }
+    }
     let grid = match req.grid() {
         Ok(g) => g,
         Err(msg) => return reject(writer, msg),
     };
-    let tenant = if req.tenant.is_empty() { format!("conn-{conn_id}") } else { req.tenant.clone() };
+    let tenant = if tenant.is_empty() { format!("conn-{conn_id}") } else { tenant };
     let cells = grid.cells();
     let keys = cell_keys(&cells);
 
@@ -508,6 +586,11 @@ fn handle_sweep(
             ],
         ),
     );
+    if scheduled == 0 && dedup_hits == 0 {
+        let answer = Arc::from(burst.as_str());
+        let mut st = inner.state.lock().expect("state lock poisoned");
+        st.memo.insert(canonical, answer, cells.len());
+    }
     send(writer, &mut burst)
 }
 
@@ -516,7 +599,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc::{channel, Receiver};
     use std::time::Duration;
-    use tenoc_core::RunMetrics;
+    use tenoc_core::{Preset, RunMetrics};
     use tenoc_harness::{annotate, cell_key, cell_system_config, tiny_grid, CellResult};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -723,6 +806,196 @@ mod tests {
         let st = inner.state.lock().unwrap();
         assert_eq!((st.stats.requests, st.sched.len(), st.inflight.len()), (1, 0, 0));
         drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The counters a request moved: `after` minus `before`, field by
+    /// field (`queued` and `inflight` are levels, compared as they are).
+    fn moved(before: StatsSnapshot, after: StatsSnapshot) -> StatsSnapshot {
+        StatsSnapshot {
+            requests: after.requests - before.requests,
+            simulated: after.simulated - before.simulated,
+            cache_hits: after.cache_hits - before.cache_hits,
+            dedup_hits: after.dedup_hits - before.dedup_hits,
+            cache_entries: after.cache_entries - before.cache_entries,
+            ..after
+        }
+    }
+
+    fn stats_of(inner: &Inner) -> StatsSnapshot {
+        snapshot(&inner.state.lock().unwrap())
+    }
+
+    fn memo_answers(inner: &Inner) -> u64 {
+        inner.memo_answers.load(Ordering::SeqCst)
+    }
+
+    /// One request, sent alone on a connection: its answer, whole.
+    fn answer(inner: &Inner, line: &str) -> String {
+        converse(inner, format!("{line}\n").as_bytes()).concat()
+    }
+
+    #[test]
+    fn a_repeated_all_hit_request_is_answered_from_the_memo_under_any_tenant_and_spelling() {
+        let dir = tmp_dir("memo");
+        let cells = grid24().grid().unwrap().cells();
+        let inner = poolless(&dir, &cells);
+
+        let first = SweepRequest { tenant: "a".into(), ..grid24() }.to_line();
+        let before = stats_of(&inner);
+        let rendered = answer(&inner, &first);
+        let after_first = stats_of(&inner);
+        assert_eq!(memo_answers(&inner), 0, "the first answer is rendered");
+        // The same request under another tenant, its fields reordered and
+        // spaced, `scale` in exponent form and `mesh_k` left to default.
+        let second = r#" { "seed": 7, "benchmarks": ["RD", "BFS", "KM", "AES", "BIN", "HSP"],
+            "scale": 5e-2, "tenant": "b", "op": "sweep",
+            "presets": ["thr-eff", "baseline", "cp-cr", "torus"] }"#
+            .replace('\n', "");
+        let memoized = answer(&inner, &second);
+        let after_second = stats_of(&inner);
+        assert_eq!(memo_answers(&inner), 1, "the second answer comes from the memo");
+        assert_eq!(memoized, rendered);
+        assert!(rendered.ends_with(
+            "{\"event\":\"done\",\"cells\":24,\"simulated\":0,\"cache_hits\":24,\"dedup_hits\":0}\n"
+        ));
+        assert_eq!(moved(after_first, after_second), moved(before, after_first));
+        assert_eq!((after_second.requests, after_second.cache_hits), (2, 48));
+        // A memo answer is one write, like the burst it replays.
+        let tenantless = SweepRequest { tenant: String::new(), ..grid24() }.to_line();
+        assert_eq!(converse(&inner, format!("{tenantless}\n").as_bytes()), [rendered]);
+        assert_eq!(memo_answers(&inner), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_request_that_scheduled_or_awaited_a_cell_is_never_memoized() {
+        let dir = tmp_dir("memo-wait");
+        let cells = grid24().grid().unwrap().cells();
+        let inner = poolless(&dir, &cells[..23]);
+        let request = format!("{}\n", grid24().to_line());
+        let ((tx_a, rx_a), (tx_b, rx_b)) = (channel(), channel());
+
+        std::thread::scope(|s| {
+            // A schedules cell 23; B, the same request, attaches to it.
+            let a = s.spawn(|| handle_conn(&inner, request.as_bytes(), Writes(tx_a), 0));
+            next_write(&rx_a);
+            let b = s.spawn(|| handle_conn(&inner, request.as_bytes(), Writes(tx_b), 1));
+            next_write(&rx_b);
+            let job = {
+                let mut st = inner.state.lock().unwrap();
+                assert_eq!(st.stats.dedup_hits, 1, "B waits on A's cell");
+                st.sched.pop().unwrap().1
+            };
+            finish(&inner, &job.key, Ok(made_up()));
+            a.join().unwrap().unwrap();
+            b.join().unwrap().unwrap();
+        });
+        assert!(rx_a.iter().chain(rx_b.iter()).all(|w| !w.is_empty()));
+        assert!(inner.state.lock().unwrap().memo.answers.is_empty());
+
+        // Now every cell is a hit: the next answer is rendered and kept,
+        // the one after it replayed.
+        let rendered = answer(&inner, &grid24().to_line());
+        assert_eq!(memo_answers(&inner), 0);
+        assert_eq!(answer(&inner, &grid24().to_line()), rendered);
+        assert_eq!(memo_answers(&inner), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requests_that_differ_in_any_axis_never_share_an_answer() {
+        let dir = tmp_dir("memo-axes");
+        let base = SweepRequest {
+            presets: vec!["baseline".into(), "torus".into()],
+            benchmarks: vec!["HIS".into(), "RD".into()],
+            scale: 0.05,
+            seed: 7,
+            ..SweepRequest::default()
+        };
+        let variants = [
+            base.clone(),
+            SweepRequest { seed: 8, ..base.clone() },
+            SweepRequest { presets: vec!["torus".into(), "baseline".into()], ..base.clone() },
+            SweepRequest { scale: 0.06, ..base.clone() },
+            SweepRequest { mesh_k: 4, ..base.clone() },
+            SweepRequest::tiny(""),
+        ];
+        let all: Vec<SweepCell> = variants.iter().flat_map(|r| r.grid().unwrap().cells()).collect();
+        let inner = poolless(&dir, &all);
+
+        let rendered: Vec<String> = variants.iter().map(|r| answer(&inner, &r.to_line())).collect();
+        assert_eq!(memo_answers(&inner), 0, "no variant was answered with another's bytes");
+        for (i, a) in rendered.iter().enumerate() {
+            assert!(rendered[..i].iter().all(|b| a != b), "variant {i} repeats an answer");
+        }
+        for (r, expected) in variants.iter().zip(&rendered) {
+            assert_eq!(&answer(&inner, &r.to_line()), expected);
+        }
+        assert_eq!(memo_answers(&inner), variants.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn past_the_cap_the_oldest_answer_is_evicted_and_answers_stay_right() {
+        let dir = tmp_dir("memo-cap");
+        // Every named preset under every kernel: 465 lines per answer.
+        let request = |seed| SweepRequest {
+            presets: Preset::NAMED.iter().map(|p| p.flag().to_string()).collect(),
+            benchmarks: tenoc_workloads::suite().into_iter().map(|s| s.name).collect(),
+            scale: 0.05,
+            seed,
+            ..SweepRequest::default()
+        };
+        let per = request(0).grid().unwrap().len();
+        let fit = MEMO_LINES / per;
+        let seeds = 1..=fit as u64 + 1;
+        let all: Vec<SweepCell> =
+            seeds.clone().flat_map(|s| request(s).grid().unwrap().cells()).collect();
+        let inner = poolless(&dir, &all);
+        let held = || {
+            let st = inner.state.lock().unwrap();
+            (st.memo.order.len(), st.memo.lines)
+        };
+
+        let rendered: Vec<String> =
+            seeds.clone().map(|s| answer(&inner, &request(s).to_line())).collect();
+        assert_eq!(memo_answers(&inner), 0);
+        assert_eq!(held(), (fit, fit * per), "the last answer evicted the first");
+        // Seed 2 is held; seed 1 was evicted, so it is rendered again,
+        // byte for byte, and evicts seed 2, now the oldest.
+        assert_eq!(answer(&inner, &request(2).to_line()), rendered[1]);
+        assert_eq!(memo_answers(&inner), 1);
+        assert_eq!(answer(&inner, &request(1).to_line()), rendered[0]);
+        assert_eq!(memo_answers(&inner), 1);
+        assert_eq!(answer(&inner, &request(2).to_line()), rendered[1]);
+        assert_eq!(memo_answers(&inner), 1, "seed 2 went first, though it was just replayed");
+        assert!(held().1 <= MEMO_LINES);
+
+        // An answer larger than the whole memo is never kept.
+        let mut memo = AnswerMemo::default();
+        memo.insert("huge".into(), Arc::from(""), MEMO_LINES + 1);
+        assert!(memo.get("huge").is_none() && memo.lines == 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn during_shutdown_a_memo_hit_is_still_refused() {
+        let dir = tmp_dir("memo-shutdown");
+        let cells = grid24().grid().unwrap().cells();
+        let inner = poolless(&dir, &cells);
+        let rendered = answer(&inner, &grid24().to_line());
+        assert_eq!(answer(&inner, &grid24().to_line()), rendered);
+        assert_eq!(memo_answers(&inner), 1);
+
+        inner.shutdown.store(true, Ordering::SeqCst);
+        let before = stats_of(&inner);
+        assert_eq!(
+            answer(&inner, &grid24().to_line()),
+            "{\"event\":\"error\",\"message\":\"server is shutting down\"}\n"
+        );
+        assert_eq!(stats_of(&inner), before, "a refused request moves no counter");
+        assert_eq!(memo_answers(&inner), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::OnceLock;
 pub use tenoc_simt::TrafficClass;
 use tenoc_simt::{KernelSpec, KernelSpecBuilder};
 
@@ -366,9 +367,11 @@ pub fn suite() -> Vec<KernelSpec> {
     ]
 }
 
-/// Looks up a benchmark by its abbreviation.
+/// Looks up a benchmark by its abbreviation, in a suite built once per
+/// process.
 pub fn by_name(name: &str) -> Option<KernelSpec> {
-    suite().into_iter().find(|s| s.name == name)
+    static SUITE: OnceLock<Vec<KernelSpec>> = OnceLock::new();
+    SUITE.get_or_init(suite).iter().find(|s| s.name == name).cloned()
 }
 
 /// A reduced smoke suite (one benchmark per class) for fast tests.

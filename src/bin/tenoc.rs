@@ -200,10 +200,13 @@ impl Flags {
         })
     }
 
-    /// The required `--benchmark`; a missing one is a usage error.
-    fn benchmark(&self) -> Result<KernelSpec, String> {
+    /// The required `--benchmark`; a missing or unknown one is a usage
+    /// error.
+    fn benchmark(&self) -> KernelSpec {
         let Some(name) = self.get("benchmark") else { self.cmd.usage_error("missing --benchmark") };
-        by_name(name).ok_or_else(|| format!("unknown benchmark {name}; see `tenoc list`"))
+        by_name(name).unwrap_or_else(|| {
+            self.cmd.usage_error(&format!("unknown benchmark {name}; see `tenoc list`"))
+        })
     }
 }
 
@@ -345,7 +348,7 @@ fn same_text(text: &str) -> impl FnOnce(&str) -> Result<String, String> + '_ {
 /// occupancy) and `DIR/flight.jsonl`; stdout is the same either way, since
 /// observation does not perturb the run.
 fn cmd_run(flags: &Flags, scale: f64) -> CmdResult {
-    let (preset, spec) = (flags.preset(), flags.benchmark()?);
+    let (preset, spec) = (flags.preset(), flags.benchmark());
     let cfg = SystemConfig::with_icnt(preset.icnt(6));
     let m = match telemetry(flags, preset)? {
         None => run_with_system_config(cfg, &spec, scale),
@@ -403,7 +406,9 @@ fn telemetry(flags: &Flags, preset: Preset) -> Result<Option<(&str, TelemetryCon
         None => None,
         Some("request") => Some(PacketClass::Request),
         Some("reply") => Some(PacketClass::Reply),
-        Some(other) => return Err(format!("--class must be request or reply, got {other}")),
+        Some(other) => {
+            flags.cmd.usage_error(&format!("--class must be request or reply, got {other}"))
+        }
     };
     let icnt = preset.icnt(6);
     let tcfg = TelemetryConfig {

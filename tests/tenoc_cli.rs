@@ -119,6 +119,11 @@ fn bad_flag_values_exit_with_code_two() {
     bad(&["openloop", "--preset", "baseline", "--rate", "fast"], "rate", "fast");
     bad(&["openloop", "--preset", "baseline", "--rate", "1.5"], "rate", "1.5");
     let run = ["run", "--benchmark", "RD", "--preset", "baseline", "--scale", "0.02"];
+    // An unknown kernel is refused like an unknown preset.
+    assert_usage_error(
+        &["run", "--benchmark", "NOPE", "--preset", "baseline"],
+        "unknown benchmark NOPE; see `tenoc list`",
+    );
     // The instruments of `run --trace` keep their bounds, checked before a
     // cycle is simulated or a directory created.
     let dir = scratch("trace-bounds");
@@ -129,6 +134,7 @@ fn bad_flag_values_exit_with_code_two() {
     let huge = "18446744073709551615"; // usize::MAX: refused before any ring is allocated
     bad(&with(&["--flight-cap", huge]), "flight-cap", huge);
     bad(&with(&["--node", "36"]), "node", "36");
+    assert_usage_error(&with(&["--class", "bogus"]), "--class must be request or reply, got bogus");
     assert!(!out.exists(), "a refused trace must not write its directory");
     let _ = std::fs::remove_dir_all(&dir);
     // Without `--trace` they would shape nothing, so they are refused.
