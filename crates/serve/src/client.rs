@@ -74,7 +74,7 @@ fn bad_data(msg: String) -> std::io::Error {
 /// `error` event, or a stream that ends without a terminal event.
 pub fn submit_on(stream: &mut TcpStream, req: &SweepRequest) -> std::io::Result<SubmitOutcome> {
     write_line(stream, &req.to_line())?;
-    let reader = BufReader::new(stream.try_clone()?);
+    let reader = BufReader::new(&*stream);
     let mut outcome = SubmitOutcome::default();
     for line in reader.lines() {
         let line = line?;

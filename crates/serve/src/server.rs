@@ -30,6 +30,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 use tenoc_harness::{cached_line, cell_keys, run_cell, SweepCell};
 use tenoc_harness::{CachedCell, DiskCache, Memo};
 
@@ -178,6 +179,30 @@ impl AnswerMemo {
     }
 }
 
+/// The listening socket and the handler threads that take turns in its
+/// `accept()`. Only a handler waiting there holds a clone of the socket,
+/// so once shutdown has taken `listener` and `waiting` is 0, it is closed.
+#[derive(Default)]
+struct Handlers {
+    /// `None` once shutdown has begun.
+    listener: Option<Arc<TcpListener>>,
+    /// Handlers in `accept()`, or on their way there.
+    waiting: usize,
+    /// Handlers serving a connection.
+    busy: usize,
+}
+
+/// Most handlers left waiting in `accept()` when a connection ends: a
+/// handler that finishes while this many wait exits instead.
+const IDLE_HANDLERS: usize = 2;
+
+/// How long a handler that accepted while no other waits in `accept()`
+/// gives a busy one to come back before it starts a replacement. A client
+/// that closes and at once reconnects has its new connection accepted
+/// before the end of its last one is read about one time in five; the
+/// handler reading that end is runnable and back within microseconds.
+const REPLACEMENT_GRACE: Duration = Duration::from_millis(1);
+
 /// Everything connections and workers share. Lock discipline: `state` is
 /// held for table operations only — cache lookups, the in-flight table,
 /// the scheduler, counters, the answer memo — plus, once per simulated
@@ -190,12 +215,22 @@ struct Inner {
     work: Condvar,
     shutdown: AtomicBool,
     paused: AtomicBool,
+    handlers: Mutex<Handlers>,
+    /// Signalled when a handler goes back to an empty `accept()`, and when
+    /// one leaves it for good during shutdown.
+    handlers_moved: Condvar,
+    /// Connections accepted so far: a request naming no tenant is queued
+    /// under `conn-N`, N its connection's number.
+    conn_ids: AtomicU64,
     /// Times a worker looked at the queue: what a wake-up costs.
     #[cfg(test)]
     polls: AtomicU64,
     /// Sweep requests answered from the answer memo.
     #[cfg(test)]
     memo_answers: AtomicU64,
+    /// Handler threads started, the first one included.
+    #[cfg(test)]
+    spawns: AtomicU64,
 }
 
 impl Inner {
@@ -211,19 +246,23 @@ impl Inner {
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(paused),
+            handlers: Mutex::new(Handlers::default()),
+            handlers_moved: Condvar::new(),
+            conn_ids: AtomicU64::new(0),
             #[cfg(test)]
             polls: AtomicU64::new(0),
             #[cfg(test)]
             memo_answers: AtomicU64::new(0),
+            #[cfg(test)]
+            spawns: AtomicU64::new(0),
         }
     }
 }
 
-/// A running server: join handles plus the shared state.
+/// A running server: the workers' join handles plus the shared state.
 pub struct ServerHandle {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    listener: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -240,7 +279,7 @@ fn snapshot(st: &State) -> StatsSnapshot {
 }
 
 /// Starts the service: binds, replays the journal, spawns the worker
-/// pool and the accept loop.
+/// pool and the first connection handler.
 ///
 /// # Errors
 ///
@@ -261,23 +300,92 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         })
         .collect();
 
-    let accept_inner = Arc::clone(&inner);
-    let listener_thread = std::thread::spawn(move || {
-        let conn_ids = AtomicU64::new(0);
-        for stream in listener.incoming() {
-            if accept_inner.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let inner = Arc::clone(&accept_inner);
-            let id = conn_ids.fetch_add(1, Ordering::Relaxed);
-            std::thread::spawn(move || {
-                let _ = serve_stream(&inner, stream, id);
-            });
-        }
-    });
+    let listener = Arc::new(listener);
+    *inner.handlers.lock().expect("handler lock poisoned") =
+        Handlers { listener: Some(Arc::clone(&listener)), waiting: 1, busy: 0 };
+    spawn_handler(&inner, listener)?;
 
-    Ok(ServerHandle { inner, addr, listener: listener_thread, workers })
+    Ok(ServerHandle { inner, addr, workers })
+}
+
+/// Starts a handler that waits in `accept()` on `listener`; the caller
+/// has already counted it in `waiting`.
+fn spawn_handler(inner: &Arc<Inner>, listener: Arc<TcpListener>) -> std::io::Result<()> {
+    #[cfg(test)]
+    inner.spawns.fetch_add(1, Ordering::Relaxed);
+    let handler = Arc::clone(inner);
+    std::thread::Builder::new().spawn(move || handler_loop(&handler, listener)).map(drop)
+}
+
+/// A connection handler: accepts on the shared listener, serves what it
+/// accepted on this thread, and goes back to `accept()` — no thread is
+/// started or handed a stream on a connection's path. One that accepts
+/// while no other handler waits starts a replacement first (after
+/// [`REPLACEMENT_GRACE`], if one is busy), so a peer that never finishes
+/// its line cannot keep the next one from being accepted; one that
+/// finishes while [`IDLE_HANDLERS`] wait exits.
+fn handler_loop(inner: &Arc<Inner>, mut listener: Arc<TcpListener>) {
+    let lock = || inner.handlers.lock().expect("handler lock poisoned");
+    loop {
+        let accepted = listener.accept();
+        drop(listener);
+        let (stream, replacement) = {
+            let mut pool = lock();
+            pool.waiting -= 1;
+            if accepted.is_ok() && pool.waiting == 0 && pool.busy > 0 {
+                let back = |p: &mut Handlers| p.waiting == 0 && p.listener.is_some();
+                pool = inner
+                    .handlers_moved
+                    .wait_timeout_while(pool, REPLACEMENT_GRACE, back)
+                    .expect("handler lock poisoned")
+                    .0;
+            }
+            let Some(shared) = pool.listener.clone() else {
+                // Shutting down: whatever was accepted is dropped unserved.
+                drop(pool);
+                inner.handlers_moved.notify_all();
+                return;
+            };
+            match accepted {
+                Ok((stream, _)) => {
+                    pool.busy += 1;
+                    let replace = pool.waiting == 0;
+                    pool.waiting += usize::from(replace);
+                    (stream, replace.then_some(shared))
+                }
+                Err(_) => {
+                    pool.waiting += 1;
+                    listener = shared;
+                    continue;
+                }
+            }
+        };
+        if let Some(shared) = replacement {
+            if spawn_handler(inner, shared).is_err() {
+                // No replacement: this handler goes back once it is done.
+                lock().waiting -= 1;
+                inner.handlers_moved.notify_all();
+            }
+        }
+        // A connection that panics costs its peer the connection, never
+        // the handler, as a panicking cell never costs a worker.
+        let conn_id = inner.conn_ids.fetch_add(1, Ordering::Relaxed);
+        let served = || serve_stream(inner, stream, conn_id);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(served));
+        let mut pool = lock();
+        pool.busy -= 1;
+        match pool.listener.clone() {
+            Some(shared) if pool.waiting < IDLE_HANDLERS => {
+                pool.waiting += 1;
+                if pool.waiting == 1 {
+                    // A handler may be spending its grace on this return.
+                    inner.handlers_moved.notify_all();
+                }
+                listener = shared;
+            }
+            _ => return,
+        }
+    }
 }
 
 impl ServerHandle {
@@ -298,9 +406,14 @@ impl ServerHandle {
     }
 
     /// Stops the server: queued-but-unstarted cells are dropped, waiters
-    /// are aborted, in-progress simulations finish and are journaled,
-    /// every thread is joined. The cache directory remains valid for the
-    /// next `start` — this is the "kill the server" half of crash-resume.
+    /// are aborted, in-progress simulations finish and are journaled, and
+    /// every worker is joined. It returns once no handler waits in
+    /// `accept()` and the listening socket is closed, so the address can
+    /// be bound again at once. A handler still serving a connection is not
+    /// waited for: the connection keeps being answered (a sweep with
+    /// "server is shutting down") until its peer closes, and then the
+    /// handler exits. The cache directory remains valid for the next
+    /// `start` — this is the "kill the server" half of crash-resume.
     pub fn shutdown(self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         {
@@ -311,9 +424,27 @@ impl ServerHandle {
             st.inflight.clear();
         }
         self.inner.work.notify_all();
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.listener.join();
+        // Take the listener from the pool, then wake each handler still in
+        // `accept()` with a connection of its own: it drops its clone of
+        // the socket and exits. A timed-out wait connects again.
+        let lock = || self.inner.handlers.lock().expect("handler lock poisoned");
+        let mut pool = lock();
+        pool.listener = None;
+        while pool.waiting > 0 {
+            let waiting = pool.waiting;
+            drop(pool);
+            for _ in 0..waiting {
+                let _ = TcpStream::connect(self.addr);
+            }
+            let wait = Duration::from_millis(100);
+            pool = self
+                .inner
+                .handlers_moved
+                .wait_timeout_while(lock(), wait, |p| p.waiting > 0)
+                .expect("handler lock poisoned")
+                .0;
+        }
+        drop(pool);
         for w in self.workers {
             let _ = w.join();
         }
@@ -407,8 +538,7 @@ fn serve_stream(inner: &Inner, stream: TcpStream, conn_id: u64) -> std::io::Resu
     // A streamed cell is one small write; Nagle would hold it behind the
     // client's delayed ACK of the one before.
     stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    handle_conn(inner, reader, stream, conn_id)
+    handle_conn(inner, BufReader::new(&stream), &stream, conn_id)
 }
 
 /// Serves one connection, request line by request line, until the peer
@@ -598,7 +728,6 @@ fn handle_sweep(
 mod tests {
     use super::*;
     use std::sync::mpsc::{channel, Receiver};
-    use std::time::Duration;
     use tenoc_core::{Preset, RunMetrics};
     use tenoc_harness::{annotate, cell_key, cell_system_config, tiny_grid, CellResult};
 
@@ -1009,6 +1138,147 @@ mod tests {
         panic!("timed out waiting for {what}");
     }
 
+    fn spawns(inner: &Inner) -> u64 {
+        inner.spawns.load(Ordering::SeqCst)
+    }
+
+    /// Handlers in `accept()` and handlers serving a connection.
+    fn handlers(inner: &Inner) -> (usize, usize) {
+        let pool = inner.handlers.lock().unwrap();
+        (pool.waiting, pool.busy)
+    }
+
+    /// `stats` on a fresh connection, then a wait until the server has
+    /// read its end: the next connection finds its handler back.
+    fn stats_in_turn(inner: &Inner, addr: SocketAddr) {
+        crate::client::fetch_stats(addr).unwrap();
+        wait_for(|| handlers(inner).1 == 0, "the handler to see the connection end");
+    }
+
+    /// A server on an ephemeral port over `dir`, one worker.
+    fn serving(dir: &std::path::Path, paused: bool) -> ServerHandle {
+        let config = ServerConfig {
+            workers: 1,
+            start_paused: paused,
+            ..ServerConfig::new("127.0.0.1:0", dir)
+        };
+        start(config).unwrap()
+    }
+
+    /// A connection that sent half a request line and went silent.
+    fn stall(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"{\"op\":").unwrap();
+        stream
+    }
+
+    /// `stats` on a fresh connection, answered within `within`.
+    fn stats_within(addr: SocketAddr, within: Duration) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(within)).unwrap();
+        write_line(&mut stream, r#"{"op":"stats"}"#).unwrap();
+        let mut line = String::new();
+        BufReader::new(&stream).read_line(&mut line).expect("a stats reply within the deadline");
+        line
+    }
+
+    #[test]
+    fn sequential_connections_are_served_by_a_fixed_number_of_handler_threads() {
+        let dir = tmp_dir("reuse");
+        let handle = serving(&dir, false);
+        for _ in 0..50 {
+            stats_in_turn(&handle.inner, handle.addr());
+        }
+        // The first handler, and the one it started when it accepted
+        // with nobody else waiting; after that both take turns.
+        assert_eq!(spawns(&handle.inner), 2);
+        assert_eq!(handlers(&handle.inner), (IDLE_HANDLERS, 0));
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stalled_peers_neither_wedge_the_server_nor_stay_behind_as_idle_handlers() {
+        let dir = tmp_dir("stall");
+        let handle = serving(&dir, false);
+        let (addr, inner) = (handle.addr(), Arc::clone(&handle.inner));
+        let stalled: Vec<TcpStream> = (0..8).map(|_| stall(addr)).collect();
+        let stats = stats_within(addr, Duration::from_secs(10));
+        assert!(stats.starts_with("{\"event\":\"stats\""), "{stats}");
+        wait_for(|| handlers(&inner).1 == 8, "the stats connection's handler to come back");
+
+        drop(stalled);
+        wait_for(|| handlers(&inner).1 == 0, "the stalled connections' handlers to come back");
+        let (waiting, _) = handlers(&inner);
+        assert!(waiting <= IDLE_HANDLERS, "{waiting} idle handlers stayed behind");
+        let before = spawns(&inner);
+        for _ in 0..20 {
+            stats_in_turn(&inner, addr);
+        }
+        assert_eq!(spawns(&inner), before, "sequential requests started a thread");
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_returns_past_a_stalled_connection_and_frees_the_port() {
+        let dir = tmp_dir("shutdown-stall");
+        let handle = serving(&dir, false);
+        let (addr, inner) = (handle.addr(), Arc::clone(&handle.inner));
+        let stalled = stall(addr);
+        wait_for(|| handlers(&inner) == (1, 1), "the stalled connection to be accepted");
+
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            handle.shutdown();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(10)).expect("shutdown returned within 10 s");
+        assert_eq!(handlers(&inner), (0, 1));
+        drop(TcpListener::bind(addr).expect("the address can be bound again at once"));
+        drop(stalled);
+        wait_for(|| handlers(&inner) == (0, 0), "the stalled connection's handler to exit");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tenantless_sweeps_on_a_reused_handler_thread_get_distinct_tenants() {
+        let dir = tmp_dir("conn-ids");
+        let handle = serving(&dir, true);
+        let inner = Arc::clone(&handle.inner);
+        let mut tenants = Vec::new();
+        for seed in 1..=3 {
+            let request = SweepRequest {
+                tenant: String::new(),
+                presets: vec!["baseline".into()],
+                benchmarks: vec!["HIS".into()],
+                seed,
+                ..SweepRequest::default()
+            };
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            write_line(&mut stream, &request.to_line()).unwrap();
+            let mut reader = BufReader::new(&stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("{\"event\":\"planned\""), "{line}");
+            // The pool is paused: the cell waits in its tenant's queue.
+            let (tenant, job) = inner.state.lock().unwrap().sched.pop().unwrap();
+            tenants.push(tenant);
+            finish(&inner, &job.key, Ok(made_up()));
+            while !line.starts_with("{\"event\":\"done\"") {
+                line.clear();
+                assert!(reader.read_line(&mut line).unwrap() > 0, "the stream ends in done");
+            }
+            drop(stream);
+            wait_for(|| handlers(&inner).1 == 0, "the handler to go back to accept()");
+        }
+        // Three connections on two threads: one thread served two of them.
+        assert_eq!(spawns(&inner), 2);
+        assert_eq!(tenants, ["conn-0", "conn-1", "conn-2"]);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_fully_cached_request_wakes_no_worker() {
         let dir = tmp_dir("wake");
@@ -1040,12 +1310,7 @@ mod tests {
     #[test]
     fn a_panicking_cell_costs_its_waiter_one_error_line_and_nothing_else() {
         let dir = tmp_dir("panic");
-        let config = ServerConfig {
-            workers: 1,
-            start_paused: true,
-            ..ServerConfig::new("127.0.0.1:0", &dir)
-        };
-        let handle = start(config).unwrap();
+        let handle = serving(&dir, true);
         let good = tiny_grid().cell(0);
         // `SweepRequest::grid` refuses an unknown benchmark, so the job
         // that panics (`run_config_cell`) is staged by hand, first in line.
