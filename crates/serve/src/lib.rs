@@ -10,7 +10,7 @@
 //! - [`DiskCache`]: a persistent result cache whose append-only journal
 //!   doubles as the crash-resume log (both live in `tenoc-harness`, below
 //!   every crate that memoizes, and are re-exported here);
-//! - [`DeadlineRr`]: deadline-round-robin fair queuing across tenants;
+//! - [`DeadlineRr`]: fair queuing, round-robin over the tenants with work;
 //! - [`server`]/[`client`]: the TCP service and its blocking client,
 //!   with an in-flight dedup table so concurrent requests for the same
 //!   cell trigger exactly one simulation.

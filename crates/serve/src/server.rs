@@ -9,8 +9,9 @@
 //! 2. **in-flight dedup** — the same cell is simulating right now for
 //!    another request; this request registers as a waiter and the one
 //!    simulation fans out to all of them;
-//! 3. **scheduled** — the cell enters the requesting tenant's
-//!    deadline-RR queue and is simulated once by the worker pool.
+//! 3. **scheduled** — the cell enters the requesting tenant's queue,
+//!    served round-robin over the tenants with work, and is simulated
+//!    once by the worker pool.
 //!
 //! All three paths produce byte-identical record lines (the cache-hook
 //! equivalence tested in `tenoc-harness`), so the service is provably

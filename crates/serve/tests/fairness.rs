@@ -3,11 +3,12 @@
 //! tail. The assertion counts *services*, never wall-clock time, so the
 //! test is deterministic on any machine.
 //!
-//! Setup forces the worst case for FIFO: one worker, pool paused until both tenants are fully queued (large tenant first).
-//! Deadline-RR then interleaves them one cell at a time, so the small
-//! tenant's done event must arrive after at most `2 x small + slack`
-//! services — observed here as "few large-tenant records had been
-//! delivered when the small tenant finished".
+//! Setup forces the worst case for FIFO: one worker, pool paused until
+//! both tenants are fully queued (large tenant first). Round-robin over
+//! the tenants with work then interleaves them one cell at a time, so
+//! the small tenant's done event must arrive after at most
+//! `2 x small + slack` services — observed here as "few large-tenant
+//! records had been delivered when the small tenant finished".
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -104,10 +105,10 @@ fn small_tenant_is_not_starved_by_a_large_grid() {
     assert_eq!(small_outcome.simulated, small_cells);
     assert_eq!(large_total as u64, large_cells, "large stream complete");
 
-    // Deadline-RR guarantee: the small tenant interleaves one-for-one, so
-    // at most `small_cells` large cells (plus scheduling slack for the
-    // tie-break round and TCP skew) precede its completion. FIFO would
-    // make this 8.
+    // Round-robin guarantee: the small tenant interleaves one-for-one, so
+    // at most `small_cells` large cells (plus slack for the large tenant
+    // being first in the ring, and TCP skew) precede its completion.
+    // FIFO would make this 8.
     let slack = 2;
     assert!(
         (large_at_small_done as u64) <= small_cells + slack,

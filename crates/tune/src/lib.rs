@@ -17,8 +17,10 @@
 //!   recorded in the report. Candidates that route alike share one
 //!   route table, so the grid's routes are walked once per shape.
 //! - **Stage 1 — static rank (cheap):** survivors are ranked by the
-//!   audit's static throughput-effectiveness score (many-to-few
-//!   saturation bound per mm²) and the best are promoted.
+//!   audit's static throughput-effectiveness score (the many-to-few
+//!   `accepted_bound` per mm², in ejected flits of each candidate's own
+//!   width, so candidates of different flit widths do not compare
+//!   alike) and the best are promoted.
 //! - **Stage 2 — open-loop probes (medium):** promoted candidates are
 //!   probed at a few injection rates around their static bound, each
 //!   probe run to the end of its measurement window on the candidate's
