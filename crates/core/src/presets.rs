@@ -12,9 +12,8 @@ use tenoc_noc::{NetworkConfig, RoutingKind, VcLayout};
 /// radix outside `2..=MAX_MESH_K` before resolving any fabric. It keeps
 /// every preset's core count (at most two cores per router, on the
 /// concentrated mesh) inside the 15 tag bits a packet carries its core
-/// index in, and bounds the process-wide fabric table in
-/// `tenoc-harness` to `Preset::NAMED` × this range. The paper's mesh is
-/// 6 × 6; the tests and the scaling ablation use 4, 6 and 8.
+/// index in. The paper's mesh is 6 × 6; the tests and the scaling
+/// ablation use 4, 6 and 8.
 pub const MAX_MESH_K: usize = 16;
 
 /// The design points of the paper's evaluation (Section V; abbreviations

@@ -16,21 +16,12 @@
 //! open-loop probe ([`probe_key`]) and a cell's heatmaps
 //! ([`heatmap_key`]) are addressed the same way, each under its own
 //! domain tag.
-//!
-//! Cell addresses are not rendered from the value tree: nearly all of a
-//! cell's canonical text is its interconnect, which every cell of one
-//! fabric shares, so [`FabricText`] canonicalizes that once — once per
-//! process for a named preset, in the fabric table — and the six sorted
-//! fields are written around it as text. [`cell_value`] under
-//! [`canonical_json`] stays the definition — every address is checked
-//! against it in debug builds.
 
-use crate::fabric::fabric;
 use crate::grid::{ConfigCell, SweepCell};
 use crate::record::fnv1a64;
 use serde::json::Value;
 use serde::Serialize;
-use tenoc_core::{IcntConfig, SystemConfig};
+use tenoc_core::IcntConfig;
 use tenoc_noc::openloop::{OpenLoopConfig, TrafficPattern};
 
 /// Recursively sorts every object's keys, making the tree independent of
@@ -56,14 +47,10 @@ pub fn canonical_json(v: &Value) -> String {
     canonicalize(v).to_json_compact()
 }
 
-/// Lower-case-hex FNV-1a of a canonical text: the address it names.
-fn address(canonical: &str) -> String {
-    format!("{:016x}", fnv1a64(canonical.as_bytes()))
-}
-
-/// Lower-case-hex FNV-1a of a value's canonical JSON.
+/// Lower-case-hex FNV-1a of a value's canonical JSON: the address it
+/// names.
 pub fn hash_value(v: &Value) -> String {
-    address(&canonical_json(v))
+    format!("{:016x}", fnv1a64(canonical_json(v).as_bytes()))
 }
 
 /// The canonical identity of a cell as a value tree: the resolved
@@ -93,56 +80,9 @@ pub fn config_cell_value(cell: &ConfigCell) -> Value {
     ])
 }
 
-/// What a cell's address takes from its fabric alone: the canonical JSON
-/// of the resolved interconnect (a value tree, a recursive key sort and a
-/// kilobyte of text — the expensive part of an address) and the two
-/// scalars [`SystemConfig::with_icnt`] derives beside it. A named preset's
-/// is built once per process, in the fabric table
-/// ([`fabric`](crate::fabric::fabric)).
-#[derive(Clone)]
-pub(crate) struct FabricText {
-    icnt: String,
-    chunk: u64,
-    cores_per_node: usize,
-}
-
-impl FabricText {
-    pub(crate) fn of(cfg: &SystemConfig) -> Self {
-        FabricText {
-            icnt: canonical_json(&cfg.icnt.to_value()),
-            chunk: cfg.chunk,
-            cores_per_node: cfg.cores_per_node,
-        }
-    }
-
-    /// The canonical JSON of a cell on this fabric: the fields of
-    /// [`config_cell_value`] in sorted order, each scalar written by its
-    /// `Serialize::write_json` — the text [`Value`] renders it to.
-    fn cell_text(&self, benchmark: &str, scale: f64, seed: u64) -> String {
-        let mut text = String::with_capacity(self.icnt.len() + 128);
-        text.push_str("{\"benchmark\":");
-        benchmark.write_json(&mut text);
-        text.push_str(",\"chunk\":");
-        self.chunk.write_json(&mut text);
-        text.push_str(",\"cores_per_node\":");
-        self.cores_per_node.write_json(&mut text);
-        text.push_str(",\"icnt\":");
-        text.push_str(&self.icnt);
-        text.push_str(",\"scale\":");
-        scale.write_json(&mut text);
-        text.push_str(",\"seed\":");
-        seed.write_json(&mut text);
-        text.push('}');
-        text
-    }
-}
-
 /// The content address of a cell: 16 lower-case hex digits.
 pub fn config_cell_key(cell: &ConfigCell) -> String {
-    let text =
-        FabricText::of(&cell.system_config()).cell_text(&cell.benchmark, cell.scale, cell.seed);
-    debug_assert_eq!(text, canonical_json(&config_cell_value(cell)));
-    address(&text)
+    hash_value(&config_cell_value(cell))
 }
 
 /// [`config_cell_value`] of a preset cell's resolved configuration.
@@ -156,14 +96,9 @@ pub fn cell_keys(cells: &[SweepCell]) -> Vec<String> {
 }
 
 /// The content address of one preset cell: [`config_cell_key`] of its
-/// resolved configuration, with the fabric's text taken from the
-/// process-wide fabric table — a grid is a few fabrics under many
-/// workloads, and a named fabric is canonicalized once per process.
+/// resolved configuration.
 pub fn cell_key(cell: &SweepCell) -> String {
-    let fabric = fabric(cell.preset, cell.mesh_k);
-    let text = fabric.text.cell_text(&cell.benchmark, cell.scale, cell.seed);
-    debug_assert_eq!(text, canonical_json(&cell_value(cell)));
-    address(&text)
+    config_cell_key(&cell.config())
 }
 
 /// The canonical identity of one open-loop probe question: the

@@ -2,13 +2,12 @@
 //! results into sealed [`RunRecord`]s.
 
 use crate::cache::CachedCell;
-use crate::fabric::fabric;
 use crate::grid::{ConfigCell, SweepCell, SweepGrid};
 use crate::pool::run_indexed;
 use crate::record::RunRecord;
 use tenoc_core::area::throughput_effectiveness;
 use tenoc_core::experiments::run_with_system_config;
-use tenoc_core::{RunMetrics, SystemConfig};
+use tenoc_core::{AreaModel, RunMetrics, SystemConfig};
 use tenoc_simt::TrafficClass;
 
 /// One cell's raw result, before area annotation.
@@ -98,10 +97,10 @@ pub fn run_sweep_jsonl(grid: &SweepGrid, jobs: usize) -> (Vec<RunRecord>, String
     (records, text)
 }
 
-/// A cell's record, annotated with the design point's area (from the
-/// fabric table) and sealed, beside its JSON line.
+/// A cell's record, annotated with the design point's area and sealed,
+/// beside its JSON line.
 fn sealed(cell: &SweepCell, class: TrafficClass, metrics: &RunMetrics) -> (RunRecord, String) {
-    let area = fabric(cell.preset, cell.mesh_k).area;
+    let area = AreaModel::chip_area(&cell.preset.icnt(cell.mesh_k));
     let mut record = RunRecord {
         cell: cell.index as u64,
         preset: cell.preset.label(),
@@ -174,6 +173,20 @@ mod tests {
         let cached =
             cached_line(&cell, &CachedCell { class: result.class, metrics: result.metrics });
         assert_eq!(cached + "\n", crate::record::to_jsonl(std::slice::from_ref(&direct)));
+    }
+
+    #[test]
+    fn every_named_preset_is_priced_at_its_fabrics_area() {
+        let golden = crate::from_jsonl(include_str!("../../../tests/golden/tiny.jsonl")).unwrap();
+        let (class, metrics) = (TrafficClass::HH, golden[0].metrics);
+        for (index, preset) in Preset::NAMED.into_iter().enumerate() {
+            let benchmark = "RD".to_string();
+            let cell = SweepCell { index, preset, benchmark, scale: 0.05, seed: 7, mesh_k: 6 };
+            let record = annotate(&CellResult { cell, class, metrics, wall_nanos: 0 });
+            let area = AreaModel::chip_area(&preset.icnt(6));
+            let priced = (record.noc_area_mm2, record.chip_area_mm2);
+            assert_eq!(priced, (area.noc(), area.total()), "{}", preset.label());
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@
 mod cache;
 pub mod canon;
 pub mod engine;
-mod fabric;
 pub mod figures;
 pub mod golden;
 mod grid;

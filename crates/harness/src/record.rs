@@ -60,18 +60,8 @@ impl RunRecord {
     pub fn compute_fingerprint(&self) -> String {
         let mut blank = self.clone();
         blank.fingerprint = String::new();
-        let mut canonical = String::new();
-        blank.write_line(&mut canonical);
+        let canonical = blank.to_value().to_json_compact();
         format!("{:016x}", fnv1a64(canonical.as_bytes()))
-    }
-
-    /// Appends the record's JSON line (no newline): the derived direct
-    /// writer, which debug builds check against the value tree — `to_value`
-    /// is the definition, and every record site writes through here.
-    fn write_line(&self, out: &mut String) {
-        let start = out.len();
-        self.write_json(out);
-        debug_assert_eq!(out[start..], self.to_value().to_json_compact());
     }
 
     /// Computes and stores the fingerprint, and returns the record's JSON
@@ -82,8 +72,7 @@ impl RunRecord {
     pub(crate) fn seal(&mut self) -> String {
         const BLANK_TAIL: &str = "\"fingerprint\":\"\"}";
         self.fingerprint.clear();
-        let mut line = String::with_capacity(768);
-        self.write_line(&mut line);
+        let mut line = self.to_value().to_json_compact();
         assert!(line.ends_with(BLANK_TAIL), "fingerprint is the record's last field: {line}");
         self.fingerprint = format!("{:016x}", fnv1a64(line.as_bytes()));
         line.insert_str(line.len() - 2, &self.fingerprint);
@@ -106,7 +95,7 @@ impl RunRecord {
 pub fn to_jsonl(records: &[RunRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        r.write_line(&mut out);
+        out.push_str(&r.to_value().to_json_compact());
         out.push('\n');
     }
     out

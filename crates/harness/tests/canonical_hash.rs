@@ -144,49 +144,3 @@ proptest! {
         }
     }
 }
-
-/// The text builder behind `cell_keys` / `config_cell_key` and the value
-/// tree under `canonical_json` spell the same address, over everything a
-/// request can name: every named preset at three radices, benchmark names
-/// that need escaping, scales that print in exponent and plain form, and
-/// the seed extremes. (Debug builds also check this inside every call;
-/// this test is what checks it in `--release`.)
-#[test]
-fn batched_addresses_equal_the_hashed_value_tree() {
-    use tenoc_harness::{cell_keys, config_cell_key, config_cell_value, ConfigCell};
-
-    // Fabrics innermost, so the per-request memo is hit out of order.
-    let mut cells = Vec::new();
-    for benchmark in ["HIS", "a\"quote\\and\\\\slash", "tab\tand\u{1}control é"] {
-        for scale in [1e-3, 0.05, 1.0] {
-            for seed in [0, 1, u64::MAX] {
-                for preset in Preset::NAMED.into_iter().chain([Preset::BwLimited(0.5)]) {
-                    for mesh_k in [4usize, 6, 8] {
-                        let benchmark = benchmark.to_string();
-                        cells.push(SweepCell { index: 0, preset, benchmark, scale, seed, mesh_k });
-                    }
-                }
-            }
-        }
-    }
-    let keys = cell_keys(&cells);
-    assert_eq!(keys.len(), cells.len());
-    for (cell, key) in cells.iter().zip(&keys) {
-        assert_eq!(*key, hash_value(&cell_value(cell)), "{cell:?}");
-        assert_eq!(*key, cell_key(cell));
-        assert_eq!(*key, config_cell_key(&cell.config()));
-    }
-
-    // A tuner-style candidate: a fabric no preset names.
-    let mut net = tenoc_noc::NetworkConfig::checkerboard_mesh(6);
-    net.mc_inject_ports = 3;
-    net.channel_bytes = 12;
-    let cell = ConfigCell {
-        icnt: tenoc_core::IcntConfig::Double(net),
-        benchmark: "RD".into(),
-        scale: 0.03,
-        seed: 0x7e0c,
-    };
-    assert_eq!(config_cell_key(&cell), hash_value(&config_cell_value(&cell)));
-    assert!(!keys.contains(&config_cell_key(&cell)));
-}

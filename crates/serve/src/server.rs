@@ -600,10 +600,10 @@ fn send(writer: &mut impl Write, burst: &mut String) -> std::io::Result<()> {
 }
 
 /// Serves one sweep request: a repeated all-hit request straight from
-/// the answer memo; any other through plan → address (once per fabric) →
-/// look up under the lock → render → burst. Every line that is ready
-/// leaves in one `write`; a line that is not is never waited for with
-/// others buffered behind it.
+/// the answer memo; any other through plan → address → look up under
+/// the lock → render → burst. Every line that is ready leaves in one
+/// `write`; a line that is not is never waited for with others buffered
+/// behind it.
 fn handle_sweep(
     inner: &Inner,
     writer: &mut impl Write,

@@ -5,47 +5,23 @@
 //!
 //! Run with: `cargo run --release --example link_heatmap`
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use tenoc::noc::openloop::TrafficPattern;
-use tenoc::noc::{ArenaNetwork, Interconnect, Mesh, NetworkConfig, Packet, Placement, Tick};
+use tenoc::noc::openloop::{OpenLoopConfig, OpenLoopProbe, TrafficPattern};
+use tenoc::noc::{ArenaNetwork, Interconnect, Mesh, NetworkConfig, Placement};
 
-/// Drives request/reply traffic for `cycles` and returns the network.
-fn drive(cfg: &NetworkConfig, rate: f64, cycles: u64) -> ArenaNetwork {
-    let mcs = cfg.net_mcs();
-    let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-    let mut net = ArenaNetwork::new(cfg.clone());
-    let mut rng = SmallRng::seed_from_u64(5);
-    let mut backlog: Vec<Packet> = Vec::new();
-    for now in 0..cycles {
-        let _ = now;
-        for &c in &cores {
-            if rng.gen_bool(rate) {
-                let mc = mcs[rng.gen_range(0..mcs.len())];
-                backlog.push(Packet::request(c, mc, 8, 0));
-            }
-        }
-        backlog.retain(|&p| net.try_inject(p.header.src, p).is_err());
-        net.tick();
-        for &mc in &mcs {
-            while let Some(req) = net.pop(mc) {
-                backlog.push(Packet::reply(mc, req.header.src, 64, 0));
-            }
-        }
-        for &c in &cores {
-            while net.pop(c).is_some() {}
-        }
+/// Offers uniform request/reply traffic for `cycles` (no warm-up or
+/// drain window) and returns the finished probe, which holds the network.
+fn drive(cfg: &NetworkConfig, rate: f64, cycles: u64) -> OpenLoopProbe<ArenaNetwork> {
+    let probe_cfg = OpenLoopConfig {
+        warmup: 0,
+        measure: cycles,
+        drain: 0,
+        ..OpenLoopConfig::new(cfg.clone(), rate, TrafficPattern::UniformRandom)
+    };
+    let mut probe = OpenLoopProbe::new(probe_cfg, ArenaNetwork::new(cfg.clone()));
+    while !probe.done() {
+        probe.tick();
     }
-    net
-}
-
-trait McList {
-    fn net_mcs(&self) -> Vec<usize>;
-}
-impl McList for NetworkConfig {
-    fn net_mcs(&self) -> Vec<usize> {
-        self.mc_nodes.clone()
-    }
+    probe
 }
 
 fn heatmap(title: &str, cfg: &NetworkConfig, net: &dyn Interconnect) {
@@ -90,12 +66,11 @@ fn heatmap(title: &str, cfg: &NetworkConfig, net: &dyn Interconnect) {
 }
 
 fn main() {
-    let _ = TrafficPattern::UniformRandom; // (see crate::openloop for sweeps)
     let rate = 0.05;
     let cycles = 30_000;
 
     let tb = NetworkConfig::baseline_mesh(6);
-    heatmap("top-bottom MC placement (paper Figure 3)", &tb, &drive(&tb, rate, cycles));
+    heatmap("top-bottom MC placement (paper Figure 3)", &tb, drive(&tb, rate, cycles).network());
 
     let cp = {
         let base = NetworkConfig::baseline_mesh(6);
@@ -104,5 +79,5 @@ fn main() {
         NetworkConfig { mesh, mc_nodes, ..base }
     };
     let title = "staggered checkerboard MC placement (paper Figure 12)";
-    heatmap(title, &cp, &drive(&cp, rate, cycles));
+    heatmap(title, &cp, drive(&cp, rate, cycles).network());
 }

@@ -115,7 +115,7 @@ impl Value {
     /// Renders compact JSON text.
     pub fn to_json_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None, 0);
         out
     }
 
@@ -124,12 +124,6 @@ impl Value {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
         out
-    }
-
-    /// Appends compact JSON text: [`to_json_compact`](Self::to_json_compact)
-    /// without the fresh `String`.
-    pub(crate) fn write_compact(&self, out: &mut String) {
-        self.write(out, None, 0);
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
@@ -186,21 +180,19 @@ impl Value {
     }
 }
 
-// The scalar writers: the one spelling of each leaf, shared by the value
-// tree above and by `Serialize::write_json`'s direct impls, so the two
-// ways of writing JSON cannot disagree on a leaf.
+// The leaf writers of `Value::write`, appending straight to its output.
 
-pub(crate) fn write_bool(out: &mut String, b: bool) {
+fn write_bool(out: &mut String, b: bool) {
     out.push_str(if b { "true" } else { "false" });
 }
 
 /// An integer, in decimal.
-pub(crate) fn write_display(out: &mut String, x: &impl fmt::Display) {
+fn write_display(out: &mut String, x: &impl fmt::Display) {
     use fmt::Write as _;
     write!(out, "{x}").expect("writing to a String cannot fail");
 }
 
-pub(crate) fn write_f64(out: &mut String, x: f64) {
+fn write_f64(out: &mut String, x: f64) {
     use fmt::Write as _;
     if x.is_finite() {
         // `{:?}` prints the shortest representation that round-trips, and
@@ -216,7 +208,7 @@ pub(crate) fn write_f64(out: &mut String, x: f64) {
 /// A quoted, escaped string. Every byte that needs an escape is ASCII, so
 /// the runs between them are copied whole and always end on a character
 /// boundary.
-pub(crate) fn write_str(out: &mut String, s: &str) {
+fn write_str(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
     let mut run = 0;

@@ -13,15 +13,9 @@
 //! data model is JSON-only; there is no `Serializer`/`Deserializer`
 //! trait pair.
 //!
-//! JSON text is written two ways from one definition.
-//! [`Serialize::to_value`] builds the tree, and the tree's
-//! [`to_json_compact`](json::Value::to_json_compact) is what a value's
-//! compact text *is*. [`Serialize::write_json`] appends that same text
-//! without building the tree: its default renders `to_value()`, and the
-//! primitives, strings, `Option`, sequences, tuples and every derived
-//! type write directly — the derive emits both bodies from one field
-//! list, and both paths share one writer per leaf, so the two cannot
-//! disagree (`tests/derive.rs` property-checks it on every shape).
+//! JSON text has one writer: [`Serialize::to_value`] builds the tree,
+//! and the tree's [`to_json_compact`](json::Value::to_json_compact) (or
+//! [`to_json_pretty`](json::Value::to_json_pretty)) renders it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,31 +24,10 @@ pub mod json;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Types convertible into a [`json::Value`] tree, and writable as JSON
-/// text directly.
+/// Types convertible into a [`json::Value`] tree.
 pub trait Serialize {
     /// Serializes `self` into a value tree.
     fn to_value(&self) -> json::Value;
-
-    /// Appends `self`'s compact JSON text to `out`: byte for byte
-    /// `to_value().to_json_compact()`, which is what this default does.
-    /// Scalars, strings, `Option`, sequences, tuples and derived types
-    /// override it to write straight to text, with no tree in between.
-    fn write_json(&self, out: &mut String) {
-        self.to_value().write_compact(out);
-    }
-}
-
-/// Writes a JSON array of `items` (the direct form of `Value::Array`).
-fn write_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
-    out.push('[');
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item.write_json(out);
-    }
-    out.push(']');
 }
 
 /// Types reconstructible from a [`json::Value`] tree.
@@ -73,9 +46,6 @@ macro_rules! impl_unsigned {
         impl Serialize for $t {
             fn to_value(&self) -> json::Value {
                 json::Value::U64(*self as u64)
-            }
-            fn write_json(&self, out: &mut String) {
-                json::write_display(out, self);
             }
         }
         impl Deserialize for $t {
@@ -96,9 +66,6 @@ macro_rules! impl_signed {
             fn to_value(&self) -> json::Value {
                 json::Value::I64(*self as i64)
             }
-            fn write_json(&self, out: &mut String) {
-                json::write_display(out, self);
-            }
         }
     )*};
 }
@@ -107,9 +74,6 @@ impl_signed!(i8, i16, i32, i64, isize);
 impl Serialize for f64 {
     fn to_value(&self) -> json::Value {
         json::Value::F64(*self)
-    }
-    fn write_json(&self, out: &mut String) {
-        json::write_f64(out, *self);
     }
 }
 
@@ -123,17 +87,11 @@ impl Serialize for f32 {
     fn to_value(&self) -> json::Value {
         json::Value::F64(*self as f64)
     }
-    fn write_json(&self, out: &mut String) {
-        json::write_f64(out, *self as f64);
-    }
 }
 
 impl Serialize for bool {
     fn to_value(&self) -> json::Value {
         json::Value::Bool(*self)
-    }
-    fn write_json(&self, out: &mut String) {
-        json::write_bool(out, *self);
     }
 }
 
@@ -150,9 +108,6 @@ impl Serialize for String {
     fn to_value(&self) -> json::Value {
         json::Value::String(self.clone())
     }
-    fn write_json(&self, out: &mut String) {
-        json::write_str(out, self);
-    }
 }
 
 impl Deserialize for String {
@@ -165,17 +120,11 @@ impl Serialize for str {
     fn to_value(&self) -> json::Value {
         json::Value::String(self.to_owned())
     }
-    fn write_json(&self, out: &mut String) {
-        json::write_str(out, self);
-    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> json::Value {
         (**self).to_value()
-    }
-    fn write_json(&self, out: &mut String) {
-        (**self).write_json(out);
     }
 }
 
@@ -183,26 +132,17 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> json::Value {
         json::Value::Array(self.iter().map(Serialize::to_value).collect())
     }
-    fn write_json(&self, out: &mut String) {
-        write_seq(out, self);
-    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> json::Value {
         json::Value::Array(self.iter().map(Serialize::to_value).collect())
     }
-    fn write_json(&self, out: &mut String) {
-        write_seq(out, self);
-    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> json::Value {
         json::Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-    fn write_json(&self, out: &mut String) {
-        write_seq(out, self);
     }
 }
 
@@ -213,12 +153,6 @@ impl<T: Serialize> Serialize for Option<T> {
             None => json::Value::Null,
         }
     }
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Some(x) => x.write_json(out),
-            None => out.push_str("null"),
-        }
-    }
 }
 
 /// `Value` serializes as itself, so derived types can embed raw JSON
@@ -227,9 +161,6 @@ impl Serialize for json::Value {
     fn to_value(&self) -> json::Value {
         self.clone()
     }
-    fn write_json(&self, out: &mut String) {
-        self.write_compact(out);
-    }
 }
 
 macro_rules! impl_tuple {
@@ -237,16 +168,6 @@ macro_rules! impl_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> json::Value {
                 json::Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-            fn write_json(&self, out: &mut String) {
-                out.push('[');
-                $(
-                    if $idx > 0 {
-                        out.push(',');
-                    }
-                    self.$idx.write_json(out);
-                )+
-                out.push(']');
             }
         }
     )*};

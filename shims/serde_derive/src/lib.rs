@@ -5,20 +5,18 @@
 //! depending on `syn`/`quote`. It supports exactly the shapes this
 //! workspace uses: `Serialize` on structs with named fields and on
 //! fieldless enums (discriminants allowed), `Deserialize` on structs with
-//! named fields only (the workspace decodes nothing else). `Serialize`
-//! gets both `to_value` and the direct text writer `write_json`,
-//! generated from the same field or variant list. Anything else — tuple
-//! structs, generics, enums with payloads, a decoded enum — fails the
-//! build with an explicit message rather than generating wrong code.
+//! named fields only (the workspace decodes nothing else). Anything
+//! else — tuple structs, generics, enums with payloads, a decoded enum —
+//! fails the build with an explicit message rather than generating wrong
+//! code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives `serde::Serialize`: value-tree construction (`to_value`) and,
-/// from the same field or variant list, the direct text writer
-/// (`write_json`) that spells exactly what the tree renders to.
+/// Derives `serde::Serialize` (value-tree construction, `to_value`) for a
+/// struct with named fields or a fieldless enum.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_shape(input);
@@ -28,55 +26,27 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 .iter()
                 .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}))"))
                 .collect();
-            // `{"f1":` then `,"f2":` …: each key with the separator before
-            // it, as one literal.
-            let writes: Vec<String> = fields
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let open = if i == 0 { "{" } else { "," };
-                    format!(
-                        "out.push_str({lit:?});\n\
-                         ::serde::Serialize::write_json(&self.{f}, out);",
-                        lit = format!("{open}\"{f}\":")
-                    )
-                })
-                .collect();
-            let close = if fields.is_empty() { "out.push_str(\"{}\");" } else { "out.push('}');" };
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::json::Value {{\n\
                          ::serde::json::Value::Object(vec![{pairs}])\n\
                      }}\n\
-                     fn write_json(&self, out: &mut ::std::string::String) {{\n\
-                         {writes}\n\
-                         {close}\n\
-                     }}\n\
                  }}",
                 name = name,
-                pairs = pairs.join(", "),
-                writes = writes.join("\n"),
+                pairs = pairs.join(", ")
             )
         }
         Shape::Enum { name, variants } => {
             let arms: Vec<String> =
                 variants.iter().map(|v| format!("{name}::{v} => \"{v}\"")).collect();
-            let quoted: Vec<String> = variants
-                .iter()
-                .map(|v| format!("{name}::{v} => {lit:?}", lit = format!("\"{v}\"")))
-                .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::json::Value {{\n\
                          ::serde::json::Value::String(match self {{ {arms} }}.to_string())\n\
                      }}\n\
-                     fn write_json(&self, out: &mut ::std::string::String) {{\n\
-                         out.push_str(match self {{ {quoted} }});\n\
-                     }}\n\
                  }}",
                 name = name,
-                arms = arms.join(", "),
-                quoted = quoted.join(", ")
+                arms = arms.join(", ")
             )
         }
     };
