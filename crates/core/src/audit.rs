@@ -12,14 +12,16 @@
 //! result as deterministic JSON suitable for golden-snapshot regression.
 
 use crate::area::AreaModel;
+use crate::pool::run_indexed;
 use crate::presets::Preset;
 use crate::system::IcntConfig;
 use serde::Serialize;
+use std::borrow::Cow;
 use tenoc_noc::{NetworkConfig, VcLayout};
 use tenoc_verify::load::{
     analyze_load_double_with, analyze_load_with, ClassZeroLoad, LoadReport, TrafficMatrix,
 };
-use tenoc_verify::{analyze_double_with, analyze_with, RouteTable, VerifyReport};
+use tenoc_verify::{analyze_double_with, analyze_with, route_key, RouteTable, VerifyReport};
 
 /// Per-matrix static metrics of one audited configuration.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -47,9 +49,9 @@ pub struct MatrixMetrics {
 }
 
 impl MatrixMetrics {
-    fn from_report(r: &LoadReport) -> Self {
+    fn from_report(m: TrafficMatrix, r: &LoadReport) -> Self {
         MatrixMetrics {
-            matrix: r.matrix.clone(),
+            matrix: m.label().to_string(),
             saturation_rate: r.saturation_rate,
             accepted_bound: r.accepted_bound,
             max_load: r.max_load,
@@ -138,27 +140,58 @@ impl AuditReport {
 /// share one [`RouteTable`]. (A double network whose channel cannot be
 /// sliced is rejected before any route is read; it keys on its carried
 /// network.)
-pub fn route_net(icnt: &IcntConfig) -> NetworkConfig {
+pub(crate) fn route_net(icnt: &IcntConfig) -> Cow<'_, NetworkConfig> {
     match icnt {
-        IcntConfig::Double(c) if c.channel_bytes.is_multiple_of(2) => c.slice(),
-        _ => icnt.net().clone(),
+        IcntConfig::Double(c) if c.channel_bytes.is_multiple_of(2) => Cow::Owned(c.slice()),
+        _ => Cow::Borrowed(icnt.net()),
     }
 }
 
-/// Audits one interconnect configuration under a given name: one route
-/// table, shared by the prover and every load analysis.
+/// Audits one interconnect configuration under a given name, against
+/// every traffic matrix: one route table, shared by the prover and every
+/// load analysis.
 pub fn audit_icnt(name: &str, icnt: &IcntConfig) -> AuditEntry {
-    audit_icnt_with(name, icnt, &RouteTable::new(&route_net(icnt)))
+    audit_on(name, icnt, &RouteTable::new(&route_net(icnt)), &TrafficMatrix::ALL)
 }
 
-/// [`audit_icnt`] on a route table built from `route_net(icnt)` (or any
-/// network with its route key), so interconnects that route alike share
-/// one walk of their routes.
-///
-/// # Panics
-///
-/// Panics if `table` routes a different shape than `route_net(icnt)`.
-pub fn audit_icnt_with(name: &str, icnt: &IcntConfig, table: &RouteTable) -> AuditEntry {
+/// The one grouped audit: each `(name, interconnect)` of `subjects`
+/// against `matrices`, grouped by the [`route_key`] of its [`route_net`].
+/// Each group builds one [`RouteTable`] on the pool (`jobs` workers),
+/// audits its members on it and drops it. Returns the entries in
+/// `subjects` order, each [`audit_icnt`]'s restricted to `matrices`
+/// (`te_score` 0 without many-to-few), and the number of tables built.
+pub fn audit_grouped(
+    subjects: &[(&str, &IcntConfig)],
+    matrices: &[TrafficMatrix],
+    jobs: usize,
+) -> (Vec<AuditEntry>, usize) {
+    let nets: Vec<_> = subjects.iter().map(|(_, icnt)| route_net(icnt)).collect();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, net) in nets.iter().enumerate() {
+        match groups.iter_mut().find(|g| route_key(&nets[g[0]]) == route_key(net)) {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let audited = run_indexed(groups.len(), jobs, |g| {
+        let table = RouteTable::new(&nets[groups[g][0]]);
+        let audit = |&i: &usize| audit_on(subjects[i].0, subjects[i].1, &table, matrices);
+        groups[g].iter().map(audit).collect::<Vec<_>>()
+    });
+    let mut entries: Vec<(usize, AuditEntry)> =
+        groups.iter().flatten().copied().zip(audited.into_iter().flatten()).collect();
+    entries.sort_by_key(|&(i, _)| i);
+    (entries.into_iter().map(|(_, entry)| entry).collect(), groups.len())
+}
+
+/// Audits `icnt` against `matrices` on `table`, which must route
+/// `route_net(icnt)`'s shape (the prover panics on another).
+fn audit_on(
+    name: &str,
+    icnt: &IcntConfig,
+    table: &RouteTable,
+    matrices: &[TrafficMatrix],
+) -> AuditEntry {
     let net = icnt.net();
     let ideal = matches!(icnt, IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _));
     let verify: VerifyReport = match icnt {
@@ -168,10 +201,10 @@ pub fn audit_icnt_with(name: &str, icnt: &IcntConfig, table: &RouteTable) -> Aud
     let legal = verify.violations().next().is_none();
     let violations = verify.violations().map(|f| f.to_string()).collect();
 
-    let mut matrices = Vec::new();
+    let mut metrics = Vec::new();
     if legal && !ideal {
-        for m in TrafficMatrix::ALL {
-            matrices.push(match icnt {
+        for &m in matrices {
+            metrics.push(match icnt {
                 IcntConfig::Double(c) => {
                     let d = analyze_load_double_with(c, table, m);
                     // Report the binding slice's resource picture with the
@@ -192,61 +225,56 @@ pub fn audit_icnt_with(name: &str, icnt: &IcntConfig, table: &RouteTable) -> Aud
                             + d.reply.demands_unroutable,
                     }
                 }
-                _ => MatrixMetrics::from_report(&analyze_load_with(net, table, m)),
+                _ => MatrixMetrics::from_report(m, &analyze_load_with(net, table, m)),
             });
         }
     }
 
     let area = AreaModel::chip_area(icnt);
-    let mut entry = AuditEntry {
+    let m2f = metrics.iter().find(|x| x.matrix == TrafficMatrix::ManyToFew.label());
+    AuditEntry {
         name: name.to_string(),
-        subject: verify.subject.clone(),
+        subject: verify.subject,
         legal,
         ideal,
         violations,
-        matrices,
+        te_score: m2f.map_or(0.0, |m| 1000.0 * m.accepted_bound / area.total()),
+        matrices: metrics,
         area_mm2: area.total(),
         noc_area_mm2: area.noc(),
-        te_score: 0.0,
-    };
-    entry.te_score = entry
-        .matrix(TrafficMatrix::ManyToFew)
-        .map(|m| 1000.0 * m.accepted_bound / area.total())
-        .unwrap_or(0.0);
-    entry
+    }
 }
 
-/// Named illegal variants included in the default grid so the audit
-/// demonstrates rejection-with-witness alongside the ranking: a
-/// checkerboard network without phase-split VCs (routing-deadlock cycle),
-/// O1TURN on a checkerboard mesh (illegal turns at half-routers), and a
-/// torus without dateline VCs (ring cycle across the wraparound links).
-pub(crate) fn illegal_variants(k: usize) -> Vec<(String, IcntConfig)> {
+/// The default grid: every named preset, then three named illegal
+/// variants so the audit demonstrates rejection-with-witness alongside
+/// the ranking: a checkerboard network without phase-split VCs
+/// (routing-deadlock cycle), O1TURN on a checkerboard mesh (illegal turns
+/// at half-routers), and a torus without dateline VCs (ring cycle across
+/// the wraparound links).
+fn grid_subjects(k: usize) -> Vec<(String, IcntConfig)> {
     let mut unsplit = NetworkConfig::checkerboard_mesh(k);
     unsplit.vcs = VcLayout::new(2, 2, false);
     let mut o1turn = NetworkConfig::checkerboard_mesh(k);
     o1turn.routing = tenoc_noc::RoutingKind::O1Turn;
     let mut undated = NetworkConfig::baseline_torus(k);
     undated.vcs = VcLayout::new(4, 2, false);
-    vec![
+    let mut grid: Vec<_> = Preset::NAMED.iter().map(|p| (p.label(), p.icnt(k))).collect();
+    grid.extend([
         ("CR-unsplit-VCs".to_string(), IcntConfig::Mesh(unsplit)),
         ("O1TURN-on-CR-mesh".to_string(), IcntConfig::Mesh(o1turn)),
         ("Torus-no-dateline".to_string(), IcntConfig::Mesh(undated)),
-    ]
+    ]);
+    grid
 }
 
-/// Audits the default grid: every named preset plus the
-/// `illegal_variants`, on a `k x k` mesh. Entries are ordered legal
-/// physical (by descending score, ties by name), then ideal, then
-/// illegal.
+/// Audits the default grid (`grid_subjects`) on a `k x k` mesh against
+/// every traffic matrix. Entries are ordered legal physical (by
+/// descending score, ties by name), then ideal, then illegal.
 pub fn audit_grid(k: usize) -> AuditReport {
-    let mut entries = Vec::new();
-    for p in Preset::NAMED {
-        entries.push(audit_icnt(&p.label(), &p.icnt(k)));
-    }
-    for (name, icnt) in illegal_variants(k) {
-        entries.push(audit_icnt(&name, &icnt));
-    }
+    let grid = grid_subjects(k);
+    let subjects: Vec<(&str, &IcntConfig)> =
+        grid.iter().map(|(n, icnt)| (n.as_str(), icnt)).collect();
+    let (mut entries, _) = audit_grouped(&subjects, &TrafficMatrix::ALL, 1);
     entries.sort_by(|a, b| {
         let class = |e: &AuditEntry| match (e.legal, e.ideal) {
             (true, false) => 0u8,
@@ -256,4 +284,31 @@ pub fn audit_grid(k: usize) -> AuditReport {
         class(a).cmp(&class(b)).then(b.te_score.total_cmp(&a.te_score)).then(a.name.cmp(&b.name))
     });
     AuditReport { k: k as u64, entries }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The grouped audit of `audit_grid`'s entries, the illegal variants
+    /// and `Perfect` included, equals a per-entry `audit_icnt` on all three
+    /// matrices, field for field, at three radices; and it walks one table
+    /// per route shape: 9 for the 18 entries.
+    #[test]
+    fn grouped_grid_audit_equals_per_entry_audits() {
+        for k in [4, 6, 8] {
+            let grid = grid_subjects(k);
+            for name in ["Perfect", "CR-unsplit-VCs", "O1TURN-on-CR-mesh", "Torus-no-dateline"] {
+                assert!(grid.iter().any(|(n, _)| n == name), "{name} is in the grid");
+            }
+            let subjects: Vec<(&str, &IcntConfig)> =
+                grid.iter().map(|(n, icnt)| (n.as_str(), icnt)).collect();
+            let (grouped, tables) = audit_grouped(&subjects, &TrafficMatrix::ALL, 2);
+            assert_eq!((grid.len(), tables), (18, 9), "k = {k}: one table per route shape");
+            assert_eq!(grouped.len(), grid.len());
+            for ((name, icnt), entry) in grid.iter().zip(&grouped) {
+                assert_eq!(entry, &audit_icnt(name, icnt), "{name} at k = {k}");
+            }
+        }
+    }
 }

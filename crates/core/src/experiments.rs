@@ -1,9 +1,10 @@
 //! The closed-loop runner: one run of one benchmark on one system
 //! configuration, plain or with telemetry armed. Nothing here runs two
 //! cells: sweeps, the tuner and every section of `tenoc figures` run
-//! theirs on `tenoc-harness`'s pool (`pool::run_indexed`, behind
-//! `run_grid` for a planned grid), and the service on its own worker
-//! threads, all through the one cell body [`run_with_system_config`].
+//! theirs on the worker pool ([`crate::pool::run_indexed`], behind
+//! `tenoc-harness`'s `run_grid` for a planned grid), and the service on
+//! its own worker threads, all through the one cell body
+//! [`run_with_system_config`].
 
 use crate::metrics::RunMetrics;
 use crate::presets::Preset;
@@ -99,8 +100,12 @@ pub fn is_valid_scale(scale: &f64) -> bool {
 }
 
 /// Kernel-length scale factor for harness runs: `TENOC_SCALE=<f>`, where
-/// 1 is full-length kernels; the default is 0.12 (fast, preserves every
-/// qualitative trend).
+/// 1 is full-length kernels. The default, 0.12, exists for speed, and
+/// nothing checks that it keeps the full-scale trends. Rows that move
+/// between 0.12 and 1.0: Fig 19's HM speedup with both ports changes sign
+/// (−0.3 % → +1.0 %), Fig 20's HM speedup goes −2.3 % → −1.1 %, Fig 11's
+/// max-stall kernel changes from MUM to CFD, Table I's in-class count
+/// goes 29 → 30.
 ///
 /// # Errors
 ///

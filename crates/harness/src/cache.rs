@@ -20,13 +20,13 @@
 //! simulator that measured it. [`memoize`] is the one lookup → run-misses
 //! → put path every caller with a batch of addressed work goes through.
 
-use crate::pool::run_indexed;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use tenoc_core::pool::run_indexed;
 use tenoc_core::RunMetrics;
 use tenoc_noc::openloop::OpenLoopResult;
 use tenoc_simt::TrafficClass;

@@ -3,10 +3,10 @@
 
 use crate::cache::CachedCell;
 use crate::grid::{ConfigCell, SweepCell, SweepGrid};
-use crate::pool::run_indexed;
 use crate::record::RunRecord;
 use tenoc_core::area::throughput_effectiveness;
 use tenoc_core::experiments::run_with_system_config;
+use tenoc_core::pool::run_indexed;
 use tenoc_core::{AreaModel, RunMetrics, SystemConfig};
 use tenoc_simt::TrafficClass;
 

@@ -45,7 +45,6 @@ pub mod engine;
 pub mod figures;
 pub mod golden;
 mod grid;
-pub mod pool;
 mod record;
 mod rng;
 

@@ -230,10 +230,10 @@ pub fn plan_injection<R: Rng + ?Sized>(
 }
 
 /// Enumerates every `(phase, via)` plan [`plan_injection`] can produce for
-/// this pair, in index order. Both functions read the same plan set, so
-/// static analyses that check each entry (e.g. the channel-dependency-
-/// graph verifier) cover the simulator's routing function exhaustively
-/// *by construction*. The entries are distinct.
+/// this pair, in index order, without allocating. Both functions read the
+/// same plan set, so static analyses that check each entry (e.g. the
+/// channel-dependency-graph verifier) cover the simulator's routing
+/// function exhaustively *by construction*. The entries are distinct.
 ///
 /// # Errors
 ///
@@ -244,9 +244,9 @@ pub fn plan_options(
     mesh: &Mesh,
     src: NodeId,
     dst: NodeId,
-) -> Result<Vec<(Phase, Option<NodeId>)>, UnroutableError> {
+) -> Result<impl ExactSizeIterator<Item = (Phase, Option<NodeId>)> + '_, UnroutableError> {
     let set = PlanSet::of(kind, mesh, src, dst)?;
-    Ok((0..set.count()).map(|idx| set.nth(mesh, idx)).collect())
+    Ok((0..set.count()).map(move |idx| set.nth(mesh, idx)))
 }
 
 /// Computes the next hop for the packet whose head flit carries `hdr`,
@@ -661,7 +661,7 @@ mod tests {
                         let mut list = SmallRng::seed_from_u64(seed);
                         let picked = plan_injection(kind, &mesh, src, dst, &mut fast);
                         let options = plan_options(kind, &mesh, src, dst);
-                        match (picked, options) {
+                        match (picked, options.map(Vec::from_iter)) {
                             (Err(a), Err(b)) => assert_eq!(a, b),
                             (Ok(p), Ok(opts)) => {
                                 let want = if opts.len() == 1 {
@@ -695,6 +695,7 @@ mod tests {
                     for src in mesh.nodes() {
                         for dst in mesh.nodes() {
                             let Ok(plans) = plan_options(kind, &mesh, src, dst) else { continue };
+                            let plans: Vec<_> = plans.collect();
                             for (i, plan) in plans.iter().enumerate() {
                                 assert!(
                                     !plans[..i].contains(plan),

@@ -280,7 +280,8 @@ proptest! {
         let src = src_i % mesh.len();
         let dst = dst_i % mesh.len();
         prop_assume!(src != dst);
-        if let Ok(options) = plan_options(RoutingKind::Checkerboard, &mesh, src, dst) {
+        let options = plan_options(RoutingKind::Checkerboard, &mesh, src, dst);
+        if let Ok(options) = options {
             let s = mesh.coord(src);
             let d = mesh.coord(dst);
             for (phase, via) in options {

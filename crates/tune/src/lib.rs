@@ -70,10 +70,9 @@ pub use tenoc_core::Org;
 use serde::Serialize;
 use tenoc_core::experiments::run_traced_with_system_config;
 use tenoc_core::{
-    audit_icnt_with, harmonic_mean, route_net, AuditEntry, DesignPoint, EngineKind, Preset,
+    audit_grouped, harmonic_mean, AuditEntry, DesignPoint, EngineKind, IcntConfig, Preset,
     TelemetryConfig,
 };
-use tenoc_harness::pool::run_indexed;
 use tenoc_harness::{
     canonicalize, config_cell_key, heatmap_key, memoize, probe_key, run_config_cell, CachedCell,
     ConfigCell, DiskCache, Heatmaps,
@@ -81,7 +80,6 @@ use tenoc_harness::{
 use tenoc_noc::openloop::{run_open_loop_on, run_open_loop_unless, OpenLoopConfig, TrafficPattern};
 use tenoc_noc::RoutingKind;
 use tenoc_verify::load::TrafficMatrix;
-use tenoc_verify::{route_key, RouteTable};
 
 /// One organization axis of the grid: a topology/placement paired with
 /// the routing functions to try on it.
@@ -330,35 +328,13 @@ fn probe_configs(cand: &Candidate, audit: &AuditEntry, spec: &TuneSpec) -> Vec<O
         .collect()
 }
 
-/// Stage 0b: audits every candidate, walking each fabric shape's routes
-/// once. Candidates are grouped by the [`route_key`] of the network they
-/// route on (a double candidate's slice); each group builds one
-/// [`RouteTable`] on the pool, audits its members on it, and drops it, so
-/// at most `jobs` tables are alive. Returns the audits in candidate
-/// order and the number of tables built.
-fn audit_candidates(cands: &[Candidate], jobs: usize) -> (Vec<AuditEntry>, usize) {
-    let nets: Vec<_> = cands.iter().map(|c| route_net(&c.icnt)).collect();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, net) in nets.iter().enumerate() {
-        match groups.iter_mut().find(|g| route_key(&nets[g[0]]) == route_key(net)) {
-            Some(group) => group.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    let audited: Vec<Vec<AuditEntry>> = run_indexed(groups.len(), jobs, |g| {
-        let table = RouteTable::new(&nets[groups[g][0]]);
-        groups[g].iter().map(|&i| audit_icnt_with(&cands[i].name, &cands[i].icnt, &table)).collect()
-    });
-    let mut audits: Vec<Option<AuditEntry>> = vec![None; cands.len()];
-    for (group, entries) in groups.iter().zip(audited) {
-        for (&i, entry) in group.iter().zip(entries) {
-            audits[i] = Some(entry);
-        }
-    }
-    (
-        audits.into_iter().map(|a| a.expect("every candidate is in one group")).collect(),
-        groups.len(),
-    )
+/// Stage 0b: the grouped audit of every candidate against the one matrix
+/// stage 1 and the probes read, many-to-few. Returns the audits in
+/// candidate order and the number of route tables built.
+fn audit_stage(cands: &[Candidate], jobs: usize) -> (Vec<AuditEntry>, usize) {
+    let subjects: Vec<(&str, &IcntConfig)> =
+        cands.iter().map(|c| (c.name.as_str(), &c.icnt)).collect();
+    audit_grouped(&subjects, &[TrafficMatrix::ManyToFew], jobs)
 }
 
 /// The Pareto frontier of `(area ↓, hm_ipc ↑)` over the finalists:
@@ -452,7 +428,6 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
                     family: name.clone(),
                     name,
                     point: p.point(),
-                    config_hash: config_hash(&icnt),
                     icnt,
                     aliases: Vec::new(),
                     pinned: true,
@@ -465,7 +440,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     }
 
     // ---- Stage 0b: verify; Stage 1: static rank --------------------------
-    let (audits, route_tables) = audit_candidates(&cands, jobs);
+    let (audits, route_tables) = audit_stage(&cands, jobs);
     stats.route_tables = route_tables;
     let mut reached: Vec<Reached> = vec![Reached::Rejected; cands.len()];
     let mut legal: Vec<usize> = Vec::new();
@@ -507,7 +482,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
             Stage1Entry {
                 name: cands[i].name.clone(),
                 aliases: cands[i].aliases.clone(),
-                config_hash: cands[i].config_hash.clone(),
+                config_hash: config_hash(&cands[i].icnt),
                 te_score: a.te_score,
                 saturation_rate: m2f.map(|m| m.saturation_rate).unwrap_or(0.0),
                 accepted_bound: m2f.map(|m| m.accepted_bound).unwrap_or(0.0),
@@ -707,10 +682,12 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         .map(|&i| {
             let per = per_bench[&i].clone();
             let hm = harmonic_mean(per.iter().map(|x| x.ipc));
+            // Every finalist was probed, so stage 1 hashed it.
+            let probed = probe_set.iter().position(|&p| p == i).expect("a probed candidate");
             Finalist {
                 name: cands[i].name.clone(),
                 aliases: cands[i].aliases.clone(),
-                config_hash: cands[i].config_hash.clone(),
+                config_hash: stage1[probed].config_hash.clone(),
                 area_mm2: audits[i].area_mm2,
                 per_bench: per,
                 hm_ipc: hm,
@@ -822,6 +799,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenoc_core::pool::run_indexed;
 
     #[test]
     fn tiny_search_is_deterministic_across_jobs_and_finds_thr_eff() {
@@ -882,8 +860,9 @@ mod tests {
         }
     }
 
-    /// Stage 0b's grouped audit equals a standalone `audit_icnt` for every
-    /// constructed candidate, field for field: sharing a route table is
+    /// Stage 0b's grouped audit equals a standalone `audit_icnt` restricted
+    /// to the many-to-few matrix for every constructed candidate, field for
+    /// field: sharing a route table and skipping the other matrices are
     /// invisible. Debug builds check the tiny grid, release builds (CI's
     /// `tune` job) the default k=6 grid and its 20 route tables.
     #[test]
@@ -891,11 +870,13 @@ mod tests {
         let release = !cfg!(debug_assertions);
         let spec = if release { TuneSpec::default_at(6) } else { TuneSpec::tiny() };
         let cands = grid(&spec);
-        let (grouped, tables) = audit_candidates(&cands, 2);
+        let (grouped, tables) = audit_stage(&cands, 2);
         assert_eq!(tables, if release { 20 } else { 6 }, "one table per (mesh, routing, VCs)");
         assert_eq!(grouped.len(), cands.len());
         for (cand, audit) in cands.iter().zip(&grouped) {
-            assert_eq!(audit, &tenoc_core::audit_icnt(&cand.name, &cand.icnt), "{}", cand.name);
+            let mut alone = tenoc_core::audit_icnt(&cand.name, &cand.icnt);
+            alone.matrices.retain(|m| m.matrix == TrafficMatrix::ManyToFew.label());
+            assert_eq!(audit, &alone, "{}", cand.name);
         }
     }
 
@@ -1095,8 +1076,8 @@ mod tests {
     fn distinct_grid_points_build_distinct_fabrics() {
         for k in [4, 6, 8] {
             let cands = grid(&TuneSpec::default_at(k));
-            let hashes: std::collections::HashSet<&str> =
-                cands.iter().map(|c| c.config_hash.as_str()).collect();
+            let hashes: std::collections::HashSet<String> =
+                cands.iter().map(|c| config_hash(&c.icnt)).collect();
             assert_eq!(hashes.len(), cands.len(), "k = {k}");
         }
     }
@@ -1111,7 +1092,7 @@ mod tests {
         let release = !cfg!(debug_assertions);
         let spec = if release { TuneSpec::default_at(6) } else { TuneSpec::tiny() };
         let cands = grid(&spec);
-        let (audits, _) = audit_candidates(&cands, 2);
+        let (audits, _) = audit_stage(&cands, 2);
         let seeds = |spec: &TuneSpec| -> Vec<(&str, Vec<u64>)> {
             let legal = cands.iter().zip(&audits).filter(|(_, a)| a.legal);
             let configs = legal.map(|(c, a)| (c.name.as_str(), probe_configs(c, a, spec)));

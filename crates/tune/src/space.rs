@@ -24,7 +24,7 @@ pub(crate) fn default_routings(org: Org) -> Vec<RoutingKind> {
 }
 
 /// A constructible candidate: a named point resolved to its interconnect
-/// configuration and canonical content hash.
+/// configuration.
 #[derive(Clone, Debug)]
 pub struct Candidate {
     /// Deterministic grid name ([`DesignPoint::name`]), or `pin:<label>`
@@ -39,8 +39,6 @@ pub struct Candidate {
     pub point: Option<DesignPoint>,
     /// The resolved interconnect.
     pub icnt: IcntConfig,
-    /// Canonical hash of the resolved configuration ([`config_hash`]).
-    pub config_hash: String,
     /// Labels of the presets this candidate is (see `is_preset`).
     pub aliases: Vec<String>,
     /// Pinned reference points ride through every stage un-eliminated so
@@ -57,7 +55,6 @@ impl Candidate {
             name: point.name(),
             family: point.family(),
             point: Some(point),
-            config_hash: config_hash(&icnt),
             icnt,
             aliases: Vec::new(),
             pinned: false,
@@ -66,9 +63,10 @@ impl Candidate {
 }
 
 /// Canonical content hash of a resolved interconnect configuration — the
-/// same canonical form the result store keys cells and probes by. It
-/// addresses probes and seeds them; which candidate is which preset is
-/// decided by design point, not by this hash.
+/// same canonical form the result store keys cells and probes by. The
+/// report names each stage-1 entry, finalist and frontier point by it;
+/// which candidate is which preset is decided by design point, not by
+/// this hash.
 pub fn config_hash(icnt: &IcntConfig) -> String {
     tenoc_harness::hash_value(&icnt.to_value())
 }

@@ -18,9 +18,9 @@
 //!
 //! The graph is small and dense-indexed (a 6×6 mesh at 8 VCs has 1 152
 //! vertices), so edge membership is one bit of a `vertices²` bitset
-//! (~166 kB there) and each vertex keeps its out-edges, and their
-//! witnesses, in first-insertion order — the order Tarjan and the cycle
-//! search visit them in, which fixes the reported cycle.
+//! (~166 kB there), and the edges and their witnesses are two flat lists
+//! in first-insertion order — the order Tarjan and the cycle search visit
+//! each vertex's out-edges in, which fixes the reported cycle.
 
 use tenoc_noc::routing::VcSet;
 use tenoc_noc::{Direction, Mesh, NodeId, PacketClass, Phase};
@@ -57,14 +57,64 @@ pub(crate) struct Cdg {
     mesh: Mesh,
     total_vcs: usize,
     n_vertices: usize,
-    /// Out-edges per vertex, in first-insertion order.
-    adj: Vec<Vec<u32>>,
-    /// `witnesses[v][i]` introduced the edge `v -> adj[v][i]`.
-    witnesses: Vec<Vec<Witness>>,
+    /// Every edge `(from, to)`, in first-insertion order.
+    edges: Vec<(u32, u32)>,
+    /// `witnesses[e]` introduced `edges[e]`.
+    witnesses: Vec<Witness>,
     /// Bit `from * n_vertices + to` is set once that edge exists.
     seen: Vec<u64>,
-    n_edges: usize,
     used: Vec<bool>,
+}
+
+/// The out-edges of every vertex: `v`'s targets are
+/// `targets[starts[v]..starts[v + 1]]`, in first-insertion order.
+struct Adjacency {
+    starts: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Adjacency {
+    fn out(&self, v: usize) -> &[u32] {
+        &self.targets[self.starts[v]..self.starts[v + 1]]
+    }
+
+    /// Shortest path `start -> ... -> start` through `member` vertices
+    /// (BFS). `parent` is all `NONE` on entry and on return.
+    fn bfs_cycle(&self, start: u32, member: &[bool], parent: &mut [u32]) -> Option<Vec<u32>> {
+        // The queue keeps every vertex it ever held, so the parents they
+        // were given can be reset. `start` itself is intentionally never
+        // given a parent, so the first edge back into it closes the cycle.
+        let mut queue = vec![start];
+        let mut head = 0;
+        let mut closing = None;
+        'search: while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &w in self.out(v as usize) {
+                if w == start {
+                    closing = Some(v);
+                    break 'search;
+                }
+                if member[w as usize] && parent[w as usize] == NONE {
+                    parent[w as usize] = v;
+                    queue.push(w);
+                }
+            }
+        }
+        let path = closing.map(|v| {
+            let mut path = vec![v];
+            let mut cur = v;
+            while cur != start {
+                cur = parent[cur as usize];
+                path.push(cur);
+            }
+            path.reverse();
+            path
+        });
+        for &v in &queue[1..] {
+            parent[v as usize] = NONE;
+        }
+        path
+    }
 }
 
 const NONE: u32 = u32::MAX;
@@ -77,10 +127,9 @@ impl Cdg {
             mesh: mesh.clone(),
             total_vcs: total_vcs as usize,
             n_vertices,
-            adj: vec![Vec::new(); n_vertices],
-            witnesses: vec![Vec::new(); n_vertices],
+            edges: Vec::new(),
+            witnesses: Vec::new(),
             seen: vec![0; (n_vertices * n_vertices).div_ceil(64)],
-            n_edges: 0,
             used: vec![false; n_vertices],
         }
     }
@@ -128,9 +177,8 @@ impl Cdg {
                 let (word, mask) = self.edge_bit(from, to);
                 if self.seen[word] & mask == 0 {
                     self.seen[word] |= mask;
-                    self.adj[from as usize].push(to);
-                    self.witnesses[from as usize].push(witness);
-                    self.n_edges += 1;
+                    self.edges.push((from, to));
+                    self.witnesses.push(witness);
                 }
             }
         }
@@ -143,13 +191,31 @@ impl Cdg {
 
     /// Number of distinct dependency edges.
     pub(crate) fn edge_count(&self) -> usize {
-        self.n_edges
+        self.edges.len()
     }
 
     /// The witness of the edge `from -> to`, which must exist.
     fn witness(&self, from: u32, to: u32) -> Witness {
-        let i = self.adj[from as usize].iter().position(|&w| w == to).expect("edge exists");
-        self.witnesses[from as usize][i]
+        let e = self.edges.iter().position(|&e| e == (from, to)).expect("edge exists");
+        self.witnesses[e]
+    }
+
+    /// The edges grouped by source vertex (a stable counting sort).
+    fn adjacency(&self) -> Adjacency {
+        let mut starts = vec![0; self.n_vertices + 1];
+        for &(from, _) in &self.edges {
+            starts[from as usize + 1] += 1;
+        }
+        for v in 0..self.n_vertices {
+            starts[v + 1] += starts[v];
+        }
+        let mut fill = starts.clone();
+        let mut targets = vec![0; self.edges.len()];
+        for &(from, to) in &self.edges {
+            targets[fill[from as usize]] = to;
+            fill[from as usize] += 1;
+        }
+        Adjacency { starts, targets }
     }
 
     /// Human-readable name of a vertex: `(x,y)->(x',y') vc<n>`. The target
@@ -180,13 +246,14 @@ impl Cdg {
 
     /// Strongly connected components that contain a cycle (size > 1, or a
     /// single vertex with a self-loop). Iterative Tarjan.
-    fn cyclic_sccs(&self) -> Vec<Vec<u32>> {
+    fn cyclic_sccs(&self, adj: &Adjacency) -> Vec<Vec<u32>> {
         const UNVISITED: u32 = u32::MAX;
         let n = self.n_vertices;
         let mut index = vec![UNVISITED; n];
         let mut low = vec![0u32; n];
         let mut on_stack = vec![false; n];
         let mut stack: Vec<usize> = Vec::new();
+        let mut work: Vec<(usize, usize)> = Vec::new();
         let mut next = 0u32;
         let mut out = Vec::new();
 
@@ -194,7 +261,7 @@ impl Cdg {
             if index[root] != UNVISITED {
                 continue;
             }
-            let mut work: Vec<(usize, usize)> = vec![(root, 0)];
+            work.push((root, 0));
             while let Some(&(v, i)) = work.last() {
                 if i == 0 {
                     index[v] = next;
@@ -203,9 +270,9 @@ impl Cdg {
                     stack.push(v);
                     on_stack[v] = true;
                 }
-                if i < self.adj[v].len() {
+                if let Some(&w) = adj.out(v).get(i) {
+                    let w = w as usize;
                     work.last_mut().expect("frame exists").1 += 1;
-                    let w = self.adj[v][i] as usize;
                     if index[w] == UNVISITED {
                         work.push((w, 0));
                     } else if on_stack[w] {
@@ -217,18 +284,14 @@ impl Cdg {
                         low[parent] = low[parent].min(low[v]);
                     }
                     if low[v] == index[v] {
-                        let mut scc = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("Tarjan stack underflow");
-                            on_stack[w] = false;
-                            scc.push(w as u32);
-                            if w == v {
-                                break;
-                            }
+                        // The SCC is the stack down to `v`, in pop order.
+                        let at = stack.iter().rposition(|&w| w == v).expect("v is on the stack");
+                        let size = stack.len() - at;
+                        if size > 1 || self.has_edge(v as u32, v as u32) {
+                            out.push(stack[at..].iter().rev().map(|&w| w as u32).collect());
                         }
-                        let self_loop = scc.len() == 1 && self.has_edge(v as u32, v as u32);
-                        if scc.len() > 1 || self_loop {
-                            out.push(scc);
+                        for w in stack.drain(at..) {
+                            on_stack[w] = false;
                         }
                     }
                 }
@@ -244,12 +307,13 @@ impl Cdg {
         let mut best: Option<Vec<u32>> = None;
         let mut member = vec![false; self.n_vertices];
         let mut parent = vec![NONE; self.n_vertices];
-        for scc in self.cyclic_sccs() {
+        let adj = self.adjacency();
+        for scc in self.cyclic_sccs(&adj) {
             for &v in &scc {
                 member[v as usize] = true;
             }
             for &start in &scc {
-                if let Some(cycle) = self.bfs_cycle(start, &member, &mut parent) {
+                if let Some(cycle) = adj.bfs_cycle(start, &member, &mut parent) {
                     if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
                         best = Some(cycle);
                     }
@@ -266,44 +330,6 @@ impl Cdg {
             .map(|(&a, &b)| self.witness(a, b))
             .collect();
         Some((cycle, witnesses))
-    }
-
-    /// Shortest path `start -> ... -> start` through `member` vertices
-    /// (BFS). `parent` is all `NONE` on entry and on return.
-    fn bfs_cycle(&self, start: u32, member: &[bool], parent: &mut [u32]) -> Option<Vec<u32>> {
-        // The queue keeps every vertex it ever held, so the parents they
-        // were given can be reset. `start` itself is intentionally never
-        // given a parent, so the first edge back into it closes the cycle.
-        let mut queue = vec![start];
-        let mut head = 0;
-        let mut closing = None;
-        'search: while let Some(&v) = queue.get(head) {
-            head += 1;
-            for &w in &self.adj[v as usize] {
-                if w == start {
-                    closing = Some(v);
-                    break 'search;
-                }
-                if member[w as usize] && parent[w as usize] == NONE {
-                    parent[w as usize] = v;
-                    queue.push(w);
-                }
-            }
-        }
-        let path = closing.map(|v| {
-            let mut path = vec![v];
-            let mut cur = v;
-            while cur != start {
-                cur = parent[cur as usize];
-                path.push(cur);
-            }
-            path.reverse();
-            path
-        });
-        for &v in &queue[1..] {
-            parent[v as usize] = NONE;
-        }
-        path
     }
 }
 
@@ -401,7 +427,7 @@ mod tests {
             .iter()
             .flat_map(|&(node, dir)| [g.vid(node, dir, 0), g.vid(node, dir, 1)])
             .collect();
-        assert_eq!(g.adj[from], expected);
+        assert_eq!(g.adjacency().out(from), expected);
         assert_eq!(g.edge_count(), 6);
     }
 

@@ -49,10 +49,11 @@ impl Tally {
         Tally { violations: Vec::new(), total: 0 }
     }
 
-    fn push(&mut self, msg: String) {
+    /// Counts one violation; only the first `MAX_DETAILS` are spelled.
+    fn push(&mut self, msg: impl FnOnce() -> String) {
         self.total += 1;
         if self.violations.len() < MAX_DETAILS {
-            self.violations.push(msg);
+            self.violations.push(msg());
         }
     }
 
@@ -129,18 +130,22 @@ pub(crate) fn prove(table: &RouteTable) -> RouteProof {
             if !table.routable(src, dst) {
                 stats.unroutable_pairs += 1;
                 if !expected {
-                    routability.push(format!(
-                        "{src} -> {dst} unroutable but not a full-to-full odd-parity \
-                         checkerboard pair"
-                    ));
+                    routability.push(|| {
+                        format!(
+                            "{src} -> {dst} unroutable but not a full-to-full odd-parity \
+                             checkerboard pair"
+                        )
+                    });
                 }
                 continue;
             }
             if expected {
-                routability.push(format!(
-                    "{src} -> {dst} routable but the checkerboard specification says it must \
-                     not be"
-                ));
+                routability.push(|| {
+                    format!(
+                        "{src} -> {dst} routable but the checkerboard specification says it \
+                         must not be"
+                    )
+                });
             }
             for plan in table.plans(src, dst) {
                 for &class in table.classes() {
@@ -227,24 +232,19 @@ fn check_route(
     };
 
     if !walk.ejected {
-        minimality.push(format!("{} never reaches an ejection decision", label()));
+        minimality.push(|| format!("{} never reaches an ejection decision", label()));
         return;
     }
     if walk.end != dst {
-        minimality.push(format!(
-            "{} ejects at node {} instead of its destination",
-            label(),
-            walk.end
-        ));
+        minimality
+            .push(|| format!("{} ejects at node {} instead of its destination", label(), walk.end));
         return;
     }
     let dist = mesh.distance(src, dst);
     if hops.len() as u32 != dist {
-        minimality.push(format!(
-            "{} takes {} hops, shortest-path distance is {dist}",
-            label(),
-            hops.len()
-        ));
+        minimality.push(|| {
+            format!("{} takes {} hops, shortest-path distance is {dist}", label(), hops.len())
+        });
     }
 
     // Hop i enters the router hop i + 1 leaves, from direction hops[i].dir
@@ -256,11 +256,13 @@ fn check_route(
         let inp = InPort::Dir(inbound.opposite());
         let out = OutPortKind::Dir(outbound);
         if !connection_allowed(mesh.kind(router), inp, out) {
-            turns.push(format!(
-                "{} turns {inbound:?} -> {outbound:?} at {} router {router}",
-                label(),
-                if mesh.is_half(router) { "half" } else { "full" }
-            ));
+            turns.push(|| {
+                format!(
+                    "{} turns {inbound:?} -> {outbound:?} at {} router {router}",
+                    label(),
+                    if mesh.is_half(router) { "half" } else { "full" }
+                )
+            });
         }
     }
 }
@@ -301,9 +303,9 @@ fn check_mc_reachability(cfg: &NetworkConfig, table: &RouteTable, routability: &
             }
             for (a, b) in [(node, mc), (mc, node)] {
                 if !table.routable(a, b) {
-                    routability.push(format!(
-                        "MC placement broken: {a} -> {b} unroutable (MC at node {mc})"
-                    ));
+                    routability.push(|| {
+                        format!("MC placement broken: {a} -> {b} unroutable (MC at node {mc})")
+                    });
                 }
             }
         }

@@ -5,8 +5,8 @@
 //! `plan_options` lists, walked with the simulator's own
 //! `next_hop` — and turns the walks into *performance* facts:
 //!
-//! * expected per-channel (and per-VC) load under the matrix, in
-//!   flits/cycle at unit injection;
+//! * expected per-channel load under the matrix, in flits/cycle at unit
+//!   injection;
 //! * the Dally–Towles saturation-throughput upper bound
 //!   `theta_sat <= capacity / max_resource_load`, where the resources are
 //!   the physical channels (capacity 1 flit/cycle) *and* the terminal
@@ -155,12 +155,9 @@ pub struct ChannelLoad {
     pub y: u16,
     /// Channel direction (`N`/`E`/`S`/`W`), matching
     /// [`tenoc_noc::telemetry::LinkRecord::dir`].
-    pub dir: String,
+    pub dir: &'static str,
     /// Expected flits/cycle at unit injection scale.
     pub load: f64,
-    /// Expected flits/cycle per VC (plans spread uniformly over the VC
-    /// set granted on the link).
-    pub vc_loads: Vec<f64>,
 }
 
 /// Zero-load latency bounds for one packet class.
@@ -179,21 +176,13 @@ pub struct ClassZeroLoad {
 /// The static load analysis of one physical network under one matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoadReport {
-    /// Human-readable configuration summary (same as the verify report).
-    pub subject: String,
-    /// Matrix label (`uniform` / `transpose` / `many-to-few`).
-    pub matrix: String,
     /// Every directed channel's expected load, in node-major order —
     /// index-compatible with [`tenoc_noc::Network::link_loads`] and the
     /// telemetry link records. Port counts never move a channel's load,
     /// so every analysis of one accumulation shares one list.
     pub channels: Arc<[ChannelLoad]>,
-    /// Per-node injection-terminal load, normalized by the node's
-    /// injection port count (1.0 = terminal saturated), node order.
-    pub inject_loads: Vec<f64>,
-    /// Per-node ejection-terminal load, normalized likewise.
-    pub eject_loads: Vec<f64>,
-    /// The largest normalized resource load at unit injection scale.
+    /// The largest resource load at unit injection scale: a channel's, or
+    /// a terminal's normalized by its port count (1.0 = saturated).
     pub max_load: f64,
     /// Which resource is binding, e.g. `channel 14 W` or
     /// `eject terminal at node 28`.
@@ -263,7 +252,7 @@ pub fn analyze_load_with(
     table: &RouteTable,
     matrix: TrafficMatrix,
 ) -> LoadReport {
-    analyze_load_keyed(cfg, table, LoadKey::of(cfg, matrix, None), crate::subject_of(cfg))
+    analyze_load_keyed(cfg, table, LoadKey::of(cfg, matrix, None))
 }
 
 /// What one load accumulation reads besides the route table: the demand
@@ -319,20 +308,12 @@ impl LoadKey {
             half_router_stages: *half_router_stages,
         }
     }
-
-    /// The report's matrix label.
-    fn label(&self) -> String {
-        match self.class {
-            None => self.matrix.label().to_string(),
-            Some(class) => format!("{} ({} slice)", self.matrix.label(), class_label(class)),
-        }
-    }
 }
 
 /// The port-independent part of a load analysis: every sum the demand
 /// loop adds up, kept by the route table under its [`LoadKey`].
 pub(crate) struct Accumulation {
-    /// Every directed channel's load, node-major, with its per-VC split.
+    /// Every directed channel's load, node-major.
     channels: Arc<[ChannelLoad]>,
     /// Per-node injected and ejected flit rates, before normalization by
     /// the node's port count.
@@ -355,11 +336,9 @@ fn accumulate(cfg: &NetworkConfig, table: &RouteTable, key: &LoadKey) -> Accumul
     }
     let mesh = &cfg.mesh;
     let n = mesh.len();
-    let total_vcs = cfg.vcs.total as usize;
 
     // Dense per-(node, dir) accumulators; only real channels are emitted.
     let mut chan = vec![0.0_f64; n * 4];
-    let mut vc_chan = vec![0.0_f64; n * 4 * total_vcs];
     let mut inject = vec![0.0_f64; n];
     let mut eject = vec![0.0_f64; n];
 
@@ -404,12 +383,7 @@ fn accumulate(cfg: &NetworkConfig, table: &RouteTable, key: &LoadKey) -> Accumul
             l += flits as u64 - 1;
             best_lat = best_lat.min(l);
             for hop in hops {
-                let slot = hop.node * 4 + hop.dir as usize;
-                chan[slot] += share * flits;
-                let per_vc = share * flits / f64::from(hop.vcs.count.max(1));
-                for vc in hop.vcs.iter() {
-                    vc_chan[slot * total_vcs + vc as usize] += per_vc;
-                }
+                chan[hop.node * 4 + hop.dir as usize] += share * flits;
             }
         }
         if !delivered {
@@ -429,15 +403,13 @@ fn accumulate(cfg: &NetworkConfig, table: &RouteTable, key: &LoadKey) -> Accumul
     let channels = mesh
         .links()
         .map(|(node, dir)| {
-            let slot = node * 4 + dir as usize;
             let c = mesh.coord(node);
             ChannelLoad {
                 node: node as u64,
                 x: c.x,
                 y: c.y,
-                dir: dir_label(dir).to_string(),
-                load: chan[slot],
-                vc_loads: vc_chan[slot * total_vcs..(slot + 1) * total_vcs].to_vec(),
+                dir: dir_label(dir),
+                load: chan[node * 4 + dir as usize],
             }
         })
         .collect();
@@ -468,14 +440,8 @@ fn accumulate(cfg: &NetworkConfig, table: &RouteTable, key: &LoadKey) -> Accumul
 /// One load analysis: the table's accumulation for `key` (walked on
 /// first use), normalized by `cfg`'s port counts and scanned for its
 /// binding resource.
-fn analyze_load_keyed(
-    cfg: &NetworkConfig,
-    table: &RouteTable,
-    key: LoadKey,
-    subject: String,
-) -> LoadReport {
+fn analyze_load_keyed(cfg: &NetworkConfig, table: &RouteTable, key: LoadKey) -> LoadReport {
     assert!(table.routes(cfg), "route table of another fabric shape");
-    let matrix = key.label();
     let acc = table.accumulation(key, |key| accumulate(cfg, table, key));
     let n = cfg.mesh.len();
 
@@ -487,40 +453,40 @@ fn analyze_load_keyed(
         }
     };
 
+    // The binding resource: the first channel at the maximum load, unless
+    // a terminal's load exceeds it. Spelled once, below.
     let mut max_load = 0.0_f64;
-    let mut bottleneck = String::from("none");
+    let mut channel = None;
     for c in acc.channels.iter() {
         if c.load > max_load {
             max_load = c.load;
-            bottleneck = format!("channel {} {}", c.node, c.dir);
+            channel = Some(c);
         }
     }
-    let mut inject_loads = Vec::with_capacity(n);
-    let mut eject_loads = Vec::with_capacity(n);
+    let mut terminal = None;
     for node in cfg.mesh.nodes() {
         let inj = acc.inject[node] / ports(node, (cfg.mc_inject_ports, cfg.core_inject_ports));
         let ej = acc.eject[node] / ports(node, (cfg.mc_eject_ports, cfg.core_eject_ports));
         if inj > max_load {
             max_load = inj;
-            bottleneck = format!("inject terminal at node {node}");
+            terminal = Some(("inject", node));
         }
         if ej > max_load {
             max_load = ej;
-            bottleneck = format!("eject terminal at node {node}");
+            terminal = Some(("eject", node));
         }
-        inject_loads.push(inj);
-        eject_loads.push(ej);
     }
 
+    let bottleneck = match (terminal, channel) {
+        (Some((kind, node)), _) => format!("{kind} terminal at node {node}"),
+        (None, Some(c)) => format!("channel {} {}", c.node, c.dir),
+        (None, None) => "none".to_string(),
+    };
     let saturation_rate = if max_load > 0.0 { 1.0 / max_load } else { 0.0 };
     let accepted_bound = saturation_rate * acc.flit_rate_total / n as f64;
 
     LoadReport {
-        subject,
-        matrix,
         channels: Arc::clone(&acc.channels),
-        inject_loads,
-        eject_loads,
         max_load,
         bottleneck,
         saturation_rate,
@@ -572,8 +538,8 @@ pub fn analyze_load_double_with(
     matrix: TrafficMatrix,
 ) -> DoubleLoadReport {
     let sliced = cfg.slice();
-    let request = analyze_class_slice(&sliced, table, cfg, matrix, PacketClass::Request);
-    let reply = analyze_class_slice(&sliced, table, cfg, matrix, PacketClass::Reply);
+    let request = analyze_class_slice(&sliced, table, matrix, PacketClass::Request);
+    let reply = analyze_class_slice(&sliced, table, matrix, PacketClass::Reply);
     let mut saturation_rate = f64::INFINITY;
     for slice in [&request, &reply] {
         if slice.max_load > 0.0 {
@@ -604,12 +570,10 @@ pub fn analyze_load_double_with(
 fn analyze_class_slice(
     sliced: &NetworkConfig,
     table: &RouteTable,
-    orig: &NetworkConfig,
     matrix: TrafficMatrix,
     class: PacketClass,
 ) -> LoadReport {
-    let subject = format!("{} slice of [{}]", class_label(class), crate::subject_of(orig));
-    analyze_load_keyed(sliced, table, LoadKey::of(sliced, matrix, Some(class)), subject)
+    analyze_load_keyed(sliced, table, LoadKey::of(sliced, matrix, Some(class)))
 }
 
 fn class_label(class: PacketClass) -> &'static str {
@@ -638,7 +602,6 @@ mod tests {
         assert_eq!(table.accumulations(), 1);
         assert_eq!(shared_a, analyze_load(&a, m));
         assert_eq!(shared_b, analyze_load(&b, m));
-        assert_ne!(shared_a.eject_loads, shared_b.eject_loads, "the ports are each config's own");
         let c = tenoc_core::Org::MeshCp.base(6); // a staggered placement of the same 8 MCs
         assert_eq!(analyze_load_with(&c, &table, m), analyze_load(&c, m));
         assert_eq!(table.accumulations(), 2, "mc_nodes is in the key");
@@ -649,5 +612,21 @@ mod tests {
             assert_eq!(analyze_load_double_with(cfg, &slices, m), analyze_load_double(cfg, m));
         }
         assert_eq!(slices.accumulations(), 2);
+
+        // The ports are each configuration's own: on the checkerboard mesh
+        // one MC injection port binds, and with two a channel does.
+        let one = NetworkConfig::checkerboard_mesh(6);
+        let two = NetworkConfig { mc_inject_ports: 2, ..one.clone() };
+        let table = RouteTable::new(&one);
+        let (shared_one, shared_two) =
+            (analyze_load_with(&one, &table, m), analyze_load_with(&two, &table, m));
+        assert_eq!(table.accumulations(), 1);
+        assert_eq!(
+            (shared_one.clone(), shared_two.clone()),
+            (analyze_load(&one, m), analyze_load(&two, m))
+        );
+        assert!(shared_one.bottleneck.starts_with("inject terminal"), "{}", shared_one.bottleneck);
+        assert!(shared_two.bottleneck.starts_with("channel"), "{}", shared_two.bottleneck);
+        assert!(shared_two.max_load < shared_one.max_load);
     }
 }

@@ -5,12 +5,16 @@
 # SIGPROF (setitimer(ITIMER_PROF): CPU time of every thread), runs CMD under
 # it, symbolizes the samples with `addr2line -f -i` and prints the top
 # functions — by outermost (non-inlined) symbol, and crediting every function
-# of the inline chain — and the top source lines. CMD's stdout goes to stderr;
-# the report alone is on stdout. No stacks: a sample names where the CPU was,
-# not who called it. Needs `cc` and `addr2line`; exits 0 saying so otherwise.
+# of the inline chain — and the top source lines. A sample is named only when
+# it lies inside a symbol's extent (`nm -S`, or `nm -D -S` for a stripped
+# object such as libc); one in code no symbol covers (libc's `_int_malloc`,
+# its `memset`/`memcpy` variants) is `<object> (unexported)`, not the nearest
+# exported name below it. CMD's stdout goes to stderr; the report alone is on
+# stdout. No stacks: a sample names where the CPU was, not who called it.
+# Needs `cc`, `nm` and `addr2line`; exits 0 saying so otherwise.
 set -euo pipefail
 [ $# -gt 0 ] || { echo "usage: $0 CMD [ARG...]" >&2; exit 2; }
-for tool in cc addr2line; do
+for tool in cc nm addr2line; do
     command -v "$tool" >/dev/null || { echo "sample-profile: no \`$tool\` here; nothing profiled"; exit 0; }
 done
 echo "sample-profile: source lines need debug info — CARGO_PROFILE_RELEASE_DEBUG=1 cargo build --release"
@@ -72,9 +76,33 @@ SAMPLE_PROFILE_OUT="$tmp/pcs" LD_PRELOAD="$tmp/shim.so" "$@" 1>&2 || status=$?
 cat "$tmp"/pcs.* 2>/dev/null | sort | uniq -c > "$tmp/counts"
 total=$(awk '{n += $1} END {print n + 0}' "$tmp/counts")
 [ "$total" -gt 0 ] || { echo "sample-profile: no samples (under 4 ms of CPU?)"; exit "$status"; }
+hex='function hex(s,    i, n) {
+    n = 0
+    for (i = 3; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+    return n
+}'
 for object in $(awk '{print $2}' "$tmp/counts" | sort -u); do
-    awk -v object="$object" '$2 == object {print $3}' "$tmp/counts" |
-        addr2line -a -f -i -C -e "$object" 2>/dev/null |
+    # Symbol extents ("start 0 end") and samples ("address 1 0x…"), in address
+    # order: a sample is inside when some symbol that starts at or below it
+    # ends above it. The others are credited to the object alone.
+    { nm -S --defined-only "$object" 2>/dev/null; nm -D -S --defined-only "$object" 2>/dev/null; } |
+        awk "$hex"' NF == 4 && $3 ~ /^[TtWwi]$/ {printf "%.0f 0 %.0f\n", hex("0x" $1), hex("0x" $1) + hex("0x" $2)}' \
+            > "$tmp/extents" || true
+    { awk "$hex"' $2 == object {printf "%.0f 1 %s\n", hex($3), $3}' object="$object" "$tmp/counts"
+      cat "$tmp/extents"; } | sort -k1,1n -k2,2n |
+        awk -v inside="$tmp/inside" -v outside="$tmp/outside" '
+            $2 == 0 { if ($3 > end) end = $3; next }
+            { print $3 > ($1 < end ? inside : outside) }
+        '
+    touch "$tmp/inside" "$tmp/outside"
+    awk -v object="$object" '
+        NR == FNR { if ($2 == object) count[$3] = $1; next }
+        {
+            name = object; sub(/.*\//, "", name); name = name " (unexported)"
+            printf "outer\t%d\t%s\nincl\t%d\t%s\nline\t%d\t??  (%s)\n", count[$1], name, count[$1], name, count[$1], name
+        }
+    ' "$tmp/counts" "$tmp/outside" >> "$tmp/frames"
+    { addr2line -a -f -i -C -e "$object" < "$tmp/inside" 2>/dev/null || true; } |
         awk -v object="$object" -v here="$PWD/" '
             function clean(name) { sub(/::h[0-9a-f]+$/, "", name); return name }
             # One address is done: frames 1..depth run innermost to outermost.
@@ -99,6 +127,7 @@ for object in $(awk '{print $2}' "$tmp/counts" | sort -u); do
             }
             END { flush() }
         ' "$tmp/counts" - >> "$tmp/frames"
+    rm -f "$tmp/inside" "$tmp/outside"
 done
 top() { # $1 = row kind, $2 = heading
     echo
@@ -106,7 +135,7 @@ top() { # $1 = row kind, $2 = heading
     awk -F'\t' -v kind="$1" -v total="$total" '
         $1 == kind { sum[$3] += $2 }
         END { for (k in sum) printf "%6.1f%% %7d  %s\n", 100 * sum[k] / total, sum[k], k }
-    ' "$tmp/frames" | sort -k2,2nr | head -n 15
+    ' "$tmp/frames" | sort -k2,2nr | awk 'NR <= 15'
 }
 echo "sample-profile: $total samples at 250 Hz ($(awk -v n="$total" 'BEGIN {printf "%.2f", n / 250}') s of CPU)"
 top outer "top functions, outermost symbol (inlined callees folded in)"

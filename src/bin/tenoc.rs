@@ -14,9 +14,9 @@ use std::process::ExitCode;
 use tenoc::core::experiments::{
     is_valid_scale, run_traced_with_system_config, run_with_system_config, scale_from_env,
 };
+use tenoc::core::pool::run_indexed;
 use tenoc::core::presets::Preset;
 use tenoc::core::{EngineKind, IcntConfig, RunMetrics, SystemConfig, MAX_MESH_K};
-use tenoc::harness::pool::run_indexed;
 use tenoc::harness::{jobs_from_env, SweepGrid};
 use tenoc::noc::openloop::{latency_curve, run_open_loop_on, OpenLoopConfig, TrafficPattern};
 use tenoc::noc::{ArmSpec, PacketClass, TelemetryConfig, TelemetryReport};
