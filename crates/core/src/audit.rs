@@ -21,7 +21,9 @@ use tenoc_noc::{NetworkConfig, VcLayout};
 use tenoc_verify::load::{
     analyze_load_double_with, analyze_load_with, ClassZeroLoad, LoadReport, TrafficMatrix,
 };
-use tenoc_verify::{analyze_double_with, analyze_with, route_key, RouteTable, VerifyReport};
+use tenoc_verify::{
+    analyze_double_with, analyze_with, route_key, Detail, RouteTable, VerifyReport,
+};
 
 /// Per-matrix static metrics of one audited configuration.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -195,8 +197,8 @@ fn audit_on(
     let net = icnt.net();
     let ideal = matches!(icnt, IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _));
     let verify: VerifyReport = match icnt {
-        IcntConfig::Double(c) => analyze_double_with(c, table),
-        _ => analyze_with(net, table),
+        IcntConfig::Double(c) => analyze_double_with(c, table, Detail::Violations),
+        _ => analyze_with(net, table, Detail::Violations),
     };
     let legal = verify.violations().next().is_none();
     let violations = verify.violations().map(|f| f.to_string()).collect();

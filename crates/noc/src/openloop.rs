@@ -132,9 +132,26 @@ pub struct OpenLoopResult {
 
 impl OpenLoopResult {
     /// `true` when the run shows saturation (undelivered measured packets
-    /// or very large mean latency).
+    /// or very large mean latency): fig. 21's display rule, where
+    /// [`latency_curve`] stops. It is looser than [`keeps_up`](Self::keeps_up)
+    /// (a run whose backlog grows can still drain inside a long window at
+    /// a moderate latency), but it is the rule `tenoc openloop` and fig.
+    /// 21's rows are printed under, so moving the curves to `keeps_up`
+    /// would change those rows.
     pub fn saturated(&self) -> bool {
         self.delivered_fraction < 0.99 || self.avg_latency > 500.0
+    }
+
+    /// `true` when the fabric kept up with the offered load: the flits
+    /// generated in the window were also moved in the window, so no
+    /// backlog built up. At least 99 % of the measured packets drained,
+    /// and the in-window [`ejection_rate`](Self::ejection_rate) reached
+    /// 98 % of the window-generated traffic
+    /// ([`accepted`](Self::accepted)). Only such a run delivers the
+    /// offered matrix, so this is the one filter before a measured
+    /// throughput is held against a static bound.
+    pub fn keeps_up(&self) -> bool {
+        self.delivered_fraction >= 0.99 && self.ejection_rate >= 0.98 * self.accepted
     }
 }
 
@@ -547,6 +564,7 @@ mod tests {
     fn low_load_latency_near_zero_load() {
         let r = run(&quick_cfg(0.005));
         assert!(!r.saturated(), "0.005 flits/cycle/node must be below saturation");
+        assert!(r.keeps_up(), "{r:?}");
         // Zero-load-ish: a handful of hops at 5 cycles plus serialization.
         assert!(r.avg_latency > 10.0 && r.avg_latency < 80.0, "latency {}", r.avg_latency);
         assert!(r.delivered_fraction > 0.99);
@@ -568,6 +586,19 @@ mod tests {
     fn extreme_load_saturates() {
         let r = run(&quick_cfg(0.5));
         assert!(r.saturated(), "0.5 flits/cycle/node is far past many-to-few capacity");
+        assert!(!r.keeps_up(), "{r:?}");
+    }
+
+    /// A run can drain every measured packet at a moderate latency and
+    /// still fall behind: its window moved fewer flits than it generated,
+    /// so it saturates by `keeps_up` but not by `saturated`.
+    #[test]
+    fn a_growing_backlog_that_drains_does_not_keep_up() {
+        let mut cfg = quick_cfg(0.05);
+        (cfg.warmup, cfg.measure, cfg.drain) = (800, 3_000, 5_000);
+        let r = run(&cfg);
+        assert_eq!(r.delivered_fraction, 1.0, "{r:?}");
+        assert!(!r.saturated() && !r.keeps_up(), "{r:?}");
     }
 
     #[test]

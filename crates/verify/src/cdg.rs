@@ -161,15 +161,14 @@ impl Cdg {
 
     /// Adds the dependency edges from every VC a packet may hold on the
     /// link `(hold_node, hold_dir)` to every VC it may request on the next
-    /// link `(want_node, want_dir)`.
+    /// link `(want_node, want_dir)`. It marks no vertex used: a route's
+    /// walker marks each of its hops once with [`mark_used`](Self::mark_used).
     pub(crate) fn add_dependency(
         &mut self,
         hold: (NodeId, Direction, VcSet),
         want: (NodeId, Direction, VcSet),
         witness: Witness,
     ) {
-        self.mark_used(hold.0, hold.1, hold.2);
-        self.mark_used(want.0, want.1, want.2);
         for hvc in hold.2.iter() {
             let from = self.vid(hold.0, hold.1, hvc);
             for wvc in want.2.iter() {

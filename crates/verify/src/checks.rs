@@ -14,7 +14,7 @@
 
 use crate::cdg::{Cdg, Witness};
 use crate::route::{Hop, RouteTable, Walk};
-use crate::{CheckKind, Finding, VerifyStats};
+use crate::{CheckKind, Detail, Finding, Severity, VerifyStats};
 use tenoc_noc::routing::{vc_set_for, VcSet};
 use tenoc_noc::topology::{connection_allowed, InPort, OutPortKind};
 use tenoc_noc::{Mesh, NetworkConfig, NodeId, PacketClass, Phase, RoutingKind, VcLayout};
@@ -81,32 +81,33 @@ pub(crate) struct RouteProof {
     /// The unroutable-iff tally; each configuration adds its own MC
     /// placement violations before reporting it.
     routability: Tally,
+    /// The routability proof, reported when no configuration adds any.
+    routability_ok: String,
     /// The route-only findings, in report order.
     findings: Vec<Finding>,
 }
 
 impl RouteProof {
-    /// One finding per check for `cfg` (routed by `table`), info when
-    /// proven, violation with details otherwise: routability, turn
-    /// legality, minimality, routing deadlock, VC partition, protocol
-    /// separation.
-    pub(crate) fn findings(&self, cfg: &NetworkConfig, table: &RouteTable) -> Vec<Finding> {
+    /// Appends to `out` one finding per check for `cfg` (routed by
+    /// `table`), info when proven, violation with details otherwise:
+    /// routability, turn legality, minimality, routing deadlock, VC
+    /// partition, protocol separation. [`Detail::Violations`] appends the
+    /// violations alone.
+    pub(crate) fn findings(
+        &self,
+        cfg: &NetworkConfig,
+        table: &RouteTable,
+        detail: Detail,
+        out: &mut Vec<Finding>,
+    ) {
         let mut routability = self.routability.clone();
         check_mc_reachability(cfg, table, &mut routability);
-        let stats = &self.stats;
-        let routable = stats.pairs - stats.unroutable_pairs;
-        let ok = if cfg.routing == RoutingKind::Checkerboard {
-            format!(
-                "{routable}/{} ordered pairs routable; all {} unroutable pairs match the \
-                 full-to-full odd-parity predicate exactly; every MC <-> node pair routable",
-                stats.pairs, stats.unroutable_pairs
-            )
-        } else {
-            format!("all {} ordered pairs routable", stats.pairs)
-        };
-        let mut findings = vec![routability.into_finding(CheckKind::Routability, ok)];
-        findings.extend(self.findings.iter().cloned());
-        findings
+        if detail == Detail::Full || routability.total > 0 {
+            let ok = self.routability_ok.clone();
+            out.push(routability.into_finding(CheckKind::Routability, ok));
+        }
+        let kept = |f: &&Finding| detail == Detail::Full || f.severity == Severity::Violation;
+        out.extend(self.findings.iter().filter(kept).cloned());
     }
 }
 
@@ -162,6 +163,16 @@ pub(crate) fn prove(table: &RouteTable) -> RouteProof {
     stats.cdg_vertices = cdg.vertex_count();
     stats.cdg_edges = cdg.edge_count();
 
+    let routable = stats.pairs - stats.unroutable_pairs;
+    let routability_ok = if kind == RoutingKind::Checkerboard {
+        format!(
+            "{routable}/{} ordered pairs routable; all {} unroutable pairs match the \
+             full-to-full odd-parity predicate exactly; every MC <-> node pair routable",
+            stats.pairs, stats.unroutable_pairs
+        )
+    } else {
+        format!("all {} ordered pairs routable", stats.pairs)
+    };
     let mut findings = vec![
         turns.into_finding(
             CheckKind::TurnLegality,
@@ -209,7 +220,7 @@ pub(crate) fn prove(table: &RouteTable) -> RouteProof {
 
     findings.push(check_vc_partition(kind, &table.vcs));
     findings.push(check_protocol_separation(kind, &table.vcs));
-    RouteProof { stats, routability, findings }
+    RouteProof { stats, routability, routability_ok, findings }
 }
 
 /// Per-route checks: turn legality at every intermediate router, and
@@ -270,7 +281,7 @@ fn check_route(
 /// Adds the route's dependencies to the CDG: the packet may hold any
 /// granted VC on link `i` while requesting the VCs granted on link
 /// `i + 1`. Injection sources and ejection sinks terminate chains, so
-/// they contribute no edges (only vertex usage).
+/// they contribute no edges. Each hop's VCs are marked used once.
 fn feed_cdg(
     cdg: &mut Cdg,
     walk: &Walk,

@@ -125,6 +125,15 @@ impl std::fmt::Display for Finding {
     }
 }
 
+/// How much of a verification a report spells out.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Detail {
+    /// Every finding: each proof and each violation.
+    Full,
+    /// The violations alone; no proof text is formatted or copied.
+    Violations,
+}
+
 /// Work accounting for a verification run.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyStats {
@@ -194,13 +203,8 @@ fn subject_of(cfg: &NetworkConfig) -> String {
     let k = cfg.mesh.radix();
     let half = cfg.mesh.nodes().filter(|&n| cfg.mesh.is_half(n)).count();
     let fabric = match cfg.mesh.fabric() {
-        tenoc_noc::Fabric::Mesh => {
-            if half > 0 {
-                "checkerboard mesh".to_string()
-            } else {
-                "full-router mesh".to_string()
-            }
-        }
+        tenoc_noc::Fabric::Mesh if half > 0 => "checkerboard mesh".to_string(),
+        tenoc_noc::Fabric::Mesh => "full-router mesh".to_string(),
         tenoc_noc::Fabric::Torus => "torus".to_string(),
         tenoc_noc::Fabric::CMesh { conc } => format!("c-mesh (conc {conc})"),
     };
@@ -218,18 +222,19 @@ fn subject_of(cfg: &NetworkConfig) -> String {
 /// docs for the properties checked. Never panics on well-formed meshes;
 /// structural problems surface as `CheckKind::Config` violations.
 pub fn analyze(cfg: &NetworkConfig) -> VerifyReport {
-    analyze_with(cfg, &RouteTable::new(cfg))
+    analyze_with(cfg, &RouteTable::new(cfg), Detail::Full)
 }
 
-/// [`analyze`] on routes already walked: `table` must have been built
-/// from a configuration with `cfg`'s [`route_key`]. Only `validate()`,
-/// MC reachability and the subject line are computed per call; the
-/// route-only verdicts are the table's, computed on its first use.
+/// [`analyze`] on routes already walked, spelling out `detail`: `table`
+/// must have been built from a configuration with `cfg`'s
+/// [`route_key`]. Only `validate()`, MC reachability and the subject line
+/// are computed per call; the route-only verdicts are the table's,
+/// computed on its first use.
 ///
 /// # Panics
 ///
 /// Panics if `table` routes a different `(mesh, routing, VC layout)`.
-pub fn analyze_with(cfg: &NetworkConfig, table: &RouteTable) -> VerifyReport {
+pub fn analyze_with(cfg: &NetworkConfig, table: &RouteTable, detail: Detail) -> VerifyReport {
     assert!(table.routes(cfg), "route table of another fabric shape");
     let mut findings = Vec::new();
     if let Err(e) = cfg.validate() {
@@ -250,7 +255,7 @@ pub fn analyze_with(cfg: &NetworkConfig, table: &RouteTable) -> VerifyReport {
     }
 
     let proof = table.proof();
-    findings.extend(proof.findings(cfg, table));
+    proof.findings(cfg, table, detail, &mut findings);
     findings.sort_by_key(|f| match f.severity {
         Severity::Violation => 0,
         Severity::Info => 1,
@@ -267,26 +272,33 @@ pub fn analyze_double(cfg: &NetworkConfig) -> VerifyReport {
     if !cfg.channel_bytes.is_multiple_of(2) {
         return unsliceable(cfg);
     }
-    analyze_double_with(cfg, &RouteTable::new(&cfg.slice()))
+    analyze_double_with(cfg, &RouteTable::new(&cfg.slice()), Detail::Full)
 }
 
-/// [`analyze_double`] on routes already walked for `cfg.slice()`.
+/// [`analyze_double`] on routes already walked for `cfg.slice()`,
+/// spelling out `detail`.
 ///
 /// # Panics
 ///
 /// Panics if `table` routes a different shape than the slice.
-pub fn analyze_double_with(cfg: &NetworkConfig, table: &RouteTable) -> VerifyReport {
+pub fn analyze_double_with(
+    cfg: &NetworkConfig,
+    table: &RouteTable,
+    detail: Detail,
+) -> VerifyReport {
     if !cfg.channel_bytes.is_multiple_of(2) {
         return unsliceable(cfg);
     }
-    let mut report = analyze_with(&cfg.slice(), table);
+    let mut report = analyze_with(&cfg.slice(), table, detail);
     report.subject = format!("double network, per-slice [{}]", report.subject);
-    report.findings.push(Finding::info(
-        CheckKind::ProtocolSeparation,
-        "double network: requests and replies ride physically disjoint slices, so \
-         protocol-deadlock freedom holds regardless of the per-slice VC layout"
-            .to_string(),
-    ));
+    if detail == Detail::Full {
+        report.findings.push(Finding::info(
+            CheckKind::ProtocolSeparation,
+            "double network: requests and replies ride physically disjoint slices, so \
+             protocol-deadlock freedom holds regardless of the per-slice VC layout"
+                .to_string(),
+        ));
+    }
     report
 }
 

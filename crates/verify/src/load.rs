@@ -42,8 +42,8 @@ pub enum TrafficMatrix {
     /// configured MC placement: each compute node sends 8-byte read
     /// requests at unit rate to a uniformly random MC, and each request
     /// produces a 64-byte read reply — the same traffic
-    /// `tenoc_noc::openloop` generates, so the bound is directly
-    /// comparable to [`tenoc_noc::openloop::OpenLoopResult::accepted`].
+    /// `tenoc_noc::openloop` generates, so the bound is comparable to
+    /// [`tenoc_noc::openloop::OpenLoopResult::ejection_rate`].
     ManyToFew,
 }
 
@@ -85,21 +85,14 @@ pub(crate) struct Demand {
 pub(crate) fn demands(matrix: TrafficMatrix, cfg: &NetworkConfig) -> Vec<Demand> {
     let mesh = &cfg.mesh;
     let one_flit = cfg.channel_bytes;
+    let demand = |src, dst, class, rate, size_bytes| Demand { src, dst, class, rate, size_bytes };
     let mut out = Vec::new();
     match matrix {
         TrafficMatrix::Uniform => {
             let others = (mesh.len() - 1).max(1) as f64;
             for src in mesh.nodes() {
-                for dst in mesh.nodes() {
-                    if src != dst {
-                        out.push(Demand {
-                            src,
-                            dst,
-                            class: PacketClass::Request,
-                            rate: 1.0 / others,
-                            size_bytes: one_flit,
-                        });
-                    }
+                for dst in mesh.nodes().filter(|&dst| dst != src) {
+                    out.push(demand(src, dst, PacketClass::Request, 1.0 / others, one_flit));
                 }
             }
         }
@@ -108,13 +101,7 @@ pub(crate) fn demands(matrix: TrafficMatrix, cfg: &NetworkConfig) -> Vec<Demand>
                 let c = mesh.coord(src);
                 let dst = mesh.node(Coord::new(c.y, c.x));
                 if src != dst {
-                    out.push(Demand {
-                        src,
-                        dst,
-                        class: PacketClass::Request,
-                        rate: 1.0,
-                        size_bytes: one_flit,
-                    });
+                    out.push(demand(src, dst, PacketClass::Request, 1.0, one_flit));
                 }
             }
         }
@@ -123,20 +110,8 @@ pub(crate) fn demands(matrix: TrafficMatrix, cfg: &NetworkConfig) -> Vec<Demand>
             let share = 1.0 / mcs.len().max(1) as f64;
             for src in cfg.compute_nodes() {
                 for &mc in mcs {
-                    out.push(Demand {
-                        src,
-                        dst: mc,
-                        class: PacketClass::Request,
-                        rate: share,
-                        size_bytes: 8,
-                    });
-                    out.push(Demand {
-                        src: mc,
-                        dst: src,
-                        class: PacketClass::Reply,
-                        rate: share,
-                        size_bytes: 64,
-                    });
+                    out.push(demand(src, mc, PacketClass::Request, share, 8));
+                    out.push(demand(mc, src, PacketClass::Reply, share, 64));
                 }
             }
         }
@@ -193,8 +168,9 @@ pub struct LoadReport {
     pub saturation_rate: f64,
     /// The bound converted to the open-loop harness's unit: ejected
     /// flits per cycle per node (all nodes, both classes) at
-    /// `saturation_rate` — directly comparable to
-    /// [`tenoc_noc::openloop::OpenLoopResult::accepted`].
+    /// `saturation_rate` — comparable to
+    /// [`tenoc_noc::openloop::OpenLoopResult::ejection_rate`] of a run
+    /// that [keeps up](tenoc_noc::openloop::OpenLoopResult::keeps_up).
     pub accepted_bound: f64,
     /// Zero-load latency bounds per class present in the matrix.
     pub zero_load: Vec<ClassZeroLoad>,

@@ -1,19 +1,20 @@
-//! Property tests of the static load analyzer (ISSUE 6 satellite): for
-//! randomly drawn *legal* configurations, the static saturation bound
-//! must dominate the throughput the simulator actually sustains, and the
-//! static zero-load latency must be a floor on the latency measured at a
-//! very low injection rate.
+//! Property tests of the static load analyzer: for randomly drawn
+//! *legal* configurations, each as a single network and as a double
+//! network's two slices, the static saturation bound must dominate the throughput the
+//! simulator actually sustains, and the static zero-load latency must be
+//! a floor on the latency measured at a very low injection rate.
 //!
 //! Windows are short (the simulator runs in debug mode here), so the
-//! throughput comparison uses the same keep-up filter as
-//! `tenoc-harness`'s cross-validation: past saturation the delivered
-//! traffic mix legitimately drifts away from the analyzed matrix, and
-//! only rates the fabric keeps up with witness the bound.
+//! throughput comparison keeps only the rates the run
+//! [keeps up](OpenLoopResult::keeps_up) with, the filter of
+//! `tests/static_bounds.rs` too: past saturation the delivered traffic
+//! mix legitimately drifts away from the analyzed matrix, and only rates
+//! the fabric keeps up with witness the bound.
 
 use proptest::prelude::*;
-use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
-use tenoc_noc::{ArenaNetwork, NetworkConfig, VcLayout};
-use tenoc_verify::load::{analyze_load, analyze_load_double, TrafficMatrix};
+use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
+use tenoc_noc::{ArenaDoubleNetwork, ArenaNetwork, Interconnect, NetworkConfig, VcLayout};
+use tenoc_verify::load::{analyze_load, analyze_load_double, ClassZeroLoad, TrafficMatrix};
 
 /// A randomly drawn legal configuration: baseline full-router mesh (DOR
 /// with 2 or 4 VCs) or checkerboard mesh (checkerboard routing,
@@ -45,12 +46,31 @@ fn draw_config(
     cfg
 }
 
-fn quick_run(cfg: &NetworkConfig, rate: f64) -> tenoc_noc::openloop::OpenLoopResult {
+/// The many-to-few analysis of `cfg`, or with `sliced` of its two slices
+/// as a double network carries them: the saturation rate, the accepted
+/// bound and the per-class zero-load latencies.
+fn analyze_drawn(cfg: &NetworkConfig, sliced: bool) -> (f64, f64, Vec<ClassZeroLoad>) {
+    if sliced {
+        let d = analyze_load_double(cfg, TrafficMatrix::ManyToFew);
+        let zero_load = d.request.zero_load.into_iter().chain(d.reply.zero_load).collect();
+        (d.saturation_rate, d.accepted_bound, zero_load)
+    } else {
+        let r = analyze_load(cfg, TrafficMatrix::ManyToFew);
+        (r.saturation_rate, r.accepted_bound, r.zero_load)
+    }
+}
+
+fn quick_run(cfg: &NetworkConfig, sliced: bool, rate: f64) -> OpenLoopResult {
     let mut ol = OpenLoopConfig::new(cfg.clone(), rate, TrafficPattern::UniformRandom);
     ol.warmup = 800;
     ol.measure = 3_000;
     ol.drain = 5_000;
-    run_open_loop_on(&ol, &mut ArenaNetwork::new(cfg.clone()))
+    let mut net: Box<dyn Interconnect> = if sliced {
+        Box::new(ArenaDoubleNetwork::from_single(cfg))
+    } else {
+        Box::new(ArenaNetwork::new(cfg.clone()))
+    };
+    run_open_loop_on(&ol, &mut *net)
 }
 
 proptest! {
@@ -64,23 +84,26 @@ proptest! {
     ) {
         let cfg = draw_config(checkerboard, wide_vcs, mc_ports, vc_depth, fast_routers);
         prop_assert!(tenoc_verify::analyze(&cfg).is_clean(), "drew an illegal config");
-        let report = analyze_load(&cfg, TrafficMatrix::ManyToFew);
-        prop_assert!(report.saturation_rate > 0.0);
-        // Offered flits/cycle/node per unit injection rate — the
-        // report's own unit conversion.
-        let offered_per_rate = report.accepted_bound / report.saturation_rate;
-        for rate in [0.05, 0.12, 0.3] {
-            let r = quick_run(&cfg, rate);
-            let offered = rate * offered_per_rate;
-            let keeping_up = r.ejection_rate >= 0.9 * offered;
-            if keeping_up {
-                prop_assert!(
-                    r.ejection_rate <= report.accepted_bound * 1.05,
-                    "rate {rate}: sustained {:.4} exceeds static bound {:.4}",
-                    r.ejection_rate,
-                    report.accepted_bound
-                );
+        prop_assert!(tenoc_verify::analyze_double(&cfg).is_clean(), "drew illegal slices");
+        for sliced in [false, true] {
+            let (saturation_rate, bound, _) = analyze_drawn(&cfg, sliced);
+            prop_assert!(saturation_rate > 0.0);
+            let mut kept_up = 0;
+            // Rates as multiples of the fabric's own saturation rate.
+            for load in [0.5, 0.9, 1.0] {
+                let rate = load * saturation_rate;
+                let r = quick_run(&cfg, sliced, rate);
+                if r.keeps_up() {
+                    kept_up += 1;
+                    prop_assert!(
+                        r.ejection_rate <= bound * 1.05,
+                        "sliced {sliced}, rate {rate}: sustained {:.4} exceeds static bound \
+                         {bound:.4}",
+                        r.ejection_rate
+                    );
+                }
             }
+            prop_assert!(kept_up > 0, "sliced {sliced}: no rate kept up to witness the bound");
         }
     }
 }
@@ -95,25 +118,27 @@ proptest! {
         fast_routers in any::<bool>(),
     ) {
         let cfg = draw_config(checkerboard, wide_vcs, mc_ports, vc_depth, fast_routers);
-        let report = analyze_load(&cfg, TrafficMatrix::ManyToFew);
-        let r = quick_run(&cfg, 0.005);
-        prop_assert!(!r.saturated(), "0.005 must be deep below saturation");
-        let zl = |class: &str| {
-            report.zero_load.iter().find(|z| z.class == class).map(|z| z.mean).unwrap()
-        };
-        // 5% tolerance: short-window sampling noise on the measured mean.
-        prop_assert!(
-            zl("request") <= r.avg_request_latency * 1.05,
-            "static request zero-load {:.2} above measured mean {:.2}",
-            zl("request"),
-            r.avg_request_latency
-        );
-        prop_assert!(
-            zl("reply") <= r.avg_reply_latency * 1.05,
-            "static reply zero-load {:.2} above measured mean {:.2}",
-            zl("reply"),
-            r.avg_reply_latency
-        );
+        for sliced in [false, true] {
+            let (_, _, zero_load) = analyze_drawn(&cfg, sliced);
+            let r = quick_run(&cfg, sliced, 0.005);
+            prop_assert!(r.keeps_up(), "sliced {sliced}: 0.005 must be deep below saturation");
+            let zl = |class: &str| {
+                zero_load.iter().find(|z| z.class == class).map(|z| z.mean).unwrap()
+            };
+            // 5% tolerance: short-window sampling noise on the measured mean.
+            prop_assert!(
+                zl("request") <= r.avg_request_latency * 1.05,
+                "sliced {sliced}: static request zero-load {:.2} above measured mean {:.2}",
+                zl("request"),
+                r.avg_request_latency
+            );
+            prop_assert!(
+                zl("reply") <= r.avg_reply_latency * 1.05,
+                "sliced {sliced}: static reply zero-load {:.2} above measured mean {:.2}",
+                zl("reply"),
+                r.avg_reply_latency
+            );
+        }
     }
 }
 

@@ -1,58 +1,52 @@
-//! Tier-1 acceptance tests for the static load analyzer (ISSUE 6): for
-//! every shipped physical preset the static saturation-throughput bound
-//! must dominate the open-loop measured accepted throughput, and on the
-//! throughput-effective design point the statically predicted hottest
-//! channel must be the telemetry heatmap's hottest link.
+//! Tier-1 acceptance tests for the static load analyzer: on every
+//! distinct fabric of the named presets the static saturation-throughput
+//! bound must dominate the open-loop measured throughput, and the
+//! statically predicted hottest channel must be the telemetry's hottest
+//! link.
 //!
 //! The static bounds in `tenoc_verify::load` are only trustworthy as a
-//! free fidelity tier if the simulator can never beat them.
-//! [`cross_validate`] checks that empirically, per fabric:
+//! free fidelity tier if the simulator can never beat them. [`sweep`]
+//! checks that empirically, once per fabric, and the tests below share
+//! the sweeps: each preset's unsliced physical network against the
+//! single-network analysis, and each double preset's two slices against
+//! the per-slice analysis.
 //!
 //! * **Soundness of the throughput bound** — sweep open-loop injection
-//!   rates; at every rate where the fabric *keeps up* with the offered
-//!   many-to-few matrix (windowed ejection rate close to the offered flit
-//!   rate), the sustained throughput must not exceed the static
-//!   `accepted_bound`. Past saturation the delivered traffic mix shifts
-//!   away from the matrix (flows that avoid the hot channels keep
-//!   flowing), so raw ejection rates stop being matrix throughput — the
-//!   keep-up filter is what makes the comparison meaningful.
-//! * **Hottest-channel agreement** — the statically predicted
-//!   highest-load channel set must contain the telemetry heatmap's
-//!   hottest link observed in simulation.
+//!   rates at multiples of the fabric's own static `saturation_rate`; at
+//!   every rate the run [keeps up](OpenLoopResult::keeps_up) with, the
+//!   windowed ejection rate must not exceed the static `accepted_bound`.
+//!   Past saturation the delivered traffic mix shifts away from the
+//!   matrix (flows that avoid the hot channels keep flowing), so raw
+//!   ejection rates stop being matrix throughput. At every rate, kept up
+//!   or not, no link of any slice carries more than one flit per cycle.
+//! * **Hottest-channel agreement** — at the highest kept-up rate, the
+//!   statically predicted highest-load channel set must contain the
+//!   telemetry's hottest link: on Thr-Eff's unsliced fabric and on every
+//!   double preset's reply slice.
 //! * **Zero-load latency floor** — the static per-class zero-load
 //!   latency must not exceed the measured mean latency at a very low
 //!   injection rate.
-//!
-//! All three run on each preset's *unsliced* physical network against
-//! the single-network analysis. The latency floor also runs on each
-//! double preset's sliced fabric, against the per-slice analysis; the
-//! sliced throughput bound is not asserted, because the keep-up filter
-//! admits rates at which a slice's reply queues still grow, so a sliced
-//! fabric "keeps up" a few percent above its sound bound.
 
+use std::sync::OnceLock;
 use tenoc::core::presets::Preset;
 use tenoc::core::{EngineKind, IcntConfig};
-use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
-use tenoc::noc::{ArenaNetwork, Interconnect, NetworkConfig};
-use tenoc::verify::load::{analyze_load, analyze_load_double, ClassZeroLoad, TrafficMatrix};
+use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
+use tenoc::noc::{NetworkConfig, TelemetryConfig, TelemetryReport};
+use tenoc::verify::load::{analyze_load, analyze_load_double, LoadReport, TrafficMatrix};
 
-/// Injection rates swept for the throughput-bound check (request
-/// packets/cycle/compute-node): below-saturation points and one past it,
-/// enough to exercise both sides of the keep-up filter everywhere. The
-/// 0.02 point matters on the torus, whose dateline-split VCs congest the
-/// fabric below the static channel-bandwidth bound earlier than any mesh
-/// preset.
-const RATES: [f64; 4] = [0.02, 0.05, 0.12, 0.3];
+/// Injection rates swept for the throughput-bound check, as multiples of
+/// each fabric's static `saturation_rate`. Every fabric keeps up at the
+/// two lowest and none at the highest; the points between approach the
+/// bound (two 2P slices keep up at 1.0, at 0.997 of it).
+const LOADS: [f64; 6] = [0.5, 0.6, 0.75, 0.9, 1.0, 1.1];
 /// Short pinned windows (this file also runs in debug builds).
 const WARMUP: u64 = 800;
 const MEASURE: u64 = 3_000;
 const DRAIN: u64 = 5_000;
-/// A rate point "keeps up" when its windowed ejection rate reaches this
-/// fraction of the offered flit rate.
-const KEEPUP_THRESHOLD: f64 = 0.9;
-/// Slack on the bound comparison (transient backlog drains and
-/// finite-window noise).
+/// Slack on the bound comparison (finite-window noise).
 const BOUND_TOLERANCE: f64 = 1.05;
+/// Slack on one link's flits per cycle (float rounding only).
+const LINK_EPS: f64 = 1e-9;
 /// Injection rate for the zero-load latency measurement.
 const LOW_RATE: f64 = 0.005;
 /// Slack on the latency comparison (sampling noise at low rate).
@@ -61,22 +55,92 @@ const LATENCY_TOLERANCE: f64 = 1.05;
 /// tying the maximum within this fraction count as hottest).
 const HOTTEST_EPS: f64 = 0.02;
 
-/// Cross-validation verdict for one fabric.
-struct XvalResult {
-    /// Static many-to-few accepted-throughput bound (flits/cycle/node).
+/// One fabric under test and the static analysis it must obey.
+struct Fabric {
+    label: String,
+    /// `Mesh` for an unsliced physical network, `Double` for a double
+    /// preset's two slices.
+    icnt: IcntConfig,
+    /// The many-to-few analysis of each physical network, in
+    /// `telemetry_reports` order: the one network, or the request slice
+    /// then the reply slice.
+    slices: Vec<LoadReport>,
+    saturation_rate: f64,
     accepted_bound: f64,
-    /// Highest sustained (keeping-up) measured throughput in the sweep.
-    max_sustained: f64,
-    /// Whether any swept rate point kept up with the offered matrix.
-    any_kept_up: bool,
-    /// Statically predicted hottest channel(s), `"node dir"`.
-    predicted_hottest: Vec<String>,
-    /// The telemetry-observed hottest link, `"node dir"`.
-    observed_hottest: String,
-    /// Static zero-load (request, reply) latency, mean over the matrix.
-    static_latency: (f64, f64),
-    /// Measured mean (request, reply) latency at the low rate.
-    measured_latency: (f64, f64),
+}
+
+impl Fabric {
+    fn new(label: String, icnt: IcntConfig) -> Self {
+        let net = icnt.net();
+        let (slices, saturation_rate, accepted_bound) = match icnt {
+            IcntConfig::Double(_) => {
+                let d = analyze_load_double(net, TrafficMatrix::ManyToFew);
+                (vec![d.request, d.reply], d.saturation_rate, d.accepted_bound)
+            }
+            _ => {
+                let r = analyze_load(net, TrafficMatrix::ManyToFew);
+                let (rate, bound) = (r.saturation_rate, r.accepted_bound);
+                (vec![r], rate, bound)
+            }
+        };
+        Fabric { label, icnt, slices, saturation_rate, accepted_bound }
+    }
+
+    /// The static mean zero-load latency of one class, from the slice
+    /// that carries it (0 when absent).
+    fn zero_load(&self, class: &str) -> f64 {
+        let mut all = self.slices.iter().flat_map(|r| r.zero_load.iter());
+        all.find(|z| z.class == class).map_or(0.0, |z| z.mean)
+    }
+}
+
+/// The distinct fabrics of the named presets: every unsliced physical
+/// network, and every double preset's slices. A fabric several presets
+/// share is labeled with all their names (`CP-CR-4VC / Double-CP-CR`).
+fn fabrics() -> Vec<Fabric> {
+    let mut out: Vec<Fabric> = Vec::new();
+    for p in Preset::NAMED {
+        let icnt = p.icnt(6);
+        let net = icnt.net().clone();
+        let mut candidates = Vec::new();
+        match icnt {
+            IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _) => continue,
+            IcntConfig::Double(_) => {
+                candidates.push((p.label(), IcntConfig::Mesh(net)));
+                candidates.push((format!("{} (sliced)", p.label()), icnt));
+            }
+            IcntConfig::Mesh(_) => candidates.push((p.label(), icnt)),
+        }
+        for (label, icnt) in candidates {
+            let same =
+                |f: &&mut Fabric| sliced(&f.icnt) == sliced(&icnt) && f.icnt.net() == icnt.net();
+            match out.iter_mut().find(same) {
+                Some(f) => f.label = format!("{} / {label}", f.label),
+                None => out.push(Fabric::new(label, icnt)),
+            }
+        }
+    }
+    out
+}
+
+/// `true` for a double preset's two slices.
+fn sliced(icnt: &IcntConfig) -> bool {
+    matches!(icnt, IcntConfig::Double(_))
+}
+
+/// One swept rate point.
+struct Point {
+    rate: f64,
+    result: OpenLoopResult,
+    /// Per physical network, its [`link_summary`].
+    links: Vec<(f64, String)>,
+}
+
+/// A fabric's sweep: its rate points, ascending, and the low-rate run.
+struct Sweep {
+    fabric: Fabric,
+    points: Vec<Point>,
+    low: OpenLoopResult,
 }
 
 fn open_loop(net: &NetworkConfig, rate: f64) -> OpenLoopConfig {
@@ -87,155 +151,162 @@ fn open_loop(net: &NetworkConfig, rate: f64) -> OpenLoopConfig {
     ol
 }
 
-/// Cross-validates one physical network configuration against the
-/// static analyzer.
-fn cross_validate(net: &NetworkConfig) -> XvalResult {
-    let report = analyze_load(net, TrafficMatrix::ManyToFew);
-    // Per-unit-rate offered load in accepted units: the report's own
-    // conversion factor between injection scale and flits/cycle/node.
-    let offered_per_rate = if report.saturation_rate > 0.0 {
-        report.accepted_bound / report.saturation_rate
-    } else {
-        0.0
-    };
+/// Runs one probe on a fresh build of `icnt` with telemetry armed (no
+/// flight recorder), returning its result and per-network reports.
+fn probe(icnt: &IcntConfig, rate: f64) -> (OpenLoopResult, Vec<TelemetryReport>) {
+    let mut net = icnt.build(EngineKind::Arena);
+    net.enable_telemetry(TelemetryConfig { flight_capacity: 0, ..TelemetryConfig::default() });
+    let result = run_open_loop_on(&open_loop(icnt.net(), rate), &mut *net);
+    (result, net.telemetry_reports())
+}
 
-    let mut any_kept_up = false;
-    let mut max_sustained = 0.0_f64;
-    let mut observed_hottest = String::from("-");
-    for rate in RATES {
-        let mut network = ArenaNetwork::new(net.clone());
-        let r = run_open_loop_on(&open_loop(net, rate), &mut network);
-        let offered = rate * offered_per_rate;
-        if offered > 0.0 && r.ejection_rate >= KEEPUP_THRESHOLD * offered {
-            any_kept_up = true;
-            max_sustained = max_sustained.max(r.ejection_rate);
-            // Read the heatmap off the highest rate that still delivers
-            // the matrix: past saturation the delivered mix shifts away
-            // from it (hot flows clamp first), so saturated heatmaps no
-            // longer reflect the matrix the prediction is about. Rates
-            // ascend, so the last keeping-up point wins.
-            let loads = network.link_loads();
-            if let Some((node, dir, _)) =
-                loads.iter().reduce(|best, c| if c.2 > best.2 { c } else { best })
-            {
-                observed_hottest = format!("{node} {}", tenoc::noc::telemetry::dir_label(*dir));
+/// A network's highest link utilization (flits/cycle) and its hottest
+/// link, `"node dir"`: the first carrying the most flits, in node order.
+fn link_summary(report: &TelemetryReport) -> (f64, String) {
+    let max = report.links.iter().map(|l| l.utilization).fold(0.0, f64::max);
+    let hot = report.links.iter().reduce(|best, l| if l.flits > best.flits { l } else { best });
+    (max, hot.map_or("-".into(), |l| format!("{} {}", l.node, l.dir)))
+}
+
+fn sweep(fabric: Fabric) -> Sweep {
+    let points = LOADS
+        .iter()
+        .map(|&load| {
+            let rate = load * fabric.saturation_rate;
+            let (result, reports) = probe(&fabric.icnt, rate);
+            Point { rate, result, links: reports.iter().map(link_summary).collect() }
+        })
+        .collect();
+    let (low, _) = probe(&fabric.icnt, LOW_RATE);
+    Sweep { fabric, points, low }
+}
+
+/// Every fabric's sweep, run once for all the tests of this file.
+fn sweeps() -> &'static [Sweep] {
+    static SWEEPS: OnceLock<Vec<Sweep>> = OnceLock::new();
+    SWEEPS.get_or_init(|| fabrics().into_iter().map(sweep).collect())
+}
+
+/// The bound failures of one sweep against `bound`: every kept-up
+/// point above `bound` × [`BOUND_TOLERANCE`].
+fn bound_failures(s: &Sweep, bound: f64) -> Vec<String> {
+    let kept_up = s.points.iter().filter(|p| p.result.keeps_up());
+    let above = kept_up.filter(|p| p.result.ejection_rate > bound * BOUND_TOLERANCE);
+    above
+        .map(|p| {
+            format!(
+                "{}: rate {:.4} kept up at {:.4} flits/cycle/node, above the static bound \
+                 {bound:.4}",
+                s.fabric.label, p.rate, p.result.ejection_rate
+            )
+        })
+        .collect()
+}
+
+/// The failures of a sweep as a witness: it needs two kept-up points and
+/// one that does not keep up, and at every point no link of any network
+/// may carry more than one flit per cycle.
+fn sweep_failures(s: &Sweep) -> Vec<String> {
+    let label = &s.fabric.label;
+    let mut failures = Vec::new();
+    let kept_up = s.points.iter().filter(|p| p.result.keeps_up()).count();
+    if kept_up < 2 || kept_up == s.points.len() {
+        failures.push(format!(
+            "{label}: {kept_up} of {} rates kept up; the sweep needs two that do and one \
+             that does not",
+            s.points.len()
+        ));
+    }
+    for p in &s.points {
+        for (network, (max, _)) in p.links.iter().enumerate() {
+            if *max > 1.0 + LINK_EPS {
+                failures.push(format!(
+                    "{label}: rate {:.4}: a link of network {network} carried {max:.4} \
+                     flits/cycle",
+                    p.rate
+                ));
             }
         }
     }
-
-    let low = run_open_loop_on(&open_loop(net, LOW_RATE), &mut ArenaNetwork::new(net.clone()));
-    let zl = |class| zero_load_mean(&report.zero_load, class);
-    XvalResult {
-        accepted_bound: report.accepted_bound,
-        max_sustained,
-        any_kept_up,
-        predicted_hottest: report
-            .hottest_channels(HOTTEST_EPS)
-            .iter()
-            .map(|c| format!("{} {}", c.node, c.dir))
-            .collect(),
-        observed_hottest,
-        static_latency: (zl("request"), zl("reply")),
-        measured_latency: (low.avg_request_latency, low.avg_reply_latency),
-    }
-}
-
-/// The static mean zero-load latency of one class (0 when absent).
-fn zero_load_mean(zero_load: &[ClassZeroLoad], class: &str) -> f64 {
-    zero_load.iter().find(|z| z.class == class).map(|z| z.mean).unwrap_or(0.0)
+    failures
 }
 
 /// The failure, if any, of the zero-load floor: the static (request,
 /// reply) latency must not exceed the measured low-rate means.
-fn latency_floor_failure(label: &str, static_: (f64, f64), measured: (f64, f64)) -> Option<String> {
-    let ((static_req, static_rep), (measured_req, measured_rep)) = (static_, measured);
+fn latency_floor_failure(s: &Sweep) -> Option<String> {
+    let f = &s.fabric;
+    let (static_req, static_rep) = (f.zero_load("request"), f.zero_load("reply"));
+    let (measured_req, measured_rep) = (s.low.avg_request_latency, s.low.avg_reply_latency);
     let exceeds = static_req > measured_req * LATENCY_TOLERANCE
         || static_rep > measured_rep * LATENCY_TOLERANCE;
     exceeds.then(|| {
         format!(
-            "{label}: static zero-load latency (req {static_req:.2} / rep {static_rep:.2}) \
-             exceeds measured low-rate means (req {measured_req:.2} / rep {measured_rep:.2})"
+            "{}: static zero-load latency (req {static_req:.2} / rep {static_rep:.2}) \
+             exceeds measured low-rate means (req {measured_req:.2} / rep {measured_rep:.2})",
+            f.label
         )
     })
 }
 
-/// The distinct unsliced physical fabrics behind the named presets.
-fn physical_nets() -> Vec<(String, NetworkConfig)> {
-    let mut out: Vec<(String, NetworkConfig)> = Vec::new();
-    for p in Preset::NAMED {
-        let icnt = p.icnt(6);
-        if matches!(icnt, IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _)) {
-            continue;
-        }
-        let net = icnt.net().clone();
-        if out.iter().any(|(_, n)| *n == net) {
-            continue;
-        }
-        out.push((p.label(), net));
-    }
-    out
+/// The failure, if any, of the hottest-channel agreement on the last
+/// physical network of the sweep (the reply slice of a double) at its
+/// highest kept-up rate.
+fn hottest_failure(s: &Sweep) -> Option<String> {
+    let report = s.fabric.slices.last().expect("a fabric has a network");
+    let predicted: Vec<String> = report
+        .hottest_channels(HOTTEST_EPS)
+        .iter()
+        .map(|c| format!("{} {}", c.node, c.dir))
+        .collect();
+    let Some(point) = s.points.iter().rev().find(|p| p.result.keeps_up()) else {
+        return Some(format!("{}: no rate kept up", s.fabric.label));
+    };
+    let observed = &point.links.last().expect("one report per network").1;
+    (!predicted.contains(observed)).then(|| {
+        format!(
+            "{}: observed hottest link {observed} at rate {:.4} not among statically \
+             predicted {predicted:?}",
+            s.fabric.label, point.rate
+        )
+    })
 }
 
-/// The distinct double-network presets.
-fn double_icnts() -> Vec<(String, IcntConfig)> {
-    let mut out: Vec<(String, IcntConfig)> = Vec::new();
-    for p in Preset::NAMED {
-        let icnt = p.icnt(6);
-        if matches!(icnt, IcntConfig::Double(_)) && !out.iter().any(|(_, i)| i.net() == icnt.net())
-        {
-            out.push((p.label(), icnt));
-        }
-    }
-    out
-}
-
-#[test]
-fn static_bound_and_latency_floor_hold_on_every_preset() {
-    // One cross-validation per distinct fabric covers both acceptance
-    // assertions (the sweep is the expensive part, so don't repeat it).
-    let mut failures = Vec::new();
-    for (label, net) in physical_nets() {
-        let r = cross_validate(&net);
-        if !r.any_kept_up {
-            failures
-                .push(format!("{label}: no rate point kept up; sweep cannot witness the bound"));
-        }
-        if r.max_sustained > r.accepted_bound * BOUND_TOLERANCE {
-            failures.push(format!(
-                "{label}: sustained {:.4} exceeds static bound {:.4}",
-                r.max_sustained, r.accepted_bound
-            ));
-        }
-        failures.extend(latency_floor_failure(&label, r.static_latency, r.measured_latency));
-    }
-    // The zero-load floor on each double preset's sliced fabric: requests
-    // ride one half-width slice and replies the other.
-    for (label, icnt) in double_icnts() {
-        let report = analyze_load_double(icnt.net(), TrafficMatrix::ManyToFew);
-        let static_ = (
-            zero_load_mean(&report.request.zero_load, "request"),
-            zero_load_mean(&report.reply.zero_load, "reply"),
-        );
-        let low =
-            run_open_loop_on(&open_loop(icnt.net(), LOW_RATE), &mut *icnt.build(EngineKind::Arena));
-        let measured = (low.avg_request_latency, low.avg_reply_latency);
-        failures.extend(latency_floor_failure(&format!("{label} (sliced)"), static_, measured));
-    }
+fn assert_none(failures: Vec<String>) {
     assert!(failures.is_empty(), "cross-validation failures:\n  {}", failures.join("\n  "));
 }
 
 #[test]
+fn static_bound_and_latency_floor_hold_on_every_preset() {
+    let mut failures = Vec::new();
+    for s in sweeps() {
+        failures.extend(bound_failures(s, s.fabric.accepted_bound));
+        failures.extend(sweep_failures(s));
+        failures.extend(latency_floor_failure(s));
+    }
+    assert_none(failures);
+}
+
+/// A bound 10 % too tight is caught: the sweep reaches close enough to
+/// the bound that the cross-validation fails.
+#[test]
+fn a_bound_scaled_by_0_9_fails_the_cross_validation() {
+    let caught: Vec<&str> = sweeps()
+        .iter()
+        .filter(|s| !bound_failures(s, 0.9 * s.fabric.accepted_bound).is_empty())
+        .map(|s| s.fabric.label.as_str())
+        .collect();
+    assert!(!caught.is_empty(), "no fabric fails against a bound scaled by 0.9");
+}
+
+#[test]
 fn predicted_hottest_channel_matches_telemetry_on_thr_eff() {
-    // The thr-eff preset is a double network; this check drives its
-    // unsliced physical fabric, so the static side analyzes the same
-    // single network.
-    let r = cross_validate(Preset::ThroughputEffective.icnt(6).net());
-    assert!(
-        r.predicted_hottest.contains(&r.observed_hottest),
-        "observed hottest link {} not among statically predicted {:?}",
-        r.observed_hottest,
-        r.predicted_hottest
-    );
+    // Thr-Eff's unsliced physical fabric against the single-network
+    // analysis, and every double preset's reply slice (Thr-Eff's
+    // included) against the reply-slice analysis.
+    let thr_eff = Preset::ThroughputEffective.icnt(6);
+    let checked =
+        sweeps().iter().filter(|s| sliced(&s.fabric.icnt) || s.fabric.icnt.net() == thr_eff.net());
+    assert_none(checked.filter_map(hottest_failure).collect());
 }
 
 #[test]
@@ -243,18 +314,20 @@ fn uniform_and_transpose_matrices_are_analyzable_on_every_preset() {
     // The synthetic matrices must produce finite, positive bounds on
     // every legal fabric (checkerboard meshes may skip odd-parity pairs,
     // which the report discloses instead of mispricing).
-    for (label, net) in physical_nets() {
+    for f in fabrics().iter().filter(|f| !sliced(&f.icnt)) {
         for m in [TrafficMatrix::Uniform, TrafficMatrix::Transpose] {
-            let rep = analyze_load(&net, m);
+            let rep = analyze_load(f.icnt.net(), m);
             assert!(
                 rep.saturation_rate > 0.0 && rep.saturation_rate.is_finite(),
-                "{label}/{}: degenerate saturation rate {}",
+                "{}/{}: degenerate saturation rate {}",
+                f.label,
                 m.label(),
                 rep.saturation_rate
             );
             assert!(
                 rep.demands_total > rep.demands_unroutable,
-                "{label}/{}: no routable demand",
+                "{}/{}: no routable demand",
+                f.label,
                 m.label()
             );
         }
