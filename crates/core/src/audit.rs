@@ -18,9 +18,7 @@ use crate::system::IcntConfig;
 use serde::Serialize;
 use std::borrow::Cow;
 use tenoc_noc::{NetworkConfig, VcLayout};
-use tenoc_verify::load::{
-    analyze_load_double_with, analyze_load_with, ClassZeroLoad, LoadReport, TrafficMatrix,
-};
+use tenoc_verify::load::{analyze_load_with, ClassZeroLoad, FabricLoad, LoadReport, TrafficMatrix};
 use tenoc_verify::{
     analyze_double_with, analyze_with, route_key, Detail, RouteTable, VerifyReport,
 };
@@ -51,16 +49,22 @@ pub struct MatrixMetrics {
 }
 
 impl MatrixMetrics {
-    fn from_report(m: TrafficMatrix, r: &LoadReport) -> Self {
+    /// The fabric's combined bound with the binding slice's resource
+    /// picture: the last slice at the largest `max_load` (a double
+    /// network's reply slice on a tie).
+    fn new(m: TrafficMatrix, load: FabricLoad) -> Self {
+        let binding =
+            load.slices.iter().reduce(|a, b| if b.max_load >= a.max_load { b } else { a });
+        let binding = binding.expect("a fabric has a physical network");
         MatrixMetrics {
             matrix: m.label().to_string(),
-            saturation_rate: r.saturation_rate,
-            accepted_bound: r.accepted_bound,
-            max_load: r.max_load,
-            bottleneck: r.bottleneck.clone(),
-            hottest_channel: hottest_label(r),
-            zero_load: r.zero_load.clone(),
-            demands_unroutable: r.demands_unroutable,
+            saturation_rate: load.saturation_rate,
+            accepted_bound: load.accepted_bound,
+            max_load: binding.max_load,
+            bottleneck: binding.bottleneck.clone(),
+            hottest_channel: hottest_label(binding),
+            demands_unroutable: load.slices.iter().map(|r| r.demands_unroutable).sum(),
+            zero_load: load.slices.into_iter().flat_map(|r| r.zero_load).collect(),
         }
     }
 }
@@ -136,16 +140,19 @@ impl AuditReport {
     }
 }
 
-/// The physical network an interconnect routes its packets on: a double
-/// network's slice, otherwise the carried network. Its
+/// An interconnect's physical networks: the network its packets route on
+/// — a double network's slice, otherwise the carried network — and
+/// whether it is sliced, i.e. runs as two copies that each carry one
+/// protocol class. The routed network's
 /// [`route_key`](tenoc_verify::route_key) decides which interconnects can
 /// share one [`RouteTable`]. (A double network whose channel cannot be
 /// sliced is rejected before any route is read; it keys on its carried
 /// network.)
-pub(crate) fn route_net(icnt: &IcntConfig) -> Cow<'_, NetworkConfig> {
+pub(crate) fn physical(icnt: &IcntConfig) -> (Cow<'_, NetworkConfig>, bool) {
     match icnt {
-        IcntConfig::Double(c) if c.channel_bytes.is_multiple_of(2) => Cow::Owned(c.slice()),
-        _ => Cow::Borrowed(icnt.net()),
+        IcntConfig::Double(c) if c.channel_bytes.is_multiple_of(2) => (Cow::Owned(c.slice()), true),
+        IcntConfig::Double(c) => (Cow::Borrowed(c), true),
+        _ => (Cow::Borrowed(icnt.net()), false),
     }
 }
 
@@ -153,11 +160,13 @@ pub(crate) fn route_net(icnt: &IcntConfig) -> Cow<'_, NetworkConfig> {
 /// every traffic matrix: one route table, shared by the prover and every
 /// load analysis.
 pub fn audit_icnt(name: &str, icnt: &IcntConfig) -> AuditEntry {
-    audit_on(name, icnt, &RouteTable::new(&route_net(icnt)), &TrafficMatrix::ALL)
+    let (net, sliced) = physical(icnt);
+    audit_on(name, icnt, sliced, &RouteTable::new(&net), &TrafficMatrix::ALL)
 }
 
 /// The one grouped audit: each `(name, interconnect)` of `subjects`
-/// against `matrices`, grouped by the [`route_key`] of its [`route_net`].
+/// against `matrices`, grouped by the [`route_key`] of the network it
+/// routes on ([`physical`]).
 /// Each group builds one [`RouteTable`] on the pool (`jobs` workers),
 /// audits its members on it and drops it. Returns the entries in
 /// `subjects` order, each [`audit_icnt`]'s restricted to `matrices`
@@ -167,17 +176,18 @@ pub fn audit_grouped(
     matrices: &[TrafficMatrix],
     jobs: usize,
 ) -> (Vec<AuditEntry>, usize) {
-    let nets: Vec<_> = subjects.iter().map(|(_, icnt)| route_net(icnt)).collect();
+    let nets: Vec<_> = subjects.iter().map(|(_, icnt)| physical(icnt)).collect();
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, net) in nets.iter().enumerate() {
-        match groups.iter_mut().find(|g| route_key(&nets[g[0]]) == route_key(net)) {
+    for (i, (net, _)) in nets.iter().enumerate() {
+        match groups.iter_mut().find(|g| route_key(&nets[g[0]].0) == route_key(net)) {
             Some(group) => group.push(i),
             None => groups.push(vec![i]),
         }
     }
     let audited = run_indexed(groups.len(), jobs, |g| {
-        let table = RouteTable::new(&nets[groups[g][0]]);
-        let audit = |&i: &usize| audit_on(subjects[i].0, subjects[i].1, &table, matrices);
+        let table = RouteTable::new(&nets[groups[g][0]].0);
+        let audit =
+            |&i: &usize| audit_on(subjects[i].0, subjects[i].1, nets[i].1, &table, matrices);
         groups[g].iter().map(audit).collect::<Vec<_>>()
     });
     let mut entries: Vec<(usize, AuditEntry)> =
@@ -186,19 +196,22 @@ pub fn audit_grouped(
     (entries.into_iter().map(|(_, entry)| entry).collect(), groups.len())
 }
 
-/// Audits `icnt` against `matrices` on `table`, which must route
-/// `route_net(icnt)`'s shape (the prover panics on another).
+/// Audits `icnt`, `sliced` as [`physical`] says, against `matrices` on
+/// `table`, which must route the shape of the network `icnt` routes on
+/// (the prover panics on another).
 fn audit_on(
     name: &str,
     icnt: &IcntConfig,
+    sliced: bool,
     table: &RouteTable,
     matrices: &[TrafficMatrix],
 ) -> AuditEntry {
     let net = icnt.net();
     let ideal = matches!(icnt, IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _));
-    let verify: VerifyReport = match icnt {
-        IcntConfig::Double(c) => analyze_double_with(c, table, Detail::Violations),
-        _ => analyze_with(net, table, Detail::Violations),
+    let verify: VerifyReport = if sliced {
+        analyze_double_with(net, table, Detail::Violations)
+    } else {
+        analyze_with(net, table, Detail::Violations)
     };
     let legal = verify.violations().next().is_none();
     let violations = verify.violations().map(|f| f.to_string()).collect();
@@ -206,29 +219,7 @@ fn audit_on(
     let mut metrics = Vec::new();
     if legal && !ideal {
         for &m in matrices {
-            metrics.push(match icnt {
-                IcntConfig::Double(c) => {
-                    let d = analyze_load_double_with(c, table, m);
-                    // Report the binding slice's resource picture with the
-                    // combined bound.
-                    let binding =
-                        if d.reply.max_load >= d.request.max_load { &d.reply } else { &d.request };
-                    let mut zero_load = d.request.zero_load.clone();
-                    zero_load.extend(d.reply.zero_load.iter().cloned());
-                    MatrixMetrics {
-                        matrix: m.label().to_string(),
-                        saturation_rate: d.saturation_rate,
-                        accepted_bound: d.accepted_bound,
-                        max_load: binding.max_load,
-                        bottleneck: binding.bottleneck.clone(),
-                        hottest_channel: hottest_label(binding),
-                        zero_load,
-                        demands_unroutable: d.request.demands_unroutable
-                            + d.reply.demands_unroutable,
-                    }
-                }
-                _ => MatrixMetrics::from_report(m, &analyze_load_with(net, table, m)),
-            });
+            metrics.push(MatrixMetrics::new(m, analyze_load_with(net, sliced, table, m)));
         }
     }
 

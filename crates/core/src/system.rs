@@ -1,7 +1,7 @@
 //! The closed-loop accelerator system: compute cores, interconnect, L2
 //! banks and DRAM channels stepped in their own clock domains.
 
-use crate::audit::route_net;
+use crate::audit::physical;
 use crate::clock::{ClockConfig, Clocks, Domain};
 use crate::mc::{McConfig, McNode, McRequest};
 use crate::metrics::RunMetrics;
@@ -106,7 +106,7 @@ impl IcntConfig {
             }
         };
         if cfg!(debug_assertions) && matches!(self, IcntConfig::Mesh(_) | IcntConfig::Double(_)) {
-            if let Err(report) = tenoc_verify::check_config(&route_net(self)) {
+            if let Err(report) = tenoc_verify::check_config(&physical(self).0) {
                 panic!("network configuration failed static verification:\n{report}");
             }
         }

@@ -593,11 +593,11 @@ mod tests {
                 hash(include_bytes!("../../../tests/golden/frontier.json")),
                 hash(include_bytes!("../../../tests/golden/figures.json")),
             ),
-            (1, 0x1c9a_885c_7aa7_d6c5, 0x9803_0941_e997_43eb, 0xa6e0_51be_4739_952d),
+            (1, 0x1c9a_885c_7aa7_d6c5, 0x65b5_0dde_06de_375a, 0xa6e0_51be_4739_952d),
             "a simulator change that re-blesses tiny.jsonl, frontier.json or figures.json bumps \
              MODEL_VERSION; a figures.json row rename, a frontier.json entry that no longer \
-             reports a number it did not simulate, a change to the probe questions the tuner \
-             asks (whose answers sit at new addresses), or a record field that no journaled \
+             reports a number it did not simulate, a static bound the tuner ranks by, a change to \
+             the probe questions the tuner asks (whose answers sit at new addresses), or a record field that no journaled \
              value feeds, moves its hash alone"
         );
     }

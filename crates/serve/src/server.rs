@@ -139,7 +139,7 @@ struct State {
 /// many cells as it names presets and benchmarks, and under 300 bytes of
 /// framing and table overhead per answer. So the memo holds at most
 /// 4096 × (800 + 40 + 300) B ≈ 4.7 MB, however the answers are split:
-/// room for five of the 775-cell figures grid.
+/// room for five of the 744-cell figures grid.
 const MEMO_LINES: usize = 1 << 12;
 
 /// A fully cached request's answer, by canonical request: `planned`,

@@ -28,7 +28,9 @@
 //! Every check, and the [`load`] analyzer, reads one [`RouteTable`] — the
 //! routes of one `(mesh, routing, VC layout)`, walked once — so callers
 //! analyzing many configurations of one shape build the table once and
-//! use [`analyze_with`] / [`load::analyze_load_with`].
+//! use [`analyze_with`] / [`load::analyze_load_with`]. The load analyzer
+//! reads a double network as two physical networks, one per class, on the
+//! table of its slice.
 //!
 //! The library entry point is [`analyze`]; `tenoc audit` (through
 //! `tenoc_core::audit_grid`) applies it to every shipped preset. Debug-build

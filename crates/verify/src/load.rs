@@ -3,7 +3,11 @@
 //! For a [`NetworkConfig`] plus a [`TrafficMatrix`], this module reads
 //! the same [`RouteTable`] the safety checks do — every plan
 //! `plan_options` lists, walked with the simulator's own
-//! `next_hop` — and turns the walks into *performance* facts:
+//! `next_hop` — and turns the walks into *performance* facts about each
+//! physical network of the fabric: the one network of a single fabric,
+//! which carries both packet classes, or the request slice and the reply
+//! slice of a channel-sliced double network, each carrying its own class
+//! over one table ([`analyze_load`], [`FabricLoad`]):
 //!
 //! * expected per-channel load under the matrix, in flits/cycle at unit
 //!   injection;
@@ -21,10 +25,13 @@
 //! busiest resource. The bound is loose exactly where real networks lose
 //! throughput to coupling — finite VC buffering, switch-allocation
 //! conflicts and protocol coupling between requests and replies — so
-//! measured accepted throughput always sits at or below it.
+//! measured accepted throughput always sits at or below it. A fabric
+//! saturates with its busiest slice, and its bound sums the flits of
+//! every slice at that scale.
 
 use crate::RouteTable;
 use serde::Serialize;
+use std::borrow::Cow;
 use std::sync::Arc;
 use tenoc_noc::telemetry::dir_label;
 use tenoc_noc::{Coord, NetworkConfig, NodeId, Packet, PacketClass};
@@ -207,28 +214,76 @@ fn stages(cfg: &NetworkConfig, node: NodeId) -> u64 {
     }
 }
 
-/// Analyzes one physical network under one traffic matrix.
+/// The static load analysis of one fabric under one matrix: each of its
+/// physical networks analyzed with the class it carries, and the bound of
+/// the fabric as a whole.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FabricLoad {
+    /// One report per physical network: a single network's one, carrying
+    /// both classes, or a double network's request slice then reply slice
+    /// (a matrix with one class leaves the reply slice idle).
+    pub slices: Vec<LoadReport>,
+    /// The injection scale at which the busiest slice saturates; `0.0`
+    /// when no slice carries load.
+    pub saturation_rate: f64,
+    /// Ejected flits per cycle per node (all nodes, both classes, every
+    /// slice) at `saturation_rate`.
+    pub accepted_bound: f64,
+}
+
+/// Analyzes a fabric under one traffic matrix: `cfg` as one network, or
+/// with `sliced` as a channel-sliced double network whose request and
+/// reply slices (`cfg.slice()`) each carry one class.
 ///
 /// The enumeration never panics on unroutable pairs — they are counted
 /// in [`LoadReport::demands_unroutable`] and excluded from the loads —
 /// but the configuration's geometry must be usable (MC nodes inside the
 /// mesh), which [`crate::analyze`] checks first.
-pub fn analyze_load(cfg: &NetworkConfig, matrix: TrafficMatrix) -> LoadReport {
-    analyze_load_with(cfg, &RouteTable::new(cfg), matrix)
-}
-
-/// [`analyze_load`] on routes already walked: `table` must have been
-/// built from a configuration with `cfg`'s [`route_key`](crate::route_key).
 ///
 /// # Panics
 ///
-/// Panics if `table` routes a different `(mesh, routing, VC layout)`.
+/// Panics if `sliced` and `cfg.channel_bytes` is odd (cannot be sliced);
+/// gate on [`crate::analyze_double`] first.
+pub fn analyze_load(cfg: &NetworkConfig, sliced: bool, matrix: TrafficMatrix) -> FabricLoad {
+    let net = if sliced { Cow::Owned(cfg.slice()) } else { Cow::Borrowed(cfg) };
+    analyze_load_with(cfg, sliced, &RouteTable::new(&net), matrix)
+}
+
+/// [`analyze_load`] on routes already walked: `table` must have been
+/// built from a configuration with the [`route_key`](crate::route_key)
+/// of the network the packets route on — `cfg`, or with `sliced`
+/// `cfg.slice()`.
+///
+/// # Panics
+///
+/// Panics if `sliced` and `cfg.channel_bytes` is odd, or if `table` routes
+/// a different `(mesh, routing, VC layout)`.
 pub fn analyze_load_with(
     cfg: &NetworkConfig,
+    sliced: bool,
     table: &RouteTable,
     matrix: TrafficMatrix,
-) -> LoadReport {
-    analyze_load_keyed(cfg, table, LoadKey::of(cfg, matrix, None))
+) -> FabricLoad {
+    let (net, classes) = if sliced {
+        (Cow::Owned(cfg.slice()), &[Some(PacketClass::Request), Some(PacketClass::Reply)][..])
+    } else {
+        (Cow::Borrowed(cfg), &[None][..])
+    };
+    let mut flit_rate = 0.0_f64;
+    let slices: Vec<LoadReport> = classes
+        .iter()
+        .map(|&class| {
+            let (report, flits) = analyze_slice(&net, table, LoadKey::of(&net, matrix, class));
+            flit_rate += flits;
+            report
+        })
+        .collect();
+    // The busiest slice saturates first: `1 / max_load` is the smallest
+    // of the slices' own rates, to the bit.
+    let max_load = slices.iter().map(|r| r.max_load).fold(0.0_f64, f64::max);
+    let saturation_rate = if max_load > 0.0 { 1.0 / max_load } else { 0.0 };
+    let accepted_bound = saturation_rate * flit_rate / cfg.mesh.len() as f64;
+    FabricLoad { slices, saturation_rate, accepted_bound }
 }
 
 /// What one load accumulation reads besides the route table: the demand
@@ -413,10 +468,10 @@ fn accumulate(cfg: &NetworkConfig, table: &RouteTable, key: &LoadKey) -> Accumul
     }
 }
 
-/// One load analysis: the table's accumulation for `key` (walked on
-/// first use), normalized by `cfg`'s port counts and scanned for its
-/// binding resource.
-fn analyze_load_keyed(cfg: &NetworkConfig, table: &RouteTable, key: LoadKey) -> LoadReport {
+/// One physical network's analysis: the table's accumulation for `key`
+/// (walked on first use), normalized by `cfg`'s port counts and scanned
+/// for its binding resource, and the accumulation's total flit rate.
+fn analyze_slice(cfg: &NetworkConfig, table: &RouteTable, key: LoadKey) -> (LoadReport, f64) {
     assert!(table.routes(cfg), "route table of another fabric shape");
     let acc = table.accumulation(key, |key| accumulate(cfg, table, key));
     let n = cfg.mesh.len();
@@ -461,7 +516,7 @@ fn analyze_load_keyed(cfg: &NetworkConfig, table: &RouteTable, key: LoadKey) -> 
     let saturation_rate = if max_load > 0.0 { 1.0 / max_load } else { 0.0 };
     let accepted_bound = saturation_rate * acc.flit_rate_total / n as f64;
 
-    LoadReport {
+    let report = LoadReport {
         channels: Arc::clone(&acc.channels),
         max_load,
         bottleneck,
@@ -470,86 +525,8 @@ fn analyze_load_keyed(cfg: &NetworkConfig, table: &RouteTable, key: LoadKey) -> 
         zero_load: acc.zero_load.clone(),
         demands_total: acc.demands_total,
         demands_unroutable: acc.unroutable,
-    }
-}
-
-/// The static load analysis of a channel-sliced double network: requests
-/// ride one half-width slice, replies the other.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DoubleLoadReport {
-    /// Analysis of the request slice (request demands only).
-    pub request: LoadReport,
-    /// Analysis of the reply slice (reply demands only).
-    pub reply: LoadReport,
-    /// Combined saturation bound: the injection scale at which the first
-    /// of the two slices saturates.
-    pub saturation_rate: f64,
-    /// Combined accepted-throughput bound in ejected flits per cycle per
-    /// node, summing both slices at the combined saturation scale.
-    pub accepted_bound: f64,
-}
-
-/// Analyzes a double (channel-sliced) network under one matrix. Each
-/// slice is analyzed as its own half-width physical network carrying only
-/// its class's demands; matrices with one class leave the reply slice
-/// idle.
-///
-/// # Panics
-///
-/// Panics if `cfg.channel_bytes` is odd (cannot be sliced); gate on
-/// [`crate::analyze_double`] first.
-pub fn analyze_load_double(cfg: &NetworkConfig, matrix: TrafficMatrix) -> DoubleLoadReport {
-    analyze_load_double_with(cfg, &RouteTable::new(&cfg.slice()), matrix)
-}
-
-/// [`analyze_load_double`] on routes already walked for `cfg.slice()`.
-///
-/// # Panics
-///
-/// Panics if `cfg.channel_bytes` is odd, or if `table` routes a different
-/// shape than the slice.
-pub fn analyze_load_double_with(
-    cfg: &NetworkConfig,
-    table: &RouteTable,
-    matrix: TrafficMatrix,
-) -> DoubleLoadReport {
-    let sliced = cfg.slice();
-    let request = analyze_class_slice(&sliced, table, matrix, PacketClass::Request);
-    let reply = analyze_class_slice(&sliced, table, matrix, PacketClass::Reply);
-    let mut saturation_rate = f64::INFINITY;
-    for slice in [&request, &reply] {
-        if slice.max_load > 0.0 {
-            saturation_rate = saturation_rate.min(slice.saturation_rate);
-        }
-    }
-    if saturation_rate == f64::INFINITY {
-        saturation_rate = 0.0;
-    }
-    let n = cfg.mesh.len() as f64;
-    // Recover each slice's total flit rate from its own bound, then
-    // re-scale both to the combined saturation point.
-    let flit_rate = |r: &LoadReport| {
-        if r.saturation_rate > 0.0 {
-            r.accepted_bound * n / r.saturation_rate
-        } else {
-            0.0
-        }
     };
-    let accepted_bound = saturation_rate * (flit_rate(&request) + flit_rate(&reply)) / n;
-    DoubleLoadReport { request, reply, saturation_rate, accepted_bound }
-}
-
-/// Analyzes one class's slice of a double network: the sliced physical
-/// config carries only `class`'s share of `matrix`'s demands. (The
-/// demand expansion depends only on mesh and MC placement, which the
-/// slice shares with the original.)
-fn analyze_class_slice(
-    sliced: &NetworkConfig,
-    table: &RouteTable,
-    matrix: TrafficMatrix,
-    class: PacketClass,
-) -> LoadReport {
-    analyze_load_keyed(sliced, table, LoadKey::of(sliced, matrix, Some(class)))
+    (report, acc.flit_rate_total)
 }
 
 fn class_label(class: PacketClass) -> &'static str {
@@ -574,18 +551,18 @@ mod tests {
         let b = NetworkConfig { mc_inject_ports: 2, mc_eject_ports: 2, vc_depth: 4, ..a.clone() };
         let table = RouteTable::new(&a);
         let (shared_a, shared_b) =
-            (analyze_load_with(&a, &table, m), analyze_load_with(&b, &table, m));
+            (analyze_load_with(&a, false, &table, m), analyze_load_with(&b, false, &table, m));
         assert_eq!(table.accumulations(), 1);
-        assert_eq!(shared_a, analyze_load(&a, m));
-        assert_eq!(shared_b, analyze_load(&b, m));
+        assert_eq!(shared_a, analyze_load(&a, false, m));
+        assert_eq!(shared_b, analyze_load(&b, false, m));
         let c = tenoc_core::Org::MeshCp.base(6); // a staggered placement of the same 8 MCs
-        assert_eq!(analyze_load_with(&c, &table, m), analyze_load(&c, m));
+        assert_eq!(analyze_load_with(&c, false, &table, m), analyze_load(&c, false, m));
         assert_eq!(table.accumulations(), 2, "mc_nodes is in the key");
 
         // A double network: one accumulation per class slice.
         let slices = RouteTable::new(&a.slice());
         for cfg in [&a, &b] {
-            assert_eq!(analyze_load_double_with(cfg, &slices, m), analyze_load_double(cfg, m));
+            assert_eq!(analyze_load_with(cfg, true, &slices, m), analyze_load(cfg, true, m));
         }
         assert_eq!(slices.accumulations(), 2);
 
@@ -595,14 +572,15 @@ mod tests {
         let two = NetworkConfig { mc_inject_ports: 2, ..one.clone() };
         let table = RouteTable::new(&one);
         let (shared_one, shared_two) =
-            (analyze_load_with(&one, &table, m), analyze_load_with(&two, &table, m));
+            (analyze_load_with(&one, false, &table, m), analyze_load_with(&two, false, &table, m));
         assert_eq!(table.accumulations(), 1);
         assert_eq!(
             (shared_one.clone(), shared_two.clone()),
-            (analyze_load(&one, m), analyze_load(&two, m))
+            (analyze_load(&one, false, m), analyze_load(&two, false, m))
         );
-        assert!(shared_one.bottleneck.starts_with("inject terminal"), "{}", shared_one.bottleneck);
-        assert!(shared_two.bottleneck.starts_with("channel"), "{}", shared_two.bottleneck);
-        assert!(shared_two.max_load < shared_one.max_load);
+        let (one, two) = (&shared_one.slices[0], &shared_two.slices[0]);
+        assert!(one.bottleneck.starts_with("inject terminal"), "{}", one.bottleneck);
+        assert!(two.bottleneck.starts_with("channel"), "{}", two.bottleneck);
+        assert!(two.max_load < one.max_load);
     }
 }

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
 use tenoc_noc::{ArenaDoubleNetwork, ArenaNetwork, Interconnect, NetworkConfig, VcLayout};
-use tenoc_verify::load::{analyze_load, analyze_load_double, ClassZeroLoad, TrafficMatrix};
+use tenoc_verify::load::{analyze_load, ClassZeroLoad, TrafficMatrix};
 
 /// A randomly drawn legal configuration: baseline full-router mesh (DOR
 /// with 2 or 4 VCs) or checkerboard mesh (checkerboard routing,
@@ -50,14 +50,9 @@ fn draw_config(
 /// as a double network carries them: the saturation rate, the accepted
 /// bound and the per-class zero-load latencies.
 fn analyze_drawn(cfg: &NetworkConfig, sliced: bool) -> (f64, f64, Vec<ClassZeroLoad>) {
-    if sliced {
-        let d = analyze_load_double(cfg, TrafficMatrix::ManyToFew);
-        let zero_load = d.request.zero_load.into_iter().chain(d.reply.zero_load).collect();
-        (d.saturation_rate, d.accepted_bound, zero_load)
-    } else {
-        let r = analyze_load(cfg, TrafficMatrix::ManyToFew);
-        (r.saturation_rate, r.accepted_bound, r.zero_load)
-    }
+    let load = analyze_load(cfg, sliced, TrafficMatrix::ManyToFew);
+    let zero_load = load.slices.into_iter().flat_map(|r| r.zero_load).collect();
+    (load.saturation_rate, load.accepted_bound, zero_load)
 }
 
 fn quick_run(cfg: &NetworkConfig, sliced: bool, rate: f64) -> OpenLoopResult {
@@ -149,9 +144,12 @@ proptest! {
 #[test]
 fn double_network_slices_partition_the_matrix_by_class() {
     for cfg in [NetworkConfig::checkerboard_mesh(6), NetworkConfig::baseline_mesh(6)] {
-        let double = analyze_load_double(&cfg, TrafficMatrix::ManyToFew);
-        let whole = analyze_load(&cfg.slice(), TrafficMatrix::ManyToFew);
-        let (request, reply) = (&double.request, &double.reply);
+        let double = analyze_load(&cfg, true, TrafficMatrix::ManyToFew);
+        let whole = analyze_load(&cfg.slice(), false, TrafficMatrix::ManyToFew);
+        let [request, reply] = &double.slices[..] else {
+            panic!("a double network has two slices")
+        };
+        let whole = &whole.slices[0];
         assert_eq!(request.demands_total + reply.demands_total, whole.demands_total);
         let classes = |r: &tenoc_verify::load::LoadReport| {
             r.zero_load.iter().map(|z| z.class.clone()).collect::<Vec<_>>()

@@ -7,9 +7,9 @@
 //! The static bounds in `tenoc_verify::load` are only trustworthy as a
 //! free fidelity tier if the simulator can never beat them. [`sweep`]
 //! checks that empirically, once per fabric, and the tests below share
-//! the sweeps: each preset's unsliced physical network against the
-//! single-network analysis, and each double preset's two slices against
-//! the per-slice analysis.
+//! the sweeps: each preset's unsliced physical network and each double
+//! preset's two slices, each fabric against the one load analysis of its
+//! physical networks.
 //!
 //! * **Soundness of the throughput bound** — sweep open-loop injection
 //!   rates at multiples of the fabric's own static `saturation_rate`; at
@@ -32,7 +32,7 @@ use tenoc::core::presets::Preset;
 use tenoc::core::{EngineKind, IcntConfig};
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
 use tenoc::noc::{NetworkConfig, TelemetryConfig, TelemetryReport};
-use tenoc::verify::load::{analyze_load, analyze_load_double, LoadReport, TrafficMatrix};
+use tenoc::verify::load::{analyze_load, FabricLoad, TrafficMatrix};
 
 /// Injection rates swept for the throughput-bound check, as multiples of
 /// each fabric's static `saturation_rate`. Every fabric keeps up at the
@@ -61,35 +61,22 @@ struct Fabric {
     /// `Mesh` for an unsliced physical network, `Double` for a double
     /// preset's two slices.
     icnt: IcntConfig,
-    /// The many-to-few analysis of each physical network, in
-    /// `telemetry_reports` order: the one network, or the request slice
-    /// then the reply slice.
-    slices: Vec<LoadReport>,
-    saturation_rate: f64,
-    accepted_bound: f64,
+    /// The many-to-few analysis of its physical networks, whose
+    /// `slices` are in `telemetry_reports` order: the one network, or the
+    /// request slice then the reply slice.
+    load: FabricLoad,
 }
 
 impl Fabric {
     fn new(label: String, icnt: IcntConfig) -> Self {
-        let net = icnt.net();
-        let (slices, saturation_rate, accepted_bound) = match icnt {
-            IcntConfig::Double(_) => {
-                let d = analyze_load_double(net, TrafficMatrix::ManyToFew);
-                (vec![d.request, d.reply], d.saturation_rate, d.accepted_bound)
-            }
-            _ => {
-                let r = analyze_load(net, TrafficMatrix::ManyToFew);
-                let (rate, bound) = (r.saturation_rate, r.accepted_bound);
-                (vec![r], rate, bound)
-            }
-        };
-        Fabric { label, icnt, slices, saturation_rate, accepted_bound }
+        let load = analyze_load(icnt.net(), sliced(&icnt), TrafficMatrix::ManyToFew);
+        Fabric { label, icnt, load }
     }
 
     /// The static mean zero-load latency of one class, from the slice
     /// that carries it (0 when absent).
     fn zero_load(&self, class: &str) -> f64 {
-        let mut all = self.slices.iter().flat_map(|r| r.zero_load.iter());
+        let mut all = self.load.slices.iter().flat_map(|r| r.zero_load.iter());
         all.find(|z| z.class == class).map_or(0.0, |z| z.mean)
     }
 }
@@ -172,7 +159,7 @@ fn sweep(fabric: Fabric) -> Sweep {
     let points = LOADS
         .iter()
         .map(|&load| {
-            let rate = load * fabric.saturation_rate;
+            let rate = load * fabric.load.saturation_rate;
             let (result, reports) = probe(&fabric.icnt, rate);
             Point { rate, result, links: reports.iter().map(link_summary).collect() }
         })
@@ -252,7 +239,7 @@ fn latency_floor_failure(s: &Sweep) -> Option<String> {
 /// physical network of the sweep (the reply slice of a double) at its
 /// highest kept-up rate.
 fn hottest_failure(s: &Sweep) -> Option<String> {
-    let report = s.fabric.slices.last().expect("a fabric has a network");
+    let report = s.fabric.load.slices.last().expect("a fabric has a network");
     let predicted: Vec<String> = report
         .hottest_channels(HOTTEST_EPS)
         .iter()
@@ -279,7 +266,7 @@ fn assert_none(failures: Vec<String>) {
 fn static_bound_and_latency_floor_hold_on_every_preset() {
     let mut failures = Vec::new();
     for s in sweeps() {
-        failures.extend(bound_failures(s, s.fabric.accepted_bound));
+        failures.extend(bound_failures(s, s.fabric.load.accepted_bound));
         failures.extend(sweep_failures(s));
         failures.extend(latency_floor_failure(s));
     }
@@ -292,7 +279,7 @@ fn static_bound_and_latency_floor_hold_on_every_preset() {
 fn a_bound_scaled_by_0_9_fails_the_cross_validation() {
     let caught: Vec<&str> = sweeps()
         .iter()
-        .filter(|s| !bound_failures(s, 0.9 * s.fabric.accepted_bound).is_empty())
+        .filter(|s| !bound_failures(s, 0.9 * s.fabric.load.accepted_bound).is_empty())
         .map(|s| s.fabric.label.as_str())
         .collect();
     assert!(!caught.is_empty(), "no fabric fails against a bound scaled by 0.9");
@@ -300,9 +287,9 @@ fn a_bound_scaled_by_0_9_fails_the_cross_validation() {
 
 #[test]
 fn predicted_hottest_channel_matches_telemetry_on_thr_eff() {
-    // Thr-Eff's unsliced physical fabric against the single-network
+    // Thr-Eff's unsliced physical fabric against its one network's
     // analysis, and every double preset's reply slice (Thr-Eff's
-    // included) against the reply-slice analysis.
+    // included) against the reply slice's.
     let thr_eff = Preset::ThroughputEffective.icnt(6);
     let checked =
         sweeps().iter().filter(|s| sliced(&s.fabric.icnt) || s.fabric.icnt.net() == thr_eff.net());
@@ -316,14 +303,15 @@ fn uniform_and_transpose_matrices_are_analyzable_on_every_preset() {
     // which the report discloses instead of mispricing).
     for f in fabrics().iter().filter(|f| !sliced(&f.icnt)) {
         for m in [TrafficMatrix::Uniform, TrafficMatrix::Transpose] {
-            let rep = analyze_load(f.icnt.net(), m);
+            let load = analyze_load(f.icnt.net(), false, m);
             assert!(
-                rep.saturation_rate > 0.0 && rep.saturation_rate.is_finite(),
+                load.saturation_rate > 0.0 && load.saturation_rate.is_finite(),
                 "{}/{}: degenerate saturation rate {}",
                 f.label,
                 m.label(),
-                rep.saturation_rate
+                load.saturation_rate
             );
+            let rep = &load.slices[0];
             assert!(
                 rep.demands_total > rep.demands_unroutable,
                 "{}/{}: no routable demand",
