@@ -16,12 +16,9 @@ use crate::pool::run_indexed;
 use crate::presets::Preset;
 use crate::system::IcntConfig;
 use serde::Serialize;
-use std::borrow::Cow;
-use tenoc_noc::{NetworkConfig, VcLayout};
+use tenoc_noc::{NetworkConfig, PhysicalNets, VcLayout};
 use tenoc_verify::load::{analyze_load_with, ClassZeroLoad, FabricLoad, LoadReport, TrafficMatrix};
-use tenoc_verify::{
-    analyze_double_with, analyze_with, route_key, Detail, RouteTable, VerifyReport,
-};
+use tenoc_verify::{analyze_double, analyze_physical_with, route_key, Detail, RouteTable};
 
 /// Per-matrix static metrics of one audited configuration.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -140,33 +137,20 @@ impl AuditReport {
     }
 }
 
-/// An interconnect's physical networks: the network its packets route on
-/// — a double network's slice, otherwise the carried network — and
-/// whether it is sliced, i.e. runs as two copies that each carry one
-/// protocol class. The routed network's
-/// [`route_key`](tenoc_verify::route_key) decides which interconnects can
-/// share one [`RouteTable`]. (A double network whose channel cannot be
-/// sliced is rejected before any route is read; it keys on its carried
-/// network.)
-pub(crate) fn physical(icnt: &IcntConfig) -> (Cow<'_, NetworkConfig>, bool) {
-    match icnt {
-        IcntConfig::Double(c) if c.channel_bytes.is_multiple_of(2) => (Cow::Owned(c.slice()), true),
-        IcntConfig::Double(c) => (Cow::Borrowed(c), true),
-        _ => (Cow::Borrowed(icnt.net()), false),
-    }
-}
-
 /// Audits one interconnect configuration under a given name, against
 /// every traffic matrix: one route table, shared by the prover and every
 /// load analysis.
 pub fn audit_icnt(name: &str, icnt: &IcntConfig) -> AuditEntry {
-    let (net, sliced) = physical(icnt);
-    audit_on(name, icnt, sliced, &RouteTable::new(&net), &TrafficMatrix::ALL)
+    let matrices = &TrafficMatrix::ALL;
+    match icnt.physical() {
+        Ok(nets) => audit_on(name, icnt, Some((&nets, &RouteTable::new(&nets.net))), matrices),
+        Err(_) => audit_on(name, icnt, None, matrices),
+    }
 }
 
 /// The one grouped audit: each `(name, interconnect)` of `subjects`
 /// against `matrices`, grouped by the [`route_key`] of the network it
-/// routes on ([`physical`]).
+/// routes on ([`IcntConfig::physical`]).
 /// Each group builds one [`RouteTable`] on the pool (`jobs` workers),
 /// audits its members on it and drops it. Returns the entries in
 /// `subjects` order, each [`audit_icnt`]'s restricted to `matrices`
@@ -176,50 +160,55 @@ pub fn audit_grouped(
     matrices: &[TrafficMatrix],
     jobs: usize,
 ) -> (Vec<AuditEntry>, usize) {
-    let nets: Vec<_> = subjects.iter().map(|(_, icnt)| physical(icnt)).collect();
+    let (mut entries, mut nets) = (Vec::new(), Vec::new());
+    for (i, &(name, icnt)) in subjects.iter().enumerate() {
+        match icnt.physical() {
+            Ok(n) => nets.push((i, n)),
+            Err(_) => entries.push((i, audit_on(name, icnt, None, matrices))),
+        }
+    }
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, (net, _)) in nets.iter().enumerate() {
-        match groups.iter_mut().find(|g| route_key(&nets[g[0]].0) == route_key(net)) {
-            Some(group) => group.push(i),
-            None => groups.push(vec![i]),
+    for (j, (_, n)) in nets.iter().enumerate() {
+        match groups.iter_mut().find(|g| route_key(&nets[g[0]].1.net) == route_key(&n.net)) {
+            Some(group) => group.push(j),
+            None => groups.push(vec![j]),
         }
     }
     let audited = run_indexed(groups.len(), jobs, |g| {
-        let table = RouteTable::new(&nets[groups[g][0]].0);
-        let audit =
-            |&i: &usize| audit_on(subjects[i].0, subjects[i].1, nets[i].1, &table, matrices);
+        let table = RouteTable::new(&nets[groups[g][0]].1.net);
+        let audit = |&j: &usize| {
+            let (i, n) = &nets[j];
+            (*i, audit_on(subjects[*i].0, subjects[*i].1, Some((n, &table)), matrices))
+        };
         groups[g].iter().map(audit).collect::<Vec<_>>()
     });
-    let mut entries: Vec<(usize, AuditEntry)> =
-        groups.iter().flatten().copied().zip(audited.into_iter().flatten()).collect();
+    entries.extend(audited.into_iter().flatten());
     entries.sort_by_key(|&(i, _)| i);
     (entries.into_iter().map(|(_, entry)| entry).collect(), groups.len())
 }
 
-/// Audits `icnt`, `sliced` as [`physical`] says, against `matrices` on
-/// `table`, which must route the shape of the network `icnt` routes on
-/// (the prover panics on another).
+/// Audits `icnt` against `matrices` on its physical networks and a table
+/// that routes their shape (the prover panics on another); `None` is a
+/// double network that cannot slice, which [`analyze_double`] refuses
+/// before any route is read.
 fn audit_on(
     name: &str,
     icnt: &IcntConfig,
-    sliced: bool,
-    table: &RouteTable,
+    fabric: Option<(&PhysicalNets, &RouteTable)>,
     matrices: &[TrafficMatrix],
 ) -> AuditEntry {
-    let net = icnt.net();
     let ideal = matches!(icnt, IcntConfig::Perfect(_) | IcntConfig::BwLimited(_, _));
-    let verify: VerifyReport = if sliced {
-        analyze_double_with(net, table, Detail::Violations)
-    } else {
-        analyze_with(net, table, Detail::Violations)
+    let verify = match fabric {
+        Some((nets, table)) => analyze_physical_with(nets, table, Detail::Violations),
+        None => analyze_double(icnt.net()),
     };
-    let legal = verify.violations().next().is_none();
-    let violations = verify.violations().map(|f| f.to_string()).collect();
+    let violations: Vec<String> = verify.violations().map(|f| f.to_string()).collect();
+    let legal = violations.is_empty();
 
     let mut metrics = Vec::new();
-    if legal && !ideal {
+    if let (Some((nets, table)), true) = (fabric, legal && !ideal) {
         for &m in matrices {
-            metrics.push(MatrixMetrics::new(m, analyze_load_with(net, sliced, table, m)));
+            metrics.push(MatrixMetrics::new(m, analyze_load_with(nets, table, m)));
         }
     }
 

@@ -357,12 +357,6 @@ impl DesignPoint {
                 ));
             }
         }
-        if self.double && !self.channel_bytes.is_multiple_of(2) {
-            return Err(format!(
-                "a {}-byte channel cannot slice into two half-width networks",
-                self.channel_bytes
-            ));
-        }
         let mut cfg = self.org.base(k);
         cfg.routing = self.routing;
         cfg.vc_depth = self.vc_depth;
@@ -374,7 +368,9 @@ impl DesignPoint {
             vcs = vcs.with_dateline();
         }
         cfg.vcs = vcs;
-        Ok(if self.double { IcntConfig::Double(cfg) } else { IcntConfig::Mesh(cfg) })
+        let icnt = if self.double { IcntConfig::Double(cfg) } else { IcntConfig::Mesh(cfg) };
+        icnt.physical().map_err(|e| e.to_string())?;
+        Ok(icnt)
     }
 }
 
@@ -408,10 +404,9 @@ mod tests {
         for p in Preset::NAMED {
             let icnt = p.icnt(6);
             icnt.net().validate().unwrap_or_else(|e| panic!("{}: {e}", p.label()));
-            if let IcntConfig::Double(single) = &icnt {
-                // What a double preset simulates is its two slices.
-                single.slice().validate().unwrap_or_else(|e| panic!("{} slice: {e}", p.label()));
-            }
+            // What a preset simulates is its physical networks.
+            let nets = icnt.physical().unwrap_or_else(|e| panic!("{}: {e}", p.label()));
+            nets.net.validate().unwrap_or_else(|e| panic!("{} physical: {e}", p.label()));
         }
     }
 

@@ -1,13 +1,12 @@
 //! The closed-loop accelerator system: compute cores, interconnect, L2
 //! banks and DRAM channels stepped in their own clock domains.
 
-use crate::audit::physical;
 use crate::clock::{ClockConfig, Clocks, Domain};
 use crate::mc::{McConfig, McNode, McRequest};
 use crate::metrics::RunMetrics;
 use tenoc_noc::{
     ArenaDoubleNetwork, ArenaNetwork, BandwidthLimitedInterconnect, DoubleNetwork, Interconnect,
-    Network, NetworkConfig, NodeId, Packet, Tick,
+    Network, NetworkConfig, NodeId, Packet, PhysicalNets, Tick, Unsliceable,
 };
 use tenoc_simt::{CoreConfig, KernelSpec, MemRequest, ShaderCore};
 
@@ -30,8 +29,8 @@ pub enum IcntConfig {
     /// A single physical mesh.
     Mesh(NetworkConfig),
     /// Two channel-sliced meshes (requests / replies); the carried config
-    /// describes the *single-network equivalent* and is sliced via
-    /// [`DoubleNetwork::from_single`].
+    /// describes the *single-network equivalent* and is sliced by
+    /// [`NetworkConfig::physical`]'s rule.
     Double(NetworkConfig),
     /// Zero-latency, infinite-bandwidth network (limit studies).
     Perfect(NetworkConfig),
@@ -73,6 +72,12 @@ impl IcntConfig {
         }
     }
 
+    /// The fabric's physical networks ([`NetworkConfig::physical`]): the
+    /// carried network, sliced for [`IcntConfig::Double`].
+    pub fn physical(&self) -> Result<PhysicalNets<'_>, Unsliceable> {
+        self.net().physical(matches!(self, IcntConfig::Double(_)))
+    }
+
     /// Builds the interconnect this configuration describes on `engine`:
     /// the one place production code builds a network.
     /// [`EngineKind::PerCell`] is the one way to reach the per-router
@@ -106,7 +111,8 @@ impl IcntConfig {
             }
         };
         if cfg!(debug_assertions) && matches!(self, IcntConfig::Mesh(_) | IcntConfig::Double(_)) {
-            if let Err(report) = tenoc_verify::check_config(&physical(self).0) {
+            let routed = self.physical().expect("a built fabric slices").net;
+            if let Err(report) = tenoc_verify::check_config(&routed) {
                 panic!("network configuration failed static verification:\n{report}");
             }
         }

@@ -8,6 +8,7 @@ use crate::topology::{Fabric, Mesh, Placement};
 use crate::types::NodeId;
 use serde::json;
 use serde::Serialize;
+use std::borrow::Cow;
 
 /// Switch-allocator organization. Both engines implement exactly one.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
@@ -446,25 +447,31 @@ impl NetworkConfig {
         Ok(())
     }
 
-    /// The per-subnetwork configuration obtained by channel-slicing this
-    /// network in two (paper Section IV-C): half the channel width, doubled
-    /// terminal ports (preserving terminal interface bandwidth), and a
-    /// single-class VC layout — each slice carries one protocol class, so
-    /// request/reply separation comes from physical disjointness instead of
-    /// VC partitioning.
+    /// A fabric's physical networks, by the one slicing rule. Unsliced,
+    /// that is this network, carrying both classes. Sliced into a double
+    /// network (paper Section IV-C), it is two copies of one slice, one per
+    /// class, with half the channel width, the full VC complement in one
+    /// class (the copies keep requests and replies apart), and twice the
+    /// terminal ports: slicing shrinks the fabric, not the terminal
+    /// interfaces (Fig 18's double ~= single needs that; Table VI charges
+    /// extra ports only to 2P designs).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `channel_bytes` is odd.
-    pub fn slice(&self) -> NetworkConfig {
-        assert!(self.channel_bytes.is_multiple_of(2), "cannot slice an odd channel width");
+    /// [`Unsliceable`] if `sliced` and the channel width is odd.
+    pub fn physical(&self, sliced: bool) -> Result<PhysicalNets<'_>, Unsliceable> {
+        if !sliced {
+            return Ok(PhysicalNets { net: Cow::Borrowed(self), classes: &[None] });
+        }
+        if !self.channel_bytes.is_multiple_of(2) {
+            return Err(Unsliceable { channel_bytes: self.channel_bytes });
+        }
         let mut sub = self.clone();
         sub.channel_bytes = self.channel_bytes / 2;
-        let factor = (self.channel_bytes / sub.channel_bytes) as usize;
-        sub.mc_inject_ports = self.mc_inject_ports * factor;
-        sub.mc_eject_ports = self.mc_eject_ports * factor;
-        sub.core_inject_ports = self.core_inject_ports * factor;
-        sub.core_eject_ports = self.core_eject_ports * factor;
+        sub.mc_inject_ports = self.mc_inject_ports * 2;
+        sub.mc_eject_ports = self.mc_eject_ports * 2;
+        sub.core_inject_ports = self.core_inject_ports * 2;
+        sub.core_eject_ports = self.core_eject_ports * 2;
         // Each slice keeps the full VC complement of the single network it
         // replaces. Halving the per-slice VC count (the strictest reading
         // of the paper's constant-total-buffering description) costs
@@ -475,7 +482,14 @@ impl NetworkConfig {
         if self.vcs.split_dateline {
             sub.vcs = sub.vcs.with_dateline();
         }
-        sub
+        let classes = &[Some(PacketClass::Request), Some(PacketClass::Reply)];
+        Ok(PhysicalNets { net: Cow::Owned(sub), classes })
+    }
+
+    /// The slice [`physical`](Self::physical)`(true)` routes on (panics
+    /// with [`Unsliceable`]'s message on an odd channel width).
+    pub fn slice(&self) -> NetworkConfig {
+        self.physical(true).unwrap_or_else(|e| panic!("{e}")).net.into_owned()
     }
 
     /// Convenience: the MC placement strategy corresponding to the current
@@ -489,6 +503,28 @@ impl NetworkConfig {
         } else {
             None
         }
+    }
+}
+
+/// A fabric's physical networks ([`NetworkConfig::physical`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct PhysicalNets<'a> {
+    /// The network every copy routes on.
+    pub net: Cow<'a, NetworkConfig>,
+    /// The class each copy carries (`None`: both).
+    pub classes: &'static [Option<PacketClass>],
+}
+
+/// A double network whose channel width cannot be halved.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Unsliceable {
+    /// The odd channel width, in bytes.
+    pub channel_bytes: u32,
+}
+
+impl std::fmt::Display for Unsliceable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot channel-slice an odd channel width ({} B)", self.channel_bytes)
     }
 }
 

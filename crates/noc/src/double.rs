@@ -11,13 +11,11 @@ use crate::telemetry::{TelemetryConfig, TelemetryReport};
 use crate::tick::Tick;
 use crate::types::{Direction, NodeId};
 
-/// Two parallel channel-sliced networks: one dedicated to requests, one to
-/// replies (paper Section IV-C).
-///
-/// Each subnetwork runs at half the channel width of the single network it
-/// replaces, keeping total bisection bandwidth constant while shrinking
-/// crossbar area quadratically. Because classes are physically separated,
-/// no virtual channels are needed for protocol deadlock avoidance.
+/// Two parallel channel-sliced networks, one dedicated to requests, one to
+/// replies (paper Section IV-C): each is the slice of the single network
+/// that [`NetworkConfig::physical`] makes, at half its channel width, so
+/// total bisection bandwidth stays constant while crossbar area shrinks
+/// quadratically.
 pub struct Sliced<N> {
     request: N,
     reply: N,
@@ -41,22 +39,13 @@ impl<N> Sliced<N> {
 }
 
 impl DoubleNetwork {
-    /// Derives a double network from a single-network configuration by
-    /// halving the channel width and splitting the VC layout.
-    ///
-    /// Channel slicing shrinks the *fabric* datapath, not the terminal
-    /// interface: the MC network interfaces still move the original
-    /// channel width per cycle, so each slice's MC routers carry
-    /// `slice factor x` the configured local ports. (The paper's
-    /// Figure 18 — double network ~= single network — requires terminal
-    /// bandwidth to be preserved; Table VI's area accounting likewise
-    /// charges extra *16-byte-equivalent* ports only for the explicit 2P
-    /// design.)
+    /// Builds the double network of a single-network configuration: two
+    /// copies of its slice ([`NetworkConfig::physical`]).
     ///
     /// # Panics
     ///
-    /// Panics if the single network's channel width is not even or the
-    /// sliced configuration fails validation.
+    /// Panics with [`Unsliceable`](crate::Unsliceable)'s message if the
+    /// channel width is odd, and if the slice fails validation.
     pub fn from_single(cfg: &NetworkConfig) -> Self {
         Self::build(cfg, Network::new)
     }

@@ -77,7 +77,7 @@ pub mod topology;
 mod types;
 
 pub use arena::ArenaNetwork;
-pub use config::{AllocatorKind, NetworkConfig, RoutingKind, VcLayout};
+pub use config::{AllocatorKind, NetworkConfig, PhysicalNets, RoutingKind, Unsliceable, VcLayout};
 pub use double::{ArenaDoubleNetwork, DoubleNetwork};
 pub use ideal::BandwidthLimitedInterconnect;
 pub use interconnect::Interconnect;

@@ -839,9 +839,8 @@ mod tests {
         fabrics.extend(Preset::NAMED.iter().map(|p| (p.label(), p.icnt(6))));
         for (name, icnt) in &fabrics {
             assert!(tenoc_noc::ArenaNetwork::supports(icnt.net()), "{name}");
-            if let tenoc_core::IcntConfig::Double(single) = icnt {
-                assert!(tenoc_noc::ArenaNetwork::supports(&single.slice()), "{name} (slice)");
-            }
+            let routed = icnt.physical().expect("a built fabric slices").net;
+            assert!(tenoc_noc::ArenaNetwork::supports(&routed), "{name} (slice)");
         }
     }
 

@@ -28,9 +28,9 @@
 //! Every check, and the [`load`] analyzer, reads one [`RouteTable`] — the
 //! routes of one `(mesh, routing, VC layout)`, walked once — so callers
 //! analyzing many configurations of one shape build the table once and
-//! use [`analyze_with`] / [`load::analyze_load_with`]. The load analyzer
-//! reads a double network as two physical networks, one per class, on the
-//! table of its slice.
+//! use [`analyze_physical_with`] / [`load::analyze_load_with`]. A double
+//! network is read as the physical networks [`NetworkConfig::physical`]
+//! gives it: two copies of its slice, one per class, on the slice's table.
 //!
 //! The library entry point is [`analyze`]; `tenoc audit` (through
 //! `tenoc_core::audit_grid`) applies it to every shipped preset. Debug-build
@@ -48,7 +48,7 @@ mod route;
 
 pub use route::{route_key, RouteTable};
 use std::sync::Mutex;
-use tenoc_noc::NetworkConfig;
+use tenoc_noc::{NetworkConfig, PhysicalNets};
 
 /// Which property a finding is about.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -236,7 +236,11 @@ pub fn analyze(cfg: &NetworkConfig) -> VerifyReport {
 /// # Panics
 ///
 /// Panics if `table` routes a different `(mesh, routing, VC layout)`.
-pub fn analyze_with(cfg: &NetworkConfig, table: &RouteTable, detail: Detail) -> VerifyReport {
+pub(crate) fn analyze_with(
+    cfg: &NetworkConfig,
+    table: &RouteTable,
+    detail: Detail,
+) -> VerifyReport {
     assert!(table.routes(cfg), "route table of another fabric shape");
     let mut findings = Vec::new();
     if let Err(e) = cfg.validate() {
@@ -267,52 +271,47 @@ pub fn analyze_with(cfg: &NetworkConfig, table: &RouteTable, detail: Detail) -> 
 
 /// Verifies a configuration used as a channel-sliced **double network**
 /// (paper Section IV-C): each protocol class rides its own physical copy
-/// of [`NetworkConfig::slice`]. The slice is analyzed like any single
-/// network; protocol separation additionally holds by physical
-/// disjointness, which is recorded as an info finding.
+/// of the slice [`NetworkConfig::physical`] makes. An odd channel width
+/// is reported as its [`Unsliceable`](tenoc_noc::Unsliceable) error, the
+/// one `Config` violation, and no route is read.
 pub fn analyze_double(cfg: &NetworkConfig) -> VerifyReport {
-    if !cfg.channel_bytes.is_multiple_of(2) {
-        return unsliceable(cfg);
+    match cfg.physical(true) {
+        Ok(nets) => analyze_physical_with(&nets, &RouteTable::new(&nets.net), Detail::Full),
+        Err(e) => VerifyReport {
+            subject: format!("double network of [{}]", subject_of(cfg)),
+            findings: vec![Finding::violation(CheckKind::Config, e.to_string())],
+            stats: VerifyStats::default(),
+        },
     }
-    analyze_double_with(cfg, &RouteTable::new(&cfg.slice()), Detail::Full)
 }
 
-/// [`analyze_double`] on routes already walked for `cfg.slice()`,
-/// spelling out `detail`.
+/// Verifies a fabric given as its physical networks, on routes already
+/// walked for `nets.net`, spelling out `detail`. The routed network is
+/// analyzed like any single network; the slices of a double network
+/// additionally hold protocol separation by physical disjointness,
+/// which is recorded as an info finding.
 ///
 /// # Panics
 ///
-/// Panics if `table` routes a different shape than the slice.
-pub fn analyze_double_with(
-    cfg: &NetworkConfig,
+/// Panics if `table` routes a different shape than `nets.net`.
+pub fn analyze_physical_with(
+    nets: &PhysicalNets,
     table: &RouteTable,
     detail: Detail,
 ) -> VerifyReport {
-    if !cfg.channel_bytes.is_multiple_of(2) {
-        return unsliceable(cfg);
-    }
-    let mut report = analyze_with(&cfg.slice(), table, detail);
-    report.subject = format!("double network, per-slice [{}]", report.subject);
-    if detail == Detail::Full {
-        report.findings.push(Finding::info(
-            CheckKind::ProtocolSeparation,
-            "double network: requests and replies ride physically disjoint slices, so \
-             protocol-deadlock freedom holds regardless of the per-slice VC layout"
-                .to_string(),
-        ));
+    let mut report = analyze_with(&nets.net, table, detail);
+    if nets.classes.len() > 1 {
+        report.subject = format!("double network, per-slice [{}]", report.subject);
+        if detail == Detail::Full {
+            report.findings.push(Finding::info(
+                CheckKind::ProtocolSeparation,
+                "double network: requests and replies ride physically disjoint slices, so \
+                 protocol-deadlock freedom holds regardless of the per-slice VC layout"
+                    .to_string(),
+            ));
+        }
     }
     report
-}
-
-fn unsliceable(cfg: &NetworkConfig) -> VerifyReport {
-    VerifyReport {
-        subject: format!("double network of [{}]", subject_of(cfg)),
-        findings: vec![Finding::violation(
-            CheckKind::Config,
-            format!("cannot channel-slice an odd channel width ({} B)", cfg.channel_bytes),
-        )],
-        stats: VerifyStats::default(),
-    }
 }
 
 /// Memoized [`analyze`] verdict: `Err` carries the report of a

@@ -4,10 +4,8 @@
 //! the same [`RouteTable`] the safety checks do — every plan
 //! `plan_options` lists, walked with the simulator's own
 //! `next_hop` — and turns the walks into *performance* facts about each
-//! physical network of the fabric: the one network of a single fabric,
-//! which carries both packet classes, or the request slice and the reply
-//! slice of a channel-sliced double network, each carrying its own class
-//! over one table ([`analyze_load`], [`FabricLoad`]):
+//! physical network of the fabric ([`NetworkConfig::physical`]), each
+//! carrying its class over one table ([`analyze_load`], [`FabricLoad`]):
 //!
 //! * expected per-channel load under the matrix, in flits/cycle at unit
 //!   injection;
@@ -31,10 +29,9 @@
 
 use crate::RouteTable;
 use serde::Serialize;
-use std::borrow::Cow;
 use std::sync::Arc;
 use tenoc_noc::telemetry::dir_label;
-use tenoc_noc::{Coord, NetworkConfig, NodeId, Packet, PacketClass};
+use tenoc_noc::{Coord, NetworkConfig, NodeId, Packet, PacketClass, PhysicalNets};
 
 /// The traffic matrices the analyzer understands.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -231,49 +228,36 @@ pub struct FabricLoad {
     pub accepted_bound: f64,
 }
 
-/// Analyzes a fabric under one traffic matrix: `cfg` as one network, or
-/// with `sliced` as a channel-sliced double network whose request and
-/// reply slices (`cfg.slice()`) each carry one class.
+/// Analyzes a fabric, given as its physical networks
+/// ([`NetworkConfig::physical`]), under one traffic matrix: each copy of
+/// the routed network carries the class it is given.
 ///
 /// The enumeration never panics on unroutable pairs — they are counted
 /// in [`LoadReport::demands_unroutable`] and excluded from the loads —
 /// but the configuration's geometry must be usable (MC nodes inside the
 /// mesh), which [`crate::analyze`] checks first.
-///
-/// # Panics
-///
-/// Panics if `sliced` and `cfg.channel_bytes` is odd (cannot be sliced);
-/// gate on [`crate::analyze_double`] first.
-pub fn analyze_load(cfg: &NetworkConfig, sliced: bool, matrix: TrafficMatrix) -> FabricLoad {
-    let net = if sliced { Cow::Owned(cfg.slice()) } else { Cow::Borrowed(cfg) };
-    analyze_load_with(cfg, sliced, &RouteTable::new(&net), matrix)
+pub fn analyze_load(nets: &PhysicalNets, matrix: TrafficMatrix) -> FabricLoad {
+    analyze_load_with(nets, &RouteTable::new(&nets.net), matrix)
 }
 
 /// [`analyze_load`] on routes already walked: `table` must have been
 /// built from a configuration with the [`route_key`](crate::route_key)
-/// of the network the packets route on — `cfg`, or with `sliced`
-/// `cfg.slice()`.
+/// of `nets.net`.
 ///
 /// # Panics
 ///
-/// Panics if `sliced` and `cfg.channel_bytes` is odd, or if `table` routes
-/// a different `(mesh, routing, VC layout)`.
+/// Panics if `table` routes a different `(mesh, routing, VC layout)`.
 pub fn analyze_load_with(
-    cfg: &NetworkConfig,
-    sliced: bool,
+    nets: &PhysicalNets,
     table: &RouteTable,
     matrix: TrafficMatrix,
 ) -> FabricLoad {
-    let (net, classes) = if sliced {
-        (Cow::Owned(cfg.slice()), &[Some(PacketClass::Request), Some(PacketClass::Reply)][..])
-    } else {
-        (Cow::Borrowed(cfg), &[None][..])
-    };
-    let mut flit_rate = 0.0_f64;
-    let slices: Vec<LoadReport> = classes
+    let (net, mut flit_rate) = (&nets.net, 0.0_f64);
+    let slices: Vec<LoadReport> = nets
+        .classes
         .iter()
         .map(|&class| {
-            let (report, flits) = analyze_slice(&net, table, LoadKey::of(&net, matrix, class));
+            let (report, flits) = analyze_slice(net, table, LoadKey::of(net, matrix, class));
             flit_rate += flits;
             report
         })
@@ -282,7 +266,7 @@ pub fn analyze_load_with(
     // of the slices' own rates, to the bit.
     let max_load = slices.iter().map(|r| r.max_load).fold(0.0_f64, f64::max);
     let saturation_rate = if max_load > 0.0 { 1.0 / max_load } else { 0.0 };
-    let accepted_bound = saturation_rate * flit_rate / cfg.mesh.len() as f64;
+    let accepted_bound = saturation_rate * flit_rate / net.mesh.len() as f64;
     FabricLoad { slices, saturation_rate, accepted_bound }
 }
 
@@ -540,6 +524,14 @@ fn class_label(class: PacketClass) -> &'static str {
 mod tests {
     use super::*;
 
+    fn single(cfg: &NetworkConfig) -> PhysicalNets<'_> {
+        cfg.physical(false).expect("one network")
+    }
+
+    fn double(cfg: &NetworkConfig) -> PhysicalNets<'_> {
+        cfg.physical(true).expect("an even channel width")
+    }
+
     /// Configurations of one shape that differ only in MC ports and VC
     /// depth share one accumulation per demand list on their route table,
     /// and each still gets exactly the report a standalone analysis gives
@@ -551,18 +543,18 @@ mod tests {
         let b = NetworkConfig { mc_inject_ports: 2, mc_eject_ports: 2, vc_depth: 4, ..a.clone() };
         let table = RouteTable::new(&a);
         let (shared_a, shared_b) =
-            (analyze_load_with(&a, false, &table, m), analyze_load_with(&b, false, &table, m));
+            (analyze_load_with(&single(&a), &table, m), analyze_load_with(&single(&b), &table, m));
         assert_eq!(table.accumulations(), 1);
-        assert_eq!(shared_a, analyze_load(&a, false, m));
-        assert_eq!(shared_b, analyze_load(&b, false, m));
+        assert_eq!(shared_a, analyze_load(&single(&a), m));
+        assert_eq!(shared_b, analyze_load(&single(&b), m));
         let c = tenoc_core::Org::MeshCp.base(6); // a staggered placement of the same 8 MCs
-        assert_eq!(analyze_load_with(&c, false, &table, m), analyze_load(&c, false, m));
+        assert_eq!(analyze_load_with(&single(&c), &table, m), analyze_load(&single(&c), m));
         assert_eq!(table.accumulations(), 2, "mc_nodes is in the key");
 
         // A double network: one accumulation per class slice.
-        let slices = RouteTable::new(&a.slice());
+        let slices = RouteTable::new(&double(&a).net);
         for cfg in [&a, &b] {
-            assert_eq!(analyze_load_with(cfg, true, &slices, m), analyze_load(cfg, true, m));
+            assert_eq!(analyze_load_with(&double(cfg), &slices, m), analyze_load(&double(cfg), m));
         }
         assert_eq!(slices.accumulations(), 2);
 
@@ -571,12 +563,14 @@ mod tests {
         let one = NetworkConfig::checkerboard_mesh(6);
         let two = NetworkConfig { mc_inject_ports: 2, ..one.clone() };
         let table = RouteTable::new(&one);
-        let (shared_one, shared_two) =
-            (analyze_load_with(&one, false, &table, m), analyze_load_with(&two, false, &table, m));
+        let (shared_one, shared_two) = (
+            analyze_load_with(&single(&one), &table, m),
+            analyze_load_with(&single(&two), &table, m),
+        );
         assert_eq!(table.accumulations(), 1);
         assert_eq!(
             (shared_one.clone(), shared_two.clone()),
-            (analyze_load(&one, false, m), analyze_load(&two, false, m))
+            (analyze_load(&single(&one), m), analyze_load(&single(&two), m))
         );
         let (one, two) = (&shared_one.slices[0], &shared_two.slices[0]);
         assert!(one.bottleneck.starts_with("inject terminal"), "{}", one.bottleneck);

@@ -63,7 +63,7 @@ pub(crate) struct Walk {
 /// Every route of one fabric shape: per ordered pair a range of plans,
 /// per `(plan, class)` one walk, the links of all walks in one
 /// flat `Vec`. Build it once per [`route_key`] and hand it to
-/// [`analyze_with`](crate::analyze_with) and
+/// [`analyze_physical_with`](crate::analyze_physical_with) and
 /// [`analyze_load_with`](crate::load::analyze_load_with) for every
 /// configuration of that shape; the prover's route-only verdicts and the
 /// load analyzer's accumulations are computed on first use and kept with
@@ -244,10 +244,7 @@ mod tests {
     fn table_matches_plan_options_and_fresh_walks_on_every_named_preset() {
         for k in [4, 6, 8] {
             for preset in tenoc_core::Preset::NAMED {
-                let cfg = match preset.icnt(k) {
-                    tenoc_core::IcntConfig::Double(c) => c.slice(),
-                    icnt => icnt.net().clone(),
-                };
+                let cfg = preset.icnt(k).physical().expect("a preset slices").net.into_owned();
                 let table = RouteTable::new(&cfg);
                 let mesh = &cfg.mesh;
                 let mut fresh = Vec::new();

@@ -12,8 +12,9 @@
 //! the fabric keeps up with witness the bound.
 
 use proptest::prelude::*;
+use tenoc_core::{EngineKind, IcntConfig};
 use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
-use tenoc_noc::{ArenaDoubleNetwork, ArenaNetwork, Interconnect, NetworkConfig, VcLayout};
+use tenoc_noc::{NetworkConfig, VcLayout};
 use tenoc_verify::load::{analyze_load, ClassZeroLoad, TrafficMatrix};
 
 /// A randomly drawn legal configuration: baseline full-router mesh (DOR
@@ -46,26 +47,27 @@ fn draw_config(
     cfg
 }
 
-/// The many-to-few analysis of `cfg`, or with `sliced` of its two slices
-/// as a double network carries them: the saturation rate, the accepted
-/// bound and the per-class zero-load latencies.
-fn analyze_drawn(cfg: &NetworkConfig, sliced: bool) -> (f64, f64, Vec<ClassZeroLoad>) {
-    let load = analyze_load(cfg, sliced, TrafficMatrix::ManyToFew);
+/// The two fabrics of a drawn configuration: one network, and a double
+/// network's two slices.
+fn fabrics(cfg: &NetworkConfig) -> [IcntConfig; 2] {
+    [IcntConfig::Mesh(cfg.clone()), IcntConfig::Double(cfg.clone())]
+}
+
+/// The many-to-few analysis of a fabric's physical networks: the
+/// saturation rate, the accepted bound and the per-class zero-load
+/// latencies.
+fn analyze_drawn(icnt: &IcntConfig) -> (f64, f64, Vec<ClassZeroLoad>) {
+    let load = analyze_load(&icnt.physical().expect("an even width"), TrafficMatrix::ManyToFew);
     let zero_load = load.slices.into_iter().flat_map(|r| r.zero_load).collect();
     (load.saturation_rate, load.accepted_bound, zero_load)
 }
 
-fn quick_run(cfg: &NetworkConfig, sliced: bool, rate: f64) -> OpenLoopResult {
-    let mut ol = OpenLoopConfig::new(cfg.clone(), rate, TrafficPattern::UniformRandom);
+fn quick_run(icnt: &IcntConfig, rate: f64) -> OpenLoopResult {
+    let mut ol = OpenLoopConfig::new(icnt.net().clone(), rate, TrafficPattern::UniformRandom);
     ol.warmup = 800;
     ol.measure = 3_000;
     ol.drain = 5_000;
-    let mut net: Box<dyn Interconnect> = if sliced {
-        Box::new(ArenaDoubleNetwork::from_single(cfg))
-    } else {
-        Box::new(ArenaNetwork::new(cfg.clone()))
-    };
-    run_open_loop_on(&ol, &mut *net)
+    run_open_loop_on(&ol, &mut *icnt.build(EngineKind::Arena))
 }
 
 proptest! {
@@ -80,14 +82,15 @@ proptest! {
         let cfg = draw_config(checkerboard, wide_vcs, mc_ports, vc_depth, fast_routers);
         prop_assert!(tenoc_verify::analyze(&cfg).is_clean(), "drew an illegal config");
         prop_assert!(tenoc_verify::analyze_double(&cfg).is_clean(), "drew illegal slices");
-        for sliced in [false, true] {
-            let (saturation_rate, bound, _) = analyze_drawn(&cfg, sliced);
+        for icnt in fabrics(&cfg) {
+            let sliced = matches!(icnt, IcntConfig::Double(_));
+            let (saturation_rate, bound, _) = analyze_drawn(&icnt);
             prop_assert!(saturation_rate > 0.0);
             let mut kept_up = 0;
             // Rates as multiples of the fabric's own saturation rate.
             for load in [0.5, 0.9, 1.0] {
                 let rate = load * saturation_rate;
-                let r = quick_run(&cfg, sliced, rate);
+                let r = quick_run(&icnt, rate);
                 if r.keeps_up() {
                     kept_up += 1;
                     prop_assert!(
@@ -113,9 +116,10 @@ proptest! {
         fast_routers in any::<bool>(),
     ) {
         let cfg = draw_config(checkerboard, wide_vcs, mc_ports, vc_depth, fast_routers);
-        for sliced in [false, true] {
-            let (_, _, zero_load) = analyze_drawn(&cfg, sliced);
-            let r = quick_run(&cfg, sliced, 0.005);
+        for icnt in fabrics(&cfg) {
+            let sliced = matches!(icnt, IcntConfig::Double(_));
+            let (_, _, zero_load) = analyze_drawn(&icnt);
+            let r = quick_run(&icnt, 0.005);
             prop_assert!(r.keeps_up(), "sliced {sliced}: 0.005 must be deep below saturation");
             let zl = |class: &str| {
                 zero_load.iter().find(|z| z.class == class).map(|z| z.mean).unwrap()
@@ -144,8 +148,9 @@ proptest! {
 #[test]
 fn double_network_slices_partition_the_matrix_by_class() {
     for cfg in [NetworkConfig::checkerboard_mesh(6), NetworkConfig::baseline_mesh(6)] {
-        let double = analyze_load(&cfg, true, TrafficMatrix::ManyToFew);
-        let whole = analyze_load(&cfg.slice(), false, TrafficMatrix::ManyToFew);
+        let nets = cfg.physical(true).expect("an even width");
+        let double = analyze_load(&nets, TrafficMatrix::ManyToFew);
+        let whole = analyze_load(&nets.net.physical(false).unwrap(), TrafficMatrix::ManyToFew);
         let [request, reply] = &double.slices[..] else {
             panic!("a double network has two slices")
         };

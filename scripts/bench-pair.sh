@@ -4,12 +4,13 @@
 #
 # Builds each revision once (`cargo build --release --offline`) in its own
 # git worktree and target directory under ${TMPDIR:-/tmp}, once in all when
-# both name the same commit. Each pair then runs the two binaries side by
-# side with the same args, alternating which starts first; every `@CACHE@`
-# in the args becomes a fresh directory per run. Each child's user+sys CPU
-# seconds and wall seconds come from bash's `time`. Prints one line per pair,
-# then the median B/A CPU ratio with its quartiles, the median B/A wall ratio
-# and how many pairs B won on CPU. Exits non-zero if a build or a run fails.
+# both name the same commit (scripts/rev-build.sh). Each pair then runs the
+# two binaries side by side with the same args, alternating which starts
+# first; every `@CACHE@` in the args becomes a fresh directory per run. Each
+# child's user+sys CPU seconds and wall seconds come from bash's `time`.
+# Prints one line per pair, then the median B/A CPU ratio with its
+# quartiles, the median B/A wall ratio and how many pairs B won on CPU.
+# Exits non-zero if a build or a run fails.
 # Example: scripts/bench-pair.sh HEAD~1 HEAD 10 -- tune --k 6 --jobs 1 --cache @CACHE@
 set -euo pipefail
 usage() { echo "usage: $0 REV_A REV_B PAIRS -- <tenoc args>" >&2; exit 2; }
@@ -19,31 +20,11 @@ shift 4
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
 args=("$@")
 
-repo=$(git rev-parse --show-toplevel)
-sha_a=$(git -C "$repo" rev-parse --verify --quiet "$rev_a^{commit}") || usage
-sha_b=$(git -C "$repo" rev-parse --verify --quiet "$rev_b^{commit}") || usage
-work=$(mktemp -d "${TMPDIR:-/tmp}/bench-pair.XXXXXX")
-cleanup() {
-    for tree in "$work"/src-*; do
-        [ -d "$tree" ] && git -C "$repo" worktree remove --force "$tree"
-    done
-    rm -rf "$work"
-}
-trap cleanup EXIT
-
-# The release binary of commit $1, built on first use.
-build() {
-    local src=$work/src-$1 target=$work/target-$1
-    if [ ! -d "$src" ]; then
-        git -C "$repo" worktree add --quiet --detach "$src" "$1" >&2
-        echo "bench-pair: building ${1:0:12}" >&2
-        CARGO_TARGET_DIR=$target cargo build --release --offline --quiet \
-            --manifest-path "$src/Cargo.toml" --bin tenoc >&2
-    fi
-    echo "$target/release/tenoc"
-}
-bin_a=$(build "$sha_a")
-bin_b=$(build "$sha_b")
+. "$(dirname "$0")/rev-build.sh"
+sha_a=$(rev_sha "$rev_a")
+sha_b=$(rev_sha "$rev_b")
+bin_a=$(rev_build "$sha_a")
+bin_b=$(rev_build "$sha_b")
 
 # Runs binary $1 as run $2: stdout discarded, stderr to $2.err, and
 # "<user+sys> <wall>" seconds to $2.time, or "FAILED <status>".

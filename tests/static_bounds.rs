@@ -26,12 +26,16 @@
 //! * **Zero-load latency floor** — the static per-class zero-load
 //!   latency must not exceed the measured mean latency at a very low
 //!   injection rate.
+//! * **Keep-up verdicts** — every swept point's verdict, with its margin
+//!   to the keep-up line, is pinned in `tests/golden/keep_up.txt`, so a
+//!   point that crosses the line shows up as a named diff rather than as
+//!   a quiet change of which points the checks above compare.
 
 use std::sync::OnceLock;
 use tenoc::core::presets::Preset;
 use tenoc::core::{EngineKind, IcntConfig};
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
-use tenoc::noc::{NetworkConfig, TelemetryConfig, TelemetryReport};
+use tenoc::noc::{NetworkConfig, PhysicalNets, TelemetryConfig, TelemetryReport};
 use tenoc::verify::load::{analyze_load, FabricLoad, TrafficMatrix};
 
 /// Injection rates swept for the throughput-bound check, as multiples of
@@ -54,6 +58,9 @@ const LATENCY_TOLERANCE: f64 = 1.05;
 /// Relative tie-window when matching the hottest channel (static loads
 /// tying the maximum within this fraction count as hottest).
 const HOTTEST_EPS: f64 = 0.02;
+/// The share of the window-generated traffic a run must eject to keep up
+/// ([`OpenLoopResult::keeps_up`]'s line).
+const KEEP_UP_LINE: f64 = 0.98;
 
 /// One fabric under test and the static analysis it must obey.
 struct Fabric {
@@ -69,8 +76,13 @@ struct Fabric {
 
 impl Fabric {
     fn new(label: String, icnt: IcntConfig) -> Self {
-        let load = analyze_load(icnt.net(), sliced(&icnt), TrafficMatrix::ManyToFew);
+        let load = analyze_load(&physical(&icnt), TrafficMatrix::ManyToFew);
         Fabric { label, icnt, load }
+    }
+
+    /// `true` for a double preset's two slices.
+    fn sliced(&self) -> bool {
+        self.load.slices.len() > 1
     }
 
     /// The static mean zero-load latency of one class, from the slice
@@ -99,9 +111,7 @@ fn fabrics() -> Vec<Fabric> {
             IcntConfig::Mesh(_) => candidates.push((p.label(), icnt)),
         }
         for (label, icnt) in candidates {
-            let same =
-                |f: &&mut Fabric| sliced(&f.icnt) == sliced(&icnt) && f.icnt.net() == icnt.net();
-            match out.iter_mut().find(same) {
+            match out.iter_mut().find(|f| physical(&f.icnt) == physical(&icnt)) {
                 Some(f) => f.label = format!("{} / {label}", f.label),
                 None => out.push(Fabric::new(label, icnt)),
             }
@@ -110,9 +120,9 @@ fn fabrics() -> Vec<Fabric> {
     out
 }
 
-/// `true` for a double preset's two slices.
-fn sliced(icnt: &IcntConfig) -> bool {
-    matches!(icnt, IcntConfig::Double(_))
+/// A preset fabric's physical networks.
+fn physical(icnt: &IcntConfig) -> PhysicalNets<'_> {
+    icnt.physical().expect("a preset's fabric slices")
 }
 
 /// One swept rate point.
@@ -292,7 +302,7 @@ fn predicted_hottest_channel_matches_telemetry_on_thr_eff() {
     // included) against the reply slice's.
     let thr_eff = Preset::ThroughputEffective.icnt(6);
     let checked =
-        sweeps().iter().filter(|s| sliced(&s.fabric.icnt) || s.fabric.icnt.net() == thr_eff.net());
+        sweeps().iter().filter(|s| s.fabric.sliced() || s.fabric.icnt.net() == thr_eff.net());
     assert_none(checked.filter_map(hottest_failure).collect());
 }
 
@@ -301,9 +311,9 @@ fn uniform_and_transpose_matrices_are_analyzable_on_every_preset() {
     // The synthetic matrices must produce finite, positive bounds on
     // every legal fabric (checkerboard meshes may skip odd-parity pairs,
     // which the report discloses instead of mispricing).
-    for f in fabrics().iter().filter(|f| !sliced(&f.icnt)) {
+    for f in fabrics().iter().filter(|f| !f.sliced()) {
         for m in [TrafficMatrix::Uniform, TrafficMatrix::Transpose] {
-            let load = analyze_load(f.icnt.net(), false, m);
+            let load = analyze_load(&physical(&f.icnt), m);
             assert!(
                 load.saturation_rate > 0.0 && load.saturation_rate.is_finite(),
                 "{}/{}: degenerate saturation rate {}",
@@ -320,4 +330,52 @@ fn uniform_and_transpose_matrices_are_analyzable_on_every_preset() {
             );
         }
     }
+}
+
+/// One line per swept point: the fabric, the load multiplier, the rate,
+/// `ejection_rate / accepted`, its margin to [`KEEP_UP_LINE`] and the
+/// verdict.
+fn verdict_table() -> String {
+    let mut table = String::new();
+    for s in sweeps() {
+        for (load, p) in LOADS.iter().zip(&s.points) {
+            let share = p.result.ejection_rate / p.result.accepted;
+            let verdict = if p.result.keeps_up() { "kept up" } else { "not kept up" };
+            table += &format!(
+                "{} @ {load:.2}x: rate {:.6}, ejected/accepted {share:.4}, margin {:+.4}, {verdict}\n",
+                s.fabric.label,
+                p.rate,
+                share - KEEP_UP_LINE
+            );
+        }
+    }
+    table
+}
+
+#[test]
+fn keep_up_verdicts_match_the_checked_in_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/keep_up.txt");
+    let golden = std::fs::read_to_string(&path).expect("golden table present");
+    let table = verdict_table();
+    if table == golden {
+        return;
+    }
+    let moved = table.lines().zip(golden.lines()).find(|(a, g)| a != g);
+    let moved = moved.map_or_else(
+        || {
+            format!(
+                "line count: computed {}, golden {}",
+                table.lines().count(),
+                golden.lines().count()
+            )
+        },
+        |(a, g)| format!("computed {a}\n  golden   {g}"),
+    );
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("keep_up.txt");
+    std::fs::write(&out, &table).expect("write the computed table");
+    panic!(
+        "tests/golden/keep_up.txt drifted:\n  {moved}\nif intended, bless with\n  cp {} {}",
+        out.display(),
+        path.display()
+    );
 }

@@ -19,9 +19,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
-use tenoc::core::Preset;
+use tenoc::core::{EngineKind, Preset};
 use tenoc::noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
-use tenoc::noc::ArenaDoubleNetwork;
 
 fn tenoc(args: &[&str]) -> Output {
     tenoc_env(args, &[])
@@ -403,7 +402,7 @@ fn openloop_probes_the_sliced_fabric_of_a_double_preset() {
     // The CLI line is a library probe of the two half-width slices.
     let icnt = Preset::DoubleCpCr.icnt(6);
     let cfg = OpenLoopConfig::new(icnt.net().clone(), 0.05, TrafficPattern::UniformRandom);
-    let r = run_open_loop_on(&cfg, &mut ArenaDoubleNetwork::from_single(icnt.net()));
+    let r = run_open_loop_on(&cfg, &mut *icnt.build(EngineKind::Arena));
     let saturated = if r.saturated() { " (saturated)" } else { "" };
     let expected = format!(
         "rate 0.05: latency {:.1} cyc, delivered {:.1}%{saturated}\n",
