@@ -224,49 +224,8 @@ fn subject_of(cfg: &NetworkConfig) -> String {
 /// docs for the properties checked. Never panics on well-formed meshes;
 /// structural problems surface as `CheckKind::Config` violations.
 pub fn analyze(cfg: &NetworkConfig) -> VerifyReport {
-    analyze_with(cfg, &RouteTable::new(cfg), Detail::Full)
-}
-
-/// [`analyze`] on routes already walked, spelling out `detail`: `table`
-/// must have been built from a configuration with `cfg`'s
-/// [`route_key`]. Only `validate()`, MC reachability and the subject line
-/// are computed per call; the route-only verdicts are the table's,
-/// computed on its first use.
-///
-/// # Panics
-///
-/// Panics if `table` routes a different `(mesh, routing, VC layout)`.
-pub(crate) fn analyze_with(
-    cfg: &NetworkConfig,
-    table: &RouteTable,
-    detail: Detail,
-) -> VerifyReport {
-    assert!(table.routes(cfg), "route table of another fabric shape");
-    let mut findings = Vec::new();
-    if let Err(e) = cfg.validate() {
-        findings.push(Finding::violation(CheckKind::Config, e));
-        if cfg.mc_nodes.iter().any(|&m| m >= cfg.mesh.len()) {
-            // The geometry itself is unusable; nothing further can be
-            // proven.
-            return VerifyReport {
-                subject: subject_of(cfg),
-                findings,
-                stats: VerifyStats::default(),
-            };
-        }
-        // Otherwise keep going: the remaining checks demonstrate *which*
-        // property the invalid configuration breaks — e.g. the dependency
-        // cycle that appears when checkerboard routing lacks phase-split
-        // VCs.
-    }
-
-    let proof = table.proof();
-    proof.findings(cfg, table, detail, &mut findings);
-    findings.sort_by_key(|f| match f.severity {
-        Severity::Violation => 0,
-        Severity::Info => 1,
-    });
-    VerifyReport { subject: subject_of(cfg), findings, stats: proof.stats.clone() }
+    let nets = cfg.physical(false).expect("an unsliced network is its own physical network");
+    analyze_physical_with(&nets, &RouteTable::new(cfg), Detail::Full)
 }
 
 /// Verifies a configuration used as a channel-sliced **double network**
@@ -285,25 +244,50 @@ pub fn analyze_double(cfg: &NetworkConfig) -> VerifyReport {
     }
 }
 
-/// Verifies a fabric given as its physical networks, on routes already
-/// walked for `nets.net`, spelling out `detail`. The routed network is
-/// analyzed like any single network; the slices of a double network
-/// additionally hold protocol separation by physical disjointness,
-/// which is recorded as an info finding.
+/// Verifies a fabric given as its physical networks ([`analyze`] or
+/// [`analyze_double`]) on routes already walked, spelling out `detail`:
+/// `table` must have been built from a configuration with the
+/// [`route_key`] of `nets.net`. Only `validate()`, MC reachability and
+/// the subject line are computed per call; the route-only verdicts are
+/// the table's, computed on its first use. The slices of a double
+/// network additionally hold protocol separation by physical
+/// disjointness, which is recorded as an info finding.
 ///
 /// # Panics
 ///
-/// Panics if `table` routes a different shape than `nets.net`.
+/// Panics if `table` routes a different `(mesh, routing, VC layout)`.
 pub fn analyze_physical_with(
     nets: &PhysicalNets,
     table: &RouteTable,
     detail: Detail,
 ) -> VerifyReport {
-    let mut report = analyze_with(&nets.net, table, detail);
+    let cfg = &*nets.net;
+    assert!(table.routes(cfg), "route table of another fabric shape");
+    let mut findings = Vec::new();
+    if let Err(e) = cfg.validate() {
+        // Keep going where the geometry allows: the remaining checks
+        // demonstrate *which* property the invalid configuration breaks —
+        // e.g. the dependency cycle that appears when checkerboard routing
+        // lacks phase-split VCs.
+        findings.push(Finding::violation(CheckKind::Config, e));
+    }
+    let mut stats = VerifyStats::default();
+    // An MC outside the mesh (which `validate()` reports) leaves nothing
+    // further to prove.
+    if cfg.mc_nodes.iter().all(|&m| m < cfg.mesh.len()) {
+        let proof = table.proof();
+        proof.findings(cfg, table, detail, &mut findings);
+        findings.sort_by_key(|f| match f.severity {
+            Severity::Violation => 0,
+            Severity::Info => 1,
+        });
+        stats = proof.stats.clone();
+    }
+    let mut subject = subject_of(cfg);
     if nets.classes.len() > 1 {
-        report.subject = format!("double network, per-slice [{}]", report.subject);
+        subject = format!("double network, per-slice [{subject}]");
         if detail == Detail::Full {
-            report.findings.push(Finding::info(
+            findings.push(Finding::info(
                 CheckKind::ProtocolSeparation,
                 "double network: requests and replies ride physically disjoint slices, so \
                  protocol-deadlock freedom holds regardless of the per-slice VC layout"
@@ -311,7 +295,7 @@ pub fn analyze_physical_with(
             ));
         }
     }
-    report
+    VerifyReport { subject, findings, stats }
 }
 
 /// Memoized [`analyze`] verdict: `Err` carries the report of a

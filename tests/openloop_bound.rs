@@ -13,11 +13,11 @@
 //! it does not cut.
 
 use tenoc::core::presets::Preset;
-use tenoc::core::{audit_icnt, IcntConfig};
+use tenoc::core::{audit_icnt, EngineKind};
 use tenoc::noc::openloop::{
     run_open_loop_on, run_open_loop_unless, OpenLoopConfig, OpenLoopProbe, TrafficPattern,
 };
-use tenoc::noc::{ArenaDoubleNetwork, ArenaNetwork, Interconnect};
+use tenoc::noc::{EjectedPacket, Interconnect, NetStats, NodeId, Packet, Tick};
 use tenoc::verify::load::TrafficMatrix;
 
 /// Probe rates as multiples of the fabric's static saturation rate.
@@ -30,9 +30,37 @@ const WARMUP: u64 = 300;
 const MEASURE: u64 = 900;
 const DRAIN: u64 = 300;
 
+/// The network `IcntConfig::build` makes, held by value as a probe holds
+/// its network.
+struct Built(Box<dyn Interconnect>);
+
+impl Tick for Built {
+    fn tick(&mut self) {
+        self.0.tick();
+    }
+}
+
+impl Interconnect for Built {
+    fn try_inject(&mut self, node: NodeId, packet: Packet) -> Result<(), Packet> {
+        self.0.try_inject(node, packet)
+    }
+    fn pop(&mut self, node: NodeId) -> Option<EjectedPacket> {
+        self.0.pop(node)
+    }
+    fn cycle(&self) -> u64 {
+        self.0.cycle()
+    }
+    fn stats(&self) -> NetStats {
+        self.0.stats()
+    }
+    fn in_flight(&self) -> usize {
+        self.0.in_flight()
+    }
+}
+
 /// Checks the bound at every cycle of one run of `cfg` on fabrics from
 /// `build`.
-fn check<I: Interconnect>(what: &str, cfg: &OpenLoopConfig, build: impl Fn() -> I) {
+fn check(what: &str, cfg: &OpenLoopConfig, build: impl Fn() -> Built) {
     let full = run_open_loop_on(cfg, &mut build());
     let last = full.ejection_bytes_rate;
     let mut probe = OpenLoopProbe::new(cfg.clone(), build());
@@ -76,12 +104,7 @@ fn ejection_bound_dominates_the_final_rate_at_every_cycle() {
                 let mut cfg = OpenLoopConfig::new(icnt.net().clone(), multiplier * sat, pattern);
                 (cfg.warmup, cfg.measure, cfg.drain) = (WARMUP, MEASURE, DRAIN);
                 let what = format!("{} at {multiplier}x, {pattern:?}", preset.label());
-                match &icnt {
-                    IcntConfig::Double(single) => {
-                        check(&what, &cfg, || ArenaDoubleNetwork::from_single(single));
-                    }
-                    _ => check(&what, &cfg, || ArenaNetwork::new(cfg.net.clone())),
-                }
+                check(&what, &cfg, || Built(icnt.build(EngineKind::Arena)));
             }
         }
     }
